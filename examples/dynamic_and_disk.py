@@ -2,11 +2,11 @@
 
 Two operational concerns the paper addresses beyond raw querying:
 
-* **category updates** — a venue opens or closes: on the default packed
-  backend the change lands in the category's *delta overlay* in
-  O(|Lin(v)| log |Ci|); query cursors fold the overlay into the flat
-  buffers lazily, and ``engine.compact()`` (or the automatic
-  ``overlay_ratio`` threshold) rebuilds them garbage-free;
+* **category updates** — a venue opens or closes: the change lands in
+  the category's *delta overlay* in O(|Lin(v)| log |Ci|); query cursors
+  fold the overlay into the decoded runs lazily, and
+  ``engine.compact()`` (or the automatic ``overlay_ratio`` threshold)
+  rebuilds them garbage-free;
 * **disk-resident labels (SK-DB)** — when the index exceeds memory, each
   query loads only its categories' shards (|C| + 4 seeks) and still beats
   the in-memory dominance-only method.
@@ -23,8 +23,8 @@ from repro.graph import generators
 
 def main() -> None:
     graph = generators.col(scale=0.15)
-    # The default packed backend is dynamic: category updates go through
-    # per-category delta overlays on top of the immutable flat buffers.
+    # The index is dynamic: category updates go through per-category
+    # delta overlays on top of the never-written base sections.
     engine = KOSREngine.build(graph, name="col")
     rng = random.Random(3)
     s, t = rng.randrange(graph.num_vertices), rng.randrange(graph.num_vertices)

@@ -46,7 +46,6 @@ from repro.exceptions import (
 )
 from repro.graph import Graph
 from repro.core import (
-    BACKENDS,
     KOSREngine,
     KOSRResult,
     KOSRQuery,
@@ -97,7 +96,6 @@ __all__ = [
     "KOSREngine",
     "KOSRResult",
     "KOSRQuery",
-    "BACKENDS",
     "METHODS",
     "NN_BACKENDS",
     "PreprocessingStats",

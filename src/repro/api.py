@@ -96,16 +96,16 @@ class QueryOptions:
         """A copy with ``changes`` applied (options are immutable)."""
         return replace(self, **changes)
 
-    def plan_for(self, backend: str):
-        """Resolve these options into a :class:`QueryPlan` for ``backend``.
+    def plan_for(self):
+        """Resolve these options into a :class:`QueryPlan`.
 
-        This is the single validation point for the method / NN-backend /
-        index-backend vocabulary (raises
-        :class:`~repro.exceptions.QueryError` on unknown names).
+        This is the single validation point for the method / NN-backend
+        vocabulary (raises :class:`~repro.exceptions.QueryError` on
+        unknown names).
         """
         from repro.service.planner import resolve_plan
 
-        return resolve_plan(self.method, self.nn_backend, backend)
+        return resolve_plan(self.method, self.nn_backend)
 
 
 #: The library-wide defaults, defined once.

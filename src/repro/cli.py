@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import QueryOptions, QueryRequest
-from repro.core.engine import BACKENDS, KOSREngine, METHODS, NN_BACKENDS
+from repro.core.engine import KOSREngine, METHODS, NN_BACKENDS
 from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
@@ -120,13 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--k", type=int, default=1)
     qry.add_argument("--method", default="SK", choices=list(METHODS))
     qry.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    qry.add_argument("--backend", default="packed", choices=list(BACKENDS),
-                     help="index backend (packed = flat buffers, default; "
-                          "both support dynamic category updates)")
     qry.add_argument("--overlay-ratio", type=float, default=None,
-                     help="packed backend only: fraction of live inverted "
-                          "entries the delta overlay may reach before a "
-                          "category's buffers are compacted")
+                     help="fraction of live inverted entries the delta "
+                          "overlay may reach before a category's decoded "
+                          "runs are compacted")
     qry.add_argument("--budget", type=int, default=None,
                      help="examined-route cap (reports INF when hit)")
     qry.add_argument("--routes", action="store_true",
@@ -152,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default method for records that do not name one")
         p.add_argument("--nn-backend", default="label",
                        choices=list(NN_BACKENDS))
-        p.add_argument("--backend", default="packed", choices=list(BACKENDS))
         p.add_argument("--overlay-ratio", type=float, default=None)
         p.add_argument("--budget", type=int, default=None,
                        help="per-query examined-route cap")
@@ -204,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--method", default="SK", choices=list(METHODS),
                      help="default method for requests that do not name one")
     srv.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    srv.add_argument("--backend", default="packed", choices=list(BACKENDS))
     srv.add_argument("--overlay-ratio", type=float, default=None)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
@@ -286,10 +281,7 @@ def cmd_preprocess(args) -> int:
     print(f"labels built in {p.label_build_seconds:.2f}s: "
           f"avg |Lin| = {p.avg_lin:.1f}, avg |Lout| = {p.avg_lout:.1f}, "
           f"{p.label_entries} entries")
-    labels = engine.labels
-    packed = (labels if isinstance(labels, PackedLabelIndex)
-              else PackedLabelIndex.from_index(labels))
-    written = packed.save(out / "labels.bin")
+    written = engine.labels.save(out / "labels.bin")
     print(f"packed labels: {written / 1e6:.2f} MB -> {out / 'labels.bin'}")
     store = engine.attach_disk_store(out / "shards")
     print(f"category shards: {store.total_bytes() / 1e6:.2f} MB -> "
@@ -299,8 +291,6 @@ def cmd_preprocess(args) -> int:
 
 def cmd_index(args) -> int:
     """Build the labels once and write the single-file packed index."""
-    from repro.labeling.packed import write_index_file
-
     graph = _load_graph(args.graph)
     t0 = time.perf_counter()
     engine = KOSREngine.build(graph, name=Path(args.graph).stem)
@@ -309,7 +299,7 @@ def cmd_index(args) -> int:
     print(f"labels built in {build_s:.2f}s: avg |Lin| = {p.avg_lin:.1f}, "
           f"avg |Lout| = {p.avg_lout:.1f}, {p.label_entries} entries")
     if args.no_inverted:
-        written = write_index_file(args.out, engine.labels, None)
+        written = engine.labels.save(args.out)
     else:
         written = engine.save_index(args.out)
     what = "labels only" if args.no_inverted else \
@@ -322,13 +312,9 @@ def cmd_index(args) -> int:
 
 def _make_engine(args, needs_labels: Optional[bool] = None):
     graph = _load_graph(args.graph)
-    backend = getattr(args, "backend", "packed")
     overlay_ratio = getattr(args, "overlay_ratio", None)
     mmap_index = getattr(args, "mmap_index", None)
     if mmap_index:
-        if backend != "packed":
-            raise SystemExit("--mmap-index requires --backend packed "
-                             "(the file holds packed flat buffers)")
         return KOSREngine.from_index_file(graph, mmap_index,
                                           name=Path(args.graph).stem,
                                           overlay_ratio=overlay_ratio)
@@ -337,7 +323,6 @@ def _make_engine(args, needs_labels: Optional[bool] = None):
         packed = PackedLabelIndex.load(labels_path)
         engine = KOSREngine.from_labels(graph, packed,
                                         name=Path(args.graph).stem,
-                                        backend=backend,
                                         overlay_ratio=overlay_ratio)
         shards = Path(args.index) / "shards"
         if shards.exists():
@@ -352,8 +337,7 @@ def _make_engine(args, needs_labels: Optional[bool] = None):
         needs_labels = (args.nn_backend == "label"
                         and args.method not in ("GSP", "GSP-CH"))
     if needs_labels:
-        return KOSREngine.build(graph, backend=backend,
-                                overlay_ratio=overlay_ratio)
+        return KOSREngine.build(graph, overlay_ratio=overlay_ratio)
     return KOSREngine(graph)
 
 
@@ -384,14 +368,11 @@ def _make_sharded(args, build_labels: bool = True):
         raise SystemExit("--shards must be >= 1")
     graph = _load_graph(args.graph)
     index_path = getattr(args, "mmap_index", None)
-    if index_path and args.backend != "packed":
-        raise SystemExit("--mmap-index requires --backend packed "
-                         "(the file holds packed flat buffers)")
     labels = None
     if args.index and not index_path:
         labels = PackedLabelIndex.load(Path(args.index) / "labels.bin")
     return ShardedQueryService(
-        graph, args.shards, labels=labels, backend=args.backend,
+        graph, args.shards, labels=labels,
         overlay_ratio=getattr(args, "overlay_ratio", None),
         max_dest_kernels=getattr(args, "max_dest_kernels", None),
         max_finders=getattr(args, "max_finders", None),
@@ -494,9 +475,9 @@ def _load_workload_records(spec: str) -> List[dict]:
 
 
 def _prepare_workload(args):
-    """Shared `batch`/`async-batch` setup: backend + per-record queries.
+    """Shared `batch`/`async-batch` setup: runner + per-record queries.
 
-    Returns ``(backend, items)`` where ``backend`` is either an engine
+    Returns ``(runner, items)`` where ``runner`` is either an engine
     (in-process serving) or a :class:`~repro.shard.ShardedQueryService`
     (``--shards N``), and ``items`` is a list of
     ``(index, method, query)`` aligned with the workload records.  Fails
@@ -518,24 +499,24 @@ def _prepare_workload(args):
     needs_labels = (args.nn_backend == "label"
                     and any(m not in ("GSP", "GSP-CH") for m in methods))
     if sharded:
-        backend = _make_sharded(args, build_labels=needs_labels)
+        runner = _make_sharded(args, build_labels=needs_labels)
     else:
-        backend = _make_engine(args, needs_labels=needs_labels)
+        runner = _make_engine(args, needs_labels=needs_labels)
     for method in sorted(methods):
         try:
-            resolve_plan(method, args.nn_backend, args.backend)
+            resolve_plan(method, args.nn_backend)
         except QueryError as exc:
             raise SystemExit(str(exc))
-        if method == "SK-DB" and backend._store is None:
+        if method == "SK-DB" and runner._store is None:
             raise SystemExit("SK-DB needs --index (run `preprocess` first)")
     items = []
     for i, record in enumerate(records):
         cats = [int(c) if isinstance(c, str) and c.isdigit() else c
                 for c in record["categories"]]
-        q = backend.make_query(record["source"], record["target"], cats,
+        q = runner.make_query(record["source"], record["target"], cats,
                                k=int(record.get("k", 1)))
         items.append((i, record.get("method", args.method), q))
-    return backend, items
+    return runner, items
 
 
 def _result_row(method: str, result) -> dict:
@@ -583,7 +564,7 @@ def cmd_batch(args) -> int:
     :class:`~repro.shard.ShardedQueryService` instead — category
     partitions in worker processes, identical answers.
     """
-    backend, items = _prepare_workload(args)
+    runner, items = _prepare_workload(args)
     options = _query_options(args)
     # Records may override the method; group by it so each homogeneous
     # sub-batch flows through one run_batch call (grouping by
@@ -593,9 +574,9 @@ def cmd_batch(args) -> int:
         by_method.setdefault(method, []).append((i, q))
     rows = [None] * len(items)
     if _sharding_requested(args):
-        service = backend
+        service = runner
     else:
-        service = QueryService(backend, max_dest_kernels=args.max_dest_kernels,
+        service = QueryService(runner, max_dest_kernels=args.max_dest_kernels,
                                max_finders=args.max_finders)
     wall = 0.0
     groups = 0
@@ -645,14 +626,14 @@ def cmd_async_batch(args) -> int:
 
     from repro.server import AsyncQueryService
 
-    backend, items = _prepare_workload(args)
+    runner, items = _prepare_workload(args)
     base = _query_options(args)
     requests = [QueryRequest(q, base.replace(method=method))
                 for _, method, q in items]
     if _sharding_requested(args):
-        service = backend
+        service = runner
     else:
-        service = QueryService(backend, max_dest_kernels=args.max_dest_kernels,
+        service = QueryService(runner, max_dest_kernels=args.max_dest_kernels,
                                max_finders=args.max_finders)
 
     async def drive():
@@ -747,7 +728,7 @@ def cmd_serve(args) -> int:
         mmap_note = "on" if getattr(args, "mmap_index", None) else "off"
         metrics_note = "on" if args.metrics else "off"
         print(f"serving KOSR queries on {addr[0]}:{addr[1]} "
-              f"({shards_note}, backend={args.backend}, mmap={mmap_note}, "
+              f"({shards_note}, mmap={mmap_note}, "
               f"metrics={metrics_note}, method={args.method}, "
               f"max_inflight={args.max_inflight}, "
               f"max_queue={args.max_queue})")
@@ -766,9 +747,9 @@ def cmd_serve(args) -> int:
         raise KeyboardInterrupt
 
     try:
-        signal.signal(signal.SIGTERM, _sigterm)
+        previous = signal.signal(signal.SIGTERM, _sigterm)
     except ValueError:  # not the main thread (tests drive cmd_serve directly)
-        pass
+        previous = None
     try:
         asyncio.run(main_loop())
     except KeyboardInterrupt:
@@ -786,6 +767,11 @@ def cmd_serve(args) -> int:
     finally:
         if sharded is not None:
             sharded.close()
+        # Hand SIGTERM back: a process that goes on after serving (tests,
+        # embedding callers) must not fork children that inherit a
+        # handler turning their own termination into an exception.
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -18,7 +18,7 @@ from repro.core.pruning import pruning_kosr
 from repro.core.star import star_kosr
 from repro.core.gsp import gsp_osr, gsp_osr_ch
 from repro.core.brute import brute_force_kosr
-from repro.core.engine import BACKENDS, KOSREngine, KOSRResult, METHODS, NN_BACKENDS
+from repro.core.engine import KOSREngine, KOSRResult, METHODS, NN_BACKENDS
 from repro.core.variants import (
     kosr_without_source,
     kosr_without_destination,
@@ -37,7 +37,6 @@ __all__ = [
     "brute_force_kosr",
     "KOSREngine",
     "KOSRResult",
-    "BACKENDS",
     "METHODS",
     "NN_BACKENDS",
     "kosr_without_source",

@@ -26,56 +26,46 @@ Every index mutation stamps :attr:`index_epoch`; the service layer's
 session caches validate against it, so stale cross-query state can never
 survive an update (see ``SessionCache``).
 
-Two interchangeable *index backends* exist (``BACKENDS``):
-
-* ``"packed"`` (default) — flat-buffer label and inverted indexes
-  (:class:`~repro.labeling.packed.PackedLabelIndex`,
-  :class:`~repro.labeling.packed_inverted.PackedInvertedIndex`); every
-  query hot path is index arithmetic over parallel buffers.  Dynamic
-  category updates go through a per-category delta overlay that queries
-  lazily fold in (see :meth:`KOSREngine.add_vertex_to_category` /
-  :meth:`KOSREngine.compact`).
-* ``"object"`` — per-entry :class:`~repro.labeling.labels.LabelEntry`
-  objects and dict-of-tuple-list inverted indexes; kept as the reference
-  implementation (updates patch its sorted lists in place).
-
-Both return bit-identical results (asserted by the backend-parity tests);
-pick with ``KOSREngine.build(graph, backend=...)``.
+There is one index representation: the RPLI v2 section layout
+(:class:`~repro.labeling.packed.PackedLabelIndex`,
+:class:`~repro.labeling.packed_inverted.PackedInvertedIndex`), served
+from a private buffer after :meth:`KOSREngine.build` and from a shared
+read-only ``mmap`` after :meth:`KOSREngine.from_index_file`.  Dynamic
+category updates go through a per-category delta overlay that queries
+lazily fold in (see :meth:`KOSREngine.add_vertex_to_category` /
+:meth:`KOSREngine.compact`).  The per-entry object representation the
+labels are built in survives only as the tests' reference.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, merge_query_kwargs
 from repro.core.query import KOSRQuery, make_query
 from repro.core.stats import PreprocessingStats, QueryStats
-from repro.exceptions import BudgetExceededError, QueryError  # noqa: F401  (re-export)
+from repro.exceptions import (  # noqa: F401  (BudgetExceededError: re-export)
+    BudgetExceededError,
+    IndexStorageError,
+    QueryError,
+)
 from repro.graph.graph import Graph
 from repro.labeling import updates as _updates
-from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
-from repro.labeling.labels import LabelIndex
-from repro.labeling.packed import PackedLabelIndex
-from repro.labeling.packed_inverted import build_packed_inverted_indexes
-from repro.labeling.pll_unweighted import build_labels_auto
+from repro.labeling.assembly import assemble_index
+from repro.labeling.mmap_index import MmapIndexFile
+from repro.labeling.packed import PackedLabelIndex, write_index_file
+from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.labeling.storage import CategoryShardStore
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.dijkstra_nn import DijkstraNNFinder
-from repro.nn.label_nn import LabelNNFinder, PackedLabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 from repro.service.execution import execute_plan
-from repro.service.planner import (
-    BACKENDS,
-    METHODS,
-    NN_BACKENDS,
-    check_backend,
-)
+from repro.service.planner import METHODS, NN_BACKENDS
 from repro.service.service import QueryService
 from repro.types import CategoryId, Route, SequencedResult, Vertex
 
 __all__ = [
-    "BACKENDS",
     "KOSREngine",
     "KOSRResult",
     "METHODS",
@@ -106,16 +96,14 @@ class KOSREngine:
     def __init__(
         self,
         graph: Graph,
-        labels: Optional[LabelIndex] = None,
-        inverted: Optional[Dict[CategoryId, InvertedLabelIndex]] = None,
+        labels: Optional[PackedLabelIndex] = None,
+        inverted: Optional[Dict[CategoryId, PackedInvertedIndex]] = None,
         preprocessing: Optional[PreprocessingStats] = None,
-        backend: str = "packed",
     ):
         self.graph = graph
         self.labels = labels
         self.inverted = inverted
         self.preprocessing = preprocessing
-        self.backend = backend
         self._store: Optional[CategoryShardStore] = None
         self._ch = None
         #: build-time compaction-threshold override, re-applied when
@@ -125,32 +113,38 @@ class KOSREngine:
         #: and explicit compaction; see :attr:`index_epoch`)
         self._epoch_base = 0
         self._service: Optional[QueryService] = None
-        #: the open MmapIndexFile when this engine attached one
+        #: the open MmapIndexFile while this engine serves from one
         #: (:meth:`from_index_file`); kept so the mapping outlives views
-        self._index_file = None
+        self._index_file: Optional[MmapIndexFile] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_backend(backend: str) -> None:
-        check_backend(backend)
-
-    @staticmethod
-    def _inverted_stats(stats: PreprocessingStats, inverted) -> None:
-        """Fill the Table IX inverted-index statistics (either backend)."""
-        totals = [il.total_entries for il in inverted.values()]
+    @classmethod
+    def _assemble(cls, graph: Graph, name: str,
+                  overlay_ratio: Optional[float], **source) -> "KOSREngine":
+        """An engine over :func:`~repro.labeling.assembly.assemble_index`
+        output, with the Table IX statistics recorded."""
+        parts = assemble_index(graph, overlay_ratio=overlay_ratio, **source)
+        stats = PreprocessingStats(
+            graph_name=name,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+        )
+        stats.label_build_seconds = parts.label_seconds
+        stats.avg_lin, stats.avg_lout = parts.labels.average_label_sizes()
+        stats.label_entries = parts.labels.size_entries()
+        stats.inverted_build_seconds = parts.inverted_seconds
+        totals = [il.total_entries for il in parts.inverted.values()]
         stats.inverted_entries = sum(totals)
         stats.avg_il_per_category = (sum(totals) / len(totals)) if totals else 0.0
-        lengths = [il.average_list_length() for il in inverted.values() if il.num_hubs]
+        lengths = [il.average_list_length() for il in parts.inverted.values()
+                   if il.num_hubs]
         stats.avg_il_list_length = (sum(lengths) / len(lengths)) if lengths else 0.0
-
-    @staticmethod
-    def _apply_overlay_ratio(inverted, overlay_ratio: Optional[float]) -> None:
-        if overlay_ratio is None:
-            return
-        for il in inverted.values():
-            il.overlay_ratio = overlay_ratio
+        engine = cls(graph, parts.labels, parts.inverted, stats)
+        engine._overlay_ratio = overlay_ratio
+        engine._index_file = source.get("index_file")
+        return engine
 
     @classmethod
     def build(
@@ -158,54 +152,24 @@ class KOSREngine:
         graph: Graph,
         order: Optional[Sequence[Vertex]] = None,
         name: str = "",
-        backend: str = "packed",
         overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Build hub labels and inverted indexes, recording Table IX stats.
 
-        ``backend`` selects the index representation (see ``BACKENDS``):
-        ``"packed"`` (default) stores labels and inverted lists as flat
-        parallel buffers and serves queries without materialising
-        per-entry objects; ``"object"`` keeps the per-entry
-        :class:`~repro.labeling.labels.LabelEntry` representation.  Both
-        backends return identical results.  ``overlay_ratio`` overrides
-        the packed backend's per-category compaction threshold (the
-        fraction of live entries the delta overlay may reach before a
-        category's buffers are rebuilt).
+        The PLL output is packed once into private RPLI sections and
+        queries are served from those.  ``overlay_ratio`` overrides the
+        per-category compaction threshold (the fraction of live entries
+        the delta overlay may reach before a category's decoded runs are
+        rebuilt).
         """
-        cls._check_backend(backend)
-        stats = PreprocessingStats(
-            graph_name=name,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        )
-        t0 = time.perf_counter()
-        labels = build_labels_auto(graph, order)
-        if backend == "packed":
-            labels = PackedLabelIndex.from_index(labels)
-        stats.label_build_seconds = time.perf_counter() - t0
-        stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
-        stats.label_entries = labels.size_entries()
-
-        t0 = time.perf_counter()
-        if backend == "packed":
-            inverted = build_packed_inverted_indexes(graph, labels)
-            cls._apply_overlay_ratio(inverted, overlay_ratio)
-        else:
-            inverted = build_inverted_indexes(graph, labels)
-        stats.inverted_build_seconds = time.perf_counter() - t0
-        cls._inverted_stats(stats, inverted)
-        engine = cls(graph, labels, inverted, stats, backend=backend)
-        engine._overlay_ratio = overlay_ratio
-        return engine
+        return cls._assemble(graph, name, overlay_ratio, order=order)
 
     @classmethod
     def from_labels(
         cls,
         graph: Graph,
-        labels: Union[LabelIndex, PackedLabelIndex],
+        labels,
         name: str = "",
-        backend: str = "packed",
         overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Assemble an engine from prebuilt labels (rebuilds only the
@@ -216,34 +180,10 @@ class KOSREngine:
         index across settings — this is the paper's setup, where labels are
         precomputed offline once per graph.
 
-        ``labels`` may be either representation; it is converted to match
-        ``backend`` when necessary (a :class:`PackedLabelIndex` passed to
-        the default packed backend is used as-is, so engines can share one
-        index instance).
+        A :class:`PackedLabelIndex` is used as-is, so engines can share
+        one index instance; PLL's object output is packed first.
         """
-        cls._check_backend(backend)
-        stats = PreprocessingStats(
-            graph_name=name,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        )
-        if backend == "packed" and isinstance(labels, LabelIndex):
-            labels = PackedLabelIndex.from_index(labels)
-        elif backend == "object" and isinstance(labels, PackedLabelIndex):
-            labels = labels.to_index()
-        stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
-        stats.label_entries = labels.size_entries()
-        t0 = time.perf_counter()
-        if backend == "packed":
-            inverted = build_packed_inverted_indexes(graph, labels)
-            cls._apply_overlay_ratio(inverted, overlay_ratio)
-        else:
-            inverted = build_inverted_indexes(graph, labels)
-        stats.inverted_build_seconds = time.perf_counter() - t0
-        cls._inverted_stats(stats, inverted)
-        engine = cls(graph, labels, inverted, stats, backend=backend)
-        engine._overlay_ratio = overlay_ratio
-        return engine
+        return cls._assemble(graph, name, overlay_ratio, labels=labels)
 
     @classmethod
     def from_index_file(
@@ -255,52 +195,25 @@ class KOSREngine:
     ) -> "KOSREngine":
         """Attach a saved RPLI index file zero-copy (mmap, no build).
 
-        The returned engine runs the packed backend over
-        :class:`~repro.labeling.mmap_index.MmapLabelIndex` /
-        ``MmapInvertedIndex`` views into the file: construction is an
-        ``open`` + ``mmap`` + header parse, and every process attaching
-        the same file shares one physical index through the OS page
-        cache.  Categories the file lacks inverted sections for (or all
-        of them, for a labels-only file) are built privately from
+        The returned engine serves from views into the file: construction
+        is an ``open`` + ``mmap`` + header parse, and every process
+        attaching the same file shares one physical index through the OS
+        page cache.  Categories the file lacks inverted sections for (or
+        all of them, for a labels-only file) are built privately from
         ``graph`` + the mapped labels.  Results are bit-identical to an
         engine built from scratch (parity-tested).
         """
-        from repro.exceptions import IndexStorageError
-        from repro.labeling.mmap_index import MmapIndexFile
-        from repro.labeling.packed_inverted import build_packed_inverted_index
-
         index_file = MmapIndexFile.open(path)
         try:
             if index_file.num_vertices != graph.num_vertices:
                 raise IndexStorageError(
                     f"{path}: index file covers {index_file.num_vertices} "
                     f"vertices but the graph has {graph.num_vertices}")
-            labels = index_file.labels
-            stats = PreprocessingStats(
-                graph_name=name,
-                num_vertices=graph.num_vertices,
-                num_edges=graph.num_edges,
-            )
-            stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
-            stats.label_entries = labels.size_entries()
-            t0 = time.perf_counter()
-            inverted = {}
-            for cid in range(graph.num_categories):
-                if index_file.has_category(cid):
-                    inverted[cid] = index_file.inverted_view(cid)
-                else:
-                    inverted[cid] = build_packed_inverted_index(
-                        graph, labels, cid)
-            cls._apply_overlay_ratio(inverted, overlay_ratio)
-            stats.inverted_build_seconds = time.perf_counter() - t0
-            cls._inverted_stats(stats, inverted)
+            return cls._assemble(graph, name, overlay_ratio,
+                                 index_file=index_file)
         except Exception:
             index_file.close()
             raise
-        engine = cls(graph, labels, inverted, stats, backend="packed")
-        engine._overlay_ratio = overlay_ratio
-        engine._index_file = index_file
-        return engine
 
     # ------------------------------------------------------------------
     # Index persistence + memory accounting
@@ -309,17 +222,10 @@ class KOSREngine:
         """Write labels + inverted indexes as one RPLI v2 index file.
 
         The file is what :meth:`from_index_file` (and shard workers in
-        mmap mode) attach zero-copy.  Packed backend only — the object
-        backend has no flat buffers to dump.  Returns bytes written.
+        mmap mode) attach zero-copy.  Returns bytes written.
         """
-        from repro.labeling.packed import write_index_file
-
         if self.labels is None or self.inverted is None:
             raise QueryError("build the indexes before saving an index file")
-        if self.backend != "packed":
-            raise QueryError(
-                f"index files require the packed backend, not "
-                f"{self.backend!r}")
         return write_index_file(path, self.labels, self.inverted)
 
     def index_memory(self) -> Dict[str, object]:
@@ -327,32 +233,27 @@ class KOSREngine:
 
         ``*_resident`` estimates live in-process bytes (near zero for
         mmap-attached indexes, whose pages are shared file cache);
-        ``*_serialized`` is the 8-bytes-per-element at-rest size.  The
-        object backend reports zeros — it has no flat buffers to
-        account.  Surfaced per worker through the TCP ``{"stats": true}``
-        reply.
+        ``*_serialized`` is the 8-bytes-per-element at-rest size.
+        Surfaced per worker through the TCP ``{"stats": true}`` reply.
         """
         labels = self.labels
         inverted = self.inverted or {}
-        labels_resident = int(getattr(labels, "nbytes_resident", 0) or 0)
-        labels_serialized = int(getattr(labels, "nbytes_serialized", 0) or 0)
-        inverted_resident = sum(
-            int(getattr(il, "nbytes_resident", 0) or 0)
-            for il in inverted.values())
-        inverted_serialized = sum(
-            int(getattr(il, "nbytes_serialized", 0) or 0)
-            for il in inverted.values())
+        built = labels is not None
+        labels_resident = labels.nbytes_resident if built else 0
+        labels_serialized = labels.nbytes_serialized if built else 0
+        inverted_resident = sum(il.nbytes_resident
+                                for il in inverted.values())
+        inverted_serialized = sum(il.nbytes_serialized
+                                  for il in inverted.values())
         payload: Dict[str, object] = {
-            "backend": self.backend,
-            "shared": bool(getattr(labels, "is_mmap", False)),
+            "shared": built and labels.shared,
             "labels_resident": labels_resident,
             "labels_serialized": labels_serialized,
             "inverted_resident": inverted_resident,
             "inverted_serialized": inverted_serialized,
             "inverted_categories": len(inverted),
-            "inverted_shared": sum(
-                1 for il in inverted.values()
-                if getattr(il, "is_mmap", False)),
+            "inverted_shared": sum(1 for il in inverted.values()
+                                   if il.shared),
             "total_resident": labels_resident + inverted_resident,
             "total_serialized": labels_serialized + inverted_serialized,
         }
@@ -360,6 +261,17 @@ class KOSREngine:
             payload["index_file"] = self._index_file.path
             payload["index_file_bytes"] = self._index_file.size_bytes
         return payload
+
+    def _detach_index_file(self) -> None:
+        """Stop serving from the attached index file (if any).
+
+        Called once a structure update has replaced every index the file
+        backed.  The mapping itself goes away with its last view — warm
+        sessions may still hold some until their next validation.
+        """
+        if self._index_file is not None:
+            self._index_file.close()
+            self._index_file = None
 
     # ------------------------------------------------------------------
     # Index epoch + service access
@@ -379,8 +291,7 @@ class KOSREngine:
         """
         epoch = self._epoch_base
         if self.inverted:
-            epoch += sum(getattr(il, "version", 0)
-                         for il in self.inverted.values())
+            epoch += sum(il.version for il in self.inverted.values())
         return epoch
 
     @property
@@ -408,8 +319,7 @@ class KOSREngine:
         """
         if not self.inverted:
             return {}
-        return {cid: getattr(il, "version", 0)
-                for cid, il in self.inverted.items()}
+        return {cid: il.version for cid, il in self.inverted.items()}
 
     @property
     def service(self) -> QueryService:
@@ -428,15 +338,14 @@ class KOSREngine:
     # Dynamic updates (Sec. IV-C)
     # ------------------------------------------------------------------
     def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
-        """Insert ``cid`` into ``F(v)``, patching this backend's ``IL(cid)``.
+        """Insert ``cid`` into ``F(v)``, patching ``IL(cid)``.
 
-        Works on both backends: the object backend binary-inserts into
-        its sorted hub lists; the packed backend stages the deltas in the
-        category's overlay (folded in lazily by the next queries,
-        compacted automatically past ``overlay_ratio``).  Any attached
-        disk store is detached — its shards no longer reflect the
-        indexes (re-run :meth:`attach_disk_store` to refresh them).  The
-        index epoch moves, invalidating session caches.
+        The deltas are staged in the category's overlay (folded in lazily
+        by the next queries, compacted automatically past
+        ``overlay_ratio``); an attached index file is never written.  Any
+        attached disk store is detached — its shards no longer reflect
+        the indexes (re-run :meth:`attach_disk_store` to refresh them).
+        The index epoch moves, invalidating session caches.
         """
         self._require_indexes()
         _updates.add_vertex_to_category(
@@ -454,38 +363,35 @@ class KOSREngine:
                     order: Optional[Sequence[Vertex]] = None) -> None:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
-        Rebuilds labels and inverted indexes in this engine's own backend
-        representation — a packed engine stays packed and keeps its
-        build-time ``overlay_ratio``.  The cached CH and any attached
-        disk store are dropped (both stale after a structure change), and
-        the index epoch moves past every previous value.
+        Rebuilds labels and inverted indexes into private buffers, keeping
+        the build-time ``overlay_ratio``.  The cached CH, any attached
+        disk store and any attached index file are dropped (all stale
+        after a structure change), and the index epoch moves past every
+        previous value.
         """
         self._require_indexes()
+        _updates.apply_edge_mutation(self.graph, u, v, weight)
         # Stamp past the outgoing epoch *before* the rebuild swaps in
         # fresh indexes whose version counters restart at zero.
         self._epoch_base = self.index_epoch + 1
-        self.labels, self.inverted = _updates.update_edge(
-            self.graph, u, v, weight, order, backend=self.backend)
-        if self.backend == "packed":
-            self._apply_overlay_ratio(self.inverted, self._overlay_ratio)
+        self.labels, self.inverted = assemble_index(
+            self.graph, order=order, overlay_ratio=self._overlay_ratio)[:2]
         self._ch = None
         self._store = None
+        self._detach_index_file()
 
     def compact(self) -> None:
         """Fold every category's delta overlay in and drop buffer garbage.
 
-        Only meaningful on the packed backend (a no-op otherwise); query
-        results are unchanged.  Call it after an update burst to return
-        to the garbage-free flat-buffer layout instead of waiting for the
+        Query results are unchanged.  Call it after an update burst to
+        return to garbage-free decoded runs instead of waiting for the
         per-category ``overlay_ratio`` trigger.  Bumps the index epoch:
-        compaction rebuilds the physical buffers, so session caches
+        compaction rebuilds the decoded lists, so session caches
         re-snapshot rather than trusting warm cursors over them.
         """
         self._epoch_base += 1
-        if self.inverted:
-            for il in self.inverted.values():
-                if hasattr(il, "compact"):
-                    il.compact()
+        for il in (self.inverted or {}).values():
+            il.compact()
 
     def _require_indexes(self) -> None:
         if self.labels is None or self.inverted is None:
@@ -575,7 +481,7 @@ class KOSREngine:
         :attr:`service`.
         """
         options = merge_query_kwargs(options, legacy_kwargs, "KOSREngine.run")
-        return execute_plan(self, options.plan_for(self.backend), q, options)
+        return execute_plan(self, options.plan_for(), q, options)
 
     def contraction_hierarchy(self):
         """The engine's CH (built lazily, cached; used by GSP-CH)."""
@@ -590,9 +496,7 @@ class KOSREngine:
         if nn_backend == "label":
             if self.labels is None or self.inverted is None:
                 raise QueryError("label backend requires built indexes; call build()")
-            if self.backend == "packed":
-                return PackedLabelNNFinder(self.labels, self.inverted)
-            return LabelNNFinder.from_index(self.labels, self.inverted)
+            return PackedLabelNNFinder(self.labels, self.inverted)
         if nn_backend == "dij-restart":
             return DijkstraNNFinder(self.graph, mode="restart")
         if nn_backend == "dij-resume":

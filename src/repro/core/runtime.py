@@ -47,7 +47,7 @@ class QueryRuntime:
         self._num_levels = query.num_levels
         self._est_finder: Optional[EstimatedNNFinder] = None
         # dis(·, t) kernel: finders may specialise it for the fixed target
-        # (the packed backend probes Lin(t) as a dict instead of merging).
+        # (the packed finder probes Lin(t) as a dict instead of merging).
         if hasattr(finder, "make_dest_distance"):
             self._dest_fn = finder.make_dest_distance(query.target)
         else:
@@ -60,7 +60,7 @@ class QueryRuntime:
             self.nearest = self._nearest_profiled
             self.nearest_estimated = self._nearest_estimated_profiled
         if estimated:
-            # Finders may supply a fused FindNEN (the packed backend does).
+            # Finders may supply a fused FindNEN (the packed finder does).
             # The dest-distance memo is shared so cached estimates need no
             # call; profiled runs skip that to keep Table X booking exact.
             cache = None if stats.profile else self._dest_cache

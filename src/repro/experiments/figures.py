@@ -349,9 +349,9 @@ def ablation_design_choices(
         ("PK + restarting Dijkstra", "PK", "dij-restart"),
     ]
     rows: List[Row] = []
-    for label, method, backend in combos:
+    for label, method, nn_backend in combos:
         agg = MethodAggregate(label=label)
-        options = QueryOptions(method=method, nn_backend=backend,
+        options = QueryOptions(method=method, nn_backend=nn_backend,
                                budget=DEFAULT_EXAMINED_BUDGET,
                                time_budget_s=DEFAULT_TIME_BUDGET_S)
         for query in workload:

@@ -125,15 +125,15 @@ def run_workload(
     distort the measured gaps.
     """
     if label in ("GSP", "GSP-CH"):
-        method, backend = label, "label"
+        method, nn_backend = label, "label"
     else:
-        method, backend = METHOD_LEGEND[label]
+        method, nn_backend = METHOD_LEGEND[label]
     if method == "SK-DB":
         from repro.experiments.datasets import disk_store_for
 
         disk_store_for(engine)
     agg = MethodAggregate(label=label)
-    options = QueryOptions(method=method, nn_backend=backend, budget=budget,
+    options = QueryOptions(method=method, nn_backend=nn_backend, budget=budget,
                            time_budget_s=time_budget_s, profile=profile)
     run = engine.service.run if warm else engine.run
     for query in workload:

@@ -9,16 +9,19 @@
 * :mod:`repro.labeling.inverted` — the paper's per-category inverted label
   index ``IL(Ci)`` that makes FindNN incremental.
 * :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
-  flat-buffer counterparts of the label and inverted indexes; the default
-  ("packed") query backend operates on these without materialising
-  per-entry objects.
-* :mod:`repro.labeling.mmap_index` — zero-copy read-only views over a
-  saved index file: build once, ``mmap``-attach from any number of
-  processes, share one physical copy through the OS page cache.
+  the one index representation every engine serves from: the RPLI v2
+  section layout, as typed views over a private buffer (fresh build) or
+  over a read-only ``mmap`` of a saved index file
+  (:mod:`repro.labeling.mmap_index`: build once, attach from any number
+  of processes, share one physical copy through the OS page cache).
+  ``labels``/``inverted`` above are PLL's build output and the reference
+  the packed classes are tested against.
+* :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
+  "labels → packed → inverted" function behind every engine constructor.
 * :mod:`repro.labeling.storage` — disk-resident per-category shards (SK-DB).
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
-  (Sec. IV-C) for both backends; the packed backend absorbs category
-  updates through per-category delta overlays with threshold compaction.
+  (Sec. IV-C): category updates land in per-category delta overlays with
+  threshold compaction.
 """
 
 from repro.labeling.labels import LabelEntry, LabelIndex
@@ -30,11 +33,7 @@ from repro.labeling.pll_unweighted import (
     graph_is_unit_weight,
 )
 from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
-from repro.labeling.mmap_index import (
-    MmapIndexFile,
-    MmapInvertedIndex,
-    MmapLabelIndex,
-)
+from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed import (
     IndexFileLayout,
     PackedLabelIndex,
@@ -43,8 +42,8 @@ from repro.labeling.packed import (
 from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
-    build_packed_inverted_indexes,
 )
+from repro.labeling.assembly import AssembledIndex, assemble_index
 from repro.labeling.storage import CategoryShardStore, DiskLabelRepository
 from repro.labeling.updates import (
     add_vertex_to_category,
@@ -67,12 +66,11 @@ __all__ = [
     "PackedLabelIndex",
     "PackedInvertedIndex",
     "MmapIndexFile",
-    "MmapLabelIndex",
-    "MmapInvertedIndex",
     "IndexFileLayout",
     "write_index_file",
     "build_packed_inverted_index",
-    "build_packed_inverted_indexes",
+    "AssembledIndex",
+    "assemble_index",
     "CategoryShardStore",
     "DiskLabelRepository",
     "add_vertex_to_category",

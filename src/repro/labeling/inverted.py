@@ -7,11 +7,14 @@ member vertices *by hub*: ``IL(u')`` lists ``(d_{u',m}, m)`` for every member
 FindNN then only needs, for each hub ``u'`` appearing in ``Lout(v)``, to
 scan ``IL(u')`` in order — a k-way merge that yields members of ``Ci`` in
 non-decreasing ``dis(v, ·)`` order.
+
+This is the per-entry object form, kept as the reference the serving
+representation (:mod:`repro.labeling.packed_inverted`) is tested against;
+it is built once and never updated in place.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, List, Tuple
 
 from repro.graph.graph import Graph
@@ -26,28 +29,9 @@ class InvertedLabelIndex:
         self.category = category
         #: hub vertex -> [(dist_from_hub_to_member, member)], sorted ascending.
         self.lists: Dict[Vertex, List[Tuple[Cost, Vertex]]] = {}
-        #: bumped by every effective mutation; the engine folds these into
-        #: its ``index_epoch`` so session caches can detect staleness even
-        #: when indexes are patched through the module-level update helpers
+        #: never moves (the reference is rebuilt, not updated); read by
+        #: the engine's epoch accounting, which sums per-index versions
         self.version = 0
-
-    def add_entry(self, hub: Vertex, dist: Cost, member: Vertex) -> None:
-        """Insert one ``(dist, member)`` pair keeping the hub list sorted."""
-        insort(self.lists.setdefault(hub, []), (dist, member))
-        self.version += 1
-
-    def remove_member(self, hub: Vertex, dist: Cost, member: Vertex) -> None:
-        """Remove one pair (no-op when absent)."""
-        entries = self.lists.get(hub)
-        if not entries:
-            return
-        try:
-            entries.remove((dist, member))
-        except ValueError:
-            return
-        if not entries:
-            del self.lists[hub]
-        self.version += 1
 
     def hub_list(self, hub: Vertex) -> List[Tuple[Cost, Vertex]]:
         """The sorted entries of hub ``hub`` (empty when the hub is unused)."""
@@ -80,9 +64,7 @@ def build_inverted_index(
 
     Entries are appended and each hub list sorted once at the end —
     O(L log L) overall — instead of per-entry ``insort``, which costs an
-    O(L) list shift per insertion.  ``add_entry`` (insort) remains the
-    primitive for *incremental* category updates, where lists must stay
-    sorted between calls.
+    O(L) list shift per insertion.
     """
     il = InvertedLabelIndex(category)
     lists = il.lists

@@ -1,25 +1,30 @@
-"""Flat-buffer label storage: the primary query backend.
+"""The label index: RPLI v2 sections as the in-memory format.
 
 Sec. V-A notes that on large graphs "the index sizes may be too large to
-fit into main memory" and points at hub-label compression [12].  This
-module stores each vertex's label set in three flat parallel buffers
-(hub ranks, distances, parents) plus an offsets buffer, instead of
-per-entry :class:`~repro.labeling.labels.LabelEntry` objects, and adds a
-fixed-layout binary serialisation (the ``RPLI`` v2 *index file*).
+fit into main memory" and points at hub-label compression [12].  The
+label index is therefore kept flat: each side (``Lin`` / ``Lout``) is
+four parallel sections — offsets, hub ranks, distances, parents — of 8
+bytes per element, and :class:`PackedLabelIndex` serves queries straight
+off typed ``memoryview`` slices of those sections.  The sections are the
+same whether they sit in a private buffer (a fresh build packs PLL's
+:class:`~repro.labeling.labels.LabelIndex` output once; an unpickled
+index owns its bytes) or in a read-only ``mmap`` of an index file shared
+by every process that attaches it
+(:class:`~repro.labeling.mmap_index.MmapIndexFile`).
 
-The in-memory buffers are plain Python lists of primitives.  ``array``
-buffers would be more compact at rest, but ``array.__getitem__`` re-boxes
-its element on every access, which benchmarks *slower* in the merge-join
-hot loop than either list indexing or dataclass attribute access; lists
-of already-boxed numbers are the fastest pure-Python layout.
+Hot-loop strategy
+-----------------
+
+``memoryview.__getitem__`` re-boxes its element on every access, so no
+hot loop indexes a section per element.  A merge join or a FindNN cursor
+decodes the one or two label runs it is about to scan with
+``view[lo:hi].tolist()`` — a single C-level pass — and then runs over
+plain lists of already-boxed numbers, the fastest pure-Python layout.
 
 RPLI v2 index file format
 -------------------------
 
-The v1 format delta/varint-encoded hub ranks, which forced a full decode
-pass on load.  v2 trades a somewhat larger file for a *zero-decode*
-layout that a reader can ``mmap`` and slice in place
-(:mod:`repro.labeling.mmap_index`)::
+A *zero-decode* layout that a reader can ``mmap`` and slice in place::
 
     header   48 B   magic "RPLI", version u16, flags u16,
                     num_vertices u64, num_categories u64,
@@ -37,11 +42,10 @@ with the hub runs concatenated in ascending-rank order.  Every section
 is a multiple of 8 bytes, so all offsets stay naturally aligned for
 ``memoryview.cast``.
 
-:class:`PackedLabelIndex` offers the same query surface as
+:class:`PackedLabelIndex` offers the query surface of the reference
 :class:`repro.labeling.labels.LabelIndex` (``distance``,
 ``distance_with_hub``, ``path``, ``restore_witness_route``,
-``lin``/``lout``), so the two backends are interchangeable; tests assert
-full parity.
+``lin``/``lout``); tests assert full parity.
 """
 
 from __future__ import annotations
@@ -78,44 +82,53 @@ _TABLE_ENTRY = struct.Struct("<QQ")
 #: sections 1-8: Lin then Lout, each (offsets, hub_ranks, dists, parents)
 _SIDE_SECTION_CODES = ("q", "q", "d", "q")
 
+#: the nine label sections: order, then the two sides
+_LABEL_SECTION_CODES = ("q",) + 2 * _SIDE_SECTION_CODES
+
 #: per-category sections: hubs, hub_ranks, run_starts, dists, members
 _CATEGORY_SECTION_CODES = ("q", "q", "q", "d", "q")
 
 
-def _buffer_resident_bytes(buf) -> int:
-    """Estimated live-process footprint of one flat buffer.
+def sections_resident_bytes(views, shared: bool) -> int:
+    """Live-process footprint of a group of section views.
 
-    Lists carry a pointer per element plus one boxed number each; the
-    per-element box size is sampled from the first element (floats are
-    uniform, ints nearly so), making this an O(1) upper-bound estimate.
-    ``memoryview`` slices over an mmap'ed file cost only the view object
-    itself — the backing pages are shared with every other process
-    mapping the same file.
+    A view over an mmap'ed index file costs only the view object — the
+    backing pages are shared with every other process mapping the file;
+    a view over a private buffer also owns its 8 bytes per element.
     """
-    if isinstance(buf, list):
-        if not buf:
-            return sys.getsizeof(buf)
-        return sys.getsizeof(buf) + len(buf) * sys.getsizeof(buf[0])
-    return sys.getsizeof(buf)
+    total = sum(sys.getsizeof(view) for view in views)
+    if not shared:
+        total += sum(view.nbytes for view in views)
+    return total
 
 
 class _PackedSide:
-    """One direction's labels (all vertices) as flat parallel buffers."""
+    """One direction's labels (all vertices) as four parallel sections."""
 
     __slots__ = ("offsets", "hub_ranks", "dists", "parents")
 
-    def __init__(self) -> None:
-        self.offsets: List[int] = [0]
-        self.hub_ranks: List[int] = []
-        self.dists: List[Cost] = []
-        self.parents: List[int] = []
+    def __init__(self, offsets, hub_ranks, dists, parents) -> None:
+        self.offsets = offsets
+        self.hub_ranks = hub_ranks
+        self.dists = dists
+        self.parents = parents
 
-    def append_label(self, entries: List[LabelEntry]) -> None:
-        for e in entries:
-            self.hub_ranks.append(e.hub_rank)
-            self.dists.append(e.dist)
-            self.parents.append(_NO_PARENT if e.parent is None else e.parent)
-        self.offsets.append(len(self.hub_ranks))
+    @classmethod
+    def pack(cls, label_of, num_vertices: int) -> "_PackedSide":
+        """Flatten ``label_of(v)`` entry lists into private sections."""
+        offsets = array("q", [0])
+        hub_ranks, dists, parents = array("q"), array("d"), array("q")
+        for v in range(num_vertices):
+            for e in label_of(v):
+                hub_ranks.append(e.hub_rank)
+                dists.append(e.dist)
+                parents.append(_NO_PARENT if e.parent is None else e.parent)
+            offsets.append(len(hub_ranks))
+        return cls(*(memoryview(a)
+                     for a in (offsets, hub_ranks, dists, parents)))
+
+    def sections(self) -> Tuple:
+        return self.offsets, self.hub_ranks, self.dists, self.parents
 
     def slice(self, v: Vertex) -> Tuple[int, int]:
         return self.offsets[v], self.offsets[v + 1]
@@ -123,66 +136,42 @@ class _PackedSide:
     def entries(self, v: Vertex) -> List[LabelEntry]:
         lo, hi = self.slice(v)
         return [
-            LabelEntry(
-                self.hub_ranks[i],
-                self.dists[i],
-                None if self.parents[i] == _NO_PARENT else self.parents[i],
-            )
-            for i in range(lo, hi)
+            LabelEntry(rank, dist, None if parent == _NO_PARENT else parent)
+            for rank, dist, parent in zip(self.hub_ranks[lo:hi].tolist(),
+                                          self.dists[lo:hi].tolist(),
+                                          self.parents[lo:hi].tolist())
         ]
-
-    @property
-    def nbytes_serialized(self) -> int:
-        """At-rest footprint: 8 bytes per buffer element in the index file."""
-        return 8 * (
-            len(self.offsets)
-            + len(self.hub_ranks)
-            + len(self.dists)
-            + len(self.parents)
-        )
-
-    @property
-    def nbytes_resident(self) -> int:
-        """Estimated live in-process footprint of the current buffers.
-
-        Several times larger than :attr:`nbytes_serialized` for
-        list-backed sides (pointer + boxed number per element), and
-        near-zero for mmap-backed sides whose buffers are views into
-        shared file pages.
-        """
-        return (
-            _buffer_resident_bytes(self.offsets)
-            + _buffer_resident_bytes(self.hub_ranks)
-            + _buffer_resident_bytes(self.dists)
-            + _buffer_resident_bytes(self.parents)
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Actual in-memory footprint (alias of :attr:`nbytes_resident`)."""
-        return self.nbytes_resident
 
 
 class PackedLabelIndex:
-    """Array-backed 2-hop label index with the LabelIndex query surface."""
+    """The 2-hop label index over RPLI sections (private or file-backed)."""
 
-    def __init__(self, order: List[Vertex], lin: _PackedSide, lout: _PackedSide):
-        self._order = list(order)
+    def __init__(self, order, lin: _PackedSide, lout: _PackedSide,
+                 index_file=None):
+        self._order = order
         self._lin = lin
         self._lout = lout
+        #: the open index file these sections are views into (kept so the
+        #: mapping outlives them), or None for a private buffer
+        self._file = index_file
 
     # ------------------------------------------------------------------
     @classmethod
+    def from_sections(cls, sections, index_file=None) -> "PackedLabelIndex":
+        """Wrap the nine label sections (typed views, file order)."""
+        return cls(sections[0], _PackedSide(*sections[1:5]),
+                   _PackedSide(*sections[5:9]), index_file)
+
+    @classmethod
     def from_index(cls, labels: LabelIndex) -> "PackedLabelIndex":
-        """Pack an object-based :class:`LabelIndex`."""
-        lin, lout = _PackedSide(), _PackedSide()
-        for v in range(labels.num_vertices):
-            lin.append_label(labels.lin(v))
-            lout.append_label(labels.lout(v))
-        return cls(labels.order, lin, lout)
+        """Pack PLL's :class:`LabelIndex` output into a private buffer."""
+        n = labels.num_vertices
+        return cls(memoryview(array("q", labels.order)),
+                   _PackedSide.pack(labels.lin, n),
+                   _PackedSide.pack(labels.lout, n))
 
     def to_index(self) -> LabelIndex:
-        """Unpack back into the object representation."""
+        """Unpack into the reference object representation."""
         n = self.num_vertices
         return LabelIndex(
             self._order,
@@ -190,13 +179,29 @@ class PackedLabelIndex:
             [self._lout.entries(v) for v in range(n)],
         )
 
+    def sections(self) -> Tuple:
+        """The nine label sections in file order."""
+        return (self._order,) + self._lin.sections() + self._lout.sections()
+
+    def __reduce__(self):
+        # Sections travel as raw bytes (what ``prepare_edge`` ships over
+        # the worker pipes); the receiver owns a private copy.
+        return (_labels_from_bytes,
+                ([view.tobytes() for view in self.sections()],))
+
     # ------------------------------------------------------------------
+    @property
+    def shared(self) -> bool:
+        """True when the sections are views into an mmap'ed index file."""
+        return self._file is not None
+
     @property
     def num_vertices(self) -> int:
         return len(self._lin.offsets) - 1
 
     @property
-    def order(self) -> List[Vertex]:
+    def order(self):
+        """Hub construction order (a typed view; ``order[rank]`` is the hub)."""
         return self._order
 
     def hub_vertex(self, hub_rank: int) -> Vertex:
@@ -209,24 +214,22 @@ class PackedLabelIndex:
         return self._lout.entries(v)
 
     def lin_side(self) -> _PackedSide:
-        """The raw ``Lin`` buffers (hot-path consumers index these directly)."""
+        """The raw ``Lin`` sections (hot-path consumers slice these)."""
         return self._lin
 
     def lout_side(self) -> _PackedSide:
-        """The raw ``Lout`` buffers (hot-path consumers index these directly)."""
+        """The raw ``Lout`` sections (hot-path consumers slice these)."""
         return self._lout
 
     @property
     def nbytes_serialized(self) -> int:
         """At-rest byte size of the label sections in the index file."""
-        return (self._lin.nbytes_serialized + self._lout.nbytes_serialized
-                + 8 * len(self._order))
+        return sum(view.nbytes for view in self.sections())
 
     @property
     def nbytes_resident(self) -> int:
-        """Estimated live in-process footprint of the label buffers."""
-        return (self._lin.nbytes_resident + self._lout.nbytes_resident
-                + _buffer_resident_bytes(self._order))
+        """Live in-process footprint: near zero for file-backed sections."""
+        return sections_resident_bytes(self.sections(), self.shared)
 
     @property
     def nbytes(self) -> int:
@@ -242,7 +245,7 @@ class PackedLabelIndex:
 
     # ------------------------------------------------------------------
     def distance(self, s: Vertex, t: Vertex) -> Cost:
-        """``dis(s, t)`` by merge join over the packed buffers."""
+        """``dis(s, t)`` by merge join over the two decoded label runs."""
         if s == t:
             return 0.0
         return self._merge(s, t)[0]
@@ -254,12 +257,16 @@ class PackedLabelIndex:
 
     def _merge(self, s: Vertex, t: Vertex) -> Tuple[Cost, Optional[int]]:
         out, ins = self._lout, self._lin
-        i, i_end = out.slice(s)
-        j, j_end = ins.slice(t)
+        lo_o, hi_o = out.slice(s)
+        lo_i, hi_i = ins.slice(t)
+        ranks_o = out.hub_ranks[lo_o:hi_o].tolist()
+        ranks_i = ins.hub_ranks[lo_i:hi_i].tolist()
+        dists_o = out.dists[lo_o:hi_o].tolist()
+        dists_i = ins.dists[lo_i:hi_i].tolist()
         best = INFINITY
         best_hub: Optional[int] = None
-        ranks_o, ranks_i = out.hub_ranks, ins.hub_ranks
-        dists_o, dists_i = out.dists, ins.dists
+        i, i_end = 0, len(ranks_o)
+        j, j_end = 0, len(ranks_i)
         while i < i_end and j < j_end:
             a, b = ranks_o[i], ranks_i[j]
             if a == b:
@@ -276,7 +283,7 @@ class PackedLabelIndex:
         return best, best_hub
 
     def path(self, s: Vertex, t: Vertex) -> Tuple[Cost, List[Vertex]]:
-        """Path restoration identical to the unpacked index."""
+        """Path restoration identical to the reference index."""
         if s == t:
             return 0.0, [s]
         dist, hub_rank = self.distance_with_hub(s, t)
@@ -356,92 +363,49 @@ class PackedLabelIndex:
 
     @classmethod
     def load(cls, path: PathLike) -> "PackedLabelIndex":
-        """Read the label sections of an index file into list buffers.
+        """Read the label sections of an index file into a private buffer.
 
-        Decoding is four ``memoryview.cast(...).tolist()`` calls per side
-        — one C-level pass, no per-entry parsing.  Inverted sections, if
-        present, are skipped (use :class:`~repro.labeling.mmap_index.
-        MmapIndexFile` to attach them zero-copy).
+        No per-entry parsing: the file's bytes are the sections.
+        Inverted sections, if present, are ignored (use
+        :class:`~repro.labeling.mmap_index.MmapIndexFile` to attach them).
         """
         with open(path, "rb") as f:
             data = f.read()
         layout = IndexFileLayout(path, memoryview(data))
         layout.check_label_sections()
-        order = layout.section(0, "q").tolist()
-        sides = []
-        for base in (1, 5):
-            side = _PackedSide()
-            side.offsets = layout.section(base, "q").tolist()
-            side.hub_ranks = layout.section(base + 1, "q").tolist()
-            side.dists = layout.section(base + 2, "d").tolist()
-            side.parents = layout.section(base + 3, "q").tolist()
-            sides.append(side)
-        return cls(order, sides[0], sides[1])
+        return cls.from_sections(layout.label_sections())
 
 
-def _section_bytes(code: str, values) -> bytes:
-    """One section's raw little-endian bytes (host order is LE here)."""
-    if isinstance(values, memoryview):
-        return values.tobytes()
-    return array(code, values).tobytes()
+def _labels_from_bytes(blobs) -> PackedLabelIndex:
+    """Unpickle hook: rebuild the label index over received section bytes."""
+    return PackedLabelIndex.from_sections(
+        [memoryview(blob).cast(code)
+         for code, blob in zip(_LABEL_SECTION_CODES, blobs)])
 
 
-def _inverted_sections(il) -> List[Tuple[str, object]]:
-    """The five per-category sections of one inverted index.
-
-    Works for any index exposing ``as_lists()`` + ``hub_ranks`` (packed
-    or mmap-backed).  Runs are emitted in ascending hub-*rank* order so a
-    reader can binary-search the rank section.
-    """
-    lists = il.as_lists()
-    rank_of = il.hub_ranks
-    hubs: List[int] = []
-    ranks: List[int] = []
-    starts: List[int] = [0]
-    dists: List[Cost] = []
-    members: List[int] = []
-    for rank, hub in sorted((rank_of[hub], hub) for hub in lists):
-        ranks.append(rank)
-        hubs.append(hub)
-        for d, m in lists[hub]:
-            dists.append(d)
-            members.append(m)
-        starts.append(len(members))
-    return [("q", hubs), ("q", ranks), ("q", starts),
-            ("d", dists), ("q", members)]
-
-
-def write_index_file(path: PathLike, labels, inverted=None) -> int:
+def write_index_file(path: PathLike, labels: PackedLabelIndex,
+                     inverted=None) -> int:
     """Write ``labels`` (+ optional inverted indexes) as an RPLI v2 file.
 
-    ``labels`` must expose the packed side buffers (``lin_side()`` /
-    ``lout_side()``); both list- and mmap-backed indexes qualify.
     Returns the total bytes written.
     """
-    lin, lout = labels.lin_side(), labels.lout_side()
-    sections: List[Tuple[str, object]] = [("q", labels.order)]
-    for side in (lin, lout):
-        sections.append(("q", side.offsets))
-        sections.append(("q", side.hub_ranks))
-        sections.append(("d", side.dists))
-        sections.append(("q", side.parents))
+    blobs = [view.tobytes() for view in labels.sections()]
     flags = 0
     num_categories = 0
     if inverted is not None:
         flags |= _FLAG_INVERTED
         cids = sorted(inverted)
         num_categories = len(cids)
-        sections.append(("q", cids))
+        blobs.append(array("q", cids).tobytes())
         for cid in cids:
-            sections.extend(_inverted_sections(inverted[cid]))
-    blobs = [_section_bytes(code, values) for code, values in sections]
+            blobs.extend(view.tobytes() for view in inverted[cid].sections())
     table = bytearray()
-    pos = _HEADER.size + _TABLE_ENTRY.size * len(sections)
+    pos = _HEADER.size + _TABLE_ENTRY.size * len(blobs)
     for blob in blobs:
         table += _TABLE_ENTRY.pack(pos, len(blob) // 8)
         pos += len(blob)
     header = _HEADER.pack(_MAGIC, _VERSION, flags, labels.num_vertices,
-                          num_categories, len(sections))
+                          num_categories, len(blobs))
     with open(path, "wb") as f:
         f.write(header)
         f.write(table)
@@ -461,7 +425,7 @@ class IndexFileLayout:
     """
 
     #: label sections: order + 2 x (offsets, hub_ranks, dists, parents)
-    LABEL_SECTIONS = 1 + 2 * len(_SIDE_SECTION_CODES)
+    LABEL_SECTIONS = len(_LABEL_SECTION_CODES)
 
     def __init__(self, path: PathLike, view: memoryview):
         self.path = str(path)
@@ -514,6 +478,17 @@ class IndexFileLayout:
         """Section ``i`` as a typed zero-copy view (``'q'`` or ``'d'``)."""
         off, count = self._sections[i]
         return self.view[off: off + 8 * count].cast(code)
+
+    def label_sections(self) -> List[memoryview]:
+        """The nine label sections as typed views, in file order."""
+        return [self.section(i, code)
+                for i, code in enumerate(_LABEL_SECTION_CODES)]
+
+    def category_sections(self, position: int) -> List[memoryview]:
+        """The five sections of the ``position``-th stored category."""
+        base = self.category_base(position)
+        return [self.section(base + i, code)
+                for i, code in enumerate(_CATEGORY_SECTION_CODES)]
 
     def check_label_sections(self) -> None:
         """Cross-check the label sections against the header counts."""

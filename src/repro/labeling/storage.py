@@ -46,9 +46,10 @@ class CategoryShardStore:
     ) -> None:
         """Serialise every category shard plus the global vertex-label file.
 
-        ``labels``/``inverted`` may be either backend's representation:
-        both label indexes expose ``lin``/``lout``/``order`` and both
-        inverted indexes expose ``as_lists()``.
+        ``labels``/``inverted`` may be the packed indexes or the
+        reference object ones: both label indexes expose
+        ``lin``/``lout``/``order`` and both inverted indexes expose
+        ``as_lists()``.
         """
         for cid, il in inverted.items():
             self.write_category(graph, labels, cid, il)
@@ -57,8 +58,7 @@ class CategoryShardStore:
         # role here).
         vertex_payload = {
             "version": self.VERSION,
-            # list() so mmap-backed labels (whose order is a memoryview
-            # into the index file) serialise like list-backed ones
+            # list(): the packed labels' order is a typed memoryview
             "order": list(labels.order),
             "lin": [self._pack(labels.lin(v)) for v in range(labels.num_vertices)],
             "lout": [self._pack(labels.lout(v)) for v in range(labels.num_vertices)],

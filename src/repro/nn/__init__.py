@@ -5,9 +5,10 @@ Every KOSR algorithm extends partial witnesses through an oracle answering
 implementations are provided:
 
 * :class:`~repro.nn.label_nn.LabelNNFinder` — the paper's FindNN
-  (Algorithm 3) over the object inverted label index;
+  (Algorithm 3) over per-entry objects: SK-DB's finder and the tests'
+  reference;
 * :class:`~repro.nn.label_nn.PackedLabelNNFinder` — the same algorithm
-  over the packed flat-buffer indexes (the default query backend);
+  over the packed RPLI-section indexes (what every engine serves from);
 * :class:`~repro.nn.estimated.EstimatedNNFinder` — FindNEN (Algorithm 4),
   ordering neighbors by ``dis(v, u) + dis(u, t)`` for StarKOSR;
 * :class:`~repro.nn.dijkstra_nn.DijkstraNNFinder` — graph-search oracle

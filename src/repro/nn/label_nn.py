@@ -14,6 +14,14 @@ its exact 2-hop distance (cover property).  One correctness refinement over
 the paper's pseudo-code: a member can sit in ``NQ`` through *two* hubs at
 once, so pops must skip members already in ``NL`` (Alg. 3 only skips them
 while advancing cursors).
+
+Two finders implement it.  :class:`PackedLabelNNFinder` is the one every
+engine uses: it runs over the RPLI sections
+(:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
+decoding the label and hub runs it is about to scan with one
+``tolist()`` each.  :class:`LabelNNFinder` is the per-entry object
+version: SK-DB's finder over a per-query disk view, and the reference
+the packed finder's answers and counters are tested against.
 """
 
 from __future__ import annotations
@@ -170,20 +178,21 @@ class _PackedCursor:
 
 
 class PackedLabelNNFinder(NearestNeighborFinder):
-    """FindNN over the packed label + inverted buffers.
+    """FindNN over the packed label + inverted indexes.
 
     Same algorithm (and identical answers, order, and executed-NN-query
-    counts — asserted by the backend-parity tests) as
-    :class:`LabelNNFinder`, but every inner-loop step is index arithmetic
-    over flat buffers: no ``LabelEntry`` objects, no per-step hub-list
-    dict lookups, no ``(dist, member)`` tuple unpacking.
+    counts — asserted by the parity tests) as :class:`LabelNNFinder`,
+    but every inner-loop step is index arithmetic over decoded runs: no
+    ``LabelEntry`` objects, no per-step hub-list dict lookups, no
+    ``(dist, member)`` tuple unpacking.
 
     Dynamic category updates land in the inverted indexes' delta
-    overlays; cursors fold any relevant deltas in at creation time
-    (see :meth:`_make_cursor`).  Like the object finder, whose cursors
-    read the live hub lists, a finder snapshots index state as of each
-    cursor's creation — apply updates between queries (the engine builds
-    a fresh finder per query), not while a finder is mid-enumeration.
+    overlays; cursors decode the hub runs they will scan and fold any
+    relevant deltas in at creation time (see :meth:`_make_cursor`).
+    Like the object finder, whose cursors read the live hub lists, a
+    finder snapshots index state as of each cursor's creation — apply
+    updates between queries (the engine builds a fresh finder per
+    query), not while a finder is mid-enumeration.
     """
 
     def __init__(
@@ -200,9 +209,6 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         self._out_ranks = out.hub_ranks
         self._out_dists = out.dists
         self._cursors: Dict[Tuple[Vertex, CategoryId], _PackedCursor] = {}
-        #: source -> (hub ranks, base distances) of Lout(source), decoded
-        #: once and reused by every category's cursor over the same source
-        self._source_hubs: Dict[Vertex, Tuple[List[int], List[Cost]]] = {}
 
     # ------------------------------------------------------------------
     def find(
@@ -244,42 +250,27 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         """
         ins = self._labels.lin_side()
         lo, hi = ins.offsets[target], ins.offsets[target + 1]
-        target_dists = dict(zip(ins.hub_ranks[lo:hi], ins.dists[lo:hi]))
-        out = self._labels.lout_side()
-        offsets, ranks, dists = out.offsets, out.hub_ranks, out.dists
+        target_dists = dict(zip(ins.hub_ranks[lo:hi].tolist(),
+                                ins.dists[lo:hi].tolist()))
+        offsets, ranks, dists = (self._out_offsets, self._out_ranks,
+                                 self._out_dists)
         dist_get = target_dists.get
         inf = INFINITY
 
-        if type(ranks) is list:
-            def dest_distance(v: Vertex) -> Cost:
-                if v == target:
-                    return 0.0
-                lo, hi = offsets[v], offsets[v + 1]
-                best = inf
-                # map() runs the dict probe in C; only hub hits reach
-                # the body.
-                for d, dd in zip(dists[lo:hi], map(dist_get, ranks[lo:hi])):
-                    if dd is not None:
-                        total = d + dd
-                        if total < best:
-                            best = total
-                return best
-        else:
-            def dest_distance(v: Vertex) -> Cost:
-                if v == target:
-                    return 0.0
-                lo, hi = offsets[v], offsets[v + 1]
-                best = inf
-                # mmap-backed labels: decode the probe's whole label run
-                # at C speed instead of re-boxing per element.  Same hub
-                # set, same additions — results stay bit-identical.
-                for d, dd in zip(dists[lo:hi].tolist(),
-                                 map(dist_get, ranks[lo:hi].tolist())):
-                    if dd is not None:
-                        total = d + dd
-                        if total < best:
-                            best = total
-                return best
+        def dest_distance(v: Vertex) -> Cost:
+            if v == target:
+                return 0.0
+            lo, hi = offsets[v], offsets[v + 1]
+            best = inf
+            # One C-level decode of the probe's label run, then map()
+            # runs the dict probe in C; only hub hits reach the body.
+            for d, dd in zip(dists[lo:hi].tolist(),
+                             map(dist_get, ranks[lo:hi].tolist())):
+                if dd is not None:
+                    total = d + dd
+                    if total < best:
+                        best = total
+            return best
 
         return dest_distance
 
@@ -298,46 +289,31 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             cursor = self._make_cursor(source, category)
         return cursor
 
-    def _hub_pairs(self, source: Vertex) -> Tuple[List[int], List[Cost]]:
-        """Decoded ``Lout(source)``: parallel (hub ranks, base distances).
-
-        Cached per source so the six-or-so category cursors of one search
-        pay the label scan once.
-        """
-        pairs = self._source_hubs.get(source)
-        if pairs is None:
-            lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
-            ranks = self._out_ranks[lo:hi]
-            dists = self._out_dists[lo:hi]
-            if type(ranks) is not list:
-                # mmap-backed labels: slicing yields memoryviews, whose
-                # per-element indexing re-boxes; decode the whole run in
-                # one C pass so downstream loops see plain lists.
-                ranks, dists = ranks.tolist(), dists.tolist()
-            pairs = (ranks, dists)
-            self._source_hubs[source] = pairs
-        return pairs
-
     def _make_cursor(self, source: Vertex, category: CategoryId) -> _PackedCursor:
         """Algorithm 3 lines 6-10: seed NQ with each hub run's head.
 
-        When the category carries delta-overlay updates, any dirty hub
-        run this cursor is about to scan is patched (overlay merged into
-        the flat buffers, slices repointed) *before* seeding, so the
-        merge loop itself never sees the overlay.  With an empty overlay
-        — the common serving case — this costs one boolean check per
-        cursor creation and nothing per advance.
+        The hub runs this cursor is about to scan are settled first
+        (``patch_ranks``: decoded on first touch, any delta-overlay
+        updates merged in, slices repointed), so the merge loop itself
+        only ever sees plain decoded runs.  With everything decoded and
+        an empty overlay — the steady serving case — that costs a few
+        attribute reads per cursor creation and nothing per advance.
         """
         cursor = _PackedCursor()
         self._cursors[(source, category)] = cursor
         pinv = self._inverted.get(category)
-        if pinv is not None and pinv.dirty:
-            pinv.patch_ranks(self._hub_pairs(source)[0])
-        if pinv is not None and pinv.members:
+        if pinv is not None:
+            # Decoded Lout(source), not kept: a search almost never opens
+            # a second category's cursor over the same source, and a
+            # retained copy per source is what a warm session's memory
+            # would mostly consist of.
+            lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
+            ranks = self._out_ranks[lo:hi].tolist()
+            base_dists = self._out_dists[lo:hi].tolist()
+            pinv.patch_ranks(ranks)
             idists = cursor.idists = pinv.dists
             imembers = cursor.imembers = pinv.members
             nq = cursor.nq
-            ranks, base_dists = self._hub_pairs(source)
             # map() pushes the per-hub dict probe into C; most Lout hubs
             # have no members in the category, so the Python-level body
             # below only runs for actual matches.

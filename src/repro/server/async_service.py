@@ -46,7 +46,7 @@ door for concurrent request traffic (the ROADMAP's async-serving item):
   overlay barrier below is skipped (each worker is single-threaded over
   its own buffers).
 * **Update safety** — blocking plan execution runs in the thread pool,
-  and packed delta overlays are folded *before* a request is dispatched
+  and pending delta overlays are folded *before* a request is dispatched
   whenever an index is dirty (draining in-flight executions first),
   exactly as ``run_batch`` pre-folds for its worker threads: cursor
   creation then only ever reads the engine's buffers.  Index mutations
@@ -575,11 +575,10 @@ class AsyncQueryService:
         if engine is None:
             return False
         inverted = engine.inverted
-        return bool(inverted) and any(getattr(il, "dirty", False)
-                                      for il in inverted.values())
+        return bool(inverted) and any(il.dirty for il in inverted.values())
 
     async def _overlay_barrier(self) -> None:
-        """Fold dirty packed overlays before dispatching to a thread.
+        """Fold dirty delta overlays before dispatching to a thread.
 
         Lazy cursor-time patching mutates the engine's shared buffers —
         fine on one thread, a data race across pool workers.  When an

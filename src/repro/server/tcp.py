@@ -187,10 +187,10 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
     ``None`` — requests validate against the sharded service's graph).
     """
     options = defaults if defaults is not None else QueryOptions()
-    backend = service if service is not None else engine.service
+    served = service if service is not None else engine.service
     # Whatever owns the graph validates incoming records.
     query_maker = service if service is not None else engine
-    aqs = AsyncQueryService(backend, max_inflight=max_inflight,
+    aqs = AsyncQueryService(served, max_inflight=max_inflight,
                             max_queue=max_queue, max_groups=max_groups)
 
     def _stats_payload(request_id) -> dict:
@@ -204,13 +204,13 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
             "cache": totals,
             "hit_rates": hit_rates_from(totals),
         }}
-        index_memory = getattr(backend, "index_memory", None)
+        index_memory = getattr(served, "index_memory", None)
         if callable(index_memory):
             # Resident-vs-serialized index footprint (per worker for a
             # sharded backend), so operators can watch index memory
             # without touching the process.
             payload["stats"]["index_memory"] = index_memory()
-        epoch_info = getattr(backend, "epoch_info", None)
+        epoch_info = getattr(served, "epoch_info", None)
         if callable(epoch_info):
             # Index epoch + per-category version counters (per shard on
             # a fleet), so operators can watch updates — including a

@@ -93,7 +93,7 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
       stream able to supply ``x`` entries costs ``x - vpos`` advances;
     * a request past the end of an exhausted stream with ``avail``
       entries costs ``avail - vpos`` producing advances plus one more
-      that discovers exhaustion (matching both backends' cursors, which
+      that discovers exhaustion (matching both finders' cursors, which
       count the advance that raises/flags);
     * a stream empty at creation is exhausted at creation — zero cost,
       exactly like a cold cursor over an empty category.

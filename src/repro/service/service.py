@@ -17,11 +17,12 @@ pin this.
 
 ``max_workers`` > 1 runs independent groups on a thread pool, each with
 its own session.  The one piece of shared mutable state — pending delta
-overlays on packed inverted indexes, which cursor creation would fold in
-lazily — is patched once up front, so worker threads only ever read the
-engine's indexes.  Under CPython's GIL this does not parallelise the
-pure-Python search itself — it exists for the free-threaded/IO-bound
-deployments the ROADMAP points at — so the default stays sequential.
+overlays on the inverted indexes, which cursor creation would fold in
+lazily — is patched once up front, so worker threads only ever read
+(and, under the per-index lock, decode) the engine's indexes.  Under
+CPython's GIL this does not parallelise the pure-Python search itself —
+it exists for the free-threaded/IO-bound deployments the ROADMAP points
+at — so the default stays sequential.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ class QueryService:
 
     # ------------------------------------------------------------------
     def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan for this engine's backend."""
+        """Resolve (and memoise) the plan of one ``(method, nn_backend)``."""
         key = (method, nn_backend)
         plan = self._plans.get(key)
         if plan is None:
-            plan = resolve_plan(method, nn_backend, self.engine.backend)
+            plan = resolve_plan(method, nn_backend)
             self._plans[key] = plan
         return plan
 
@@ -224,8 +225,8 @@ class QueryService:
             from concurrent.futures import ThreadPoolExecutor
 
             # Fold pending delta overlays in *before* spawning workers:
-            # packed cursors patch dirty hub runs lazily at creation,
-            # which mutates the engine's shared buffers — safe
+            # cursors patch dirty hub runs lazily at creation, which
+            # repoints the engine's shared slice maps — safe
             # sequentially, a data race across threads.  The fold is
             # purely physical (no epoch change, identical results).
             self._fold_pending_overlays()
@@ -255,22 +256,16 @@ class QueryService:
 
     # ------------------------------------------------------------------
     def _fold_pending_overlays(self) -> None:
-        """Merge any dirty packed-overlay deltas into the flat buffers.
+        """Merge any pending overlay deltas into the decoded runs.
 
-        After this, cursor creation is read-only over the inverted
-        indexes, making them safe to share across worker threads.  Mmap
-        views are skipped: their "dirty" state only means some hub runs
-        are still undecoded — decode is internally locked (thread-safe
-        already), and eagerly decoding the whole file here would trade
-        the shared page cache for a private copy per process.
+        After this, cursor creation only ever decodes — which is
+        internally locked — so the inverted indexes are safe to share
+        across worker threads.  Untouched runs stay undecoded: eagerly
+        decoding a whole attached file here would trade the shared page
+        cache for a private copy per process.
         """
-        inverted = self.engine.inverted
-        if not inverted:
-            return
-        for il in inverted.values():
-            if getattr(il, "dirty", False) and not getattr(il, "is_mmap",
-                                                           False):
-                il._patch_all()
+        for il in (self.engine.inverted or {}).values():
+            il.fold_overlay()
 
     def index_memory(self) -> Dict[str, object]:
         """Index memory accounting of the backing engine (see

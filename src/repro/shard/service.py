@@ -56,6 +56,7 @@ from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest, \
     merge_query_kwargs
 from repro.core.query import KOSRQuery, make_query
 from repro.exceptions import QueryError, ShardError
+from repro.labeling.assembly import assemble_index
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
 from repro.service.planner import QueryPlan, resolve_plan
 from repro.service.service import BatchResult, QueryService
@@ -84,15 +85,13 @@ class ShardedQueryService:
     open+mmap instead of any index build, and the whole fleet shares a
     single physical index through the OS page cache.  ``index_path``
     attaches a pre-saved file (``KOSREngine.save_index`` / the CLI's
-    ``index build``) instead, skipping the parent build too.  Packed
-    backend only.
+    ``index build``) instead, skipping the parent build too.
 
     Use as a context manager or call :meth:`close`; workers are daemonic,
     so they can never outlive the parent even on an unclean exit.
     """
 
     def __init__(self, graph, num_shards: int, labels=None,
-                 backend: str = "packed",
                  overlay_ratio: Optional[float] = None,
                  max_dest_kernels: Optional[int] = None,
                  max_finders: Optional[int] = None,
@@ -107,7 +106,6 @@ class ShardedQueryService:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.graph = graph
-        self.backend = backend
         self.router = CategoryShardRouter(num_shards)
         self.timeout_s = timeout_s
         self._rr = itertools.count()
@@ -145,41 +143,24 @@ class ShardedQueryService:
         self._index_file = None
         self._owns_index_file = False
         self.index_path: Optional[str] = None
-        if index_path is not None:
-            mmap_index = True
-        if mmap_index and backend != "packed":
-            raise QueryError(
-                f"mmap index serving requires the packed backend, not "
-                f"{backend!r}")
         if mmap_index and index_path is None:
             # Build-once/attach-many: the parent builds the full index
             # (labels + every category's inverted sections), saves it as
             # one RPLI file, and every worker attaches that file instead
             # of rebuilding — spawn is an open+mmap and the OS page
             # cache holds a single physical index for the whole fleet.
-            from repro.labeling.labels import LabelIndex
-            from repro.labeling.packed import (PackedLabelIndex,
-                                               write_index_file)
-            from repro.labeling.packed_inverted import \
-                build_packed_inverted_indexes
-            from repro.labeling.pll_unweighted import build_labels_auto
+            from repro.labeling.packed import write_index_file
 
-            if labels is None:
-                labels = build_labels_auto(graph)
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
-            inverted = build_packed_inverted_indexes(graph, labels)
-            fd, tmp = tempfile.mkstemp(prefix="repro-index-",
-                                       suffix=".rpli")
+            parts = assemble_index(graph, labels)
+            fd, index_path = tempfile.mkstemp(prefix="repro-index-",
+                                              suffix=".rpli")
             os.close(fd)
-            write_index_file(tmp, labels, inverted)
-            index_path = tmp
+            write_index_file(index_path, parts.labels, parts.inverted)
             self._owns_index_file = True
-            # Free the parent's list-backed copies before spawning so
-            # (fork) children inherit only the mapped pages, not the
-            # private build artefacts.
-            del inverted
-            labels = None
+            # Free the parent's private copies before spawning so (fork)
+            # children inherit only the mapped pages, not the build
+            # artefacts.
+            del parts
         if index_path is not None:
             from repro.labeling.mmap_index import MmapIndexFile
 
@@ -192,23 +173,15 @@ class ShardedQueryService:
                     f"{index_path}: index file covers {file_vertices} "
                     f"vertices but the graph has {graph.num_vertices}")
             labels = self._index_file.labels
-        elif labels is None and build_labels:
+        elif labels is not None or build_labels:
             # build_labels=False ships a topology-only fleet: workers hold
             # no label/inverted indexes and serve only finder-free plans
             # (GSP family) — the same label-build skip the unsharded CLI
             # path applies to all-GSP workloads.
-            from repro.labeling.pll_unweighted import build_labels_auto
-
-            labels = build_labels_auto(graph)
-        if backend == "packed" and labels is not None:
-            from repro.labeling.labels import LabelIndex
-            from repro.labeling.packed import PackedLabelIndex
-
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
+            labels = assemble_index(graph, labels, categories=()).labels
         self.labels = labels
         # mmap workers attach the file themselves: ship them the path,
-        # not the (unpicklable, and pointlessly large) mapped labels.
+        # not a private copy of the mapped labels.
         worker_labels = None if self.index_path is not None else labels
 
         ctx = mp.get_context(start_method) if start_method else \
@@ -226,7 +199,7 @@ class ShardedQueryService:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=worker_main,
-                args=(child_conn, graph, worker_labels, owned, backend,
+                args=(child_conn, graph, worker_labels, owned,
                       overlay_ratio, max_dest_kernels, max_finders,
                       self.index_path, self._metrics_workers, shard,
                       self._fault_injection.get(shard)),
@@ -254,6 +227,12 @@ class ShardedQueryService:
                     proc.terminate()
             for proc in self._procs:
                 proc.join(timeout=2.0)
+                if proc.is_alive():
+                    # SIGTERM can be lost (it is when it lands in the
+                    # first instants after fork of a process with a
+                    # Python-level handler); SIGKILL cannot.
+                    proc.kill()
+                    proc.join(timeout=2.0)
             for conn in self._conns:
                 conn.close()
             self._closed = True
@@ -287,7 +266,6 @@ class ShardedQueryService:
         the donor engine's indexes behind its back.  The labels are
         shared as-is — they are topology-only and read-only here.
         """
-        kwargs.setdefault("backend", engine.backend)
         kwargs.setdefault("overlay_ratio", engine._overlay_ratio)
         return cls(engine.graph.copy(), num_shards, labels=engine.labels,
                    **kwargs)
@@ -447,8 +425,8 @@ class ShardedQueryService:
         replacement = self._ctx.Process(
             target=worker_main,
             args=(child_conn, self.graph, worker_labels, owned,
-                  self.backend, self._overlay_ratio,
-                  self._max_dest_kernels, self._max_finders,
+                  self._overlay_ratio, self._max_dest_kernels,
+                  self._max_finders,
                   self.index_path, self._metrics_workers, shard, None),
             name=f"repro-shard-{shard}",
             daemon=True,
@@ -476,7 +454,7 @@ class ShardedQueryService:
         return make_query(self.graph, source, target, categories, k)
 
     def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan for this fleet's backend.
+        """Resolve (and memoise) the plan of one ``(method, nn_backend)``.
 
         :class:`QueryService` signature compatibility — the async front
         door's plan-aware admission consults the resolved plan's declared
@@ -485,7 +463,7 @@ class ShardedQueryService:
         key = (method, nn_backend)
         plan = self._plans.get(key)
         if plan is None:
-            plan = resolve_plan(method, nn_backend, self.backend)
+            plan = resolve_plan(method, nn_backend)
             self._plans[key] = plan
         return plan
 
@@ -493,12 +471,11 @@ class ShardedQueryService:
                    options: QueryOptions) -> List[int]:
         """The shard(s) that will serve this request, primary first.
 
-        Resolves the plan (validating method / NN backend / index
-        backend) and reads its declared needs: finder-free plans route
-        round-robin, finder plans route to the owners of the query's
-        categories.  SK-DB is rejected — workers hold no disk store.
+        Resolves the plan (validating method / NN backend) and reads its
+        declared needs: finder-free plans route round-robin, finder
+        plans route to the owners of the query's categories.  SK-DB is rejected — workers hold no disk store.
         """
-        plan = resolve_plan(options.method, options.nn_backend, self.backend)
+        plan = self.plan(options.method, options.nn_backend)
         if plan.spec.needs_disk:
             raise QueryError(
                 "SK-DB is not supported in sharded serving: worker shards "
@@ -824,9 +801,6 @@ class ShardedQueryService:
             raise QueryError(
                 "update_edge requires a fleet with labels; this one was "
                 "built with build_labels=False (topology-only)")
-        from repro.labeling.labels import LabelIndex
-        from repro.labeling.packed import PackedLabelIndex
-        from repro.labeling.pll_unweighted import build_labels_auto
         from repro.labeling.updates import apply_edge_mutation
 
         with self._update_lock:
@@ -837,9 +811,7 @@ class ShardedQueryService:
             # parent or worker state moved.
             work = self.graph.copy()
             apply_edge_mutation(work, u, v, weight)
-            labels = build_labels_auto(work, order)
-            if self.backend == "packed" and isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
+            labels = assemble_index(work, order=order, categories=()).labels
             fence = self._epoch + 1
             # Phase 2: prepare (recoverable, abortable).
             try:

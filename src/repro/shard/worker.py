@@ -43,13 +43,13 @@ from typing import List, Optional
 from repro.api import QueryOptions
 from repro.core.query import KOSRQuery
 from repro.labeling import updates as _updates
+from repro.labeling.assembly import assemble_index
 from repro.types import CategoryId
 
 #: shard pipe framing protocol.  ``multiprocessing.Connection.send``
 #: uses pickle's *default* protocol; pinning the highest one shrinks and
-#: speeds the framing of large batch replies (see ``bench_micro_ops``),
-#: and both pipe ends agree by construction since parent and workers
-#: import this constant.
+#: speeds the framing of large batch replies, and both pipe ends agree
+#: by construction since parent and workers import this constant.
 PIPE_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
@@ -90,7 +90,7 @@ def proc_uss_bytes() -> int:
         return 0
 
 
-def _build_shard_engine(graph, labels, owned: List[CategoryId], backend: str,
+def _build_shard_engine(graph, labels, owned: List[CategoryId],
                         overlay_ratio: Optional[float],
                         index_path: Optional[str] = None):
     """An engine whose inverted indexes cover only ``owned`` categories.
@@ -107,54 +107,28 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId], backend: str,
     plans before they reach a worker.
     """
     from repro.core.engine import KOSREngine
-    from repro.labeling.inverted import build_inverted_index
-    from repro.labeling.labels import LabelIndex
-    from repro.labeling.packed import PackedLabelIndex
-    from repro.labeling.packed_inverted import build_packed_inverted_index
 
-    if index_path is not None:
-        from repro.labeling.mmap_index import MmapIndexFile
-
-        index_file = MmapIndexFile.open(index_path)
-        mmap_labels = index_file.labels
-        inverted = {}
-        for cid in owned:
-            if index_file.has_category(cid):
-                inverted[cid] = index_file.inverted_view(cid)
-            else:
-                inverted[cid] = build_packed_inverted_index(
-                    graph, mmap_labels, cid)
-        engine = KOSREngine(graph, mmap_labels, inverted, backend="packed")
-        engine._overlay_ratio = overlay_ratio
-        engine._index_file = index_file
-        KOSREngine._apply_overlay_ratio(inverted, overlay_ratio)
-        return engine
-    if labels is None:
-        engine = KOSREngine(graph, backend=backend)
-        engine.inverted = {}
-        engine._overlay_ratio = overlay_ratio
-        return engine
-    if backend == "packed" and isinstance(labels, LabelIndex):
-        labels = PackedLabelIndex.from_index(labels)
-    elif backend == "object" and isinstance(labels, PackedLabelIndex):
-        labels = labels.to_index()
-    if backend == "packed":
-        inverted = {cid: build_packed_inverted_index(graph, labels, cid)
-                    for cid in owned}
+    if index_path is None and labels is None:
+        engine = KOSREngine(graph, inverted={})
     else:
-        inverted = {cid: build_inverted_index(graph, labels, cid)
-                    for cid in owned}
-    engine = KOSREngine(graph, labels, inverted, backend=backend)
+        index_file = None
+        if index_path is not None:
+            from repro.labeling.mmap_index import MmapIndexFile
+
+            index_file = MmapIndexFile.open(index_path)
+        parts = assemble_index(graph, labels, categories=owned,
+                               overlay_ratio=overlay_ratio,
+                               index_file=index_file)
+        engine = KOSREngine(graph, parts.labels, parts.inverted)
+        engine._index_file = index_file
     engine._overlay_ratio = overlay_ratio
-    if backend == "packed":
-        KOSREngine._apply_overlay_ratio(inverted, overlay_ratio)
     return engine
 
 
 class _ShardWorker:
     """Message loop state for one worker process."""
 
-    def __init__(self, graph, labels, owned: List[CategoryId], backend: str,
+    def __init__(self, graph, labels, owned: List[CategoryId],
                  overlay_ratio: Optional[float],
                  max_dest_kernels: Optional[int],
                  max_finders: Optional[int],
@@ -164,7 +138,7 @@ class _ShardWorker:
 
         self.shard = shard
         self.owned = list(owned)
-        self.engine = _build_shard_engine(graph, labels, owned, backend,
+        self.engine = _build_shard_engine(graph, labels, owned,
                                           overlay_ratio, index_path)
         self.service = QueryService(self.engine,
                                     max_dest_kernels=max_dest_kernels,
@@ -172,7 +146,7 @@ class _ShardWorker:
         #: categories whose *file* sections went stale: an update
         #: broadcast touched them while unmaterialised, so a later
         #: fault-in must rebuild from the (updated) graph + labels
-        #: instead of attaching the pre-update mmap view
+        #: instead of attaching the pre-update file sections
         self._stale_cids: set = set()
         #: (fence, graph, labels, inverted) staged by ``prepare_edge``,
         #: served only after the matching ``commit_edge``
@@ -184,9 +158,6 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     def ensure_categories(self, categories) -> None:
         """Fault in inverted indexes this query needs but the shard lacks."""
-        from repro.labeling.inverted import build_inverted_index
-        from repro.labeling.packed_inverted import build_packed_inverted_index
-
         engine = self.engine
         if engine.labels is None:
             from repro.exceptions import QueryError
@@ -194,26 +165,18 @@ class _ShardWorker:
             raise QueryError(
                 "this shard worker was built without labels "
                 "(build_labels=False); label-backend plans cannot be served")
-        index_file = engine._index_file
         for cid in categories:
             if cid in engine.inverted:
                 continue
-            if (index_file is not None and cid not in self._stale_cids
-                    and index_file.has_category(cid)):
-                # Cheap fault-in: attach the file's shared view instead
-                # of rebuilding — valid only while no update has touched
-                # the category since the file was written.
-                il = index_file.inverted_view(cid)
-                if engine._overlay_ratio is not None:
-                    il.overlay_ratio = engine._overlay_ratio
-            elif engine.backend == "packed":
-                il = build_packed_inverted_index(engine.graph, engine.labels,
-                                                 cid)
-                if engine._overlay_ratio is not None:
-                    il.overlay_ratio = engine._overlay_ratio
-            else:
-                il = build_inverted_index(engine.graph, engine.labels, cid)
-            engine.inverted[cid] = il
+            # Attaching the file's sections is the cheap fault-in, valid
+            # only while no update has touched the category since the
+            # file was written; otherwise build from the current graph.
+            index_file = (None if cid in self._stale_cids
+                          else engine._index_file)
+            engine.inverted.update(assemble_index(
+                engine.graph, engine.labels, categories=[cid],
+                overlay_ratio=engine._overlay_ratio,
+                index_file=index_file).inverted)
 
     def run_query(self, query: KOSRQuery, options: QueryOptions):
         if options.nn_backend == "label":
@@ -249,12 +212,11 @@ class _ShardWorker:
             engine = self.engine
             REGISTRY.gauge("repro_index_epoch",
                            shard=self.shard).set(engine.index_epoch)
-            if hasattr(engine, "category_versions"):
-                versions = engine.category_versions()
-                for cid in self.owned:
-                    if cid in versions:
-                        REGISTRY.gauge("repro_category_version",
-                                       category=cid).set(versions[cid])
+            versions = engine.category_versions()
+            for cid in self.owned:
+                if cid in versions:
+                    REGISTRY.gauge("repro_category_version",
+                                   category=cid).set(versions[cid])
         return REGISTRY.snapshot()
 
     def apply_update(self, op: str, v: int, cid: CategoryId) -> int:
@@ -263,8 +225,8 @@ class _ShardWorker:
         A category updated while *unmaterialised* is marked stale: its
         index-file sections (if any) predate the update, so a later
         fault-in must rebuild from the updated graph rather than attach
-        the shared view (materialised mmap views are swapped for private
-        mutable copies by the update layer itself).
+        them (a materialised category takes the update in its private
+        overlay, on top of whatever base it has).
         """
         engine = self.engine
         if op == "add":
@@ -302,12 +264,6 @@ class _ShardWorker:
         :meth:`commit_edge` swaps the staged state in — queries racing
         the prepare keep answering from the old index.
         """
-        from repro.core.engine import KOSREngine
-        from repro.labeling.inverted import build_inverted_index
-        from repro.labeling.labels import LabelIndex
-        from repro.labeling.packed import PackedLabelIndex
-        from repro.labeling.packed_inverted import build_packed_inverted_index
-
         engine = self.engine
         if engine.labels is None:
             from repro.exceptions import QueryError
@@ -317,17 +273,9 @@ class _ShardWorker:
                 "(build_labels=False); edge updates cannot be staged")
         graph = engine.graph.copy()
         _updates.apply_edge_mutation(graph, u, v, weight)
-        if engine.backend == "packed":
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
-            inverted = {cid: build_packed_inverted_index(graph, labels, cid)
-                        for cid in engine.inverted}
-            KOSREngine._apply_overlay_ratio(inverted, engine._overlay_ratio)
-        else:
-            if isinstance(labels, PackedLabelIndex):
-                labels = labels.to_index()
-            inverted = {cid: build_inverted_index(graph, labels, cid)
-                        for cid in engine.inverted}
+        labels, inverted = assemble_index(
+            graph, labels, categories=list(engine.inverted),
+            overlay_ratio=engine._overlay_ratio)[:2]
         self._staged = (fence, graph, labels, inverted)
         return fence
 
@@ -358,7 +306,7 @@ class _ShardWorker:
         engine.inverted = inverted
         engine._ch = None
         engine._store = None
-        engine._index_file = None
+        engine._detach_index_file()
         self._stale_cids.clear()
         self._committed_fence = fence
         return engine.index_epoch
@@ -377,16 +325,17 @@ class _ShardWorker:
         A freshly (re)spawned mmap worker attaches the file's sections,
         which predate any updates broadcast after the file was saved.
         The parent replays those pending updates by naming the touched
-        categories: their file views are dropped and marked stale, so
-        the next query fault-ins rebuild them from the worker's
-        update-current graph + labels — bit-identical to an index that
-        was patched live (the fuzz suite pins rebuilt == patched).
+        categories: their file-backed indexes are dropped and marked
+        stale, so the next query fault-ins rebuild them from the
+        worker's update-current graph + labels — bit-identical to an
+        index that was patched live (the fuzz suite pins rebuilt ==
+        patched).
         """
         engine = self.engine
         for cid in cids:
             self._stale_cids.add(cid)
             il = engine.inverted.get(cid)
-            if il is not None and getattr(il, "is_mmap", False):
+            if il is not None and il.shared:
                 del engine.inverted[cid]
         return sorted(self._stale_cids)
 
@@ -395,9 +344,8 @@ class _ShardWorker:
         return {
             "pid": os.getpid(),
             "epoch": engine.index_epoch,
-            "epoch_base": getattr(engine, "epoch_base", 0),
-            "category_versions": dict(engine.category_versions())
-            if hasattr(engine, "category_versions") else {},
+            "epoch_base": engine.epoch_base,
+            "category_versions": engine.category_versions(),
             "owned_categories": list(self.owned),
             "materialized_categories": sorted(engine.inverted),
         }
@@ -480,7 +428,7 @@ def _maybe_fault(fault: Optional[dict], kind: str, phase: str) -> None:
         os._exit(1)
 
 
-def worker_main(conn, graph, labels, owned, backend, overlay_ratio,
+def worker_main(conn, graph, labels, owned, overlay_ratio,
                 max_dest_kernels, max_finders, index_path=None,
                 metrics_enabled: bool = False, shard: int = 0,
                 fault: Optional[dict] = None) -> None:
@@ -511,7 +459,7 @@ def worker_main(conn, graph, labels, owned, backend, overlay_ratio,
         REGISTRY.enable()
     fault = dict(fault) if fault else None
     try:
-        worker = _ShardWorker(graph, labels, owned, backend, overlay_ratio,
+        worker = _ShardWorker(graph, labels, owned, overlay_ratio,
                               max_dest_kernels, max_finders, index_path,
                               shard)
     except BaseException as exc:  # startup failure: report, then exit

@@ -10,6 +10,9 @@ from repro import KOSREngine
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph
+from repro.labeling.inverted import build_inverted_indexes
+from repro.labeling.pll_unweighted import build_labels_auto
+from repro.nn.label_nn import LabelNNFinder
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +33,29 @@ def small_engine():
     g = random_graph(40, avg_out_degree=3.0, rng=random.Random(7))
     assign_uniform_categories(g, 3, 8, random.Random(8))
     return KOSREngine.build(g, name="small")
+
+
+class _ReferenceEngine(KOSREngine):
+    """An engine over PLL's per-entry object output and object FindNN."""
+
+    def _make_finder(self, nn_backend):
+        if nn_backend == "label":
+            return LabelNNFinder.from_index(self.labels, self.inverted)
+        return super()._make_finder(nn_backend)
+
+
+def reference_engine(graph, order=None):
+    """The test reference: the object label/inverted indexes (explicit
+    imports, like ``core/brute.py``) behind the ordinary query dispatch.
+
+    Every packed engine — built or attached — must answer with the same
+    results *and* ``QueryStats`` counters as this one.  It is rebuilt,
+    never updated in place: after a mutation, build a fresh one from the
+    mutated graph.
+    """
+    labels = build_labels_auto(graph, order)
+    return _ReferenceEngine(graph, labels,
+                            build_inverted_indexes(graph, labels))
 
 
 def make_categorized_graph(n: int, num_categories: int, category_size: int, seed: int):

@@ -70,9 +70,9 @@ class TestQueryOptions:
 
     def test_plan_for_validates_vocabulary(self):
         with pytest.raises(QueryError, match="unknown method"):
-            QueryOptions(method="NOPE").plan_for("packed")
-        plan = QueryOptions(method="PK").plan_for("packed")
-        assert plan.method == "PK" and plan.backend == "packed"
+            QueryOptions(method="NOPE").plan_for()
+        plan = QueryOptions(method="PK").plan_for()
+        assert plan.method == "PK" and plan.nn_backend == "label"
 
 
 class TestQueryRequest:

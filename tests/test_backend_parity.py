@@ -1,20 +1,23 @@
-"""Backend parity: the packed and object index backends must agree.
+"""Index parity: the packed engine must agree with the object reference.
 
-The packed backend rewrites every query hot path (merge joins, FindNN
-cursors, FindNEN, the dis(v, t) kernel), so this suite pins it to the
-object reference implementation: identical witnesses, costs, and search
-counters for every method, on several generated graphs, plus structural
-parity of the packed inverted index itself.
+The packed indexes rewrite every query hot path (merge joins, FindNN
+cursors, FindNEN, the dis(v, t) kernel), so this suite pins both of
+their backings — *built* (private buffer) and *attached* (read-only mmap
+of a saved index file) — to ``reference_engine``: identical witnesses,
+costs, and search counters for every method, on several generated
+graphs, plus structural parity of the packed inverted index itself.
 """
 
 import random
 
 import pytest
 
+from conftest import reference_engine
 from repro import KOSREngine, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.inverted import build_inverted_index
+from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import build_packed_inverted_index
 from repro.labeling.pll import build_pruned_landmark_labels
 
@@ -43,26 +46,25 @@ def _graph(seed: int, n: int = 40, cats: int = 4, size: int = 7):
 
 
 @pytest.fixture(scope="module",
-                params=[(11, "build"), (23, "build"), (57, "build"),
-                        (11, "mmap"), (57, "mmap")],
+                params=[(11, "built"), (23, "built"), (57, "built"),
+                        (11, "attached"), (57, "attached")],
                 ids=lambda p: f"seed{p[0]}-{p[1]}")
 def engines(request, tmp_path_factory):
-    """(graph, packed-family engine, object engine) pairs.
+    """(graph, packed engine, reference engine) triples.
 
-    The ``mmap`` variants run the whole suite against an engine attached
-    read-only to a saved index file, so every parity assertion (results
-    AND counters, bit-identical) also pins the zero-copy path to the
-    object reference.
+    The ``attached`` variants run the whole suite against an engine
+    attached read-only to a saved index file, so every parity assertion
+    (results AND counters, bit-identical) pins both backings of the one
+    index representation to the object reference.
     """
-    seed, mode = request.param
+    seed, backing = request.param
     g = _graph(seed)
-    packed = KOSREngine.build(g, backend="packed")
-    if mode == "mmap":
+    packed = KOSREngine.build(g)
+    if backing == "attached":
         path = tmp_path_factory.mktemp("idx") / f"parity_{seed}.rpli"
         packed.save_index(path)
         packed = KOSREngine.from_index_file(g, path)
-    obj = KOSREngine.build(g, backend="object")
-    return g, packed, obj
+    return g, packed, reference_engine(g)
 
 
 class TestQueryParity:
@@ -86,7 +88,7 @@ class TestQueryParity:
             assert a.stats.reconsidered_routes == b.stats.reconsidered_routes
 
     def test_parity_with_profile_enabled(self, engines):
-        """Profiling must not change answers on either backend."""
+        """Profiling must not change answers on either engine."""
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
         base = obj.run(q, method="SK")
@@ -95,7 +97,7 @@ class TestQueryParity:
             assert profiled.witnesses == base.witnesses
             assert profiled.stats.nn_queries == base.stats.nn_queries
 
-    def test_gsp_unaffected_by_backend(self, engines):
+    def test_gsp_unaffected_by_index(self, engines):
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=1)
         assert packed.run(q, method="GSP").costs == pytest.approx(
@@ -134,23 +136,23 @@ class TestPackedInvertedParity:
     def case(self):
         g = _graph(91)
         labels = build_pruned_landmark_labels(g)
-        return g, labels
+        return g, labels, PackedLabelIndex.from_index(labels)
 
     def test_hub_lists_identical(self, case):
-        g, labels = case
+        g, labels, packed_labels = case
         for cid in range(g.num_categories):
             obj = build_inverted_index(g, labels, cid)
-            packed = build_packed_inverted_index(g, labels, cid)
+            packed = build_packed_inverted_index(g, packed_labels, cid)
+            assert packed.as_lists() == obj.as_lists()
             assert set(packed.slices) == set(obj.lists)
             for hub, entries in obj.lists.items():
                 assert packed.hub_list(hub) == entries
-            assert packed.as_lists() == obj.as_lists()
 
     def test_statistics_identical(self, case):
-        g, labels = case
+        g, labels, packed_labels = case
         for cid in range(g.num_categories):
             obj = build_inverted_index(g, labels, cid)
-            packed = build_packed_inverted_index(g, labels, cid)
+            packed = build_packed_inverted_index(g, packed_labels, cid)
             assert packed.total_entries == obj.total_entries
             assert packed.num_hubs == obj.num_hubs
             assert packed.average_list_length() == pytest.approx(
@@ -158,8 +160,10 @@ class TestPackedInvertedParity:
             )
 
     def test_runs_sorted_and_consistent(self, case):
-        g, labels = case
-        packed = build_packed_inverted_index(g, labels, 0)
+        g, _, packed_labels = case
+        packed = build_packed_inverted_index(g, packed_labels, 0)
+        assert not packed.slices  # nothing decoded before first touch
+        packed.as_lists()
         for hub, (lo, hi) in packed.slices.items():
             assert 0 <= lo < hi <= len(packed.members)
             run = list(zip(packed.dists[lo:hi], packed.members[lo:hi]))
@@ -168,8 +172,8 @@ class TestPackedInvertedParity:
         assert sorted(packed.rank_slices.values()) == sorted(packed.slices.values())
 
     def test_unknown_hub_is_empty(self, case):
-        g, labels = case
-        packed = build_packed_inverted_index(g, labels, 0)
+        g, _, packed_labels = case
+        packed = build_packed_inverted_index(g, packed_labels, 0)
         assert packed.hub_slice(10 ** 9) == (0, 0)
         assert packed.hub_list(10 ** 9) == []
 
@@ -179,9 +183,9 @@ class TestServicePathParity:
 
     The session cache shares FindNN streams and ``dis(·, t)`` memos
     across a batch, so these tests are the contract that warm reuse is
-    observably transparent: for every method × index backend, results
+    observably transparent: for every method × index backing, results
     *and* every QueryStats counter from ``run_batch`` equal those of a
-    cold ``engine.run`` on a freshly built engine (the cold-equivalent
+    cold ``engine.run`` on a fresh reference engine (the cold-equivalent
     accounting described in ``repro.service.cache``).
     """
 
@@ -197,14 +201,13 @@ class TestServicePathParity:
 
     @pytest.mark.parametrize("method", PAIR_METHODS)
     def test_batch_matches_fresh_engines(self, engines, method):
-        g, packed, obj = engines
-        for engine, backend in ((packed, "packed"), (obj, "object")):
-            queries = self._workload(g, random.Random(29))
-            batch = engine.service.run_batch(queries, method=method)
-            assert len(batch) == len(queries)
-            for q, warm in zip(queries, batch):
-                cold = KOSREngine.build(g, backend=backend).run(q, method=method)
-                assert_same_outcome(warm, cold)
+        g, packed, _ = engines
+        queries = self._workload(g, random.Random(29))
+        batch = packed.service.run_batch(queries, method=method)
+        assert len(batch) == len(queries)
+        for q, warm in zip(queries, batch):
+            assert_same_outcome(warm,
+                                reference_engine(g).run(q, method=method))
 
     def test_batch_sk_db_matches_fresh_engines(self, engines, tmp_path):
         g, packed, _ = engines
@@ -268,7 +271,7 @@ class TestServicePathParity:
     def test_threaded_batch_with_dirty_overlays(self):
         """Pending overlay deltas are folded before workers spawn.
 
-        Lazy cursor-time patching mutates the shared packed buffers, so
+        Lazy cursor-time patching repoints the shared slice maps, so
         a threaded batch over a dirty index must pre-patch (and still
         answer exactly like fresh engines).
         """
@@ -288,7 +291,7 @@ class TestServicePathParity:
                                                   max_workers=3)
         assert not engine.inverted[0].dirty  # folded up front
         for q, warm in zip(queries, threaded):
-            assert_same_outcome(warm, KOSREngine.build(g).run(q, method="SK"))
+            assert_same_outcome(warm, reference_engine(g).run(q, method="SK"))
 
     def test_dij_backends_stay_cold_on_service_path(self, engines):
         """Dijkstra comparators are rebuilt per query even when warm."""
@@ -302,71 +305,56 @@ class TestServicePathParity:
 
 
 class TestPostUpdateParity:
-    """Both backends stay bit-identical *after* dynamic updates.
+    """The packed engine stays bit-identical *after* dynamic updates.
 
-    The packed engine absorbs category updates through its delta
-    overlays; the object engine patches its sorted lists in place.  The
-    graph is shared, so the object index is patched through the
-    module-level helpers on pre-restored ``F(v)`` state.
+    It absorbs category updates through its delta overlays; the
+    reference is rebuilt from the mutated graph after every update.
     """
 
-    def _twin_engines(self, seed=77):
+    def _engine(self, seed=77):
         g = _graph(seed)
-        return g, KOSREngine.build(g), KOSREngine.build(g, backend="object")
+        return g, KOSREngine.build(g)
 
-    def _assert_parity(self, g, packed, obj, rng, rounds=6):
+    def _assert_parity(self, g, packed, rng, rounds=6):
+        ref = reference_engine(g)
         for _ in range(rounds):
             s = rng.randrange(g.num_vertices)
             t = rng.randrange(g.num_vertices)
             cats = rng.sample(range(g.num_categories), 2)
             for method in ("SK", "PK"):
                 q = make_query(g, s, t, cats, k=3)
-                a = packed.run(q, method=method)
-                b = obj.run(q, method=method)
-                assert a.witnesses == b.witnesses
-                assert a.costs == pytest.approx(b.costs)
-                assert a.stats.nn_queries == b.stats.nn_queries
-                assert a.stats.examined_routes == b.stats.examined_routes
+                assert_same_outcome(packed.run(q, method=method),
+                                    ref.run(q, method=method))
+        return ref
 
     def test_parity_after_category_insert_and_remove(self):
-        from repro.labeling.updates import (
-            add_vertex_to_category,
-            remove_vertex_from_category,
-        )
-
-        g, packed, obj = self._twin_engines()
+        g, packed = self._engine()
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         packed.add_vertex_to_category(outsider, 0)
         assert g.has_category(outsider, 0)
-        # graph flag already set; patch the object index directly
-        g.unassign_category(outsider, 0)
-        add_vertex_to_category(g, obj.labels, obj.inverted, outsider, 0)
-        self._assert_parity(g, packed, obj, random.Random(3))
+        self._assert_parity(g, packed, random.Random(3))
 
         member = sorted(g.members(1))[0]
         packed.remove_vertex_from_category(member, 1)
-        g.assign_category(member, 1)
-        remove_vertex_from_category(g, obj.labels, obj.inverted, member, 1)
-        self._assert_parity(g, packed, obj, random.Random(4))
+        ref = self._assert_parity(g, packed, random.Random(4))
 
         # Table IX statistics stay in lockstep too.
         for cid in range(g.num_categories):
             assert packed.inverted[cid].total_entries == \
-                obj.inverted[cid].total_entries
-            assert packed.inverted[cid].num_hubs == obj.inverted[cid].num_hubs
+                ref.inverted[cid].total_entries
+            assert packed.inverted[cid].num_hubs == ref.inverted[cid].num_hubs
+            assert packed.inverted[cid].as_lists() == \
+                ref.inverted[cid].as_lists()
 
     def test_parity_after_edge_update_stays_packed(self):
-        from repro.labeling.packed import PackedLabelIndex
-
-        g, packed, _ = self._twin_engines(78)
+        g, packed = self._engine(78)
         packed.update_edge(0, g.num_vertices - 1, 0.75)
         assert isinstance(packed.labels, PackedLabelIndex)
-        obj = KOSREngine.build(g, backend="object")
-        self._assert_parity(g, packed, obj, random.Random(5))
+        self._assert_parity(g, packed, random.Random(5))
 
     def test_compact_preserves_results(self):
-        g, packed, obj = self._twin_engines(79)
+        g, packed = self._engine(79)
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         packed.add_vertex_to_category(outsider, 0)
@@ -382,7 +370,7 @@ class TestPostUpdateParity:
         """SK-DB must not silently serve pre-update shards."""
         from repro.exceptions import QueryError
 
-        g, packed, _ = self._twin_engines(83)
+        g, packed = self._engine(83)
         packed.attach_disk_store(tmp_path)
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
@@ -407,7 +395,7 @@ class TestPostUpdateParity:
         from repro.exceptions import IndexBuildError
         from repro.labeling.updates import add_vertex_to_category
 
-        g, packed, _ = self._twin_engines(81)
+        g, packed = self._engine(81)
         last_cid = max(packed.inverted)
         packed.inverted[last_cid] = object()  # pollute a *non-first* slot
         victim = next(v for v in range(g.num_vertices)

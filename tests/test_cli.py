@@ -483,15 +483,21 @@ class TestIndexBuildAndMmapQuery:
         assert code == 0
         assert "cost 20" in capsys.readouterr().out
 
-    def test_mmap_index_rejects_object_backend(self, fig1_file, tmp_path):
-        out = tmp_path / "fig1.rpli"
-        main(["index", "build", "--graph", fig1_file, "--out", str(out)])
-        with pytest.raises(SystemExit):
-            main([
-                "query", "--graph", fig1_file, "--mmap-index", str(out),
-                "--backend", "object",
-                "--source", "0", "--target", "1", "--categories", "MA",
-            ])
+    @pytest.mark.parametrize("command", [
+        ["query", "--source", "0", "--target", "1", "--categories", "MA"],
+        ["batch", "--workload", "-"],
+        ["async-batch", "--workload", "-"],
+        ["serve", "--port", "0"],
+    ], ids=lambda c: c[0])
+    def test_backend_flag_is_an_unknown_argument(self, fig1_file, command,
+                                                 capsys):
+        """There is one index representation: no subcommand takes
+        ``--backend`` any more (argparse's ordinary error, exit 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command[0], "--graph", fig1_file, *command[1:],
+                  "--backend", "packed"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_sharded_batch_with_mmap_index(self, fig1_file, tmp_path,
                                            capsys):

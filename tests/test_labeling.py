@@ -257,17 +257,6 @@ class TestInvertedIndex:
         expected = sum(len(labels.lin(m)) for m in g.members(0))
         assert il.total_entries == expected
 
-    def test_remove_member_entry(self):
-        g = random_graph(20, 2.5, rng=random.Random(13))
-        assign_uniform_categories(g, 1, 5, random.Random(14))
-        labels = build_pruned_landmark_labels(g)
-        il = build_inverted_index(g, labels, 0)
-        member = next(iter(g.members(0)))
-        for entry in labels.lin(member):
-            il.remove_member(labels.hub_vertex(entry.hub_rank), entry.dist, member)
-        for entries in il.lists.values():
-            assert all(m != member for _, m in entries)
-
     def test_average_list_length(self, fig1, fig1_labels):
         ma = fig1.category_id("MA")
         il = build_inverted_index(fig1, fig1_labels, ma)

@@ -4,33 +4,34 @@ Covers the RPLI v2 on-disk format (fixed layout, offset-indexed — no
 per-entry decode on load), the read-only mmap attachment path
 (:mod:`repro.labeling.mmap_index`), hardened load error paths
 (truncated/corrupted files fail with the offending path and byte
-offset), resident-vs-serialized memory accounting, copy-on-write
-materialization under updates, and the sharded build-once/attach-many
-worker fleet.
+offset), resident-vs-serialized memory accounting, updates landing in
+a private overlay on top of the never-written file, and the sharded
+build-once/attach-many worker fleet.
 """
 
+import hashlib
 import os
 import pickle
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
+from conftest import reference_engine
 from repro import KOSREngine, make_query
-from repro.exceptions import IndexBuildError, IndexStorageError, QueryError
+from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.labeling.mmap_index import (
-    MmapIndexFile,
-    MmapInvertedIndex,
-    MmapLabelIndex,
-)
-from repro.labeling.packed import PackedLabelIndex, write_index_file
+from repro.labeling.mmap_index import MmapIndexFile
+from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
 )
 from repro.labeling.storage import CategoryShardStore
+from test_backend_parity import assert_same_outcome
 
 
 def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 6):
@@ -43,7 +44,7 @@ def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 6):
 def built(tmp_path_factory):
     """A built packed engine plus its saved single-file index."""
     g = _graph(7)
-    engine = KOSREngine.build(g, backend="packed")
+    engine = KOSREngine.build(g)
     path = tmp_path_factory.mktemp("idx") / "index.rpli"
     written = engine.save_index(path)
     return g, engine, path, written
@@ -89,7 +90,7 @@ class TestFormatRoundTrip:
             assert sorted(f.category_ids()) == sorted(engine.inverted)
             for cid, il in engine.inverted.items():
                 view = f.inverted_view(cid)
-                assert isinstance(view, MmapInvertedIndex)
+                assert isinstance(view, PackedInvertedIndex) and view.shared
                 assert view.total_entries == il.total_entries
                 assert view.num_hubs == il.num_hubs
                 assert view.as_lists() == il.as_lists()
@@ -132,7 +133,7 @@ class TestFormatRoundTrip:
 class TestCorruptFiles:
     def _save(self, tmp_path, name="base.rpli"):
         g = _graph(13, n=18, cats=2, size=4)
-        engine = KOSREngine.build(g, backend="packed")
+        engine = KOSREngine.build(g)
         path = tmp_path / name
         engine.save_index(path)
         return path
@@ -232,39 +233,130 @@ class TestCorruptFiles:
 # ---------------------------------------------------------------------------
 class TestAttachedEngine:
     def test_attach_is_mmap_backed(self, built):
-        g, _, path, _ = built
+        g, builder, path, _ = built
         engine = KOSREngine.from_index_file(g, path)
-        assert engine.backend == "packed"
-        assert isinstance(engine.labels, MmapLabelIndex)
-        assert engine.labels.is_mmap
-        for il in engine.inverted.values():
-            assert il.is_mmap
+        # one label-index and one inverted-index class serve both backings
+        assert type(engine.labels) is type(builder.labels) is PackedLabelIndex
+        assert engine.labels.shared and not builder.labels.shared
+        for cid, il in engine.inverted.items():
+            assert type(il) is type(builder.inverted[cid]) is PackedInvertedIndex
+            assert il.shared and not builder.inverted[cid].shared
 
-    def test_overlay_mutation_requires_materialize(self, built):
-        g, _, path, _ = built
-        engine = KOSREngine.from_index_file(g, path)
-        view = next(iter(engine.inverted.values()))
-        with pytest.raises(IndexBuildError):
-            view.overlay_insert(0, 0, 0.0, 1)
-        with pytest.raises(IndexBuildError):
-            view.overlay_remove(0, 0, 0.0, 1)
-        materialized = view.materialize()
-        assert isinstance(materialized, PackedInvertedIndex)
-        assert not getattr(materialized, "is_mmap", False)
-        assert materialized.as_lists() == view.as_lists()
+    def test_first_write_to_attached_category_never_touches_the_file(
+            self, built):
+        """Add/remove on an attached category: overlay only, file intact.
 
-    def test_category_update_materializes_only_that_category(self, built):
-        g, _, path, _ = built
+        No materialise step: the category keeps its index object, its
+        file-backed base and its version counter's continuity; answers
+        *and* counters equal a fresh reference engine's; the file's bytes
+        are unchanged and a second engine attached to the same file still
+        serves the pre-update lists.
+        """
+        g0, _, path, _ = built
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        g = g0.copy()
         engine = KOSREngine.from_index_file(g, path)
-        cid = 0
-        v = next(v for v in range(g.num_vertices) if not g.has_category(v, cid))
-        engine.add_vertex_to_category(v, cid)
-        assert not getattr(engine.inverted[cid], "is_mmap", False)
-        for other in engine.inverted:
-            if other != cid:
-                assert engine.inverted[other].is_mmap
-        fresh = build_packed_inverted_index(g, engine.labels, cid)
-        assert engine.inverted[cid].as_lists() == fresh.as_lists()
+        bystander = KOSREngine.from_index_file(g0.copy(), path)
+        before = {cid: il.as_lists()
+                  for cid, il in bystander.inverted.items()}
+        rng = random.Random(19)
+
+        def check_against_reference():
+            ref = reference_engine(g)
+            for _ in range(6):
+                s, t = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+                q = make_query(g, s, t, rng.sample(range(2), 2) + [2], k=3)
+                for method in ("SK", "PK", "KPNE"):
+                    assert_same_outcome(engine.run(q, method=method),
+                                        ref.run(q, method=method))
+
+        added_to, removed_from = 0, 1
+        il_added, il_removed = engine.inverted[0], engine.inverted[1]
+        outsider = next(v for v in range(g.num_vertices)
+                        if not g.has_category(v, added_to))
+        engine.add_vertex_to_category(outsider, added_to)
+        check_against_reference()
+        member = sorted(g.members(removed_from))[0]
+        engine.remove_vertex_from_category(member, removed_from)
+        check_against_reference()
+
+        versions = engine.category_versions()
+        assert versions[added_to] == len(engine.labels.lin(outsider))
+        assert versions[removed_from] == len(engine.labels.lin(member))
+        assert versions[2] == versions[3] == 0
+        assert engine.inverted[0] is il_added and il_added.shared
+        assert engine.inverted[1] is il_removed and il_removed.shared
+        for cid in (0, 1):
+            fresh = build_packed_inverted_index(g, engine.labels, cid)
+            assert engine.inverted[cid].as_lists() == fresh.as_lists()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        for cid, il in bystander.inverted.items():
+            assert il.as_lists() == before[cid]
+        fresh_attach = KOSREngine.from_index_file(g0.copy(), path)
+        assert fresh_attach.inverted[0].as_lists() == before[0]
+
+    def test_update_edge_detaches_and_releases_the_index_file(self, built):
+        """A structure update rebuilds everything privately: the engine
+        must stop reporting (and holding) a file nothing is served from."""
+        g0, _, path, _ = built
+        g = g0.copy()
+        engine = KOSREngine.from_index_file(g, path)
+        index_file = engine._index_file
+        assert engine.index_memory()["index_file"] == str(path)
+        engine.update_edge(0, g.num_vertices - 1, 0.5)
+        mem = engine.index_memory()
+        assert mem["shared"] is False and mem["inverted_shared"] == 0
+        assert "index_file" not in mem and "index_file_bytes" not in mem
+        assert engine._index_file is None
+        assert index_file._mm.closed  # mapping released, not just forgotten
+        q = make_query(g, 1, g.num_vertices - 2, [0, 1], k=3)
+        assert_same_outcome(engine.run(q, method="SK"),
+                            reference_engine(g).run(q, method="SK"))
+
+    def test_concurrent_first_touch_decode_matches_serial(self, built):
+        """Threads racing to decode one category's runs (the decode lock).
+
+        More threads than cores and a shortened switch interval; every
+        run must be decoded exactly once and equal a serial decode.
+        """
+        _, _, path, _ = built
+        index_file = MmapIndexFile.open(path)
+        serial = index_file.inverted_view(0)
+        expected = serial.as_lists()
+        ranks = sorted(serial.rank_slices)
+        racing = index_file.inverted_view(0)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def touch(seed):
+            try:
+                order = ranks[:]
+                random.Random(seed).shuffle(order)
+                barrier.wait(timeout=10)
+                for i in range(0, len(order), 3):
+                    racing.patch_ranks(order[i:i + 3])
+                    for rank in order[i:i + 3]:
+                        lo, hi = racing.rank_slices[rank]
+                        assert hi <= len(racing.members)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(racing.members) == serial.total_entries  # no run twice
+        assert racing.as_lists() == expected
+        assert sorted(racing.rank_slices) == ranks
 
     def test_queries_identical_after_partial_decode(self, built):
         """Interleaved queries on builder vs attachment stay identical."""
@@ -283,19 +375,13 @@ class TestAttachedEngine:
                 assert a.stats.nn_queries == b.stats.nn_queries
                 assert a.stats.examined_routes == b.stats.examined_routes
 
-    def test_save_index_requires_packed_backend(self):
-        g = _graph(21, n=16, cats=2, size=4)
-        engine = KOSREngine.build(g, backend="object")
-        with pytest.raises(QueryError):
-            engine.save_index("/tmp/unused.rpli")
-
 
 # ---------------------------------------------------------------------------
 # Memory accounting (satellite: resident vs serialized)
 # ---------------------------------------------------------------------------
 class TestMemoryAccounting:
-    def test_packed_resident_exceeds_serialized(self, built):
-        """List-of-boxed-floats resident footprint dwarfs the flat file."""
+    def test_built_resident_exceeds_serialized(self, built):
+        """A private buffer costs its sections plus whatever got decoded."""
         _, engine, _, _ = built
         labels = engine.labels
         assert labels.nbytes_serialized > 0
@@ -313,7 +399,7 @@ class TestMemoryAccounting:
         assert labels.nbytes_resident < labels.nbytes_serialized / 4
         mem = engine.index_memory()
         assert mem["shared"] is True
-        assert mem["backend"] == "packed"
+        assert "backend" not in mem
         assert mem["inverted_shared"] == mem["inverted_categories"]
         assert mem["index_file_bytes"] == os.path.getsize(path)
         assert mem["total_resident"] < mem["total_serialized"]
@@ -343,7 +429,7 @@ class TestMmapFleet:
     @pytest.fixture(scope="class")
     def workload(self):
         g = _graph(31)
-        engine = KOSREngine.build(g, backend="packed")
+        engine = KOSREngine.build(g)
         rng = random.Random(17)
         queries = []
         for _ in range(10):
@@ -400,7 +486,7 @@ class TestMmapFleet:
         finally:
             os.unlink(path)
 
-    def test_fleet_updates_materialize_and_stay_correct(self, workload):
+    def test_fleet_updates_stay_correct(self, workload):
         from repro.shard import ShardedQueryService
 
         g0, _, _, _ = workload
@@ -412,7 +498,7 @@ class TestMmapFleet:
             v = next(v for v in range(g.num_vertices)
                      if not g.has_category(v, cid))
             service.add_vertex_to_category(v, cid)
-            reference = KOSREngine.build(g, backend="packed")
+            reference = KOSREngine.build(g)
             q = service.make_query(0, g.num_vertices - 1, [0, 1], k=3)
             got = service.run(q)
             want = reference.run(q, method="SK")
@@ -432,13 +518,6 @@ class TestMmapFleet:
         other = _graph(99, n=12, cats=2, size=3)
         with pytest.raises(QueryError):
             ShardedQueryService(other, 2, index_path=str(path))
-
-    def test_mmap_index_requires_packed_backend(self, workload):
-        from repro.shard import ShardedQueryService
-
-        g, _, _, _ = workload
-        with pytest.raises(QueryError):
-            ShardedQueryService(g, 2, mmap_index=True, backend="object")
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +540,37 @@ class TestPipeFraming:
         assert pipe_recv(b) == payload
         a.close()
         b.close()
+
+    @pytest.mark.parametrize("backing", ["built", "attached"])
+    def test_labels_survive_the_prepare_edge_pipe(self, built, backing):
+        """``prepare_edge`` ships section-backed labels over a worker pipe.
+
+        The receiver gets a private copy (never a handle on the sender's
+        buffer or file) that answers ``distance``, ``path`` and
+        ``restore_witness_route`` identically.
+        """
+        import multiprocessing as mp
+
+        from repro.shard.worker import pipe_recv, pipe_send
+
+        g, engine, path, _ = built
+        if backing == "attached":
+            engine = KOSREngine.from_index_file(g, path)
+        sent = engine.labels
+        a, b = mp.Pipe()
+        try:
+            pipe_send(a, ("prepare_edge", 1, sent))
+            _, _, received = pipe_recv(b)
+        finally:
+            a.close()
+            b.close()
+        assert type(received) is PackedLabelIndex and not received.shared
+        assert list(received.order) == list(sent.order)
+        n = g.num_vertices
+        for s in range(n):
+            for t in range(n):
+                assert received.distance(s, t) == sent.distance(s, t)
+                assert received.path(s, t) == sent.path(s, t)
+        witness = [0, n // 3, n // 3, n // 2, n - 1]
+        assert received.restore_witness_route(witness) == \
+            sent.restore_witness_route(witness)

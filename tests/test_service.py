@@ -27,6 +27,7 @@ from repro.graph.categories import assign_uniform_categories
 from repro.service import executor_specs, resolve_plan
 from repro.service.cache import SessionCache
 
+from conftest import reference_engine
 from test_backend_parity import assert_same_outcome
 
 
@@ -58,10 +59,6 @@ class TestPlanner:
     def test_unknown_method_rejected(self):
         with pytest.raises(QueryError, match="unknown method"):
             resolve_plan("NOPE")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError, match="unknown index backend"):
-            resolve_plan("SK", backend="columnar")
 
     def test_unknown_nn_backend_rejected_only_for_finder_methods(self):
         with pytest.raises(QueryError, match="unknown NN backend"):
@@ -225,7 +222,7 @@ class TestCacheRetention:
         assert after["finder_misses"] == before["finder_misses"]
         assert service.session.hit_rates()["finder"] > 0.0
         # ... and both categories still answer exactly like fresh engines.
-        fresh = KOSREngine.build(engine.graph.copy(), backend="object")
+        fresh = reference_engine(engine.graph.copy())
         assert_same_outcome(warm_b, fresh.run(qb, method="SK"))
         assert_same_outcome(service.run(qa, method="SK"),
                             fresh.run(qa, method="SK"))

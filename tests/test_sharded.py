@@ -329,8 +329,7 @@ class TestWorkerProtocol:
         parent, child = multiprocessing.Pipe(duplex=True)
         thread = threading.Thread(
             target=worker_main,
-            args=(child, g, engine.labels, [0, 2], "packed", None, None,
-                  None),
+            args=(child, g, engine.labels, [0, 2], None, None, None),
             daemon=True)
         thread.start()
         kind, seq, health = parent.recv()  # startup handshake
@@ -420,21 +419,24 @@ class TestLifecycle:
     def test_timed_out_reply_is_discarded_not_served_to_next_request(self):
         """A slow reply must never answer a *later* request (regression).
 
-        Shrink the timeout so an exchange abandons early, then verify
-        the following request on the same shard gets its own answer —
-        the stale reply is dropped by sequence number, not popped as the
-        next response.
+        The worker holds its first query reply back (fault injection:
+        hang after the handler ran) for longer than the request timeout,
+        so the exchange is abandoned while the reply is provably still
+        to come; the following request on the same shard must get its
+        own answer — the stale reply is dropped by sequence number, not
+        popped as the next response.
         """
-        import time
-
-        sharded = ShardedQueryService(_graph(41), 1)
+        held = {"kind": "query", "when": "after", "action": "hang",
+                "hang_s": 1.0}
+        sharded = ShardedQueryService(_graph(41), 1,
+                                      fault_injection={0: held})
         try:
             q_slow = sharded.make_query(0, 10, [0, 1], k=3)
             q_fast = sharded.make_query(5, 20, [1], k=1)
-            sharded.timeout_s = 0.0  # every reply is now "too slow"
+            sharded.timeout_s = 0.2
             with pytest.raises(ShardError, match="no response"):
                 sharded.run(q_slow, QueryOptions())
-            time.sleep(0.5)  # let the worker finish and send the stale reply
+            # The held reply (seq 1) is still ahead of this one's (seq 2).
             sharded.timeout_s = 30.0
             got = sharded.run(q_fast, QueryOptions())
             cold = KOSREngine.build(sharded.graph.copy()).run(q_fast)
@@ -461,7 +463,18 @@ class TestLifecycle:
             ShardedQueryService(_graph(3), 0)
 
     def test_failed_startup_tears_spawned_workers_down(self, monkeypatch):
-        """A handshake failure must not leak already-started workers."""
+        """A handshake failure must not leak already-started workers.
+
+        Runs under a Python-level SIGTERM handler, as any process that
+        served through ``cli serve`` has: forked workers inherit it, and
+        a SIGTERM landing in a worker's first instants after fork is
+        then lost — the teardown must still reap every worker.
+        """
+        import signal
+
+        def raise_interrupt(_signo, _frame):
+            raise KeyboardInterrupt
+
         spawned = {}
         original_recv = ShardedQueryService._recv
 
@@ -472,11 +485,14 @@ class TestLifecycle:
             return original_recv(self, shard, seq, timeout_s=timeout_s)
 
         monkeypatch.setattr(ShardedQueryService, "_recv", failing_recv)
-        with pytest.raises(ShardError, match="simulated"):
-            ShardedQueryService(_graph(23), 2)
-        for proc in spawned["procs"]:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
+        previous = signal.signal(signal.SIGTERM, raise_interrupt)
+        try:
+            with pytest.raises(ShardError, match="simulated"):
+                ShardedQueryService(_graph(23), 2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        # The constructor reaped them itself: nothing left to wait for.
+        assert all(not proc.is_alive() for proc in spawned["procs"])
 
     def test_unrecoverable_update_broadcast_poisons_the_fleet(
             self, monkeypatch):

@@ -16,9 +16,10 @@ from repro.labeling import (
     build_pruned_landmark_labels,
     remove_vertex_from_category,
 )
+from repro.labeling.assembly import assemble_index
 from repro.labeling.inverted import build_inverted_index
 from repro.labeling.updates import rebuild_after_structure_update, update_edge
-from repro.nn.label_nn import LabelNNFinder
+from repro.nn.label_nn import LabelNNFinder, PackedLabelNNFinder
 
 
 @pytest.fixture
@@ -91,41 +92,49 @@ class TestDiskRepository:
 
 
 class TestCategoryUpdates:
-    def test_insert_then_query_sees_vertex(self, setup):
-        g, labels, inverted, _ = setup
+    """The module-level update helpers over the packed indexes; the
+    object build of the mutated graph is the reference."""
+
+    @pytest.fixture
+    def packed(self, setup):
+        g, labels, _, _ = setup
+        return assemble_index(g, labels)[:2]
+
+    def test_insert_then_query_sees_vertex(self, setup, packed):
+        g, labels, _, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(0))
-        add_vertex_to_category(g, labels, inverted, outsider, 0)
+        add_vertex_to_category(g, *packed, outsider, 0)
         assert outsider in g.members(0)
         fresh = build_inverted_index(g, labels, 0)
-        assert fresh.lists == inverted[0].lists
+        assert fresh.lists == packed[1][0].as_lists()
 
-    def test_remove_then_index_consistent(self, setup):
-        g, labels, inverted, _ = setup
+    def test_remove_then_index_consistent(self, setup, packed):
+        g, labels, _, _ = setup
         member = next(iter(g.members(0)))
-        remove_vertex_from_category(g, labels, inverted, member, 0)
+        remove_vertex_from_category(g, *packed, member, 0)
         assert member not in g.members(0)
         fresh = build_inverted_index(g, labels, 0)
-        assert fresh.lists == inverted[0].lists
+        assert fresh.lists == packed[1][0].as_lists()
 
-    def test_insert_idempotent(self, setup):
-        g, labels, inverted, _ = setup
+    def test_insert_idempotent(self, setup, packed):
+        g, _, inverted, _ = setup
         member = next(iter(g.members(0)))
-        before = {h: list(e) for h, e in inverted[0].lists.items()}
-        add_vertex_to_category(g, labels, inverted, member, 0)
-        assert inverted[0].lists == before
+        add_vertex_to_category(g, *packed, member, 0)
+        assert packed[1][0].version == 0
+        assert packed[1][0].as_lists() == inverted[0].lists
 
-    def test_remove_absent_is_noop(self, setup):
-        g, labels, inverted, _ = setup
+    def test_remove_absent_is_noop(self, setup, packed):
+        g, _, inverted, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(1))
-        before = {h: list(e) for h, e in inverted[1].lists.items()}
-        remove_vertex_from_category(g, labels, inverted, outsider, 1)
-        assert inverted[1].lists == before
+        remove_vertex_from_category(g, *packed, outsider, 1)
+        assert packed[1][1].version == 0
+        assert packed[1][1].as_lists() == inverted[1].lists
 
-    def test_nn_results_after_insert(self, setup):
-        g, labels, inverted, _ = setup
+    def test_nn_results_after_insert(self, setup, packed):
+        g, labels, _, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(2))
-        add_vertex_to_category(g, labels, inverted, outsider, 2)
-        finder = LabelNNFinder.from_index(labels, inverted)
+        add_vertex_to_category(g, *packed, outsider, 2)
+        finder = PackedLabelNNFinder(*packed)
         found = set()
         x = 1
         while True:
@@ -164,18 +173,18 @@ class TestStructureUpdates:
             for t in range(g.num_vertices):
                 assert labels2.distance(s, t) == fresh_labels.distance(s, t)
 
-    def test_rebuild_emits_packed_indexes_for_packed_backend(self, setup):
+    def test_rebuild_emits_packed_indexes(self, setup):
         from repro.labeling.packed import PackedLabelIndex
         from repro.labeling.packed_inverted import PackedInvertedIndex
 
         g, labels, _, _ = setup
-        labels2, inverted2 = update_edge(g, 0, 5, 0.0, backend="packed")
+        labels2, inverted2 = update_edge(g, 0, 5, 0.0)
         assert isinstance(labels2, PackedLabelIndex)
         assert all(isinstance(il, PackedInvertedIndex)
                    for il in inverted2.values())
         assert labels2.distance(0, 5) == 0.0
-        # same distances as the object-backend rebuild of the same graph
-        labels3, _ = rebuild_after_structure_update(g)
+        # same distances as an object build of the same graph
+        labels3 = build_pruned_landmark_labels(g)
         for s in range(0, g.num_vertices, 7):
             for t in range(g.num_vertices):
                 assert labels2.distance(s, t) == labels3.distance(s, t)

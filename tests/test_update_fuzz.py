@@ -1,10 +1,10 @@
-"""Randomized differential fuzzing of the dynamic packed backend.
+"""Randomized differential fuzzing of the dynamic packed indexes.
 
 One long-lived packed engine absorbs a seeded random interleaving of
 category inserts/removals, edge updates, explicit compactions, and
 queries.  After **every** step its answers are checked bit-identically
 (witnesses, costs, and all search counters) against a freshly built
-object-backend engine over the same graph state, and the cost vector is
+reference engine over the same graph state, and the cost vector is
 additionally checked against the exhaustive brute-force oracle.  The
 overlay therefore gets exercised in every phase: fresh deltas, partially
 patched runs, threshold-triggered compactions, and post-``update_edge``
@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from conftest import reference_engine
 from repro import KOSREngine, make_query
 from repro.core.brute import brute_force_kosr
 from repro.graph import random_graph
@@ -39,14 +40,14 @@ def _make_graph(seed: int):
 
 
 def _differential_check(g, packed, rng):
-    """One random query on both backends + the brute-force oracle."""
+    """One random query on the engine, the reference + the brute-force oracle."""
     s = rng.randrange(g.num_vertices)
     t = rng.randrange(g.num_vertices)
     n_cats = rng.choice((1, 2))
     cats = rng.sample(range(g.num_categories), n_cats)
     k = rng.randint(1, 3)
     q = make_query(g, s, t, cats, k=k)
-    obj = KOSREngine.build(g, backend="object")
+    obj = reference_engine(g)
     for method in ("SK", "PK"):
         a = packed.run(q, method=method)
         b = obj.run(q, method=method)
@@ -100,7 +101,7 @@ def _random_mutation(g, packed, rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_packed_overlay_differential(seed):
     g = _make_graph(seed)
-    packed = KOSREngine.build(g, backend="packed")
+    packed = KOSREngine.build(g)
     rng = random.Random(seed * 7 + 1)
     counts = {}
     for _ in range(STEPS_PER_SEED):
@@ -118,15 +119,17 @@ def test_fuzz_mmap_attached_engine_differential(seed, tmp_path):
     """The mmap-attached engine absorbs the same fuzz interleaving.
 
     The engine starts as read-only views over a saved index file;
-    category updates force per-category materialization (copy-on-write
-    at the category granularity), edge updates rebuild.  Every step is
-    still checked bit-identically against a fresh object build plus the
-    brute-force oracle.
+    category updates land in private overlays on top of them, compaction
+    lets go of a touched category's file sections, edge updates rebuild
+    into private buffers.  Every step is still checked bit-identically
+    against a fresh reference build plus the brute-force oracle, and the
+    file is never written.
     """
     g = _make_graph(seed)
-    builder = KOSREngine.build(g, backend="packed")
+    builder = KOSREngine.build(g)
     path = tmp_path / "fuzz.rpli"
     builder.save_index(path)
+    file_bytes = path.read_bytes()
     attached = KOSREngine.from_index_file(g, path)
     rng = random.Random(seed * 13 + 5)
     counts = {}
@@ -135,6 +138,7 @@ def test_fuzz_mmap_attached_engine_differential(seed, tmp_path):
         counts[kind] = counts.get(kind, 0) + 1
         _differential_check(g, attached, rng)
     assert counts.get("add", 0) > 0 or counts.get("remove", 0) > 0
+    assert path.read_bytes() == file_bytes
 
 
 @pytest.mark.parametrize("seed", (202, 505))
@@ -144,7 +148,7 @@ def test_fuzz_sharded_fleet_differential(seed):
     Category updates broadcast, edge updates go through the epoch-fenced
     prepare/commit path, and after every mutation a random query is
     checked bit-identically (results AND stats) against a fresh
-    unsharded object engine over the fleet's current graph.
+    unsharded reference engine over the fleet's current graph.
     """
     from repro import QueryOptions, ShardedQueryService
     from test_backend_parity import assert_same_outcome
@@ -163,7 +167,7 @@ def test_fuzz_sharded_fleet_differential(seed):
                            rng.sample(range(fg.num_categories),
                                       rng.choice((1, 2))),
                            k=rng.randint(1, 3))
-            fresh = KOSREngine.build(fg.copy(), backend="object")
+            fresh = reference_engine(fg.copy())
             for method in ("SK", "PK"):
                 options = QueryOptions(method=method)
                 assert_same_outcome(sharded.run(q, options),
@@ -185,7 +189,7 @@ def test_fuzz_effective_lists_match_object_rebuild():
     from repro.labeling.inverted import build_inverted_index
 
     g = _make_graph(909)
-    packed = KOSREngine.build(g, backend="packed")
+    packed = KOSREngine.build(g)
     rng = random.Random(910)
     for _ in range(30):
         _random_mutation(g, packed, rng)
