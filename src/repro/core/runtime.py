@@ -14,6 +14,16 @@ when ``stats.profile`` is set, ``__init__`` shadows them with instance
 attributes bound to the ``_*_profiled`` variants, which reproduce the
 original per-call timing exactly.  NN-query *counts* are collected in both
 modes (they live on the oracle, not in timers).
+
+StarKOSR over a packed finder reads FindNEN from
+:class:`~repro.nn.estimated.EstStream` s — fresh ones on the cold path,
+the session's retained ones on the warm path — and only remembers the
+largest ``x`` it asked of each; :meth:`QueryRuntime.finalize_counters`
+books ``nn_queries`` from those positions (the attempts a cold FindNEN
+would have made, plus the number of *distinct* vertices whose
+``dis(·, t)`` this query demanded, directly or through a stream), so
+the counter is the cold run's whether a stream was produced by this
+query or read back, and also when a budget stops the search early.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ class QueryRuntime:
         self.query = query
         self.stats = stats
         self._finder = finder
+        #: dis(v, t) of every vertex this query asked about itself
         self._dest_cache: Dict[Vertex, Cost] = {}
-        self._dest_computed = 0
         self._estimated = estimated
         self._num_levels = query.num_levels
         self._est_finder: Optional[EstimatedNNFinder] = None
@@ -60,11 +70,16 @@ class QueryRuntime:
             self.nearest = self._nearest_profiled
             self.nearest_estimated = self._nearest_estimated_profiled
         if estimated:
-            # Finders may supply a fused FindNEN (the packed finder does).
-            # The dest-distance memo is shared so cached estimates need no
-            # call; profiled runs skip that to keep Table X booking exact.
-            cache = None if stats.profile else self._dest_cache
-            self._est_finder = finder.make_estimated(self.heuristic, cache)
+            if stats.profile:
+                # Table X books every plain-NN fetch and estimate as its
+                # own timed call, which only the generic wrapper makes.
+                self._est_finder = EstimatedNNFinder(finder, self.heuristic)
+            else:
+                # Finders may supply a fused FindNEN (the packed finder
+                # and the session view over it do).  The dest-distance
+                # memo is shared so cached estimates need no call.
+                self._est_finder = finder.make_estimated(
+                    self.heuristic, self._dest_cache, query.target)
         if not stats.profile:
             self._bind_fast_paths()
 
@@ -74,8 +89,22 @@ class QueryRuntime:
         return self.query.num_levels
 
     def finalize_counters(self) -> None:
-        """Fold oracle-level counters into the stats object."""
-        self.stats.nn_queries = self._finder.queries + self._dest_computed
+        """Fold oracle-level counters into the stats object.
+
+        ``nn_queries`` is the plain-NN computations plus the distinct
+        ``dis(·, t)`` evaluations of this query.  A streamed FindNEN
+        books both from the positions asked (see the module docstring);
+        its demanded vertices overlap the runtime's own, hence the set.
+        """
+        booked = getattr(self._est_finder, "booked", None)
+        if booked is None:
+            dest_computed = len(self._dest_cache)
+            attempts = 0
+        else:
+            attempts, demanded = booked()
+            demanded.update(self._dest_cache)
+            dest_computed = len(demanded)
+        self.stats.nn_queries = self._finder.queries + attempts + dest_computed
 
     # ------------------------------------------------------------------
     def _dest_distance(self, v: Vertex) -> Cost:
@@ -83,7 +112,6 @@ class QueryRuntime:
         if d is None:
             d = self._dest_fn(v)
             self._dest_cache[v] = d
-            self._dest_computed += 1
         return d
 
     def _bind_fast_paths(self) -> None:
@@ -91,10 +119,11 @@ class QueryRuntime:
 
         The closures capture the query constants (category list, target,
         level count) and the oracle entry points, removing the per-call
-        attribute walks of the plain methods; with a fused FindNEN they
-        additionally memoise the per-level pair streams under plain int
-        keys and loop on the stream's ``advance`` directly.  Results are
-        identical to the methods they shadow.
+        attribute walks of the plain methods; with a streamed FindNEN they
+        additionally memoise the per-level stream records under plain int
+        keys, serve produced entries straight from ``ENL`` and loop on
+        the stream's ``advance`` otherwise.  Results are identical to the
+        methods they shadow.
         """
         query = self.query
         cats = query.categories
@@ -117,8 +146,8 @@ class QueryRuntime:
         if est is None:
             return
         heuristic = self.heuristic
-        cursor_entry = getattr(est, "cursor_entry", None)
-        if cursor_entry is not None:
+        stream_entry = getattr(est, "entry", None)
+        if stream_entry is not None:
             level_memo = [{} for _ in cats]
 
             def nearest_estimated(v: Vertex, level: int, x: int):
@@ -130,10 +159,15 @@ class QueryRuntime:
                 memo = level_memo[level - 1]
                 entry = memo.get(v)
                 if entry is None:
-                    entry = memo[v] = cursor_entry(v, cats[level - 1])
-                enl, advance = entry
+                    entry = memo[v] = stream_entry(v, cats[level - 1])
+                if x > entry[1]:
+                    entry[1] = x
+                enl = entry[0]
                 if x <= len(enl):
                     return enl[x - 1]
+                advance = entry[2].advance
+                if advance is None:
+                    return None
                 try:
                     while len(enl) < x:
                         advance()
@@ -162,7 +196,6 @@ class QueryRuntime:
         if d is None:
             d = self._dest_fn(v)
             self._dest_cache[v] = d
-            self._dest_computed += 1
         return d
 
     def nearest(self, v: Vertex, level: int, x: int) -> Optional[Tuple[Vertex, Cost]]:

@@ -33,16 +33,18 @@ class NearestNeighborFinder(ABC):
     def distance(self, s: Vertex, t: Vertex) -> Cost:
         """``dis(s, t)`` (used for the destination leg and the A* heuristic)."""
 
-    def make_estimated(self, estimate, cache=None):
+    def make_estimated(self, estimate, cache=None, target=None):
         """A FindNEN (Algorithm 4) view over this oracle.
 
         Returns an object answering ``find(source, category, x) ->
-        (member, leg, leg + estimate(member)) | None`` whose NN accounting
-        stays on ``self.queries``.  ``cache`` may pass the caller's
+        (member, leg, leg + estimate(member)) | None`` whose ``queries``
+        include this oracle's.  ``cache`` may pass the caller's
         ``estimate`` memo (vertex -> estimate) so implementations can skip
-        the call for already-known vertices.  Subclasses may return a
-        fused implementation; the default wraps the generic
-        :class:`~repro.nn.estimated.EstimatedNNFinder`.
+        the call for already-known vertices.  ``target``, when given,
+        states that ``estimate`` is ``dis(·, target)``; a session-backed
+        finder then serves the streams it keeps for that target.
+        Subclasses may return a fused implementation; the default wraps
+        the generic :class:`~repro.nn.estimated.EstimatedNNFinder`.
         """
         from repro.nn.estimated import EstimatedNNFinder
 

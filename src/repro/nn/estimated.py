@@ -14,12 +14,32 @@ that order by wrapping plain FindNN:
 
 Members that cannot reach the destination (infinite estimate) are dropped:
 no feasible route extends through them.
+
+Two implementations:
+
+* :class:`EstimatedNNFinder` is the generic wrapper over any
+  :class:`NearestNeighborFinder` — the only FindNEN of the object finder
+  (SK-DB), the Dijkstra finders and ``profile=True`` runs, whose
+  plain-NN fetches go through ``finder.find`` one at a time.
+* :class:`EstStream` is FindNEN fused onto one packed FindNN cursor, and
+  the one producer every packed SK run — cold or warm — reads from.  For
+  a fixed target the estimated order of ``(source, category)`` is a pure
+  function of the index state, so a stream is query-independent: it
+  records, next to each ``ENL`` entry and for its end, what a cold
+  FindNEN would have booked by then (plain-NN attempts, and how many
+  ``NL`` members had their estimate demanded).  A query only remembers
+  how far it asked (:class:`PackedEstimatedNNFinder`, the per-query
+  record) and books from those positions, which is what lets a session
+  keep streams across queries (:mod:`repro.service.cache`) while every
+  query still reports cold counters.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.nn.base import NearestNeighborFinder
 from repro.types import CategoryId, Cost, INFINITY, Vertex
@@ -37,8 +57,6 @@ class _EstCursor:
         self.ln: Optional[Tuple[Vertex, Cost]] = None
         self.nn_count = 0
         self.exhausted = False
-
-
 
 
 class EstimatedNNFinder:
@@ -121,60 +139,156 @@ class EstimatedNNFinder:
         return item
 
 
-class PackedEstimatedNNFinder:
-    """FindNEN fused onto a :class:`~repro.nn.label_nn.PackedLabelNNFinder`.
+class EstStream:
+    """FindNEN of one ``(source, category)`` under one fixed target.
 
-    Algorithm, answers, and NN-query accounting are identical to
-    :class:`EstimatedNNFinder` (the parity tests cover both), but each
-    ``(source, category)`` pair runs the whole Algorithm 4 state machine
-    inside one long-lived generator frame: the lookahead neighbor, ENQ,
-    and plain-NN read position live in frame locals, and the inner "fetch
-    the next plain NN" step resumes the packed merge generator directly —
-    no ``find()`` re-entry, no per-call rebinding, no cursor attribute
-    churn.
-
-    Delta-overlay category updates need no handling here: the underlying
-    plain-NN cursor obtained via ``cursor_for`` patches any dirty hub
-    runs at creation, so this wrapper streams the already-merged order.
-    The snapshot contract matches the plain finder's — create a fresh
-    finder after updates, never update mid-enumeration.
+    ``enl`` is the estimated-neighbour list produced so far, ``advance``
+    appends one more entry per call (``StopIteration`` at the end of the
+    stream, after which it is ``None``).  ``attempts[i]`` / ``demanded[i]``
+    are what a cold FindNEN has booked by the time it returns
+    ``enl[i]``: plain-NN attempts on a cold cursor (the one that
+    discovers exhaustion included, none for a cursor born empty) and the
+    length of the ``NL`` prefix whose estimates it demanded (the
+    lookahead that stopped the loop is fetched but not estimated);
+    ``end`` is that pair for a request past the last entry.  They depend
+    only on the stream position, never on who advanced the underlying
+    FindNN cursor or who filled the estimate memo, so any query reading
+    the stream can book as if it had produced it alone.
     """
 
-    def __init__(self, finder, estimate: Callable[[Vertex], Cost],
-                 cache: Optional[Dict[Vertex, Cost]] = None):
+    __slots__ = ("enl", "nl", "attempts", "demanded", "end", "advance")
+
+    def __init__(self, cursor, estimate: Callable[[Vertex], Cost],
+                 cache_get: Optional[Callable] = None):
+        """Over packed FindNN ``cursor`` (shared; may be ahead of or
+        behind this stream); ``estimate`` is ``dis(·, t)`` and
+        ``cache_get`` an optional probe of its memo tried first."""
+        self.enl: List[Tuple[Vertex, Cost, Cost]] = []
+        #: the cursor's ``NL`` — ``demanded`` counts index into it
+        self.nl: List[Tuple[Vertex, Cost]] = cursor.nl
+        self.attempts: List[int] = []
+        self.demanded: List[int] = []
+        self.end: Optional[Tuple[int, int]] = None
+        self.advance: Optional[Callable] = self._produce(
+            cursor, estimate, cache_get).__next__
+
+    def booked(self, x: int) -> Tuple[int, int]:
+        """``(attempts, demanded)`` of a cold FindNEN asked for entries
+        up to ``x`` (the stream must have been driven that far)."""
+        if not x:
+            return 0, 0
+        if x <= len(self.enl):
+            return self.attempts[x - 1], self.demanded[x - 1]
+        return self.end
+
+    def _produce(self, cursor, estimate, cache_get):
+        """Generator appending one estimated neighbor per resume: the
+        whole Algorithm 4 state machine (lookahead, ENQ, plain-NN read
+        position) lives in this one frame, and a missing plain neighbor
+        resumes the packed merge generator directly."""
+        nl = self.nl
+        enl_append = self.enl.append
+        attempts_append = self.attempts.append
+        demanded_append = self.demanded.append
+        nn_advance = cursor.gen.__next__ if cursor.gen is not None else None
+        heappush_, heappop_ = heapq.heappush, heapq.heappop
+        enq: List[Tuple[Cost, Cost, Vertex]] = []
+        ln: Optional[Tuple[Vertex, Cost]] = None
+        fetched = 0    # NL entries read (the cold cursor's position)
+        attempts = 0   # plain-NN advances a cold cursor would have run
+        demanded = 0   # NL entries whose estimate was taken
+        dry = False
+        while True:
+            while True:
+                if ln is None and not dry:
+                    if fetched < len(nl):
+                        ln = nl[fetched]
+                        fetched += 1
+                        attempts += 1
+                    elif cursor.exhausted:
+                        # Discovering the end costs a cold cursor one
+                        # advance, unless it was born empty.
+                        dry = True
+                        if fetched:
+                            attempts += 1
+                    else:
+                        attempts += 1
+                        try:
+                            nn_advance()
+                        except StopIteration:
+                            dry = True
+                            nn_advance = None
+                        else:
+                            ln = nl[fetched]
+                            fetched += 1
+                if ln is None:
+                    break  # NN stream dry; whatever is in ENQ is final
+                if enq and ln[1] >= enq[0][0]:
+                    break  # every unfetched neighbor's estimate >= heap top
+                member, leg = ln
+                ln = None
+                demanded += 1
+                h = cache_get(member) if cache_get is not None else None
+                if h is None:
+                    h = estimate(member)
+                if h != INFINITY:
+                    heappush_(enq, (leg + h, leg, member))
+            if not enq:
+                self.end = (attempts, demanded)
+                self.advance = None
+                return
+            est, leg, member = heappop_(enq)
+            enl_append((member, leg, est))
+            attempts_append(attempts)
+            demanded_append(demanded)
+            yield
+
+
+_member_of = itemgetter(0)
+
+
+class PackedEstimatedNNFinder:
+    """One query's FindNEN over :class:`EstStream` s — the per-query record.
+
+    ``open_stream(source, category)`` supplies the streams: fresh ones
+    over a cold finder's cursors (``PackedLabelNNFinder.make_estimated``)
+    or a session's retained ones (``ColdEquivalentFinderView``).  The
+    record opens each stream once, remembers the largest ``x`` asked of
+    it, and :meth:`booked` turns those positions into the counters a
+    cold run reports — so retained and fresh streams book alike, also
+    when a budget stops the search early.
+    """
+
+    def __init__(self, finder,
+                 open_stream: Callable[[Vertex, CategoryId], EstStream]):
         self._finder = finder
-        self._estimate = estimate
-        self._cache_get = cache.get if cache is not None else None
-        #: (source, category) -> (ENL list, prebound stream __next__)
-        self._cursors: Dict[Tuple[Vertex, CategoryId], Tuple[list, Callable]] = {}
+        self._open_stream = open_stream
+        #: (source, category) -> [ENL, largest x asked, stream]
+        self._entries: Dict[Tuple[Vertex, CategoryId], list] = {}
 
-    @property
-    def queries(self) -> int:
-        return self._finder.queries
-
-    def cursor_entry(self, source: Vertex, category: CategoryId) -> Tuple[list, Callable]:
-        """The ``(ENL, advance)`` pair of one pair-stream (get-or-create).
-
-        ``advance`` is the stream generator's prebound ``__next__``: each
-        call appends one estimated neighbor to the ENL list, raising
-        ``StopIteration`` when no members remain.  Callers may loop on it
-        directly (the query runtime inlines its x-th-neighbor loop this
-        way).
-        """
-        entry = self._cursors.get((source, category))
+    def entry(self, source: Vertex, category: CategoryId) -> list:
+        """The mutable ``[enl, asked, stream]`` record of one stream
+        (get-or-open).  Callers serving ``x`` themselves (the query
+        runtime inlines the loop) must raise ``asked`` to ``x``."""
+        entry = self._entries.get((source, category))
         if entry is None:
-            enl: list = []
-            entry = (enl, self._est_stream(source, category, enl).__next__)
-            self._cursors[(source, category)] = entry
+            stream = self._open_stream(source, category)
+            entry = self._entries[(source, category)] = [stream.enl, 0, stream]
         return entry
 
     def find(
         self, source: Vertex, category: CategoryId, x: int
     ) -> Optional[Tuple[Vertex, Cost, Cost]]:
         """The ``x``-th member by ``dis(source, ·) + estimate(·)``."""
-        enl, advance = self.cursor_entry(source, category)
+        entry = self.entry(source, category)
+        if x > entry[1]:
+            entry[1] = x
+        enl = entry[0]
         if x <= len(enl):
             return enl[x - 1]
+        advance = entry[2].advance
+        if advance is None:
+            return None
         try:
             while len(enl) < x:
                 advance()
@@ -182,55 +296,19 @@ class PackedEstimatedNNFinder:
             return None
         return enl[x - 1]
 
-    def _est_stream(self, source: Vertex, category: CategoryId, enl: list):
-        """Generator appending one estimated neighbor to ``enl`` per resume.
+    def booked(self) -> Tuple[int, Set[Vertex]]:
+        """What a cold run of this query's FindNEN requests books:
+        plain-NN attempts summed over the streams, and the set of
+        vertices whose estimate it demanded."""
+        attempts = 0
+        demanded: Set[Vertex] = set()
+        for _enl, asked, stream in self._entries.values():
+            a, n = stream.booked(asked)
+            attempts += a
+            if n:
+                demanded.update(map(_member_of, islice(stream.nl, n)))
+        return attempts, demanded
 
-        Finishes (``StopIteration``) when fewer members remain; NN-query
-        counts are folded into the wrapped finder *before* the
-        corresponding yield, so callers always observe them up to date.
-        """
-        finder = self._finder
-        nn_cursor = finder.cursor_for(source, category)
-        nl = nn_cursor.nl
-        gen = nn_cursor.gen
-        nn_advance = gen.__next__ if gen is not None else None
-        estimate = self._estimate
-        cache_get = self._cache_get
-        heappush_, heappop_ = heapq.heappush, heapq.heappop
-        enq: List[Tuple[Cost, Cost, Vertex]] = []
-        ln: Optional[Tuple[Vertex, Cost]] = None
-        nn_count = 0
-        nn_dry = False
-        while True:
-            while True:
-                if ln is None and not nn_dry:
-                    # Inlined finder.find(source, category, nn_count + 1).
-                    nl_len = len(nl)
-                    while nl_len <= nn_count and not nn_cursor.exhausted:
-                        finder.queries += 1
-                        try:
-                            nn_advance()
-                            nl_len += 1
-                        except StopIteration:
-                            pass
-                    if nn_count < nl_len:
-                        ln = nl[nn_count]
-                        nn_count += 1
-                    else:
-                        nn_dry = True
-                if ln is None:
-                    break  # NN stream dry; whatever is in ENQ is final
-                if enq and ln[1] >= enq[0][0]:
-                    break  # every unfetched neighbor's estimate >= heap top
-                member, leg = ln
-                ln = None
-                h = cache_get(member) if cache_get is not None else None
-                if h is None:
-                    h = estimate(member)
-                if h != INFINITY:
-                    heappush_(enq, (leg + h, leg, member))
-            if not enq:
-                return
-            est, leg, member = heappop_(enq)
-            enl.append((member, leg, est))
-            yield
+    @property
+    def queries(self) -> int:
+        return self._finder.queries + self.booked()[0]

@@ -176,6 +176,12 @@ class _PackedCursor:
         #: frame keeps all merge-loop bindings alive between advances
         self.gen = None
 
+    def end(self) -> None:
+        """Flag exhaustion and release the merge state: from here on
+        only ``nl`` is read, and most cursors of a session end here."""
+        self.exhausted = True
+        self.gen = self.nq = self.found = None
+
 
 class PackedLabelNNFinder(NearestNeighborFinder):
     """FindNN over the packed label + inverted indexes.
@@ -275,11 +281,17 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         return dest_distance
 
     def make_estimated(self, estimate: Callable[[Vertex], Cost],
-                       cache: Optional[Dict[Vertex, Cost]] = None):
-        """FindNEN fused onto the packed cursors (see Algorithm 4)."""
-        from repro.nn.estimated import PackedEstimatedNNFinder
+                       cache: Optional[Dict[Vertex, Cost]] = None,
+                       target: Optional[Vertex] = None):
+        """FindNEN fused onto the packed cursors (see Algorithm 4): a
+        per-query record over fresh :class:`~repro.nn.estimated.EstStream` s."""
+        from repro.nn.estimated import EstStream, PackedEstimatedNNFinder
 
-        return PackedEstimatedNNFinder(self, estimate, cache)
+        cursor_for = self.cursor_for
+        cache_get = cache.get if cache is not None else None
+        return PackedEstimatedNNFinder(
+            self, lambda source, category: EstStream(
+                cursor_for(source, category), estimate, cache_get))
 
     # ------------------------------------------------------------------
     def cursor_for(self, source: Vertex, category: CategoryId) -> _PackedCursor:
@@ -329,7 +341,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         if cursor.nq:
             cursor.gen = self._stream(cursor)
         else:
-            cursor.exhausted = True
+            cursor.end()
         return cursor
 
     @staticmethod
@@ -367,4 +379,4 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             found_add(member)
             nl_append((member, total))
             yield
-        cursor.exhausted = True
+        cursor.end()

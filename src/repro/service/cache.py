@@ -24,7 +24,7 @@ Cold-equivalent accounting
 The paper's evaluation counters (``QueryStats.nn_queries`` et al.) are
 defined per query over cold caches.  Warm reuse must therefore not leak
 into the counters: a batch run has to report *bit-identical* stats to a
-fresh single-query engine (asserted by the service-parity tests).  Two
+fresh single-query engine (asserted by the service-parity tests).  Three
 mechanisms deliver that:
 
 * :class:`SharedDestKernel` shares only the memo *values* of
@@ -36,33 +36,66 @@ mechanisms deliver that:
   streams are produced once (warm), but each query books the number of
   advances a cold cursor would have executed for *its own* request
   pattern — including the extra advance that discovers exhaustion.
+  KPNE and PK read FindNN this way.
+* StarKOSR's FindNEN order is a pure function of ``(source, category,
+  target)`` and the index state, so each :class:`SharedDestKernel` also
+  keeps its target's :class:`~repro.nn.estimated.EstStream` s.  A stream
+  records, per produced entry and for its end, what a cold FindNEN has
+  booked by then — plain-NN attempts and the length of the ``NL``
+  prefix whose estimates it demanded.  A query remembers only the
+  largest ``x`` it asked of each stream; its ``nn_queries`` is the sum
+  of the attempts at those positions plus the number of *distinct*
+  vertices in the union of those prefixes and its own direct
+  ``dis(·, t)`` requests (see
+  :meth:`~repro.core.runtime.QueryRuntime.finalize_counters`).  The
+  cold path books the same way over streams it does not keep.
 
-Both mechanisms are value-transparent: NL streams and distances are
-deterministic functions of the index state, so within one epoch a warm
-answer is byte-for-byte the cold answer.
+All three are value-transparent: NL streams, FindNEN streams and
+distances are deterministic functions of the index state, so within one
+epoch a warm answer is byte-for-byte the cold answer.
+
+Which streams are kept
+----------------------
+
+A stream nobody reads twice is pure cost (one-shot groups; the stream of
+a query's own source, which rarely recurs), so a kernel admits a stream
+on its *second* request: the first leaves only a mark, the second
+produces the stream again — cheaply, its FindNN ``NL`` is warm — and
+keeps it, the third reads it back.  Retention is decided by that
+observation alone.  Lifetime follows the existing rules: a changed
+category version drops that category's streams in every kernel, an
+``epoch_base`` move or a ``max_dest_kernels`` eviction drops them with
+the kernel, and a ``max_finders`` eviction takes a cursor's streams
+with it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.labeling.storage import CategoryShardStore, QueryLabelView
 from repro.nn.base import NearestNeighborFinder
+from repro.nn.estimated import EstStream, PackedEstimatedNNFinder
 from repro.types import CategoryId, Cost, Vertex
 
 
 class SharedDestKernel:
-    """A shared ``dis(·, target)`` closure + memo for one fixed target.
+    """What a session keeps for one fixed target: the shared
+    ``dis(·, target)`` closure + memo, and the target's FindNEN streams.
 
     ``fn`` is handed to every :class:`QueryRuntime` of the session that
     targets the same vertex; the runtime layers its own per-query cache
     (and ``dest_computed`` accounting) on top, so values are shared while
-    counters stay cold-equivalent.
+    counters stay cold-equivalent.  ``streams`` maps category -> source
+    -> the retained :class:`~repro.nn.estimated.EstStream`, or ``None``
+    for a stream requested once and not kept (see
+    :meth:`SessionCache.est_stream`).
     """
 
-    __slots__ = ("target", "fn", "memo")
+    __slots__ = ("target", "fn", "memo", "streams")
 
     def __init__(self, target: Vertex, dest_fn: Callable[[Vertex], Cost]):
         self.target = target
@@ -78,6 +111,8 @@ class SharedDestKernel:
 
         self.fn = fn
         self.memo = memo
+        self.streams: Dict[CategoryId,
+                           Dict[Vertex, Optional[EstStream]]] = {}
 
 
 class ColdEquivalentFinderView(NearestNeighborFinder):
@@ -109,6 +144,8 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
         self._session = session
         #: (source, category) -> (virtual NL position, virtually exhausted)
         self._virtual: Dict[Tuple[Vertex, CategoryId], Tuple[int, bool]] = {}
+        #: the session kernel of this query's target (looked up once)
+        self._kernel: Optional[SharedDestKernel] = None
 
     def find(self, source: Vertex, category: CategoryId, x: int):
         shared = self._shared
@@ -133,22 +170,26 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
     def distance(self, s: Vertex, t: Vertex) -> Cost:
         return self._shared.distance(s, t)
 
+    def _kernel_for(self, target: Vertex) -> SharedDestKernel:
+        kernel = self._kernel
+        if kernel is None or kernel.target != target:
+            kernel = self._kernel = self._session.dest_kernel(target)
+        return kernel
+
     def make_dest_distance(self, target: Vertex) -> Callable[[Vertex], Cost]:
         """The session's shared ``dis(·, target)`` kernel for this target."""
-        return self._session.dest_kernel(target).fn
+        return self._kernel_for(target).fn
 
-    def make_estimated(self, estimate, cache=None):
-        """FindNEN over this view (generic Algorithm 4 wrapper).
+    def make_estimated(self, estimate, cache=None, target=None):
+        """FindNEN over the session's streams for ``target``.
 
-        The fused packed FindNEN pokes shared-cursor internals and books
-        raw advances, so the warm path uses the generic wrapper instead:
-        its plain-NN requests flow back through :meth:`find`, keeping the
-        cold-equivalent accounting — the parity suite pins the generic
-        and fused implementations to identical counts.
+        Without a target there is no kernel to key streams by, and the
+        generic wrapper runs over :meth:`find`.
         """
-        from repro.nn.estimated import EstimatedNNFinder
-
-        return EstimatedNNFinder(self, estimate, cache)
+        if target is None:
+            return super().make_estimated(estimate, cache)
+        return PackedEstimatedNNFinder(
+            self, partial(self._session.est_stream, self._kernel_for(target)))
 
 
 class SharedDiskState:
@@ -220,7 +261,7 @@ class SharedDiskState:
 
 
 #: the warm artefact populations CacheStats tracks hit/miss pairs for
-CACHE_KINDS = ("finder", "dest_kernel", "ch", "disk_view")
+CACHE_KINDS = ("finder", "dest_kernel", "est_stream", "ch", "disk_view")
 
 
 def hit_rates_from(totals: Dict[str, int]) -> Dict[str, float]:
@@ -243,7 +284,8 @@ class CacheStats:
 
     __slots__ = ("finder_hits", "finder_misses", "dest_kernel_hits",
                  "dest_kernel_misses", "dest_kernel_evictions",
-                 "cursor_evictions", "ch_hits", "ch_misses",
+                 "cursor_evictions", "est_stream_hits", "est_stream_misses",
+                 "ch_hits", "ch_misses",
                  "disk_view_hits", "disk_view_misses", "invalidations",
                  "partial_invalidations", "cursors_invalidated")
 
@@ -260,16 +302,17 @@ class CacheStats:
 
 
 #: warm population names reported as gauges (see SessionCache.populations)
-CACHE_POPULATIONS = ("dest_kernels", "finder_cursors")
+CACHE_POPULATIONS = ("dest_kernels", "finder_cursors", "est_streams")
 
 
 class SessionCache:
     """Reusable per-engine query state, invalidated by index epoch.
 
     Holds the session's warm finder (shared NL caches), the per-target
-    ``dis(·, t)`` kernels, the lazy contraction hierarchy, and the SK-DB
-    shard payloads/views.  :meth:`validate` is called at the top of every
-    service-path query; when the engine's ``index_epoch`` has moved it
+    ``dis(·, t)`` kernels with their FindNEN streams, the lazy
+    contraction hierarchy, and the SK-DB shard payloads/views.
+    :meth:`validate` is called at the top of every service-path query;
+    when the engine's ``index_epoch`` has moved it
     drops exactly the warm state the mutation could have touched —
     per-category for incremental membership updates, wholesale when the
     engine-level ``epoch_base`` moved (edge updates, compaction) — so
@@ -279,7 +322,9 @@ class SessionCache:
     Within an epoch the cache would otherwise grow unboundedly (one
     kernel per distinct target, one cursor per distinct ``(source,
     category)``); ``max_dest_kernels`` / ``max_finders`` cap those two
-    populations with LRU eviction.  Eviction is purely a memory policy:
+    populations with LRU eviction; FindNEN streams live inside a kernel
+    and over a cursor and leave with either, so the two caps bound them
+    too.  Eviction is purely a memory policy:
     a re-built kernel or cursor regenerates the identical deterministic
     stream, and the cold-equivalent accounting books per-query virtual
     positions, so results *and* counters stay bit-identical (pinned by
@@ -329,6 +374,11 @@ class SessionCache:
         return {
             "dest_kernels": len(self._dest_kernels),
             "finder_cursors": len(cursors) if cursors is not None else 0,
+            "est_streams": sum(
+                stream is not None
+                for kernel in self._dest_kernels.values()
+                for by_source in kernel.streams.values()
+                for stream in by_source.values()),
         }
 
     def publish_metrics(self, registry) -> None:
@@ -367,9 +417,9 @@ class SessionCache:
           labels themselves may have changed, so *everything* drops and
           ``stats.invalidations`` counts it.
         * only per-category ``version`` counters moved (incremental
-          membership updates): just the changed categories' warm cursors
-          and SK-DB category payloads drop — the shared finder object,
-          other categories' streams, every ``dis(·, t)`` kernel (label
+          membership updates): just the changed categories' warm cursors,
+          FindNEN streams and SK-DB category payloads drop — the shared
+          finder object, other categories' streams, every ``dis(·, t)`` kernel (label
           distances are invariant under membership changes), and the
           topology-only CH all survive; ``stats.partial_invalidations``
           counts the event and ``stats.cursors_invalidated`` the cursors
@@ -404,7 +454,11 @@ class SessionCache:
         return True
 
     def _drop_categories(self, changed) -> None:
-        """Drop only ``changed`` categories' warm cursors + disk payloads."""
+        """Drop only ``changed`` categories' warm cursors, FindNEN
+        streams + disk payloads."""
+        for kernel in self._dest_kernels.values():
+            for cid in changed:
+                kernel.streams.pop(cid, None)
         finder = self._label_finder
         if finder is not None:
             cursors = getattr(finder, "_cursors", None)
@@ -469,6 +523,34 @@ class SessionCache:
             lru.pop(key, None)
             del cursors[key]
             self.stats.cursor_evictions += 1
+            source, category = key
+            for kernel in self._dest_kernels.values():
+                by_source = kernel.streams.get(category)
+                if by_source is not None:
+                    by_source.pop(source, None)
+
+    def est_stream(self, kernel: SharedDestKernel, source: Vertex,
+                   category: CategoryId) -> EstStream:
+        """The FindNEN stream of ``(source, category)`` under ``kernel``.
+
+        A retained stream is a hit.  Otherwise the stream is produced
+        over the session's warm FindNN cursor, and kept only if this
+        kernel has been asked for it before (see the module docstring);
+        a per-query record holds the one that is not kept.
+        """
+        by_source = kernel.streams.get(category)
+        if by_source is None:
+            by_source = kernel.streams[category] = {}
+        self.touch_cursor((source, category))
+        stream = by_source.get(source)
+        if stream is not None:
+            self.stats.est_stream_hits += 1
+            return stream
+        self.stats.est_stream_misses += 1
+        stream = EstStream(self._label_finder.cursor_for(source, category),
+                           kernel.fn, kernel.memo.get)
+        by_source[source] = stream if source in by_source else None
+        return stream
 
     def dest_kernel(self, target: Vertex) -> SharedDestKernel:
         """The shared ``dis(·, target)`` kernel (built once per target)."""

@@ -236,6 +236,74 @@ class TestServicePathParity:
         for _ in range(3):
             assert_same_outcome(service.run(q, method="SK"), cold)
 
+    def test_first_admitting_and_warm_request_of_a_group(self, engines):
+        """Request 1 only marks its FindNEN streams, request 2 produces
+        them again and keeps them, request 3 reads them back — and each
+        reports what a fresh engine reports."""
+        from repro.service import QueryService
+
+        g, packed, _ = engines
+        t, cats = g.num_vertices - 3, (2, 0, 1)
+        service = QueryService(packed)
+        session = service.session
+        seen = []
+        for source in (1, 1, 1, 4, 4, 1, 9):
+            q = make_query(g, source, t, cats, k=4)
+            before = session.stats.as_dict()
+            warm = service.run(q, method="SK")
+            assert_same_outcome(warm, reference_engine(g).run(q, method="SK"))
+            after = session.stats.as_dict()
+            hits = after["est_stream_hits"] - before["est_stream_hits"]
+            misses = after["est_stream_misses"] - before["est_stream_misses"]
+            if not seen:
+                assert hits == 0 and misses > 0
+                assert session.populations()["est_streams"] == 0
+            elif seen == [1]:
+                assert hits == 0  # marked, not kept: produced once more
+                assert session.populations()["est_streams"] == misses
+            elif seen == [1, 1]:
+                assert misses == 0 and hits > 0  # fully warm
+            seen.append(source)
+        assert session.stats.est_stream_hits > 0
+
+    def test_same_source_and_category_under_two_targets(self, engines):
+        """One shared session serving two targets (a shard worker's
+        shape): both kernels stream over the same FindNN cursors."""
+        from repro.service import QueryService
+
+        g, packed, _ = engines
+        service = QueryService(packed)
+        queries = [make_query(g, s, t, (1, 3), k=3)
+                   for s in (2, 5) for t in (g.num_vertices - 1, 8)]
+        for _ in range(3):
+            for q in queries:
+                assert_same_outcome(service.run(q, method="SK"),
+                                    reference_engine(g).run(q, method="SK"))
+        assert service.session.populations()["dest_kernels"] == 2
+        assert service.session.stats.est_stream_hits > 0
+
+    def test_budgets_and_expired_deadline_on_a_warm_group(self, engines):
+        """An early stop books exactly the positions asked so far, also
+        when the streams were produced by earlier, longer searches."""
+        from repro.api import QueryOptions
+        from repro.service import QueryService
+
+        g, packed, _ = engines
+        service = QueryService(packed)
+        q = make_query(g, 3, g.num_vertices - 2, (0, 2, 1), k=5)
+        for _ in range(3):
+            full = service.run(q, method="SK")
+        assert service.session.stats.est_stream_hits > 0
+        assert full.stats.examined_routes > 13
+        for budget in (0, 1, 2, 3, 5, 8, 13, full.stats.examined_routes):
+            options = QueryOptions(method="SK", budget=budget)
+            assert_same_outcome(service.run(q, options),
+                                reference_engine(g).run(q, options))
+        expired = QueryOptions(method="SK", time_budget_s=0.0)
+        warm = service.run(q, expired)
+        assert not warm.stats.completed
+        assert_same_outcome(warm, reference_engine(g).run(q, expired))
+
     def test_profile_mode_on_the_service_path(self, engines):
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)

@@ -208,3 +208,150 @@ class TestEstimatedNN:
         second = est.find(vertex("s"), ma, 2)
         assert second[0] == vertex("a")
         assert second[2] == 20.0
+
+
+@pytest.fixture(scope="module")
+def packed_setup():
+    """A small engine whose streams come in every shape: full, ending
+    before the category does, and born empty."""
+    from repro import KOSREngine
+
+    g = random_graph(45, 2.2, rng=random.Random(31))
+    assign_uniform_categories(g, 3, 5, random.Random(32))
+    # A sink (reachable, reaches nothing) and a vertex with no edges at
+    # all share category 3; category 4 has no members.
+    sink, lonely = g.add_vertex(), g.add_vertex()
+    g.add_edge(0, sink, 1.0)
+    g.add_edge(7, sink, 2.5)
+    cid = g.add_category("dead-ends")
+    g.assign_category(sink, cid)
+    g.assign_category(lonely, cid)
+    g.add_category("nobody")
+    engine = KOSREngine.build(g)
+    return g, engine
+
+
+class TestPackedCursorRelease:
+    """An ended FindNN cursor keeps only its ``NL``."""
+
+    def test_exhausted_cursor_sheds_merge_state(self, packed_setup):
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+        reference = LabelNNFinder.from_index(*_object_indexes(g))
+        for source in range(g.num_vertices):
+            for cid in range(g.num_categories):
+                want = enumerate_all(reference, source, cid)
+                got = enumerate_all(finder, source, cid)
+                assert got == want
+                cursor = finder._cursors[(source, cid)]
+                assert cursor.exhausted
+                assert cursor.nl == want
+                assert cursor.gen is None and cursor.found is None
+                assert cursor.nq is None
+                # Past the end: still None, and no further attempt booked.
+                before = finder.queries
+                assert finder.find(source, cid, len(want) + 3) is None
+                assert finder.queries == before
+        # The attempt that discovered each end was booked exactly like
+        # the object finder's (none for cursors born empty).
+        assert finder.queries == reference.queries
+
+    def test_live_cursor_keeps_its_state(self, packed_setup):
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+        source, cid = next(
+            (s, c) for s in range(g.num_vertices)
+            for c in range(g.num_categories)
+            if len(enumerate_all(
+                PackedLabelNNFinder(engine.labels, engine.inverted), s, c)) > 1)
+        finder.find(source, cid, 1)
+        cursor = finder._cursors[(source, cid)]
+        assert not cursor.exhausted
+        assert cursor.gen is not None and cursor.found
+
+
+def _object_indexes(g):
+    labels = build_pruned_landmark_labels(g)
+    return labels, build_inverted_indexes(g, labels)
+
+
+class TestEstStream:
+    """The fused FindNEN stream against the generic Algorithm 4 wrapper:
+    same entries, and per position the bookings a cold run would make."""
+
+    def _cold(self, engine, target, source, cid, x):
+        """A cold generic FindNEN asked for entries 1..x: the entries,
+        the plain-NN attempts and the vertices it estimated."""
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+        dest = finder.make_dest_distance(target)
+        estimated = []
+
+        def estimate(v):
+            estimated.append(v)
+            return dest(v)
+
+        generic = EstimatedNNFinder(finder, estimate)
+        entries = [generic.find(source, cid, i) for i in range(1, x + 1)]
+        return entries, finder.queries, estimated
+
+    def test_positions_book_like_a_cold_findnen(self, packed_setup):
+        from repro.nn.estimated import EstStream
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        target = 7
+        shared = PackedLabelNNFinder(engine.labels, engine.inverted)
+        dest = shared.make_dest_distance(target)
+        ended_early = born_empty = 0
+        for source in list(range(0, g.num_vertices - 2, 3)) + [
+                g.num_vertices - 2, g.num_vertices - 1]:
+            for cid in range(g.num_categories):
+                # Somebody else may already have advanced the shared
+                # cursor (or run it dry): bookings must not depend on it.
+                if (source + cid) % 2:
+                    enumerate_all(shared, source, cid)
+                stream = EstStream(shared.cursor_for(source, cid), dest)
+                members = len(g.members(cid))
+                for x in range(1, members + 2):
+                    while len(stream.enl) < x and stream.advance is not None:
+                        try:
+                            stream.advance()
+                        except StopIteration:
+                            pass
+                    entries, attempts, estimated = self._cold(
+                        engine, target, source, cid, x)
+                    got = [stream.enl[i] if i < len(stream.enl) else None
+                           for i in range(x)]
+                    assert got == entries
+                    booked_attempts, demanded = stream.booked(x)
+                    assert booked_attempts == attempts
+                    assert [m for m, _ in stream.nl[:demanded]] == estimated
+                assert stream.advance is None and stream.end is not None
+                if len(stream.enl) < members:
+                    ended_early += 1
+                if not stream.nl:
+                    born_empty += 1
+                    assert stream.end == (0, 0)
+        assert ended_early and born_empty  # both shapes were exercised
+
+    def test_packed_make_estimated_counts_like_generic(self, packed_setup):
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        target = 11
+        finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+        fused = finder.make_estimated(finder.make_dest_distance(target))
+        asked = [(s, c, x) for s in (0, 4, 9) for c in range(g.num_categories)
+                 for x in (2, 1, 3)]
+        cold = PackedLabelNNFinder(engine.labels, engine.inverted)
+        generic = EstimatedNNFinder(cold, cold.make_dest_distance(target))
+        for s, c, x in asked:
+            assert fused.find(s, c, x) == generic.find(s, c, x)
+        assert fused.queries == generic.queries
+        assert finder.queries == 0  # booked from positions, not advances

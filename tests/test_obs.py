@@ -271,6 +271,17 @@ class TestLayerRecording:
             first.get("repro_cache_finder_hits_total", 0) + 1
         assert second["repro_cache_finder_misses_total"] == \
             first["repro_cache_finder_misses_total"]
+        # FindNEN streams: marked by the first run, kept by the second,
+        # read back by the third.
+        assert "repro_cache_est_stream_hits_total" not in second
+        assert second["repro_cache_est_stream_misses_total"] == \
+            2 * first["repro_cache_est_stream_misses_total"]
+        engine.service.run(q)
+        third = {m["name"]: m["value"]
+                 for m in enabled_registry.snapshot()["metrics"]
+                 if m["type"] == "counter"}
+        assert third["repro_cache_est_stream_hits_total"] == \
+            first["repro_cache_est_stream_misses_total"]
 
     def test_disabled_registry_records_nothing(self):
         was_enabled = REGISTRY.enabled
@@ -301,7 +312,11 @@ class TestLayerRecording:
         session = engine.service.session
         engine.service.run(make_query(g, 0, 30, [0, 1], k=2))
         pops = session.populations()
-        assert set(pops) == {"dest_kernels", "finder_cursors"}
+        assert set(pops) == {"dest_kernels", "finder_cursors", "est_streams"}
         assert pops["dest_kernels"] >= 1
+        # One request only marks its streams; the repeat admits them.
+        assert pops["est_streams"] == 0
+        engine.service.run(make_query(g, 0, 30, [0, 1], k=2))
+        assert session.populations()["est_streams"] >= 1
         assert all(isinstance(v, int) and not math.isnan(v)
                    for v in pops.values())

@@ -227,6 +227,64 @@ class TestCacheRetention:
         assert_same_outcome(service.run(qa, method="SK"),
                             fresh.run(qa, method="SK"))
 
+    def test_category_update_drops_only_that_categorys_streams(self):
+        g = _graph(31)
+        engine = KOSREngine.build(g)
+        service = engine.service
+        session = service.session
+        t = g.num_vertices - 1
+        q = make_query(g, 0, t, [0, 1], k=3)
+        for _ in range(3):
+            service.run(q, method="SK")
+        streams = session._dest_kernels[t].streams
+        assert any(streams[0].values()) and any(streams[1].values())
+        kept = dict(streams[1])
+        outsider = next(v for v in range(g.num_vertices)
+                        if not g.has_category(v, 0))
+        for update in (engine.add_vertex_to_category,
+                       engine.remove_vertex_from_category):
+            update(outsider, 0)
+            assert session.validate() is True
+            assert 0 not in streams           # every kernel lost category 0
+            assert streams[1] == kept         # ... and nothing else
+            before = session.stats.as_dict()
+            fresh = reference_engine(g.copy())
+            for _ in range(3):  # re-mark, re-admit, read back
+                assert_same_outcome(service.run(q, method="SK"),
+                                    fresh.run(q, method="SK"))
+            after = session.stats.as_dict()
+            assert after["est_stream_misses"] > before["est_stream_misses"]
+            assert after["est_stream_hits"] > before["est_stream_hits"]
+            assert any(streams[0].values())
+            kept = dict(streams[1])  # may have grown: new members extend
+
+    def test_category_emptied_between_warm_requests(self):
+        """Streams of a category that loses its last member are born
+        empty afterwards, on the warm path as on a fresh engine."""
+        g = _graph(37, cats=3, size=2)
+        engine = KOSREngine.build(g)
+        service = engine.service
+        t = g.num_vertices - 1
+        q = make_query(g, 0, t, [1, 0], k=4)  # k above what exists
+        for _ in range(3):
+            assert_same_outcome(service.run(q, method="SK"),
+                                reference_engine(g.copy()).run(q, method="SK"))
+        extra = next(v for v in range(g.num_vertices)
+                     if not g.has_category(v, 0))
+        engine.add_vertex_to_category(extra, 0)
+        for member in sorted(g.members(0) - {extra}):
+            engine.remove_vertex_from_category(member, 0)
+        for _ in range(3):
+            assert_same_outcome(service.run(q, method="SK"),
+                                reference_engine(g.copy()).run(q, method="SK"))
+        engine.remove_vertex_from_category(extra, 0)
+        assert not g.members(0)
+        for _ in range(3):
+            warm = service.run(q, method="SK")
+            assert warm.results == []
+            assert_same_outcome(warm,
+                                reference_engine(g.copy()).run(q, method="SK"))
+
     def test_dest_kernels_and_ch_survive_category_updates(self):
         engine, service, qa, qb = self._warm_two_categories()
         session = service.session
@@ -242,6 +300,73 @@ class TestCacheRetention:
         # Labels and topology are untouched by membership changes.
         assert dict(session._dest_kernels) == kernels_before
         assert session._ch is ch_before
+
+
+class TestWarmFindNEN:
+    """Counts that repeat exactly: what a fully warm request still does."""
+
+    def _counted(self, finder):
+        """Wrap the shared finder's plain-NN entry points with counters."""
+        calls = {"find": 0, "cursor_for": []}
+        find, cursor_for = finder.find, finder.cursor_for
+
+        def counted_find(source, category, x):
+            calls["find"] += 1
+            return find(source, category, x)
+
+        def counted_cursor_for(source, category):
+            calls["cursor_for"].append((source, category))
+            return cursor_for(source, category)
+
+        finder.find, finder.cursor_for = counted_find, counted_cursor_for
+        return calls
+
+    def test_third_request_of_a_group_reads_streams_back(self):
+        g = _graph(53, n=60, cats=4, size=9)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine)
+        session = service.session
+        t, cats = g.num_vertices - 1, [0, 1, 2]
+        q = make_query(g, 2, t, cats, k=6)
+        cold = reference_engine(g).run(q, method="SK")
+        first = service.run(q, method="SK")
+        second = service.run(q, method="SK")
+        calls = self._counted(session._label_finder)
+        before = session.stats.as_dict()
+        third = service.run(q, method="SK")
+        for warm in (first, second, third):
+            assert_same_outcome(warm, cold)
+        after = session.stats.as_dict()
+        # Nothing was produced: no FindNN fetch, no cursor even looked up.
+        assert calls["find"] == 0 and calls["cursor_for"] == []
+        assert after["est_stream_misses"] == before["est_stream_misses"]
+        streams = after["est_stream_hits"] - before["est_stream_hits"]
+        assert streams == session.populations()["est_streams"] > len(cats)
+        # A new source in the same group produces only streams the group
+        # has not kept — its own (level 1) and those of members the
+        # earlier searches never extended from.
+        kept = {(source, cid)
+                for cid, by_source in session._dest_kernels[t].streams.items()
+                for source, stream in by_source.items() if stream is not None}
+        other = make_query(g, 11, t, cats, k=6)
+        assert_same_outcome(service.run(other, method="SK"),
+                            reference_engine(g).run(other, method="SK"))
+        assert calls["find"] == 0
+        assert (11, 0) in calls["cursor_for"]
+        assert not kept.intersection(calls["cursor_for"])
+        assert session.stats.est_stream_hits > after["est_stream_hits"]
+
+    def test_repeated_category_shares_one_stream_per_query(self):
+        """C = (a, b, a): both levels of category a read one stream, and
+        its position is booked once."""
+        g = _graph(59)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine)
+        q = make_query(g, 1, g.num_vertices - 1, [0, 1, 0], k=4)
+        cold = reference_engine(g).run(q, method="SK")
+        assert_same_outcome(engine.run(q, method="SK"), cold)
+        for _ in range(3):
+            assert_same_outcome(service.run(q, method="SK"), cold)
 
 
 class TestCachePolicy:
@@ -313,6 +438,34 @@ class TestCachePolicy:
             for q, warm in zip(queries, batch):
                 assert_same_outcome(warm, KOSREngine.build(g).run(q, method=method))
 
+    def test_caps_bound_retained_streams(self):
+        """A stream lives inside a kernel and over a cursor: evicting
+        either takes it along, so the two caps bound streams too."""
+        g = _graph(79)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine, max_dest_kernels=2, max_finders=4)
+        session = service.session
+        rng = random.Random(13)
+        queries = self._shared_target_workload(g, rng, targets=4,
+                                               per_target=4)
+        peak = 0
+        for q in queries:
+            assert_same_outcome(service.run(q, method="SK"),
+                                KOSREngine.build(g).run(q, method="SK"))
+            session._trim_cursors()  # what the next query's view does
+            cursors = session._label_finder._cursors
+            kernels = session._dest_kernels
+            assert len(cursors) <= 4 and len(kernels) <= 2
+            for kernel in kernels.values():
+                for cid, by_source in kernel.streams.items():
+                    assert all((source, cid) in cursors
+                               for source in by_source)
+            peak = max(peak, session.populations()["est_streams"])
+            assert session.populations()["est_streams"] <= 4 * 2
+        assert peak > 0 and session.stats.est_stream_hits > 0
+        assert session.stats.cursor_evictions > 0
+        assert session.stats.dest_kernel_evictions > 0
+
     def test_invalid_caps_rejected(self):
         engine = KOSREngine.build(_graph(83))
         with pytest.raises(ValueError):
@@ -327,6 +480,7 @@ class TestCachePolicy:
         service.run(q, method="SK")
         service.run(q, method="SK")
         rates = service.session.stats.hit_rates()
+        assert rates["est_stream"] == 0.0  # marked, then admitted
         assert rates["finder"] == 0.5
         assert rates["dest_kernel"] == 0.5
         assert rates["disk_view"] == 0.0

@@ -563,6 +563,8 @@ class TestTcpMetricsProbe:
         # session-cache layer
         assert "repro_cache_finder_misses_total" in by_name
         assert by_name["repro_cache_dest_kernels"]["type"] == "gauge"
+        assert by_name["repro_cache_est_streams"]["type"] == "gauge"
+        assert "repro_cache_est_stream_misses_total" in by_name
         # TCP layer (the probe request itself is counted too)
         assert by_name["repro_tcp_requests_total"]["value"] == 3
         assert by_name["repro_tcp_connections"]["value"] == 1

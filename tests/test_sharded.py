@@ -403,7 +403,7 @@ class TestLifecycle:
         totals = sharded.cache_stats()
         assert totals["finder_misses"] >= 1
         rates = sharded.hit_rates()
-        assert set(rates) == {"finder", "dest_kernel", "ch", "disk_view"}
+        assert set(rates) == {"finder", "dest_kernel", "est_stream", "ch", "disk_view"}
         assert 0.0 <= rates["finder"] <= 1.0
 
     def test_close_is_idempotent_and_querying_after_close_fails(self):
@@ -654,7 +654,7 @@ class TestShardedTCP:
         assert stats["stats"]["serving"]["executed"] >= 1
         assert "finder_misses" in stats["stats"]["cache"]
         assert set(stats["stats"]["hit_rates"]) == \
-            {"finder", "dest_kernel", "ch", "disk_view"}
+            {"finder", "dest_kernel", "est_stream", "ch", "disk_view"}
         # Index footprint arrives per worker over the pipes.
         memory = stats["stats"]["index_memory"]
         assert memory["num_shards"] == sharded.num_shards
