@@ -4,7 +4,6 @@ Subcommands::
 
     python -m repro.cli generate    --dataset FLA --scale 0.2 --out graph.json
     python -m repro.cli info        --graph graph.json
-    python -m repro.cli preprocess  --graph graph.json --out index_dir
     python -m repro.cli index build --graph graph.json --out index.rpli
     python -m repro.cli query       --graph graph.json --source 0 --target 99 \
                                     --categories cat0,cat3 --k 5 --method SK
@@ -14,11 +13,9 @@ Subcommands::
     python -m repro.cli metrics     --port 8765
     python -m repro.cli figure      --name fig3a [--scale 0.2] [--queries 3]
 
-``generate`` writes a dataset analogue; ``preprocess`` builds the 2-hop
-label index (saving both the packed binary labels and the per-category
-SK-DB shards); ``query`` answers a KOSR query, reusing a preprocessed
-index when ``--index`` is given (``--repeat N`` re-runs it through the
-warm session cache and reports cold- vs warm-cache latency); ``batch``
+``generate`` writes a dataset analogue; ``query`` answers a KOSR query
+(``--repeat N`` re-runs it through the warm session cache and reports
+cold- vs warm-cache latency); ``batch``
 executes a JSON workload through the query service's grouped batch path;
 ``async-batch`` drives the same workload through the asyncio front door
 (coalescing + backpressure); ``serve`` runs the JSON-lines TCP server
@@ -36,7 +33,9 @@ engine while the search itself runs on separate cores.
 lists, RPLI format); ``query``/``batch``/``async-batch``/``serve``
 accept ``--mmap-index FILE`` to attach to it read-only via ``mmap``
 instead of building — every process that attaches shares one physical
-copy of the index through the OS page cache.
+copy of the index through the OS page cache.  That file is the one
+persisted index: ``--method SK-DB`` reads it per query, so SK-DB needs
+``--mmap-index`` (with or without ``--shards``).
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import load_json, save_json
-from repro.labeling.packed import PackedLabelIndex
 from repro.service import QueryService
+from repro.service.cache import CACHE_KINDS
 
 FIGURES = {
     "table9": lambda a: figure_defs.table9_preprocessing(),
@@ -90,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="summarise a graph file")
     info.add_argument("--graph", required=True)
 
-    pre = sub.add_parser("preprocess", help="build and save the label indexes")
-    pre.add_argument("--graph", required=True)
-    pre.add_argument("--out", required=True, help="index directory")
-
     idx = sub.add_parser(
         "index", help="single-file packed index (mmap-shareable)")
     idx_sub = idx.add_subparsers(dest="index_command", required=True)
@@ -108,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     qry = sub.add_parser("query", help="answer a KOSR query")
     qry.add_argument("--graph", required=True)
-    qry.add_argument("--index", help="directory written by `preprocess`")
     qry.add_argument("--mmap-index", metavar="FILE",
                      help="attach read-only to an `index build` file "
                           "instead of building (zero-copy, page-cache "
@@ -137,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workload_args(p) -> None:
         """Arguments shared by the `batch` and `async-batch` commands."""
         p.add_argument("--graph", required=True)
-        p.add_argument("--index", help="directory written by `preprocess`")
         p.add_argument("--mmap-index", metavar="FILE",
                        help="attach read-only to an `index build` file "
                             "(workers mmap-share one physical copy)")
@@ -193,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser(
         "serve", help="run the JSON-lines TCP query server")
     srv.add_argument("--graph", required=True)
-    srv.add_argument("--index", help="directory written by `preprocess`")
     srv.add_argument("--mmap-index", metavar="FILE",
                      help="attach read-only to an `index build` file "
                           "(workers mmap-share one physical copy)")
@@ -272,23 +264,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    graph = _load_graph(args.graph)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    engine = KOSREngine.build(graph, name=Path(args.graph).stem)
-    p = engine.preprocessing
-    print(f"labels built in {p.label_build_seconds:.2f}s: "
-          f"avg |Lin| = {p.avg_lin:.1f}, avg |Lout| = {p.avg_lout:.1f}, "
-          f"{p.label_entries} entries")
-    written = engine.labels.save(out / "labels.bin")
-    print(f"packed labels: {written / 1e6:.2f} MB -> {out / 'labels.bin'}")
-    store = engine.attach_disk_store(out / "shards")
-    print(f"category shards: {store.total_bytes() / 1e6:.2f} MB -> "
-          f"{out / 'shards'}")
-    return 0
-
-
 def cmd_index(args) -> int:
     """Build the labels once and write the single-file packed index."""
     graph = _load_graph(args.graph)
@@ -310,6 +285,13 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _require_index_file(args, methods) -> None:
+    """Fail fast when SK-DB is asked for without the file it reads."""
+    if "SK-DB" in methods and not args.mmap_index:
+        raise SystemExit("SK-DB reads the saved index file: pass "
+                         "--mmap-index FILE (run `index build` first)")
+
+
 def _make_engine(args, needs_labels: Optional[bool] = None):
     graph = _load_graph(args.graph)
     overlay_ratio = getattr(args, "overlay_ratio", None)
@@ -318,21 +300,6 @@ def _make_engine(args, needs_labels: Optional[bool] = None):
         return KOSREngine.from_index_file(graph, mmap_index,
                                           name=Path(args.graph).stem,
                                           overlay_ratio=overlay_ratio)
-    if args.index:
-        labels_path = Path(args.index) / "labels.bin"
-        packed = PackedLabelIndex.load(labels_path)
-        engine = KOSREngine.from_labels(graph, packed,
-                                        name=Path(args.graph).stem,
-                                        overlay_ratio=overlay_ratio)
-        shards = Path(args.index) / "shards"
-        if shards.exists():
-            from repro.labeling.storage import CategoryShardStore
-
-            engine._store = CategoryShardStore(shards)
-        return engine
-    if (args.method == "SK-DB"
-            and args.command not in ("batch", "async-batch")):
-        raise SystemExit("SK-DB needs --index (run `preprocess` first)")
     if needs_labels is None:
         needs_labels = (args.nn_backend == "label"
                         and args.method not in ("GSP", "GSP-CH"))
@@ -355,8 +322,8 @@ def _sharding_requested(args) -> bool:
 def _make_sharded(args, build_labels: bool = True):
     """Build the sharded service for ``--shards N`` commands.
 
-    Loads the graph, reuses prebuilt packed labels when ``--index`` is
-    given (building them once here otherwise), and spawns the worker
+    Loads the graph, attaches the ``--mmap-index`` file when given
+    (building the labels once here otherwise), and spawns the worker
     fleet — the parent never materialises inverted indexes.
     ``build_labels=False`` skips the label build entirely (topology-only
     fleet) — the same startup-cost skip the unsharded path applies to
@@ -367,17 +334,13 @@ def _make_sharded(args, build_labels: bool = True):
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     graph = _load_graph(args.graph)
-    index_path = getattr(args, "mmap_index", None)
-    labels = None
-    if args.index and not index_path:
-        labels = PackedLabelIndex.load(Path(args.index) / "labels.bin")
     return ShardedQueryService(
-        graph, args.shards, labels=labels,
+        graph, args.shards,
         overlay_ratio=getattr(args, "overlay_ratio", None),
         max_dest_kernels=getattr(args, "max_dest_kernels", None),
         max_finders=getattr(args, "max_finders", None),
         build_labels=build_labels,
-        index_path=index_path,
+        index_path=getattr(args, "mmap_index", None),
     )
 
 
@@ -392,6 +355,7 @@ def _query_options(args) -> QueryOptions:
 
 
 def cmd_query(args) -> int:
+    _require_index_file(args, {args.method})
     engine = _make_engine(args)
     categories: List = []
     for token in args.categories.split(","):
@@ -481,18 +445,16 @@ def _prepare_workload(args):
     (in-process serving) or a :class:`~repro.shard.ShardedQueryService`
     (``--shards N``), and ``items`` is a list of
     ``(index, method, query)`` aligned with the workload records.  Fails
-    fast — before any query runs — on unknown methods/backends, on SK-DB
-    without an index directory, and on SK-DB under sharding.
+    fast — before any query runs — on unknown methods/backends and on
+    SK-DB without an index file.
     """
     records = _load_workload_records(args.workload)
     methods = {record.get("method", args.method) for record in records}
     from repro.exceptions import QueryError
     from repro.service import resolve_plan
 
+    _require_index_file(args, methods)
     sharded = _sharding_requested(args)
-    if sharded and "SK-DB" in methods:
-        raise SystemExit("SK-DB is not supported with --shards "
-                         "(worker shards hold in-memory partitions)")
     # Label indexes are the dominant startup cost; skip the build when no
     # record's method will touch them (all-GSP workloads, Dijkstra
     # oracles) — on the sharded path the whole fleet skips it.
@@ -507,8 +469,6 @@ def _prepare_workload(args):
             resolve_plan(method, args.nn_backend)
         except QueryError as exc:
             raise SystemExit(str(exc))
-        if method == "SK-DB" and runner._store is None:
-            raise SystemExit("SK-DB needs --index (run `preprocess` first)")
     items = []
     for i, record in enumerate(records):
         cats = [int(c) if isinstance(c, str) and c.isdigit() else c
@@ -544,7 +504,7 @@ def _print_rows(rows) -> None:
 
 def _print_cache_rates(cache_totals: dict) -> None:
     """Hit/miss/eviction observability (`batch --cache-stats`)."""
-    for kind in ("finder", "dest_kernel", "ch", "disk_view"):
+    for kind in CACHE_KINDS:
         hits = cache_totals.get(f"{kind}_hits", 0)
         misses = cache_totals.get(f"{kind}_misses", 0)
         total = hits + misses
@@ -706,10 +666,8 @@ def cmd_serve(args) -> int:
         from repro.obs.metrics import REGISTRY
 
         REGISTRY.enable()
+    _require_index_file(args, {args.method})
     if _sharding_requested(args):
-        if args.method == "SK-DB":
-            raise SystemExit("SK-DB is not supported with --shards "
-                             "(worker shards hold in-memory partitions)")
         sharded = _make_sharded(args)
         engine = None
     else:
@@ -906,7 +864,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "generate": cmd_generate,
         "info": cmd_info,
-        "preprocess": cmd_preprocess,
         "index": cmd_index,
         "query": cmd_query,
         "batch": cmd_batch,

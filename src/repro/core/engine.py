@@ -13,9 +13,9 @@ Typical use::
         print(item.witness.vertices, item.cost)
 
 The engine owns the offline artefacts (label index, inverted indexes,
-optional disk store) and *plans* online queries through the service
-layer's method registry (:mod:`repro.service.planner`): each method is a
-registered executor with declared resource needs, executed by
+the path of their saved index file) and *plans* online queries through
+the service layer's method registry (:mod:`repro.service.planner`): each
+method is a registered executor with declared resource needs, executed by
 :func:`repro.service.execution.execute_plan`.  ``KOSREngine.run`` uses
 cold per-query resources — a fresh finder and fresh memos, the paper's
 measurement setup — while :attr:`KOSREngine.service` exposes the warm
@@ -56,7 +56,6 @@ from repro.labeling.assembly import assemble_index
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed import PackedLabelIndex, write_index_file
 from repro.labeling.packed_inverted import PackedInvertedIndex
-from repro.labeling.storage import CategoryShardStore
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.dijkstra_nn import DijkstraNNFinder
 from repro.nn.label_nn import PackedLabelNNFinder
@@ -104,7 +103,10 @@ class KOSREngine:
         self.labels = labels
         self.inverted = inverted
         self.preprocessing = preprocessing
-        self._store: Optional[CategoryShardStore] = None
+        #: path of the saved index file that matches the current indexes
+        #: (what SK-DB reads); None before :meth:`save_index` and after
+        #: any update, so SK-DB can never answer from a stale file
+        self._store: Optional[str] = None
         self._ch = None
         #: build-time compaction-threshold override, re-applied when
         #: structure updates rebuild the inverted indexes
@@ -209,11 +211,13 @@ class KOSREngine:
                 raise IndexStorageError(
                     f"{path}: index file covers {index_file.num_vertices} "
                     f"vertices but the graph has {graph.num_vertices}")
-            return cls._assemble(graph, name, overlay_ratio,
-                                 index_file=index_file)
+            engine = cls._assemble(graph, name, overlay_ratio,
+                                   index_file=index_file)
         except Exception:
             index_file.close()
             raise
+        engine._store = index_file.path
+        return engine
 
     # ------------------------------------------------------------------
     # Index persistence + memory accounting
@@ -221,12 +225,16 @@ class KOSREngine:
     def save_index(self, path) -> int:
         """Write labels + inverted indexes as one RPLI v2 index file.
 
-        The file is what :meth:`from_index_file` (and shard workers in
-        mmap mode) attach zero-copy.  Returns bytes written.
+        The file is what :meth:`from_index_file` (and shard workers given
+        ``index_path=``) attach zero-copy, and what the SK-DB method
+        reads per query — it stays this engine's disk-resident index
+        until the next update.  Returns bytes written.
         """
         if self.labels is None or self.inverted is None:
             raise QueryError("build the indexes before saving an index file")
-        return write_index_file(path, self.labels, self.inverted)
+        written = write_index_file(path, self.labels, self.inverted)
+        self._store = str(path)
+        return written
 
     def index_memory(self) -> Dict[str, object]:
         """Resident vs serialized index footprint of this engine.
@@ -327,8 +335,8 @@ class KOSREngine:
 
         Use it for workloads: ``engine.service.run_batch(queries)``
         shares per-target ``dis(·, t)`` kernels, warm FindNN streams,
-        and SK-DB shard views across queries while reporting the same
-        results and counters as cold per-query runs.
+        and SK-DB's index-file attachment across queries while reporting
+        the same results and counters as cold per-query runs.
         """
         if self._service is None:
             self._service = QueryService(self)
@@ -342,10 +350,10 @@ class KOSREngine:
 
         The deltas are staged in the category's overlay (folded in lazily
         by the next queries, compacted automatically past
-        ``overlay_ratio``); an attached index file is never written.  Any
-        attached disk store is detached — its shards no longer reflect
-        the indexes (re-run :meth:`attach_disk_store` to refresh them).
-        The index epoch moves, invalidating session caches.
+        ``overlay_ratio``); an attached index file is never written, so
+        the saved file no longer reflects the indexes and SK-DB refuses
+        it until :meth:`save_index` runs again.  The index epoch moves,
+        invalidating session caches.
         """
         self._require_indexes()
         _updates.add_vertex_to_category(
@@ -364,10 +372,10 @@ class KOSREngine:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
         Rebuilds labels and inverted indexes into private buffers, keeping
-        the build-time ``overlay_ratio``.  The cached CH, any attached
-        disk store and any attached index file are dropped (all stale
-        after a structure change), and the index epoch moves past every
-        previous value.
+        the build-time ``overlay_ratio``.  The cached CH, the saved-file
+        path SK-DB reads and any attached index file are dropped (all
+        stale after a structure change), and the index epoch moves past
+        every previous value.
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
@@ -396,15 +404,6 @@ class KOSREngine:
     def _require_indexes(self) -> None:
         if self.labels is None or self.inverted is None:
             raise QueryError("dynamic updates require built indexes; call build()")
-
-    def attach_disk_store(self, path) -> CategoryShardStore:
-        """Serialise the indexes to ``path`` and enable the SK-DB method."""
-        if self.labels is None or self.inverted is None:
-            raise QueryError("build the in-memory indexes before writing shards")
-        store = CategoryShardStore(path)
-        store.write_all(self.graph, self.labels, self.inverted)
-        self._store = store
-        return store
 
     # ------------------------------------------------------------------
     # Query dispatch

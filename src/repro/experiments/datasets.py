@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-import tempfile
 from typing import Dict, Optional, Tuple
 
 from repro.core.engine import KOSREngine
@@ -39,7 +38,6 @@ ZIPF_SWEEP = (1.2, 1.4, 1.6, 1.8)
 _graph_cache: Dict[Tuple, Graph] = {}
 _label_cache: Dict[Tuple, PackedLabelIndex] = {}
 _engine_cache: Dict[Tuple, KOSREngine] = {}
-_store_dirs: Dict[int, str] = {}
 
 
 def _labels_for(name: str, scale: float, graph: Graph) -> PackedLabelIndex:
@@ -111,18 +109,8 @@ def _fla_side(scale: float) -> int:
     return max(4, int(65 * (scale ** 0.5)))
 
 
-def disk_store_for(engine: KOSREngine) -> None:
-    """Attach a temp-directory disk store to ``engine`` once (SK-DB runs)."""
-    eid = id(engine)
-    if eid not in _store_dirs:
-        directory = tempfile.mkdtemp(prefix="repro_skdb_")
-        engine.attach_disk_store(directory)
-        _store_dirs[eid] = directory
-
-
 def clear_caches() -> None:
     """Drop all cached graphs/labels/engines (tests use this)."""
     _graph_cache.clear()
     _label_cache.clear()
     _engine_cache.clear()
-    _store_dirs.clear()

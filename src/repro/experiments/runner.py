@@ -9,7 +9,10 @@ in Figs. 3, 4, 6, 7).
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -35,6 +38,13 @@ METHOD_LEGEND: Dict[str, tuple] = {
     "SK": ("SK", "label"),
     "SK-DB": ("SK-DB", "label"),
 }
+
+
+def _remove_quietly(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 @dataclass
@@ -128,10 +138,12 @@ def run_workload(
         method, nn_backend = label, "label"
     else:
         method, nn_backend = METHOD_LEGEND[label]
-    if method == "SK-DB":
-        from repro.experiments.datasets import disk_store_for
-
-        disk_store_for(engine)
+    if method == "SK-DB" and engine._store is None:
+        # SK-DB reads the engine's saved index file; save one once.
+        fd, path = tempfile.mkstemp(prefix="repro_skdb_", suffix=".rpli")
+        os.close(fd)
+        atexit.register(_remove_quietly, path)
+        engine.save_index(path)
     agg = MethodAggregate(label=label)
     options = QueryOptions(method=method, nn_backend=nn_backend, budget=budget,
                            time_budget_s=time_budget_s, profile=profile)

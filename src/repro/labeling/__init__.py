@@ -14,11 +14,11 @@
   over a read-only ``mmap`` of a saved index file
   (:mod:`repro.labeling.mmap_index`: build once, attach from any number
   of processes, share one physical copy through the OS page cache).
+  The saved file is also the one persisted form: SK-DB reads it per query.
   ``labels``/``inverted`` above are PLL's build output and the reference
   the packed classes are tested against.
 * :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
   "labels → packed → inverted" function behind every engine constructor.
-* :mod:`repro.labeling.storage` — disk-resident per-category shards (SK-DB).
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
   (Sec. IV-C): category updates land in per-category delta overlays with
   threshold compaction.
@@ -44,7 +44,6 @@ from repro.labeling.packed_inverted import (
     build_packed_inverted_index,
 )
 from repro.labeling.assembly import AssembledIndex, assemble_index
-from repro.labeling.storage import CategoryShardStore, DiskLabelRepository
 from repro.labeling.updates import (
     add_vertex_to_category,
     rebuild_after_structure_update,
@@ -71,8 +70,6 @@ __all__ = [
     "build_packed_inverted_index",
     "AssembledIndex",
     "assemble_index",
-    "CategoryShardStore",
-    "DiskLabelRepository",
     "add_vertex_to_category",
     "remove_vertex_from_category",
     "rebuild_after_structure_update",

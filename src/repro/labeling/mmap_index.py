@@ -60,7 +60,12 @@ class MmapIndexFile:
     @classmethod
     def open(cls, path: PathLike) -> "MmapIndexFile":
         """mmap ``path`` read-only and validate its layout."""
-        with open(path, "rb") as f:
+        try:
+            f = open(path, "rb")
+        except OSError as exc:
+            raise IndexStorageError(
+                f"{path}: cannot open index file ({exc.strerror})") from exc
+        with f:
             try:
                 mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError as exc:  # zero-length file cannot be mapped

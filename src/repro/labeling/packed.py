@@ -50,8 +50,10 @@ is a multiple of 8 bytes, so all offsets stay naturally aligned for
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
+import threading
 from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -406,11 +408,26 @@ def write_index_file(path: PathLike, labels: PackedLabelIndex,
         pos += len(blob)
     header = _HEADER.pack(_MAGIC, _VERSION, flags, labels.num_vertices,
                           num_categories, len(blobs))
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(table)
-        for blob in blobs:
-            f.write(blob)
+    # Engines and fleets may have ``path`` mmap'ed: never truncate it in
+    # place.  Write beside it and rename over it, so readers of the old
+    # file keep their inode and a new attach sees either the old file or
+    # the complete new one.
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(table)
+            for blob in blobs:
+                f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     return pos
 
 

@@ -395,7 +395,7 @@ class PackedInvertedIndex:
         return list(zip(self.dists[lo:hi], self.members[lo:hi]))
 
     def as_lists(self) -> Dict[Vertex, Run]:
-        """Hub -> sorted ``(dist, member)`` lists (the SK-DB shard view)."""
+        """Hub -> sorted ``(dist, member)`` lists of the effective index."""
         self._patch_all()
         return {hub: list(zip(self.dists[lo:hi], self.members[lo:hi]))
                 for hub, (lo, hi) in self.slices.items()}

@@ -19,9 +19,10 @@ Two finders implement it.  :class:`PackedLabelNNFinder` is the one every
 engine uses: it runs over the RPLI sections
 (:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
 decoding the label and hub runs it is about to scan with one
-``tolist()`` each.  :class:`LabelNNFinder` is the per-entry object
-version: SK-DB's finder over a per-query disk view, and the reference
-the packed finder's answers and counters are tested against.
+``tolist()`` each (SK-DB builds one over its attachment of the saved
+index file).  :class:`LabelNNFinder` is the per-entry object version:
+the reference the packed finder's answers and counters are tested
+against.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class _Cursor:
 class LabelNNFinder(NearestNeighborFinder):
     """The paper's FindNN over a label index + per-category inverted indexes.
 
-    ``hub_list(category, hub)`` and ``lout(v)`` are injected as callables so
-    the same finder drives both the in-memory index and the SK-DB
-    per-query disk view.
+    ``hub_list(category, hub)`` and ``lout(v)`` are injected as callables;
+    :meth:`from_index` wires them to PLL's object indexes (the tests'
+    reference engine).
     """
 
     def __init__(

@@ -426,7 +426,7 @@ class AsyncQueryService:
             # Epoch gauges for an unsharded backend (shard workers
             # sample their own, labeled by shard, inside the fleet).
             engine = getattr(self.service, "engine", None)
-            if engine is not None and hasattr(engine, "category_versions"):
+            if engine is not None:
                 metrics.gauge("repro_index_epoch").set(engine.index_epoch)
                 for cid, version in engine.category_versions().items():
                     metrics.gauge("repro_category_version",

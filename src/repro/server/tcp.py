@@ -14,8 +14,10 @@ connection.  Records mirror the batch workload format::
 clients can distinguish shed load from bad requests).  Malformed records
 — non-object JSON, unknown fields, missing required fields — are
 answered with a structured error naming the offending key, never routed
-into query handling.  Concurrency, coalescing, and backpressure all come
-from the wrapped :class:`~repro.server.async_service.AsyncQueryService`.
+into query handling; a line over 64 KiB gets such an error too, and
+its connection is closed.  Concurrency, coalescing, and backpressure
+all come from the wrapped
+:class:`~repro.server.async_service.AsyncQueryService`.
 
 Streaming (``"stream": true``)
 ------------------------------
@@ -82,6 +84,11 @@ KNOWN_FIELDS = frozenset({
     "method", "nn_backend", "budget", "time_budget_s",
     "stream", "deadline_ms", "stats", "metrics",
 })
+
+#: longest request line accepted, newline included (asyncio's stream
+#: limit); a longer one is answered with an error and the connection
+#: closed, since the rest of the record is still arriving
+MAX_LINE_BYTES = 2 ** 16
 
 #: bucket bounds for the requests-per-connection histogram
 _CONN_REQUEST_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
@@ -298,17 +305,28 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
         conn_requests = 0
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: the reader has dropped part
+                    # of the record, so this connection cannot be
+                    # resynchronised — answer below, then close it.
+                    line = None
+                else:
+                    if not line:
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
                 conn_requests += 1
                 if metrics.enabled:
                     metrics.counter("repro_tcp_requests_total").inc()
                 request_id = None
                 try:
+                    if line is None:
+                        raise ValueError(
+                            f"request line exceeds the {MAX_LINE_BYTES}-byte "
+                            f"limit; closing the connection")
                     record = json.loads(line)
                     request_id = record.get("id") if isinstance(record, dict) \
                         else None
@@ -333,6 +351,8 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
                         metrics.counter("repro_tcp_errors_total").inc()
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
+                if line is None:
+                    break
         finally:
             if metrics.enabled:
                 metrics.gauge("repro_tcp_connections").dec()
@@ -345,6 +365,7 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
             except (ConnectionError, OSError):
                 pass
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port,
+                                        limit=MAX_LINE_BYTES)
     server.query_service = aqs  # type: ignore[attr-defined]
     return server

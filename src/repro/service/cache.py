@@ -1,19 +1,20 @@
 """Epoch-versioned cross-query session state.
 
 The per-query engine path treats every query as a cold universe: a fresh
-finder (empty NL caches), a fresh ``dis(·, t)`` memo, a fresh SK-DB disk
-view.  :class:`SessionCache` keeps those artefacts warm across the
-queries of a serving session and invalidates them whenever the engine's
-``index_epoch`` moves (category updates, edge updates, compaction) — so
-the PR 2 update-correctness guarantees carry over unchanged: no query
-ever observes pre-update cache state.
+finder (empty NL caches), a fresh ``dis(·, t)`` memo, a fresh SK-DB
+attachment of the saved index file.  :class:`SessionCache` keeps those
+artefacts warm across the queries of a serving session and invalidates
+them whenever the engine's ``index_epoch`` moves (category updates, edge
+updates, compaction) — so the PR 2 update-correctness guarantees carry
+over unchanged: no query ever observes pre-update cache state.
 
 Invalidation is **per category** where the epoch split allows it: a
 category update moves only that category's index ``version`` counter, so
-the session drops just the touched categories' warm cursors and SK-DB
-payloads and keeps everything else (the shared finder and its other
-categories' streams, every ``dis(·, t)`` kernel — labels are untouched
-by membership changes — and the topology-only CH).  A move of the
+the session drops just the touched categories' warm cursors (and the
+SK-DB attachment, whose file the update made stale) and keeps everything
+else (the shared finder and its other categories' streams, every
+``dis(·, t)`` kernel — labels are untouched by membership changes — and
+the topology-only CH).  A move of the
 engine-level ``epoch_base`` (edge update, compaction, wholesale rebuild)
 still drops the whole session in one shot.  Both paths leave post-update
 queries rebuilding exactly like a cold engine — see :meth:`SessionCache.validate`.
@@ -71,14 +72,17 @@ with it.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.labeling.storage import CategoryShardStore, QueryLabelView
+from repro.exceptions import QueryError
+from repro.labeling.assembly import assemble_index
+from repro.labeling.mmap_index import MmapIndexFile
+from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.estimated import EstStream, PackedEstimatedNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import CategoryId, Cost, Vertex
 
 
@@ -192,72 +196,44 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
             self, partial(self._session.est_stream, self._kernel_for(target)))
 
 
-class SharedDiskState:
-    """Warm SK-DB state: category/vertex shard payloads + merged views.
+class IndexAttachment:
+    """SK-DB's disk-resident index: one attachment of the saved file.
 
-    Mirrors :class:`~repro.labeling.storage.DiskLabelRepository`'s
-    per-query access pattern, but unpickles each category shard and the
-    vertex-label file at most once per epoch.  Views are cached per
-    ``(categories, target)`` — the shape batch groups share — and
-    augmented with additional sources on demand.  Every query still gets
-    a *fresh* finder over the view, so SK-DB counters are cold by
+    Sec. IV-C stores the index on disk by category and has a query touch
+    only its own categories plus the labels of ``s`` and ``t``.  Here
+    the disk-resident index *is* the engine's saved RPLI file
+    (:meth:`~repro.core.engine.KOSREngine.save_index`): an attachment
+    maps it, wraps the label sections, and attaches inverted sections
+    for just the categories queries ask for.  The cold path opens one
+    per query; a session keeps one open across queries.  Either way
+    every query gets a *fresh* finder, so SK-DB counters are cold by
     construction.
     """
 
-    def __init__(self, store: CategoryShardStore):
-        self.store = store
-        self._category_payloads: Dict[CategoryId, dict] = {}
-        self._vertices: Optional[dict] = None
-        #: (categories, target) -> shared QueryLabelView
-        self._views: Dict[Tuple[Tuple[CategoryId, ...], Vertex],
-                          QueryLabelView] = {}
+    __slots__ = ("index_file", "inverted")
 
-    def _category_payload(self, cid: CategoryId) -> dict:
-        payload = self._category_payloads.get(cid)
-        if payload is None:
-            payload = self.store.read_category(cid)
-            self._category_payloads[cid] = payload
-        return payload
+    def __init__(self, engine):
+        path = engine._store
+        if path is None:
+            raise QueryError(
+                "SK-DB reads a saved index file that matches the current "
+                "indexes: call save_index(path) first, and again after an "
+                "update (a fleet serves SK-DB from its index_path=)")
+        self.index_file = MmapIndexFile.open(path)
+        self.inverted: Dict[CategoryId, PackedInvertedIndex] = {}
 
-    def _vertex_payload(self) -> dict:
-        if self._vertices is None:
-            self._vertices = self.store.read_vertices()
-        return self._vertices
+    def finder(self, graph, categories) -> PackedLabelNNFinder:
+        """A fresh FindNN finder over the file, ``categories`` attached.
 
-    def view_for(
-        self, categories, source: Vertex, target: Vertex
-    ) -> Tuple[QueryLabelView, float]:
-        """The query's label view plus the seconds spent actually loading.
-
-        The returned view is shared across the group; only genuinely new
-        shard reads (cold categories, first vertex-file load, unseen
-        sources) contribute to the reported load time, so
-        ``stats.index_load_time`` reflects the real remaining disk work.
+        Categories the file stores are zero-copy views; a labels-only
+        file's are built from ``graph`` + the mapped labels.
         """
-        key = (tuple(categories), target)
-        t0 = time.perf_counter()
-        view = self._views.get(key)
-        if view is None:
-            lout: Dict[Vertex, List] = {}
-            lin: Dict[Vertex, List] = {}
-            il: Dict[CategoryId, Dict] = {}
-            for cid in key[0]:
-                payload = self._category_payload(cid)
-                il[cid] = payload["il"]
-                unpack = CategoryShardStore._unpack
-                for v, rows in payload["lout"].items():
-                    lout[v] = unpack(rows)
-                for v, rows in payload["lin"].items():
-                    lin[v] = unpack(rows)
-            vertices = self._vertex_payload()
-            lin[target] = CategoryShardStore._unpack(vertices["lin"][target])
-            view = QueryLabelView(vertices["order"], lout, lin, il)
-            self._views[key] = view
-        if source not in view._lout:
-            vertices = self._vertex_payload()
-            view._lout[source] = CategoryShardStore._unpack(
-                vertices["lout"][source])
-        return view, time.perf_counter() - t0
+        missing = set(categories).difference(self.inverted)
+        if missing:
+            self.inverted.update(assemble_index(
+                graph, categories=missing,
+                index_file=self.index_file).inverted)
+        return PackedLabelNNFinder(self.index_file.labels, self.inverted)
 
 
 #: the warm artefact populations CacheStats tracks hit/miss pairs for
@@ -310,7 +286,7 @@ class SessionCache:
 
     Holds the session's warm finder (shared NL caches), the per-target
     ``dis(·, t)`` kernels with their FindNEN streams, the lazy
-    contraction hierarchy, and the SK-DB shard payloads/views.
+    contraction hierarchy, and SK-DB's index-file attachment.
     :meth:`validate` is called at the top of every service-path query;
     when the engine's ``index_epoch`` has moved it
     drops exactly the warm state the mutation could have touched —
@@ -340,8 +316,8 @@ class SessionCache:
             raise ValueError("max_finders must be >= 1")
         self.engine = engine
         self.epoch = engine.index_epoch
-        self._epoch_base = self._snapshot_base()
-        self._versions = self._snapshot_versions()
+        self._epoch_base = engine.epoch_base
+        self._versions = engine.category_versions()
         self.stats = CacheStats()
         self.max_dest_kernels = max_dest_kernels
         self.max_finders = max_finders
@@ -352,7 +328,7 @@ class SessionCache:
         self._cursor_lru: "OrderedDict[Tuple[Vertex, CategoryId], None]" = \
             OrderedDict()
         self._ch = None
-        self._disk: Optional[SharedDiskState] = None
+        self._disk: Optional[IndexAttachment] = None
         #: counter values as of the last publish_metrics() call
         self._metrics_published: Dict[str, int] = {}
 
@@ -368,12 +344,11 @@ class SessionCache:
         ways — evictions and epoch invalidations shrink them — which is
         what the observability layer samples as gauges over time.
         """
-        cursors = None
-        if self._label_finder is not None:
-            cursors = getattr(self._label_finder, "_cursors", None)
+        finder = self._label_finder
         return {
             "dest_kernels": len(self._dest_kernels),
-            "finder_cursors": len(cursors) if cursors is not None else 0,
+            "finder_cursors": len(finder._cursors) if finder is not None
+            else 0,
             "est_streams": sum(
                 stream is not None
                 for kernel in self._dest_kernels.values()
@@ -398,27 +373,17 @@ class SessionCache:
                 last[name] = value
 
     # ------------------------------------------------------------------
-    def _snapshot_base(self) -> Optional[int]:
-        """The engine's ``epoch_base`` (None on engines without the split)."""
-        return getattr(self.engine, "epoch_base", None)
-
-    def _snapshot_versions(self) -> Dict[CategoryId, int]:
-        """The engine's per-category version counters ({} when unsplit)."""
-        versions = getattr(self.engine, "category_versions", None)
-        return versions() if callable(versions) else {}
-
     def validate(self) -> bool:
         """Invalidate warm state the engine's index mutations obsoleted.
 
         Returns True when anything was dropped.  Two granularities:
 
         * ``epoch_base`` moved (edge update, compaction, wholesale
-          rebuild — or an engine without the base/version split): the
-          labels themselves may have changed, so *everything* drops and
-          ``stats.invalidations`` counts it.
+          rebuild): the labels themselves may have changed, so
+          *everything* drops and ``stats.invalidations`` counts it.
         * only per-category ``version`` counters moved (incremental
-          membership updates): just the changed categories' warm cursors,
-          FindNEN streams and SK-DB category payloads drop — the shared
+          membership updates): just the changed categories' warm cursors
+          and FindNEN streams (and the SK-DB attachment) drop — the shared
           finder object, other categories' streams, every ``dis(·, t)`` kernel (label
           distances are invariant under membership changes), and the
           topology-only CH all survive; ``stats.partial_invalidations``
@@ -429,14 +394,15 @@ class SessionCache:
           bit-identical either way (pinned by the retention + parity
           tests).
         """
-        current = self.engine.index_epoch
-        base = self._snapshot_base()
+        engine = self.engine
+        current = engine.index_epoch
+        base = engine.epoch_base
         if current == self.epoch and base == self._epoch_base:
             return False
         self.epoch = current
-        if base is None or base != self._epoch_base:
+        if base != self._epoch_base:
             self._epoch_base = base
-            self._versions = self._snapshot_versions()
+            self._versions = engine.category_versions()
             self.stats.invalidations += 1
             self._label_finder = None
             self._dest_kernels.clear()
@@ -444,7 +410,7 @@ class SessionCache:
             self._ch = None
             self._disk = None
             return True
-        versions = self._snapshot_versions()
+        versions = engine.category_versions()
         previous = self._versions
         self._versions = versions
         changed = {cid for cid in set(versions) | set(previous)
@@ -454,31 +420,21 @@ class SessionCache:
         return True
 
     def _drop_categories(self, changed) -> None:
-        """Drop only ``changed`` categories' warm cursors, FindNEN
-        streams + disk payloads."""
+        """Drop only ``changed`` categories' warm cursors and FindNEN
+        streams, plus the SK-DB attachment: its file predates the update
+        (a re-saved file at the same path is a different file)."""
         for kernel in self._dest_kernels.values():
             for cid in changed:
                 kernel.streams.pop(cid, None)
         finder = self._label_finder
         if finder is not None:
-            cursors = getattr(finder, "_cursors", None)
-            if cursors is None:
-                # Unknown finder shape: no per-category hook, play safe.
-                self._label_finder = None
-                self._cursor_lru.clear()
-            else:
-                lru = self._cursor_lru
-                for key in [k for k in cursors if k[1] in changed]:
-                    del cursors[key]
-                    lru.pop(key, None)
-                    self.stats.cursors_invalidated += 1
-        disk = self._disk
-        if disk is not None:
-            for cid in changed:
-                disk._category_payloads.pop(cid, None)
-            for key in [k for k in disk._views
-                        if changed.intersection(k[0])]:
-                del disk._views[key]
+            cursors = finder._cursors
+            lru = self._cursor_lru
+            for key in [k for k in cursors if k[1] in changed]:
+                del cursors[key]
+                lru.pop(key, None)
+                self.stats.cursors_invalidated += 1
+        self._disk = None
 
     # ------------------------------------------------------------------
     def finder_view(self) -> ColdEquivalentFinderView:
@@ -510,9 +466,7 @@ class SessionCache:
         """
         if self.max_finders is None or self._label_finder is None:
             return
-        cursors = getattr(self._label_finder, "_cursors", None)
-        if cursors is None:
-            return
+        cursors = self._label_finder._cursors
         lru = self._cursor_lru
         while len(cursors) > self.max_finders:
             # Oldest tracked key still live; fall back to insertion order
@@ -587,16 +541,12 @@ class SessionCache:
             self.stats.ch_hits += 1
         return self._ch
 
-    def disk_state(self) -> SharedDiskState:
-        """Warm SK-DB shard state over the engine's attached store."""
-        from repro.exceptions import QueryError
-
-        store = self.engine._store
-        if store is None:
-            raise QueryError("SK-DB requires attach_disk_store() first")
-        if self._disk is None or self._disk.store is not store:
-            self._disk = SharedDiskState(store)
+    def disk_state(self) -> IndexAttachment:
+        """The session's kept SK-DB attachment of the engine's saved file."""
+        disk = self._disk
+        if disk is None or disk.index_file.path != self.engine._store:
+            disk = self._disk = IndexAttachment(self.engine)
             self.stats.disk_view_misses += 1
         else:
             self.stats.disk_view_hits += 1
-        return self._disk
+        return disk

@@ -8,7 +8,7 @@ through :func:`execute_plan`.  They differ only in the
 * :class:`ColdResources` builds everything fresh per query (the
   historical engine behaviour, and the reference for counter parity);
 * :class:`WarmResources` resolves finders, ``dis(·, t)`` kernels, the
-  CH, and SK-DB views from an epoch-validated
+  CH, and SK-DB's index-file attachment from an epoch-validated
   :class:`~repro.service.cache.SessionCache`.
 
 Executors receive an :class:`ExecutionContext` and never touch the
@@ -25,10 +25,10 @@ from typing import Optional
 from repro.api import QueryOptions, merge_query_kwargs
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
-from repro.exceptions import BudgetExceededError, QueryError
+from repro.exceptions import BudgetExceededError
 from repro.nn.base import NearestNeighborFinder
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.service.cache import SessionCache
+from repro.service.cache import IndexAttachment, SessionCache
 from repro.service.planner import QueryPlan
 
 
@@ -44,20 +44,9 @@ class ColdResources:
     def contraction_hierarchy(self):
         return self.engine.contraction_hierarchy()
 
-    def disk_finder(self, query: KOSRQuery, stats: QueryStats):
-        """A fresh SK-DB finder over a per-query disk view (paper layout)."""
-        from repro.labeling.storage import DiskLabelRepository
-        from repro.nn.label_nn import LabelNNFinder
-
-        store = self.engine._store
-        if store is None:
-            raise QueryError("SK-DB requires attach_disk_store() first")
-        repo = DiskLabelRepository(store)
-        t0 = time.perf_counter()
-        view = repo.load_for_query(query.categories, query.source, query.target)
-        stats.index_load_time = time.perf_counter() - t0
-        return LabelNNFinder(view.lout, view.hub_vertex, view.hub_list,
-                             view.distance)
+    def index_attachment(self) -> IndexAttachment:
+        """SK-DB's disk-resident index: a fresh attachment per query."""
+        return IndexAttachment(self.engine)
 
 
 class WarmResources:
@@ -81,15 +70,8 @@ class WarmResources:
     def contraction_hierarchy(self):
         return self.session.contraction_hierarchy()
 
-    def disk_finder(self, query: KOSRQuery, stats: QueryStats):
-        from repro.nn.label_nn import LabelNNFinder
-
-        disk = self.session.disk_state()
-        view, load_seconds = disk.view_for(query.categories, query.source,
-                                           query.target)
-        stats.index_load_time = load_seconds
-        return LabelNNFinder(view.lout, view.hub_vertex, view.hub_list,
-                             view.distance)
+    def index_attachment(self) -> IndexAttachment:
+        return self.session.disk_state()
 
 
 @dataclass

@@ -2,12 +2,15 @@
 
 Each executor is a thin adapter from :class:`ExecutionContext` to the
 underlying algorithm module — the algorithms themselves are untouched by
-the service layer.  Resource acquisition (finder / CH / disk view) goes
-through ``ctx.resources``, so the same executor serves both the cold
-per-query facade path and the warm batch path.
+the service layer.  Resource acquisition (finder / CH / SK-DB's
+index-file attachment) goes through ``ctx.resources``, so the same
+executor serves both the cold per-query facade path and the warm batch
+path.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 from repro.core.gsp import gsp_osr, gsp_osr_ch
 from repro.core.kpne import kpne
@@ -45,9 +48,14 @@ def _run_sk_nodom(ctx: ExecutionContext):
                      use_dominance=False, on_result=ctx.on_result)
 
 
-@register_executor("SK-DB", needs_disk=True)
+@register_executor("SK-DB", needs_finder=True)
 def _run_sk_db(ctx: ExecutionContext):
-    finder = ctx.resources.disk_finder(ctx.query, ctx.stats)
+    # StarKOSR over the saved index file: attach what is not attached
+    # yet (on the cold path, everything), then search with a fresh finder.
+    t0 = perf_counter()
+    finder = ctx.resources.index_attachment().finder(ctx.graph,
+                                                     ctx.query.categories)
+    ctx.stats.index_load_time = perf_counter() - t0
     return star_kosr(ctx.query, finder, ctx.stats, ctx.budget, ctx.deadline,
                      on_result=ctx.on_result)
 

@@ -4,10 +4,10 @@ Historically the engine dispatched queries through a monolithic if/elif
 chain; the service layer replaces that with a small registry.  Each of the
 paper's methods registers an *executor* — a callable over an
 :class:`~repro.service.execution.ExecutionContext` — together with its
-declared resource needs (an NN finder, the contraction hierarchy, the
-SK-DB disk store).  :func:`resolve_plan` turns a ``(method, nn_backend)``
-pair into an immutable :class:`QueryPlan` that both the per-query facade
-path and the batch service execute identically.
+declared resource needs (an NN finder, the contraction hierarchy).
+:func:`resolve_plan` turns a ``(method, nn_backend)`` pair into an
+immutable :class:`QueryPlan` that both the per-query facade path and the
+batch service execute identically.
 
 This module owns the method / NN-oracle vocabulary; the engine re-exports
 ``METHODS`` / ``NN_BACKENDS`` for backwards compatibility.
@@ -22,7 +22,8 @@ from repro.exceptions import QueryError
 
 #: Method identifiers, matching the paper's legend: KPNE (baseline),
 #: PK (PruningKOSR), SK (StarKOSR), SK-NODOM (heuristic-only ablation),
-#: SK-DB (disk-resident labels), GSP / GSP-CH (k = 1 only).
+#: SK-DB (StarKOSR over the disk-resident index file), GSP / GSP-CH
+#: (k = 1 only).
 METHODS = ("KPNE", "PK", "SK", "SK-NODOM", "SK-DB", "GSP", "GSP-CH")
 
 #: NN oracle backends: "label" = FindNN over the inverted label index;
@@ -35,18 +36,18 @@ NN_BACKENDS = ("label", "dij-restart", "dij-resume")
 class ExecutorSpec:
     """One registered method: its runner plus declared resource needs.
 
-    ``needs_finder`` — the method consumes an NN oracle (and therefore a
-    valid ``nn_backend``); ``needs_ch`` — the lazy contraction hierarchy;
-    ``needs_disk`` — an attached :class:`CategoryShardStore`.  The planner
-    and the session cache read these to decide what to resolve and what
-    to keep warm.
+    ``needs_finder`` — the method walks indexed category streams through
+    an NN oracle (and therefore takes a valid ``nn_backend``; SK-DB's
+    oracle is always the label finder over its index file);
+    ``needs_ch`` — the lazy contraction hierarchy.  The planner, the
+    shard router and admission read these to decide what to validate,
+    where to route and what to shed first.
     """
 
     method: str
     runner: Callable
     needs_finder: bool = False
     needs_ch: bool = False
-    needs_disk: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,13 @@ def register_executor(
     *,
     needs_finder: bool = False,
     needs_ch: bool = False,
-    needs_disk: bool = False,
 ) -> Callable:
     """Class-level decorator registering ``fn`` as ``method``'s executor."""
 
     def decorate(fn: Callable) -> Callable:
         _REGISTRY[method] = ExecutorSpec(
             method=method, runner=fn, needs_finder=needs_finder,
-            needs_ch=needs_ch, needs_disk=needs_disk,
+            needs_ch=needs_ch,
         )
         return fn
 

@@ -7,7 +7,7 @@ epoch-versioned :class:`~repro.service.cache.SessionCache`, and executes
 whole workloads through :meth:`QueryService.run_batch`, which groups
 queries by ``(target, categories)`` so groupmates share the per-target
 ``dis(·, t)`` kernel, the warm FindNN streams, and (for SK-DB) the
-loaded shard views.
+kept index-file attachment.
 
 Warm reuse is *observably transparent*: answers and ``QueryStats``
 counters are bit-identical to fresh single-query engines (see the
@@ -117,9 +117,9 @@ class QueryService:
 
         Identical request/response contract to ``KOSREngine.run`` (a
         :class:`~repro.api.QueryOptions`, or the deprecated keyword shim)
-        except that finders, ``dis(·, t)`` kernels, the CH, and SK-DB
-        views are reused from the session cache when the index epoch
-        allows it.
+        except that finders, ``dis(·, t)`` kernels, the CH, and SK-DB's
+        index-file attachment are reused from the session cache when the
+        index epoch allows it.
         """
         options = merge_query_kwargs(options, legacy_kwargs,
                                      "QueryService.run")
@@ -185,7 +185,7 @@ class QueryService:
         """Input indexes grouped by ``(target, categories)``.
 
         Groupmates share the most expensive warm state: the per-target
-        destination kernel and (for SK-DB) the category shard view.
+        destination kernel and (for SK-DB) the attached categories.
         Insertion order is preserved within each group.
         """
         groups: Dict[GroupKey, List[int]] = {}
@@ -284,9 +284,8 @@ class QueryService:
         engine = self.engine
         return {
             "index_epoch": engine.index_epoch,
-            "epoch_base": getattr(engine, "epoch_base", 0),
-            "category_versions": dict(engine.category_versions())
-            if hasattr(engine, "category_versions") else {},
+            "epoch_base": engine.epoch_base,
+            "category_versions": engine.category_versions(),
         }
 
     @staticmethod

@@ -46,8 +46,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import os
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
@@ -78,14 +76,12 @@ class ShardedQueryService:
     / ``max_finders`` apply to each worker's session cache, exactly as on
     an unsharded :class:`QueryService`.
 
-    ``mmap_index=True`` switches worker bootstrap to build-once/
-    attach-many: the parent builds and saves the full index (labels plus
-    *every* category's inverted sections) to one temp RPLI file, and
-    each worker attaches it read-only via ``mmap`` — spawn is an
-    open+mmap instead of any index build, and the whole fleet shares a
-    single physical index through the OS page cache.  ``index_path``
-    attaches a pre-saved file (``KOSREngine.save_index`` / the CLI's
-    ``index build``) instead, skipping the parent build too.
+    ``index_path`` switches worker bootstrap to build-once/attach-many:
+    each worker attaches the pre-saved RPLI file
+    (``KOSREngine.save_index`` / the CLI's ``index build``) read-only
+    via ``mmap`` — spawn is an open+mmap instead of any index build, and
+    the whole fleet shares a single physical index through the OS page
+    cache.  It is also the file the workers answer SK-DB from.
 
     Use as a context manager or call :meth:`close`; workers are daemonic,
     so they can never outlive the parent even on an unclean exit.
@@ -99,7 +95,6 @@ class ShardedQueryService:
                  start_method: Optional[str] = None,
                  build_labels: bool = True,
                  index_path=None,
-                 mmap_index: bool = False,
                  metrics: Optional[bool] = None,
                  update_retries: int = 1,
                  fault_injection: Optional[Dict[int, dict]] = None):
@@ -141,26 +136,7 @@ class ShardedQueryService:
         self._epoch = 0
         self._fanout_pool = None
         self._index_file = None
-        self._owns_index_file = False
         self.index_path: Optional[str] = None
-        if mmap_index and index_path is None:
-            # Build-once/attach-many: the parent builds the full index
-            # (labels + every category's inverted sections), saves it as
-            # one RPLI file, and every worker attaches that file instead
-            # of rebuilding — spawn is an open+mmap and the OS page
-            # cache holds a single physical index for the whole fleet.
-            from repro.labeling.packed import write_index_file
-
-            parts = assemble_index(graph, labels)
-            fd, index_path = tempfile.mkstemp(prefix="repro-index-",
-                                              suffix=".rpli")
-            os.close(fd)
-            write_index_file(index_path, parts.labels, parts.inverted)
-            self._owns_index_file = True
-            # Free the parent's private copies before spawning so (fork)
-            # children inherit only the mapped pages, not the build
-            # artefacts.
-            del parts
         if index_path is not None:
             from repro.labeling.mmap_index import MmapIndexFile
 
@@ -240,21 +216,10 @@ class ShardedQueryService:
             raise
 
     def _cleanup_index_file(self) -> None:
-        """Release the parent's mapping; unlink the temp file if we made it.
-
-        Unlinking is safe on Linux even while workers still serve from
-        the file: their mappings keep the inode (and its page-cache
-        pages) alive until the last one closes.
-        """
+        """Release the parent's mapping of the fleet's index file."""
         if self._index_file is not None:
             self._index_file.close()
             self._index_file = None
-        if self._owns_index_file and self.index_path is not None:
-            try:
-                os.unlink(self.index_path)
-            except OSError:
-                pass
-            self._owns_index_file = False
 
     @classmethod
     def from_engine(cls, engine, num_shards: int,
@@ -473,13 +438,10 @@ class ShardedQueryService:
 
         Resolves the plan (validating method / NN backend) and reads its
         declared needs: finder-free plans route round-robin, finder
-        plans route to the owners of the query's categories.  SK-DB is rejected — workers hold no disk store.
+        plans (SK-DB among them) route to the owners of the query's
+        categories.
         """
         plan = self.plan(options.method, options.nn_backend)
-        if plan.spec.needs_disk:
-            raise QueryError(
-                "SK-DB is not supported in sharded serving: worker shards "
-                "hold in-memory category partitions, not disk stores")
         if not plan.spec.needs_finder:
             return [next(self._rr) % self.num_shards]
         if self.labels is None and options.nn_backend == "label":

@@ -121,6 +121,7 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId],
                                index_file=index_file)
         engine = KOSREngine(graph, parts.labels, parts.inverted)
         engine._index_file = index_file
+        engine._store = index_path
     engine._overlay_ratio = overlay_ratio
     return engine
 
@@ -229,6 +230,7 @@ class _ShardWorker:
         overlay, on top of whatever base it has).
         """
         engine = self.engine
+        engine._store = None  # the saved file SK-DB reads predates this
         if op == "add":
             if cid in engine.inverted:
                 _updates.add_vertex_to_category(
@@ -329,9 +331,12 @@ class _ShardWorker:
         stale, so the next query fault-ins rebuild them from the
         worker's update-current graph + labels — bit-identical to an
         index that was patched live (the fuzz suite pins rebuilt ==
-        patched).
+        patched).  SK-DB reads the file itself, so any pending update
+        takes it away from this worker like it did from its fleet-mates.
         """
         engine = self.engine
+        if cids:
+            engine._store = None
         for cid in cids:
             self._stale_cids.add(cid)
             il = engine.inverted.get(cid)

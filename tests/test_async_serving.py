@@ -271,7 +271,7 @@ class TestBackpressure:
 class TestErrorPropagation:
     def test_query_error_reaches_every_coalesced_waiter(self, engine):
         q = make_query(engine.graph, 0, 30, [0], k=1)
-        bad = QueryRequest(q, QueryOptions(method="SK-DB"))  # no disk store
+        bad = QueryRequest(q, QueryOptions(method="SK-DB"))  # no saved file
 
         async def scenario():
             async with AsyncQueryService(engine.service) as front:

@@ -116,9 +116,9 @@ class TestQueryParity:
                 assert ra.route.cost == pytest.approx(rb.route.cost)
 
     def test_sk_db_from_packed_engine(self, engines, tmp_path):
-        """attach_disk_store must serialise the packed indexes correctly."""
+        """save_index must serialise the packed indexes correctly."""
         g, packed, _ = engines
-        packed.attach_disk_store(tmp_path)
+        packed.save_index(tmp_path / "index.rpli")
         q = make_query(g, 0, g.num_vertices - 1, [0, 1, 2], k=3)
         assert packed.run(q, method="SK-DB").costs == pytest.approx(
             packed.run(q, method="SK").costs
@@ -211,7 +211,7 @@ class TestServicePathParity:
 
     def test_batch_sk_db_matches_fresh_engines(self, engines, tmp_path):
         g, packed, _ = engines
-        packed.attach_disk_store(tmp_path)
+        packed.save_index(tmp_path / "index.rpli")
         queries = self._workload(g, random.Random(31), n_targets=2)
         batch = packed.service.run_batch(queries, method="SK-DB")
         for q, warm in zip(queries, batch):
@@ -435,19 +435,19 @@ class TestPostUpdateParity:
         assert not packed.inverted[0].dirty
 
     def test_updates_detach_stale_disk_store(self, tmp_path):
-        """SK-DB must not silently serve pre-update shards."""
+        """SK-DB must not silently serve the pre-update index file."""
         from repro.exceptions import QueryError
 
         g, packed = self._engine(83)
-        packed.attach_disk_store(tmp_path)
+        packed.save_index(tmp_path / "index.rpli")
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         packed.add_vertex_to_category(outsider, 0)
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        with pytest.raises(QueryError, match="attach_disk_store"):
+        with pytest.raises(QueryError, match="save_index"):
             packed.run(q, method="SK-DB")
-        # re-attaching refreshes the shards with the updated indexes
-        packed.attach_disk_store(tmp_path)
+        # re-saving refreshes the file with the updated indexes
+        packed.save_index(tmp_path / "index.rpli")
         assert packed.run(q, method="SK-DB").costs == \
             pytest.approx(packed.run(q, method="SK").costs)
 

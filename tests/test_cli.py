@@ -165,7 +165,7 @@ class TestBatchCommand:
         wl = self._workload(tmp_path, [
             {"source": 0, "target": 1, "categories": [0], "method": "SK-DB"},
         ])
-        with pytest.raises(SystemExit, match="--index"):
+        with pytest.raises(SystemExit, match="--mmap-index"):
             main(["batch", "--graph", fig1_file, "--workload", wl])
 
     def test_batch_rejects_unknown_record_method_before_running(
@@ -202,6 +202,8 @@ class TestBatchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "finder:" in out and "dest_kernel:" in out
+        # three same-group SK requests: marked, admitted, read back
+        assert "est_stream:" in out
         assert "hits (" in out and "evictions:" in out
 
     def test_batch_json_includes_eviction_counters(self, fig1_file,
@@ -407,45 +409,72 @@ class TestMetricsCommand:
         assert "versions=[" in out
 
 
-class TestPreprocessAndIndexedQuery:
-    def test_preprocess_writes_artifacts(self, fig1_file, tmp_path, capsys):
-        index_dir = tmp_path / "index"
-        assert main(["preprocess", "--graph", fig1_file,
-                     "--out", str(index_dir)]) == 0
-        assert (index_dir / "labels.bin").exists()
-        assert (index_dir / "shards" / "vertices.pkl").exists()
+class TestSkDbOverIndexFile:
+    """``index build`` writes the one persisted index; SK-DB reads it."""
 
-    def test_query_with_prebuilt_index(self, fig1_file, tmp_path, capsys):
-        index_dir = tmp_path / "index"
-        main(["preprocess", "--graph", fig1_file, "--out", str(index_dir)])
+    def test_sk_db_from_index_file(self, fig1_file, tmp_path, capsys):
+        out = tmp_path / "fig1.rpli"
+        main(["index", "build", "--graph", fig1_file, "--out", str(out)])
         capsys.readouterr()
         code = main([
-            "query", "--graph", fig1_file, "--index", str(index_dir),
-            "--source", str(vertex("s")), "--target", str(vertex("t")),
-            "--categories", "MA,RE,CI", "--k", "3",
-        ])
-        assert code == 0
-        assert "cost 20" in capsys.readouterr().out
-
-    def test_sk_db_from_index_dir(self, fig1_file, tmp_path, capsys):
-        index_dir = tmp_path / "index"
-        main(["preprocess", "--graph", fig1_file, "--out", str(index_dir)])
-        capsys.readouterr()
-        code = main([
-            "query", "--graph", fig1_file, "--index", str(index_dir),
+            "query", "--graph", fig1_file, "--mmap-index", str(out),
             "--source", str(vertex("s")), "--target", str(vertex("t")),
             "--categories", "MA,RE,CI", "--k", "2", "--method", "SK-DB",
         ])
         assert code == 0
         assert "cost 20" in capsys.readouterr().out
 
+    def test_sharded_batch_sk_db_from_index_file(self, fig1_file, tmp_path,
+                                                 capsys):
+        out = tmp_path / "fig1.rpli"
+        main(["index", "build", "--graph", fig1_file, "--out", str(out)])
+        wl = tmp_path / "wl.json"
+        wl.write_text(json.dumps([
+            {"source": vertex("s"), "target": vertex("t"),
+             "categories": ["MA", "RE", "CI"], "k": 2, "method": "SK-DB"},
+        ]))
+        capsys.readouterr()
+        code = main(["batch", "--graph", fig1_file,
+                     "--mmap-index", str(out), "--workload", str(wl),
+                     "--shards", "2", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["queries"][0]["costs"][0] == pytest.approx(20.0)
+
     def test_sk_db_without_index_rejected(self, fig1_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="--mmap-index"):
             main([
                 "query", "--graph", fig1_file,
                 "--source", "0", "--target", "1",
                 "--categories", "MA", "--method", "SK-DB",
             ])
+
+    def test_serve_sk_db_without_index_rejected(self, fig1_file):
+        with pytest.raises(SystemExit, match="--mmap-index"):
+            main(["serve", "--graph", fig1_file, "--port", "0",
+                  "--method", "SK-DB", "--shards", "2"])
+
+    def test_preprocess_subcommand_is_gone(self, fig1_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["preprocess", "--graph", fig1_file,
+                  "--out", str(tmp_path / "index")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'preprocess'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--source", "0", "--target", "1", "--categories", "MA"],
+        ["batch", "--workload", "-"],
+        ["async-batch", "--workload", "-"],
+        ["serve", "--port", "0"],
+    ], ids=lambda c: c[0])
+    def test_index_dir_flag_is_an_unknown_argument(self, fig1_file, tmp_path,
+                                                   command, capsys):
+        """One persisted index, one way to reuse it: ``--mmap-index``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command[0], "--graph", fig1_file, *command[1:],
+                  "--index", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --index" in capsys.readouterr().err
 
 
 class TestIndexBuildAndMmapQuery:

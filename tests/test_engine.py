@@ -79,7 +79,7 @@ class TestDispatch:
 class TestDiskStore:
     def test_sk_db_matches_sk(self, case, tmp_path):
         g, engine = case
-        engine.attach_disk_store(tmp_path)
+        engine.save_index(tmp_path / "index.rpli")
         q = make_query(g, 0, 9, [0, 1, 2], 4)
         assert engine.run(q, method="SK-DB").costs == pytest.approx(
             engine.run(q, method="SK").costs
@@ -93,7 +93,7 @@ class TestDiskStore:
 
     def test_sk_db_records_load_time(self, case, tmp_path):
         g, engine = case
-        engine.attach_disk_store(tmp_path)
+        engine.save_index(tmp_path / "index.rpli")
         q = make_query(g, 0, 9, [0, 1], 2)
         stats = engine.run(q, method="SK-DB").stats
         assert stats.index_load_time > 0
@@ -102,7 +102,7 @@ class TestDiskStore:
         g, _ = case
         bare = KOSREngine(g)
         with pytest.raises(QueryError):
-            bare.attach_disk_store(tmp_path)
+            bare.save_index(tmp_path / "index.rpli")
 
 
 class TestRouteRestoration:

@@ -125,7 +125,7 @@ class TestCategoryUpdateFaults:
         finally:
             sharded.close()
 
-    def test_mmap_fleet_replays_pending_updates_on_respawn(self):
+    def test_mmap_fleet_replays_pending_updates_on_respawn(self, tmp_path):
         """A respawned mmap worker must not trust the pre-update file.
 
         The fleet was spawned attach-only from a saved index; updates
@@ -139,8 +139,10 @@ class TestCategoryUpdateFaults:
                           if not g.has_category(v, 2))
         # skip=1: the worker survives the first update and dies on the
         # second, so by respawn time TWO categories are pending replay.
+        path = tmp_path / "fleet.rpli"
+        KOSREngine.build(g).save_index(path)
         sharded = ShardedQueryService(
-            g.copy(), 2, mmap_index=True,
+            g.copy(), 2, index_path=path,
             fault_injection={0: {"kind": "update", "when": "before",
                                  "action": "die", "skip": 1}})
         try:

@@ -77,7 +77,7 @@ class TestEndToEnd:
 class TestDiskParityAcrossDatasets:
     def test_sk_db_matches_sk_on_fla(self, engines, tmp_path):
         engine = engines["FLA"]
-        engine.attach_disk_store(tmp_path)
+        engine.save_index(tmp_path / "index.rpli")
         workload = random_queries(engine.graph, 2, 3, 4, seed=23)
         for query in workload:
             assert engine.run(query, method="SK-DB").costs == pytest.approx(

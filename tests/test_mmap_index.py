@@ -30,7 +30,6 @@ from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
 )
-from repro.labeling.storage import CategoryShardStore
 from test_backend_parity import assert_same_outcome
 
 
@@ -105,26 +104,6 @@ class TestFormatRoundTrip:
                 f.inverted_view(999)
         finally:
             f.close()
-
-    def test_shard_store_interop(self, built, tmp_path):
-        """SK-DB shards written from mmap views read back identically."""
-        g, engine, path, _ = built
-        f = MmapIndexFile.open(path)
-        try:
-            inverted = {cid: f.inverted_view(cid) for cid in f.category_ids()}
-            store = CategoryShardStore(tmp_path / "shards")
-            store.write_all(g, f.labels, inverted)
-        finally:
-            f.close()
-        reread = CategoryShardStore(tmp_path / "shards")
-        vertices = reread.read_vertices()
-        assert vertices["order"] == list(engine.labels.order)
-        # pickled from a memoryview-backed index, yet plain-list payloads
-        assert type(vertices["order"]) is list
-        for cid, il in engine.inverted.items():
-            payload = reread.read_category(cid)
-            assert payload["il"] == {h: list(e)
-                                     for h, e in il.as_lists().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +274,31 @@ class TestAttachedEngine:
         fresh_attach = KOSREngine.from_index_file(g0.copy(), path)
         assert fresh_attach.inverted[0].as_lists() == before[0]
 
+    def test_resaving_over_an_attached_file_leaves_its_readers_intact(
+            self, built, tmp_path):
+        """``write_index_file`` replaces the target, it never truncates
+        it: an engine still mapped to the old file keeps answering from
+        it, and a fresh attach sees the complete new content."""
+        g, builder, _, _ = built
+        path = tmp_path / "index.rpli"
+        builder.save_index(path)
+        attached = KOSREngine.from_index_file(g, path)
+        queries = [make_query(g, s, t, [0, 2, 1], k=3)
+                   for s, t in ((0, 30), (5, 12), (20, 3), (9, 33))]
+        before = [attached.run(q) for q in queries]
+        # a different graph's (smaller) index lands on the same path
+        other = _graph(99, n=12, cats=2, size=3)
+        KOSREngine.build(other).save_index(path)
+        for q, want in zip(queries, before):
+            assert_same_outcome(attached.run(q), want)
+        fresh = MmapIndexFile.open(path)
+        try:
+            assert fresh.num_vertices == other.num_vertices
+            assert fresh.size_bytes == os.path.getsize(path)
+        finally:
+            fresh.close()
+        assert os.listdir(tmp_path) == ["index.rpli"]  # no temp left over
+
     def test_update_edge_detaches_and_releases_the_index_file(self, built):
         """A structure update rebuilds everything privately: the engine
         must stop reporting (and holding) a file nothing is served from."""
@@ -447,26 +451,6 @@ class TestMmapFleet:
             assert got.costs == pytest.approx(want.costs)
             assert got.stats.nn_queries == want.stats.nn_queries
 
-    def test_parent_built_temp_index_fleet(self, workload):
-        from repro.shard import ShardedQueryService
-
-        g, _, queries, expected = workload
-        service = ShardedQueryService(g, 2, mmap_index=True)
-        try:
-            temp_path = service.index_path
-            assert temp_path is not None and os.path.exists(temp_path)
-            self._check_fleet(service, g, queries, expected)
-            mem = service.index_memory()
-            assert mem["shared"] is True
-            assert mem["num_shards"] == 2
-            assert len(mem["shards"]) == 2
-            for shard in mem["shards"]:
-                assert shard["shared"] is True
-                assert shard["rss_bytes"] >= 0
-        finally:
-            service.close()
-        assert not os.path.exists(temp_path)  # parent unlinks its temp file
-
     def test_attach_fleet_to_prebuilt_file(self, workload):
         from repro.shard import ShardedQueryService
 
@@ -479,20 +463,30 @@ class TestMmapFleet:
             engine.save_index(path)
             service = ShardedQueryService(g, 2, index_path=path)
             try:
+                assert service.index_path == path
                 self._check_fleet(service, g, queries, expected)
+                mem = service.index_memory()
+                assert mem["shared"] is True
+                assert mem["num_shards"] == 2
+                assert len(mem["shards"]) == 2
+                for shard in mem["shards"]:
+                    assert shard["shared"] is True
+                    assert shard["rss_bytes"] >= 0
             finally:
                 service.close()
             assert os.path.exists(path)  # caller-owned file survives close
         finally:
             os.unlink(path)
 
-    def test_fleet_updates_stay_correct(self, workload):
+    def test_fleet_updates_stay_correct(self, workload, tmp_path):
         from repro.shard import ShardedQueryService
 
-        g0, _, _, _ = workload
+        g0, engine, _, _ = workload
         # Private graph copy: updates here must not leak into `workload`.
         g = _graph(31)
-        service = ShardedQueryService(g, 2, mmap_index=True)
+        path = tmp_path / "fleet.rpli"
+        engine.save_index(path)
+        service = ShardedQueryService(g, 2, index_path=path)
         try:
             cid = 0
             v = next(v for v in range(g.num_vertices)
@@ -518,6 +512,14 @@ class TestMmapFleet:
         other = _graph(99, n=12, cats=2, size=3)
         with pytest.raises(QueryError):
             ShardedQueryService(other, 2, index_path=str(path))
+
+    def test_parent_built_temp_index_knob_is_gone(self, workload):
+        """The fleet has two bootstraps — labels over the pipe or
+        ``index_path=`` — and no third."""
+        from repro.shard import ShardedQueryService
+
+        with pytest.raises(TypeError, match="mmap_index"):
+            ShardedQueryService(workload[0], 2, mmap_index=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Covers the contracts the engine facade now rests on:
   declared needs and rejects unknown names;
 * the epoch-versioned session cache reuses finders / dest kernels within
   an epoch and drops everything when updates or compaction move it;
-* SK-DB error paths (no attached store, missing shard on disk) surface
-  the right exceptions on both the cold and warm paths;
+* SK-DB is StarKOSR over the saved index file — identical results and
+  counters to SK for built, attached and warm-session execution — and
+  its error paths (no saved file, a stale, deleted or truncated one)
+  surface the right exceptions on both the cold and warm paths;
 * ``strict_budget`` interacts correctly with both guard kinds, including
   ``time_budget_s`` deadlines;
 * an interleaved update/batch fuzz pins warm execution to fresh
@@ -20,7 +22,13 @@ import random
 
 import pytest
 
-from repro import BudgetExceededError, KOSREngine, QueryService, make_query
+from repro import (
+    BudgetExceededError,
+    KOSREngine,
+    QueryOptions,
+    QueryService,
+    make_query,
+)
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -51,8 +59,7 @@ class TestPlanner:
 
     def test_declared_needs(self):
         specs = executor_specs()
-        assert specs["SK"].needs_finder and not specs["SK"].needs_disk
-        assert specs["SK-DB"].needs_disk and not specs["SK-DB"].needs_finder
+        assert specs["SK"].needs_finder and specs["SK-DB"].needs_finder
         assert specs["GSP-CH"].needs_ch
         assert not specs["GSP"].needs_finder
 
@@ -486,40 +493,132 @@ class TestCachePolicy:
         assert rates["disk_view"] == 0.0
 
 
+SK = QueryOptions(method="SK")
+SK_DB = QueryOptions(method="SK-DB")
+
+
+def _sk_db_queries(g, seed: int, n: int = 6):
+    rng = random.Random(seed)
+    return [make_query(g, rng.randrange(g.num_vertices),
+                       rng.randrange(g.num_vertices),
+                       rng.sample(range(g.num_categories), rng.choice((2, 3))),
+                       k=3)
+            for _ in range(n)]
+
+
+class TestSkDbOverIndexFile:
+    """SK-DB = StarKOSR over a fresh attachment of the saved index file."""
+
+    @pytest.fixture(params=["built", "attached", "labels-only"])
+    def saved(self, request, tmp_path):
+        """(graph, engine, path): built + ``save_index``, attached to
+        that file, or attached to an ``index build --no-inverted`` one."""
+        g = _graph(41)
+        path = tmp_path / "index.rpli"
+        engine = KOSREngine.build(g)
+        if request.param == "labels-only":
+            engine.labels.save(path)
+        else:
+            engine.save_index(path)
+        if request.param != "built":
+            engine = KOSREngine.from_index_file(g, path)
+        return g, engine, path
+
+    def test_cold_matches_sk_and_the_reference(self, saved):
+        g, engine, _ = saved
+        reference = reference_engine(g)
+        for q in _sk_db_queries(g, 5):
+            got = engine.run(q, SK_DB)
+            assert_same_outcome(got, engine.run(q, SK))
+            assert_same_outcome(got, reference.run(q, SK))
+            assert got.stats.index_load_time > 0
+
+    def test_cold_attaches_only_the_querys_categories(self, tmp_path,
+                                                      monkeypatch):
+        from repro.labeling.mmap_index import MmapIndexFile
+
+        g = _graph(41)
+        engine = KOSREngine.build(g)
+        engine.save_index(tmp_path / "index.rpli")
+        attached = []
+        inner = MmapIndexFile.inverted_view
+        monkeypatch.setattr(
+            MmapIndexFile, "inverted_view",
+            lambda self, cid: attached.append(cid) or inner(self, cid))
+        q = make_query(g, 0, 30, [2, 0], k=2)
+        engine.run(q, SK_DB)
+        assert sorted(attached) == [0, 2]
+
+    def test_warm_session_keeps_the_attachment_not_the_finder(self, saved):
+        g, engine, _ = saved
+        service = QueryService(engine)
+        stats = service.session.stats
+        for i, q in enumerate(_sk_db_queries(g, 9, n=4) * 2):
+            warm = service.run(q, SK_DB)
+            assert_same_outcome(warm, engine.run(q, SK))
+            assert (stats.disk_view_misses, stats.disk_view_hits) == (1, i)
+        # every request got a fresh finder: the session's warm one, whose
+        # reuse needs cold-equivalent booking, was never even built
+        assert stats.finder_misses == stats.finder_hits == 0
+
+    @pytest.mark.parametrize("mutate", ["add", "remove", "edge"])
+    def test_updates_detach_the_file_until_it_is_saved_again(self, saved,
+                                                             mutate):
+        g, engine, path = saved
+        service = QueryService(engine)
+        q = make_query(g, 0, 30, [0, 1], k=3)
+        service.run(q, SK_DB)  # the session now keeps an attachment
+        if mutate == "add":
+            engine.add_vertex_to_category(
+                next(v for v in range(g.num_vertices)
+                     if not g.has_category(v, 0)), 0)
+        elif mutate == "remove":
+            engine.remove_vertex_from_category(
+                next(iter(sorted(g.members(1)))), 1)
+        else:
+            u, v, w = next(iter(g.edges()))
+            engine.update_edge(u, v, w + 5.0)
+        for run in (engine.run, service.run):
+            with pytest.raises(QueryError, match="save_index"):
+                run(q, SK_DB)
+        # same path, new content: the kept attachment must not be reused
+        engine.save_index(path)
+        fresh = reference_engine(g).run(q, SK)
+        assert_same_outcome(engine.run(q, SK_DB), fresh)
+        assert_same_outcome(service.run(q, SK_DB), fresh)
+
+
 class TestSkDbErrorPaths:
-    def test_query_before_attach_disk_store(self, engine):
+    def test_query_before_save_index(self, engine):
         q = make_query(engine.graph, 0, 10, [0], k=1)
-        with pytest.raises(QueryError, match="attach_disk_store"):
-            engine.run(q, method="SK-DB")
-        with pytest.raises(QueryError, match="attach_disk_store"):
-            QueryService(engine).run(q, method="SK-DB")
+        with pytest.raises(QueryError, match="save_index"):
+            engine.run(q, SK_DB)
+        with pytest.raises(QueryError, match="save_index"):
+            QueryService(engine).run(q, SK_DB)
 
-    def test_missing_category_shard(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_damaged_index_file_names_the_path(self, tmp_path, damage):
         engine = KOSREngine.build(_graph(33))
-        engine.attach_disk_store(tmp_path)
-        (tmp_path / "category_1.pkl").unlink()
+        path = tmp_path / "index.rpli"
+        written = engine.save_index(path)
+        if damage == "deleted":
+            path.unlink()
+        else:
+            with open(path, "r+b") as f:
+                f.truncate(written // 2)
         q = make_query(engine.graph, 0, 10, [1], k=1)
-        with pytest.raises(IndexStorageError, match="missing category shard"):
-            engine.run(q, method="SK-DB")
-        with pytest.raises(IndexStorageError, match="missing category shard"):
-            QueryService(engine).run(q, method="SK-DB")
+        for run in (engine.run, QueryService(engine).run):
+            with pytest.raises(IndexStorageError, match="index.rpli"):
+                run(q, SK_DB)
 
-    def test_missing_vertex_label_file(self, tmp_path):
-        engine = KOSREngine.build(_graph(35))
-        engine.attach_disk_store(tmp_path)
-        (tmp_path / "vertices.pkl").unlink()
-        q = make_query(engine.graph, 0, 10, [0], k=1)
-        with pytest.raises(IndexStorageError, match="missing vertex label"):
-            QueryService(engine).run(q, method="SK-DB")
-
-    def test_reattach_resets_warm_disk_state(self, tmp_path):
+    def test_saving_elsewhere_resets_the_warm_attachment(self, tmp_path):
         engine = KOSREngine.build(_graph(37))
-        engine.attach_disk_store(tmp_path / "a")
+        engine.save_index(tmp_path / "a.rpli")
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 10, [0, 1], k=2)
-        first = service.run(q, method="SK-DB")
-        engine.attach_disk_store(tmp_path / "b")  # new store object
-        second = service.run(q, method="SK-DB")
+        first = service.run(q, SK_DB)
+        engine.save_index(tmp_path / "b.rpli")
+        second = service.run(q, SK_DB)
         assert_same_outcome(first, second)
         assert service.session.stats.disk_view_misses == 2
 

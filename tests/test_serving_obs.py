@@ -337,6 +337,7 @@ class TestTcpValidation:
                 return await _talk(port, [
                     b"[1, 2, 3]",                       # non-object JSON
                     b'"just a string"',                 # non-object JSON
+                    b'{"source": "\xff\xfe"}',          # invalid UTF-8
                     {"source": 0, "target": 30, "categories": [0],
                      "methd": "SK", "id": "typo"},      # unknown field
                     {"source": 0, "id": "missing"},     # missing fields
@@ -349,11 +350,12 @@ class TestTcpValidation:
             finally:
                 await _shutdown(server)
 
-        non_dict, non_dict2, typo, missing, bad_deadline, ok = \
+        non_dict, non_dict2, bad_utf8, typo, missing, bad_deadline, ok = \
             asyncio.run(scenario())
         assert "must be a JSON object" in non_dict["error"]
         assert "list" in non_dict["error"]
         assert "str" in non_dict2["error"]
+        assert bad_utf8["kind"] == "UnicodeDecodeError"
         assert typo["id"] == "typo"
         assert "'methd'" in typo["error"]
         assert "unknown request field" in typo["error"]
@@ -363,6 +365,43 @@ class TestTcpValidation:
         assert "'deadline_ms'" in bad_deadline["error"]
         assert "str" in bad_deadline["error"]
         assert ok["completed"] and ok["costs"]
+
+    def test_oversized_line_is_answered_then_the_connection_closed(
+            self, engine, enabled_registry):
+        """A line over the stream limit used to escape the handler as an
+        unhandled ``ValueError``: no reply, a traceback in the log."""
+        from repro.server.tcp import MAX_LINE_BYTES, serve
+
+        good = {"source": 0, "target": 30, "categories": [0, 1], "k": 2}
+        huge = json.dumps({**good, "id": "x" * (MAX_LINE_BYTES + 6000)})
+
+        async def scenario():
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                writer.write(huge.encode() + b"\n"
+                             + json.dumps(good).encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                rest = await reader.read()  # server closes: EOF, no more
+                writer.close()
+                await writer.wait_closed()
+                # the server itself keeps serving new connections
+                (ok,) = await _talk(port, [good])
+                return reply, rest, ok
+            finally:
+                await _shutdown(server)
+
+        reply, rest, ok = asyncio.run(scenario())
+        assert reply["kind"] == "ValueError" and reply["id"] is None
+        assert str(MAX_LINE_BYTES) in reply["error"]
+        assert rest == b""
+        assert ok["completed"]
+        errors = [m for m in enabled_registry.snapshot()["metrics"]
+                  if m["name"] == "repro_tcp_errors_total"]
+        assert errors and errors[0]["value"] == 1
 
 
 class TestTcpOverload:

@@ -24,6 +24,7 @@ from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.shard.router import CategoryShardRouter, merge_topk_results
 
+from conftest import reference_engine
 from test_backend_parity import assert_same_outcome
 
 
@@ -151,11 +152,42 @@ class TestShardedParity:
         assert_same_outcome(sharded.run(request),
                             engine.run(q, QueryOptions(method="PK")))
 
-    def test_sk_db_rejected(self, setting):
-        _, sharded = setting
+    def test_sk_db_matches_sk_on_an_index_file_fleet(self, setting,
+                                                     tmp_path):
+        """SK-DB routes like SK and is answered by the owning workers
+        from the fleet's ``index_path`` file — single-owner and spanning
+        requests alike, results and counters identical to SK."""
+        engine, _ = setting
+        g = engine.graph
+        path = tmp_path / "fleet.rpli"
+        engine.save_index(path)
+        reference = reference_engine(g)
+        sk, sk_db = QueryOptions(method="SK"), QueryOptions(method="SK-DB")
+        with ShardedQueryService(g.copy(), 2, index_path=path) as fleet:
+            for cats in ([0, 2], [1, 0, 3], [2, 1]):
+                q = make_query(g, 3, 30, cats, k=3)
+                assert fleet.owners_for(q, sk_db) == fleet.owners_for(q, sk)
+                got = fleet.run(q, sk_db)
+                assert_same_outcome(got, engine.run(q, sk))
+                assert_same_outcome(got, reference.run(q, sk))
+                assert got.stats.index_load_time > 0
+            # an update makes the file stale fleet-wide, on every shard
+            outsider = next(v for v in range(g.num_vertices)
+                            if not fleet.graph.has_category(v, 0))
+            fleet.add_vertex_to_category(outsider, 0)
+            for cats in ([0, 2], [1, 3]):
+                with pytest.raises(QueryError, match="save_index"):
+                    fleet.run(make_query(g, 3, 30, cats, k=1), sk_db)
+
+    def test_sk_db_without_an_index_file_is_the_engines_error(self, setting):
+        engine, sharded = setting
+        fresh = KOSREngine.build(engine.graph)
         q = make_query(sharded.graph, 0, 30, [0], k=1)
-        with pytest.raises(QueryError, match="SK-DB"):
+        with pytest.raises(QueryError, match="save_index") as on_fleet:
             sharded.run(q, QueryOptions(method="SK-DB"))
+        with pytest.raises(QueryError) as on_engine:
+            fresh.run(q, QueryOptions(method="SK-DB"))
+        assert str(on_fleet.value) == str(on_engine.value)
 
     def test_update_edge_live_parity(self):
         """Edge updates apply fleet-wide without a restart.
@@ -753,15 +785,3 @@ class TestShardedCLI:
         with pytest.raises(SystemExit, match="--shards must be >= 1"):
             main(["batch", "--graph", graph_path, "--workload", wl_path,
                   "--shards", "0"])
-
-    def test_sk_db_with_shards_rejected_before_spawn(self, workload_setup,
-                                                     tmp_path):
-        from repro.cli import main
-
-        _, graph_path, _, _ = workload_setup
-        wl = tmp_path / "skdb.json"
-        wl.write_text(json.dumps([{"source": 0, "target": 1,
-                                   "categories": [0], "method": "SK-DB"}]))
-        with pytest.raises(SystemExit, match="SK-DB"):
-            main(["batch", "--graph", graph_path, "--workload", str(wl),
-                  "--shards", "2"])

@@ -1,16 +1,14 @@
-"""Tests for disk-resident label storage (SK-DB) and dynamic updates."""
+"""Tests for dynamic category and structure updates (SK-DB over the
+saved index file is covered in ``test_service.py``)."""
 
 import random
 
 import pytest
 
 from repro import KOSREngine
-from repro.exceptions import IndexStorageError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling import (
-    CategoryShardStore,
-    DiskLabelRepository,
     add_vertex_to_category,
     build_inverted_indexes,
     build_pruned_landmark_labels,
@@ -19,76 +17,16 @@ from repro.labeling import (
 from repro.labeling.assembly import assemble_index
 from repro.labeling.inverted import build_inverted_index
 from repro.labeling.updates import rebuild_after_structure_update, update_edge
-from repro.nn.label_nn import LabelNNFinder, PackedLabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 
 
 @pytest.fixture
-def setup(tmp_path):
+def setup():
     g = random_graph(30, 3.0, rng=random.Random(1))
     assign_uniform_categories(g, 3, 6, random.Random(2))
     labels = build_pruned_landmark_labels(g)
     inverted = build_inverted_indexes(g, labels)
-    store = CategoryShardStore(tmp_path)
-    store.write_all(g, labels, inverted)
-    return g, labels, inverted, store
-
-
-class TestShardStore:
-    def test_category_shard_round_trip(self, setup):
-        g, labels, inverted, store = setup
-        payload = store.read_category(0)
-        assert payload["members"] == sorted(g.members(0))
-        assert payload["il"].keys() == inverted[0].lists.keys()
-
-    def test_vertex_file_round_trip(self, setup):
-        g, labels, _, store = setup
-        payload = store.read_vertices()
-        assert payload["order"] == labels.order
-        assert len(payload["lin"]) == g.num_vertices
-
-    def test_missing_shard_raises(self, setup):
-        _, _, _, store = setup
-        with pytest.raises(IndexStorageError):
-            store.read_category(99)
-
-    def test_total_bytes_positive(self, setup):
-        assert setup[3].total_bytes() > 0
-
-
-class TestDiskRepository:
-    def test_seek_accounting(self, setup):
-        g, _, _, store = setup
-        repo = DiskLabelRepository(store)
-        repo.load_for_query([0, 1, 2], 0, 5)
-        # the paper's |C| + 4 disk seeks
-        assert repo.seeks == 3 + 4
-
-    def test_view_distances_match_labels(self, setup):
-        g, labels, _, store = setup
-        repo = DiskLabelRepository(store)
-        view = repo.load_for_query([0, 1], 3, 7)
-        member = next(iter(g.members(0)))
-        assert view.distance(member, 7) == labels.distance(member, 7)
-
-    def test_view_missing_vertex_raises(self, setup):
-        g, _, _, store = setup
-        repo = DiskLabelRepository(store)
-        view = repo.load_for_query([0], 0, 1)
-        outsider = next(
-            v for v in range(g.num_vertices)
-            if v not in g.members(0) and v not in (0, 1)
-        )
-        with pytest.raises(IndexStorageError):
-            view.lout(outsider)
-
-    def test_findnn_over_view_matches_memory(self, setup):
-        g, labels, inverted, store = setup
-        repo = DiskLabelRepository(store)
-        view = repo.load_for_query([0, 1, 2], 0, 5)
-        disk_finder = LabelNNFinder(view.lout, view.hub_vertex, view.hub_list, view.distance)
-        mem_finder = LabelNNFinder.from_index(labels, inverted)
-        for x in range(1, g.category_size(1) + 2):
-            assert disk_finder.find(0, 1, x) == mem_finder.find(0, 1, x)
+    return g, labels, inverted
 
 
 class TestCategoryUpdates:
@@ -97,11 +35,11 @@ class TestCategoryUpdates:
 
     @pytest.fixture
     def packed(self, setup):
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         return assemble_index(g, labels)[:2]
 
     def test_insert_then_query_sees_vertex(self, setup, packed):
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(0))
         add_vertex_to_category(g, *packed, outsider, 0)
         assert outsider in g.members(0)
@@ -109,7 +47,7 @@ class TestCategoryUpdates:
         assert fresh.lists == packed[1][0].as_lists()
 
     def test_remove_then_index_consistent(self, setup, packed):
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         member = next(iter(g.members(0)))
         remove_vertex_from_category(g, *packed, member, 0)
         assert member not in g.members(0)
@@ -117,21 +55,21 @@ class TestCategoryUpdates:
         assert fresh.lists == packed[1][0].as_lists()
 
     def test_insert_idempotent(self, setup, packed):
-        g, _, inverted, _ = setup
+        g, _, inverted = setup
         member = next(iter(g.members(0)))
         add_vertex_to_category(g, *packed, member, 0)
         assert packed[1][0].version == 0
         assert packed[1][0].as_lists() == inverted[0].lists
 
     def test_remove_absent_is_noop(self, setup, packed):
-        g, _, inverted, _ = setup
+        g, _, inverted = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(1))
         remove_vertex_from_category(g, *packed, outsider, 1)
         assert packed[1][1].version == 0
         assert packed[1][1].as_lists() == inverted[1].lists
 
     def test_nn_results_after_insert(self, setup, packed):
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(2))
         add_vertex_to_category(g, *packed, outsider, 2)
         finder = PackedLabelNNFinder(*packed)
@@ -149,7 +87,7 @@ class TestCategoryUpdates:
 
 class TestStructureUpdates:
     def test_edge_insert_changes_distances(self, setup):
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         # Add a zero-cost shortcut and rebuild; distance must not increase.
         before = labels.distance(0, 5)
         labels2, inverted2 = update_edge(g, 0, 5, 0.0)
@@ -157,7 +95,7 @@ class TestStructureUpdates:
         assert 0 in dict(g.neighbors_in(5))
 
     def test_edge_delete(self, setup):
-        g, _, _, _ = setup
+        g, _, _ = setup
         u, v, w = next(iter(g.edges()))
         labels2, _ = update_edge(g, u, v, None)
         assert not g.has_edge(u, v)
@@ -166,7 +104,7 @@ class TestStructureUpdates:
         assert labels2.distance(u, v) == dijkstra_distance(g, u, v)
 
     def test_rebuild_matches_fresh_build(self, setup):
-        g, _, _, _ = setup
+        g, _, _ = setup
         labels2, inverted2 = rebuild_after_structure_update(g)
         fresh_labels = build_pruned_landmark_labels(g)
         for s in range(0, g.num_vertices, 7):
@@ -177,7 +115,7 @@ class TestStructureUpdates:
         from repro.labeling.packed import PackedLabelIndex
         from repro.labeling.packed_inverted import PackedInvertedIndex
 
-        g, labels, _, _ = setup
+        g, labels, _ = setup
         labels2, inverted2 = update_edge(g, 0, 5, 0.0)
         assert isinstance(labels2, PackedLabelIndex)
         assert all(isinstance(il, PackedInvertedIndex)
