@@ -6,6 +6,7 @@ examines the fewest routes; FindNN over the inverted label index beats the
 resumable Dijkstra cursor, which beats the paper's restarting Dijkstra.
 """
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -19,4 +20,4 @@ def test_ablation_design_choices(benchmark):
         by["dominance only (PK)"]["examined_routes"] * 1.05
     )
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK-NODOM"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK-NODOM")))

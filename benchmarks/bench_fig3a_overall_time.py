@@ -8,6 +8,8 @@ PK.
 
 import math
 
+from repro import QueryOptions
+
 from benchmarks._shared import emit, overall_sweep, representative_query
 
 
@@ -21,4 +23,4 @@ def test_fig3a_overall_time(benchmark):
     for dataset in ("CAL", "NYC", "COL", "FLA", "G+"):
         assert not math.isinf(by[(dataset, "SK")])
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -4,6 +4,8 @@ Paper shape: SK examines (far) fewer routes than PK, which examines fewer
 than KPNE; index/backends (SK vs SK-DB vs SK-Dij) do not change the count.
 """
 
+from repro import QueryOptions
+
 from benchmarks._shared import emit, overall_sweep, representative_query
 
 
@@ -21,4 +23,4 @@ def test_fig3b_examined_routes(benchmark):
         skdb = by[(dataset, "SK-DB")]
         assert skdb["examined_routes"] == sk["examined_routes"]
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="PK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="PK")))

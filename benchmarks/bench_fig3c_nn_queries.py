@@ -5,6 +5,8 @@ several plain-NN fetches per estimated neighbor; *-Dij counts equal their
 FindNN twins (the algorithm is unchanged, only the oracle differs).
 """
 
+from repro import QueryOptions
+
 from benchmarks._shared import emit, overall_sweep, representative_query
 
 
@@ -18,4 +20,4 @@ def test_fig3c_nn_queries(benchmark):
         sk = by[(dataset, "SK")]
         assert sk["nn_queries"] > 0
     engine, query = representative_query("CAL")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -1,5 +1,6 @@
 """Figure 3(e): effect of k on the CAL analogue (all methods finish here)."""
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -11,4 +12,4 @@ def test_fig3e_effect_k_cal(benchmark):
     sk = [r for r in rows if r["method"] == "SK"]
     assert all(not r["unfinished"] for r in sk)
     engine, query = representative_query("CAL", k=50)
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

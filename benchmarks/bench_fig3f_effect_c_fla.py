@@ -4,6 +4,7 @@ Paper shape: KPNE's space explodes exponentially in |C| (INF beyond small
 |C|); PK and SK grow polynomially, with SK growing the slowest.
 """
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -15,4 +16,4 @@ def test_fig3f_effect_c_fla(benchmark):
     sk = [r for r in rows if r["method"] == "SK"]
     assert [r["c_len"] for r in sk] == [2, 4, 6, 8, 10]
     engine, query = representative_query("FLA", c_len=10)
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

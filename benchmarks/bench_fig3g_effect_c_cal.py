@@ -1,5 +1,6 @@
 """Figure 3(g): effect of |C| on the CAL analogue."""
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -11,4 +12,4 @@ def test_fig3g_effect_c_cal(benchmark):
     sk = [r for r in rows if r["method"] == "SK"]
     assert all(not r["unfinished"] for r in sk)
     engine, query = representative_query("CAL", c_len=10)
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -5,6 +5,7 @@ admit more candidates), then shrink as estimates tighten towards the real
 optimal cost; the final level examines ~k routes.
 """
 
+from repro import QueryOptions
 from repro.experiments import datasets as ds
 from repro.experiments import figures
 
@@ -19,4 +20,4 @@ def test_fig5_search_space(benchmark):
         levels = [v for k, v in row.items() if k.startswith("level_")]
         assert levels[0] <= max(levels), "space should rise from the source"
     engine, query = representative_query("COL")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -5,6 +5,7 @@ are both big, |Ci|*|Ci+1| grows); SK filters far more and stays flat-ish;
 KPNE INF for larger f.
 """
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -17,4 +18,4 @@ def test_fig6_zipfian(benchmark):
     assert [r["zipf_factor"] for r in sk] == [1.2, 1.4, 1.6, 1.8]
     assert all(not r["unfinished"] for r in sk)
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

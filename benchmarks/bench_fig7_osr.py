@@ -7,6 +7,8 @@ with small categories (CAL/NYC) but loses on large-category graphs
 
 import math
 
+from repro import QueryOptions
+
 from benchmarks._shared import emit, osr_sweep, representative_query
 
 
@@ -18,4 +20,4 @@ def test_fig7_osr(benchmark):
         assert not math.isinf(by[(dataset, "SK")])
         assert not math.isinf(by[(dataset, "GSP")])
     engine, query = representative_query("FLA", k=1)
-    benchmark(lambda: engine.run(query, method="GSP"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="GSP")))

@@ -8,6 +8,7 @@ members.  This bench sweeps the FLA analogue's scale at a fixed category
 *fraction* and reports both methods' query times.
 """
 
+from repro import QueryOptions
 from repro.experiments import datasets as ds
 from repro.experiments.runner import run_workload
 from repro.experiments.workload import random_queries
@@ -40,4 +41,5 @@ def test_scaling_graph_size(benchmark):
     assert sk[-1] / max(sk[0], 1e-9) < gsp[-1] / max(gsp[0], 1e-9)
     engine = ds.engine_for("FLA", scale=0.2)
     workload = random_queries(engine.graph, 1, 4, 1, seed=83)
-    benchmark(lambda: engine.run(workload.queries[0], method="GSP"))
+    query = workload.queries[0]
+    benchmark(lambda: engine.run(query, QueryOptions(method="GSP")))

@@ -4,6 +4,7 @@ Paper shape: NN-query time dominates both methods; PK spends more on
 priority-queue maintenance than SK; only SK pays (small) estimation time.
 """
 
+from repro import QueryOptions
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
@@ -17,4 +18,4 @@ def test_table10_breakdown(benchmark):
     assert by["PK"]["estimation_ms"] == 0.0
     assert by["SK"]["estimation_ms"] >= 0.0
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -36,24 +36,15 @@ sharded workers (:mod:`repro.shard`) receive the frozen
 ``(KOSRQuery, QueryOptions)`` pair by pickle and can never drift from
 the in-process interpretation.
 
-Migration
----------
-
-The old keyword style still works everywhere but emits a
-``DeprecationWarning``::
-
-    engine.run(q, method="PK", budget=100)          # deprecated shim
-    engine.run(q, QueryOptions(method="PK", budget=100))   # new
-
 ``KOSREngine.query(source, target, categories, ...)`` keeps its keyword
-sugar (it is the documented one-liner and now builds a
-:class:`QueryOptions` internally), but also accepts ``options=``.
+sugar (it is the documented one-liner and builds a :class:`QueryOptions`
+internally), and also accepts ``options=``; every other entry point
+takes the options object only.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.query import KOSRQuery
@@ -111,39 +102,16 @@ class QueryOptions:
 #: The library-wide defaults, defined once.
 DEFAULT_OPTIONS = QueryOptions()
 
-_OPTION_FIELDS = frozenset(f.name for f in fields(QueryOptions))
 
-
-def merge_query_kwargs(options: Optional[QueryOptions], kwargs: dict,
-                       caller: str) -> QueryOptions:
-    """The kwargs-compatibility shim shared by every query entry point.
-
-    Returns ``options`` (or the defaults) when no legacy keywords were
-    passed; otherwise emits a ``DeprecationWarning`` and layers the
-    keywords over ``options``.  Unknown keywords raise ``TypeError`` just
-    like a real signature would, and so does a non-``QueryOptions``
-    second positional argument (the pre-PR-4 ``run(q, "PK")`` style),
-    with a message that names the migration.
-    """
-    if options is not None and not isinstance(options, QueryOptions):
+def require_options(options) -> QueryOptions:
+    """``options`` itself, or a ``TypeError`` when it is not a
+    :class:`QueryOptions`: ``run(q, "PK")`` has to fail at the call,
+    naming the fix, not as an ``AttributeError`` inside the planner."""
+    if not isinstance(options, QueryOptions):
         raise TypeError(
-            f"{caller}() expects options to be a QueryOptions, got "
-            f"{type(options).__name__!s} ({options!r}); the old positional "
-            f"method argument is gone — pass QueryOptions(method=...) or "
-            f"the deprecated method=... keyword")
-    if not kwargs:
-        return options if options is not None else DEFAULT_OPTIONS
-    unknown = sorted(set(kwargs) - _OPTION_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments {unknown}; "
-            f"valid query options: {sorted(_OPTION_FIELDS)}")
-    warnings.warn(
-        f"passing query options to {caller}() as keyword arguments is "
-        f"deprecated; pass options=QueryOptions(...) instead",
-        DeprecationWarning, stacklevel=3)
-    base = options if options is not None else DEFAULT_OPTIONS
-    return base.replace(**kwargs)
+            f"options must be a QueryOptions, got {type(options).__name__} "
+            f"({options!r}); pass QueryOptions(method=...)")
+    return options
 
 
 @dataclass(frozen=True)

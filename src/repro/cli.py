@@ -161,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     bat = sub.add_parser(
         "batch", help="answer a JSON workload through the batch service")
     add_workload_args(bat)
-    bat.add_argument("--max-workers", type=int, default=None,
-                     help="run independent (target, categories) groups on a "
-                          "thread pool of this size")
     bat.add_argument("--cache-stats", action="store_true",
                      help="report session-cache hit/miss/eviction rates")
 
@@ -544,9 +541,7 @@ def cmd_batch(args) -> int:
     try:
         for method, method_items in by_method.items():
             batch = service.run_batch(
-                [q for _, q in method_items], options.replace(method=method),
-                max_workers=args.max_workers,
-            )
+                [q for _, q in method_items], options.replace(method=method))
             wall += batch.wall_time_s
             groups += batch.num_groups
             for name, value in batch.cache_stats.items():

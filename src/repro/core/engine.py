@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api import DEFAULT_OPTIONS, QueryOptions, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
 from repro.core.query import KOSRQuery, make_query
 from repro.core.stats import PreprocessingStats, QueryStats
 from repro.exceptions import (  # noqa: F401  (BudgetExceededError: re-export)
@@ -448,9 +448,8 @@ class KOSREngine:
         every counter still populates.
 
         The keywords are sugar over one :class:`~repro.api.QueryOptions`:
-        explicitly-passed keywords layer over ``options`` (same merge
-        semantics as the :meth:`run` shim), so this path can never drift
-        from :meth:`run` again.
+        explicitly-passed keywords layer over ``options``, and the result
+        goes through :meth:`run`, so the two paths cannot drift.
         """
         q = self.make_query(source, target, categories, k)
         overrides = {name: value for name, value in (
@@ -462,25 +461,18 @@ class KOSREngine:
         base = options if options is not None else DEFAULT_OPTIONS
         return self.run(q, base.replace(**overrides) if overrides else base)
 
-    def run(
-        self,
-        q: KOSRQuery,
-        options: Optional[QueryOptions] = None,
-        **legacy_kwargs,
-    ) -> KOSRResult:
+    def run(self, q: KOSRQuery,
+            options: QueryOptions = DEFAULT_OPTIONS) -> KOSRResult:
         """Answer a prevalidated :class:`KOSRQuery` with cold resources.
 
-        ``options`` (a :class:`~repro.api.QueryOptions`, defaulting to
-        :data:`~repro.api.DEFAULT_OPTIONS`) selects the method/backends
-        and execution knobs; the pre-PR-4 keyword style still works via a
-        deprecation shim.  The method dispatch resolves through the
-        service layer's planner registry; execution builds a fresh finder
-        and fresh memos per query (the paper's measurement setup).  For
-        warm cross-query caching and batched workloads use
-        :attr:`service`.
+        ``options`` selects the method/backends and execution knobs.  The
+        method dispatch resolves through the service layer's planner
+        registry; execution builds a fresh finder and fresh memos per
+        query (the paper's measurement setup).  For warm cross-query
+        caching and batched workloads use :attr:`service`.
         """
-        options = merge_query_kwargs(options, legacy_kwargs, "KOSREngine.run")
-        return execute_plan(self, options.plan_for(), q, options)
+        plan = require_options(options).plan_for()
+        return execute_plan(self, plan, q, options)
 
     def contraction_hierarchy(self):
         """The engine's CH (built lazily, cached; used by GSP-CH)."""

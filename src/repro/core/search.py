@@ -71,14 +71,29 @@ def sequenced_route_search(
     consumers hold references to live results).
     """
     stats = runtime.stats
-    profile = stats.profile
     query = runtime.query
     num_levels = runtime.num_levels
     k = query.k
     tiebreak = itertools.count()
-    heappush, heappop = heapq.heappush, heapq.heappop
 
     queue: List[_Entry] = []
+    # Per-vertex dominance tables (Algorithm 2 lines 8-19).
+    tables = DominanceTables()
+
+    # The three queue operations, bound once: behind timers feeding
+    # ``stats.queue_time`` when profiling, bare otherwise, so the loop
+    # below never tests the flag.
+    heappush, heappop, park = heapq.heappush, heapq.heappop, tables.park
+    if stats.profile:
+        def timed(op):
+            def timed_op(*args):
+                t0 = perf_counter()
+                out = op(*args)
+                stats.queue_time += perf_counter() - t0
+                return out
+            return timed_op
+
+        heappush, heappop, park = timed(heappush), timed(heappop), timed(park)
 
     # Push/pop counters accumulate in locals and fold into ``stats`` at the
     # single exit point below — one attribute write instead of two per op.
@@ -86,24 +101,13 @@ def sequenced_route_search(
     max_queue = 0
     examined = 0
 
-    if profile:
-        def push(key: Cost, vertices: Tuple[Vertex, ...], cost: Cost,
-                 x: Optional[int], prefix_cost: Cost) -> None:
-            nonlocal generated, max_queue
-            t0 = perf_counter()
-            heappush(queue, (key, next(tiebreak), vertices, cost, x, prefix_cost))
-            stats.queue_time += perf_counter() - t0
-            generated += 1
-            if len(queue) > max_queue:
-                max_queue = len(queue)
-    else:
-        def push(key: Cost, vertices: Tuple[Vertex, ...], cost: Cost,
-                 x: Optional[int], prefix_cost: Cost) -> None:
-            nonlocal generated, max_queue
-            heappush(queue, (key, next(tiebreak), vertices, cost, x, prefix_cost))
-            generated += 1
-            if len(queue) > max_queue:
-                max_queue = len(queue)
+    def push(key: Cost, vertices: Tuple[Vertex, ...], cost: Cost,
+             x: Optional[int], prefix_cost: Cost) -> None:
+        nonlocal generated, max_queue
+        heappush(queue, (key, next(tiebreak), vertices, cost, x, prefix_cost))
+        generated += 1
+        if len(queue) > max_queue:
+            max_queue = len(queue)
 
     if sources is None:
         sources = [(query.source, 0.0)]
@@ -116,21 +120,13 @@ def sequenced_route_search(
         else:
             push(initial_cost, (vertex,), initial_cost, 1, 0.0)
 
-    # Per-vertex dominance tables (Algorithm 2 lines 8-19).
-    tables = DominanceTables()
-
     results: List[SequencedResult] = []
     nearest = runtime.nearest
     nearest_estimated = runtime.nearest_estimated if estimated else None
     per_level = stats.per_level_examined
 
     while queue and len(results) < k:
-        if profile:
-            t0 = perf_counter()
-            key, _, vertices, cost, x, prefix_cost = heappop(queue)
-            stats.queue_time += perf_counter() - t0
-        else:
-            key, _, vertices, cost, x, prefix_cost = heappop(queue)
+        key, _, vertices, cost, x, prefix_cost = heappop(queue)
 
         level = len(vertices) - 1
         examined += 1
@@ -168,18 +164,8 @@ def sequenced_route_search(
                 # the global queue so the cheapest is reconsidered first.
                 extend = False
                 stats.dominated_routes += 1
-                if profile:
-                    t0 = perf_counter()
-                    tables.park(
-                        last, size,
-                        (key, next(tiebreak), vertices, cost, None, prefix_cost),
-                    )
-                    stats.queue_time += perf_counter() - t0
-                else:
-                    tables.park(
-                        last, size,
-                        (key, next(tiebreak), vertices, cost, None, prefix_cost),
-                    )
+                park(last, size,
+                     (key, next(tiebreak), vertices, cost, None, prefix_cost))
 
         if extend:
             # Extend through the (estimated) nearest neighbor (lines 14-17).

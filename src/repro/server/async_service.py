@@ -32,10 +32,10 @@ door for concurrent request traffic (the ROADMAP's async-serving item):
   time remaining at dispatch, and an answer left incomplete at an
   expired deadline is converted to the same error rather than returned
   as a silent partial result.
-* **Streaming** — :meth:`submit_stream` runs the same admission and
-  group machinery but hands each discovered route to a callback the
-  moment the anytime search finalises it (the ``{"stream": true}`` TCP
-  seam).
+* **Streaming** — :meth:`submit` with ``on_route=`` runs the same
+  admission and group machinery but hands each discovered route to the
+  callback the moment the anytime search finalises it (the
+  ``{"stream": true}`` TCP seam).
 * **Sharded backing** — construct over a
   :class:`~repro.shard.service.ShardedQueryService` and the same thread
   pool dispatches to category-partitioned worker *processes* instead of
@@ -47,10 +47,9 @@ door for concurrent request traffic (the ROADMAP's async-serving item):
   its own buffers).
 * **Update safety** — blocking plan execution runs in the thread pool,
   and pending delta overlays are folded *before* a request is dispatched
-  whenever an index is dirty (draining in-flight executions first),
-  exactly as ``run_batch`` pre-folds for its worker threads: cursor
-  creation then only ever reads the engine's buffers.  Index mutations
-  themselves must come from the event-loop thread, ideally with no
+  whenever an index is dirty (draining in-flight executions first):
+  cursor creation then only ever reads the engine's buffers.  Index
+  mutations themselves must come from the event-loop thread, ideally with no
   requests in flight (``await front.drain()`` first — the same
   no-updates-mid-batch contract as every other engine use); the
   per-worker sessions epoch-validate on every query, so a mutation is
@@ -194,7 +193,7 @@ class AsyncQueryService:
 
     async def submit(self, request: Union[QueryRequest, KOSRQuery],
                      options: Optional[QueryOptions] = None, *,
-                     deadline_s: Optional[float] = None):
+                     deadline_s: Optional[float] = None, on_route=None):
         """Answer one request; returns a ``KOSRResult``.
 
         Accepts a :class:`~repro.api.QueryRequest` or a bare
@@ -207,9 +206,18 @@ class AsyncQueryService:
         ``deadline_s`` (seconds from now) expires before a complete
         answer, and re-raises whatever the plan execution raised
         (``QueryError``, ``BudgetExceededError``, ...) for every
-        coalesced waiter.  Deadline-carrying requests never coalesce:
-        sharing an execution would share the *other* caller's time
-        limits.
+        coalesced waiter.
+
+        ``on_route`` streams the answer: it fires with every
+        :class:`~repro.types.SequencedResult` the moment the anytime
+        search finalises it — before the search for the next one begins.
+        The callback runs on the *executing pool thread*; marshal to the
+        event loop (e.g. ``loop.call_soon_threadsafe``) before touching
+        loop-owned state.
+
+        Deadline-carrying and streamed requests never coalesce: sharing
+        an execution would share the *other* caller's time limits, and
+        each streaming caller needs its own route feed.
         """
         if self._closed:
             raise RuntimeError("AsyncQueryService is closed")
@@ -218,8 +226,13 @@ class AsyncQueryService:
         metrics = _METRICS
         if metrics.enabled:
             metrics.counter("repro_serving_submitted_total").inc()
-        key = request.key
-        if self.coalesce and deadline_s is None:
+        if on_route is not None:
+            self.stats.streamed += 1
+            if metrics.enabled:
+                metrics.counter("repro_serving_streamed_total").inc()
+        key = None  # stays None when not registered for coalescing
+        if self.coalesce and deadline_s is None and on_route is None:
+            key = request.key
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self.stats.coalesced += 1
@@ -231,51 +244,15 @@ class AsyncQueryService:
         deadline = self._deadline_from(deadline_s)
         self._admit(request)
         future = asyncio.get_running_loop().create_future()
-        if self.coalesce and deadline is None:
+        if key is not None:
             self._inflight[key] = future
-        else:
-            key = None  # not registered for coalescing
-        self._enqueue(request, key, future, on_route=None, deadline=deadline)
-        return await asyncio.shield(future)
-
-    async def submit_stream(self, request: Union[QueryRequest, KOSRQuery],
-                            on_route, options: Optional[QueryOptions] = None,
-                            *, deadline_s: Optional[float] = None):
-        """Answer one request, streaming each route as it is discovered.
-
-        Identical admission/backpressure behaviour to :meth:`submit`, but
-        ``on_route`` fires with every :class:`~repro.types.SequencedResult`
-        the moment the anytime search finalises it — before the search for
-        the next one begins.  The callback runs on the *executing pool
-        thread*; marshal to the event loop (e.g.
-        ``loop.call_soon_threadsafe``) before touching loop-owned state.
-        Streaming requests never coalesce — each caller needs its own
-        route feed — and still return the complete ``KOSRResult``.
-        """
-        if self._closed:
-            raise RuntimeError("AsyncQueryService is closed")
-        request = self._coerce(request, options)
-        self.stats.submitted += 1
-        self.stats.streamed += 1
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_serving_submitted_total").inc()
-            metrics.counter("repro_serving_streamed_total").inc()
-        deadline = self._deadline_from(deadline_s)
-        self._admit(request)
-        future = asyncio.get_running_loop().create_future()
-        self._enqueue(request, None, future, on_route=on_route,
-                      deadline=deadline)
-        return await asyncio.shield(future)
-
-    def _enqueue(self, request: QueryRequest, key, future, *, on_route,
-                 deadline) -> None:
         group_key = request.group_key
         self._pending += 1
         self._no_pending.clear()
         self._group_load[group_key] = self._group_load.get(group_key, 0) + 1
         self._group_queue(group_key).put_nowait(
             (request, key, group_key, future, on_route, deadline))
+        return await asyncio.shield(future)
 
     def _deadline_from(self, deadline_s: Optional[float]):
         """``(absolute monotonic deadline, requested ms)`` or ``None``;
@@ -495,9 +472,17 @@ class AsyncQueryService:
                     self._executing += 1
                     self._idle.clear()
                     try:
+                        if deadline is not None:
+                            request = self._capped_to(deadline, request)
                         result = await loop.run_in_executor(
-                            self._pool, self._run_blocking, request, session,
-                            on_route, deadline)
+                            self._pool, self._execute, request, session,
+                            on_route)
+                        if (deadline is not None
+                                and not result.stats.completed
+                                and monotonic() >= deadline[0]):
+                            # Incomplete at an expired deadline: the
+                            # structured error, not a silent partial.
+                            raise DeadlineExceededError(deadline[1])
                     except Exception as exc:
                         if isinstance(exc, DeadlineExceededError):
                             self._count_deadline_shed()
@@ -532,39 +517,24 @@ class AsyncQueryService:
                     self._group_load.pop(group_key, None)
                 queue.task_done()
 
-    def _run_blocking(self, request: QueryRequest, session: SessionCache,
-                      on_route, deadline):
-        """Pool-thread entry: deadline capping + streaming dispatch.
-
-        The execution time budget is capped to the deadline time
-        remaining at dispatch, and an incomplete answer at an expired
-        deadline becomes :class:`DeadlineExceededError` instead of a
-        silent partial result.  (Kept separate from :meth:`_execute` so
-        that tests gating plain execution keep their two-argument seam.)
-        """
-        if deadline is not None:
-            remaining = deadline[0] - monotonic()
-            if remaining <= 0:
-                raise DeadlineExceededError(deadline[1])
-            options = request.options
-            if options.time_budget_s is None or options.time_budget_s > remaining:
-                request = QueryRequest(request.query,
-                                       options.replace(time_budget_s=remaining))
-        if on_route is not None:
-            result = self.service.run_stream(request.query, request.options,
-                                             session=session,
-                                             on_route=on_route)
-        else:
-            result = self._execute(request, session)
-        if (deadline is not None and not result.stats.completed
-                and monotonic() >= deadline[0]):
+    @staticmethod
+    def _capped_to(deadline, request: QueryRequest) -> QueryRequest:
+        """``request`` with its execution time budget capped to the
+        deadline time remaining at dispatch."""
+        remaining = deadline[0] - monotonic()
+        if remaining <= 0:
             raise DeadlineExceededError(deadline[1])
-        return result
+        options = request.options
+        if options.time_budget_s is None or options.time_budget_s > remaining:
+            request = QueryRequest(request.query,
+                                   options.replace(time_budget_s=remaining))
+        return request
 
-    def _execute(self, request: QueryRequest, session: SessionCache):
+    def _execute(self, request: QueryRequest, session: SessionCache,
+                 on_route=None):
         """Blocking plan execution (runs on the thread pool)."""
         return self.service.run(request.query, request.options,
-                                session=session)
+                                session=session, on_route=on_route)
 
     # ------------------------------------------------------------------
     def _dirty_overlays(self) -> bool:
@@ -585,8 +555,7 @@ class AsyncQueryService:
         overlay is dirty, wait for in-flight executions to drain, fold
         on the event-loop thread (single-threaded, so no new execution
         can start mid-fold), then proceed.  The fold is purely physical:
-        no epoch change, identical results (same guarantee ``run_batch``
-        relies on for its pre-fold).
+        no epoch change, identical results.
         """
         while self._dirty_overlays():
             if self._executing == 0:

@@ -117,10 +117,22 @@ def _parse_record(engine, record: dict,
     for field in ("source", "target", "categories"):
         if field not in record:
             raise ValueError(f"request record needs {field!r}")
+    # json.loads also hands out floats (1e400 is inf), bools and strings
+    # where the protocol means an integer or a list: reject them here, by
+    # field name, instead of letting int() truncate or overflow later.
+    k = record.get("k", 1)
+    for field, value in (("source", record["source"]),
+                         ("target", record["target"]), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"{field!r} must be a JSON integer, got {value!r}")
+    if not isinstance(record["categories"], list):
+        raise ValueError(
+            f"'categories' must be a JSON list, got "
+            f"{record['categories']!r}")
     cats = [int(c) if isinstance(c, str) and c.isdigit() else c
             for c in record["categories"]]
-    query = engine.make_query(record["source"], record["target"], cats,
-                              k=int(record.get("k", 1)))
+    query = engine.make_query(record["source"], record["target"], cats, k=k)
     overrides = {name: record[name] for name
                  in ("method", "nn_backend", "budget", "time_budget_s")
                  if name in record}
@@ -268,8 +280,8 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
 
         async def run():
             try:
-                return await aqs.submit_stream(request, on_route,
-                                               deadline_s=deadline_s)
+                return await aqs.submit(request, deadline_s=deadline_s,
+                                        on_route=on_route)
             finally:
                 routes.put_nowait(_STREAM_DONE)
 

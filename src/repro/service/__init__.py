@@ -22,7 +22,7 @@ Everything above the engine leans on two invariants this package owns:
 * **Cold-equivalence.**  The paper's evaluation counters are defined per
   query over cold caches, so warm reuse must be *observably
   transparent*: any query answered through a :class:`SessionCache` —
-  single, batched, threaded, async, or sharded — returns results AND
+  single, batched, async, or sharded — returns results AND
   ``QueryStats`` counters bit-identical to a fresh single-query engine.
   Shared state may only share *values* (memo contents, produced NL
   entries); accounting stays per-query (virtual cursor positions,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.api import QueryOptions, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS, QueryOptions
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
 from repro.exceptions import BudgetExceededError
@@ -99,11 +99,10 @@ def execute_plan(
     engine,
     plan: QueryPlan,
     query: KOSRQuery,
-    options: Optional[QueryOptions] = None,
+    options: QueryOptions = DEFAULT_OPTIONS,
     *,
     resources=None,
     on_result=None,
-    **legacy_kwargs,
 ):
     """Execute ``plan`` over ``query``; returns a
     :class:`~repro.core.engine.KOSRResult`.
@@ -116,12 +115,9 @@ def execute_plan(
     ``on_result`` streams each route as the anytime search finalises it
     (executors for all-at-end methods like GSP ignore it — the service
     layer replays their results through the callback after the run).
-    The pre-PR-4 keyword style (``budget=``, ``strict_budget=``, ...)
-    still works through the deprecation shim.
     """
     from repro.core.engine import KOSRResult
 
-    options = merge_query_kwargs(options, legacy_kwargs, "execute_plan")
     if resources is None:
         resources = ColdResources(engine)
     stats = QueryStats(method=plan.method, profile=options.profile)

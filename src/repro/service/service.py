@@ -15,14 +15,9 @@ cold-equivalent accounting notes in :mod:`repro.service.cache`); only
 wall time changes.  The service-parity and interleaved-update fuzz tests
 pin this.
 
-``max_workers`` > 1 runs independent groups on a thread pool, each with
-its own session.  The one piece of shared mutable state — pending delta
-overlays on the inverted indexes, which cursor creation would fold in
-lazily — is patched once up front, so worker threads only ever read
-(and, under the per-index lock, decode) the engine's indexes.  Under
-CPython's GIL this does not parallelise the pure-Python search itself —
-it exists for the free-threaded/IO-bound deployments the ROADMAP points
-at — so the default stays sequential.
+Batches run sequentially over the service's one shared session, which
+maximises cross-group finder reuse; the concurrent workload path is
+:meth:`repro.server.async_service.AsyncQueryService.gather`.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import QueryOptions, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
 from repro.core.query import KOSRQuery
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.cache import SessionCache
@@ -78,8 +73,8 @@ class QueryService:
     ``max_dest_kernels`` / ``max_finders`` bound the session cache's two
     unbounded-within-an-epoch populations (per-target ``dis(·, t)``
     kernels and warm FindNN cursors) with LRU eviction; the limits also
-    apply to every session the service creates for threaded batches and
-    async group workers (see :meth:`new_session`).
+    apply to every session the service creates for async group workers
+    (see :meth:`new_session`).
     """
 
     def __init__(self, engine, max_dest_kernels: Optional[int] = None,
@@ -108,45 +103,20 @@ class QueryService:
     def run(
         self,
         q: KOSRQuery,
-        options: Optional[QueryOptions] = None,
-        *,
-        session: Optional[SessionCache] = None,
-        **legacy_kwargs,
-    ):
-        """Answer one query on the warm service path.
-
-        Identical request/response contract to ``KOSREngine.run`` (a
-        :class:`~repro.api.QueryOptions`, or the deprecated keyword shim)
-        except that finders, ``dis(·, t)`` kernels, the CH, and SK-DB's
-        index-file attachment are reused from the session cache when the
-        index epoch allows it.
-        """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run")
-        session = session if session is not None else self.session
-        session.validate()
-        result = execute_plan(
-            self.engine, self.plan(options.method, options.nn_backend), q,
-            options, resources=WarmResources(session),
-        )
-        metrics = _METRICS
-        if metrics is not None and metrics.enabled:
-            session.publish_metrics(metrics)
-        return result
-
-    def run_stream(
-        self,
-        q: KOSRQuery,
-        options: Optional[QueryOptions] = None,
+        options: QueryOptions = DEFAULT_OPTIONS,
         *,
         session: Optional[SessionCache] = None,
         on_route=None,
-        **legacy_kwargs,
     ):
-        """Answer one query, streaming routes as the search finalises them.
+        """Answer one query on the warm service path.
 
-        Same contract as :meth:`run`, plus ``on_route``: for the anytime
-        methods (KPNE/PK/SK/SK-NODOM/SK-DB) it fires with each
+        Identical request/response contract to ``KOSREngine.run`` except
+        that finders, ``dis(·, t)`` kernels, the CH, and SK-DB's
+        index-file attachment are reused from the session cache when the
+        index epoch allows it.
+
+        ``on_route`` streams the answer: for the anytime methods
+        (KPNE/PK/SK/SK-NODOM/SK-DB) it fires with each
         :class:`~repro.types.SequencedResult` the moment the search proves
         it final — before the next one is searched for.  All-at-end
         methods (the GSP family) have no incremental seam; their results
@@ -156,8 +126,7 @@ class QueryService:
         restoration (``options.restore_routes``) happens only after the
         run, so in-flight records carry the witness and cost.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run_stream")
+        require_options(options)
         session = session if session is not None else self.session
         session.validate()
         emitted = 0
@@ -196,57 +165,26 @@ class QueryService:
     def run_batch(
         self,
         queries: Sequence[KOSRQuery],
-        options: Optional[QueryOptions] = None,
-        *,
-        max_workers: Optional[int] = None,
-        **legacy_kwargs,
+        options: QueryOptions = DEFAULT_OPTIONS,
     ) -> BatchResult:
         """Execute a workload, sharing warm state between groupmates.
 
-        ``options`` applies to every query of the batch (deprecated
-        keyword shim as elsewhere).  Results come back aligned with the
-        input order regardless of the grouping.  With ``max_workers`` > 1
-        independent groups run concurrently, each on its own isolated
-        session; the default is sequential execution over one shared
-        session, which maximises cross-group finder reuse.
+        ``options`` applies to every query of the batch.  Groups run one
+        after another over the service's shared session; results come
+        back aligned with the input order regardless of the grouping.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run_batch")
         queries = list(queries)
         groups = self.group_queries(queries)
         results: List = [None] * len(queries)
         t0 = time.perf_counter()
-
-        def run_group(indexes: List[int], session: SessionCache) -> None:
+        before = self.session.stats.as_dict()
+        for indexes in groups.values():
             for i in indexes:
-                results[i] = self.run(queries[i], options, session=session)
-
-        if max_workers is not None and max_workers > 1 and len(groups) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # Fold pending delta overlays in *before* spawning workers:
-            # cursors patch dirty hub runs lazily at creation, which
-            # repoints the engine's shared slice maps — safe
-            # sequentially, a data race across threads.  The fold is
-            # purely physical (no epoch change, identical results).
-            self._fold_pending_overlays()
-            sessions = [self.new_session() for _ in groups]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(run_group, indexes, session)
-                    for indexes, session in zip(groups.values(), sessions)
-                ]
-                for f in futures:
-                    f.result()
-            cache_stats = self._sum_cache_stats(sessions)
-        else:
-            before = self.session.stats.as_dict()
-            for indexes in groups.values():
-                run_group(indexes, self.session)
-            # Session stats accumulate across batches; report this
-            # batch's contribution so BatchResult stands on its own.
-            cache_stats = {name: value - before[name] for name, value
-                           in self.session.stats.as_dict().items()}
+                results[i] = self.run(queries[i], options)
+        # Session stats accumulate across batches; report this batch's
+        # contribution so BatchResult stands on its own.
+        cache_stats = {name: value - before[name] for name, value
+                       in self.session.stats.as_dict().items()}
         return BatchResult(
             results=results,
             wall_time_s=time.perf_counter() - t0,
@@ -287,12 +225,3 @@ class QueryService:
             "epoch_base": engine.epoch_base,
             "category_versions": engine.category_versions(),
         }
-
-    @staticmethod
-    def _sum_cache_stats(sessions: Sequence[SessionCache]) -> Dict[str, int]:
-        """Aggregate per-worker session counters (threaded batches)."""
-        total: Dict[str, int] = {}
-        for session in sessions:
-            for name, value in session.stats.as_dict().items():
-                total[name] = total.get(name, 0) + value
-        return total

@@ -10,10 +10,9 @@ declared needs, fanning out and merging top-k candidate lists when a
 request's category set spans shards.
 
 Because workers are separate processes, this is the layer that makes the
-serving stack truly parallel on stock CPython: the thread-pool paths
-(``run_batch(max_workers=...)``, ``AsyncQueryService``) overlap only
-IO/allocation under the GIL, while shards overlap the pure-Python search
-itself — one core per shard.
+serving stack truly parallel on stock CPython: the thread-pool path
+(``AsyncQueryService``) overlaps only IO/allocation under the GIL, while
+shards overlap the pure-Python search itself — one core per shard.
 
 Contract highlights (pinned by ``tests/test_sharded.py``):
 
@@ -50,8 +49,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest, \
-    merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest
 from repro.core.query import KOSRQuery, make_query
 from repro.exceptions import QueryError, ShardError
 from repro.labeling.assembly import assemble_index
@@ -453,23 +451,31 @@ class ShardedQueryService:
 
     def run(self, request: Union[QueryRequest, KOSRQuery],
             options: Optional[QueryOptions] = None, *,
-            session=None, **legacy_kwargs):
+            session=None, on_route=None):
         """Answer one request; returns a ``KOSRResult``.
 
-        Accepts a :class:`QueryRequest` or a bare query plus ``options``
-        (deprecated keyword shim as elsewhere).  ``session`` is accepted
-        for :class:`QueryService` signature compatibility and ignored —
-        warm state lives in the workers' own sessions.
+        Accepts a :class:`QueryRequest` or a bare query plus ``options``.
+        ``session`` is accepted for :class:`QueryService` signature
+        compatibility and ignored — warm state lives in the workers' own
+        sessions.
+
+        ``on_route`` streams the answer.  Single-owner requests stream
+        *live*: the worker emits one interim pipe frame per discovered
+        route ahead of its final reply, and the callback fires (on the
+        calling thread) as each frame arrives — while the worker's search
+        is still running.  Spanning requests cannot know the merged top-k
+        until every owner has answered, so their routes replay through
+        the callback after the merge.
         """
         if isinstance(request, QueryRequest):
             query, opts = request.query, request.options
-            if options is not None or legacy_kwargs:
+            if options is not None:
                 raise TypeError("pass options inside the QueryRequest")
         else:
             query = request
-            opts = merge_query_kwargs(options, legacy_kwargs,
-                                      "ShardedQueryService.run")
-        return self._run_resolved(query, opts, self.owners_for(query, opts))
+            opts = options if options is not None else DEFAULT_OPTIONS
+        return self._run_resolved(query, opts, self.owners_for(query, opts),
+                                  on_route)
 
     def _ensure_fanout_pool(self):
         """The persistent dispatch pool for fan-out and broadcasts.
@@ -489,13 +495,15 @@ class ShardedQueryService:
         return self._fanout_pool
 
     def _run_resolved(self, query: KOSRQuery, opts: QueryOptions,
-                      owners: List[int]):
+                      owners: List[int], on_route=None):
         """Dispatch a query whose owning shard(s) are already resolved."""
         if self._diverged is not None:
             raise ShardError(-1, self._diverged)
-        msg = ("query", query, opts)
         if len(owners) == 1:
-            return self._dispatch(owners[0], msg)
+            kind = "query" if on_route is None else "stream"
+            return self._dispatch(owners[0], (kind, query, opts),
+                                  on_route=on_route)
+        msg = ("query", query, opts)
         metrics = _METRICS
         if metrics.enabled:
             metrics.counter("repro_shard_spanning_requests_total").inc()
@@ -511,59 +519,22 @@ class ShardedQueryService:
                    for shard in owners[1:]]
         partials = [self._dispatch(owners[0], msg)]
         partials += [f.result() for f in futures]
-        return merge_topk_results(query, partials)
-
-    def run_stream(self, request: Union[QueryRequest, KOSRQuery],
-                   options: Optional[QueryOptions] = None, *,
-                   session=None, on_route=None, **legacy_kwargs):
-        """Answer one request, streaming routes as the worker surfaces them.
-
-        Single-owner requests stream *live*: the worker emits one interim
-        pipe frame per discovered route ahead of its final reply, and
-        ``on_route`` fires (on the calling thread) as each frame arrives —
-        while the worker's search is still running.  Spanning requests
-        cannot know the merged top-k until every owner has answered, so
-        their routes replay through the callback after the merge.
-        ``session`` is accepted for :class:`QueryService` signature
-        compatibility and ignored.
-        """
-        if isinstance(request, QueryRequest):
-            query, opts = request.query, request.options
-            if options is not None or legacy_kwargs:
-                raise TypeError("pass options inside the QueryRequest")
-        else:
-            query = request
-            opts = merge_query_kwargs(options, legacy_kwargs,
-                                      "ShardedQueryService.run_stream")
-        owners = self.owners_for(query, opts)
-        if on_route is None:
-            return self._run_resolved(query, opts, owners)
-        if len(owners) > 1:
-            result = self._run_resolved(query, opts, owners)
+        result = merge_topk_results(query, partials)
+        if on_route is not None:
             for res in result.results:
                 on_route(res)
-            return result
-        if self._diverged is not None:
-            raise ShardError(-1, self._diverged)
-        return self._dispatch(owners[0], ("stream", query, opts),
-                              on_route=on_route)
+        return result
 
     def run_batch(self, queries: Sequence[KOSRQuery],
-                  options: Optional[QueryOptions] = None, *,
-                  max_workers: Optional[int] = None,
-                  **legacy_kwargs) -> BatchResult:
+                  options: QueryOptions = DEFAULT_OPTIONS) -> BatchResult:
         """Execute a workload across the shards; results in input order.
 
         Queries are bucketed by primary owner and each bucket runs on its
         own dispatch thread — true multi-core parallelism, since each
         bucket's work happens in a separate worker process.
-        ``max_workers`` is accepted for :class:`QueryService` signature
-        compatibility; the parallelism is the shard count.
         ``cache_stats`` reports this batch's contribution summed over the
         workers' sessions, like the unsharded batch path.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "ShardedQueryService.run_batch")
         queries = list(queries)
         # Ownership is resolved exactly once per query: the bucket both
         # places the query on a dispatch thread and is what executes it

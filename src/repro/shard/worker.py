@@ -179,21 +179,15 @@ class _ShardWorker:
                 overlay_ratio=engine._overlay_ratio,
                 index_file=index_file).inverted)
 
-    def run_query(self, query: KOSRQuery, options: QueryOptions):
+    def run_query(self, query: KOSRQuery, options: QueryOptions,
+                  on_route=None):
+        """Answer one query, streaming each route via ``on_route`` when
+        given (the message loop turns those into interim pipe frames)."""
         if options.nn_backend == "label":
             plan = self.service.plan(options.method, options.nn_backend)
             if plan.spec.needs_finder:
                 self.ensure_categories(query.categories)
-        return self.service.run(query, options)
-
-    def run_stream(self, query: KOSRQuery, options: QueryOptions, on_route):
-        """Like :meth:`run_query`, streaming each route via ``on_route``
-        (the message loop turns those into interim pipe frames)."""
-        if options.nn_backend == "label":
-            plan = self.service.plan(options.method, options.nn_backend)
-            if plan.spec.needs_finder:
-                self.ensure_categories(query.categories)
-        return self.service.run_stream(query, options, on_route=on_route)
+        return self.service.run(query, options, on_route=on_route)
 
     def metrics_snapshot(self) -> dict:
         """This worker's registry snapshot, gauges freshly sampled.
@@ -441,15 +435,16 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
 
     Messages are ``(kind, seq, *args)`` and every one is answered exactly
     once with ``("ok", seq, payload)`` or ``("err", seq, exception)``.
-    A ``"stream"`` query additionally sends zero or more interim
-    ``("route", seq, SequencedResult)`` frames *before* its final
-    ``("ok", ...)`` — the parent surfaces each one as it arrives, which
-    is how a streamed route reaches the client while the worker's search
-    is still running.  The echoed sequence number lets the parent discard
-    a reply whose exchange it already abandoned (request timeout), so a
-    slow response can never be mistaken for the answer to a *later*
-    request.  Only ``"shutdown"``, a closed pipe, a dead parent, or an
-    interrupt ends the loop — a failed query never kills the worker.
+    A ``"stream"`` message is a ``"query"`` that additionally sends zero
+    or more interim ``("route", seq, SequencedResult)`` frames *before*
+    its final ``("ok", ...)`` — the parent surfaces each one as it
+    arrives, which is how a streamed route reaches the client while the
+    worker's search is still running.  The echoed sequence number lets
+    the parent discard a reply whose exchange it already abandoned
+    (request timeout), so a slow response can never be mistaken for the
+    answer to a *later* request.  Only ``"shutdown"``, a closed pipe, a
+    dead parent, or an interrupt ends the loop — a failed query never
+    kills the worker.
 
     ``metrics_enabled`` turns this process's metrics registry on at
     startup (the spawn-time hand-off of the parent's enable state — under
@@ -491,17 +486,15 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
             return
         _maybe_fault(fault, kind, "before")
         try:
-            if kind == "query":
+            if kind in ("query", "stream"):
                 query, options = msg[2:]
-                reply = ("ok", seq, worker.run_query(query, options))
-            elif kind == "stream":
-                query, options = msg[2:]
+                send_route = None
+                if kind == "stream":
+                    def send_route(res, _seq=seq):
+                        pipe_send(conn, ("route", _seq, res))
 
-                def _send_route(res, _seq=seq):
-                    pipe_send(conn, ("route", _seq, res))
-
-                reply = ("ok", seq, worker.run_stream(query, options,
-                                                      _send_route))
+                reply = ("ok", seq, worker.run_query(query, options,
+                                                     send_route))
             elif kind == "metrics":
                 reply = ("ok", seq, worker.metrics_snapshot())
             elif kind == "update":

@@ -1,11 +1,11 @@
-"""The typed request/response API: QueryOptions, QueryRequest, shims.
+"""The typed request/response API: QueryOptions, QueryRequest.
 
 Pins the PR 4 redesign contracts:
 
 * options are frozen value objects with the defaults defined once;
-* every entry point accepts ``options=`` and produces identical results
-  to the deprecated keyword style (which must warn, exactly once per
-  call site, and reject unknown keywords);
+* every entry point takes the options object and nothing else: the old
+  keyword style is Python's own ``TypeError``, and no options means
+  ``DEFAULT_OPTIONS``;
 * the historical ``engine.query`` drift — ``strict_budget`` silently
   dropped on the way to ``run`` — is fixed and structurally impossible
   (both paths build the same ``QueryOptions``);
@@ -26,8 +26,10 @@ from repro import (
     QueryService,
     make_query,
 )
-from repro.api import DEFAULT_OPTIONS, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS
 from repro.exceptions import QueryError
+from repro.service.execution import execute_plan
+from repro.shard import ShardedQueryService
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 
@@ -99,20 +101,48 @@ class TestQueryRequest:
         assert QueryRequest(q).group_key in groups
 
 
-class TestKwargsShim:
-    def test_run_kwargs_warn_and_match_options_path(self, engine):
-        q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        with pytest.warns(DeprecationWarning, match="KOSREngine.run"):
-            legacy = engine.run(q, method="PK", budget=1000)
-        typed = engine.run(q, QueryOptions(method="PK", budget=1000))
-        assert_same_outcome(legacy, typed)
+@pytest.fixture(scope="module")
+def entry_points(engine):
+    """Every query entry point, closed over one query: ``call(*options)``."""
+    q = make_query(engine.graph, 0, 30, [0, 1], k=2)
+    service = QueryService(engine)
+    plan = DEFAULT_OPTIONS.plan_for()
+    with ShardedQueryService.from_engine(engine, 2) as fleet:
+        yield {
+            "KOSREngine.run":
+                lambda *a, **kw: engine.run(q, *a, **kw),
+            "execute_plan":
+                lambda *a, **kw: execute_plan(engine, plan, q, *a, **kw),
+            "QueryService.run":
+                lambda *a, **kw: service.run(q, *a, **kw),
+            "QueryService.run_batch":
+                lambda *a, **kw: service.run_batch([q], *a, **kw).results[0],
+            "ShardedQueryService.run":
+                lambda *a, **kw: fleet.run(q, *a, **kw),
+            "ShardedQueryService.run_batch":
+                lambda *a, **kw: fleet.run_batch([q], *a, **kw).results[0],
+        }
+
+
+class TestOneCallingConvention:
+    @pytest.mark.parametrize("name", [
+        "KOSREngine.run", "execute_plan",
+        "QueryService.run", "QueryService.run_batch",
+        "ShardedQueryService.run", "ShardedQueryService.run_batch"])
+    def test_options_object_or_nothing(self, entry_points, name):
+        call = entry_points[name]
+        for legacy in ({"method": "PK"}, {"budget": 1},
+                       {"strict_budget": True}, {"max_workers": 2}):
+            with pytest.raises(TypeError, match=next(iter(legacy))):
+                call(**legacy)
+        assert_same_outcome(call(), call(DEFAULT_OPTIONS))
 
     def test_options_path_does_not_warn(self, engine):
         q = make_query(engine.graph, 0, 30, [0], k=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             engine.run(q, QueryOptions())
-            engine.query(0, 30, [0], k=1, method="PK")  # sugar, not a shim
+            engine.query(0, 30, [0], k=1, method="PK")  # keyword sugar stays
             engine.service.run(q, QueryOptions())
 
     def test_unknown_keyword_rejected(self, engine):
@@ -128,35 +158,12 @@ class TestKwargsShim:
         with pytest.raises(TypeError, match="QueryOptions"):
             engine.service.run(q, "PK")
 
-    def test_service_shims(self, engine):
-        q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service = QueryService(engine)
-        with pytest.warns(DeprecationWarning, match="QueryService.run"):
-            legacy = service.run(q, method="SK")
-        typed = service.run(q, QueryOptions())
-        assert_same_outcome(legacy, typed)
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            batch = service.run_batch([q], method="SK")
-        assert_same_outcome(batch.results[0],
-                            service.run_batch([q], QueryOptions()).results[0])
-
-    def test_kwargs_layer_over_explicit_options(self, engine):
-        q = make_query(engine.graph, 0, 30, [0], k=1)
-        with pytest.warns(DeprecationWarning):
-            result = engine.run(q, QueryOptions(method="PK"), budget=500)
-        assert result.stats.method == "PK"  # base option survives the merge
-
     def test_query_keywords_layer_over_options_too(self, engine):
         """query(..., options=..., budget=1) must not drop the keyword."""
         with pytest.raises(BudgetExceededError):
             engine.query(0, engine.graph.num_vertices - 1, [0, 1, 2], k=3,
                          budget=1, strict_budget=True,
                          options=QueryOptions(method="KPNE"))
-
-    def test_merge_helper_returns_defaults(self):
-        assert merge_query_kwargs(None, {}, "x") is DEFAULT_OPTIONS
-        opts = QueryOptions(method="PK")
-        assert merge_query_kwargs(opts, {}, "x") is opts
 
 
 class TestStrictBudgetDriftFix:

@@ -147,7 +147,7 @@ class TestBackpressure:
             front = AsyncQueryService(engine.service, max_inflight=1,
                                       max_queue=2)
             real = front._execute
-            front._execute = lambda req, sess: (gate.wait(10), real(req, sess))[1]
+            front._execute = lambda *args: (gate.wait(10), real(*args))[1]
             tasks = [asyncio.ensure_future(front.submit(QueryRequest(q)))
                      for q in queries]
             # Let every submit run its admission section while the first
@@ -218,8 +218,8 @@ class TestBackpressure:
             front = AsyncQueryService(engine.service, max_inflight=1,
                                       max_groups=1)
             real = front._execute
-            front._execute = lambda req, sess: (gate.wait(10),
-                                                real(req, sess))[1]
+            front._execute = lambda *args: (gate.wait(10),
+                                            real(*args))[1]
             first = asyncio.ensure_future(front.submit(
                 QueryRequest(make_query(g, 0, 25, [0, 1], k=1))))
             for _ in range(5):
@@ -321,7 +321,12 @@ class TestInterleavedUpdateParity:
                 outsider = next(v for v in range(g.num_vertices)
                                 if not g.has_category(v, 0))
                 engine.add_vertex_to_category(outsider, 0)
+                assert engine.inverted[0].dirty
                 after = await front.gather(queries)
+                # The barrier folded the pending overlay on the loop
+                # thread before any pool thread created a cursor.
+                assert front.stats.overlay_folds >= 1
+                assert not engine.inverted[0].dirty
                 return before, after
 
         before, after = asyncio.run(scenario())

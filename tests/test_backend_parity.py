@@ -13,13 +13,15 @@ import random
 import pytest
 
 from conftest import reference_engine
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.inverted import build_inverted_index
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import build_packed_inverted_index
 from repro.labeling.pll import build_pruned_landmark_labels
+
+SK = QueryOptions(method="SK")
 
 #: methods that exercise the NN-oracle stack (GSP/GSP-CH are graph-only)
 PAIR_METHODS = ("KPNE", "PK", "SK", "SK-NODOM")
@@ -77,8 +79,8 @@ class TestQueryParity:
             t = rng.randrange(g.num_vertices)
             cats = rng.sample(range(g.num_categories), 2)
             q = make_query(g, s, t, cats, k=4)
-            a = packed.run(q, method=method)
-            b = obj.run(q, method=method)
+            a = packed.run(q, QueryOptions(method=method))
+            b = obj.run(q, QueryOptions(method=method))
             assert a.witnesses == b.witnesses
             assert a.costs == pytest.approx(b.costs)
             assert a.stats.examined_routes == b.stats.examined_routes
@@ -91,24 +93,23 @@ class TestQueryParity:
         """Profiling must not change answers on either engine."""
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        base = obj.run(q, method="SK")
+        base = obj.run(q, SK)
         for engine in (packed, obj):
-            profiled = engine.run(q, method="SK", profile=True)
+            profiled = engine.run(q, QueryOptions(method="SK", profile=True))
             assert profiled.witnesses == base.witnesses
             assert profiled.stats.nn_queries == base.stats.nn_queries
 
     def test_gsp_unaffected_by_index(self, engines):
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=1)
-        assert packed.run(q, method="GSP").costs == pytest.approx(
-            obj.run(q, method="GSP").costs
-        )
+        gsp = QueryOptions(method="GSP")
+        assert packed.run(q, gsp).costs == pytest.approx(obj.run(q, gsp).costs)
 
     def test_route_restoration_identical(self, engines):
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        a = packed.run(q, method="SK", restore_routes=True)
-        b = obj.run(q, method="SK", restore_routes=True)
+        a = packed.run(q, QueryOptions(method="SK", restore_routes=True))
+        b = obj.run(q, QueryOptions(method="SK", restore_routes=True))
         for ra, rb in zip(a.results, b.results):
             assert (ra.route is None) == (rb.route is None)
             if ra.route is not None:
@@ -120,15 +121,16 @@ class TestQueryParity:
         g, packed, _ = engines
         packed.save_index(tmp_path / "index.rpli")
         q = make_query(g, 0, g.num_vertices - 1, [0, 1, 2], k=3)
-        assert packed.run(q, method="SK-DB").costs == pytest.approx(
-            packed.run(q, method="SK").costs
-        )
+        sk_db = packed.run(q, QueryOptions(method="SK-DB"))
+        assert sk_db.costs == pytest.approx(packed.run(q, SK).costs)
 
     def test_dij_backend_matches_label_on_packed_engine(self, engines):
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        assert packed.run(q, method="PK", nn_backend="dij-restart").costs == \
-            pytest.approx(packed.run(q, method="PK").costs)
+        dij = packed.run(
+            q, QueryOptions(method="PK", nn_backend="dij-restart"))
+        label = packed.run(q, QueryOptions(method="PK"))
+        assert dij.costs == pytest.approx(label.costs)
 
 
 class TestPackedInvertedParity:
@@ -203,38 +205,39 @@ class TestServicePathParity:
     def test_batch_matches_fresh_engines(self, engines, method):
         g, packed, _ = engines
         queries = self._workload(g, random.Random(29))
-        batch = packed.service.run_batch(queries, method=method)
+        options = QueryOptions(method=method)
+        batch = packed.service.run_batch(queries, options)
         assert len(batch) == len(queries)
         for q, warm in zip(queries, batch):
-            assert_same_outcome(warm,
-                                reference_engine(g).run(q, method=method))
+            assert_same_outcome(warm, reference_engine(g).run(q, options))
 
     def test_batch_sk_db_matches_fresh_engines(self, engines, tmp_path):
         g, packed, _ = engines
         packed.save_index(tmp_path / "index.rpli")
         queries = self._workload(g, random.Random(31), n_targets=2)
-        batch = packed.service.run_batch(queries, method="SK-DB")
+        sk_db = QueryOptions(method="SK-DB")
+        batch = packed.service.run_batch(queries, sk_db)
         for q, warm in zip(queries, batch):
             fresh = KOSREngine.build(g)
             fresh._store = packed._store
-            assert_same_outcome(warm, fresh.run(q, method="SK-DB"))
+            assert_same_outcome(warm, fresh.run(q, sk_db))
 
     def test_gsp_via_service(self, engines):
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=1)
         for method in ("GSP", "GSP-CH"):
-            warm = packed.service.run(q, method=method)
-            cold = packed.run(q, method=method)
+            warm = packed.service.run(q, QueryOptions(method=method))
+            cold = packed.run(q, QueryOptions(method=method))
             assert warm.costs == pytest.approx(cold.costs)
 
     def test_repeated_warm_queries_report_cold_counters(self, engines):
         """The Nth identical warm query books the same counters as the 1st."""
         g, packed, _ = engines
         q = make_query(g, 1, g.num_vertices - 2, [0, 1], k=4)
-        cold = packed.run(q, method="SK")
+        cold = packed.run(q, SK)
         service = packed.service
         for _ in range(3):
-            assert_same_outcome(service.run(q, method="SK"), cold)
+            assert_same_outcome(service.run(q, SK), cold)
 
     def test_first_admitting_and_warm_request_of_a_group(self, engines):
         """Request 1 only marks its FindNEN streams, request 2 produces
@@ -250,8 +253,8 @@ class TestServicePathParity:
         for source in (1, 1, 1, 4, 4, 1, 9):
             q = make_query(g, source, t, cats, k=4)
             before = session.stats.as_dict()
-            warm = service.run(q, method="SK")
-            assert_same_outcome(warm, reference_engine(g).run(q, method="SK"))
+            warm = service.run(q, SK)
+            assert_same_outcome(warm, reference_engine(g).run(q, SK))
             after = session.stats.as_dict()
             hits = after["est_stream_hits"] - before["est_stream_hits"]
             misses = after["est_stream_misses"] - before["est_stream_misses"]
@@ -277,8 +280,8 @@ class TestServicePathParity:
                    for s in (2, 5) for t in (g.num_vertices - 1, 8)]
         for _ in range(3):
             for q in queries:
-                assert_same_outcome(service.run(q, method="SK"),
-                                    reference_engine(g).run(q, method="SK"))
+                assert_same_outcome(service.run(q, SK),
+                                    reference_engine(g).run(q, SK))
         assert service.session.populations()["dest_kernels"] == 2
         assert service.session.stats.est_stream_hits > 0
 
@@ -292,7 +295,7 @@ class TestServicePathParity:
         service = QueryService(packed)
         q = make_query(g, 3, g.num_vertices - 2, (0, 2, 1), k=5)
         for _ in range(3):
-            full = service.run(q, method="SK")
+            full = service.run(q, SK)
         assert service.session.stats.est_stream_hits > 0
         assert full.stats.examined_routes > 13
         for budget in (0, 1, 2, 3, 5, 8, 13, full.stats.examined_routes):
@@ -307,68 +310,30 @@ class TestServicePathParity:
     def test_profile_mode_on_the_service_path(self, engines):
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        cold = packed.run(q, method="SK", profile=True)
-        warm = packed.service.run(q, method="SK", profile=True)
+        cold = packed.run(q, QueryOptions(method="SK", profile=True))
+        warm = packed.service.run(q, QueryOptions(method="SK", profile=True))
         assert_same_outcome(warm, cold)
 
     def test_batch_restores_routes(self, engines):
         g, packed, _ = engines
         queries = [make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)]
-        batch = packed.service.run_batch(queries, method="SK",
-                                         restore_routes=True)
-        cold = packed.run(queries[0], method="SK", restore_routes=True)
+        options = QueryOptions(method="SK", restore_routes=True)
+        batch = packed.service.run_batch(queries, options)
+        cold = packed.run(queries[0], options)
         for warm_item, cold_item in zip(batch.results[0].results, cold.results):
             assert (warm_item.route is None) == (cold_item.route is None)
             if warm_item.route is not None:
                 assert warm_item.route.vertices == cold_item.route.vertices
 
-    def test_threaded_batch_matches_sequential(self, engines):
-        g, packed, _ = engines
-        queries = self._workload(g, random.Random(37))
-        sequential = packed.service.run_batch(queries, method="SK")
-        from repro.service import QueryService
-
-        threaded = QueryService(packed).run_batch(queries, method="SK",
-                                                  max_workers=2)
-        for a, b in zip(sequential, threaded):
-            assert_same_outcome(a, b)
-        # threaded cache stats aggregate the per-worker sessions
-        assert threaded.cache_stats["finder_misses"] >= 1
-        assert threaded.cache_stats["finder_hits"] >= 1
-
-    def test_threaded_batch_with_dirty_overlays(self):
-        """Pending overlay deltas are folded before workers spawn.
-
-        Lazy cursor-time patching repoints the shared slice maps, so
-        a threaded batch over a dirty index must pre-patch (and still
-        answer exactly like fresh engines).
-        """
-        from repro.service import QueryService
-
-        g = _graph(41)
-        engine = KOSREngine.build(g)
-        outsider = next(v for v in range(g.num_vertices)
-                        if not g.has_category(v, 0))
-        engine.add_vertex_to_category(outsider, 0)
-        assert engine.inverted[0].dirty
-        rng = random.Random(43)
-        queries = [make_query(g, rng.randrange(g.num_vertices), t, [0, 1], k=3)
-                   for t in rng.sample(range(g.num_vertices), 4)
-                   for _ in range(2)]
-        threaded = QueryService(engine).run_batch(queries, method="SK",
-                                                  max_workers=3)
-        assert not engine.inverted[0].dirty  # folded up front
-        for q, warm in zip(queries, threaded):
-            assert_same_outcome(warm, reference_engine(g).run(q, method="SK"))
-
     def test_dij_backends_stay_cold_on_service_path(self, engines):
         """Dijkstra comparators are rebuilt per query even when warm."""
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        cold = packed.run(q, method="PK", nn_backend="dij-restart")
+        options = QueryOptions(method="PK", nn_backend="dij-restart")
+        cold = packed.run(q, options)
         service = packed.service
         for _ in range(2):
-            warm = service.run(q, method="PK", nn_backend="dij-restart")
+            warm = service.run(q, options)
             assert_same_outcome(warm, cold)
 
 
@@ -391,8 +356,8 @@ class TestPostUpdateParity:
             cats = rng.sample(range(g.num_categories), 2)
             for method in ("SK", "PK"):
                 q = make_query(g, s, t, cats, k=3)
-                assert_same_outcome(packed.run(q, method=method),
-                                    ref.run(q, method=method))
+                assert_same_outcome(packed.run(q, QueryOptions(method=method)),
+                                    ref.run(q, QueryOptions(method=method)))
         return ref
 
     def test_parity_after_category_insert_and_remove(self):
@@ -427,9 +392,9 @@ class TestPostUpdateParity:
                         if not g.has_category(v, 0))
         packed.add_vertex_to_category(outsider, 0)
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        before = packed.run(q, method="SK")
+        before = packed.run(q, SK)
         packed.compact()
-        after = packed.run(q, method="SK")
+        after = packed.run(q, SK)
         assert before.witnesses == after.witnesses
         assert before.costs == after.costs
         assert not packed.inverted[0].dirty
@@ -445,11 +410,11 @@ class TestPostUpdateParity:
         packed.add_vertex_to_category(outsider, 0)
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
         with pytest.raises(QueryError, match="save_index"):
-            packed.run(q, method="SK-DB")
+            packed.run(q, QueryOptions(method="SK-DB"))
         # re-saving refreshes the file with the updated indexes
         packed.save_index(tmp_path / "index.rpli")
-        assert packed.run(q, method="SK-DB").costs == \
-            pytest.approx(packed.run(q, method="SK").costs)
+        assert packed.run(q, QueryOptions(method="SK-DB")).costs == \
+            pytest.approx(packed.run(q, SK).costs)
 
     def test_overlay_ratio_survives_edge_update(self):
         g = _graph(85)

@@ -178,16 +178,16 @@ class TestBatchCommand:
             main(["batch", "--graph", fig1_file, "--workload", wl])
         assert "best" not in capsys.readouterr().out  # nothing executed
 
-    def test_batch_threaded(self, fig1_file, tmp_path, capsys):
-        s, t = vertex("s"), vertex("t")
+    def test_batch_max_workers_flag_is_gone(self, fig1_file, tmp_path):
+        """`async-batch` is the concurrent workload path."""
         wl = self._workload(tmp_path, [
-            {"source": s, "target": t, "categories": [0, 1], "k": 2},
-            {"source": s, "target": t, "categories": [1, 2], "k": 2},
+            {"source": vertex("s"), "target": vertex("t"),
+             "categories": [0, 1], "k": 2},
         ])
-        code = main(["batch", "--graph", fig1_file, "--workload", wl,
-                     "--max-workers", "2"])
-        assert code == 0
-        assert "2 groups" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--graph", fig1_file, "--workload", wl,
+                  "--max-workers", "2"])
+        assert exit_info.value.code == 2
 
     def test_batch_cache_stats_report(self, fig1_file, tmp_path, capsys):
         s, t = vertex("s"), vertex("t")

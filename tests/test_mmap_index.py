@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from conftest import reference_engine
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -31,6 +31,8 @@ from repro.labeling.packed_inverted import (
     build_packed_inverted_index,
 )
 from test_backend_parity import assert_same_outcome
+
+SK = QueryOptions(method="SK")
 
 
 def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 6):
@@ -246,8 +248,9 @@ class TestAttachedEngine:
                 s, t = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
                 q = make_query(g, s, t, rng.sample(range(2), 2) + [2], k=3)
                 for method in ("SK", "PK", "KPNE"):
-                    assert_same_outcome(engine.run(q, method=method),
-                                        ref.run(q, method=method))
+                    options = QueryOptions(method=method)
+                    assert_same_outcome(engine.run(q, options),
+                                        ref.run(q, options))
 
         added_to, removed_from = 0, 1
         il_added, il_removed = engine.inverted[0], engine.inverted[1]
@@ -314,8 +317,8 @@ class TestAttachedEngine:
         assert engine._index_file is None
         assert index_file._mm.closed  # mapping released, not just forgotten
         q = make_query(g, 1, g.num_vertices - 2, [0, 1], k=3)
-        assert_same_outcome(engine.run(q, method="SK"),
-                            reference_engine(g).run(q, method="SK"))
+        assert_same_outcome(engine.run(q, SK),
+                            reference_engine(g).run(q, SK))
 
     def test_concurrent_first_touch_decode_matches_serial(self, built):
         """Threads racing to decode one category's runs (the decode lock).
@@ -372,8 +375,8 @@ class TestAttachedEngine:
             cats = rng.sample(range(g.num_categories), rng.choice((1, 2)))
             q = make_query(g, s, t, cats, k=3)
             for method in ("SK", "PK", "KPNE"):
-                a = attached.run(q, method=method)
-                b = builder.run(q, method=method)
+                a = attached.run(q, QueryOptions(method=method))
+                b = builder.run(q, QueryOptions(method=method))
                 assert a.witnesses == b.witnesses
                 assert a.costs == pytest.approx(b.costs)
                 assert a.stats.nn_queries == b.stats.nn_queries
@@ -420,7 +423,7 @@ class TestMemoryAccounting:
         engine = KOSREngine.from_index_file(g, path)
         before = engine.index_memory()["total_resident"]
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        engine.run(q, method="SK")
+        engine.run(q, SK)
         after = engine.index_memory()
         assert after["total_resident"] >= before
         assert after["shared"] is True  # decode never flips to private
@@ -440,7 +443,7 @@ class TestMmapFleet:
             s, t = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
             cats = rng.sample(range(g.num_categories), 2)
             queries.append((s, t, cats))
-        expected = [engine.run(make_query(g, s, t, cats, k=3), method="SK")
+        expected = [engine.run(make_query(g, s, t, cats, k=3), SK)
                     for s, t, cats in queries]
         return g, engine, queries, expected
 
@@ -495,7 +498,7 @@ class TestMmapFleet:
             reference = KOSREngine.build(g)
             q = service.make_query(0, g.num_vertices - 1, [0, 1], k=3)
             got = service.run(q)
-            want = reference.run(q, method="SK")
+            want = reference.run(q, SK)
             assert got.witnesses == want.witnesses
             assert got.costs == pytest.approx(want.costs)
             assert got.stats.nn_queries == want.stats.nn_queries

@@ -222,8 +222,8 @@ class TestParityUnderInstrumentation:
         engine = KOSREngine.build(g)
         q = make_query(g, 0, 30, [0, 1], k=3)
         streamed = []
-        result = engine.service.run_stream(q, QueryOptions(),
-                                           on_route=streamed.append)
+        result = engine.service.run(q, QueryOptions(),
+                                    on_route=streamed.append)
         REGISTRY.disable()
         assert_same_outcome(result, KOSREngine.build(g).run(q))
         assert streamed == list(result.results)

@@ -15,7 +15,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.packed import PackedLabelIndex
@@ -117,11 +117,11 @@ def test_compact_is_noop_on_query_results(ops, seed):
         cats = rng.sample(range(N_CATEGORIES), 2)
         queries.append(make_query(g, rng.randrange(N_VERTICES),
                                   rng.randrange(N_VERTICES), cats, k=3))
-    before = [engine.run(q, method="SK") for q in queries]
+    before = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     engine.compact()
     for il in engine.inverted.values():
         assert not il.dirty
-    after = [engine.run(q, method="SK") for q in queries]
+    after = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     for a, b in zip(before, after):
         assert a.witnesses == b.witnesses
         assert a.costs == b.costs

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr
+from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.ch import build_ch, ch_distance
 from repro.graph import Graph
 from repro.labeling import build_inverted_indexes, build_pruned_landmark_labels
 from repro.nn import EstimatedNNFinder, LabelNNFinder
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
+
+SK = QueryOptions(method="SK")
 
 SETTINGS = settings(
     max_examples=25,
@@ -159,7 +161,7 @@ class TestKOSRProperties:
                       rng.randrange(g.num_vertices), (0, 1), k)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ("KPNE", "PK", "SK", "SK-NODOM"):
-            got = engine.run(q, method=method).costs
+            got = engine.run(q, QueryOptions(method=method)).costs
             assert got == pytest.approx(expected), method
 
     @SETTINGS
@@ -169,7 +171,7 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0,), 5)
-        res = engine.run(q, method="SK")
+        res = engine.run(q, SK)
         costs = res.costs
         assert costs == sorted(costs)
         for witness in res.witnesses:
@@ -184,8 +186,8 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 2)
-        pk = engine.run(q, method="PK")
-        sk = engine.run(q, method="SK")
+        pk = engine.run(q, QueryOptions(method="PK"))
+        sk = engine.run(q, SK)
         assert sk.costs == pytest.approx(pk.costs)
 
     @SETTINGS
@@ -195,6 +197,6 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 1)
-        sk = engine.run(q, method="SK").costs
-        gsp = engine.run(q, method="GSP").costs
+        sk = engine.run(q, SK).costs
+        gsp = engine.run(q, QueryOptions(method="GSP")).costs
         assert gsp == pytest.approx(sk)

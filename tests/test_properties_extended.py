@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr
+from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.graph import Graph
 from repro.labeling import (
     PackedLabelIndex,
@@ -16,6 +16,8 @@ from repro.labeling import (
 )
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
+
+SK = QueryOptions(method="SK")
 
 SETTINGS = settings(
     max_examples=20,
@@ -89,7 +91,7 @@ class TestUndirectedGraphs:
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0,), 3)
         expected = [r.cost for r in brute_force_kosr(g, q)]
-        assert engine.run(q, method="SK").costs == pytest.approx(expected)
+        assert engine.run(q, SK).costs == pytest.approx(expected)
 
 
 class TestUnitWeightGraphs:
@@ -103,7 +105,8 @@ class TestUnitWeightGraphs:
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 4)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ("KPNE", "PK", "SK"):
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            got = engine.run(q, QueryOptions(method=method)).costs
+            assert got == pytest.approx(expected)
 
 
 class TestDominanceInvariant:
@@ -118,8 +121,8 @@ class TestDominanceInvariant:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 3)
-        pk = engine.run(q, method="PK")
-        kpne = engine.run(q, method="KPNE")
+        pk = engine.run(q, QueryOptions(method="PK"))
+        kpne = engine.run(q, QueryOptions(method="KPNE"))
         assert pk.costs == pytest.approx(kpne.costs)
 
     @SETTINGS
@@ -129,8 +132,7 @@ class TestDominanceInvariant:
         if g.category_size(0) == 0:
             return
         engine = KOSREngine.build(g)
-        smaller = engine.run(KOSRQuery(0, g.num_vertices - 1, (0,), k),
-                             method="SK").costs
-        larger = engine.run(KOSRQuery(0, g.num_vertices - 1, (0,), k + 1),
-                            method="SK").costs
+        t = g.num_vertices - 1
+        smaller = engine.run(KOSRQuery(0, t, (0,), k), SK).costs
+        larger = engine.run(KOSRQuery(0, t, (0,), k + 1), SK).costs
         assert larger[: len(smaller)] == pytest.approx(smaller)

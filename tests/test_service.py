@@ -38,6 +38,9 @@ from repro.service.cache import SessionCache
 from conftest import reference_engine
 from test_backend_parity import assert_same_outcome
 
+SK = QueryOptions(method="SK")
+SK_DB = QueryOptions(method="SK-DB")
+
 
 def _graph(seed: int, n: int = 40, cats: int = 4, size: int = 7):
     g = random_graph(n, avg_out_degree=2.8, rng=random.Random(seed))
@@ -80,15 +83,15 @@ class TestPlanner:
     def test_engine_run_rejects_unknown_method(self, engine):
         q = make_query(engine.graph, 0, 1, [0], k=1)
         with pytest.raises(QueryError, match="unknown method"):
-            engine.run(q, method="NOPE")
+            engine.run(q, QueryOptions(method="NOPE"))
 
 
 class TestSessionCache:
     def test_finder_and_dest_kernel_reused_within_epoch(self, engine):
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service.run(q, method="SK")
-        service.run(q, method="SK")
+        service.run(q, SK)
+        service.run(q, SK)
         stats = service.session.stats
         assert stats.finder_misses == 1
         assert stats.finder_hits >= 1
@@ -165,14 +168,14 @@ class TestSessionCache:
         epoch = engine.index_epoch
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=3)
-        engine.service.run(q, method="SK")  # cursors patch dirty runs
+        engine.service.run(q, SK)  # cursors patch dirty runs
         assert engine.index_epoch == epoch
 
     def test_batch_result_shape(self, engine):
         g = engine.graph
         queries = [make_query(g, s, 30, [0, 1], k=2) for s in (0, 1, 2)]
         queries.append(make_query(g, 0, 31, [1, 2], k=2))
-        batch = engine.service.run_batch(queries, method="SK")
+        batch = engine.service.run_batch(queries, SK)
         assert len(batch) == 4
         assert batch.num_groups == 2
         assert batch.unfinished == 0
@@ -196,8 +199,8 @@ class TestCacheRetention:
         service = engine.service
         qa = make_query(g, 0, g.num_vertices - 1, [0], k=2)
         qb = make_query(g, 1, g.num_vertices - 1, [1], k=2)
-        service.run(qa, method="SK")
-        service.run(qb, method="SK")
+        service.run(qa, SK)
+        service.run(qb, SK)
         return engine, service, qa, qb
 
     def test_update_a_keeps_b_warm(self):
@@ -222,7 +225,7 @@ class TestCacheRetention:
                         if not engine.graph.has_category(v, 0))
         engine.add_vertex_to_category(outsider, 0)
         before = service.session.stats.as_dict()
-        warm_b = service.run(qb, method="SK")
+        warm_b = service.run(qb, SK)
         after = service.session.stats.as_dict()
         # The finder lookup was a hit: B was served from retained state.
         assert after["finder_hits"] == before["finder_hits"] + 1
@@ -230,9 +233,9 @@ class TestCacheRetention:
         assert service.session.hit_rates()["finder"] > 0.0
         # ... and both categories still answer exactly like fresh engines.
         fresh = reference_engine(engine.graph.copy())
-        assert_same_outcome(warm_b, fresh.run(qb, method="SK"))
-        assert_same_outcome(service.run(qa, method="SK"),
-                            fresh.run(qa, method="SK"))
+        assert_same_outcome(warm_b, fresh.run(qb, SK))
+        assert_same_outcome(service.run(qa, SK),
+                            fresh.run(qa, SK))
 
     def test_category_update_drops_only_that_categorys_streams(self):
         g = _graph(31)
@@ -242,7 +245,7 @@ class TestCacheRetention:
         t = g.num_vertices - 1
         q = make_query(g, 0, t, [0, 1], k=3)
         for _ in range(3):
-            service.run(q, method="SK")
+            service.run(q, SK)
         streams = session._dest_kernels[t].streams
         assert any(streams[0].values()) and any(streams[1].values())
         kept = dict(streams[1])
@@ -257,8 +260,8 @@ class TestCacheRetention:
             before = session.stats.as_dict()
             fresh = reference_engine(g.copy())
             for _ in range(3):  # re-mark, re-admit, read back
-                assert_same_outcome(service.run(q, method="SK"),
-                                    fresh.run(q, method="SK"))
+                assert_same_outcome(service.run(q, SK),
+                                    fresh.run(q, SK))
             after = session.stats.as_dict()
             assert after["est_stream_misses"] > before["est_stream_misses"]
             assert after["est_stream_hits"] > before["est_stream_hits"]
@@ -274,30 +277,30 @@ class TestCacheRetention:
         t = g.num_vertices - 1
         q = make_query(g, 0, t, [1, 0], k=4)  # k above what exists
         for _ in range(3):
-            assert_same_outcome(service.run(q, method="SK"),
-                                reference_engine(g.copy()).run(q, method="SK"))
+            assert_same_outcome(service.run(q, SK),
+                                reference_engine(g.copy()).run(q, SK))
         extra = next(v for v in range(g.num_vertices)
                      if not g.has_category(v, 0))
         engine.add_vertex_to_category(extra, 0)
         for member in sorted(g.members(0) - {extra}):
             engine.remove_vertex_from_category(member, 0)
         for _ in range(3):
-            assert_same_outcome(service.run(q, method="SK"),
-                                reference_engine(g.copy()).run(q, method="SK"))
+            assert_same_outcome(service.run(q, SK),
+                                reference_engine(g.copy()).run(q, SK))
         engine.remove_vertex_from_category(extra, 0)
         assert not g.members(0)
         for _ in range(3):
-            warm = service.run(q, method="SK")
+            warm = service.run(q, SK)
             assert warm.results == []
             assert_same_outcome(warm,
-                                reference_engine(g.copy()).run(q, method="SK"))
+                                reference_engine(g.copy()).run(q, SK))
 
     def test_dest_kernels_and_ch_survive_category_updates(self):
         engine, service, qa, qb = self._warm_two_categories()
         session = service.session
         kernels_before = dict(session._dest_kernels)
         service.run(make_query(engine.graph, 0, engine.graph.num_vertices - 1,
-                               [0], k=1), method="GSP-CH")
+                               [0], k=1), QueryOptions(method="GSP-CH"))
         ch_before = session._ch
         assert kernels_before and ch_before is not None
         outsider = next(v for v in range(engine.graph.num_vertices)
@@ -335,12 +338,12 @@ class TestWarmFindNEN:
         session = service.session
         t, cats = g.num_vertices - 1, [0, 1, 2]
         q = make_query(g, 2, t, cats, k=6)
-        cold = reference_engine(g).run(q, method="SK")
-        first = service.run(q, method="SK")
-        second = service.run(q, method="SK")
+        cold = reference_engine(g).run(q, SK)
+        first = service.run(q, SK)
+        second = service.run(q, SK)
         calls = self._counted(session._label_finder)
         before = session.stats.as_dict()
-        third = service.run(q, method="SK")
+        third = service.run(q, SK)
         for warm in (first, second, third):
             assert_same_outcome(warm, cold)
         after = session.stats.as_dict()
@@ -356,8 +359,8 @@ class TestWarmFindNEN:
                 for cid, by_source in session._dest_kernels[t].streams.items()
                 for source, stream in by_source.items() if stream is not None}
         other = make_query(g, 11, t, cats, k=6)
-        assert_same_outcome(service.run(other, method="SK"),
-                            reference_engine(g).run(other, method="SK"))
+        assert_same_outcome(service.run(other, SK),
+                            reference_engine(g).run(other, SK))
         assert calls["find"] == 0
         assert (11, 0) in calls["cursor_for"]
         assert not kept.intersection(calls["cursor_for"])
@@ -370,10 +373,10 @@ class TestWarmFindNEN:
         engine = KOSREngine.build(g)
         service = QueryService(engine)
         q = make_query(g, 1, g.num_vertices - 1, [0, 1, 0], k=4)
-        cold = reference_engine(g).run(q, method="SK")
-        assert_same_outcome(engine.run(q, method="SK"), cold)
+        cold = reference_engine(g).run(q, SK)
+        assert_same_outcome(engine.run(q, SK), cold)
         for _ in range(3):
-            assert_same_outcome(service.run(q, method="SK"), cold)
+            assert_same_outcome(service.run(q, SK), cold)
 
 
 class TestCachePolicy:
@@ -400,7 +403,7 @@ class TestCachePolicy:
         service = QueryService(engine, max_dest_kernels=2)
         rng = random.Random(5)
         queries = self._shared_target_workload(engine.graph, rng, targets=5)
-        service.run_batch(queries, method="SK")
+        service.run_batch(queries, SK)
         session = service.session
         assert len(session._dest_kernels) <= 2
         assert session.stats.dest_kernel_evictions >= 3
@@ -421,7 +424,7 @@ class TestCachePolicy:
         service = QueryService(engine, max_finders=3)
         rng = random.Random(7)
         queries = self._shared_target_workload(engine.graph, rng, targets=6)
-        service.run_batch(queries, method="SK")
+        service.run_batch(queries, SK)
         session = service.session
         # Cursors are trimmed at the *next* query's view creation (never
         # mid-enumeration), so the cap holds at every query boundary.
@@ -441,9 +444,11 @@ class TestCachePolicy:
         queries = self._shared_target_workload(g, rng, targets=4,
                                                per_target=3)
         for method in ("SK", "PK"):
-            batch = service.run_batch(queries, method=method)
+            options = QueryOptions(method=method)
+            batch = service.run_batch(queries, options)
             for q, warm in zip(queries, batch):
-                assert_same_outcome(warm, KOSREngine.build(g).run(q, method=method))
+                assert_same_outcome(warm,
+                                    KOSREngine.build(g).run(q, options))
 
     def test_caps_bound_retained_streams(self):
         """A stream lives inside a kernel and over a cursor: evicting
@@ -457,8 +462,8 @@ class TestCachePolicy:
                                                per_target=4)
         peak = 0
         for q in queries:
-            assert_same_outcome(service.run(q, method="SK"),
-                                KOSREngine.build(g).run(q, method="SK"))
+            assert_same_outcome(service.run(q, SK),
+                                KOSREngine.build(g).run(q, SK))
             session._trim_cursors()  # what the next query's view does
             cursors = session._label_finder._cursors
             kernels = session._dest_kernels
@@ -484,17 +489,13 @@ class TestCachePolicy:
         engine = KOSREngine.build(_graph(87))
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service.run(q, method="SK")
-        service.run(q, method="SK")
+        service.run(q, SK)
+        service.run(q, SK)
         rates = service.session.stats.hit_rates()
         assert rates["est_stream"] == 0.0  # marked, then admitted
         assert rates["finder"] == 0.5
         assert rates["dest_kernel"] == 0.5
         assert rates["disk_view"] == 0.0
-
-
-SK = QueryOptions(method="SK")
-SK_DB = QueryOptions(method="SK-DB")
 
 
 def _sk_db_queries(g, seed: int, n: int = 6):
@@ -630,34 +631,37 @@ class TestStrictBudget:
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            engine.run(q, method="KPNE", budget=1, strict_budget=True)
+            engine.run(q, QueryOptions(method="KPNE", budget=1,
+                                       strict_budget=True))
 
     def test_time_budget_deadline(self, engine):
         """An already-expired deadline trips strict mode (satellite case)."""
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            engine.run(q, method="SK", time_budget_s=0.0, strict_budget=True)
+            engine.run(q, QueryOptions(method="SK", time_budget_s=0.0,
+                                       strict_budget=True))
 
     def test_deadline_without_strict_reports_inf(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
-        result = engine.run(q, method="SK", time_budget_s=0.0)
+        result = engine.run(q, QueryOptions(method="SK", time_budget_s=0.0))
         assert not result.stats.completed
 
     def test_generous_guards_complete(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=2)
-        result = engine.run(q, method="SK", budget=10_000, time_budget_s=30.0,
-                            strict_budget=True)
+        result = engine.run(q, QueryOptions(
+            method="SK", budget=10_000, time_budget_s=30.0,
+            strict_budget=True))
         assert result.stats.completed
 
     def test_strict_budget_on_service_path(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            QueryService(engine).run(q, method="KPNE", budget=1,
-                                     strict_budget=True)
+            QueryService(engine).run(q, QueryOptions(
+                method="KPNE", budget=1, strict_budget=True))
 
 
 class TestInterleavedUpdateFuzz:
@@ -714,9 +718,9 @@ class TestInterleavedUpdateFuzz:
             method = self.METHODS[method_cycle % len(self.METHODS)]
             method_cycle += 1
             queries = self._random_batch(g, rng)
-            batch = service.run_batch(queries, method=method)
+            batch = service.run_batch(queries, QueryOptions(method=method))
             for q, warm in zip(queries, batch):
-                cold = KOSREngine.build(g).run(q, method=method)
+                cold = KOSREngine.build(g).run(q, QueryOptions(method=method))
                 assert_same_outcome(warm, cold)
 
 

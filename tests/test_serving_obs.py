@@ -4,7 +4,7 @@ Plain ``asyncio.run``-based tests (no pytest-asyncio in the toolchain).
 Pins the PR 7 serving contracts:
 
 * **streaming** — the anytime algorithms surface route i before route
-  i+1 is searched for; ``run_stream`` / ``submit_stream`` / the TCP
+  i+1 is searched for; ``run(on_route=)`` / ``submit(on_route=)`` / the TCP
   ``{"stream": true}`` face deliver each route as it is discovered, then
   a summary carrying the same final ``QueryStats`` as a non-streamed
   run;
@@ -89,14 +89,13 @@ class TestServiceStreaming:
             raise _StopStreaming
 
         with pytest.raises(_StopStreaming):
-            engine.service.run_stream(q, QueryOptions(method="SK"),
-                                      on_route=boom)
+            engine.service.run(q, QueryOptions(method="SK"), on_route=boom)
         assert len(calls) == 1
 
     def test_streamed_routes_are_the_result_objects_in_order(self, engine):
         q = make_query(engine.graph, 0, 30, [0, 1], k=3)
         streamed = []
-        result = engine.service.run_stream(q, on_route=streamed.append)
+        result = engine.service.run(q, on_route=streamed.append)
         assert len(streamed) == len(result.results)
         assert all(a is b for a, b in zip(streamed, result.results))
         # And a streamed run answers exactly like a plain one.
@@ -106,13 +105,13 @@ class TestServiceStreaming:
         """GSP has no incremental seam; callers still see every result."""
         q = make_query(engine.graph, 0, 30, [0, 1], k=1)
         streamed = []
-        result = engine.service.run_stream(q, QueryOptions(method="GSP"),
-                                           on_route=streamed.append)
+        result = engine.service.run(q, QueryOptions(method="GSP"),
+                                    on_route=streamed.append)
         assert streamed == list(result.results)
 
     def test_stream_without_callback_is_a_plain_run(self, engine):
         q = make_query(engine.graph, 1, 30, [0, 1], k=2)
-        assert_same_outcome(engine.service.run_stream(q),
+        assert_same_outcome(engine.service.run(q, on_route=None),
                             KOSREngine.build(engine.graph).run(q))
 
 
@@ -127,7 +126,8 @@ class TestAsyncStreaming:
 
         async def scenario():
             async with AsyncQueryService(engine.service) as front:
-                result = await front.submit_stream(QueryRequest(q), on_route)
+                result = await front.submit(QueryRequest(q),
+                                            on_route=on_route)
                 submit_resolved.set()
                 return result, front.stats
 
@@ -142,8 +142,8 @@ class TestAsyncStreaming:
         async def scenario():
             async with AsyncQueryService(engine.service) as front:
                 await asyncio.gather(
-                    front.submit_stream(QueryRequest(q), lambda r: None),
-                    front.submit_stream(QueryRequest(q), lambda r: None))
+                    front.submit(QueryRequest(q), on_route=lambda r: None),
+                    front.submit(QueryRequest(q), on_route=lambda r: None))
                 return front.stats
 
         stats = asyncio.run(scenario())
@@ -174,8 +174,8 @@ class TestDeadlines:
         async def scenario():
             front = AsyncQueryService(engine.service, max_inflight=1)
             real = front._execute
-            front._execute = lambda req, sess: (gate.wait(10),
-                                                real(req, sess))[1]
+            front._execute = lambda *args: (gate.wait(10),
+                                            real(*args))[1]
             first = asyncio.ensure_future(front.submit(QueryRequest(q1)))
             for _ in range(5):
                 await asyncio.sleep(0)
@@ -205,9 +205,9 @@ class TestDeadlines:
             async with AsyncQueryService(engine.service) as front:
                 real = front._execute
 
-                def slow_incomplete(req, sess):
+                def slow_incomplete(*args):
                     time.sleep(0.05)
-                    return real(req, sess)
+                    return real(*args)
 
                 front._execute = slow_incomplete
                 with pytest.raises(DeadlineExceededError):
@@ -229,8 +229,8 @@ class TestDeadlines:
         async def scenario():
             async with AsyncQueryService(engine.service) as front:
                 real = front._execute
-                front._execute = lambda req, sess: (time.sleep(0.05),
-                                                    real(req, sess))[1]
+                front._execute = lambda *args: (time.sleep(0.05),
+                                                real(*args))[1]
                 return await front.submit(QueryRequest(q), deadline_s=5.0)
 
         result = asyncio.run(scenario())
@@ -264,8 +264,8 @@ class TestExpensiveShedding:
             front = AsyncQueryService(engine.service, max_inflight=1,
                                       max_queue=4)  # watermark = 2
             real = front._execute
-            front._execute = lambda req, sess: (gate.wait(10),
-                                                real(req, sess))[1]
+            front._execute = lambda *args: (gate.wait(10),
+                                            real(*args))[1]
             tasks = [asyncio.ensure_future(front.submit(QueryRequest(q)))
                      for q in cheap[:2]]
             for _ in range(5):
@@ -366,6 +366,42 @@ class TestTcpValidation:
         assert "str" in bad_deadline["error"]
         assert ok["completed"] and ok["costs"]
 
+    @pytest.mark.parametrize("field, literal", [
+        ("k", "1e400"),            # json.loads: inf; int(inf) overflowed
+        ("categories", '"01"'),    # was iterated as ['0', '1']
+        ("source", "0.0"),         # was echoed back as 0.0
+        ("k", "2.9"),              # was truncated to k=2
+        ("k", "true"),             # was k=1
+    ])
+    def test_mistyped_values_are_errors_naming_the_field(
+            self, engine, enabled_registry, field, literal):
+        """``source``/``target``/``k`` are JSON integers and
+        ``categories`` a list; anything else is refused at the boundary
+        and the connection keeps serving."""
+        from repro.server.tcp import serve
+
+        good = {"source": 0, "target": 30, "categories": [0, 1], "k": 2}
+        fields = {name: json.dumps(value) for name, value in good.items()}
+        fields.update({field: literal, "id": '"bad"'})
+        hostile = "{%s}" % ", ".join(
+            f'"{name}": {text}' for name, text in fields.items())
+
+        async def scenario():
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await _talk(port, [hostile.encode(), good])
+            finally:
+                await _shutdown(server)
+
+        bad, ok = asyncio.run(scenario())
+        assert bad["id"] == "bad" and bad["kind"] == "ValueError"
+        assert repr(field) in bad["error"]
+        assert ok["completed"] and ok["costs"]
+        errors = [m for m in enabled_registry.snapshot()["metrics"]
+                  if m["name"] == "repro_tcp_errors_total"]
+        assert errors and errors[0]["value"] == 1
+
     def test_oversized_line_is_answered_then_the_connection_closed(
             self, engine, enabled_registry):
         """A line over the stream limit used to escape the handler as an
@@ -419,8 +455,8 @@ class TestTcpOverload:
             port = server.sockets[0].getsockname()[1]
             aqs = server.query_service
             real = aqs._execute
-            aqs._execute = lambda req, sess: (gate.wait(10),
-                                              real(req, sess))[1]
+            aqs._execute = lambda *args: (gate.wait(10),
+                                          real(*args))[1]
             try:
                 # Connection A occupies the whole admission queue...
                 reader_a, writer_a = await asyncio.open_connection(
@@ -740,7 +776,7 @@ class TestShardedStreaming:
         try:
             q = sharded.make_query(0, 30, [0, 4], k=3)
             streamed = []
-            result = sharded.run_stream(q, on_route=streamed.append)
+            result = sharded.run(q, on_route=streamed.append)
             assert [r.cost for r in streamed] == result.costs
             assert [list(r.witness.vertices) for r in streamed] == \
                 [list(w) for w in result.witnesses]
@@ -755,7 +791,7 @@ class TestShardedStreaming:
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)  # shards 0 and 1
             streamed = []
-            result = sharded.run_stream(q, on_route=streamed.append)
+            result = sharded.run(q, on_route=streamed.append)
             assert [r.cost for r in streamed] == result.costs
         finally:
             sharded.close()

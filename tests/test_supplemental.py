@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import KOSREngine
+from repro import KOSREngine, QueryOptions
 from repro.exceptions import IndexBuildError
 from repro.experiments import datasets as ds
 from repro.experiments import figures
@@ -103,8 +103,8 @@ class TestEngineGspChParity:
         engine = ds.engine_for("COL")
         workload = random_queries(engine.graph, 2, 2, 1, seed=7)
         for q in workload:
-            a = engine.run(q, method="GSP").costs
-            b = engine.run(q, method="GSP-CH").costs
+            a = engine.run(q, QueryOptions(method="GSP")).costs
+            b = engine.run(q, QueryOptions(method="GSP-CH")).costs
             assert b == pytest.approx(a)
 
 

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from conftest import reference_engine
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.core.brute import brute_force_kosr
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -49,8 +49,8 @@ def _differential_check(g, packed, rng):
     q = make_query(g, s, t, cats, k=k)
     obj = reference_engine(g)
     for method in ("SK", "PK"):
-        a = packed.run(q, method=method)
-        b = obj.run(q, method=method)
+        a = packed.run(q, QueryOptions(method=method))
+        b = obj.run(q, QueryOptions(method=method))
         assert a.witnesses == b.witnesses
         assert a.costs == pytest.approx(b.costs)
         assert a.stats.nn_queries == b.stats.nn_queries
@@ -59,7 +59,7 @@ def _differential_check(g, packed, rng):
         assert a.stats.dominated_routes == b.stats.dominated_routes
         assert a.stats.reconsidered_routes == b.stats.reconsidered_routes
     oracle = brute_force_kosr(g, q)
-    sk = packed.run(q, method="SK")
+    sk = packed.run(q, QueryOptions(method="SK"))
     assert sk.costs == pytest.approx([r.witness.cost for r in oracle])
 
 
@@ -150,7 +150,7 @@ def test_fuzz_sharded_fleet_differential(seed):
     checked bit-identically (results AND stats) against a fresh
     unsharded reference engine over the fleet's current graph.
     """
-    from repro import QueryOptions, ShardedQueryService
+    from repro import ShardedQueryService
     from test_backend_parity import assert_same_outcome
 
     g = _make_graph(seed)
