@@ -145,7 +145,10 @@ class KOSREngine:
         stats.avg_il_list_length = (sum(lengths) / len(lengths)) if lengths else 0.0
         engine = cls(graph, parts.labels, parts.inverted, stats)
         engine._overlay_ratio = overlay_ratio
-        engine._index_file = source.get("index_file")
+        index_file = source.get("index_file")
+        if index_file is not None:
+            engine._index_file = index_file
+            engine._store = index_file.path
         return engine
 
     @classmethod
@@ -211,13 +214,11 @@ class KOSREngine:
                 raise IndexStorageError(
                     f"{path}: index file covers {index_file.num_vertices} "
                     f"vertices but the graph has {graph.num_vertices}")
-            engine = cls._assemble(graph, name, overlay_ratio,
-                                   index_file=index_file)
+            return cls._assemble(graph, name, overlay_ratio,
+                                 index_file=index_file)
         except Exception:
             index_file.close()
             raise
-        engine._store = index_file.path
-        return engine
 
     # ------------------------------------------------------------------
     # Index persistence + memory accounting
@@ -270,13 +271,25 @@ class KOSREngine:
             payload["index_file_bytes"] = self._index_file.size_bytes
         return payload
 
-    def _detach_index_file(self) -> None:
-        """Stop serving from the attached index file (if any).
+    def _swap_indexes(self, graph: Graph, labels: PackedLabelIndex,
+                      inverted: Dict[CategoryId, PackedInvertedIndex]
+                      ) -> None:
+        """Adopt a rebuilt graph + index state wholesale — the one place
+        a structure update lands (:meth:`update_edge`, and a shard
+        worker's fenced commit), so everything derived from the old
+        state goes with it.
 
-        Called once a structure update has replaced every index the file
-        backed.  The mapping itself goes away with its last view — warm
-        sessions may still hold some until their next validation.
+        ``epoch_base`` moves past the outgoing epoch (the fresh indexes
+        restart their version counters at zero, and every session cache
+        must see a wholesale change); the cached CH and the saved-file
+        path SK-DB reads are dropped; an attached index file is released
+        (the mapping goes away with its last view — warm sessions may
+        hold some until their next validation).
         """
+        self._epoch_base = self.index_epoch + 1
+        self.graph, self.labels, self.inverted = graph, labels, inverted
+        self._ch = None
+        self._store = None
         if self._index_file is not None:
             self._index_file.close()
             self._index_file = None
@@ -379,14 +392,9 @@ class KOSREngine:
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
-        # Stamp past the outgoing epoch *before* the rebuild swaps in
-        # fresh indexes whose version counters restart at zero.
-        self._epoch_base = self.index_epoch + 1
-        self.labels, self.inverted = assemble_index(
+        labels, inverted = assemble_index(
             self.graph, order=order, overlay_ratio=self._overlay_ratio)[:2]
-        self._ch = None
-        self._store = None
-        self._detach_index_file()
+        self._swap_indexes(self.graph, labels, inverted)
 
     def compact(self) -> None:
         """Fold every category's delta overlay in and drop buffer garbage.

@@ -310,7 +310,7 @@ class AsyncQueryService:
         """
         options = request.options
         try:
-            plan = self.service.plan(options.method, options.nn_backend)
+            plan = options.plan_for()
         except Exception:
             return False
         if not plan.spec.needs_finder:

@@ -365,6 +365,12 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
                 await writer.drain()
                 if line is None:
                     break
+        except ConnectionError:
+            # The client is gone (reset mid-stream, or before its reply
+            # was written): there is nobody left to answer, so this
+            # connection's handler just ends.  A streamed request's
+            # task was cancelled on the way out of _stream_response.
+            pass
         finally:
             if metrics.enabled:
                 metrics.gauge("repro_tcp_connections").dec()

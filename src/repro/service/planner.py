@@ -16,7 +16,7 @@ This module owns the method / NN-oracle vocabulary; the engine re-exports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.exceptions import QueryError
 
@@ -65,6 +65,10 @@ class QueryPlan:
 
 _REGISTRY: Dict[str, ExecutorSpec] = {}
 
+#: resolved plans by ``(method, nn_backend)`` — the one plan memo of the
+#: serving stack (dropped whenever the registry changes)
+_PLANS: Dict[Tuple[str, str], QueryPlan] = {}
+
 
 def register_executor(
     method: str,
@@ -79,6 +83,7 @@ def register_executor(
             method=method, runner=fn, needs_finder=needs_finder,
             needs_ch=needs_ch,
         )
+        _PLANS.clear()
         return fn
 
     return decorate
@@ -103,8 +108,13 @@ def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
     Raises :class:`~repro.exceptions.QueryError` on an unknown method.
     ``nn_backend`` is validated only for methods that declare
     ``needs_finder`` (GSP and friends ignore the oracle axis, matching
-    the engine's historical behaviour).
+    the engine's historical behaviour).  Plans are memoised here, once
+    for every caller; only vocabulary backends are kept, so free-form
+    ``nn_backend`` strings on a finder-free method cannot grow the memo.
     """
+    plan = _PLANS.get((method, nn_backend))
+    if plan is not None:
+        return plan
     _ensure_registered()
     spec = _REGISTRY.get(method)
     if spec is None:
@@ -113,4 +123,7 @@ def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
         raise QueryError(
             f"unknown NN backend {nn_backend!r}; choose from {NN_BACKENDS}"
         )
-    return QueryPlan(method=method, nn_backend=nn_backend, spec=spec)
+    plan = QueryPlan(method=method, nn_backend=nn_backend, spec=spec)
+    if nn_backend in NN_BACKENDS:
+        _PLANS[(method, nn_backend)] = plan
+    return plan

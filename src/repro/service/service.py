@@ -31,7 +31,7 @@ from repro.core.query import KOSRQuery
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.cache import SessionCache
 from repro.service.execution import WarmResources, execute_plan
-from repro.service.planner import QueryPlan, resolve_plan
+from repro.service.planner import resolve_plan
 
 #: batch groups are keyed by what warm state they can share
 GroupKey = Tuple[int, Tuple[int, ...]]
@@ -83,7 +83,6 @@ class QueryService:
         self.max_dest_kernels = max_dest_kernels
         self.max_finders = max_finders
         self.session = self.new_session()
-        self._plans: Dict[Tuple[str, str], QueryPlan] = {}
 
     def new_session(self) -> SessionCache:
         """A fresh isolated session honouring this service's cache caps."""
@@ -91,15 +90,6 @@ class QueryService:
                             max_finders=self.max_finders)
 
     # ------------------------------------------------------------------
-    def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan of one ``(method, nn_backend)``."""
-        key = (method, nn_backend)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = resolve_plan(method, nn_backend)
-            self._plans[key] = plan
-        return plan
-
     def run(
         self,
         q: KOSRQuery,
@@ -127,6 +117,7 @@ class QueryService:
         run, so in-flight records carry the witness and cost.
         """
         require_options(options)
+        plan = resolve_plan(options.method, options.nn_backend)
         session = session if session is not None else self.session
         session.validate()
         emitted = 0
@@ -137,8 +128,8 @@ class QueryService:
                 emitted += 1
                 on_route(res)
         result = execute_plan(
-            self.engine, self.plan(options.method, options.nn_backend), q,
-            options, resources=WarmResources(session), on_result=seam,
+            self.engine, plan, q, options,
+            resources=WarmResources(session), on_result=seam,
         )
         metrics = _METRICS
         if metrics is not None and metrics.enabled:

@@ -34,7 +34,13 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
 * **Lifecycle** — workers are spawned on construction and health-checked
   via :meth:`ping`; :meth:`close` drains in-flight requests (the
   per-shard request/response protocol is synchronous), asks each worker
-  to exit, and escalates to ``terminate()`` only after a grace period.
+  to exit, and escalates to ``terminate()``, then ``kill()``, only
+  after a grace period.
+
+One of each mechanism: :meth:`_spawn` creates a worker, :meth:`_reap`
+ends one, :meth:`_fan_out` runs an exchange on several shards at once.
+``_spawn`` is also where tests plug in a fake transport
+(``tests/fleet_fakes.py``): faults are injected there, never here.
 
 Thread safety: one lock per shard serialises that worker's pipe; calls
 for *different* shards proceed concurrently (this is what the async
@@ -47,14 +53,17 @@ import itertools
 import multiprocessing as mp
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest
 from repro.core.query import KOSRQuery, make_query
 from repro.exceptions import QueryError, ShardError
 from repro.labeling.assembly import assemble_index
+from repro.labeling.mmap_index import MmapIndexFile
+from repro.labeling.updates import apply_edge_mutation
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
-from repro.service.planner import QueryPlan, resolve_plan
 from repro.service.service import BatchResult, QueryService
 from repro.shard.router import CategoryShardRouter, merge_topk_results
 from repro.shard.worker import pipe_recv, pipe_send, worker_main
@@ -85,6 +94,10 @@ class ShardedQueryService:
     so they can never outlive the parent even on an unclean exit.
     """
 
+    #: resends of a failed update exchange before the worker is
+    #: quarantined and respawned (see :meth:`_update_exchange`)
+    update_retries = 1
+
     def __init__(self, graph, num_shards: int, labels=None,
                  overlay_ratio: Optional[float] = None,
                  max_dest_kernels: Optional[int] = None,
@@ -92,24 +105,16 @@ class ShardedQueryService:
                  timeout_s: float = DEFAULT_TIMEOUT_S,
                  start_method: Optional[str] = None,
                  build_labels: bool = True,
-                 index_path=None,
-                 metrics: Optional[bool] = None,
-                 update_retries: int = 1,
-                 fault_injection: Optional[Dict[int, dict]] = None):
+                 index_path=None):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.graph = graph
         self.router = CategoryShardRouter(num_shards)
         self.timeout_s = timeout_s
         self._rr = itertools.count()
-        self._plans: Dict[tuple, QueryPlan] = {}
         # Spawn configuration is kept so a quarantined worker can be
         # respawned mid-life with the same shape as its fleet-mates.
-        self._overlay_ratio = overlay_ratio
-        self._max_dest_kernels = max_dest_kernels
-        self._max_finders = max_finders
-        #: retries of a failed update exchange before quarantine+respawn
-        self.update_retries = max(0, int(update_retries))
+        self._worker_config = (overlay_ratio, max_dest_kernels, max_finders)
         #: workers replaced by the quarantine-and-respawn recovery path
         self.respawns = 0
         #: categories touched by update broadcasts since the index file
@@ -120,24 +125,16 @@ class ShardedQueryService:
         #: update_edge, compact) against each other; queries only take
         #: the per-shard locks
         self._update_lock = threading.Lock()
-        #: test-only per-shard worker fault specs (see worker._maybe_fault)
-        self._fault_injection = dict(fault_injection or {})
-        # Workers enable their own registries at spawn: the parent's
-        # enable state is captured here (or forced via ``metrics=``) and
-        # travels as an explicit worker_main argument, because under the
-        # spawn start method children re-import modules and would
-        # otherwise come up with metrics off regardless of the parent.
-        self._metrics_workers = (_METRICS.enabled if metrics is None
-                                 else bool(metrics))
         self._closed = False
         self._diverged: Optional[str] = None
         self._epoch = 0
-        self._fanout_pool = None
+        #: runs :meth:`_fan_out`'s exchanges; its threads start on first
+        #: use, so single-owner traffic never pays for them
+        self._fanout_pool = ThreadPoolExecutor(
+            max_workers=num_shards, thread_name_prefix="repro-shard-fanout")
         self._index_file = None
         self.index_path: Optional[str] = None
         if index_path is not None:
-            from repro.labeling.mmap_index import MmapIndexFile
-
             self.index_path = str(index_path)
             self._index_file = MmapIndexFile.open(index_path)
             if self._index_file.num_vertices != graph.num_vertices:
@@ -154,64 +151,90 @@ class ShardedQueryService:
             # path applies to all-GSP workloads.
             labels = assemble_index(graph, labels, categories=()).labels
         self.labels = labels
-        # mmap workers attach the file themselves: ship them the path,
-        # not a private copy of the mapped labels.
-        worker_labels = None if self.index_path is not None else labels
 
-        ctx = mp.get_context(start_method) if start_method else \
-            mp.get_context()
-        self._ctx = ctx
-        self._conns = []
-        self._procs = []
+        self._ctx = mp.get_context(start_method)
+        self._conns: List = [None] * num_shards
+        self._procs: List = [None] * num_shards
         self._locks = [threading.Lock() for _ in range(num_shards)]
         #: per-shard request sequence numbers (guarded by the shard lock);
         #: workers echo them so stale replies from abandoned (timed-out)
         #: exchanges are discarded instead of answering a later request
         self._seqs = [0] * num_shards
-        for shard in range(num_shards):
-            owned = self.router.owned_categories(shard, graph.num_categories)
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=worker_main,
-                args=(child_conn, graph, worker_labels, owned,
-                      overlay_ratio, max_dest_kernels, max_finders,
-                      self.index_path, self._metrics_workers, shard,
-                      self._fault_injection.get(shard)),
-                name=f"repro-shard-{shard}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        # Startup handshake: each worker reports health (or its build
-        # error) once its engine + service exist.  The request timeout
-        # does not apply — index builds legitimately take minutes on
-        # large graphs, so the handshake waits as long as the worker
-        # process lives (death is still detected by the poll loop).  On
-        # any failure the already-spawned workers are torn down before
+        # Every worker is started before the first startup handshake is
+        # awaited, so the fleet's index builds overlap.  Each worker
+        # reports health (or its build error) as exchange 0 once its
+        # engine + service exist; the request timeout does not apply —
+        # index builds legitimately take minutes on large graphs, so the
+        # handshake waits as long as the worker process lives.  On any
+        # failure the already-spawned workers are torn down before
         # re-raising — a caller that catches and retries must not
         # accumulate orphaned resident fleets.
         try:
             for shard in range(num_shards):
+                self._spawn(shard)
+            for shard in range(num_shards):
                 self._recv(shard, 0, timeout_s=float("inf"))
         except BaseException:
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._procs:
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    # SIGTERM can be lost (it is when it lands in the
-                    # first instants after fork of a process with a
-                    # Python-level handler); SIGKILL cannot.
-                    proc.kill()
-                    proc.join(timeout=2.0)
-            for conn in self._conns:
-                conn.close()
             self._closed = True
+            for shard in range(num_shards):
+                self._reap(shard)
             self._cleanup_index_file()
             raise
+
+    # ------------------------------------------------------------------
+    # Worker lifecycle: one way in, one way out
+    # ------------------------------------------------------------------
+    def _spawn(self, shard: int) -> None:
+        """Create and start ``shard``'s pipe + worker process, from the
+        parent's *current* graph and labels.
+
+        The only place either is created (construction and respawn),
+        and the seam tests substitute a fake transport at.  Awaiting
+        the startup handshake is the caller's separate step, so a
+        fleet's workers all start before any is waited for.
+        """
+        owned = self.router.owned_categories(shard,
+                                             self.graph.num_categories)
+        # mmap workers attach the file themselves: ship them the path,
+        # not a private copy of the mapped labels.
+        labels = None if self.index_path is not None else self.labels
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # The registry's enable state travels explicitly: spawn-method
+        # children re-import modules and would come up with metrics off.
+        proc = self._ctx.Process(
+            target=worker_main,
+            args=(child_conn, self.graph, labels, owned,
+                  *self._worker_config, self.index_path, _METRICS.enabled,
+                  shard),
+            name=f"repro-shard-{shard}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self._conns[shard] = parent_conn
+        self._procs[shard] = proc
+
+    def _reap(self, shard: int, grace_s: float = 2.0) -> None:
+        """End ``shard``'s worker process (if spawned) and close its pipe.
+
+        The only terminate → join → kill ladder (failed startup,
+        quarantine, :meth:`close`).  SIGTERM can be lost — it is when it
+        lands in the first instants after fork of a process with a
+        Python-level handler; SIGKILL cannot.
+        """
+        proc, conn = self._procs[shard], self._conns[shard]
+        if proc is None:
+            return
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=grace_s)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=grace_s)
+        try:
+            conn.close()
+        except OSError:
+            pass
 
     def _cleanup_index_file(self) -> None:
         """Release the parent's mapping of the fleet's index file."""
@@ -370,34 +393,8 @@ class ShardedQueryService:
         """
         if self._closed:
             raise ShardError(shard, "service is closed")
-        proc = self._procs[shard]
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-        try:
-            self._conns[shard].close()
-        except OSError:
-            pass
-        owned = self.router.owned_categories(shard,
-                                             self.graph.num_categories)
-        worker_labels = None if self.index_path is not None else self.labels
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        replacement = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, self.graph, worker_labels, owned,
-                  self._overlay_ratio, self._max_dest_kernels,
-                  self._max_finders,
-                  self.index_path, self._metrics_workers, shard, None),
-            name=f"repro-shard-{shard}",
-            daemon=True,
-        )
-        replacement.start()
-        child_conn.close()
-        self._conns[shard] = parent_conn
-        self._procs[shard] = replacement
+        self._reap(shard)
+        self._spawn(shard)
         # Startup handshake (seq 0; the live sequence counter keeps
         # counting — the fresh worker simply echoes whatever it is sent).
         self._recv(shard, 0, timeout_s=float("inf"))
@@ -416,20 +413,6 @@ class ShardedQueryService:
         """Build and validate a query against the (update-current) graph."""
         return make_query(self.graph, source, target, categories, k)
 
-    def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan of one ``(method, nn_backend)``.
-
-        :class:`QueryService` signature compatibility — the async front
-        door's plan-aware admission consults the resolved plan's declared
-        needs through this, exactly as :meth:`owners_for` does.
-        """
-        key = (method, nn_backend)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = resolve_plan(method, nn_backend)
-            self._plans[key] = plan
-        return plan
-
     def owners_for(self, query: KOSRQuery,
                    options: QueryOptions) -> List[int]:
         """The shard(s) that will serve this request, primary first.
@@ -439,8 +422,7 @@ class ShardedQueryService:
         plans (SK-DB among them) route to the owners of the query's
         categories.
         """
-        plan = self.plan(options.method, options.nn_backend)
-        if not plan.spec.needs_finder:
+        if not options.plan_for().spec.needs_finder:
             return [next(self._rr) % self.num_shards]
         if self.labels is None and options.nn_backend == "label":
             raise QueryError(
@@ -477,33 +459,42 @@ class ShardedQueryService:
         return self._run_resolved(query, opts, self.owners_for(query, opts),
                                   on_route)
 
-    def _ensure_fanout_pool(self):
-        """The persistent dispatch pool for fan-out and broadcasts.
+    def _fan_out(self, exchange: Callable, msg: tuple,
+                 shards: Sequence[int]) -> List:
+        """``exchange(shard, msg)`` on every shard at once; results in
+        ``shards`` order (spanning queries and every broadcast).
 
-        Created lazily (single-owner requests never need it) and sized
-        to the fleet; per-request executors would pay thread spawn +
-        ``shutdown(wait=True)`` on every spanning query.  Tasks are
-        independent single exchanges, so sharing one pool between
-        concurrent fan-outs and broadcasts can only queue, not deadlock.
+        The first shard runs on the calling thread, the rest on the
+        persistent dispatch pool: latency is O(slowest shard).  All
+        exchanges are waited out even when one fails — none may be
+        abandoned mid-pipe — and the first failure is then re-raised.
+        The pool's tasks are independent single exchanges, so concurrent
+        fan-outs can only queue, not deadlock (per-request executors
+        would pay thread spawn + ``shutdown(wait=True)`` every time).
         """
-        if self._fanout_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._fanout_pool = ThreadPoolExecutor(
-                max_workers=self.num_shards,
-                thread_name_prefix="repro-shard-fanout")
-        return self._fanout_pool
+        futures = [self._fanout_pool.submit(exchange, shard, msg)
+                   for shard in shards[1:]]
+        outcomes = [partial(exchange, shards[0], msg)]
+        outcomes += [future.result for future in futures]
+        results: List = []
+        errors: List[BaseException] = []
+        for outcome in outcomes:
+            try:
+                results.append(outcome())
+            except BaseException as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        return results
 
     def _run_resolved(self, query: KOSRQuery, opts: QueryOptions,
                       owners: List[int], on_route=None):
         """Dispatch a query whose owning shard(s) are already resolved."""
-        if self._diverged is not None:
-            raise ShardError(-1, self._diverged)
+        self._require_consistent()
         if len(owners) == 1:
             kind = "query" if on_route is None else "stream"
             return self._dispatch(owners[0], (kind, query, opts),
                                   on_route=on_route)
-        msg = ("query", query, opts)
         metrics = _METRICS
         if metrics.enabled:
             metrics.counter("repro_shard_spanning_requests_total").inc()
@@ -512,14 +503,10 @@ class ShardedQueryService:
         # (each executes the full deterministic search, as the tentpole
         # design specifies — the redundancy keeps every owner's warm
         # state current for its slice of the traffic) and merge the
-        # candidate lists.  The primary runs on the calling thread; only
-        # the secondaries need pool slots.
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._dispatch, shard, msg)
-                   for shard in owners[1:]]
-        partials = [self._dispatch(owners[0], msg)]
-        partials += [f.result() for f in futures]
-        result = merge_topk_results(query, partials)
+        # candidate lists.
+        result = merge_topk_results(
+            query, self._fan_out(self._dispatch, ("query", query, opts),
+                                 owners))
         if on_route is not None:
             for res in result.results:
                 on_route(res)
@@ -554,8 +541,6 @@ class ShardedQueryService:
                                                 owners_per_query[i])
 
         if len(buckets) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
             with ThreadPoolExecutor(max_workers=len(buckets)) as pool:
                 for future in [pool.submit(run_bucket, indexes)
                                for indexes in buckets.values()]:
@@ -582,65 +567,14 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Epoch-synchronized updates
     # ------------------------------------------------------------------
+    def _require_consistent(self) -> None:
+        """Fail fast once an update broadcast left the shards diverged."""
+        if self._diverged is not None:
+            raise ShardError(-1, self._diverged)
+
     def _broadcast(self, msg: tuple) -> List:
-        """Send ``msg`` to every worker concurrently; results in shard order.
-
-        All exchanges are waited out even when one fails (no in-flight
-        exchange may be abandoned mid-pipe); the first failure is then
-        re-raised.  Latency is O(slowest shard), not O(sum) — the same
-        per-shard-lock concurrency the fan-out path uses.
-        """
-        if self.num_shards == 1:
-            return [self._dispatch(0, msg)]
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._dispatch, shard, msg)
-                   for shard in range(self.num_shards)]
-        results: List = []
-        first_exc: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-        return results
-
-    def _broadcast_recovering(self, msg: tuple,
-                              resend_after_respawn: bool = True) -> None:
-        """Send an update message to every worker with per-shard recovery.
-
-        Each shard's exchange goes through :meth:`_update_exchange`
-        (bounded retry, then quarantine-and-respawn).  All shards are
-        waited out even when one fails; the first failure is re-raised —
-        the *caller* decides whether that means divergence (commit-side
-        broadcasts) or a clean abort (prepare-side).
-        """
-        if self.num_shards == 1:
-            self._update_exchange(0, msg, resend_after_respawn)
-            return
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._update_exchange, shard, msg,
-                               resend_after_respawn)
-                   for shard in range(self.num_shards)]
-        first_exc: Optional[BaseException] = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-
-    def _broadcast_best_effort(self, msg: tuple) -> None:
-        """Deliver ``msg`` where possible, swallowing per-shard failures."""
-        for shard in range(self.num_shards):
-            try:
-                self._dispatch(shard, msg)
-            except Exception:
-                pass
+        """One plain exchange of ``msg`` with every worker (shard order)."""
+        return self._fan_out(self._dispatch, msg, range(self.num_shards))
 
     def _broadcast_update(self, msg: tuple,
                           resend_after_respawn: bool = True) -> None:
@@ -651,11 +585,14 @@ class ShardedQueryService:
         killed or hung worker no longer poisons the fleet.  Only when
         recovery itself fails has the fleet truly diverged — some shards
         applied the update, this one cannot be brought to match — and
-        then the service is poisoned: every later query fails fast with
-        the divergence message until the fleet is rebuilt.
+        then the service is poisoned: every later query and update
+        fails fast with the divergence message until the fleet is
+        rebuilt.
         """
         try:
-            self._broadcast_recovering(msg, resend_after_respawn)
+            self._fan_out(partial(self._update_exchange,
+                                  resend_after_respawn=resend_after_respawn),
+                          msg, range(self.num_shards))
         except BaseException as exc:
             self._diverged = (
                 f"update broadcast {msg[0]!r} failed mid-fleet even after "
@@ -664,35 +601,37 @@ class ShardedQueryService:
             raise
         self._epoch += 1
 
-    def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
-        """Insert ``cid`` into ``F(v)`` on the parent graph and every shard.
+    def _update(self, msg: tuple) -> None:
+        """Every category-level mutation (add, remove, compact): refuse
+        a diverged fleet before any parent state moves, apply the change
+        to the parent graph, then broadcast.
 
-        Returns only once all workers acknowledged, so the next request —
-        whichever shard serves it — observes the update (workers' session
-        caches invalidate via their own index epochs).
+        Returns only once all workers acknowledged, so the next request
+        — whichever shard serves it — observes the update (workers'
+        session caches invalidate via their own index epochs).
         """
         with self._update_lock:
-            self.graph._check_vertex(v)
-            self.graph._check_category(cid)
-            if not self.graph.has_category(v, cid):
-                self.graph.assign_category(v, cid)
-            self._stale_log.add(cid)
-            self._broadcast_update(("update", "add", v, cid))
+            self._require_consistent()
+            if msg[0] == "update":
+                _, op, v, cid = msg
+                if op == "add":
+                    self.graph.assign_category(v, cid)
+                else:
+                    self.graph.unassign_category(v, cid)
+                self._stale_log.add(cid)
+            self._broadcast_update(msg)
+
+    def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
+        """Insert ``cid`` into ``F(v)`` on the parent graph and every shard."""
+        self._update(("update", "add", v, cid))
 
     def remove_vertex_from_category(self, v: Vertex, cid: CategoryId) -> None:
         """Remove ``cid`` from ``F(v)`` everywhere (symmetric broadcast)."""
-        with self._update_lock:
-            self.graph._check_vertex(v)
-            self.graph._check_category(cid)
-            if self.graph.has_category(v, cid):
-                self.graph.unassign_category(v, cid)
-            self._stale_log.add(cid)
-            self._broadcast_update(("update", "remove", v, cid))
+        self._update(("update", "remove", v, cid))
 
     def compact(self) -> None:
         """Fold every worker's delta overlays in (broadcast, synchronized)."""
-        with self._update_lock:
-            self._broadcast_update(("compact",))
+        self._update(("compact",))
 
     def update_edge(self, u: Vertex, v: Vertex, weight,
                     order: Optional[Sequence[Vertex]] = None) -> None:
@@ -728,15 +667,12 @@ class ShardedQueryService:
         engine built from the updated graph (pinned by the sharded fuzz
         and fault-injection suites).
         """
-        if self._diverged is not None:
-            raise ShardError(-1, self._diverged)
         if self.labels is None:
             raise QueryError(
                 "update_edge requires a fleet with labels; this one was "
                 "built with build_labels=False (topology-only)")
-        from repro.labeling.updates import apply_edge_mutation
-
         with self._update_lock:
+            self._require_consistent()
             self.graph._check_vertex(u)
             self.graph._check_vertex(v)
             # Phase 1: rebuild labels against a scratch copy; an invalid
@@ -746,35 +682,36 @@ class ShardedQueryService:
             apply_edge_mutation(work, u, v, weight)
             labels = assemble_index(work, order=order, categories=()).labels
             fence = self._epoch + 1
-            # Phase 2: prepare (recoverable, abortable).
+            # Phase 2: prepare (recoverable per shard, abortable: a
+            # failure past recovery is a clean abort, not divergence).
             try:
-                self._broadcast_recovering(
-                    ("prepare_edge", fence, u, v, weight, labels))
+                self._fan_out(self._update_exchange,
+                              ("prepare_edge", fence, u, v, weight, labels),
+                              range(self.num_shards))
             except BaseException:
-                self._broadcast_best_effort(("abort_edge", fence))
+                # Best effort, per shard: state left staged on a worker
+                # that cannot hear this is never served — the next
+                # prepare restages over it.
+                for shard in range(self.num_shards):
+                    try:
+                        self._dispatch(shard, ("abort_edge", fence))
+                    except Exception:
+                        pass
                 raise
             # Phase 3: commit.  The parent adopts the post-update state
             # *before* fencing the workers: a worker respawned during
             # the commit broadcast is built from this state — already
             # post-update, which is why the commit needs no resend.
+            # The saved index file is obsolete wholesale, and the
+            # pending-update log with it: recovery spawns now build
+            # from a graph + labels that already include everything.
             apply_edge_mutation(self.graph, u, v, weight)
             self.labels = labels
-            self._retire_index_file()
+            self._cleanup_index_file()
+            self.index_path = None
+            self._stale_log.clear()
             self._broadcast_update(("commit_edge", fence),
                                    resend_after_respawn=False)
-
-    def _retire_index_file(self) -> None:
-        """Stop attaching the pre-edge-update index file.
-
-        A structure update obsoletes the saved labels wholesale, so
-        respawned/new workers must build from the parent's current
-        state instead of mmap-attaching the old file.  The pending
-        update log dies with the file: recovery spawns now start from a
-        graph + labels that already include everything.
-        """
-        self._cleanup_index_file()
-        self.index_path = None
-        self._stale_log.clear()
 
     # ------------------------------------------------------------------
     # Observability + lifecycle
@@ -866,7 +803,7 @@ class ShardedQueryService:
         return payload
 
     def close(self, grace_s: float = 2.0) -> None:
-        """Graceful drain + shutdown: ask, wait, then terminate stragglers.
+        """Graceful drain + shutdown: ask, wait, then reap stragglers.
 
         Safe to call twice.  The per-shard locks serialise against
         in-flight requests, so a shard is only asked to exit between
@@ -885,14 +822,8 @@ class ShardedQueryService:
                 except (BrokenPipeError, EOFError, OSError):
                     pass
         self._closed = True
-        if self._fanout_pool is not None:
-            self._fanout_pool.shutdown(wait=True)
-            self._fanout_pool = None
+        self._fanout_pool.shutdown(wait=True)
         for shard, proc in enumerate(self._procs):
-            proc.join(timeout=grace_s)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=grace_s)
-        for conn in self._conns:
-            conn.close()
+            proc.join(timeout=grace_s)  # the graceful exit, after "bye"
+            self._reap(shard, grace_s)
         self._cleanup_index_file()

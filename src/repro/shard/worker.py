@@ -32,6 +32,19 @@ index from the already-updated graph.  Crucially the worker never
 creates an *empty* index for an unmaterialised category on the update
 path: that would satisfy later ``cid in inverted`` checks with an index
 missing every pre-existing member.
+
+Pipe protocol
+-------------
+
+Messages are ``(kind, seq, *args)``; every one is answered exactly once
+with ``("ok", seq, payload)`` or ``("err", seq, exception)``, and the
+echoed sequence number lets the parent drop the reply to an exchange it
+already abandoned.  :data:`HANDLERS` is the whole vocabulary, 13 kinds:
+``query`` and ``stream`` (a query that first sends one interim
+``("route", seq, result)`` frame per discovered route); ``update`` and
+``compact``; ``prepare_edge`` / ``commit_edge`` / ``abort_edge`` (the
+fenced edge swap); ``stale`` (pending-update replay after a respawn);
+the probes ``ping``, ``stats``, ``metrics``, ``memory``; ``shutdown``.
 """
 
 from __future__ import annotations
@@ -41,9 +54,14 @@ import pickle
 from typing import List, Optional
 
 from repro.api import QueryOptions
+from repro.core.engine import KOSREngine
 from repro.core.query import KOSRQuery
-from repro.labeling import updates as _updates
+from repro.exceptions import QueryError, ReproError
 from repro.labeling.assembly import assemble_index
+from repro.labeling.mmap_index import MmapIndexFile
+from repro.labeling.updates import apply_edge_mutation
+from repro.obs.metrics import REGISTRY
+from repro.service.service import QueryService
 from repro.types import CategoryId
 
 #: shard pipe framing protocol.  ``multiprocessing.Connection.send``
@@ -61,6 +79,25 @@ def pipe_send(conn, obj) -> None:
 def pipe_recv(conn):
     """Inverse of :func:`pipe_send` (plain unpickle of one frame)."""
     return pickle.loads(conn.recv_bytes())
+
+
+#: message kind -> the :class:`_ShardWorker` method answering it, with
+#: the message's args and the ``"ok"`` payload
+HANDLERS = {
+    "query": "run_query",            # KOSRQuery, QueryOptions -> KOSRResult
+    "stream": "stream_query",        # same, "route" frames ahead of it
+    "update": "apply_update",        # "add"|"remove", v, cid -> index epoch
+    "compact": "compact",            # -> index epoch
+    "prepare_edge": "prepare_edge",  # fence, u, v, weight, labels -> fence
+    "commit_edge": "commit_edge",    # fence -> index epoch
+    "abort_edge": "abort_edge",      # fence -> whether it was staged
+    "stale": "mark_stale",           # cids -> every stale category
+    "ping": "health",                # -> health report
+    "stats": "cache_stats",          # -> session-cache counters
+    "metrics": "metrics_snapshot",   # -> registry snapshot
+    "memory": "index_memory",        # -> index + OS memory accounting
+    "shutdown": "shutdown",          # -> "bye"; the loop ends
+}
 
 
 def proc_rss_bytes() -> int:
@@ -106,44 +143,29 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId],
     finder-free plans only — the parent router rejects label-backend
     plans before they reach a worker.
     """
-    from repro.core.engine import KOSREngine
-
-    if index_path is None and labels is None:
-        engine = KOSREngine(graph, inverted={})
-    else:
-        index_file = None
-        if index_path is not None:
-            from repro.labeling.mmap_index import MmapIndexFile
-
-            index_file = MmapIndexFile.open(index_path)
-        parts = assemble_index(graph, labels, categories=owned,
-                               overlay_ratio=overlay_ratio,
-                               index_file=index_file)
-        engine = KOSREngine(graph, parts.labels, parts.inverted)
-        engine._index_file = index_file
-        engine._store = index_path
-    engine._overlay_ratio = overlay_ratio
-    return engine
+    index_file = None
+    if index_path is not None:
+        index_file = MmapIndexFile.open(index_path)
+    elif labels is None:
+        return KOSREngine(graph, inverted={})
+    return KOSREngine._assemble(graph, "", overlay_ratio, labels=labels,
+                                categories=owned, index_file=index_file)
 
 
 class _ShardWorker:
-    """Message loop state for one worker process."""
+    """One worker's protocol state (stale file sections, the staged
+    edge update, the last committed fence) over a plain engine — one
+    whose ``inverted`` map covers a category subset — and warm service.
+    """
 
-    def __init__(self, graph, labels, owned: List[CategoryId],
-                 overlay_ratio: Optional[float],
-                 max_dest_kernels: Optional[int],
-                 max_finders: Optional[int],
-                 index_path: Optional[str] = None,
-                 shard: int = 0):
-        from repro.service.service import QueryService
-
-        self.shard = shard
+    def __init__(self, conn, service, owned: List[CategoryId], shard: int):
+        self.conn = conn
+        self.service = service
+        self.engine = service.engine
         self.owned = list(owned)
-        self.engine = _build_shard_engine(graph, labels, owned,
-                                          overlay_ratio, index_path)
-        self.service = QueryService(self.engine,
-                                    max_dest_kernels=max_dest_kernels,
-                                    max_finders=max_finders)
+        self.shard = shard
+        #: sequence number of the exchange being answered
+        self._seq = 0
         #: categories whose *file* sections went stale: an update
         #: broadcast touched them while unmaterialised, so a later
         #: fault-in must rebuild from the (updated) graph + labels
@@ -156,16 +178,17 @@ class _ShardWorker:
         #: replies, post-respawn resends) idempotent
         self._committed_fence: Optional[int] = None
 
+    def _require_labels(self, what: str) -> None:
+        if self.engine.labels is None:
+            raise QueryError(
+                "this shard worker was built without labels "
+                f"(build_labels=False); {what}")
+
     # ------------------------------------------------------------------
     def ensure_categories(self, categories) -> None:
         """Fault in inverted indexes this query needs but the shard lacks."""
         engine = self.engine
-        if engine.labels is None:
-            from repro.exceptions import QueryError
-
-            raise QueryError(
-                "this shard worker was built without labels "
-                "(build_labels=False); label-backend plans cannot be served")
+        self._require_labels("label-backend plans cannot be served")
         for cid in categories:
             if cid in engine.inverted:
                 continue
@@ -182,68 +205,77 @@ class _ShardWorker:
     def run_query(self, query: KOSRQuery, options: QueryOptions,
                   on_route=None):
         """Answer one query, streaming each route via ``on_route`` when
-        given (the message loop turns those into interim pipe frames)."""
-        if options.nn_backend == "label":
-            plan = self.service.plan(options.method, options.nn_backend)
-            if plan.spec.needs_finder:
-                self.ensure_categories(query.categories)
+        given."""
+        if options.nn_backend == "label" \
+                and options.plan_for().spec.needs_finder:
+            self.ensure_categories(query.categories)
         return self.service.run(query, options, on_route=on_route)
 
-    def metrics_snapshot(self) -> dict:
-        """This worker's registry snapshot, gauges freshly sampled.
+    def stream_query(self, query: KOSRQuery, options: QueryOptions):
+        """:meth:`run_query`, each route sent as an interim ``"route"``
+        frame the parent surfaces while the search is still running."""
+        conn, seq = self.conn, self._seq
+        return self.run_query(
+            query, options, lambda res: pipe_send(conn, ("route", seq, res)))
 
-        Besides the cache populations this samples the epoch gauges: the
-        worker's ``repro_index_epoch`` and one ``repro_category_version``
-        gauge per *owned* materialised category.  Owner-only sampling
-        matters because fleet merges add gauges across snapshots — each
-        category must be reported by exactly one worker, its owner, even
-        when other shards have faulted it in.
-        """
-        from repro.obs.metrics import REGISTRY
-
-        if REGISTRY.enabled:
-            for name, value in self.service.session.populations().items():
-                REGISTRY.gauge(f"repro_cache_{name}").set(value)
-            engine = self.engine
-            REGISTRY.gauge("repro_index_epoch",
-                           shard=self.shard).set(engine.index_epoch)
-            versions = engine.category_versions()
-            for cid in self.owned:
-                if cid in versions:
-                    REGISTRY.gauge("repro_category_version",
-                                   category=cid).set(versions[cid])
-        return REGISTRY.snapshot()
+    def _file_went_stale(self, cids) -> None:
+        """The index file no longer describes ``cids``: fault-ins must
+        rebuild them, and SK-DB (which reads the file itself) loses it —
+        the engine drops the path for its own updates the same way."""
+        self._stale_cids.update(cids)
+        self.engine._store = None
 
     def apply_update(self, op: str, v: int, cid: CategoryId) -> int:
         """One broadcast category update; returns the new index epoch.
 
-        A category updated while *unmaterialised* is marked stale: its
-        index-file sections (if any) predate the update, so a later
-        fault-in must rebuild from the updated graph rather than attach
-        them (a materialised category takes the update in its private
-        overlay, on top of whatever base it has).
+        A materialised category takes the update like any engine's
+        would, in its private overlay on top of whatever base it has.
+        One updated while *unmaterialised* changes membership only and
+        is marked stale: its index-file sections (if any) predate the
+        update, so a later fault-in must rebuild from the updated graph
+        rather than attach them.
         """
         engine = self.engine
-        engine._store = None  # the saved file SK-DB reads predates this
-        if op == "add":
-            if cid in engine.inverted:
-                _updates.add_vertex_to_category(
-                    engine.graph, engine.labels, engine.inverted, v, cid)
-            else:
-                self._stale_cids.add(cid)
-                if not engine.graph.has_category(v, cid):
-                    engine.graph.assign_category(v, cid)
-        elif op == "remove":
-            if cid in engine.inverted:
-                _updates.remove_vertex_from_category(
-                    engine.graph, engine.labels, engine.inverted, v, cid)
-            else:
-                self._stale_cids.add(cid)
-                if engine.graph.has_category(v, cid):
-                    engine.graph.unassign_category(v, cid)
-        else:
+        if op not in ("add", "remove"):
             raise ValueError(f"unknown category update op {op!r}")
+        if cid in engine.inverted:
+            if op == "add":
+                engine.add_vertex_to_category(v, cid)
+            else:
+                engine.remove_vertex_from_category(v, cid)
+        else:
+            if op == "add":
+                engine.graph.assign_category(v, cid)
+            else:
+                engine.graph.unassign_category(v, cid)
+            self._file_went_stale([cid])
         return engine.index_epoch
+
+    def compact(self) -> int:
+        self.engine.compact()
+        return self.engine.index_epoch
+
+    def mark_stale(self, cids) -> list:
+        """Categories updated since the index file was written are stale.
+
+        A freshly (re)spawned mmap worker attaches the file's sections,
+        which predate any updates broadcast after the file was saved.
+        The parent replays those pending updates by naming the touched
+        categories: their file-backed indexes are dropped and marked
+        stale, so the next query fault-ins rebuild them from the
+        worker's update-current graph + labels — bit-identical to an
+        index that was patched live (the fuzz suite pins rebuilt ==
+        patched).  SK-DB reads the file itself, so any pending update
+        takes it away from this worker like it did from its fleet-mates.
+        """
+        inverted = self.engine.inverted
+        if cids:
+            self._file_went_stale(cids)
+        for cid in cids:
+            il = inverted.get(cid)
+            if il is not None and il.shared:
+                del inverted[cid]
+        return sorted(self._stale_cids)
 
     # ------------------------------------------------------------------
     # Epoch-fenced edge updates
@@ -261,14 +293,9 @@ class _ShardWorker:
         the prepare keep answering from the old index.
         """
         engine = self.engine
-        if engine.labels is None:
-            from repro.exceptions import QueryError
-
-            raise QueryError(
-                "this shard worker was built without labels "
-                "(build_labels=False); edge updates cannot be staged")
+        self._require_labels("edge updates cannot be staged")
         graph = engine.graph.copy()
-        _updates.apply_edge_mutation(graph, u, v, weight)
+        apply_edge_mutation(graph, u, v, weight)
         labels, inverted = assemble_index(
             graph, labels, categories=list(engine.inverted),
             overlay_ratio=engine._overlay_ratio)[:2]
@@ -291,18 +318,8 @@ class _ShardWorker:
             raise ValueError(
                 f"commit_edge fence {fence} does not match staged state "
                 f"({'fence %d' % staged[0] if staged else 'nothing staged'})")
-        _, graph, labels, inverted = staged
         self._staged = None
-        # Stamp past the outgoing epoch before the swap: the fresh
-        # indexes restart their version counters at zero, and every
-        # session cache must see a wholesale (epoch_base) change.
-        engine._epoch_base = engine.index_epoch + 1
-        engine.graph = graph
-        engine.labels = labels
-        engine.inverted = inverted
-        engine._ch = None
-        engine._store = None
-        engine._detach_index_file()
+        engine._swap_indexes(*staged[1:])
         self._stale_cids.clear()
         self._committed_fence = fence
         return engine.index_epoch
@@ -315,29 +332,6 @@ class _ShardWorker:
             return True
         return False
 
-    def mark_stale(self, cids) -> list:
-        """Categories updated since the index file was written are stale.
-
-        A freshly (re)spawned mmap worker attaches the file's sections,
-        which predate any updates broadcast after the file was saved.
-        The parent replays those pending updates by naming the touched
-        categories: their file-backed indexes are dropped and marked
-        stale, so the next query fault-ins rebuild them from the
-        worker's update-current graph + labels — bit-identical to an
-        index that was patched live (the fuzz suite pins rebuilt ==
-        patched).  SK-DB reads the file itself, so any pending update
-        takes it away from this worker like it did from its fleet-mates.
-        """
-        engine = self.engine
-        if cids:
-            engine._store = None
-        for cid in cids:
-            self._stale_cids.add(cid)
-            il = engine.inverted.get(cid)
-            if il is not None and il.shared:
-                del engine.inverted[cid]
-        return sorted(self._stale_cids)
-
     def health(self) -> dict:
         engine = self.engine
         return {
@@ -349,6 +343,32 @@ class _ShardWorker:
             "materialized_categories": sorted(engine.inverted),
         }
 
+    def cache_stats(self) -> dict:
+        return self.service.session.stats.as_dict()
+
+    def metrics_snapshot(self) -> dict:
+        """This worker's registry snapshot, gauges freshly sampled.
+
+        Besides the cache populations this samples the epoch gauges: the
+        worker's ``repro_index_epoch`` and one ``repro_category_version``
+        gauge per *owned* materialised category.  Owner-only sampling
+        matters because fleet merges add gauges across snapshots — each
+        category must be reported by exactly one worker, its owner, even
+        when other shards have faulted it in.
+        """
+        if REGISTRY.enabled:
+            for name, value in self.service.session.populations().items():
+                REGISTRY.gauge(f"repro_cache_{name}").set(value)
+            engine = self.engine
+            REGISTRY.gauge("repro_index_epoch",
+                           shard=self.shard).set(engine.index_epoch)
+            versions = engine.category_versions()
+            for cid in self.owned:
+                if cid in versions:
+                    REGISTRY.gauge("repro_category_version",
+                                   category=cid).set(versions[cid])
+        return REGISTRY.snapshot()
+
     def index_memory(self) -> dict:
         """Engine index accounting plus this process's OS-level memory."""
         payload = self.engine.index_memory()
@@ -359,11 +379,37 @@ class _ShardWorker:
         })
         return payload
 
+    def shutdown(self) -> str:
+        return "bye"  # and :meth:`serve` returns once it is sent
+
+    # ------------------------------------------------------------------
+    def serve(self, parent_pid: int) -> None:
+        """Answer the pipe until ``"shutdown"``, a closed pipe, a dead
+        parent or an interrupt — a failed message never ends the loop."""
+        conn = self.conn
+        while True:
+            try:
+                kind, seq, *args = _recv_watched(conn, parent_pid)
+            except (EOFError, OSError, KeyboardInterrupt):
+                return
+            self._seq = seq
+            try:
+                handler = HANDLERS.get(kind)
+                if handler is None:
+                    raise ValueError(f"unknown shard message kind {kind!r}")
+                reply = ("ok", seq, getattr(self, handler)(*args))
+            except Exception as exc:
+                reply = ("err", seq, _safe_exception(exc))
+            try:
+                pipe_send(conn, reply)
+            except (BrokenPipeError, OSError):
+                return
+            if kind == "shutdown":
+                return
+
 
 def _safe_exception(exc: BaseException) -> BaseException:
     """``exc`` if it survives a pickle round trip, else a plain stand-in."""
-    from repro.exceptions import ReproError
-
     try:
         clone = pickle.loads(pickle.dumps(exc))
         if type(clone) is type(exc) and str(clone) == str(exc):
@@ -392,59 +438,14 @@ def _recv_watched(conn, parent_pid: int):
             raise EOFError("parent process died")
 
 
-def _maybe_fault(fault: Optional[dict], kind: str, phase: str) -> None:
-    """Test-only fault injection: die or hang at a matching message point.
-
-    ``fault`` is the spec this worker was spawned with (None in
-    production):  ``{"kind": "update", "when": "before"|"after",
-    "action": "die"|"hang", "times": 1, "skip": 0}``.  ``"before"``
-    fires after the message is received but before the handler runs
-    (the update is lost); ``"after"`` fires after the handler ran but
-    before the reply is sent (the update applied, the acknowledgement
-    is lost) — the two halves of "killed mid-broadcast" the recovery
-    path must both survive.  ``"hang"`` sleeps far past any request
-    timeout instead of exiting, exercising the parent's timeout →
-    respawn path (terminate kills the sleeper).  ``"skip"`` lets the
-    first N matching points pass unharmed, to fault a later message in
-    a sequence (e.g. die on the second update, not the first).
-    """
-    if not fault or fault.get("kind") != kind \
-            or fault.get("when", "before") != phase:
-        return
-    skip = fault.get("skip", 0)
-    if skip > 0:
-        fault["skip"] = skip - 1
-        return
-    remaining = fault.get("times", 1)
-    if remaining <= 0:
-        return
-    fault["times"] = remaining - 1
-    if fault.get("action") == "hang":
-        import time
-
-        time.sleep(fault.get("hang_s", 3600.0))
-    else:
-        os._exit(1)
-
-
 def worker_main(conn, graph, labels, owned, overlay_ratio,
                 max_dest_kernels, max_finders, index_path=None,
-                metrics_enabled: bool = False, shard: int = 0,
-                fault: Optional[dict] = None) -> None:
+                metrics_enabled: bool = False, shard: int = 0) -> None:
     """Entry point of one worker process: serve the pipe until shutdown.
 
-    Messages are ``(kind, seq, *args)`` and every one is answered exactly
-    once with ``("ok", seq, payload)`` or ``("err", seq, exception)``.
-    A ``"stream"`` message is a ``"query"`` that additionally sends zero
-    or more interim ``("route", seq, SequencedResult)`` frames *before*
-    its final ``("ok", ...)`` — the parent surfaces each one as it
-    arrives, which is how a streamed route reaches the client while the
-    worker's search is still running.  The echoed sequence number lets
-    the parent discard a reply whose exchange it already abandoned
-    (request timeout), so a slow response can never be mistaken for the
-    answer to a *later* request.  Only ``"shutdown"``, a closed pipe, a
-    dead parent, or an interrupt ends the loop — a failed query never
-    kills the worker.
+    Builds the shard's engine + service, reports health (or the build
+    error) as the ``seq 0`` startup handshake, then answers the protocol
+    in the module docstring through :meth:`_ShardWorker.serve`.
 
     ``metrics_enabled`` turns this process's metrics registry on at
     startup (the spawn-time hand-off of the parent's enable state — under
@@ -454,14 +455,13 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
     """
     parent_pid = os.getppid()
     if metrics_enabled:
-        from repro.obs.metrics import REGISTRY
-
         REGISTRY.enable()
-    fault = dict(fault) if fault else None
     try:
-        worker = _ShardWorker(graph, labels, owned, overlay_ratio,
-                              max_dest_kernels, max_finders, index_path,
-                              shard)
+        engine = _build_shard_engine(graph, labels, owned, overlay_ratio,
+                                     index_path)
+        service = QueryService(engine, max_dest_kernels=max_dest_kernels,
+                               max_finders=max_finders)
+        worker = _ShardWorker(conn, service, owned, shard)
     except BaseException as exc:  # startup failure: report, then exit
         try:
             pipe_send(conn, ("err", 0, _safe_exception(exc)))
@@ -472,59 +472,4 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
         pipe_send(conn, ("ok", 0, worker.health()))
     except (BrokenPipeError, OSError):
         return  # parent died (or tore the fleet down) during our build
-    while True:
-        try:
-            msg = _recv_watched(conn, parent_pid)
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        kind, seq = msg[0], msg[1]
-        if kind == "shutdown":
-            try:
-                pipe_send(conn, ("ok", seq, "bye"))
-            except (BrokenPipeError, OSError):
-                pass
-            return
-        _maybe_fault(fault, kind, "before")
-        try:
-            if kind in ("query", "stream"):
-                query, options = msg[2:]
-                send_route = None
-                if kind == "stream":
-                    def send_route(res, _seq=seq):
-                        pipe_send(conn, ("route", _seq, res))
-
-                reply = ("ok", seq, worker.run_query(query, options,
-                                                     send_route))
-            elif kind == "metrics":
-                reply = ("ok", seq, worker.metrics_snapshot())
-            elif kind == "update":
-                op, v, cid = msg[2:]
-                reply = ("ok", seq, worker.apply_update(op, v, cid))
-            elif kind == "prepare_edge":
-                fence, u, v, weight, new_labels = msg[2:]
-                reply = ("ok", seq, worker.prepare_edge(fence, u, v, weight,
-                                                        new_labels))
-            elif kind == "commit_edge":
-                reply = ("ok", seq, worker.commit_edge(msg[2]))
-            elif kind == "abort_edge":
-                reply = ("ok", seq, worker.abort_edge(msg[2]))
-            elif kind == "stale":
-                reply = ("ok", seq, worker.mark_stale(msg[2]))
-            elif kind == "compact":
-                worker.engine.compact()
-                reply = ("ok", seq, worker.engine.index_epoch)
-            elif kind == "ping":
-                reply = ("ok", seq, worker.health())
-            elif kind == "stats":
-                reply = ("ok", seq, worker.service.session.stats.as_dict())
-            elif kind == "memory":
-                reply = ("ok", seq, worker.index_memory())
-            else:
-                raise ValueError(f"unknown shard message kind {kind!r}")
-        except Exception as exc:
-            reply = ("err", seq, _safe_exception(exc))
-        _maybe_fault(fault, kind, "after")
-        try:
-            pipe_send(conn, reply)
-        except (BrokenPipeError, OSError):
-            return
+    worker.serve(parent_pid)

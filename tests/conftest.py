@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import signal
+import threading
 
 import pytest
 
@@ -13,6 +15,36 @@ from repro.graph.paper import paper_figure1_graph
 from repro.labeling.inverted import build_inverted_indexes
 from repro.labeling.pll_unweighted import build_labels_auto
 from repro.nn.label_nn import LabelNNFinder
+
+
+#: wall-clock budget of any single test; the slowest today takes ~6 s
+TEST_TIMEOUT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def _fail_hung_tests():
+    """A hung test (a fleet waiting on a worker that will never answer)
+    fails after ``TEST_TIMEOUT_S`` instead of stalling the whole job.
+
+    ``SIGALRM`` interrupts the main thread wherever it blocks — pipe
+    polls, lock waits, joins — and the exception unwinds the test like
+    any failure, so fixtures still tear their fleets down.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield  # a runner that tests off the main thread: no signals there
+        return
+
+    def on_alarm(_signo, _frame):
+        raise TimeoutError(
+            f"test still running after {TEST_TIMEOUT_S}s (hung?)")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,16 @@
 """Fault-injection suite: kill or hang workers mid-mutation.
 
-Each test spawns a 2-shard fleet with a per-shard fault spec (see
-``repro.shard.worker._maybe_fault``) that makes one worker die or hang
-at a precise protocol point — before a message is applied (the message
-is lost) or after (applied, but the ack is lost).  The recovery ladder
-(retry → quarantine-and-respawn → resend) must bring the fleet back to
-a state whose answers are bit-identical to a fresh unsharded engine —
-results AND ``QueryStats`` counters — or, when recovery itself is made
-to fail, the fleet must poison and fail fast rather than serve
-divergent state.
+Each test runs a 2-shard fleet over the fake transport of
+``tests/fleet_fakes.py`` (in-thread workers behind in-memory pipes,
+plugged in through ``ShardedQueryService._spawn``) and arms a fault that
+makes one worker die or hang at a precise protocol point — before a
+message is applied (the message is lost) or after (applied, but the ack
+is lost).  The recovery ladder (retry → quarantine-and-respawn →
+resend) must bring the fleet back to a state whose answers are
+bit-identical to a fresh unsharded engine — results AND ``QueryStats``
+counters — or, when recovery itself is made to fail, the fleet must
+poison and fail fast rather than serve divergent state.  The production
+code carries no fault hook: parent and ``worker_main`` run unchanged.
 """
 
 import random
@@ -26,6 +28,7 @@ from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.obs.metrics import REGISTRY
 
+from fleet_fakes import InThreadFleet
 from test_backend_parity import assert_same_outcome
 
 
@@ -65,10 +68,8 @@ class TestCategoryUpdateFaults:
         the parent's state and resends the (idempotent) update.
         """
         g = _graph(11)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={1: {"kind": "update", "when": "before",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(1, "update", "before", "die")
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
             sharded.run(q, QueryOptions())
@@ -87,10 +88,8 @@ class TestCategoryUpdateFaults:
         graph, and the resent update is an idempotent no-op on it.
         """
         g = _graph(13)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={0: {"kind": "update", "when": "after",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(0, "update", "after", "die")
         try:
             q = sharded.make_query(1, 25, [0, 2], k=3)
             sharded.run(q, QueryOptions())
@@ -105,15 +104,12 @@ class TestCategoryUpdateFaults:
     def test_worker_hangs_mid_update(self):
         """A hung worker trips the request timeout, then is replaced.
 
-        The respawn path terminates the sleeper outright — SIGTERM ends
-        the ``time.sleep`` — so recovery is bounded by the timeout, not
-        by ``hang_s``.
+        The respawn path terminates the hung worker outright, so
+        recovery is bounded by the timeout, not by the hang.
         """
         g = _graph(17)
-        sharded = ShardedQueryService(
-            g.copy(), 2, timeout_s=1.0,
-            fault_injection={1: {"kind": "update", "when": "before",
-                                 "action": "hang", "hang_s": 3600.0}})
+        sharded = InThreadFleet(g.copy(), 2, timeout_s=0.3)
+        sharded.arm(1, "update", "before", "hang")
         try:
             q = sharded.make_query(2, 20, [1, 3], k=2)
             sharded.run(q, QueryOptions())
@@ -137,19 +133,18 @@ class TestCategoryUpdateFaults:
         g = _graph(19)
         first_move = next(v for v in range(g.num_vertices)
                           if not g.has_category(v, 2))
-        # skip=1: the worker survives the first update and dies on the
-        # second, so by respawn time TWO categories are pending replay.
         path = tmp_path / "fleet.rpli"
         KOSREngine.build(g).save_index(path)
-        sharded = ShardedQueryService(
-            g.copy(), 2, index_path=path,
-            fault_injection={0: {"kind": "update", "when": "before",
-                                 "action": "die", "skip": 1}})
+        sharded = InThreadFleet(g.copy(), 2, index_path=path)
         try:
             q = sharded.make_query(0, 30, [0, 2], k=3)
             sharded.run(q, QueryOptions())
             sharded.add_vertex_to_category(first_move, 2)
             assert sharded.respawns == 0
+            # Armed only now: the worker survived the first update and
+            # dies on the second, so by respawn time TWO categories are
+            # pending replay.
+            sharded.arm(0, "update", "before", "die")
             moved = next(v for v in range(g.num_vertices)
                          if not sharded.graph.has_category(v, 0))
             sharded.add_vertex_to_category(moved, 0)
@@ -169,10 +164,8 @@ class TestEdgeUpdateFaults:
         the commit then fences the whole fleet as usual.
         """
         g = _graph(23)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={1: {"kind": "prepare_edge", "when": "before",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(1, "prepare_edge", "before", "die")
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
             sharded.run(q, QueryOptions())
@@ -190,10 +183,8 @@ class TestEdgeUpdateFaults:
         its first answer is already from the new index.
         """
         g = _graph(29)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={0: {"kind": "commit_edge", "when": "before",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(0, "commit_edge", "before", "die")
         try:
             q = sharded.make_query(1, 25, [0, 2], k=3)
             sharded.run(q, QueryOptions())
@@ -215,7 +206,8 @@ class TestEdgeUpdateFaults:
         No poison, and a later update still goes through cleanly.
         """
         g = _graph(31)
-        sharded = ShardedQueryService(g.copy(), 2, update_retries=0)
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.update_retries = 0
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
             before = sharded.run(q, QueryOptions())
@@ -245,10 +237,9 @@ class TestEdgeUpdateFaults:
     def test_unrecoverable_commit_poisons_the_fleet(self, monkeypatch):
         """Past the fence there is no rollback: divergence fails fast."""
         g = _graph(37)
-        sharded = ShardedQueryService(
-            g.copy(), 2, update_retries=0,
-            fault_injection={1: {"kind": "commit_edge", "when": "before",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.update_retries = 0
+        sharded.arm(1, "commit_edge", "before", "die")
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
             sharded.run(q, QueryOptions())
@@ -273,10 +264,8 @@ class TestRecoveryAccounting:
     def test_respawn_counter_and_metric(self, enabled_registry):
         """Each quarantine-and-respawn is counted, per shard."""
         g = _graph(41)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={1: {"kind": "update", "when": "before",
-                                 "action": "die"}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(1, "update", "before", "die")
         try:
             moved = next(v for v in range(g.num_vertices)
                          if not sharded.graph.has_category(v, 1))
@@ -289,17 +278,16 @@ class TestRecoveryAccounting:
             sharded.close()
 
     def test_replacement_worker_is_spawned_healthy(self):
-        """The fault spec dies with the faulty worker, not the shard.
+        """The fault dies with the faulty worker, not the shard.
 
-        ``times: 2`` would fire twice in one process; after the first
-        death the replacement is spawned with no fault spec, so the
-        very next broadcast to the same shard succeeds first try.
+        ``times=2`` would fire twice on one worker; after the first
+        death the replacement comes up through the same ``_spawn`` as
+        any worker, with nothing armed, so the very next broadcast to
+        the same shard succeeds first try.
         """
         g = _graph(43)
-        sharded = ShardedQueryService(
-            g.copy(), 2,
-            fault_injection={1: {"kind": "update", "when": "before",
-                                 "action": "die", "times": 2}})
+        sharded = InThreadFleet(g.copy(), 2)
+        sharded.arm(1, "update", "before", "die", times=2)
         try:
             q = sharded.make_query(0, 30, [0, 1], k=2)
             moved = next(v for v in range(g.num_vertices)

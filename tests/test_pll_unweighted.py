@@ -92,10 +92,16 @@ class TestAutoSelection:
 class TestPerformance:
     def test_bfs_not_slower_than_dijkstra_pll(self):
         g = social_network(250, attach=6, seed=4)
-        t0 = time.perf_counter()
-        build_bfs_labels(g)
-        bfs_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        build_pruned_landmark_labels(g)
-        dij_time = time.perf_counter() - t0
+
+        def best_of_3(build):
+            # one preempted 50 ms build on a shared host is not a slowdown
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                build(g)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        bfs_time = best_of_3(build_bfs_labels)
+        dij_time = best_of_3(build_pruned_landmark_labels)
         assert bfs_time < dij_time * 1.5  # generous: just not pathological

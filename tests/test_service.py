@@ -80,6 +80,23 @@ class TestPlanner:
         assert resolve_plan("SK") == resolve_plan("SK")
         assert resolve_plan("SK") != resolve_plan("PK")
 
+    def test_plans_are_memoised_once_until_the_registry_changes(self):
+        """The one plan memo: every caller (engine, services, router,
+        admission) resolves through it, and a registration drops it."""
+        from repro.service import planner
+
+        plan = resolve_plan("SK")
+        assert resolve_plan("SK") is plan
+        assert QueryOptions(method="SK").plan_for() is plan
+        # free-form backends of finder-free methods are never kept
+        resolve_plan("GSP", nn_backend="psychic")
+        assert ("GSP", "psychic") not in planner._PLANS
+        spec = planner._REGISTRY["SK"]
+        planner.register_executor(
+            "SK", needs_finder=spec.needs_finder)(spec.runner)
+        assert resolve_plan("SK") is not plan
+        assert resolve_plan("SK") == plan
+
     def test_engine_run_rejects_unknown_method(self, engine):
         q = make_query(engine.graph, 0, 1, [0], k=1)
         with pytest.raises(QueryError, match="unknown method"):

@@ -28,6 +28,7 @@ Pins the PR 7 serving contracts:
 """
 
 import asyncio
+import gc
 import json
 import random
 import threading
@@ -438,6 +439,72 @@ class TestTcpValidation:
         errors = [m for m in enabled_registry.snapshot()["metrics"]
                   if m["name"] == "repro_tcp_errors_total"]
         assert errors and errors[0]["value"] == 1
+
+
+class TestTcpClientReset:
+    """A client that resets its socket is "client gone", not a server
+    fault: the connection's handler ends quietly (it used to escape as
+    an unhandled ``ConnectionResetError``, once per dropped client)."""
+
+    @staticmethod
+    def _run(engine, lines, read_first: bool):
+        """Send ``lines``, optionally read one reply line, then RST."""
+        import socket
+        import struct
+
+        from repro.server.tcp import serve
+
+        good = {"source": 0, "target": 30, "categories": [0, 1], "k": 2}
+        reports = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: reports.append(context))
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            front = server.query_service
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+                sock.setblocking(False)
+                await loop.sock_sendall(sock, b"".join(
+                    json.dumps(line).encode() + b"\n" for line in lines))
+                first = None
+                if read_first:
+                    first = json.loads(
+                        (await loop.sock_recv(sock, 65536)).split(b"\n")[0])
+                # SO_LINGER 0: close() sends RST instead of FIN.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+                deadline = time.monotonic() + 10
+                while (front.pending or front.stats.submitted < 1) \
+                        and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.05)  # let the handler unwind
+                (ok,) = await _talk(port, [good])
+                return first, front.pending, ok
+            finally:
+                await _shutdown(server)
+
+        first, pending, ok = asyncio.run(scenario())
+        gc.collect()  # a never-retrieved task exception reports on GC
+        assert reports == []
+        assert pending == 0
+        assert ok["completed"] and ok["costs"]
+        return first
+
+    def test_reset_mid_stream(self, engine):
+        streamed = {"id": "s", "source": 0, "target": 30,
+                    "categories": [0, 1, 2, 3], "k": 400, "stream": True}
+        first = self._run(engine, [streamed], read_first=True)
+        assert first["id"] == "s" and first["rank"] == 1
+
+    def test_reset_before_a_plain_reply_with_lines_queued_behind(
+            self, engine):
+        plain = {"source": 0, "target": 30, "categories": [0, 1, 2, 3],
+                 "k": 400}
+        self._run(engine, [plain, plain, plain], read_first=False)
 
 
 class TestTcpOverload:

@@ -9,6 +9,8 @@ unsharded cold engine over the same state.
 import asyncio
 import json
 import random
+import threading
+import time
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.graph.categories import assign_uniform_categories
 from repro.shard.router import CategoryShardRouter, merge_topk_results
 
 from conftest import reference_engine
+from fleet_fakes import FakeContext, InThreadFleet, ThreadProcess
 from test_backend_parity import assert_same_outcome
 
 
@@ -409,6 +412,8 @@ class TestWorkerProtocol:
         g, _, exchange, _ = worker_conn
         kind, exc = exchange("nonsense")
         assert kind == "err" and isinstance(exc, ValueError)
+        kind, exc = exchange("commit_edge")  # known kind, fence missing
+        assert kind == "err" and isinstance(exc, TypeError)
         q = make_query(g, 0, 20, [0], k=1)
         kind, exc = exchange("query", q,
                              QueryOptions(budget=0, strict_budget=True))
@@ -451,17 +456,15 @@ class TestLifecycle:
     def test_timed_out_reply_is_discarded_not_served_to_next_request(self):
         """A slow reply must never answer a *later* request (regression).
 
-        The worker holds its first query reply back (fault injection:
-        hang after the handler ran) for longer than the request timeout,
-        so the exchange is abandoned while the reply is provably still
-        to come; the following request on the same shard must get its
-        own answer — the stale reply is dropped by sequence number, not
+        The fake transport holds the worker's first query reply back
+        (after the handler ran) for longer than the request timeout, so
+        the exchange is abandoned while the reply is provably still to
+        come; the following request on the same shard must get its own
+        answer — the stale reply is dropped by sequence number, not
         popped as the next response.
         """
-        held = {"kind": "query", "when": "after", "action": "hang",
-                "hang_s": 1.0}
-        sharded = ShardedQueryService(_graph(41), 1,
-                                      fault_injection={0: held})
+        sharded = InThreadFleet(_graph(41), 1)
+        sharded.arm(0, "query", "after", "delay", delay_s=0.6)
         try:
             q_slow = sharded.make_query(0, 10, [0, 1], k=3)
             q_fast = sharded.make_query(5, 20, [1], k=1)
@@ -473,6 +476,7 @@ class TestLifecycle:
             got = sharded.run(q_fast, QueryOptions())
             cold = KOSREngine.build(sharded.graph.copy()).run(q_fast)
             assert_same_outcome(got, cold)
+            assert sharded.fired == [(0, "query", "after", "delay")]
         finally:
             sharded.close()
 
@@ -533,7 +537,8 @@ class TestLifecycle:
         A broadcast failure is now recovered by retry + respawn; only
         when even the respawn fails does the fleet poison itself.
         """
-        sharded = ShardedQueryService(_graph(31), 2, update_retries=0)
+        sharded = ShardedQueryService(_graph(31), 2)
+        sharded.update_retries = 0
         try:
             q = sharded.make_query(0, 10, [0], k=1)
             sharded.run(q, QueryOptions())
@@ -556,6 +561,23 @@ class TestLifecycle:
             monkeypatch.undo()
             with pytest.raises(ShardError, match="diverged"):
                 sharded.run(q, QueryOptions())
+            # Every update entry point refuses too, before any parent
+            # state moves (regression: add/remove/compact went through,
+            # mutating the graph and bumping the epoch of a dead fleet).
+            outsider = next(v for v in range(sharded.graph.num_vertices)
+                            if not sharded.graph.has_category(v, 1))
+            member = next(iter(sharded.graph.members(1)))
+            before = (sorted(sharded.graph.members(1)),
+                      set(sharded._stale_log), sharded.index_epoch)
+            for refused in (
+                    lambda: sharded.add_vertex_to_category(outsider, 1),
+                    lambda: sharded.remove_vertex_from_category(member, 1),
+                    sharded.compact,
+                    lambda: sharded.update_edge(0, 1, 0.5)):
+                with pytest.raises(ShardError, match="diverged"):
+                    refused()
+            assert (sorted(sharded.graph.members(1)),
+                    set(sharded._stale_log), sharded.index_epoch) == before
         finally:
             sharded.close()
 
@@ -610,6 +632,126 @@ class TestLifecycle:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+class TestOneFleetPath:
+    """The seams: ``_spawn`` / ``_reap`` / ``_fan_out``, driven over the
+    fake transport of ``tests/fleet_fakes.py``."""
+
+    def test_removed_parameters_are_gone(self):
+        g = _graph(3)
+        for removed in ({"fault_injection": {}}, {"metrics": True},
+                        {"update_retries": 0}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                ShardedQueryService(g, 2, **removed)
+
+    def test_reap_kills_a_worker_that_ignores_terminate(self):
+        """The ladder's last rung — the one ``close()`` used to lack."""
+        calls = []
+
+        class Stubborn(ThreadProcess):
+            def terminate(self):
+                calls.append("terminate")  # ... and carries on serving
+
+            def kill(self):
+                calls.append("kill")
+                super().terminate()
+
+        class StubbornContext(FakeContext):
+            Process = Stubborn
+
+        class Fleet(InThreadFleet):
+            context = StubbornContext
+
+        fleet = Fleet(_graph(7), 2)
+        procs = list(fleet._procs)
+        fleet._reap(0, grace_s=0.05)
+        assert calls == ["terminate", "kill"]
+        assert not procs[0].is_alive() and procs[1].is_alive()
+        # close() escalates the same way when a worker sits on its
+        # "shutdown" (shard 0 is gone already: nothing to signal there).
+        fleet.arm(1, "shutdown", "before", "hang")
+        fleet.close(grace_s=0.05)
+        assert calls == ["terminate", "kill"] * 2
+        assert not any(proc.is_alive() for proc in procs)
+
+    def test_failing_second_spawn_reaps_the_first(self):
+        spawned = []
+
+        class Fleet(InThreadFleet):
+            def _spawn(self, shard):
+                if shard == 1:
+                    raise OSError("no more processes")
+                super()._spawn(shard)
+                spawned.append(self._procs[shard])
+
+        with pytest.raises(OSError, match="no more processes"):
+            Fleet(_graph(7), 2)
+        assert len(spawned) == 1 and not spawned[0].is_alive()
+
+    def test_every_worker_starts_before_the_first_handshake(self):
+        events = []
+
+        class Fleet(InThreadFleet):
+            def _spawn(self, shard):
+                events.append(("spawn", shard))
+                super()._spawn(shard)
+
+            def _recv(self, shard, seq, **kwargs):
+                if seq == 0:
+                    events.append(("handshake", shard))
+                return super()._recv(shard, seq, **kwargs)
+
+        with Fleet(_graph(7), 3):
+            assert events == [("spawn", 0), ("spawn", 1), ("spawn", 2),
+                              ("handshake", 0), ("handshake", 1),
+                              ("handshake", 2)]
+
+    def test_fan_out_waits_for_every_shard_and_raises_the_first(self):
+        """Shard order in, shard order out; no exchange is abandoned."""
+        finished = []
+        calling_thread = threading.get_ident()
+
+        def echo(shard, msg):
+            return (shard, msg)
+
+        def failing(shard, msg):
+            if shard == 0:
+                assert threading.get_ident() == calling_thread
+            if shard == 1:
+                raise ShardError(1, "first failure")
+            if shard == 2:
+                time.sleep(0.1)
+                finished.append(2)
+                raise ShardError(2, "second failure")
+            return (shard, msg)
+
+        with InThreadFleet(_graph(7), 3) as fleet:
+            assert fleet._fan_out(echo, "m", [2, 0]) == [(2, "m"), (0, "m")]
+            assert fleet._fan_out(echo, "m", [1]) == [(1, "m")]
+            with pytest.raises(ShardError, match="first failure"):
+                fleet._fan_out(failing, "m", range(3))
+            assert finished == [2]  # waited out before the re-raise
+
+    def test_update_retries_attribute_controls_the_retry_rung(self):
+        """A lost acknowledgement: one resend recovers it, and with the
+        rung disabled the ladder goes straight to respawn."""
+        g = _graph(11)
+        moved = next(v for v in range(g.num_vertices)
+                     if not g.has_category(v, 1))
+        for retries, respawns in ((1, 0), (0, 1)):
+            with InThreadFleet(g.copy(), 2, timeout_s=0.2) as fleet:
+                assert ShardedQueryService.update_retries == 1
+                fleet.update_retries = retries
+                fleet.arm(1, "update", "after", "drop")
+                fleet.add_vertex_to_category(moved, 1)
+                assert fleet.fired == [(1, "update", "after", "drop")]
+                assert fleet.respawns == respawns
+                assert fleet._diverged is None
+                q = fleet.make_query(0, 30, [0, 1], k=3)
+                fresh = KOSREngine.build(fleet.graph.copy())
+                assert_same_outcome(fleet.run(q, QueryOptions()),
+                                    fresh.run(q))
 
 
 class TestAsyncOverShards:
