@@ -12,9 +12,10 @@ saved as a single RPLI file; worker fleets then come up in two modes:
 Measured and persisted to ``benchmarks/results/bench_mmap_spawn.json``:
 
 * fleet spawn latency (1 and 4 shards, shared vs private) — the shared
-  fleet must come up >= 10x faster than a build-from-scratch fleet
-  (asserted whenever the private build is long enough to measure
-  reliably);
+  fleet must come up >= 10x faster than a build-from-scratch fleet.
+  That gate runs on its own graph (CAL at ``SPAWN_GATE_SCALE``), large
+  enough that a label build cannot be mistaken for process start-up;
+  the spawn times of the ``REPRO_BENCH_SCALE`` fleets are recorded only;
 * per-worker resident index bytes and fleet-wide unique memory — on the
   shared 4-shard fleet the summed resident index footprint must stay
   under 1.5x the index file size (the CI memory-regression gate; a
@@ -45,9 +46,13 @@ FLEET_SHARDS = 4
 
 OPTIONS = QueryOptions(method="SK")
 
-#: only assert the 10x spawn bar when the private build takes long
-#: enough that timer noise cannot fake (or hide) an order of magnitude
-MIN_MEASURABLE_BUILD_S = 0.2
+#: scale of the spawn-latency gate's graph, whatever REPRO_BENCH_SCALE
+#: is.  An attach that silently rebuilds costs a label build, so the gate
+#: needs a graph whose build (about 1 s here: 1600 vertices) dwarfs what
+#: both fleets pay alike, fork + handshake (about 30 ms).  At the CI
+#: scale of 0.25 the build itself is 60 ms since the columnar PLL, and a
+#: 10x bar there would measure process start-up.
+SPAWN_GATE_SCALE = 1.0
 
 
 def _cpu_count() -> int:
@@ -79,6 +84,24 @@ def _spawn(graph, num_shards, index_path=None):
     t0 = time.perf_counter()
     service = ShardedQueryService(graph, num_shards, index_path=index_path)
     return service, time.perf_counter() - t0
+
+
+def _spawn_gate():
+    """Spawn seconds, shared vs private, on the gate's own graph."""
+    engine = ds.engine_for("CAL", scale=SPAWN_GATE_SCALE)
+    fd, path = tempfile.mkstemp(prefix="bench-mmap-gate-", suffix=".rpli")
+    os.close(fd)
+    try:
+        engine.save_index(path)
+        seconds = {}
+        for shards in (1, FLEET_SHARDS):
+            for mode, index_path in (("private", None), ("shared", path)):
+                service, seconds[f"{mode}_{shards}"] = _spawn(
+                    engine.graph, shards, index_path)
+                service.close()
+    finally:
+        os.unlink(path)
+    return seconds
 
 
 def _fleet_report(service, engine, queries):
@@ -164,9 +187,10 @@ def test_spawn_latency_and_fleet_memory(setting):
 
     shared4 = fleets[f"shared_{FLEET_SHARDS}"]
     private4 = fleets[f"private_{FLEET_SHARDS}"]
-    speedup_1 = spawn_s["private_1"] / spawn_s["shared_1"]
-    speedup_4 = spawn_s[f"private_{FLEET_SHARDS}"] \
-        / spawn_s[f"shared_{FLEET_SHARDS}"]
+    gate_s = _spawn_gate()
+    speedup_1 = gate_s["private_1"] / gate_s["shared_1"]
+    speedup_4 = gate_s[f"private_{FLEET_SHARDS}"] \
+        / gate_s[f"shared_{FLEET_SHARDS}"]
 
     payload = {
         "workload": {
@@ -180,6 +204,8 @@ def test_spawn_latency_and_fleet_memory(setting):
         "runner": {"cpu_count": _cpu_count()},
         "index_file_bytes": index_bytes,
         "spawn_seconds": spawn_s,
+        "spawn_gate": {"dataset": "CAL", "scale": SPAWN_GATE_SCALE,
+                       "spawn_seconds": gate_s},
         "spawn_speedup_1_shard": speedup_1,
         "spawn_speedup_4_shards": speedup_4,
         "fleets": fleets,
@@ -197,9 +223,9 @@ def test_spawn_latency_and_fleet_memory(setting):
                   "every query on every fleet",
     }
     emit_json("bench_mmap_spawn", payload)
-    print(f"\nmmap fleet spawn: shared x{FLEET_SHARDS} "
-          f"{spawn_s[f'shared_{FLEET_SHARDS}']:.3f}s vs private "
-          f"{spawn_s[f'private_{FLEET_SHARDS}']:.3f}s "
+    print(f"\nmmap fleet spawn (CAL {SPAWN_GATE_SCALE}): shared "
+          f"x{FLEET_SHARDS} {gate_s[f'shared_{FLEET_SHARDS}']:.3f}s vs "
+          f"private {gate_s[f'private_{FLEET_SHARDS}']:.3f}s "
           f"({speedup_4:.1f}x); shared fleet holds "
           f"{shared4['unique_index_resident_bytes'] / 1e6:.2f} MB resident "
           f"vs {index_bytes / 1e6:.2f} MB index file "
@@ -215,11 +241,9 @@ def test_spawn_latency_and_fleet_memory(setting):
         shared4["unique_index_resident_bytes"]
 
     # --- Spawn latency: attach must beat build-from-scratch by >= 10x
-    # whenever the build is long enough to time reliably.
-    if spawn_s[f"private_{FLEET_SHARDS}"] >= MIN_MEASURABLE_BUILD_S:
-        assert speedup_4 >= 10.0
-    if spawn_s["private_1"] >= MIN_MEASURABLE_BUILD_S:
-        assert speedup_1 >= 10.0
+    # on the gate's graph, where a build is long enough to tell.
+    assert speedup_4 >= 10.0
+    assert speedup_1 >= 10.0
 
     # --- OS-level accounting (directional only: RSS/USS include
     # allocator slack, so the hard gate above stays on the deterministic

@@ -161,8 +161,8 @@ class KOSREngine:
     ) -> "KOSREngine":
         """Build hub labels and inverted indexes, recording Table IX stats.
 
-        The PLL output is packed once into private RPLI sections and
-        queries are served from those.  ``overlay_ratio`` overrides the
+        PLL writes private RPLI sections and queries are served from
+        those.  ``overlay_ratio`` overrides the
         per-category compaction threshold (the fraction of live entries
         the delta overlay may reach before a category's decoded runs are
         rebuilt).
@@ -185,8 +185,8 @@ class KOSREngine:
         index across settings — this is the paper's setup, where labels are
         precomputed offline once per graph.
 
-        A :class:`PackedLabelIndex` is used as-is, so engines can share
-        one index instance; PLL's object output is packed first.
+        The :class:`PackedLabelIndex` is used as-is, so engines can share
+        one index instance.
         """
         return cls._assemble(graph, name, overlay_ratio, labels=labels)
 

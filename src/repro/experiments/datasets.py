@@ -17,7 +17,7 @@ from repro.graph import generators
 from repro.graph.categories import assign_uniform_categories, assign_zipfian_categories
 from repro.graph.graph import Graph
 from repro.labeling.packed import PackedLabelIndex
-from repro.labeling.pll_unweighted import build_labels_auto
+from repro.labeling.pll import build_labels_auto
 
 #: Dataset scale for the benchmark suite; 1.0 = the full analogues.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
@@ -41,14 +41,11 @@ _engine_cache: Dict[Tuple, KOSREngine] = {}
 
 
 def _labels_for(name: str, scale: float, graph: Graph) -> PackedLabelIndex:
-    """One packed label index per ``(dataset, scale)``; engines share it.
-
-    The packed form is cached: engines consume it as-is.
-    """
+    """One label index per ``(dataset, scale)``; engines share it."""
     key = (name, round(scale, 6))
     labels = _label_cache.get(key)
     if labels is None:
-        labels = PackedLabelIndex.from_index(build_labels_auto(graph))
+        labels = build_labels_auto(graph)
         _label_cache[key] = labels
     return labels
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import (
     NegativeWeightError,
@@ -131,6 +131,23 @@ class Graph:
         """Incoming ``(source, weight)`` pairs of ``v``."""
         self._check_vertex(v)
         return self._adj_in[v].items()
+
+    def adjacency(self, incoming: bool = False) -> Sequence[Mapping[Vertex, Cost]]:
+        """Every vertex's ``{neighbour: weight}`` row, outgoing or incoming.
+
+        For whole-graph passes (label construction) that would otherwise
+        pay :meth:`neighbors_out`'s bounds check per visit.  The rows are
+        live; do not mutate.
+        """
+        return self._adj_in if incoming else self._adj_out
+
+    def is_symmetric(self) -> bool:
+        """True when every edge has a reverse edge of equal weight, O(E).
+
+        Rows compare as mappings, so the order edges were inserted in
+        does not matter.  An empty graph is symmetric.
+        """
+        return self._adj_out == self._adj_in
 
     def out_degree(self, v: Vertex) -> int:
         self._check_vertex(v)

@@ -2,10 +2,11 @@
 
 * :mod:`repro.labeling.pll` — pruned landmark labeling construction
   (Akiba et al., SIGMOD 2013), extended to directed weighted graphs with
-  pruned Dijkstra searches.
-* :mod:`repro.labeling.labels` — the label index: ``Lin``/``Lout`` entries,
-  merge-join distance queries, and actual-route restoration via per-entry
-  parent pointers.
+  pruned Dijkstra searches; one columnar search writes the packed
+  sections' columns directly.
+* :mod:`repro.labeling.labels` — the reference label index:
+  ``Lin``/``Lout`` entry objects, merge-join distance queries, and
+  actual-route restoration via per-entry parent pointers.
 * :mod:`repro.labeling.inverted` — the paper's per-category inverted label
   index ``IL(Ci)`` that makes FindNN incremental.
 * :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
@@ -15,10 +16,10 @@
   (:mod:`repro.labeling.mmap_index`: build once, attach from any number
   of processes, share one physical copy through the OS page cache).
   The saved file is also the one persisted form: SK-DB reads it per query.
-  ``labels``/``inverted`` above are PLL's build output and the reference
-  the packed classes are tested against.
+  ``labels``/``inverted`` above are the object reference the packed
+  classes are tested against (``PackedLabelIndex.to_index()``).
 * :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
-  "labels → packed → inverted" function behind every engine constructor.
+  "packed labels → inverted" function behind every engine constructor.
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
   (Sec. IV-C): category updates land in per-category delta overlays with
   threshold compaction.
@@ -26,10 +27,10 @@
 
 from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.order import degree_order, random_order
-from repro.labeling.pll import build_pruned_landmark_labels
-from repro.labeling.pll_unweighted import (
+from repro.labeling.pll import (
     build_bfs_labels,
     build_labels_auto,
+    build_pruned_landmark_labels,
     graph_is_unit_weight,
 )
 from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes

@@ -1,4 +1,4 @@
-"""Index assembly: labels → packed sections → inverted indexes.
+"""Index assembly: packed labels → inverted indexes.
 
 Every place that needs a queryable index — a fresh build, prebuilt
 labels, an attached index file, a shard worker's category subset, a
@@ -14,13 +14,12 @@ from time import perf_counter
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 from repro.graph.graph import Graph
-from repro.labeling.labels import LabelIndex
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
 )
-from repro.labeling.pll_unweighted import build_labels_auto
+from repro.labeling.pll import build_labels_auto
 from repro.types import CategoryId, Vertex
 
 
@@ -29,7 +28,7 @@ class AssembledIndex(NamedTuple):
 
     labels: PackedLabelIndex
     inverted: Dict[CategoryId, PackedInvertedIndex]
-    #: PLL build + pack time; 0.0 when the labels were supplied
+    #: PLL build time; 0.0 when the labels were supplied
     label_seconds: float
     inverted_seconds: float
 
@@ -47,12 +46,11 @@ def assemble_index(
 
     Labels come from ``index_file`` (an open
     :class:`~repro.labeling.mmap_index.MmapIndexFile`) when given, else
-    from ``labels`` (packed, or PLL's :class:`LabelIndex` output, which is
-    packed here), else from a PLL build over ``graph`` in ``order``.
-    ``categories`` defaults to every category of the graph; each one is
-    taken from ``index_file`` when the file stores it and built privately
-    from ``graph`` + the labels otherwise.  ``overlay_ratio`` overrides
-    the per-category compaction threshold.
+    from ``labels`` when given, else from a PLL build over ``graph`` in
+    ``order``.  ``categories`` defaults to every category of the graph;
+    each one is taken from ``index_file`` when the file stores it and
+    built privately from ``graph`` + the labels otherwise.
+    ``overlay_ratio`` overrides the per-category compaction threshold.
     """
     built = labels is None and index_file is None
     t0 = perf_counter()
@@ -60,8 +58,6 @@ def assemble_index(
         labels = index_file.labels
     elif built:
         labels = build_labels_auto(graph, order)
-    if isinstance(labels, LabelIndex):
-        labels = PackedLabelIndex.from_index(labels)
     t1 = perf_counter()
     if categories is None:
         categories = range(graph.num_categories)

@@ -42,10 +42,11 @@ class LabelEntry:
 class LabelIndex:
     """A complete 2-hop label index over a graph.
 
-    Instances are produced by
-    :func:`repro.labeling.pll.build_pruned_landmark_labels`; they are
-    self-contained (the original graph is *not* needed for distance or path
-    queries, matching the paper's disk-resident usage).
+    The per-entry object form the packed index is tested against
+    (:meth:`repro.labeling.packed.PackedLabelIndex.to_index` unpacks a
+    build into it); instances are self-contained (the original graph is
+    *not* needed for distance or path queries, matching the paper's
+    disk-resident usage).
     """
 
     def __init__(

@@ -6,9 +6,9 @@ label index is therefore kept flat: each side (``Lin`` / ``Lout``) is
 four parallel sections — offsets, hub ranks, distances, parents — of 8
 bytes per element, and :class:`PackedLabelIndex` serves queries straight
 off typed ``memoryview`` slices of those sections.  The sections are the
-same whether they sit in a private buffer (a fresh build packs PLL's
-:class:`~repro.labeling.labels.LabelIndex` output once; an unpickled
-index owns its bytes) or in a read-only ``mmap`` of an index file shared
+same whether they sit in a private buffer (a fresh build concatenates
+PLL's per-vertex columns into them; an unpickled index owns its bytes)
+or in a read-only ``mmap`` of an index file shared
 by every process that attaches it
 (:class:`~repro.labeling.mmap_index.MmapIndexFile`).
 
@@ -55,6 +55,7 @@ import struct
 import sys
 import threading
 from array import array
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -64,8 +65,8 @@ from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 PathLike = Union[str, Path]
 
-#: parent sentinel for hub self-entries
-_NO_PARENT = -1
+#: parent sentinel for hub self-entries (in the sections and in PLL's columns)
+NO_PARENT = -1
 
 _MAGIC = b"RPLI"
 _VERSION = 2
@@ -116,18 +117,12 @@ class _PackedSide:
         self.parents = parents
 
     @classmethod
-    def pack(cls, label_of, num_vertices: int) -> "_PackedSide":
-        """Flatten ``label_of(v)`` entry lists into private sections."""
-        offsets = array("q", [0])
-        hub_ranks, dists, parents = array("q"), array("d"), array("q")
-        for v in range(num_vertices):
-            for e in label_of(v):
-                hub_ranks.append(e.hub_rank)
-                dists.append(e.dist)
-                parents.append(_NO_PARENT if e.parent is None else e.parent)
-            offsets.append(len(hub_ranks))
-        return cls(*(memoryview(a)
-                     for a in (offsets, hub_ranks, dists, parents)))
+    def pack(cls, hub_ranks, dists, parents) -> "_PackedSide":
+        """Concatenate per-vertex columns into private sections."""
+        offsets = array("q", accumulate(map(len, hub_ranks), initial=0))
+        flat = (array(code, chain.from_iterable(column)) for code, column
+                in zip(_SIDE_SECTION_CODES[1:], (hub_ranks, dists, parents)))
+        return cls(memoryview(offsets), *map(memoryview, flat))
 
     def sections(self) -> Tuple:
         return self.offsets, self.hub_ranks, self.dists, self.parents
@@ -138,7 +133,7 @@ class _PackedSide:
     def entries(self, v: Vertex) -> List[LabelEntry]:
         lo, hi = self.slice(v)
         return [
-            LabelEntry(rank, dist, None if parent == _NO_PARENT else parent)
+            LabelEntry(rank, dist, None if parent == NO_PARENT else parent)
             for rank, dist, parent in zip(self.hub_ranks[lo:hi].tolist(),
                                           self.dists[lo:hi].tolist(),
                                           self.parents[lo:hi].tolist())
@@ -165,12 +160,30 @@ class PackedLabelIndex:
                    _PackedSide(*sections[5:9]), index_file)
 
     @classmethod
+    def from_columns(cls, order, lin, lout) -> "PackedLabelIndex":
+        """Flatten PLL's output into a private buffer.
+
+        Each side is ``(hub_ranks, dists, parents)``: three lists of
+        per-vertex lists, entries in ascending rank, ``NO_PARENT`` on a
+        hub's own entry.  ``lout is lin`` (a symmetric graph) shares one
+        set of sections between the sides.
+        """
+        lin_side = _PackedSide.pack(*lin)
+        lout_side = lin_side if lout is lin else _PackedSide.pack(*lout)
+        return cls(memoryview(array("q", order)), lin_side, lout_side)
+
+    @classmethod
     def from_index(cls, labels: LabelIndex) -> "PackedLabelIndex":
-        """Pack PLL's :class:`LabelIndex` output into a private buffer."""
-        n = labels.num_vertices
-        return cls(memoryview(array("q", labels.order)),
-                   _PackedSide.pack(labels.lin, n),
-                   _PackedSide.pack(labels.lout, n))
+        """Pack the reference object representation."""
+        def columns(label_of):
+            entries = [label_of(v) for v in range(labels.num_vertices)]
+            return ([[e.hub_rank for e in es] for es in entries],
+                    [[e.dist for e in es] for es in entries],
+                    [[NO_PARENT if e.parent is None else e.parent
+                      for e in es] for es in entries])
+
+        return cls.from_columns(labels.order, columns(labels.lin),
+                                columns(labels.lout))
 
     def to_index(self) -> LabelIndex:
         """Unpack into the reference object representation."""
@@ -231,7 +244,10 @@ class PackedLabelIndex:
     @property
     def nbytes_resident(self) -> int:
         """Live in-process footprint: near zero for file-backed sections."""
-        return sections_resident_bytes(self.sections(), self.shared)
+        sections = self.sections()
+        if self._lout is self._lin:  # one set of sections serves both sides
+            sections = sections[:5]
+        return sections_resident_bytes(sections, self.shared)
 
     @property
     def nbytes(self) -> int:
@@ -325,7 +341,7 @@ class PackedLabelIndex:
                 f"hub rank {hub_rank} missing from packed label of {v}"
             )
         parent = side.parents[lo]
-        return None if parent == _NO_PARENT else parent
+        return None if parent == NO_PARENT else parent
 
     def restore_witness_route(
         self, witness_vertices: List[Vertex]

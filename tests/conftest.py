@@ -13,8 +13,9 @@ from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph
 from repro.labeling.inverted import build_inverted_indexes
-from repro.labeling.pll_unweighted import build_labels_auto
 from repro.nn.label_nn import LabelNNFinder
+
+from reference_pll import build_reference_labels
 
 
 #: wall-clock budget of any single test; the slowest today takes ~6 s
@@ -68,7 +69,7 @@ def small_engine():
 
 
 class _ReferenceEngine(KOSREngine):
-    """An engine over PLL's per-entry object output and object FindNN."""
+    """An engine over the reference PLL's object output and object FindNN."""
 
     def _make_finder(self, nn_backend):
         if nn_backend == "label":
@@ -78,14 +79,16 @@ class _ReferenceEngine(KOSREngine):
 
 def reference_engine(graph, order=None):
     """The test reference: the object label/inverted indexes (explicit
-    imports, like ``core/brute.py``) behind the ordinary query dispatch.
+    imports, like ``core/brute.py``), built by ``tests/reference_pll.py``
+    — no code shared with the product's builder — behind the ordinary
+    query dispatch.
 
     Every packed engine — built or attached — must answer with the same
     results *and* ``QueryStats`` counters as this one.  It is rebuilt,
     never updated in place: after a mutation, build a fresh one from the
     mutated graph.
     """
-    labels = build_labels_auto(graph, order)
+    labels = build_reference_labels(graph, order)
     return _ReferenceEngine(graph, labels,
                             build_inverted_indexes(graph, labels))
 

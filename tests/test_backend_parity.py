@@ -13,6 +13,7 @@ import random
 import pytest
 
 from conftest import reference_engine
+from reference_pll import build_reference_labels
 from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -137,8 +138,7 @@ class TestPackedInvertedParity:
     @pytest.fixture(scope="class")
     def case(self):
         g = _graph(91)
-        labels = build_pruned_landmark_labels(g)
-        return g, labels, PackedLabelIndex.from_index(labels)
+        return g, build_reference_labels(g), build_pruned_landmark_labels(g)
 
     def test_hub_lists_identical(self, case):
         g, labels, packed_labels = case

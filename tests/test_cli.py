@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro import KOSREngine
 from repro.cli import build_parser, main
-from repro.graph.io import save_json
+from repro.graph.io import load_json, save_json
 from repro.graph.paper import paper_figure1_graph, vertex
 
 
@@ -305,9 +307,9 @@ class TestAsyncBatchCommand:
 
 
 class TestServeCommand:
-    def test_serve_answers_then_shuts_down(self, fig1_file, capsys,
-                                           monkeypatch):
-        """End-to-end `cli serve`: real TCP exchange, then interrupt."""
+    @pytest.fixture
+    def one_exchange(self, monkeypatch):
+        """`cli serve` answers one real TCP request, then is interrupted."""
         import asyncio
 
         import repro.server.tcp as tcp_mod
@@ -336,13 +338,40 @@ class TestServeCommand:
             return server
 
         monkeypatch.setattr(tcp_mod, "serve", wrapped)
+        return exchanged
+
+    def test_serve_answers_then_shuts_down(self, fig1_file, capsys,
+                                           one_exchange):
+        """End-to-end `cli serve`: real TCP exchange, then interrupt."""
         code = main(["serve", "--graph", fig1_file, "--port", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "serving KOSR queries" in out
+        # The banner is the first line (benchmarks/kosr/deploy.py waits
+        # for it) and says what the start-up built.
+        banner = out.splitlines()[0]
+        assert re.match(r"serving KOSR queries on 127\.0\.0\.1:\d+ \(", banner)
+        built = re.search(r"mmap=off, index=built (\d+\.\d\d)s/(\d+) entries,",
+                          banner)
+        assert built, banner
+        assert int(built.group(2)) == \
+            KOSREngine.build(load_json(fig1_file)).labels.size_entries()
         assert "interrupted" in out
-        assert exchanged["response"]["id"] == "cli"
-        assert exchanged["response"]["costs"][0] == 20
+        assert one_exchange["response"]["id"] == "cli"
+        assert one_exchange["response"]["costs"][0] == 20
+
+    def test_banner_names_an_attached_or_absent_index(
+            self, fig1_file, tmp_path, capsys, one_exchange):
+        index = tmp_path / "fig1.rpli"
+        assert main(["index", "build", "--graph", fig1_file,
+                     "--out", str(index)]) == 0
+        capsys.readouterr()
+        assert main(["serve", "--graph", fig1_file, "--port", "0",
+                     "--mmap-index", str(index)]) == 0
+        assert "mmap=on, index=mmap," in capsys.readouterr().out.splitlines()[0]
+        assert one_exchange["response"]["costs"][0] == 20
+        assert main(["serve", "--graph", fig1_file, "--port", "0",
+                     "--method", "GSP"]) == 0
+        assert "index=none," in capsys.readouterr().out.splitlines()[0]
 
     def test_serve_port_in_use_fails_with_actionable_message(
             self, fig1_file, capsys):

@@ -184,3 +184,44 @@ class TestUtility:
         g.set_unit_weights()
         assert g.edge_weight(0, 1) == 1.0
         assert dict(g.neighbors_in(1)) == {0: 1.0}
+
+
+class TestSymmetry:
+    def test_empty_graph_is_symmetric(self):
+        assert Graph().is_symmetric()
+        assert Graph(3).is_symmetric()
+
+    def test_undirected_edges_in_any_insertion_order(self):
+        g = Graph(3)
+        g.add_edge(0, 1, 2.0, undirected=True)
+        g.add_edge(2, 1, 1.5)
+        g.add_edge(0, 2, 4.0)
+        g.add_edge(2, 0, 4.0)
+        g.add_edge(1, 2, 1.5)
+        assert list(g.adjacency()[2]) != list(g.adjacency(incoming=True)[2])
+        assert g.is_symmetric()
+
+    def test_one_missing_reverse_edge(self):
+        g = Graph(3)
+        g.add_edge(0, 1, 2.0, undirected=True)
+        g.add_edge(1, 2, 1.0)
+        assert not g.is_symmetric()
+        g.add_edge(2, 1, 1.0)
+        assert g.is_symmetric()
+        g.remove_edge(0, 1)
+        assert not g.is_symmetric()
+
+    def test_reverse_edge_of_unequal_weight(self):
+        g = Graph(2)
+        g.add_edge(0, 1, 2.0)
+        g.add_edge(1, 0, 2.5)
+        assert not g.is_symmetric()
+
+    def test_adjacency_rows_are_the_neighbor_views(self):
+        g = Graph(3)
+        g.add_edge(0, 1, 2.0)
+        g.add_edge(2, 1, 3.0)
+        assert [dict(row) for row in g.adjacency()] == \
+            [dict(g.neighbors_out(v)) for v in g.vertices()]
+        assert [dict(row) for row in g.adjacency(incoming=True)] == \
+            [dict(g.neighbors_in(v)) for v in g.vertices()]

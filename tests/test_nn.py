@@ -7,16 +7,18 @@ import pytest
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.labeling import build_inverted_indexes, build_pruned_landmark_labels
+from repro.labeling import build_inverted_indexes
 from repro.nn import DijkstraNNFinder, EstimatedNNFinder, LabelNNFinder
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
+
+from reference_pll import build_reference_labels
 
 
 @pytest.fixture(scope="module")
 def fig1_setup():
     g = paper_figure1_graph()
-    labels = build_pruned_landmark_labels(g)
+    labels = build_reference_labels(g)
     inverted = build_inverted_indexes(g, labels)
     return g, labels, inverted
 
@@ -25,7 +27,7 @@ def fig1_setup():
 def random_setup():
     g = random_graph(60, 3.0, rng=random.Random(21))
     assign_uniform_categories(g, 3, 12, random.Random(22))
-    labels = build_pruned_landmark_labels(g)
+    labels = build_reference_labels(g)
     inverted = build_inverted_indexes(g, labels)
     return g, labels, inverted
 
@@ -275,7 +277,7 @@ class TestPackedCursorRelease:
 
 
 def _object_indexes(g):
-    labels = build_pruned_landmark_labels(g)
+    labels = build_reference_labels(g)
     return labels, build_inverted_indexes(g, labels)
 
 

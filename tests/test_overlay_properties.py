@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.pll import build_pruned_landmark_labels
 from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import INFINITY
@@ -29,8 +28,7 @@ N_CATEGORIES = 3
 _BASE_GRAPH = random_graph(N_VERTICES, avg_out_degree=2.5,
                            rng=random.Random(71))
 assign_uniform_categories(_BASE_GRAPH, N_CATEGORIES, 5, random.Random(72))
-_LABELS = PackedLabelIndex.from_index(
-    build_pruned_landmark_labels(_BASE_GRAPH))
+_LABELS = build_pruned_landmark_labels(_BASE_GRAPH)
 
 #: one op = (kind, vertex, category); "compact" ignores vertex/category
 _ops = st.lists(

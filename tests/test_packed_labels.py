@@ -11,11 +11,13 @@ from repro.graph.paper import paper_figure1_graph
 from repro.labeling import PackedLabelIndex, build_pruned_landmark_labels
 from repro.types import INFINITY
 
+from reference_pll import build_reference_labels
+
 
 @pytest.fixture(scope="module")
 def case():
     g = random_graph(45, 3.0, rng=random.Random(33))
-    labels = build_pruned_landmark_labels(g)
+    labels = build_reference_labels(g)
     return g, labels, PackedLabelIndex.from_index(labels)
 
 
@@ -64,7 +66,7 @@ class TestParity:
         from repro.graph import from_edge_list
 
         g = from_edge_list(3, [(0, 1, 1.0)])
-        packed = PackedLabelIndex.from_index(build_pruned_landmark_labels(g))
+        packed = build_pruned_landmark_labels(g)
         assert packed.distance(1, 0) == INFINITY
         assert packed.path(1, 0) == (INFINITY, [])
 
@@ -100,7 +102,7 @@ class TestSerialization:
 
     def test_fig1_round_trip(self, tmp_path):
         g = paper_figure1_graph()
-        labels = build_pruned_landmark_labels(g)
+        labels = build_reference_labels(g)
         packed = PackedLabelIndex.from_index(labels)
         path = tmp_path / "fig1.bin"
         packed.save(path)

@@ -22,6 +22,8 @@ from repro.nn import EstimatedNNFinder, LabelNNFinder
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
 
+from reference_pll import build_reference_labels
+
 SK = QueryOptions(method="SK")
 
 SETTINGS = settings(
@@ -105,7 +107,7 @@ class TestFindNNProperties:
     @SETTINGS
     @given(graphs(num_categories=2))
     def test_enumeration_matches_sorted_dijkstra(self, g):
-        labels = build_pruned_landmark_labels(g)
+        labels = build_reference_labels(g)
         inverted = build_inverted_indexes(g, labels)
         finder = LabelNNFinder.from_index(labels, inverted)
         for source in range(g.num_vertices):
@@ -127,7 +129,7 @@ class TestFindNNProperties:
     @SETTINGS
     @given(graphs(num_categories=1))
     def test_estimated_order_sorted_and_admissible(self, g):
-        labels = build_pruned_landmark_labels(g)
+        labels = build_reference_labels(g)
         inverted = build_inverted_indexes(g, labels)
         target = g.num_vertices - 1
         base = LabelNNFinder.from_index(labels, inverted)

@@ -17,6 +17,8 @@ from repro.labeling import (
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
+from reference_pll import build_reference_labels
+
 SK = QueryOptions(method="SK")
 
 SETTINGS = settings(
@@ -49,8 +51,8 @@ class TestPackedParityProperty:
     @SETTINGS
     @given(graphs())
     def test_packed_distances_identical(self, g):
-        labels = build_pruned_landmark_labels(g)
-        packed = PackedLabelIndex.from_index(labels)
+        labels = build_reference_labels(g)
+        packed = build_pruned_landmark_labels(g)
         for s in range(g.num_vertices):
             for t in range(g.num_vertices):
                 assert packed.distance(s, t) == labels.distance(s, t)
@@ -61,8 +63,8 @@ class TestPackedParityProperty:
         import tempfile
         from pathlib import Path
 
-        labels = build_pruned_landmark_labels(g)
-        packed = PackedLabelIndex.from_index(labels)
+        labels = build_reference_labels(g)
+        packed = build_pruned_landmark_labels(g)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "x.bin"
             packed.save(path)

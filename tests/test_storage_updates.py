@@ -11,7 +11,6 @@ from repro.graph.categories import assign_uniform_categories
 from repro.labeling import (
     add_vertex_to_category,
     build_inverted_indexes,
-    build_pruned_landmark_labels,
     remove_vertex_from_category,
 )
 from repro.labeling.assembly import assemble_index
@@ -19,12 +18,14 @@ from repro.labeling.inverted import build_inverted_index
 from repro.labeling.updates import rebuild_after_structure_update, update_edge
 from repro.nn.label_nn import PackedLabelNNFinder
 
+from reference_pll import build_reference_labels
+
 
 @pytest.fixture
 def setup():
     g = random_graph(30, 3.0, rng=random.Random(1))
     assign_uniform_categories(g, 3, 6, random.Random(2))
-    labels = build_pruned_landmark_labels(g)
+    labels = build_reference_labels(g)
     inverted = build_inverted_indexes(g, labels)
     return g, labels, inverted
 
@@ -35,8 +36,7 @@ class TestCategoryUpdates:
 
     @pytest.fixture
     def packed(self, setup):
-        g, labels, _ = setup
-        return assemble_index(g, labels)[:2]
+        return assemble_index(setup[0])[:2]
 
     def test_insert_then_query_sees_vertex(self, setup, packed):
         g, labels, _ = setup
@@ -106,7 +106,7 @@ class TestStructureUpdates:
     def test_rebuild_matches_fresh_build(self, setup):
         g, _, _ = setup
         labels2, inverted2 = rebuild_after_structure_update(g)
-        fresh_labels = build_pruned_landmark_labels(g)
+        fresh_labels = build_reference_labels(g)
         for s in range(0, g.num_vertices, 7):
             for t in range(g.num_vertices):
                 assert labels2.distance(s, t) == fresh_labels.distance(s, t)
@@ -122,7 +122,7 @@ class TestStructureUpdates:
                    for il in inverted2.values())
         assert labels2.distance(0, 5) == 0.0
         # same distances as an object build of the same graph
-        labels3 = build_pruned_landmark_labels(g)
+        labels3 = build_reference_labels(g)
         for s in range(0, g.num_vertices, 7):
             for t in range(g.num_vertices):
                 assert labels2.distance(s, t) == labels3.distance(s, t)
