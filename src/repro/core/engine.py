@@ -14,8 +14,8 @@ Typical use::
 
 The engine owns the offline artefacts (label index, inverted indexes,
 the path of their saved index file) and *plans* online queries through
-the service layer's method registry (:mod:`repro.service.planner`): each
-method is a registered executor with declared resource needs, executed by
+the service layer's method table (:mod:`repro.service.planner`): each
+method is a row of switches and resource needs, executed by
 :func:`repro.service.execution.execute_plan`.  ``KOSREngine.run`` uses
 cold per-query resources — a fresh finder and fresh memos, the paper's
 measurement setup — while :attr:`KOSREngine.service` exposes the warm
@@ -33,8 +33,8 @@ from a private buffer after :meth:`KOSREngine.build` and from a shared
 read-only ``mmap`` after :meth:`KOSREngine.from_index_file`.  Dynamic
 category updates go through a per-category delta overlay that queries
 lazily fold in (see :meth:`KOSREngine.add_vertex_to_category` /
-:meth:`KOSREngine.compact`).  The per-entry object representation the
-labels are built in survives only as the tests' reference.
+:meth:`KOSREngine.compact`).  The per-entry object representation
+survives only as the tests' reference (``tests/reference_*.py``).
 """
 
 from __future__ import annotations
@@ -474,8 +474,8 @@ class KOSREngine:
         """Answer a prevalidated :class:`KOSRQuery` with cold resources.
 
         ``options`` selects the method/backends and execution knobs.  The
-        method dispatch resolves through the service layer's planner
-        registry; execution builds a fresh finder and fresh memos per
+        method resolves through the service layer's planner table;
+        execution builds a fresh finder and fresh memos per
         query (the paper's measurement setup).  For warm cross-query
         caching and batched workloads use :attr:`service`.
         """

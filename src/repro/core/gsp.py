@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
@@ -54,6 +55,71 @@ def _multi_source_with_origins(
     return settled, settled_origin
 
 
+Transition = Callable[[Dict[Vertex, Cost], Iterable[Vertex]],
+                      Dict[Vertex, Tuple[Cost, Vertex]]]
+
+
+def _gsp_dp(graph: Graph, query: KOSRQuery, stats: QueryStats,
+            transition: Transition) -> List[SequencedResult]:
+    """The DP + backtrack both GSP flavours share.
+
+    ``transition(frontier, targets)`` is one layer update: for every
+    reachable target the pair ``(min_s X[s] + dis(s, target), argmin s)``
+    over the frontier's ``{s: X[s]}``.  Each call is booked as one NN
+    query, each layer's survivors as examined routes.
+    """
+    if query.k != 1:
+        raise ValueError("GSP only answers k = 1 (OSR) queries; see Sec. III-B")
+    t_start = time.perf_counter()
+    frontier: Dict[Vertex, Cost] = {query.source: 0.0}
+    #: per level: vertex -> the C_{i-1} vertex that minimised X[i, vertex]
+    backtracks: List[Dict[Vertex, Vertex]] = []
+    results: List[SequencedResult] = []
+    for cid in query.categories:
+        best = transition(frontier, graph.members(cid))
+        stats.nn_queries += 1  # one search per transition
+        stats.examined_routes += len(best)
+        backtracks.append({v: origin for v, (_, origin) in best.items()})
+        frontier = {v: cost for v, (cost, _) in best.items()}
+        if not frontier:
+            break
+    else:
+        final = transition(frontier, [query.target])
+        stats.nn_queries += 1
+        if query.target in final:
+            # Reconstruct the witness layer by layer.
+            total, cur = final[query.target]
+            vertices = [query.target]
+            for backtrack in reversed(backtracks):
+                vertices.append(cur)
+                cur = backtrack[cur]
+            vertices.append(query.source)
+            vertices.reverse()
+            results.append(SequencedResult(Witness(tuple(vertices), total)))
+    stats.results_found = len(results)
+    stats.total_time = time.perf_counter() - t_start
+    return results
+
+
+def gsp_osr(
+    graph: Graph,
+    query: KOSRQuery,
+    stats: Optional[QueryStats] = None,
+) -> List[SequencedResult]:
+    """Run GSP for an OSR query (requires ``query.k == 1``).
+
+    Returns a one-element list with the optimal sequenced route's witness,
+    or an empty list when no feasible route exists.  Each category
+    transition is one multi-source Dijkstra.
+    """
+    def transition(frontier, targets):
+        settled, origins = _multi_source_with_origins(graph, frontier)
+        return {v: (settled[v], origins[v]) for v in targets if v in settled}
+
+    stats = stats if stats is not None else QueryStats(method="GSP")
+    return _gsp_dp(graph, query, stats, transition)
+
+
 def gsp_osr_ch(
     graph: Graph,
     query: KOSRQuery,
@@ -70,90 +136,5 @@ def gsp_osr_ch(
     """
     from repro.ch.many_to_many import offset_min_to_targets
 
-    if query.k != 1:
-        raise ValueError("GSP only answers k = 1 (OSR) queries; see Sec. III-B")
     stats = stats if stats is not None else QueryStats(method="GSP-CH")
-    t_start = time.perf_counter()
-
-    frontier: Dict[Vertex, Cost] = {query.source: 0.0}
-    backtracks: List[Dict[Vertex, Vertex]] = []
-    feasible = True
-    for cid in query.categories:
-        members = graph.members(cid)
-        best = offset_min_to_targets(ch, frontier, members)
-        stats.nn_queries += 1
-        if not best:
-            feasible = False
-            break
-        stats.examined_routes += len(best)
-        backtracks.append({v: origin for v, (_, origin) in best.items()})
-        frontier = {v: cost for v, (cost, _) in best.items()}
-    if feasible:
-        final = offset_min_to_targets(ch, frontier, [query.target])
-        stats.nn_queries += 1
-        if query.target in final:
-            total, origin = final[query.target]
-            vertices = [query.target]
-            cur = origin
-            for level_back in range(len(backtracks) - 1, -1, -1):
-                vertices.append(cur)
-                cur = backtracks[level_back][cur]
-            vertices.append(query.source)
-            vertices.reverse()
-            stats.results_found = 1
-            stats.total_time = time.perf_counter() - t_start
-            return [SequencedResult(Witness(tuple(vertices), total))]
-    stats.results_found = 0
-    stats.total_time = time.perf_counter() - t_start
-    return []
-
-
-def gsp_osr(
-    graph: Graph,
-    query: KOSRQuery,
-    stats: Optional[QueryStats] = None,
-) -> List[SequencedResult]:
-    """Run GSP for an OSR query (requires ``query.k == 1``).
-
-    Returns a one-element list with the optimal sequenced route's witness,
-    or an empty list when no feasible route exists.
-    """
-    if query.k != 1:
-        raise ValueError("GSP only answers k = 1 (OSR) queries; see Sec. III-B")
-    stats = stats if stats is not None else QueryStats(method="GSP")
-    t_start = time.perf_counter()
-
-    frontier: Dict[Vertex, Cost] = {query.source: 0.0}
-    #: per level: vertex -> the C_{i-1} vertex that minimised X[i, vertex]
-    backtracks: List[Dict[Vertex, Vertex]] = []
-    feasible = True
-    for cid in query.categories:
-        members = graph.members(cid)
-        settled, origins = _multi_source_with_origins(graph, frontier)
-        stats.nn_queries += 1  # one graph search per transition
-        next_frontier = {v: settled[v] for v in members if v in settled}
-        stats.examined_routes += len(next_frontier)
-        if not next_frontier:
-            feasible = False
-            break
-        backtracks.append({v: origins[v] for v in next_frontier})
-        frontier = next_frontier
-    if feasible:
-        settled, origins = _multi_source_with_origins(graph, frontier)
-        stats.nn_queries += 1
-        if query.target in settled:
-            total = settled[query.target]
-            # Reconstruct the witness layer by layer.
-            vertices = [query.target]
-            cur = origins[query.target]
-            for level_back in range(len(backtracks) - 1, -1, -1):
-                vertices.append(cur)
-                cur = backtracks[level_back][cur]
-            vertices.append(query.source)
-            vertices.reverse()
-            stats.results_found = 1
-            stats.total_time = time.perf_counter() - t_start
-            return [SequencedResult(Witness(tuple(vertices), total))]
-    stats.results_found = 0
-    stats.total_time = time.perf_counter() - t_start
-    return []
+    return _gsp_dp(graph, query, stats, partial(offset_min_to_targets, ch))

@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.dominance import DominanceTables
-from repro.core.runtime import QueryRuntime
+from repro.core.runtime import QueryRuntime, table_x_timer
 from repro.types import Cost, SequencedResult, Vertex, Witness
 
 #: Queue entries: (key, tiebreak, vertices, cost, x, prefix_cost).
@@ -80,20 +80,14 @@ def sequenced_route_search(
     # Per-vertex dominance tables (Algorithm 2 lines 8-19).
     tables = DominanceTables()
 
-    # The three queue operations, bound once: behind timers feeding
-    # ``stats.queue_time`` when profiling, bare otherwise, so the loop
+    # The three queue operations, bound once: behind the Table-X timer
+    # of ``stats.queue_time`` when profiling, bare otherwise, so the loop
     # below never tests the flag.
     heappush, heappop, park = heapq.heappush, heapq.heappop, tables.park
     if stats.profile:
-        def timed(op):
-            def timed_op(*args):
-                t0 = perf_counter()
-                out = op(*args)
-                stats.queue_time += perf_counter() - t0
-                return out
-            return timed_op
-
-        heappush, heappop, park = timed(heappush), timed(heappop), timed(park)
+        heappush, heappop, park = (
+            table_x_timer(stats, "queue_time", op)
+            for op in (heappush, heappop, park))
 
     # Push/pop counters accumulate in locals and fold into ``stats`` at the
     # single exit point below — one attribute write instead of two per op.

@@ -20,10 +20,15 @@ PruningKOSR there).
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import KOSREngine, KOSRResult
+from repro.core.runtime import QueryRuntime
+from repro.core.search import sequenced_route_search
+from repro.core.stats import QueryStats
 from repro.nn.base import NearestNeighborFinder
+from repro.service.planner import METHOD_TABLE
 from repro.types import CategoryId, Cost, SequencedResult, Vertex, Witness
 
 
@@ -148,30 +153,24 @@ def kosr_with_preferences(
     method: str = "SK",
     budget: Optional[int] = None,
 ) -> KOSRResult:
-    """KOSR restricted to category members satisfying per-category predicates."""
-    from repro.core.kpne import kpne as _kpne
-    from repro.core.pruning import pruning_kosr as _pk
-    from repro.core.star import star_kosr as _sk
-    from repro.core.stats import QueryStats
+    """KOSR restricted to category members satisfying per-category predicates.
 
+    ``method`` is any row of the method table that searches over the
+    in-memory NN oracle (KPNE, PK, SK, SK-NODOM).
+    """
+    spec = METHOD_TABLE.get(method)
+    if spec is None or not spec.needs_finder or spec.index_file:
+        raise ValueError(f"unsupported method {method!r} for preference queries")
     q = engine.make_query(source, target, categories, k)
     cid_predicates = {
         (engine.graph.category_id(c) if isinstance(c, str) else int(c)): fn
         for c, fn in predicates.items()
     }
-    base = engine._make_finder("label")
-    finder = PreferenceNNFinder(base, cid_predicates)
+    finder = PreferenceNNFinder(engine._make_finder("label"), cid_predicates)
     stats = QueryStats(method=f"{method}+pref")
-    import time as _time
-
-    t0 = _time.perf_counter()
-    if method == "SK":
-        results = _sk(q, finder, stats, budget)
-    elif method == "PK":
-        results = _pk(q, finder, stats, budget)
-    elif method == "KPNE":
-        results = _kpne(q, finder, stats, budget)
-    else:
-        raise ValueError(f"unsupported method {method!r} for preference queries")
-    stats.total_time = _time.perf_counter() - t0
+    t0 = time.perf_counter()
+    results = sequenced_route_search(
+        QueryRuntime(q, finder, stats, estimated=spec.estimated),
+        spec.use_dominance, spec.estimated, budget=budget)
+    stats.total_time = time.perf_counter() - t0
     return KOSRResult(q, results, stats)

@@ -22,12 +22,6 @@ from repro.experiments.workload import Workload, random_queries
 from repro.experiments.runner import MethodAggregate, run_workload, INF
 from repro.experiments import figures
 from repro.experiments.charts import bar_chart, level_series
-from repro.experiments.persistence import (
-    load_workload,
-    read_rows_csv,
-    save_workload,
-    write_rows_csv,
-)
 from repro.experiments.reporting import format_table
 
 __all__ = [
@@ -43,9 +37,5 @@ __all__ = [
     "figures",
     "bar_chart",
     "level_series",
-    "load_workload",
-    "read_rows_csv",
-    "save_workload",
-    "write_rows_csv",
     "format_table",
 ]

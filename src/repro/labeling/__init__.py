@@ -4,20 +4,18 @@
   (Akiba et al., SIGMOD 2013), extended to directed weighted graphs with
   pruned Dijkstra searches; one columnar search writes the packed
   sections' columns directly.
-* :mod:`repro.labeling.labels` — the reference label index:
-  ``Lin``/``Lout`` entry objects, merge-join distance queries, and
-  actual-route restoration via per-entry parent pointers.
-* :mod:`repro.labeling.inverted` — the paper's per-category inverted label
-  index ``IL(Ci)`` that makes FindNN incremental.
 * :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
-  the one index representation every engine serves from: the RPLI v2
-  section layout, as typed views over a private buffer (fresh build) or
-  over a read-only ``mmap`` of a saved index file
+  the label index (``Lin``/``Lout``, merge-join distance queries,
+  actual-route restoration via parent pointers) and the paper's
+  per-category inverted label index ``IL(Ci)`` that makes FindNN
+  incremental, in the one representation every engine serves from: the
+  RPLI v2 section layout, as typed views over a private buffer (fresh
+  build) or over a read-only ``mmap`` of a saved index file
   (:mod:`repro.labeling.mmap_index`: build once, attach from any number
   of processes, share one physical copy through the OS page cache).
   The saved file is also the one persisted form: SK-DB reads it per query.
-  ``labels``/``inverted`` above are the object reference the packed
-  classes are tested against (``PackedLabelIndex.to_index()``).
+  The per-entry object form these are tested against lives with the
+  tests (``tests/reference_{labels,inverted,nn,pll}.py``).
 * :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
   "packed labels → inverted" function behind every engine constructor.
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
@@ -25,7 +23,6 @@
   threshold compaction.
 """
 
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.order import degree_order, random_order
 from repro.labeling.pll import (
     build_bfs_labels,
@@ -33,7 +30,6 @@ from repro.labeling.pll import (
     build_pruned_landmark_labels,
     graph_is_unit_weight,
 )
-from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed import (
     IndexFileLayout,
@@ -53,16 +49,12 @@ from repro.labeling.updates import (
 )
 
 __all__ = [
-    "LabelEntry",
-    "LabelIndex",
     "degree_order",
     "random_order",
     "build_pruned_landmark_labels",
     "build_bfs_labels",
     "build_labels_auto",
     "graph_is_unit_weight",
-    "InvertedLabelIndex",
-    "build_inverted_indexes",
     "PackedLabelIndex",
     "PackedInvertedIndex",
     "MmapIndexFile",

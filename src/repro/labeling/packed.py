@@ -1,5 +1,14 @@
 """The label index: RPLI v2 sections as the in-memory format.
 
+For every vertex ``v`` the 2-hop index keeps ``Lin(v)`` — entries
+``(hub, dis(hub, v))`` — and ``Lout(v)`` — entries ``(hub, dis(v, hub))``
+— satisfying the *cover property*: some hub on a shortest ``s → t`` path
+appears in both ``Lout(s)`` and ``Lin(t)``, so ``dis(s, t)`` is the
+minimum of ``d_s,h + d_h,t`` over the common hubs, a merge join over
+entries sorted by hub rank.  Each entry also stores a *parent* vertex (one
+step closer to the hub), which makes witness-to-route restoration a chain
+of label lookups — the technique the paper cites from Akiba et al. [2].
+
 Sec. V-A notes that on large graphs "the index sizes may be too large to
 fit into main memory" and points at hub-label compression [12].  The
 label index is therefore kept flat: each side (``Lin`` / ``Lout``) is
@@ -42,10 +51,11 @@ with the hub runs concatenated in ascending-rank order.  Every section
 is a multiple of 8 bytes, so all offsets stay naturally aligned for
 ``memoryview.cast``.
 
-:class:`PackedLabelIndex` offers the query surface of the reference
-:class:`repro.labeling.labels.LabelIndex` (``distance``,
-``distance_with_hub``, ``path``, ``restore_witness_route``,
-``lin``/``lout``); tests assert full parity.
+The per-entry object form of the same index lives with the tests
+(``tests/reference_labels.py``, built by ``tests/reference_pll.py``);
+they assert full parity of ``distance``, ``distance_with_hub``, ``path``
+and ``restore_witness_route``, and convert through :meth:`sections` /
+:meth:`from_columns`.
 """
 
 from __future__ import annotations
@@ -60,7 +70,6 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import IndexBuildError, IndexStorageError
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 PathLike = Union[str, Path]
@@ -130,15 +139,6 @@ class _PackedSide:
     def slice(self, v: Vertex) -> Tuple[int, int]:
         return self.offsets[v], self.offsets[v + 1]
 
-    def entries(self, v: Vertex) -> List[LabelEntry]:
-        lo, hi = self.slice(v)
-        return [
-            LabelEntry(rank, dist, None if parent == NO_PARENT else parent)
-            for rank, dist, parent in zip(self.hub_ranks[lo:hi].tolist(),
-                                          self.dists[lo:hi].tolist(),
-                                          self.parents[lo:hi].tolist())
-        ]
-
 
 class PackedLabelIndex:
     """The 2-hop label index over RPLI sections (private or file-backed)."""
@@ -172,28 +172,6 @@ class PackedLabelIndex:
         lout_side = lin_side if lout is lin else _PackedSide.pack(*lout)
         return cls(memoryview(array("q", order)), lin_side, lout_side)
 
-    @classmethod
-    def from_index(cls, labels: LabelIndex) -> "PackedLabelIndex":
-        """Pack the reference object representation."""
-        def columns(label_of):
-            entries = [label_of(v) for v in range(labels.num_vertices)]
-            return ([[e.hub_rank for e in es] for es in entries],
-                    [[e.dist for e in es] for es in entries],
-                    [[NO_PARENT if e.parent is None else e.parent
-                      for e in es] for es in entries])
-
-        return cls.from_columns(labels.order, columns(labels.lin),
-                                columns(labels.lout))
-
-    def to_index(self) -> LabelIndex:
-        """Unpack into the reference object representation."""
-        n = self.num_vertices
-        return LabelIndex(
-            self._order,
-            [self._lin.entries(v) for v in range(n)],
-            [self._lout.entries(v) for v in range(n)],
-        )
-
     def sections(self) -> Tuple:
         """The nine label sections in file order."""
         return (self._order,) + self._lin.sections() + self._lout.sections()
@@ -221,12 +199,6 @@ class PackedLabelIndex:
 
     def hub_vertex(self, hub_rank: int) -> Vertex:
         return self._order[hub_rank]
-
-    def lin(self, v: Vertex) -> List[LabelEntry]:
-        return self._lin.entries(v)
-
-    def lout(self, v: Vertex) -> List[LabelEntry]:
-        return self._lout.entries(v)
 
     def lin_side(self) -> _PackedSide:
         """The raw ``Lin`` sections (hot-path consumers slice these)."""
@@ -301,7 +273,12 @@ class PackedLabelIndex:
         return best, best_hub
 
     def path(self, s: Vertex, t: Vertex) -> Tuple[Cost, List[Vertex]]:
-        """Path restoration identical to the reference index."""
+        """Restore one shortest path from ``s`` to ``t``.
+
+        Returns ``(INFINITY, [])`` when unreachable.  Pruned landmark
+        labeling guarantees each labelled vertex's parent is labelled with
+        the same hub, so the parent chains always terminate at the hub.
+        """
         if s == t:
             return 0.0, [s]
         dist, hub_rank = self.distance_with_hub(s, t)
@@ -348,9 +325,10 @@ class PackedLabelIndex:
     ) -> Tuple[Cost, List[Vertex]]:
         """Concatenate shortest paths between consecutive witness vertices.
 
-        Same semantics as :meth:`repro.labeling.labels.LabelIndex.
-        restore_witness_route`: converts a KOSR witness into an actual
-        route (Definition 2); consecutive duplicates contribute no edges.
+        This converts a KOSR witness into an *actual route* (Definition 2),
+        as described at the end of Sec. IV-A.  Consecutive duplicates in the
+        witness (a vertex covering two adjacent categories) contribute no
+        edges.
         """
         if not witness_vertices:
             return 0.0, []

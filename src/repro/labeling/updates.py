@@ -54,6 +54,17 @@ def _check_updatable(inverted: InvertedMap) -> None:
             )
 
 
+def _lin_entries(labels: PackedLabelIndex, v: Vertex):
+    """``(hub, hub_rank, dist)`` of every ``Lin(v)`` entry, read straight
+    from the side's columns."""
+    side = labels.lin_side()
+    lo, hi = side.slice(v)
+    order = labels.order
+    return [(order[rank], rank, dist)
+            for rank, dist in zip(side.hub_ranks[lo:hi].tolist(),
+                                  side.dists[lo:hi].tolist())]
+
+
 def add_vertex_to_category(
     graph: Graph,
     labels: PackedLabelIndex,
@@ -72,9 +83,8 @@ def add_vertex_to_category(
         sibling = next(iter(inverted.values()), None)
         il = inverted[cid] = PackedInvertedIndex.empty(
             cid, None if sibling is None else sibling.overlay_ratio)
-    for entry in labels.lin(v):
-        il.overlay_insert(labels.hub_vertex(entry.hub_rank),
-                          entry.hub_rank, entry.dist, v)
+    for hub, rank, dist in _lin_entries(labels, v):
+        il.overlay_insert(hub, rank, dist, v)
     il.maybe_compact()
 
 
@@ -93,9 +103,8 @@ def remove_vertex_from_category(
     il = inverted.get(cid)
     if il is None:
         return
-    for entry in labels.lin(v):
-        il.overlay_remove(labels.hub_vertex(entry.hub_rank),
-                          entry.hub_rank, entry.dist, v)
+    for hub, rank, dist in _lin_entries(labels, v):
+        il.overlay_remove(hub, rank, dist, v)
     il.maybe_compact()
 
 

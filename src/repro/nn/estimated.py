@@ -15,16 +15,22 @@ that order by wrapping plain FindNN:
 Members that cannot reach the destination (infinite estimate) are dropped:
 no feasible route extends through them.
 
-Two implementations:
+Two implementations, one protocol — ``find(source, category, x)`` and
+``booked()``, the ``(plain-NN attempts, estimated vertices)`` a query
+adds to what its oracle and its own ``dis(·, t)`` memo already count:
 
 * :class:`EstimatedNNFinder` is the generic wrapper over any
-  :class:`NearestNeighborFinder` — the only FindNEN of the object finder
-  (SK-DB), the Dijkstra finders and ``profile=True`` runs, whose
-  plain-NN fetches go through ``finder.find`` one at a time.
+  :class:`NearestNeighborFinder` — the FindNEN of the oracles that have
+  no packed cursor (the Dijkstra finders behind ``SK-Dij``, preference
+  queries, the tests' object finder) and the reference the fused one is
+  tested against.  Its plain-NN fetches go through ``finder.find`` one
+  at a time and its estimates through the caller's ``estimate``, so both
+  are counted where they happen and ``booked()`` adds nothing.
 * :class:`EstStream` is FindNEN fused onto one packed FindNN cursor, and
-  the one producer every packed SK run — cold or warm — reads from.  For
-  a fixed target the estimated order of ``(source, category)`` is a pure
-  function of the index state, so a stream is query-independent: it
+  the one producer every packed SK run — cold or warm, profiled or not —
+  reads from.  For a fixed target the estimated order of ``(source,
+  category)`` is a pure function of the index state, so a stream is
+  query-independent: it
   records, next to each ``ENL`` entry and for its end, what a cold
   FindNEN would have booked by then (plain-NN attempts, and how many
   ``NL`` members had their estimate demanded).  A query only remembers
@@ -103,6 +109,11 @@ class EstimatedNNFinder:
             if nxt is None:
                 return None
         return cursor.enl[x - 1]
+
+    def booked(self) -> Tuple[int, Set[Vertex]]:
+        """Nothing beyond the wrapped finder's ``queries`` and the
+        caller's estimate memo: every fetch and estimate was a call."""
+        return 0, set()
 
     # ------------------------------------------------------------------
     def _next(
@@ -266,21 +277,16 @@ class PackedEstimatedNNFinder:
         #: (source, category) -> [ENL, largest x asked, stream]
         self._entries: Dict[Tuple[Vertex, CategoryId], list] = {}
 
-    def entry(self, source: Vertex, category: CategoryId) -> list:
-        """The mutable ``[enl, asked, stream]`` record of one stream
-        (get-or-open).  Callers serving ``x`` themselves (the query
-        runtime inlines the loop) must raise ``asked`` to ``x``."""
+    def find(
+        self, source: Vertex, category: CategoryId, x: int
+    ) -> Optional[Tuple[Vertex, Cost, Cost]]:
+        """The ``x``-th member by ``dis(source, ·) + estimate(·)``:
+        served from ``ENL`` when produced, by advancing the stream
+        otherwise."""
         entry = self._entries.get((source, category))
         if entry is None:
             stream = self._open_stream(source, category)
             entry = self._entries[(source, category)] = [stream.enl, 0, stream]
-        return entry
-
-    def find(
-        self, source: Vertex, category: CategoryId, x: int
-    ) -> Optional[Tuple[Vertex, Cost, Cost]]:
-        """The ``x``-th member by ``dis(source, ·) + estimate(·)``."""
-        entry = self.entry(source, category)
         if x > entry[1]:
             entry[1] = x
         enl = entry[0]

@@ -15,140 +15,24 @@ the paper's pseudo-code: a member can sit in ``NQ`` through *two* hubs at
 once, so pops must skip members already in ``NL`` (Alg. 3 only skips them
 while advancing cursors).
 
-Two finders implement it.  :class:`PackedLabelNNFinder` is the one every
-engine uses: it runs over the RPLI sections
+:class:`PackedLabelNNFinder` runs it over the RPLI sections
 (:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
 decoding the label and hub runs it is about to scan with one
 ``tolist()`` each (SK-DB builds one over its attachment of the saved
-index file).  :class:`LabelNNFinder` is the per-entry object version:
-the reference the packed finder's answers and counters are tested
-against.
+index file).  The per-entry object version its answers and counters are
+tested against lives with the tests (``tests/reference_nn.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.labeling.inverted import InvertedLabelIndex
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.nn.base import NearestNeighborFinder
 from repro.types import CategoryId, Cost, INFINITY, Vertex
-
-
-class _Cursor:
-    """Merge state for one ``(source, category)`` pair."""
-
-    __slots__ = ("nl", "nq", "kv", "base", "found_set", "exhausted")
-
-    def __init__(self) -> None:
-        self.nl: List[Tuple[Vertex, Cost]] = []
-        # heap entries: (total_cost, member, hub)
-        self.nq: List[Tuple[Cost, Vertex, Vertex]] = []
-        self.kv: Dict[Vertex, int] = {}
-        self.base: Dict[Vertex, Cost] = {}
-        self.found_set = set()
-        self.exhausted = False
-
-
-class LabelNNFinder(NearestNeighborFinder):
-    """The paper's FindNN over a label index + per-category inverted indexes.
-
-    ``hub_list(category, hub)`` and ``lout(v)`` are injected as callables;
-    :meth:`from_index` wires them to PLL's object indexes (the tests'
-    reference engine).
-    """
-
-    def __init__(
-        self,
-        lout: Callable[[Vertex], List[LabelEntry]],
-        hub_vertex: Callable[[int], Vertex],
-        hub_list: Callable[[CategoryId, Vertex], List[Tuple[Cost, Vertex]]],
-        distance_func: Callable[[Vertex, Vertex], Cost],
-    ):
-        super().__init__()
-        self._lout = lout
-        self._hub_vertex = hub_vertex
-        self._hub_list = hub_list
-        self._distance = distance_func
-        self._cursors: Dict[Tuple[Vertex, CategoryId], _Cursor] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_index(
-        cls,
-        labels: LabelIndex,
-        inverted: Dict[CategoryId, InvertedLabelIndex],
-    ) -> "LabelNNFinder":
-        """Construct over the in-memory label + inverted indexes."""
-
-        def hub_list(cid: CategoryId, hub: Vertex) -> List[Tuple[Cost, Vertex]]:
-            il = inverted.get(cid)
-            return il.hub_list(hub) if il is not None else []
-
-        return cls(labels.lout, labels.hub_vertex, hub_list, labels.distance)
-
-    # ------------------------------------------------------------------
-    def find(
-        self, source: Vertex, category: CategoryId, x: int
-    ) -> Optional[Tuple[Vertex, Cost]]:
-        cursor = self._cursors.get((source, category))
-        if cursor is None:
-            cursor = _Cursor()
-            self._cursors[(source, category)] = cursor
-            self._init_cursor(cursor, source, category)
-        # NL hit: free (not counted as an executed NN query).
-        while len(cursor.nl) < x and not cursor.exhausted:
-            self.queries += 1
-            self._advance(cursor, category)
-        if x <= len(cursor.nl):
-            return cursor.nl[x - 1]
-        return None
-
-    def distance(self, s: Vertex, t: Vertex) -> Cost:
-        return self._distance(s, t)
-
-    # ------------------------------------------------------------------
-    def _init_cursor(self, cursor: _Cursor, source: Vertex, category: CategoryId) -> None:
-        """Lines 6-10 of Algorithm 3: seed NQ with each hub list's head."""
-        for entry in self._lout(source):
-            hub = self._hub_vertex(entry.hub_rank)
-            lst = self._hub_list(category, hub)
-            if lst:
-                d, member = lst[0]
-                cursor.base[hub] = entry.dist
-                cursor.kv[hub] = 1
-                heapq.heappush(cursor.nq, (entry.dist + d, member, hub))
-        if not cursor.nq:
-            cursor.exhausted = True
-
-    def _advance(self, cursor: _Cursor, category: CategoryId) -> None:
-        """Produce the next nearest neighbor into ``NL`` (lines 11-18)."""
-        while cursor.nq:
-            total, member, hub = heapq.heappop(cursor.nq)
-            self._push_next_from_hub(cursor, category, hub)
-            if member in cursor.found_set:
-                continue  # stale duplicate through another hub
-            cursor.found_set.add(member)
-            cursor.nl.append((member, total))
-            return
-        cursor.exhausted = True
-
-    def _push_next_from_hub(self, cursor: _Cursor, category: CategoryId, hub: Vertex) -> None:
-        """Advance KV[hub], skipping members already found (the do-while)."""
-        lst = self._hub_list(category, hub)
-        pos = cursor.kv[hub]
-        while pos < len(lst) and lst[pos][1] in cursor.found_set:
-            pos += 1
-        if pos < len(lst):
-            d, member = lst[pos]
-            heapq.heappush(cursor.nq, (cursor.base[hub] + d, member, hub))
-            cursor.kv[hub] = pos + 1
-        else:
-            cursor.kv[hub] = len(lst)
 
 
 class _PackedCursor:
@@ -188,16 +72,15 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     """FindNN over the packed label + inverted indexes.
 
     Same algorithm (and identical answers, order, and executed-NN-query
-    counts — asserted by the parity tests) as :class:`LabelNNFinder`,
-    but every inner-loop step is index arithmetic over decoded runs: no
-    ``LabelEntry`` objects, no per-step hub-list dict lookups, no
+    counts — asserted by the parity tests) as the tests' per-entry
+    reference finder, but every inner-loop step is index arithmetic over
+    decoded runs: no entry objects, no per-step hub-list dict lookups, no
     ``(dist, member)`` tuple unpacking.
 
     Dynamic category updates land in the inverted indexes' delta
     overlays; cursors decode the hub runs they will scan and fold any
     relevant deltas in at creation time (see :meth:`_make_cursor`).
-    Like the object finder, whose cursors read the live hub lists, a
-    finder snapshots index state as of each cursor's creation — apply
+    A finder snapshots index state as of each cursor's creation — apply
     updates between queries (the engine builds a fresh finder per
     query), not while a finder is mid-enumeration.
     """
@@ -229,7 +112,8 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         if len(nl) < x and not cursor.exhausted:
             # One count per produced neighbor plus one for the advance
             # that discovers exhaustion (it raises StopIteration after
-            # flagging the cursor), matching LabelNNFinder's accounting.
+            # flagging the cursor), matching the reference finder's
+            # accounting.
             attempts = 0
             advance = cursor.gen.__next__
             try:

@@ -1,4 +1,4 @@
-"""Shortest-path substrate: Dijkstra family, A*, bidirectional, k-NN cursors."""
+"""Shortest-path substrate: Dijkstra family and k-NN cursors."""
 
 from repro.paths.dijkstra import (
     dijkstra,
@@ -7,9 +7,7 @@ from repro.paths.dijkstra import (
     multi_source_dijkstra,
     dijkstra_to_targets,
 )
-from repro.paths.astar import astar_path
-from repro.paths.bidirectional import bidirectional_distance
-from repro.paths.knn import DijkstraKnnCursor, RestartingKnnFinder, knn_in_category
+from repro.paths.knn import DijkstraKnnCursor, knn_in_category
 
 __all__ = [
     "dijkstra",
@@ -17,9 +15,6 @@ __all__ = [
     "dijkstra_path",
     "multi_source_dijkstra",
     "dijkstra_to_targets",
-    "astar_path",
-    "bidirectional_distance",
     "DijkstraKnnCursor",
-    "RestartingKnnFinder",
     "knn_in_category",
 ]

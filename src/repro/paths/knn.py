@@ -2,9 +2,10 @@
 
 The paper's ``*-Dij`` method variants answer "the x-th nearest neighbor of
 vertex ``v`` in category ``Ci``" with graph searches instead of the inverted
-label index.  Two flavours are provided:
+label index.  Two flavours are provided, both behind
+:class:`~repro.nn.dijkstra_nn.DijkstraNNFinder`:
 
-* :class:`RestartingKnnFinder` — the paper-faithful straw man: "each time we
+* :func:`knn_in_category` — the paper-faithful straw man: "each time we
   find the x-th nearest neighbor, Dijkstra's search actually finds the top-x
   nearest neighbors from scratch" (Sec. IV-A).  This is what makes
   KPNE-Dij/PK-Dij/SK-Dij orders of magnitude slower.
@@ -99,26 +100,3 @@ class DijkstraKnnCursor:
                 self._found.append((u, d))
                 return
         self._exhausted = True
-
-
-class RestartingKnnFinder:
-    """Paper-faithful Dijkstra NN oracle: every ``x``-th-NN call restarts.
-
-    Used by the ``*-Dij`` variants in the benchmarks.  A tiny memo keeps the
-    *answers* (so correctness checks can re-ask cheaply) but the search work
-    is re-done from scratch per distinct ``x``, charging the cost the paper
-    charges.
-    """
-
-    def __init__(self, graph: Graph):
-        self._graph = graph
-        #: Number of Dijkstra runs performed (exposed for statistics).
-        self.searches = 0
-
-    def find(self, source: Vertex, category: CategoryId, x: int) -> Optional[Tuple[Vertex, Cost]]:
-        """The ``x``-th nearest member of ``category`` from ``source``."""
-        self.searches += 1
-        neighbors = knn_in_category(self._graph, source, category, x)
-        if len(neighbors) >= x:
-            return neighbors[x - 1]
-        return None

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Optional
 
 from repro.api import QueryOptions, QueryRequest
@@ -112,30 +113,65 @@ def _validate_record(record) -> dict:
     return record
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+#: option fields a record may override: what the JSON value must be
+#: (``null`` leaves a budget unset, as in ``QueryOptions``)
+_OPTION_FIELDS = (
+    ("method", "a JSON string", lambda v: isinstance(v, str)),
+    ("nn_backend", "a JSON string", lambda v: isinstance(v, str)),
+    ("budget", "a JSON integer",
+     lambda v: v is None or _is_json_int(v)),
+    ("time_budget_s", "a finite JSON number",
+     lambda v: v is None or _is_finite_number(v)),
+)
+
+
 def _parse_record(engine, record: dict,
                   defaults: QueryOptions) -> QueryRequest:
     for field in ("source", "target", "categories"):
         if field not in record:
             raise ValueError(f"request record needs {field!r}")
-    # json.loads also hands out floats (1e400 is inf), bools and strings
-    # where the protocol means an integer or a list: reject them here, by
-    # field name, instead of letting int() truncate or overflow later.
+    # json.loads also hands out floats (1e400 is inf), bools, strings and
+    # containers where the protocol means an integer, a number or a list:
+    # reject them here, by field name, instead of letting int() truncate
+    # or a comparison fail later.
     k = record.get("k", 1)
     for field, value in (("source", record["source"]),
                          ("target", record["target"]), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_json_int(value):
             raise ValueError(
                 f"{field!r} must be a JSON integer, got {value!r}")
     if not isinstance(record["categories"], list):
         raise ValueError(
             f"'categories' must be a JSON list, got "
             f"{record['categories']!r}")
+    for c in record["categories"]:
+        if not (_is_json_int(c) or isinstance(c, str)):
+            raise ValueError(
+                f"'categories' holds JSON integers (ids) or strings "
+                f"(names), got {c!r}")
     cats = [int(c) if isinstance(c, str) and c.isdigit() else c
             for c in record["categories"]]
     query = engine.make_query(record["source"], record["target"], cats, k=k)
-    overrides = {name: record[name] for name
-                 in ("method", "nn_backend", "budget", "time_budget_s")
-                 if name in record}
+    overrides = {}
+    for name, expected, accepts in _OPTION_FIELDS:
+        if name in record:
+            if not accepts(record[name]):
+                raise ValueError(
+                    f"{name!r} must be {expected}, got {record[name]!r}")
+            overrides[name] = record[name]
     options = defaults.replace(**overrides) if overrides else defaults
     return QueryRequest(query, options)
 
@@ -144,10 +180,9 @@ def _parse_deadline_s(record: dict) -> Optional[float]:
     deadline_ms = record.get("deadline_ms")
     if deadline_ms is None:
         return None
-    if isinstance(deadline_ms, bool) or not isinstance(deadline_ms,
-                                                       (int, float)):
+    if not _is_finite_number(deadline_ms):
         raise ValueError(
-            f"'deadline_ms' must be a number of milliseconds, got "
+            f"'deadline_ms' must be a finite number of milliseconds, got "
             f"{type(deadline_ms).__name__}")
     return float(deadline_ms) / 1000.0
 

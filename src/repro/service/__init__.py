@@ -1,11 +1,13 @@
 """repro.service — the workload-serving layer between indexes and algorithms.
 
-* :mod:`repro.service.planner` — method registry; ``(method, nn_backend)``
-  -> :class:`QueryPlan`;
+* :mod:`repro.service.planner` — the method table (one
+  :class:`MethodSpec` row per method of the paper); ``(method,
+  nn_backend)`` -> :class:`QueryPlan`;
 * :mod:`repro.service.cache` — epoch-versioned :class:`SessionCache`
   with cold-equivalent counter accounting;
-* :mod:`repro.service.execution` — resource providers + the shared plan
-  runner used by both the engine facade and the batch service;
+* :mod:`repro.service.execution` — resource providers +
+  :func:`execute_plan`, the one seam from a plan to the search loop,
+  used by both the engine facade and the batch service;
 * :mod:`repro.service.service` — :class:`QueryService` with grouped
   :meth:`~QueryService.run_batch` execution.
 
@@ -31,8 +33,10 @@ Everything above the engine leans on two invariants this package owns:
 * **Epoch semantics.**  Every index mutation moves the engine's
   ``index_epoch`` (engine-level base + per-index version counters, so
   even updates applied behind the engine's back are seen).  A session
-  validates its stored epoch before serving and drops *all* warm state
-  on any change — there is no partial invalidation, so no query can
+  validates its stored epoch before serving and drops the warm state a
+  change could have touched — just the changed categories' cursors and
+  FindNEN streams when only per-category versions moved, everything
+  when ``epoch_base`` moved (edge update, compaction) — so no query can
   ever observe pre-update cache state.  Within one epoch, index state
   is immutable-as-observed: identical requests are guaranteed identical
   answers, which is what makes the serving layer's coalescing
@@ -49,12 +53,11 @@ from repro.service.cache import (
 )
 from repro.service.execution import ColdResources, WarmResources, execute_plan
 from repro.service.planner import (
-    ExecutorSpec,
     METHODS,
+    METHOD_TABLE,
+    MethodSpec,
     NN_BACKENDS,
     QueryPlan,
-    executor_specs,
-    register_executor,
     resolve_plan,
 )
 from repro.service.service import BatchResult, QueryService
@@ -65,8 +68,9 @@ __all__ = [
     "ColdEquivalentFinderView",
     "ColdResources",
     "DEFAULT_OPTIONS",
-    "ExecutorSpec",
     "METHODS",
+    "METHOD_TABLE",
+    "MethodSpec",
     "NN_BACKENDS",
     "QueryOptions",
     "QueryPlan",
@@ -76,7 +80,5 @@ __all__ = [
     "SharedDestKernel",
     "WarmResources",
     "execute_plan",
-    "executor_specs",
-    "register_executor",
     "resolve_plan",
 ]

@@ -185,13 +185,9 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
         return self._kernel_for(target).fn
 
     def make_estimated(self, estimate, cache=None, target=None):
-        """FindNEN over the session's streams for ``target``.
-
-        Without a target there is no kernel to key streams by, and the
-        generic wrapper runs over :meth:`find`.
-        """
-        if target is None:
-            return super().make_estimated(estimate, cache)
+        """FindNEN over the session's streams for ``target``; their
+        estimates come from the target's shared kernel, which computes
+        the same ``dis(·, target)`` as ``estimate``."""
         return PackedEstimatedNNFinder(
             self, partial(self._session.est_stream, self._kernel_for(target)))
 
@@ -515,12 +511,8 @@ class SessionCache:
             if shared is None:
                 shared = self._label_finder = self.engine._make_finder("label")
                 self.stats.finder_misses += 1
-            make = getattr(shared, "make_dest_distance", None)
-            if make is not None:
-                dest_fn = make(target)
-            else:
-                dest_fn = lambda v, _t=target: shared.distance(v, _t)  # noqa: E731
-            kernel = SharedDestKernel(target, dest_fn)
+            kernel = SharedDestKernel(target,
+                                      shared.make_dest_distance(target))
             kernels[target] = kernel
             self.stats.dest_kernel_misses += 1
             if (self.max_dest_kernels is not None

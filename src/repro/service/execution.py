@@ -1,29 +1,28 @@
-"""Plan execution: resource providers + the shared run loop.
+"""Plan execution: resource providers + the one plan→search seam.
 
 Both query paths — the engine facade's per-query ``run`` and the batch
 service — execute a resolved :class:`~repro.service.planner.QueryPlan`
-through :func:`execute_plan`.  They differ only in the
-:class:`ResourceProvider` handed in:
+through :func:`execute_plan`, which reads the plan's
+:class:`~repro.service.planner.MethodSpec` row and calls the search
+(or the GSP dynamic program) directly.  They differ only in the
+resource provider handed in:
 
 * :class:`ColdResources` builds everything fresh per query (the
   historical engine behaviour, and the reference for counter parity);
 * :class:`WarmResources` resolves finders, ``dis(·, t)`` kernels, the
   CH, and SK-DB's index-file attachment from an epoch-validated
   :class:`~repro.service.cache.SessionCache`.
-
-Executors receive an :class:`ExecutionContext` and never touch the
-engine's dispatch logic, so adding a method is one ``register_executor``
-call away.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions
+from repro.core.gsp import gsp_osr, gsp_osr_ch
 from repro.core.query import KOSRQuery
+from repro.core.runtime import QueryRuntime
+from repro.core.search import sequenced_route_search
 from repro.core.stats import QueryStats
 from repro.exceptions import BudgetExceededError
 from repro.nn.base import NearestNeighborFinder
@@ -74,27 +73,6 @@ class WarmResources:
         return self.session.disk_state()
 
 
-@dataclass
-class ExecutionContext:
-    """Everything an executor may need to answer one planned query."""
-
-    engine: object
-    plan: QueryPlan
-    query: KOSRQuery
-    stats: QueryStats
-    budget: Optional[int]
-    deadline: Optional[float]
-    resources: object
-    options: Optional[QueryOptions] = None
-    #: Streaming seam: invoked with each SequencedResult the moment the
-    #: anytime search finalises it (None for one-shot execution).
-    on_result: object = None
-
-    @property
-    def graph(self):
-        return self.engine.graph
-
-
 def execute_plan(
     engine,
     plan: QueryPlan,
@@ -113,8 +91,8 @@ def execute_plan(
     re-consulted here.  ``resources`` defaults to :class:`ColdResources`
     (fresh per-query state — byte-identical to the pre-service engine).
     ``on_result`` streams each route as the anytime search finalises it
-    (executors for all-at-end methods like GSP ignore it — the service
-    layer replays their results through the callback after the run).
+    (the all-at-end GSP family has no such seam — the service layer
+    replays its results through the callback after the run).
     """
     from repro.core.engine import KOSRResult
 
@@ -124,11 +102,26 @@ def execute_plan(
     t_start = time.perf_counter()
     deadline = (None if options.time_budget_s is None
                 else t_start + options.time_budget_s)
-    ctx = ExecutionContext(engine=engine, plan=plan, query=query, stats=stats,
-                           budget=options.budget, deadline=deadline,
-                           resources=resources, options=options,
-                           on_result=on_result)
-    results = plan.spec.runner(ctx)
+    spec = plan.spec
+    if spec.needs_finder:
+        if spec.index_file:
+            # SK-DB: attach what of the saved file is not attached yet (on
+            # the cold path, everything), then search with a fresh finder.
+            t0 = time.perf_counter()
+            finder = resources.index_attachment().finder(engine.graph,
+                                                         query.categories)
+            stats.index_load_time = time.perf_counter() - t0
+        else:
+            finder = resources.finder(plan.nn_backend)
+        results = sequenced_route_search(
+            QueryRuntime(query, finder, stats, estimated=spec.estimated),
+            spec.use_dominance, spec.estimated, budget=options.budget,
+            deadline=deadline, on_result=on_result)
+    elif spec.needs_ch:
+        results = gsp_osr_ch(engine.graph, query,
+                             resources.contraction_hierarchy(), stats)
+    else:
+        results = gsp_osr(engine.graph, query, stats)
     stats.total_time = time.perf_counter() - t_start
     metrics = _METRICS
     if metrics is not None and metrics.enabled:

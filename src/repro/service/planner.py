@@ -1,30 +1,25 @@
-"""Query planning: the method registry behind :class:`~repro.core.engine.KOSREngine`.
+"""Query planning: the paper's methods as a table.
 
-Historically the engine dispatched queries through a monolithic if/elif
-chain; the service layer replaces that with a small registry.  Each of the
-paper's methods registers an *executor* — a callable over an
-:class:`~repro.service.execution.ExecutionContext` — together with its
-declared resource needs (an NN finder, the contraction hierarchy).
-:func:`resolve_plan` turns a ``(method, nn_backend)`` pair into an
-immutable :class:`QueryPlan` that both the per-query facade path and the
-batch service execute identically.
+Algorithm 2 is one best-first skeleton
+(:func:`~repro.core.search.sequenced_route_search`) whose methods differ
+in two switches — dominance filtering (PruningKOSR, Sec. IV-A) and
+A*-style estimation through FindNEN (StarKOSR, Sec. IV-B) — plus where
+the index lives (SK-DB reads the saved file, Sec. IV-C); GSP is the
+k = 1 dynamic program, optionally over a contraction hierarchy.  A
+method is therefore a row of :data:`METHOD_TABLE`, not code:
+:func:`~repro.service.execution.execute_plan` reads the row and calls
+the search directly, and the shard router and admission read
+``needs_finder`` / ``needs_ch`` from the same row.
 
 This module owns the method / NN-oracle vocabulary; the engine re-exports
-``METHODS`` / ``NN_BACKENDS`` for backwards compatibility.
+``METHODS`` / ``NN_BACKENDS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
 
 from repro.exceptions import QueryError
-
-#: Method identifiers, matching the paper's legend: KPNE (baseline),
-#: PK (PruningKOSR), SK (StarKOSR), SK-NODOM (heuristic-only ablation),
-#: SK-DB (StarKOSR over the disk-resident index file), GSP / GSP-CH
-#: (k = 1 only).
-METHODS = ("KPNE", "PK", "SK", "SK-NODOM", "SK-DB", "GSP", "GSP-CH")
 
 #: NN oracle backends: "label" = FindNN over the inverted label index;
 #: "dij-restart" = the paper's from-scratch Dijkstra (the ``*-Dij`` curves);
@@ -33,21 +28,42 @@ NN_BACKENDS = ("label", "dij-restart", "dij-resume")
 
 
 @dataclass(frozen=True)
-class ExecutorSpec:
-    """One registered method: its runner plus declared resource needs.
+class MethodSpec:
+    """One method of the paper, as the switches that define it.
 
-    ``needs_finder`` — the method walks indexed category streams through
-    an NN oracle (and therefore takes a valid ``nn_backend``; SK-DB's
-    oracle is always the label finder over its index file);
-    ``needs_ch`` — the lazy contraction hierarchy.  The planner, the
-    shard router and admission read these to decide what to validate,
-    where to route and what to shed first.
+    ``needs_finder`` — the method is the sequenced-route search over an
+    NN oracle (and therefore takes a valid ``nn_backend``); its variant
+    is ``use_dominance`` × ``estimated``, and ``index_file`` makes the
+    oracle a fresh label finder over the saved index file instead of
+    ``nn_backend``'s.  Without ``needs_finder`` the method is the GSP
+    dynamic program, over the lazy contraction hierarchy when
+    ``needs_ch``.
     """
 
     method: str
-    runner: Callable
     needs_finder: bool = False
+    use_dominance: bool = False
+    estimated: bool = False
+    index_file: bool = False
     needs_ch: bool = False
+
+
+#: The paper's legend: KPNE (baseline), PK (PruningKOSR), SK (StarKOSR),
+#: SK-NODOM (heuristic-only ablation), SK-DB (StarKOSR over the
+#: disk-resident index file), GSP / GSP-CH (k = 1 only).
+METHOD_TABLE = {spec.method: spec for spec in (
+    MethodSpec("KPNE", needs_finder=True),
+    MethodSpec("PK", needs_finder=True, use_dominance=True),
+    MethodSpec("SK", needs_finder=True, use_dominance=True, estimated=True),
+    MethodSpec("SK-NODOM", needs_finder=True, estimated=True),
+    MethodSpec("SK-DB", needs_finder=True, use_dominance=True,
+               estimated=True, index_file=True),
+    MethodSpec("GSP"),
+    MethodSpec("GSP-CH", needs_ch=True),
+)}
+
+#: Method identifiers, in the table's order.
+METHODS = tuple(METHOD_TABLE)
 
 
 @dataclass(frozen=True)
@@ -55,51 +71,18 @@ class QueryPlan:
     """A resolved execution plan for one ``(method, nn_backend)``.
 
     Plans are value objects: the same pair always resolves to an equal
-    plan, so they can key caches and be shared across a batch.
+    plan (the same object, for a vocabulary backend), so they can key
+    caches and be shared across a batch.
     """
 
     method: str
     nn_backend: str
-    spec: ExecutorSpec
+    spec: MethodSpec
 
 
-_REGISTRY: Dict[str, ExecutorSpec] = {}
-
-#: resolved plans by ``(method, nn_backend)`` — the one plan memo of the
-#: serving stack (dropped whenever the registry changes)
-_PLANS: Dict[Tuple[str, str], QueryPlan] = {}
-
-
-def register_executor(
-    method: str,
-    *,
-    needs_finder: bool = False,
-    needs_ch: bool = False,
-) -> Callable:
-    """Class-level decorator registering ``fn`` as ``method``'s executor."""
-
-    def decorate(fn: Callable) -> Callable:
-        _REGISTRY[method] = ExecutorSpec(
-            method=method, runner=fn, needs_finder=needs_finder,
-            needs_ch=needs_ch,
-        )
-        _PLANS.clear()
-        return fn
-
-    return decorate
-
-
-def executor_specs() -> Dict[str, ExecutorSpec]:
-    """A snapshot of the registry (method -> spec)."""
-    _ensure_registered()
-    return dict(_REGISTRY)
-
-
-def _ensure_registered() -> None:
-    # The executor module registers on import; import lazily so the
-    # vocabulary above is importable without dragging in the algorithms.
-    if not _REGISTRY:
-        import repro.service.executors  # noqa: F401
+_PLANS = {(method, nn_backend): QueryPlan(method, nn_backend, spec)
+          for method, spec in METHOD_TABLE.items()
+          for nn_backend in NN_BACKENDS}
 
 
 def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
@@ -107,23 +90,17 @@ def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
 
     Raises :class:`~repro.exceptions.QueryError` on an unknown method.
     ``nn_backend`` is validated only for methods that declare
-    ``needs_finder`` (GSP and friends ignore the oracle axis, matching
-    the engine's historical behaviour).  Plans are memoised here, once
-    for every caller; only vocabulary backends are kept, so free-form
-    ``nn_backend`` strings on a finder-free method cannot grow the memo.
+    ``needs_finder``: GSP and friends ignore the oracle axis, so a
+    free-form backend resolves to a fresh plan there.
     """
     plan = _PLANS.get((method, nn_backend))
     if plan is not None:
         return plan
-    _ensure_registered()
-    spec = _REGISTRY.get(method)
+    spec = METHOD_TABLE.get(method)
     if spec is None:
         raise QueryError(f"unknown method {method!r}; choose from {METHODS}")
-    if spec.needs_finder and nn_backend not in NN_BACKENDS:
+    if spec.needs_finder:
         raise QueryError(
             f"unknown NN backend {nn_backend!r}; choose from {NN_BACKENDS}"
         )
-    plan = QueryPlan(method=method, nn_backend=nn_backend, spec=spec)
-    if nn_backend in NN_BACKENDS:
-        _PLANS[(method, nn_backend)] = plan
-    return plan
+    return QueryPlan(method, nn_backend, spec)

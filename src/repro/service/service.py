@@ -2,7 +2,7 @@
 
 :class:`QueryService` is the layer between the engine's indexes and the
 algorithms that the ROADMAP's serving goals need: it plans queries
-through the method registry, keeps cross-query state warm in an
+through the method table, keeps cross-query state warm in an
 epoch-versioned :class:`~repro.service.cache.SessionCache`, and executes
 whole workloads through :meth:`QueryService.run_batch`, which groups
 queries by ``(target, categories)`` so groupmates share the per-target

@@ -25,7 +25,7 @@ Update broadcast contract
 
 Category updates are broadcast to **every** worker: graph membership
 (``F(v)``) must stay globally consistent because validation and the
-GSP-family executors read it.  A worker patches ``IL(cid)`` only when it
+GSP-family methods read it.  A worker patches ``IL(cid)`` only when it
 has that category materialised (owned or previously faulted); otherwise
 it records the membership change alone — a later fault-in rebuilds the
 index from the already-updated graph.  Crucially the worker never

@@ -80,7 +80,7 @@ class Route:
     connected by graph edges.
 
     Produced by restoring a witness through
-    :meth:`repro.labeling.LabelIndex.path` or Dijkstra parents.
+    :meth:`repro.labeling.PackedLabelIndex.path` or Dijkstra parents.
     """
 
     vertices: Tuple[Vertex, ...]

@@ -12,9 +12,9 @@ from repro import KOSREngine
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph
-from repro.labeling.inverted import build_inverted_indexes
-from repro.nn.label_nn import LabelNNFinder
 
+from reference_inverted import build_inverted_indexes
+from reference_nn import LabelNNFinder
 from reference_pll import build_reference_labels
 
 

@@ -8,9 +8,9 @@ FindNN then only needs, for each hub ``u'`` appearing in ``Lout(v)``, to
 scan ``IL(u')`` in order — a k-way merge that yields members of ``Ci`` in
 non-decreasing ``dis(v, ·)`` order.
 
-This is the per-entry object form, kept as the reference the serving
-representation (:mod:`repro.labeling.packed_inverted`) is tested against;
-it is built once and never updated in place.
+This is the per-entry object form, kept with the tests as the reference
+the serving representation (:mod:`repro.labeling.packed_inverted`) is
+tested against; it is built once and never updated in place.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.graph.graph import Graph
-from repro.labeling.labels import LabelIndex
 from repro.types import CategoryId, Cost, Vertex
+
+from reference_labels import lin
 
 
 class InvertedLabelIndex:
@@ -58,9 +59,10 @@ class InvertedLabelIndex:
 
 
 def build_inverted_index(
-    graph: Graph, labels: LabelIndex, category: CategoryId
+    graph: Graph, labels, category: CategoryId
 ) -> InvertedLabelIndex:
-    """Build ``IL(Ci)`` for one category from the label index.
+    """Build ``IL(Ci)`` for one category from a label index (object or
+    packed).
 
     Entries are appended and each hub list sorted once at the end —
     O(L log L) overall — instead of per-entry ``insort``, which costs an
@@ -69,7 +71,7 @@ def build_inverted_index(
     il = InvertedLabelIndex(category)
     lists = il.lists
     for member in sorted(graph.members(category)):
-        for entry in labels.lin(member):
+        for entry in lin(labels, member):
             hub = labels.hub_vertex(entry.hub_rank)
             bucket = lists.get(hub)
             if bucket is None:
@@ -81,7 +83,7 @@ def build_inverted_index(
 
 
 def build_inverted_indexes(
-    graph: Graph, labels: LabelIndex
+    graph: Graph, labels
 ) -> Dict[CategoryId, InvertedLabelIndex]:
     """Build inverted indexes for every category of the graph."""
     return {

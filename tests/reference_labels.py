@@ -1,4 +1,10 @@
-"""The 2-hop label index: storage, distance queries, path restoration.
+"""The 2-hop label index as per-entry objects: the tests' reference.
+
+The form the paper describes and ``tests/reference_pll.py`` builds,
+which the product's packed index (``repro.labeling.packed``) is tested
+against; :func:`to_index` / :func:`from_index` / :func:`lin` /
+:func:`lout` convert through the packed index's public ``sections()`` /
+``from_columns``.
 
 For every vertex ``v`` the index keeps
 
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import IndexBuildError
+from repro.labeling.packed import NO_PARENT, PackedLabelIndex
 from repro.types import Cost, INFINITY, Vertex
 
 
@@ -43,8 +50,8 @@ class LabelIndex:
     """A complete 2-hop label index over a graph.
 
     The per-entry object form the packed index is tested against
-    (:meth:`repro.labeling.packed.PackedLabelIndex.to_index` unpacks a
-    build into it); instances are self-contained (the original graph is
+    (:func:`to_index` unpacks a build into it); instances are
+    self-contained (the original graph is
     *not* needed for distance or path queries, matching the paper's
     disk-resident usage).
     """
@@ -208,3 +215,57 @@ class LabelIndex:
             total += d
             route.extend(sub[1:])
         return total, route
+
+
+# ----------------------------------------------------------------------
+# Object form <-> packed sections
+# ----------------------------------------------------------------------
+def _side_entries(side, v: Vertex) -> List[LabelEntry]:
+    """One vertex's run of a packed side ``(offsets, hub_ranks, dists,
+    parents)`` as entry objects."""
+    offsets, hub_ranks, dists, parents = side
+    lo, hi = offsets[v], offsets[v + 1]
+    return [
+        LabelEntry(rank, dist, None if parent == NO_PARENT else parent)
+        for rank, dist, parent in zip(hub_ranks[lo:hi].tolist(),
+                                      dists[lo:hi].tolist(),
+                                      parents[lo:hi].tolist())
+    ]
+
+
+def lin(labels, v: Vertex) -> List[LabelEntry]:
+    """``Lin(v)`` as entry objects, of an object or a packed index."""
+    if isinstance(labels, LabelIndex):
+        return labels.lin(v)
+    return _side_entries(labels.sections()[1:5], v)
+
+
+def lout(labels, v: Vertex) -> List[LabelEntry]:
+    """``Lout(v)`` as entry objects, of an object or a packed index."""
+    if isinstance(labels, LabelIndex):
+        return labels.lout(v)
+    return _side_entries(labels.sections()[5:9], v)
+
+
+def to_index(packed: PackedLabelIndex) -> LabelIndex:
+    """Unpack a packed index into the object representation."""
+    sections = packed.sections()
+    n = packed.num_vertices
+    return LabelIndex(
+        sections[0],
+        [_side_entries(sections[1:5], v) for v in range(n)],
+        [_side_entries(sections[5:9], v) for v in range(n)],
+    )
+
+
+def from_index(labels: LabelIndex) -> PackedLabelIndex:
+    """Pack the object representation."""
+    def columns(label_of):
+        entries = [label_of(v) for v in range(labels.num_vertices)]
+        return ([[e.hub_rank for e in es] for es in entries],
+                [[e.dist for e in es] for es in entries],
+                [[NO_PARENT if e.parent is None else e.parent
+                  for e in es] for es in entries])
+
+    return PackedLabelIndex.from_columns(
+        labels.order, columns(labels.lin), columns(labels.lout))

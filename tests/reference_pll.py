@@ -17,8 +17,9 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.types import Cost, INFINITY, Vertex
+
+from reference_labels import LabelEntry, LabelIndex
 
 
 def _pruned_dijkstra(

@@ -13,11 +13,11 @@ import random
 import pytest
 
 from conftest import reference_engine
+from reference_inverted import build_inverted_index
 from reference_pll import build_reference_labels
 from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.labeling.inverted import build_inverted_index
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import build_packed_inverted_index
 from repro.labeling.pll import build_pruned_landmark_labels
@@ -31,6 +31,19 @@ PAIR_METHODS = ("KPNE", "PK", "SK", "SK-NODOM")
 COUNTERS = ("examined_routes", "generated_routes", "nn_queries",
             "dominated_routes", "reconsidered_routes", "max_queue_size",
             "results_found", "completed")
+
+
+#: the PAIR_METHODS that order by FindNEN estimates (A* switch on)
+ESTIMATED = ("SK", "SK-NODOM")
+
+
+def assert_table_x_split(stats, estimated):
+    """A profiled run's Table X buckets: only estimating methods book
+    estimation time, and the buckets never exceed the wall time."""
+    assert stats.nn_time > 0 and stats.queue_time > 0
+    assert (stats.estimation_time > 0) == estimated
+    assert (stats.nn_time + stats.queue_time + stats.estimation_time
+            <= stats.total_time)
 
 
 def assert_same_outcome(a, b):
@@ -90,15 +103,39 @@ class TestQueryParity:
             assert a.stats.dominated_routes == b.stats.dominated_routes
             assert a.stats.reconsidered_routes == b.stats.reconsidered_routes
 
-    def test_parity_with_profile_enabled(self, engines):
-        """Profiling must not change answers on either engine."""
+    @pytest.mark.parametrize("method", PAIR_METHODS)
+    def test_parity_with_profile_enabled(self, engines, method):
+        """Profiling is a wrap around the accessors every run uses, not a
+        second path: same results and counters as an unprofiled run and
+        as the reference, with the Table X split filled in."""
         g, packed, obj = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        base = obj.run(q, SK)
-        for engine in (packed, obj):
-            profiled = engine.run(q, QueryOptions(method="SK", profile=True))
-            assert profiled.witnesses == base.witnesses
-            assert profiled.stats.nn_queries == base.stats.nn_queries
+        plain = QueryOptions(method=method)
+        profiled = packed.run(q, plain.replace(profile=True))
+        assert_same_outcome(profiled, packed.run(q, plain))
+        assert_same_outcome(profiled, obj.run(q, plain))
+        assert_same_outcome(profiled, obj.run(q, plain.replace(profile=True)))
+        assert_table_x_split(profiled.stats, estimated=method in ESTIMATED)
+
+    def test_profiled_packed_sk_runs_the_fused_findnen(self, engines,
+                                                       monkeypatch):
+        """``profile=True`` used to fork StarKOSR onto the generic
+        wrapper; now only the oracles without a packed cursor reach it."""
+        from repro.nn.estimated import EstimatedNNFinder
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the generic FindNEN wrapper was built")
+
+        monkeypatch.setattr(EstimatedNNFinder, "__init__", refuse)
+        g, packed, _ = engines
+        args = (0, g.num_vertices - 1, [0, 1])
+        assert packed.query(*args, k=3, method="SK", profile=True).costs
+        assert packed.service.run(
+            make_query(g, *args, k=3),
+            QueryOptions(method="SK", profile=True)).costs
+        with pytest.raises(AssertionError, match="generic FindNEN"):
+            packed.query(*args, k=3, method="SK", profile=True,
+                         nn_backend="dij-restart")
 
     def test_gsp_unaffected_by_index(self, engines):
         g, packed, obj = engines
@@ -307,12 +344,26 @@ class TestServicePathParity:
         assert not warm.stats.completed
         assert_same_outcome(warm, reference_engine(g).run(q, expired))
 
-    def test_profile_mode_on_the_service_path(self, engines):
+    @pytest.mark.parametrize("method", PAIR_METHODS)
+    def test_profile_mode_on_the_service_path(self, engines, method):
+        """The first warm request of a group and the third (which reads
+        retained FindNEN streams back) answer and count alike with the
+        Table X timers on, off, and on a fresh reference engine."""
+        from repro.service import QueryService
+
         g, packed, _ = engines
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=3)
-        cold = packed.run(q, QueryOptions(method="SK", profile=True))
-        warm = packed.service.run(q, QueryOptions(method="SK", profile=True))
-        assert_same_outcome(warm, cold)
+        plain = QueryOptions(method=method)
+        timed, untimed = QueryService(packed), QueryService(packed)
+        expected = reference_engine(g).run(q, plain)
+        for _ in range(3):
+            warm = timed.run(q, plain.replace(profile=True))
+            assert_same_outcome(warm, untimed.run(q, plain))
+            assert_same_outcome(warm, expected)
+            assert_table_x_split(warm.stats, estimated=method in ESTIMATED)
+        read_back = timed.session.stats.est_stream_hits
+        assert (read_back > 0) == (method in ESTIMATED)
+        assert read_back == untimed.session.stats.est_stream_hits
 
     def test_batch_restores_routes(self, engines):
         g, packed, _ = engines

@@ -80,3 +80,24 @@ class TestGSP:
         gsp_osr(fig1, q, stats)
         # |C| transitions plus the final hop to t
         assert stats.nn_queries == 4
+
+    @pytest.mark.parametrize("method", ["GSP", "GSP-CH"])
+    @pytest.mark.parametrize("request_, cost, nn_queries, examined", [
+        # pinned from the two separate DP loops the one skeleton replaced
+        ((0, 59, [0, 1, 2, 3]), 34.396827041721664, 5, 36),
+        ((7, 33, [2, 0]), 41.19713969225438, 3, 18),
+        ((12, 12, [3, 3, 1]), 27.43402853470936, 4, 27),
+    ])
+    def test_both_transitions_book_what_they_always_did(
+            self, method, request_, cost, nn_queries, examined):
+        g = random_graph(60, 2.5, rng=random.Random(5))
+        assign_uniform_categories(g, 4, 9, random.Random(6))
+        source, target, cats = request_
+        res = KOSREngine.build(g).run(make_query(g, source, target, cats, 1),
+                                      QueryOptions(method=method))
+        assert res.costs == pytest.approx([cost])
+        witness = res.witnesses[0]
+        assert (witness[0], witness[-1], len(witness)) == (
+            source, target, len(cats) + 2)
+        assert (res.stats.nn_queries, res.stats.examined_routes,
+                res.stats.results_found) == (nn_queries, examined, 1)

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from conftest import reference_engine
+from reference_labels import lin, lout
 from repro import KOSREngine, QueryOptions, make_query
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
@@ -65,8 +66,8 @@ class TestFormatRoundTrip:
         loaded = PackedLabelIndex.load(path)
         assert list(loaded.order) == list(engine.labels.order)
         for v in (0, 1, g.num_vertices - 1):
-            assert loaded.lin(v) == engine.labels.lin(v)
-            assert loaded.lout(v) == engine.labels.lout(v)
+            assert lin(loaded, v) == lin(engine.labels, v)
+            assert lout(loaded, v) == lout(engine.labels, v)
 
     def test_mmap_reader_opens_labels_only_save(self, built, tmp_path):
         """`PackedLabelIndex.save` output opens through the mmap reader."""
@@ -263,8 +264,8 @@ class TestAttachedEngine:
         check_against_reference()
 
         versions = engine.category_versions()
-        assert versions[added_to] == len(engine.labels.lin(outsider))
-        assert versions[removed_from] == len(engine.labels.lin(member))
+        assert versions[added_to] == len(lin(engine.labels, outsider))
+        assert versions[removed_from] == len(lin(engine.labels, member))
         assert versions[2] == versions[3] == 0
         assert engine.inverted[0] is il_added and il_added.shared
         assert engine.inverted[1] is il_removed and il_removed.shared

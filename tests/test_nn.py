@@ -7,11 +7,12 @@ import pytest
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.labeling import build_inverted_indexes
-from repro.nn import DijkstraNNFinder, EstimatedNNFinder, LabelNNFinder
+from repro.nn import DijkstraNNFinder, EstimatedNNFinder
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
+from reference_inverted import build_inverted_indexes
+from reference_nn import LabelNNFinder
 from reference_pll import build_reference_labels
 
 

@@ -11,6 +11,7 @@ from repro.graph.paper import paper_figure1_graph
 from repro.labeling import PackedLabelIndex, build_pruned_landmark_labels
 from repro.types import INFINITY
 
+from reference_labels import from_index, lin, lout, to_index
 from reference_pll import build_reference_labels
 
 
@@ -18,7 +19,7 @@ from reference_pll import build_reference_labels
 def case():
     g = random_graph(45, 3.0, rng=random.Random(33))
     labels = build_reference_labels(g)
-    return g, labels, PackedLabelIndex.from_index(labels)
+    return g, labels, from_index(labels)
 
 
 class TestParity:
@@ -44,15 +45,15 @@ class TestParity:
     def test_entries_round_trip(self, case):
         g, labels, packed = case
         for v in range(g.num_vertices):
-            assert packed.lin(v) == labels.lin(v)
-            assert packed.lout(v) == labels.lout(v)
+            assert lin(packed, v) == lin(labels, v)
+            assert lout(packed, v) == lout(labels, v)
 
     def test_to_index_full_unpack(self, case):
         g, labels, packed = case
-        unpacked = packed.to_index()
+        unpacked = to_index(packed)
         for v in range(g.num_vertices):
-            assert unpacked.lin(v) == labels.lin(v)
-            assert unpacked.lout(v) == labels.lout(v)
+            assert lin(unpacked, v) == lin(labels, v)
+            assert lout(unpacked, v) == lout(labels, v)
         assert unpacked.order == labels.order
 
     def test_stats_match(self, case):
@@ -80,8 +81,8 @@ class TestSerialization:
         loaded = PackedLabelIndex.load(path)
         assert loaded.order == packed.order
         for v in range(g.num_vertices):
-            assert loaded.lin(v) == packed.lin(v)
-            assert loaded.lout(v) == packed.lout(v)
+            assert lin(loaded, v) == lin(packed, v)
+            assert lout(loaded, v) == lout(packed, v)
 
     def test_binary_smaller_than_pickle(self, case, tmp_path):
         g, labels, packed = case
@@ -103,7 +104,7 @@ class TestSerialization:
     def test_fig1_round_trip(self, tmp_path):
         g = paper_figure1_graph()
         labels = build_reference_labels(g)
-        packed = PackedLabelIndex.from_index(labels)
+        packed = from_index(labels)
         path = tmp_path / "fig1.bin"
         packed.save(path)
         loaded = PackedLabelIndex.load(path)

@@ -13,7 +13,8 @@ from repro import KOSREngine, QueryStats, make_query
 from repro.core.runtime import QueryRuntime
 from repro.core.search import sequenced_route_search
 from repro.graph.paper import names, paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
+
+from reference_nn import LabelNNFinder
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,13 @@
-"""Tests for the shortest-path substrate (Dijkstra family, A*, kNN cursors)."""
+"""Tests for the shortest-path substrate (Dijkstra family, kNN cursors)."""
 
 import random
 
 import pytest
 
-from repro.graph import Graph, from_edge_list, grid_graph, random_graph
+from repro.graph import Graph, from_edge_list, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.paths import (
     DijkstraKnnCursor,
-    RestartingKnnFinder,
-    astar_path,
-    bidirectional_distance,
     dijkstra,
     dijkstra_distance,
     dijkstra_path,
@@ -91,46 +88,6 @@ class TestMultiSource:
         assert dijkstra_to_targets(diamond, 0, []) == {}
 
 
-class TestAStar:
-    def test_zero_heuristic_equals_dijkstra(self, diamond):
-        cost, path = astar_path(diamond, 0, 3, lambda v: 0.0)
-        assert cost == 3
-        assert path == [0, 1, 2, 3]
-
-    def test_admissible_heuristic_exact(self):
-        g = grid_graph(6, 6, rng=random.Random(0), min_weight=1.0, max_weight=1.0)
-        # Manhattan distance is admissible on a unit grid.
-        def h(v, target=35):
-            r, c = divmod(v, 6)
-            tr, tc = divmod(target, 6)
-            return abs(r - tr) + abs(c - tc)
-        cost, path = astar_path(g, 0, 35, h)
-        assert cost == dijkstra_distance(g, 0, 35)
-
-    def test_unreachable(self):
-        g = from_edge_list(2, [])
-        assert astar_path(g, 0, 1, lambda v: 0.0) == (INFINITY, [])
-
-
-class TestBidirectional:
-    def test_matches_dijkstra_on_random_graphs(self):
-        for seed in range(5):
-            g = random_graph(40, 3.0, rng=random.Random(seed))
-            rng = random.Random(seed + 50)
-            for _ in range(10):
-                s, t = rng.randrange(40), rng.randrange(40)
-                assert bidirectional_distance(g, s, t) == pytest.approx(
-                    dijkstra_distance(g, s, t)
-                )
-
-    def test_same_vertex(self, diamond):
-        assert bidirectional_distance(diamond, 2, 2) == 0.0
-
-    def test_unreachable(self):
-        g = from_edge_list(2, [(0, 1, 1.0)])
-        assert bidirectional_distance(g, 1, 0) == INFINITY
-
-
 @pytest.fixture
 def categorized():
     g = random_graph(50, 3.0, rng=random.Random(11))
@@ -173,15 +130,3 @@ class TestKnn:
         first = cursor.get(3)
         assert cursor.get(3) == first
         assert len(cursor.found) == 3
-
-    def test_restarting_finder_counts_searches(self, categorized):
-        finder = RestartingKnnFinder(categorized)
-        finder.find(0, 0, 1)
-        finder.find(0, 0, 2)
-        finder.find(0, 0, 3)
-        assert finder.searches == 3
-
-    def test_restarting_finder_beyond_category(self, categorized):
-        finder = RestartingKnnFinder(categorized)
-        size = categorized.category_size(0)
-        assert finder.find(0, 0, size + 5) is None

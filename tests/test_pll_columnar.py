@@ -20,7 +20,6 @@ from repro import KOSREngine
 from repro.graph import Graph, generators
 from repro.graph.io import load_json, save_json
 from repro.labeling import (
-    PackedLabelIndex,
     build_bfs_labels,
     build_labels_auto,
     build_pruned_landmark_labels,
@@ -29,6 +28,7 @@ from repro.labeling import (
 )
 from repro.labeling.updates import update_edge
 
+from reference_labels import from_index, lin, lout
 from reference_pll import build_reference_labels
 
 SETTINGS = settings(
@@ -40,8 +40,8 @@ SETTINGS = settings(
 
 def entries(labels):
     """Every label as ``(rank, dist, parent)`` tuples, Lin then Lout."""
-    return [[(e.hub_rank, e.dist, e.parent) for e in side(v)]
-            for side in (labels.lin, labels.lout)
+    return [[(e.hub_rank, e.dist, e.parent) for e in side(labels, v)]
+            for side in (lin, lout)
             for v in range(labels.num_vertices)]
 
 
@@ -55,8 +55,7 @@ def file_bytes(labels) -> bytes:
 def assert_same_as_reference(built, reference):
     assert list(built.order) == reference.order
     assert entries(built) == entries(reference)
-    assert file_bytes(built) == \
-        file_bytes(PackedLabelIndex.from_index(reference))
+    assert file_bytes(built) == file_bytes(from_index(reference))
 
 
 @pytest.fixture
@@ -218,7 +217,7 @@ class TestSymmetricGraphs:
         assert g.is_symmetric()
         built = build_labels_auto(g, order=[0, 1, 2, 3])
         assert len(searches) == 2 * g.num_vertices
-        assert (built.lin(3)[0].parent, built.lout(3)[0].parent) == (1, 2)
+        assert (lin(built, 3)[0].parent, lout(built, 3)[0].parent) == (1, 2)
         assert_same_as_reference(
             built, build_reference_labels(g, order=[0, 1, 2, 3]))
         g = _undirected(30, 5, lambda rng: 1.0)

@@ -16,6 +16,8 @@ from repro.labeling import (
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
+from reference_labels import lin
+
 
 @pytest.fixture(scope="module")
 def unit_graph():
@@ -75,7 +77,7 @@ class TestAutoSelection:
         auto = build_labels_auto(unit_graph)
         explicit = build_bfs_labels(unit_graph)
         for v in range(unit_graph.num_vertices):
-            assert auto.lin(v) == explicit.lin(v)
+            assert lin(auto, v) == lin(explicit, v)
 
     def test_auto_falls_back_for_weighted(self):
         g = from_edge_list(3, [(0, 1, 2.5), (1, 2, 1.0)])

@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.ch import build_ch, ch_distance
 from repro.graph import Graph
-from repro.labeling import build_inverted_indexes, build_pruned_landmark_labels
-from repro.nn import EstimatedNNFinder, LabelNNFinder
+from repro.labeling import build_pruned_landmark_labels
+from repro.nn import EstimatedNNFinder
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
 
+from reference_inverted import build_inverted_indexes
+from reference_labels import lin, lout
+from reference_nn import LabelNNFinder
 from reference_pll import build_reference_labels
 
 SK = QueryOptions(method="SK")
@@ -86,7 +89,7 @@ class TestLabelProperties:
     def test_label_entries_sorted_by_rank(self, g):
         labels = build_pruned_landmark_labels(g)
         for v in range(g.num_vertices):
-            for entries in (labels.lin(v), labels.lout(v)):
+            for entries in (lin(labels, v), lout(labels, v)):
                 ranks = [e.hub_rank for e in entries]
                 assert ranks == sorted(ranks)
 

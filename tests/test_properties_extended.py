@@ -11,12 +11,12 @@ from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.graph import Graph
 from repro.labeling import (
     PackedLabelIndex,
-    build_inverted_indexes,
     build_pruned_landmark_labels,
 )
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
+from reference_labels import lin as lin_of, lout as lout_of
 from reference_pll import build_reference_labels
 
 SK = QueryOptions(method="SK")
@@ -70,8 +70,8 @@ class TestPackedParityProperty:
             packed.save(path)
             loaded = PackedLabelIndex.load(path)
             for v in range(g.num_vertices):
-                assert loaded.lin(v) == labels.lin(v)
-                assert loaded.lout(v) == labels.lout(v)
+                assert lin_of(loaded, v) == lin_of(labels, v)
+                assert lout_of(loaded, v) == lout_of(labels, v)
 
 
 class TestUndirectedGraphs:
@@ -81,8 +81,8 @@ class TestUndirectedGraphs:
         """Sec. IV-C: on undirected graphs one label side suffices."""
         labels = build_pruned_landmark_labels(g)
         for v in range(g.num_vertices):
-            lin = [(e.hub_rank, e.dist) for e in labels.lin(v)]
-            lout = [(e.hub_rank, e.dist) for e in labels.lout(v)]
+            lin = [(e.hub_rank, e.dist) for e in lin_of(labels, v)]
+            lout = [(e.hub_rank, e.dist) for e in lout_of(labels, v)]
             assert lin == lout
 
     @SETTINGS

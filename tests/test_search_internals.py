@@ -11,8 +11,9 @@ from repro.core.search import sequenced_route_search
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
 from repro.types import INFINITY
+
+from reference_nn import LabelNNFinder
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +131,42 @@ class TestRuntime:
         runtime.finalize_counters()
         assert stats.nn_queries == dest_computed
 
-    def test_nearest_estimated_requires_estimation_mode(self, fig1_case):
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_nearest_estimated_requires_estimation_mode(self, fig1_case,
+                                                        profile):
         g, engine = fig1_case
         q = make_query(g, vertex("s"), vertex("t"), ["MA"], 1)
-        runtime = make_runtime(engine, q, estimated=False)
+        runtime = make_runtime(engine, q, estimated=False,
+                               stats=QueryStats(profile=profile))
         with pytest.raises(RuntimeError):
             runtime.nearest_estimated(vertex("s"), 1, 1)
+
+    def test_a_finder_with_only_find_and_distance_runs_starkosr(
+            self, fig1_case):
+        """The oracle protocol's per-query entry points have base-class
+        defaults: a finder in the shape of ``PreferenceNNFinder`` defines
+        neither ``make_dest_distance`` nor ``make_estimated``."""
+        from repro.nn.base import NearestNeighborFinder
+
+        g, engine = fig1_case
+        inner = engine._make_finder("label")
+
+        class Bare(NearestNeighborFinder):
+            def find(self, source, category, x):
+                self.queries += 1
+                return inner.find(source, category, x)
+
+            def distance(self, s, t):
+                return inner.distance(s, t)
+
+        assert {"make_dest_distance", "make_estimated"}.isdisjoint(vars(Bare))
+        q = make_query(g, vertex("s"), vertex("t"), ["MA", "RE", "CI"], 2)
+        stats = QueryStats()
+        results = sequenced_route_search(
+            QueryRuntime(q, Bare(), stats, estimated=True),
+            use_dominance=True, estimated=True)
+        assert [r.cost for r in results] == engine.run(q).costs
+        assert stats.nn_queries > 0
 
     def test_nearest_estimated_destination_level(self, fig1_case):
         g, engine = fig1_case

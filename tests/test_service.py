@@ -1,9 +1,9 @@
-"""The query service layer: planner registry, session cache, batches.
+"""The query service layer: planner table, session cache, batches.
 
 Covers the contracts the engine facade now rests on:
 
-* the planner resolves every method to a registered executor with
-  declared needs and rejects unknown names;
+* the planner resolves every method to its row of the method table
+  and rejects unknown names;
 * the epoch-versioned session cache reuses finders / dest kernels within
   an epoch and drops everything when updates or compaction move it;
 * SK-DB is StarKOSR over the saved index file — identical results and
@@ -32,7 +32,7 @@ from repro import (
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.service import executor_specs, resolve_plan
+from repro.service import resolve_plan
 from repro.service.cache import SessionCache
 
 from conftest import reference_engine
@@ -54,17 +54,31 @@ def engine():
 
 
 class TestPlanner:
-    def test_every_method_has_an_executor(self):
+    @pytest.mark.parametrize("method, switches", [
+        # (use_dominance, estimated, index_file, needs_finder, needs_ch):
+        # Algorithm 2's two switches, Sec. IV-C's disk-resident index,
+        # and the GSP comparators
+        ("KPNE", (False, False, False, True, False)),
+        ("PK", (True, False, False, True, False)),
+        ("SK", (True, True, False, True, False)),
+        ("SK-NODOM", (False, True, False, True, False)),
+        ("SK-DB", (True, True, True, True, False)),
+        ("GSP", (False, False, False, False, False)),
+        ("GSP-CH", (False, False, False, False, True)),
+    ])
+    def test_the_method_table_is_the_papers(self, method, switches):
         from repro.core.engine import METHODS
+        from repro.service import METHOD_TABLE, NN_BACKENDS
 
-        specs = executor_specs()
-        assert set(specs) == set(METHODS)
-
-    def test_declared_needs(self):
-        specs = executor_specs()
-        assert specs["SK"].needs_finder and specs["SK-DB"].needs_finder
-        assert specs["GSP-CH"].needs_ch
-        assert not specs["GSP"].needs_finder
+        assert tuple(METHOD_TABLE) == METHODS and method in METHODS
+        spec = METHOD_TABLE[method]
+        assert (spec.use_dominance, spec.estimated, spec.index_file,
+                spec.needs_finder, spec.needs_ch) == switches
+        for nn_backend in NN_BACKENDS:
+            plan = resolve_plan(method, nn_backend)
+            assert plan.spec is spec
+            assert (plan.method, plan.nn_backend) == (method, nn_backend)
+            assert resolve_plan(method, nn_backend) is plan
 
     def test_unknown_method_rejected(self):
         with pytest.raises(QueryError, match="unknown method"):
@@ -80,22 +94,15 @@ class TestPlanner:
         assert resolve_plan("SK") == resolve_plan("SK")
         assert resolve_plan("SK") != resolve_plan("PK")
 
-    def test_plans_are_memoised_once_until_the_registry_changes(self):
-        """The one plan memo: every caller (engine, services, router,
-        admission) resolves through it, and a registration drops it."""
-        from repro.service import planner
-
+    def test_every_caller_resolves_to_the_one_plan_object(self):
+        """Plans are derived once at import: every caller (engine,
+        services, router, admission) gets the same object."""
         plan = resolve_plan("SK")
-        assert resolve_plan("SK") is plan
+        assert resolve_plan("SK", "label") is plan
         assert QueryOptions(method="SK").plan_for() is plan
-        # free-form backends of finder-free methods are never kept
-        resolve_plan("GSP", nn_backend="psychic")
-        assert ("GSP", "psychic") not in planner._PLANS
-        spec = planner._REGISTRY["SK"]
-        planner.register_executor(
-            "SK", needs_finder=spec.needs_finder)(spec.runner)
-        assert resolve_plan("SK") is not plan
-        assert resolve_plan("SK") == plan
+        # a free-form backend on a finder-free method is a fresh equal plan
+        assert (resolve_plan("GSP", nn_backend="psychic")
+                == resolve_plan("GSP", nn_backend="psychic"))
 
     def test_engine_run_rejects_unknown_method(self, engine):
         q = make_query(engine.graph, 0, 1, [0], k=1)

@@ -373,12 +373,28 @@ class TestTcpValidation:
         ("source", "0.0"),         # was echoed back as 0.0
         ("k", "2.9"),              # was truncated to k=2
         ("k", "true"),             # was k=1
+        ("categories", "[2.9]"),   # was answered as category 2
+        ("categories", "[true]"),  # was answered as category 1
+        ("categories", "[[1]]"),   # leaked int()'s TypeError text
+        ("categories", "[null]"),
+        ("categories", '[{"a": 1}]'),
+        ("budget", "true"),        # ran with budget 1
+        ("budget", "0.5"),         # ran with budget 0.5
+        ("budget", '"3"'),         # "'<' not supported between ..."
+        ("time_budget_s", '"1"'),
+        ("time_budget_s", "1e400"),
+        ("method", '["SK"]'),      # "unhashable type: 'list'"
+        ("nn_backend", "7"),
+        # an integer beyond float range: the OverflowError used to
+        # escape the handler and drop the connection
+        ("deadline_ms", "1" + "0" * 400),
     ])
     def test_mistyped_values_are_errors_naming_the_field(
             self, engine, enabled_registry, field, literal):
-        """``source``/``target``/``k`` are JSON integers and
-        ``categories`` a list; anything else is refused at the boundary
-        and the connection keeps serving."""
+        """``source``/``target``/``k``/``budget`` are JSON integers,
+        ``categories`` a list of integers or names, ``time_budget_s`` a
+        finite number, ``method``/``nn_backend`` strings; anything else
+        is refused at the boundary and the connection keeps serving."""
         from repro.server.tcp import serve
 
         good = {"source": 0, "target": 30, "categories": [0, 1], "k": 2}

