@@ -1,12 +1,8 @@
-"""Benchmark suite: one module per table/figure of the paper's Sec. V.
+"""The three CI gate benchmarks (pytest modules) and ``kosr/``, the
+serving-stack benchmark.  The paper's figures are not here: they are the
+``FIGURES`` table of :mod:`repro.experiments.figures`, run by
+``python -m repro.cli figure`` and recorded in ``EXPERIMENTS.md``.
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Each bench module
-
-1. regenerates its figure/table's data series through
-   :mod:`repro.experiments.figures` (printed and written under
-   ``benchmarks/results/``), and
-2. times a representative query kernel with pytest-benchmark.
-
-Scale via ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_QUERIES`` (see
+Scale the gates via ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_QUERIES`` (see
 ``repro.experiments.datasets``).
 """

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from pathlib import Path
-
-from repro.experiments import datasets as ds
-from repro.experiments import figures
-from repro.experiments.reporting import format_table
-from repro.experiments.workload import random_queries
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -40,8 +34,7 @@ def emit_json(name: str, payload) -> Path:
     ``payload`` is any JSON-serialisable structure (rows, metrics dicts);
     infinities (the INF convention) are stringified.  Dict payloads gain
     a ``schema_version`` envelope field (see :data:`SCHEMA_VERSION`).
-    This is the feed for the perf-trajectory tooling, next to the
-    human-readable ``.txt`` tables.
+    This is the feed for the perf-trajectory tooling.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     if isinstance(payload, dict) and "schema_version" not in payload:
@@ -49,37 +42,3 @@ def emit_json(name: str, payload) -> Path:
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
     return path
-
-
-def emit(name: str, rows, cols, title: str) -> None:
-    """Print a figure's table and persist it under ``benchmarks/results/``.
-
-    Writes both the fixed-width ``.txt`` table and a ``.json`` twin
-    (``{"title": ..., "columns": ..., "rows": ...}``) for tooling.
-    """
-    text = format_table(rows, cols, title)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    emit_json(name, {"title": title, "columns": list(cols), "rows": rows})
-    print("\n" + text)
-
-
-# The fig3(a-c) series and fig7 share one expensive sweep each; cache them so
-# the three fig3 bench modules (time / examined / NN) reuse a single run.
-
-@functools.lru_cache(maxsize=None)
-def overall_sweep():
-    return figures.fig3_overall()
-
-
-@functools.lru_cache(maxsize=None)
-def osr_sweep():
-    return figures.fig7_osr()
-
-
-def representative_query(dataset: str, k: int = ds.DEFAULT_K,
-                         c_len: int = ds.DEFAULT_C_LEN):
-    """One deterministic query + engine for micro-benchmark kernels."""
-    engine = ds.engine_for(dataset)
-    workload = random_queries(engine.graph, 1, c_len, k, seed=97)
-    return engine, workload.queries[0]

@@ -8,22 +8,17 @@ SK fastest, KPNE worst/INF, and the rise-then-shrink level profile.
 Run:  python examples/paper_figures.py          (~1-2 minutes)
 """
 
-from repro.experiments import datasets as ds
-from repro.experiments import figures
 from repro.experiments.charts import bar_chart, level_series
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table
+
+# Small scale and three of the five graphs so the example stays interactive.
+SMALL = dict(scale=0.15, queries=3, datasets=("CAL", "COL", "G+"))
 
 
 def main() -> None:
-    # Small scale so the example stays interactive.
-    ds.BENCH_SCALE = 0.15
-    ds.BENCH_QUERIES = 3
-    ds.clear_caches()
-
     print("building engines and running Fig. 3(a) (KPNE/PK/SK/SK-DB)...\n")
-    rows, cols = figures.fig3_overall(
-        datasets=("CAL", "COL", "G+"), methods=("KPNE", "PK", "SK", "SK-DB"),
-    )
+    rows, cols = run_figure("fig3a", methods=("KPNE", "PK", "SK", "SK-DB"), **SMALL)
     print(format_table(rows, ["dataset", "method", "time_ms",
                               "examined_routes", "unfinished"],
                        "Figure 3(a) — scaled"))
@@ -32,7 +27,7 @@ def main() -> None:
                     title="query time, log scale (paper: SK wins, KPNE worst)"))
 
     print("\nrunning Fig. 5 (SK searching space per level)...\n")
-    rows5, cols5 = figures.fig5_search_space(datasets=("CAL", "COL", "G+"))
+    rows5, cols5 = run_figure("fig5", **SMALL)
     print(format_table(rows5, cols5, "Figure 5 — scaled"))
     print()
     print(level_series(rows5,

@@ -56,23 +56,6 @@ from repro.graph.io import load_json, save_json
 from repro.service import QueryService
 from repro.service.cache import CACHE_KINDS
 
-FIGURES = {
-    "table9": lambda a: figure_defs.table9_preprocessing(),
-    "fig3a": lambda a: figure_defs.fig3_overall(),
-    "fig3d": lambda a: figure_defs.fig3_effect_k("FLA"),
-    "fig3e": lambda a: figure_defs.fig3_effect_k("CAL"),
-    "fig3f": lambda a: figure_defs.fig3_effect_c("FLA"),
-    "fig3g": lambda a: figure_defs.fig3_effect_c("CAL"),
-    "fig3h": lambda a: figure_defs.fig3_effect_ci(),
-    "fig4": lambda a: figure_defs.fig4_small_k(),
-    "fig5": lambda a: figure_defs.fig5_search_space(),
-    "fig6": lambda a: figure_defs.fig6_zipfian(),
-    "fig7": lambda a: figure_defs.fig7_osr(),
-    "table10": lambda a: figure_defs.table10_breakdown(),
-    "ablation": lambda a: figure_defs.ablation_design_choices(),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -220,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "version counters (works without --metrics)")
 
     fig = sub.add_parser("figure", help="regenerate a paper table/figure")
-    fig.add_argument("--name", required=True, choices=sorted(FIGURES))
+    fig.add_argument("--name", required=True,
+                     choices=sorted(figure_defs.FIGURES) + ["all"],
+                     help="one figure, or 'all': every figure once, as the "
+                          "EXPERIMENTS.md record")
     fig.add_argument("--scale", type=float, default=None)
     fig.add_argument("--queries", type=int, default=None)
     fig.add_argument("--chart", action="store_true",
@@ -851,14 +837,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from repro.experiments import datasets as ds
-
-    if args.scale is not None:
-        ds.BENCH_SCALE = args.scale
-        ds.clear_caches()
-    if args.queries is not None:
-        ds.BENCH_QUERIES = args.queries
-    rows, cols = FIGURES[args.name](args)
+    if args.name == "all":
+        print(figure_defs.record(scale=args.scale, queries=args.queries))
+        return 0
+    rows, cols = figure_defs.run_figure(args.name, scale=args.scale,
+                                        queries=args.queries)
     print(format_table(rows, cols, title=args.name))
     if args.chart:
         from repro.experiments.charts import bar_chart, level_series

@@ -1,8 +1,8 @@
 """Sec. V evaluation harness: datasets, workloads, runners, figures.
 
-Every table and figure of the paper's evaluation has a generator here (see
-``DESIGN.md`` §4 for the index); ``benchmarks/`` wires them into
-pytest-benchmark targets and ``EXPERIMENTS.md`` records the outcomes.
+Every table and figure of the paper's evaluation is a row of
+``figures.FIGURES``; ``python -m repro.cli figure`` runs them and
+``EXPERIMENTS.md`` (``--name all``) records which of their shapes hold.
 
 Scaling knobs (environment variables):
 

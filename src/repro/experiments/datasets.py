@@ -35,7 +35,6 @@ K_SWEEP = (10, 20, 30, 40, 50)
 C_LEN_SWEEP = (2, 4, 6, 8, 10)
 ZIPF_SWEEP = (1.2, 1.4, 1.6, 1.8)
 
-_graph_cache: Dict[Tuple, Graph] = {}
 _label_cache: Dict[Tuple, PackedLabelIndex] = {}
 _engine_cache: Dict[Tuple, KOSREngine] = {}
 
@@ -107,7 +106,6 @@ def _fla_side(scale: float) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all cached graphs/labels/engines (tests use this)."""
-    _graph_cache.clear()
+    """Drop all cached labels/engines (tests use this)."""
     _label_cache.clear()
     _engine_cache.clear()

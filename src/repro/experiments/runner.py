@@ -28,7 +28,8 @@ INF = math.inf
 DEFAULT_EXAMINED_BUDGET = 100_000
 DEFAULT_TIME_BUDGET_S = 5.0
 
-#: The paper's seven-method legend: label -> (engine method, NN backend).
+#: Bar legend: label -> (engine method, NN backend).  The paper's seven
+#: methods, Fig. 7's GSP baselines and the ablation's two extra bars.
 METHOD_LEGEND: Dict[str, tuple] = {
     "KPNE-Dij": ("KPNE", "dij-restart"),
     "PK-Dij": ("PK", "dij-restart"),
@@ -37,6 +38,10 @@ METHOD_LEGEND: Dict[str, tuple] = {
     "PK": ("PK", "label"),
     "SK": ("SK", "label"),
     "SK-DB": ("SK-DB", "label"),
+    "GSP": ("GSP", "label"),
+    "GSP-CH": ("GSP-CH", "label"),
+    "SK-NODOM": ("SK-NODOM", "label"),
+    "PK-DijResume": ("PK", "dij-resume"),
 }
 
 
@@ -57,7 +62,6 @@ class MethodAggregate:
     total_time_s: float = 0.0
     total_examined: int = 0
     total_nn_queries: int = 0
-    total_results: int = 0
     per_level_examined: List[int] = field(default_factory=list)
     #: summed Table X components (seconds)
     nn_time_s: float = 0.0
@@ -93,7 +97,6 @@ class MethodAggregate:
         self.total_time_s += stats.total_time
         self.total_examined += stats.examined_routes
         self.total_nn_queries += stats.nn_queries
-        self.total_results += stats.results_found
         self.nn_time_s += stats.nn_time
         self.queue_time_s += stats.queue_time
         self.estimation_time_s += stats.estimation_time
@@ -112,18 +115,11 @@ def run_workload(
     time_budget_s: Optional[float] = DEFAULT_TIME_BUDGET_S,
     stop_after_first_unfinished: bool = True,
     profile: bool = False,
-    warm: bool = False,
 ) -> MethodAggregate:
-    """Execute ``workload`` with the method named by the paper legend ``label``.
+    """Execute ``workload`` with the method named by the legend ``label``.
 
-    Queries flow through the service layer's planner/executor path either
-    way; ``warm`` chooses the resource policy.  The default (``False``)
-    runs every query over cold per-query state — the paper's measurement
-    setup, which the figures must reproduce.  ``warm=True`` serves the
-    workload from the engine's session cache (shared finders and
-    ``dis(·, t)`` kernels): identical results and counters — the
-    cold-equivalent accounting guarantees it — but serving-style
-    latencies, which is what the throughput benchmarks report.
+    Every query runs over cold per-query state — the paper's measurement
+    setup, which the figures must reproduce.
 
     With ``stop_after_first_unfinished`` (default) a workload whose first
     unfinished query already forces an INF report skips its remaining
@@ -134,10 +130,7 @@ def run_workload(
     (the default) for run-time comparisons so instrumentation does not
     distort the measured gaps.
     """
-    if label in ("GSP", "GSP-CH"):
-        method, nn_backend = label, "label"
-    else:
-        method, nn_backend = METHOD_LEGEND[label]
+    method, nn_backend = METHOD_LEGEND[label]
     if method == "SK-DB" and engine._store is None:
         # SK-DB reads the engine's saved index file; save one once.
         fd, path = tempfile.mkstemp(prefix="repro_skdb_", suffix=".rpli")
@@ -147,9 +140,8 @@ def run_workload(
     agg = MethodAggregate(label=label)
     options = QueryOptions(method=method, nn_backend=nn_backend, budget=budget,
                            time_budget_s=time_budget_s, profile=profile)
-    run = engine.service.run if warm else engine.run
     for query in workload:
-        result = run(query, options)
+        result = engine.run(query, options)
         agg.add(result.stats)
         if agg.unfinished and stop_after_first_unfinished:
             break

@@ -575,31 +575,36 @@ class TestIndexBuildAndMmapQuery:
         assert payload["queries"][0]["costs"][0] == pytest.approx(20.0)
 
 
+TINY_FIGURE = ["--scale", "0.05", "--queries", "1"]
+
+
 class TestFigureCommand:
-    def test_small_figure(self, capsys, monkeypatch):
+    def test_small_figure(self, capsys):
         from repro.experiments import datasets as ds
 
-        monkeypatch.setattr(ds, "BENCH_SCALE", 0.05)
-        monkeypatch.setattr(ds, "BENCH_QUERIES", 1)
-        ds.clear_caches()
-        try:
-            assert main(["figure", "--name", "table10"]) == 0
-            out = capsys.readouterr().out
-            assert "nn_query_ms" in out
-        finally:
-            ds.clear_caches()
+        before = ds.BENCH_SCALE, ds.BENCH_QUERIES
+        assert main(["figure", "--name", "table10", *TINY_FIGURE]) == 0
+        assert "nn_query_ms" in capsys.readouterr().out
+        assert (ds.BENCH_SCALE, ds.BENCH_QUERIES) == before  # passed, not assigned
+
+    def test_all_prints_one_verdict_line_per_check(self, capsys, monkeypatch):
+        import dataclasses
+        import re
+
+        from repro.experiments import figures
+
+        # `scaling` sweeps absolute dataset scales; keep those tiny too
+        monkeypatch.setitem(figures.FIGURES, "scaling", dataclasses.replace(
+            figures.FIGURES["scaling"], sweep=("V", (0.05, 0.1))))
+        assert main(["figure", "--name", "all", *TINY_FIGURE]) == 0
+        out = capsys.readouterr().out
+        assert "--name all --scale 0.05 --queries 1" in out
+        for name, fig in figures.FIGURES.items():
+            verdict = rf"^- {name}( \[timing\])?: .* — (holds|DIFFERS)$"
+            assert len(re.findall(verdict, out, re.M)) == len(fig.expect), name
 
 
 class TestChartFlag:
-    def test_figure_with_chart(self, capsys, monkeypatch):
-        from repro.experiments import datasets as ds
-
-        monkeypatch.setattr(ds, "BENCH_SCALE", 0.05)
-        monkeypatch.setattr(ds, "BENCH_QUERIES", 1)
-        ds.clear_caches()
-        try:
-            assert main(["figure", "--name", "fig5", "--chart"]) == 0
-            out = capsys.readouterr().out
-            assert "peak" in out  # sparkline footer
-        finally:
-            ds.clear_caches()
+    def test_figure_with_chart(self, capsys):
+        assert main(["figure", "--name", "fig5", "--chart", *TINY_FIGURE]) == 0
+        assert "peak" in capsys.readouterr().out  # sparkline footer

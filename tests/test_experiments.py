@@ -1,7 +1,11 @@
 """Tests for the evaluation harness (workloads, runner, figures, reporting)."""
 
+import dataclasses
+import importlib.util
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +101,7 @@ class TestRunner:
         assert agg.num_queries == 2
 
     def test_legend_covers_paper_methods(self):
-        assert set(METHOD_LEGEND) == {
+        assert set(METHOD_LEGEND) >= {
             "KPNE-Dij", "PK-Dij", "SK-Dij", "KPNE", "PK", "SK", "SK-DB",
         }
 
@@ -112,53 +116,155 @@ class TestRunner:
         assert math.isinf(agg.mean_time_ms)
 
 
-class TestFigureGenerators:
-    def test_fig3_overall_rows(self):
-        rows, cols = figures.fig3_overall(datasets=("CAL",), methods=("PK", "SK"))
-        assert {r["method"] for r in rows} == {"PK", "SK"}
-        assert all(r["dataset"] == "CAL" for r in rows)
-        assert set(cols) >= {"dataset", "method", "time_ms"}
+TINY = dict(scale=0.05, queries=2)
+#: ``scaling`` sweeps absolute dataset scales; keep those tiny too
+SHRINK = {"scaling": dict(sweep=("V", (0.05, 0.1)))}
 
-    def test_fig3_effect_k_rows(self):
-        rows, _ = figures.fig3_effect_k("CAL", ks=(1, 2), methods=("SK",))
-        assert [r["k"] for r in rows] == [1, 2]
 
-    def test_fig3_effect_c_rows(self):
-        rows, _ = figures.fig3_effect_c("CAL", c_lens=(2, 3), methods=("SK",))
-        assert [r["c_len"] for r in rows] == [2, 3]
+def _row(method, examined, unfinished=0, **setting):
+    return {"dataset": "CAL", **setting, "method": method, "time_ms": 1.0,
+            "examined_routes": examined, "unfinished": unfinished}
 
-    def test_fig3_effect_ci_rows(self):
-        rows, _ = figures.fig3_effect_ci(fractions=(0.02, 0.04), methods=("SK",))
-        sizes = [r["category_size"] for r in rows]
-        assert sizes == sorted(sizes)
 
-    def test_fig5_rows_have_levels(self):
-        rows, cols = figures.fig5_search_space(datasets=("CAL",))
-        assert rows[0]["dataset"] == "CAL"
-        assert any(c.startswith("level_") for c in cols)
+class TestFigureTable:
+    @pytest.mark.parametrize("name", list(figures.FIGURES))
+    def test_every_row_runs(self, name):
+        shrink = SHRINK.get(name, {})
+        fig = dataclasses.replace(figures.FIGURES[name], **shrink)
+        rows, cols = figures.run_figure(name, **TINY, **shrink)
+        assert rows and all(set(cols) <= set(row) for row in rows)
+        for sentence, pred, *why in fig.expect:
+            assert isinstance(pred(rows), bool) and isinstance(pred.timing, bool)
+        if fig.methods:  # dataset × sweep value × method, nothing dropped
+            values = fig.sweep[1] if fig.sweep else (None,)
+            assert len(rows) == len(fig.datasets) * len(values) * len(fig.methods)
+            assert {r["method"] for r in rows} == set(fig.methods)
+            assert {r["dataset"] for r in rows} == set(fig.datasets)
 
-    def test_fig6_zipf_rows(self):
-        rows, _ = figures.fig6_zipfian(factors=(1.2,), methods=("SK",))
-        assert rows[0]["zipf_factor"] == 1.2
+    def test_names_the_cli_knew_plus_the_new_three(self):
+        assert set(figures.FIGURES) == {
+            "table9", "fig3a", "fig3d", "fig3e", "fig3f", "fig3g", "fig3h",
+            "fig4", "fig5", "fig6", "fig7", "table10", "ablation",
+            "fig3b", "fig3c", "scaling"}
+        assert "GSP" in figures.FIGURES["fig7"].methods
+        assert set(figures.FIGURES["ablation"].methods) <= set(METHOD_LEGEND)
+        assert METHOD_LEGEND["PK-DijResume"] == ("PK", "dij-resume")
 
-    def test_fig7_includes_gsp(self):
-        rows, _ = figures.fig7_osr(datasets=("CAL",), methods=("SK", "GSP"))
-        assert {r["method"] for r in rows} == {"SK", "GSP"}
+    def test_overrides_select_datasets_and_methods(self):
+        rows, cols = figures.run_figure("fig3a", datasets=("CAL",),
+                                        methods=("PK", "SK"), **TINY)
+        assert [(r["dataset"], r["method"]) for r in rows] == [
+            ("CAL", "PK"), ("CAL", "SK")]
+        assert cols == ["dataset", "method", "time_ms", "unfinished"]
 
-    def test_table9_rows(self):
-        rows, cols = figures.table9_preprocessing(datasets=("CAL",))
-        assert rows[0]["graph"] == "CAL"
-        assert rows[0]["label_build_s"] > 0
+    @pytest.mark.parametrize("name, sweep, expected", [
+        ("fig3e", ("k", (1, 2)), [1, 2]),
+        ("fig3g", ("c_len", (2, 3)), [2, 3]),
+        ("fig3h", ("category_size", (0.02, 0.04)), [3, 7]),  # of 196 vertices
+        ("fig6", ("zipf_factor", (1.2,)), [1.2]),
+    ])
+    def test_sweep_values_label_the_rows(self, name, sweep, expected):
+        rows, cols = figures.run_figure(name, sweep=sweep, methods=("SK",), **TINY)
+        assert [r[sweep[0]] for r in rows] == expected and sweep[0] in cols
 
-    def test_table10_breakdown_rows(self):
-        rows, cols = figures.table10_breakdown(methods=("SK",))
-        row = rows[0]
-        assert row["overall_ms"] >= row["nn_query_ms"]
+    def test_views_and_table9_fields(self):
+        rows, cols = figures.run_figure("fig5", datasets=("CAL",), **TINY)
+        assert cols[:3] == ["dataset", "level_0", "level_1"]
+        assert rows[0]["level_0"] == 1.0  # the source, once per query
+        rows, cols = figures.run_figure("table10", **TINY)
+        assert cols == ["method", "overall_ms", "nn_query_ms", "queue_ms",
+                        "estimation_ms", "other_ms"]
+        assert all(r["overall_ms"] >= r["nn_query_ms"] > 0 for r in rows)
+        assert rows[0]["estimation_ms"] == 0.0 < rows[1]["estimation_ms"]  # PK, SK
+        rows, cols = figures.run_figure("table9", datasets=("CAL",), **TINY)
+        assert rows[0]["graph"] == "CAL" and rows[0]["label_build_s"] > 0
 
-    def test_ablation_rows(self):
-        rows, _ = figures.ablation_design_choices()
-        variants = [r["variant"] for r in rows]
-        assert "both (SK)" in variants and "neither (KPNE)" in variants
+
+class TestRecord:
+    def test_inferred_figures_share_one_sweep(self, monkeypatch):
+        calls = []
+        sweep = figures._sweep
+        monkeypatch.setattr(figures, "_sweep", lambda fig, *a: (
+            calls.append(fig.name), sweep(fig, *a))[1])
+        text = figures.record(("fig3a", "fig3b", "fig3c"), **TINY)
+        assert calls == ["fig3a"]
+        assert "--scale 0.05 --queries 2" in text.splitlines()[2]
+        for name in ("fig3a", "fig3b", "fig3c"):
+            fig = figures.FIGURES[name]
+            assert f"## {fig.title}" in text and f"Paper: {fig.claim}" in text
+            verdict = rf"^- {name}( \[timing\])?: .* — (holds|DIFFERS)$"
+            assert len(re.findall(verdict, text, re.M)) == len(fig.expect)
+
+    def test_why_under_a_differs_only_and_timing_tag(self):
+        fig = dataclasses.replace(figures.FIGURES["fig3b"], expect=(
+            figures.at_most("examined_routes", "SK", "PK") + ("because",),
+            figures.at_most("examined_routes", "PK", "SK") + ("unused",),
+            figures.same("time_ms", "SK", "PK")))
+        assert figures.verdicts(fig, [_row("SK", 5), _row("PK", 3)]) == [
+            "- fig3b: SK ≤ PK in examined_routes wherever both finish — DIFFERS",
+            "  - why: because",
+            "- fig3b: PK ≤ SK in examined_routes wherever both finish — holds",
+            "- fig3b [timing]: SK = PK in time_ms wherever both finish — holds"]
+
+
+class TestCheckHelpers:
+    SWEEP = [_row("SK", 10, k=1), _row("PK", 10, k=1),
+             _row("SK", 30, k=2), _row("PK", 20, k=2)]
+
+    @pytest.mark.parametrize("check, rows", [
+        (figures.finishes("SK"), [_row("SK", 1, unfinished=1)]),
+        (figures.at_most("examined_routes", "SK", "PK"), [_row("SK", 5), _row("PK", 3)]),
+        (figures.same("examined_routes", "SK", "PK"), [_row("SK", 5), _row("PK", 3)]),
+        (figures.grows("examined_routes", "SK"), [_row("SK", 5, k=1), _row("SK", 5, k=2)]),
+        (figures.flatter("examined_routes", "SK", "PK"), SWEEP),
+        (figures.sublinear("examined_routes", "SK", "k"), SWEEP),
+    ])
+    def test_false_case_and_unfinished_pair_skipped(self, check, rows):
+        sentence, pred = check
+        assert pred(rows) is False, sentence
+        if "finish at every" not in sentence:
+            assert pred([dict(r, unfinished=r["method"] == "SK") for r in rows]) is True
+
+    def test_true_cases_and_pairing_within_a_setting(self):
+        for check in (figures.finishes("SK", "PK"),
+                      figures.at_most("examined_routes", "PK", "SK"),
+                      figures.at_most("examined_routes", "SK", "PK", 1.5),
+                      figures.grows("examined_routes", "PK"),
+                      figures.flatter("examined_routes", "PK", "SK"),
+                      figures.sublinear("examined_routes", "PK", "k")):
+            assert check[1](self.SWEEP[:2] + [_row("SK", 30, k=4), _row("PK", 20, k=4)])
+        # k=1's SK is not compared with k=2's PK
+        assert figures.at_most("examined_routes", "SK", "PK")[1](
+            [_row("SK", 9, k=1), _row("PK", 1, k=2)])
+
+
+class TestVerdictGate:
+    """tools/check_experiments.py: gated lines decide, timing lines do not."""
+
+    @pytest.fixture(scope="class")
+    def gate(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "check_experiments.py"
+        spec = importlib.util.spec_from_file_location("check_experiments", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_flipped_gated_line_fails(self, gate, tmp_path, capsys):
+        committed = gate.COMMITTED.read_text()
+        line = next(l for l in gate.gated_verdicts(committed) if l.endswith("holds"))
+        flipped = line.replace(" — holds", " — DIFFERS")
+        (tmp_path / "fresh.md").write_text(committed.replace(line, flipped))
+        assert gate.main([str(tmp_path / "fresh.md")]) == 1
+        assert flipped in capsys.readouterr().out
+
+    def test_flipped_timing_line_and_numbers_are_ignored(self, gate, tmp_path):
+        committed = gate.COMMITTED.read_text()
+        timing = next(l for l in committed.splitlines()
+                      if l.startswith("- ") and "[timing]" in l and l.endswith("holds"))
+        (tmp_path / "fresh.md").write_text(
+            committed.replace(timing, timing.replace("holds", "DIFFERS"))
+            .replace(" | ", " |  "))
+        assert gate.main([str(tmp_path / "fresh.md")]) == 0
 
 
 class TestDatasetsCache:

@@ -31,18 +31,23 @@ def tiny_scale():
 
 
 class TestFiguresDijPath:
-    def test_dij_methods_use_truncated_workload(self):
-        rows, _ = figures.fig3_overall(datasets=("CAL",),
-                                       methods=("SK-Dij", "SK"))
+    def test_dij_methods_run_the_full_workload(self):
+        """Same algorithm, other oracle, same queries: identical counts
+        (the *-Dij bars used to be means over a truncated workload)."""
+        rows, _ = figures.run_figure("fig3a", datasets=("CAL",))
         by = {r["method"]: r for r in rows}
-        assert by["SK-Dij"]["examined_routes"] > 0
-        # identical search behaviour per query, fewer queries sampled
-        assert by["SK"]["nn_queries"] > 0
+        for twin in ("KPNE", "PK", "SK"):
+            assert not by[f"{twin}-Dij"]["unfinished"]
+            assert (by[f"{twin}-Dij"]["examined_routes"]
+                    == by[twin]["examined_routes"] > 0)
+        assert all(pred(rows) for _, pred in figures.FIGURES["fig3b"].expect[-3:])
 
     def test_fig7_gsp_ch_runs(self):
-        rows, _ = figures.fig7_osr(datasets=("CAL",), methods=("GSP", "GSP-CH"))
+        rows, _ = figures.run_figure("fig7", datasets=("CAL",),
+                                     methods=("GSP", "GSP-CH"))
         by = {r["method"]: r for r in rows}
         assert not math.isinf(by["GSP-CH"]["time_ms"])
+        assert by["GSP-CH"]["examined_routes"] == by["GSP"]["examined_routes"]
 
 
 class TestRunnerSkDb:
