@@ -5,7 +5,8 @@ Two operational concerns the paper addresses beyond raw querying:
 * **category updates** — a venue opens or closes: the change lands in
   the category's *delta overlay* in O(|Lin(v)| log |Ci|); query cursors
   fold the overlay into the decoded runs lazily, and
-  ``engine.compact()`` (or the automatic ``overlay_ratio`` threshold)
+  ``engine.compact()`` (or the automatic compaction once the overlay
+  reaches ``packed_inverted.OVERLAY_RATIO`` = 0.25 of the category)
   rebuilds them garbage-free;
 * **disk-resident index (SK-DB)** — when the index exceeds memory, each
   query attaches the saved index file and only its own categories'

@@ -7,35 +7,33 @@ Subcommands::
     python -m repro.cli index build --graph graph.json --out index.rpli
     python -m repro.cli query       --graph graph.json --source 0 --target 99 \
                                     --categories cat0,cat3 --k 5 --method SK
-    python -m repro.cli batch       --graph graph.json --workload wl.json
-    python -m repro.cli async-batch --graph graph.json --workload wl.json
+    python -m repro.cli batch       --graph graph.json --workload wl.json \
+                                    [--async]
     python -m repro.cli serve       --graph graph.json --port 8765
     python -m repro.cli metrics     --port 8765
     python -m repro.cli figure      --name fig3a [--scale 0.2] [--queries 3]
 
-``generate`` writes a dataset analogue; ``query`` answers a KOSR query
-(``--repeat N`` re-runs it through the warm session cache and reports
-cold- vs warm-cache latency); ``batch``
-executes a JSON workload through the query service's grouped batch path;
-``async-batch`` drives the same workload through the asyncio front door
-(coalescing + backpressure); ``serve`` runs the JSON-lines TCP server
-(``--metrics`` turns on the observability registry — see
-``docs/observability.md``); ``metrics`` probes a running server with
-``{"metrics": true}`` and pretty-prints the fleet-merged snapshot;
+``generate`` writes a dataset analogue; ``query`` answers a KOSR query;
+``batch`` runs a JSON workload through the grouped batch service, or
+with ``--async`` through the asyncio front door (coalescing +
+backpressure), and reports the session cache's hits; ``serve`` runs the
+JSON-lines TCP server (``--metrics`` turns on the observability registry
+— see ``docs/observability.md``); ``metrics`` probes a running server
+with ``{"metrics": true}`` and pretty-prints the fleet-merged snapshot;
 ``figure`` regenerates one of the paper's tables/figures.
 
-``batch``, ``async-batch``, and ``serve`` all accept ``--shards N`` to
-execute over N category-partitioned worker processes (see
-:mod:`repro.shard`) — answers stay bit-identical to the in-process
-engine while the search itself runs on separate cores.
+``query``, ``batch`` and ``serve`` share one engine flag group; with
+``--shards N``, ``batch`` and ``serve`` execute over N category-
+partitioned worker processes (see :mod:`repro.shard`) — answers stay
+bit-identical to the in-process engine while the search itself runs on
+separate cores.
 
 ``index build`` writes the single-file packed index (labels + inverted
-lists, RPLI format); ``query``/``batch``/``async-batch``/``serve``
-accept ``--mmap-index FILE`` to attach to it read-only via ``mmap``
-instead of building — every process that attaches shares one physical
-copy of the index through the OS page cache.  That file is the one
-persisted index: ``--method SK-DB`` reads it per query, so SK-DB needs
-``--mmap-index`` (with or without ``--shards``).
+lists, RPLI format); ``--mmap-index FILE`` attaches to it read-only via
+``mmap`` instead of building — every process that attaches shares one
+physical copy of the index through the OS page cache.  That file is the
+one persisted index: ``--method SK-DB`` reads it per query, so SK-DB
+needs ``--mmap-index`` (with or without ``--shards``).
 """
 
 from __future__ import annotations
@@ -84,95 +82,69 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write only the vertex labels; attached "
                                 "engines rebuild inverted lists per category")
 
+    def add_engine_args(p, shards: bool) -> None:
+        """The engine (or fleet) flags of `query`, `batch` and `serve`."""
+        p.add_argument("--graph", required=True)
+        p.add_argument("--mmap-index", metavar="FILE",
+                       help="attach read-only to an `index build` file "
+                            "instead of building (zero-copy; processes and "
+                            "shard workers share one physical copy)")
+        p.add_argument("--method", default="SK", choices=list(METHODS),
+                       help="the method (`batch`/`serve`: of requests that "
+                            "name none)")
+        p.add_argument("--nn-backend", default="label",
+                       choices=list(NN_BACKENDS))
+        if shards:
+            p.add_argument("--shards", type=int, default=None, metavar="N",
+                           help="serve from N category-partitioned worker "
+                                "processes (answers stay bit-identical to "
+                                "the in-process engine)")
+
     qry = sub.add_parser("query", help="answer a KOSR query")
-    qry.add_argument("--graph", required=True)
-    qry.add_argument("--mmap-index", metavar="FILE",
-                     help="attach read-only to an `index build` file "
-                          "instead of building (zero-copy, page-cache "
-                          "shared across processes)")
+    add_engine_args(qry, shards=False)
     qry.add_argument("--source", type=int, required=True)
     qry.add_argument("--target", type=int, required=True)
     qry.add_argument("--categories", required=True,
                      help="comma-separated names or ids, in visit order")
     qry.add_argument("--k", type=int, default=1)
-    qry.add_argument("--method", default="SK", choices=list(METHODS))
-    qry.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    qry.add_argument("--overlay-ratio", type=float, default=None,
-                     help="fraction of live inverted entries the delta "
-                          "overlay may reach before a category's decoded "
-                          "runs are compacted")
     qry.add_argument("--budget", type=int, default=None,
                      help="examined-route cap (reports INF when hit)")
     qry.add_argument("--routes", action="store_true",
                      help="restore actual routes, not just witnesses")
     qry.add_argument("--profile", action="store_true",
                      help="collect and print the Table X time breakdown")
-    qry.add_argument("--repeat", type=int, default=1, metavar="N",
-                     help="run the query N times through the warm session "
-                          "cache and report cold- vs warm-cache latency")
-
-    def add_workload_args(p) -> None:
-        """Arguments shared by the `batch` and `async-batch` commands."""
-        p.add_argument("--graph", required=True)
-        p.add_argument("--mmap-index", metavar="FILE",
-                       help="attach read-only to an `index build` file "
-                            "(workers mmap-share one physical copy)")
-        p.add_argument("--workload", required=True,
-                       help="JSON workload file, or '-' for stdin: a list of "
-                            '{"source", "target", "categories", "k"?, '
-                            '"method"?} records (or {"queries": [...]})')
-        p.add_argument("--method", default="SK", choices=list(METHODS),
-                       help="default method for records that do not name one")
-        p.add_argument("--nn-backend", default="label",
-                       choices=list(NN_BACKENDS))
-        p.add_argument("--overlay-ratio", type=float, default=None)
-        p.add_argument("--budget", type=int, default=None,
-                       help="per-query examined-route cap")
-        p.add_argument("--time-budget", type=float, default=None,
-                       help="per-query wall-time cap in seconds")
-        p.add_argument("--max-dest-kernels", type=int, default=None,
-                       help="LRU cap on warm per-target dis(.,t) kernels")
-        p.add_argument("--max-finders", type=int, default=None,
-                       help="LRU cap on warm FindNN cursors per session")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="partition categories across N worker processes "
-                            "(true multi-core parallelism; answers stay "
-                            "bit-identical to an unsharded engine)")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit per-query stats as JSON instead of text")
 
     bat = sub.add_parser(
-        "batch", help="answer a JSON workload through the batch service")
-    add_workload_args(bat)
-    bat.add_argument("--cache-stats", action="store_true",
-                     help="report session-cache hit/miss/eviction rates")
-
-    abat = sub.add_parser(
-        "async-batch",
-        help="drive a JSON workload through the asyncio serving front door "
-             "(request coalescing + bounded admission)")
-    add_workload_args(abat)
-    abat.add_argument("--max-inflight", type=int, default=4,
-                      help="concurrently executing requests (thread pool)")
-    abat.add_argument("--max-queue", type=int, default=None,
-                      help="admission bound; overflowing requests are "
-                           "rejected (default: unbounded)")
-    abat.add_argument("--max-groups", type=int, default=None,
-                      help="soft cap on live group workers (idle groups "
-                           "are retired first)")
-    abat.add_argument("--no-coalesce", action="store_true",
-                      help="disable coalescing of identical requests")
+        "batch", help="answer a JSON workload through the batch service, "
+                      "or with --async through the asyncio front door")
+    add_engine_args(bat, shards=True)
+    bat.add_argument("--workload", required=True,
+                     help="JSON workload file, or '-' for stdin: a list of "
+                          '{"source", "target", "categories", "k"?, '
+                          '"method"?} records (or {"queries": [...]})')
+    bat.add_argument("--budget", type=int, default=None,
+                     help="per-query examined-route cap")
+    bat.add_argument("--time-budget", type=float, default=None,
+                     help="per-query wall-time cap in seconds")
+    bat.add_argument("--max-dest-kernels", type=int, default=None,
+                     help="LRU cap on warm per-target dis(.,t) kernels")
+    bat.add_argument("--max-finders", type=int, default=None,
+                     help="LRU cap on warm FindNN cursors per session")
+    bat.add_argument("--json", action="store_true", dest="as_json",
+                     help="emit per-query stats as JSON instead of text")
+    bat.add_argument("--async", action="store_true", dest="use_async",
+                     help="submit every record at once to the asyncio "
+                          "front door (coalescing + bounded admission)")
+    bat.add_argument("--max-inflight", type=int, default=None,
+                     help="with --async: concurrently executing requests "
+                          "(thread pool; default 4)")
+    bat.add_argument("--max-queue", type=int, default=None,
+                     help="with --async: admission bound; overflowing "
+                          "requests are rejected (default: unbounded)")
 
     srv = sub.add_parser(
         "serve", help="run the JSON-lines TCP query server")
-    srv.add_argument("--graph", required=True)
-    srv.add_argument("--mmap-index", metavar="FILE",
-                     help="attach read-only to an `index build` file "
-                          "(workers mmap-share one physical copy)")
-    srv.add_argument("--method", default="SK", choices=list(METHODS),
-                     help="default method for requests that do not name one")
-    srv.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    srv.add_argument("--overlay-ratio", type=float, default=None)
+    add_engine_args(srv, shards=True)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
     srv.add_argument("--max-inflight", type=int, default=4)
@@ -182,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-groups", type=int, default=512,
                      help="soft cap on live group workers (idle groups "
                           "are retired first)")
-    srv.add_argument("--shards", type=int, default=None, metavar="N",
-                     help="serve from N category-partitioned worker "
-                          "processes instead of the in-process engine")
     srv.add_argument("--metrics", action="store_true",
                      help="enable the observability registry (counters, "
                           "gauges, latency histograms) in this process and "
@@ -263,68 +232,43 @@ def cmd_index(args) -> int:
     what = "labels only" if args.no_inverted else \
         f"labels + {graph.num_categories} inverted categories"
     print(f"index ({what}): {written / 1e6:.2f} MB -> {args.out}")
-    print("attach with --mmap-index (query/batch/async-batch/serve); "
+    print("attach with --mmap-index (query/batch/serve); "
           "attaching processes share one physical copy via the page cache")
     return 0
 
 
-def _require_index_file(args, methods) -> None:
-    """Fail fast when SK-DB is asked for without the file it reads."""
+def _open_backend(args, methods):
+    """The engine that serves ``methods`` or, with any ``--shards N``
+    (1 too: one worker process), the worker fleet.
+
+    Fails fast on SK-DB without the index file it reads.  Attaches the
+    ``--mmap-index`` file, else builds the labels (the dominant start-up
+    cost) unless no method touches them: GSP and Dijkstra oracles run on
+    the bare graph, and a fleet then ships topology-only workers.
+    """
     if "SK-DB" in methods and not args.mmap_index:
         raise SystemExit("SK-DB reads the saved index file: pass "
                          "--mmap-index FILE (run `index build` first)")
-
-
-def _make_engine(args, needs_labels: Optional[bool] = None):
-    graph = _load_graph(args.graph)
-    overlay_ratio = getattr(args, "overlay_ratio", None)
-    mmap_index = getattr(args, "mmap_index", None)
-    if mmap_index:
-        return KOSREngine.from_index_file(graph, mmap_index,
-                                          name=Path(args.graph).stem,
-                                          overlay_ratio=overlay_ratio)
-    if needs_labels is None:
-        needs_labels = (args.nn_backend == "label"
-                        and args.method not in ("GSP", "GSP-CH"))
-    if needs_labels:
-        return KOSREngine.build(graph, overlay_ratio=overlay_ratio)
-    return KOSREngine(graph)
-
-
-def _sharding_requested(args) -> bool:
-    """Any explicit ``--shards N`` engages the worker fleet.
-
-    ``--shards 1`` is meaningful (a single worker process — the
-    benchmark baseline, and isolation from the serving process), so only
-    the absence of the flag selects the in-process engine; non-positive
-    values are rejected in :func:`_make_sharded`.
-    """
-    return getattr(args, "shards", None) is not None
-
-
-def _make_sharded(args, build_labels: bool = True):
-    """Build the sharded service for ``--shards N`` commands.
-
-    Loads the graph, attaches the ``--mmap-index`` file when given
-    (building the labels once here otherwise), and spawns the worker
-    fleet — the parent never materialises inverted indexes.
-    ``build_labels=False`` skips the label build entirely (topology-only
-    fleet) — the same startup-cost skip the unsharded path applies to
-    workloads that never touch the label indexes.
-    """
-    from repro.shard import ShardedQueryService
-
-    if args.shards < 1:
+    shards = getattr(args, "shards", None)
+    if shards is not None and shards < 1:
         raise SystemExit("--shards must be >= 1")
     graph = _load_graph(args.graph)
-    return ShardedQueryService(
-        graph, args.shards,
-        overlay_ratio=getattr(args, "overlay_ratio", None),
-        max_dest_kernels=getattr(args, "max_dest_kernels", None),
-        max_finders=getattr(args, "max_finders", None),
-        build_labels=build_labels,
-        index_path=getattr(args, "mmap_index", None),
-    )
+    needs_labels = (args.nn_backend == "label"
+                    and any(m not in ("GSP", "GSP-CH") for m in methods))
+    if shards is not None:
+        from repro.shard import ShardedQueryService
+
+        return ShardedQueryService(
+            graph, shards,
+            max_dest_kernels=getattr(args, "max_dest_kernels", None),
+            max_finders=getattr(args, "max_finders", None),
+            build_labels=needs_labels, index_path=args.mmap_index)
+    if args.mmap_index:
+        return KOSREngine.from_index_file(graph, args.mmap_index,
+                                          name=Path(args.graph).stem)
+    if needs_labels:
+        return KOSREngine.build(graph)
+    return KOSREngine(graph)
 
 
 def _query_options(args) -> QueryOptions:
@@ -338,8 +282,7 @@ def _query_options(args) -> QueryOptions:
 
 
 def cmd_query(args) -> int:
-    _require_index_file(args, {args.method})
-    engine = _make_engine(args)
+    engine = _open_backend(args, {args.method})
     categories: List = []
     for token in args.categories.split(","):
         token = token.strip()
@@ -365,41 +308,7 @@ def cmd_query(args) -> int:
               f"queue {stats.queue_time * 1000:.2f} ms, "
               f"estimation {stats.estimation_time * 1000:.2f} ms, "
               f"other {stats.other_time * 1000:.2f} ms")
-    if args.repeat > 1:
-        _report_repeats(engine, args, categories, result, elapsed)
     return 0 if stats.completed else 2
-
-
-def _report_repeats(engine, args, categories, cold_result, cold_elapsed) -> None:
-    """Re-run the query through the warm session cache (``--repeat N``).
-
-    The first run above was cold (fresh finder + memos); the repeats go
-    through ``engine.service``, so the second and later runs hit the
-    session's warm FindNN streams and the per-target ``dis(·, t)``
-    kernel.  Results and counters are asserted identical — only latency
-    may change.
-    """
-    q = engine.make_query(args.source, args.target, categories, k=args.k)
-    options = _query_options(args)
-    service = engine.service
-    warm_ms: List[float] = []
-    for _ in range(args.repeat - 1):
-        t0 = time.perf_counter()
-        repeat = service.run(q, options)
-        warm_ms.append((time.perf_counter() - t0) * 1000.0)
-        if (repeat.witnesses != cold_result.witnesses
-                or repeat.stats.nn_queries != cold_result.stats.nn_queries):
-            raise SystemExit("warm-cache repeat diverged from the cold run")
-    best = min(warm_ms)
-    mean = sum(warm_ms) / len(warm_ms)
-    cold_ms = cold_elapsed * 1000.0
-    speedup = cold_ms / mean if mean > 0 else float("inf")
-    print(f"repeat x{args.repeat}: cold {cold_ms:.2f} ms, "
-          f"warm mean {mean:.2f} ms (best {best:.2f} ms), "
-          f"speedup {speedup:.2f}x")
-    cache = service.session.stats
-    print(f"  session cache: {cache.finder_hits} finder hits, "
-          f"{cache.dest_kernel_hits} dest-kernel hits")
 
 
 def _load_workload_records(spec: str) -> List[dict]:
@@ -422,47 +331,85 @@ def _load_workload_records(spec: str) -> List[dict]:
 
 
 def _prepare_workload(args):
-    """Shared `batch`/`async-batch` setup: runner + per-record queries.
+    """`batch` setup: the backend and one :class:`QueryRequest` per record.
 
-    Returns ``(runner, items)`` where ``runner`` is either an engine
-    (in-process serving) or a :class:`~repro.shard.ShardedQueryService`
-    (``--shards N``), and ``items`` is a list of
-    ``(index, method, query)`` aligned with the workload records.  Fails
-    fast — before any query runs — on unknown methods/backends and on
-    SK-DB without an index file.
+    Fails fast — before anything is built or run — on unknown methods
+    or backends and on SK-DB without an index file.
     """
-    records = _load_workload_records(args.workload)
-    methods = {record.get("method", args.method) for record in records}
     from repro.exceptions import QueryError
     from repro.service import resolve_plan
 
-    _require_index_file(args, methods)
-    sharded = _sharding_requested(args)
-    # Label indexes are the dominant startup cost; skip the build when no
-    # record's method will touch them (all-GSP workloads, Dijkstra
-    # oracles) — on the sharded path the whole fleet skips it.
-    needs_labels = (args.nn_backend == "label"
-                    and any(m not in ("GSP", "GSP-CH") for m in methods))
-    if sharded:
-        runner = _make_sharded(args, build_labels=needs_labels)
-    else:
-        runner = _make_engine(args, needs_labels=needs_labels)
-    for method in sorted(methods):
+    records = _load_workload_records(args.workload)
+    methods = [record.get("method", args.method) for record in records]
+    for method in sorted(set(methods)):
         try:
             resolve_plan(method, args.nn_backend)
         except QueryError as exc:
             raise SystemExit(str(exc))
-    items = []
-    for i, record in enumerate(records):
+    backend = _open_backend(args, set(methods))
+    options = _query_options(args)
+    requests = []
+    for method, record in zip(methods, records):
         cats = [int(c) if isinstance(c, str) and c.isdigit() else c
                 for c in record["categories"]]
-        q = runner.make_query(record["source"], record["target"], cats,
+        q = backend.make_query(record["source"], record["target"], cats,
                                k=int(record.get("k", 1)))
-        items.append((i, record.get("method", args.method), q))
-    return runner, items
+        requests.append(QueryRequest(q, options.replace(method=method)))
+    return backend, requests
+
+
+def _run_sequential(service, requests):
+    """`batch`: one ``run_batch`` per method (records may override it);
+    grouping by (target, categories) happens inside the service."""
+    by_options: dict = {}
+    for i, request in enumerate(requests):
+        by_options.setdefault(request.options, []).append(i)
+    results = [None] * len(requests)
+    wall = 0.0
+    groups = 0
+    cache_totals: dict = {}
+    for options, indices in by_options.items():
+        batch = service.run_batch([requests[i].query for i in indices],
+                                  options)
+        wall += batch.wall_time_s
+        groups += batch.num_groups
+        for name, value in batch.cache_stats.items():
+            cache_totals[name] = cache_totals.get(name, 0) + value
+        for i, result in zip(indices, batch):
+            results[i] = result
+    return results, wall, {"num_groups": groups, "cache_stats": cache_totals}
+
+
+def _run_async(service, requests, args):
+    """`batch --async`: every record submitted at once to the front door;
+    a rejected or failed request comes back as its exception (an error
+    row, not a command crash)."""
+    import asyncio
+
+    from repro.server import AsyncQueryService
+
+    max_inflight = 4 if args.max_inflight is None else args.max_inflight
+
+    async def drive():
+        async with AsyncQueryService(service, max_inflight=max_inflight,
+                                     max_queue=args.max_queue) as front:
+            t0 = time.perf_counter()
+            results = await asyncio.gather(
+                *(front.submit(r) for r in requests),
+                return_exceptions=True)
+            wall = time.perf_counter() - t0
+            return results, wall, {"serving_stats": front.stats.as_dict(),
+                                   "cache_stats": front.cache_stats()}
+
+    return asyncio.run(drive())
 
 
 def _result_row(method: str, result) -> dict:
+    if isinstance(result, BaseException):
+        return {"method": method, "error": str(result),
+                "kind": type(result).__name__, "completed": False,
+                "costs": [], "witnesses": [], "examined_routes": 0,
+                "nn_queries": 0, "time_ms": 0.0}
     s = result.stats
     return {
         "method": method,
@@ -477,6 +424,9 @@ def _result_row(method: str, result) -> dict:
 
 def _print_rows(rows) -> None:
     for i, row in enumerate(rows):
+        if "error" in row:
+            print(f"#{i} [{row['method']}] {row['kind']}: {row['error']}")
+            continue
         status = "ok" if row["completed"] else "INF"
         best = f"{row['costs'][0]:g}" if row["costs"] else "-"
         print(f"#{i} [{row['method']}] best {best} "
@@ -486,7 +436,7 @@ def _print_rows(rows) -> None:
 
 
 def _print_cache_rates(cache_totals: dict) -> None:
-    """Hit/miss/eviction observability (`batch --cache-stats`)."""
+    """The session cache's hit/miss/eviction report (`batch`)."""
     for kind in CACHE_KINDS:
         hits = cache_totals.get(f"{kind}_hits", 0)
         misses = cache_totals.get(f"{kind}_misses", 0)
@@ -501,136 +451,47 @@ def _print_cache_rates(cache_totals: dict) -> None:
 
 
 def cmd_batch(args) -> int:
-    """Run a JSON workload through ``QueryService.run_batch``.
-
-    With ``--shards N`` the same workload flows through a
-    :class:`~repro.shard.ShardedQueryService` instead — category
-    partitions in worker processes, identical answers.
-    """
-    runner, items = _prepare_workload(args)
-    options = _query_options(args)
-    # Records may override the method; group by it so each homogeneous
-    # sub-batch flows through one run_batch call (grouping by
-    # (target, categories) happens inside the service).
-    by_method: dict = {}
-    for i, method, q in items:
-        by_method.setdefault(method, []).append((i, q))
-    rows = [None] * len(items)
-    if _sharding_requested(args):
-        service = runner
+    """Run a JSON workload through ``QueryService.run_batch``, or with
+    ``--async`` through the asyncio front door; ``--shards N`` serves
+    either from the worker fleet, with identical answers."""
+    if not args.use_async and (args.max_inflight is not None
+                               or args.max_queue is not None):
+        raise SystemExit("--max-inflight and --max-queue bound the asyncio "
+                         "front door: pass --async")
+    backend, requests = _prepare_workload(args)
+    if args.shards is not None:
+        service = backend
     else:
-        service = QueryService(runner, max_dest_kernels=args.max_dest_kernels,
+        service = QueryService(backend, max_dest_kernels=args.max_dest_kernels,
                                max_finders=args.max_finders)
-    wall = 0.0
-    groups = 0
-    cache_totals: dict = {}
     try:
-        for method, method_items in by_method.items():
-            batch = service.run_batch(
-                [q for _, q in method_items], options.replace(method=method))
-            wall += batch.wall_time_s
-            groups += batch.num_groups
-            for name, value in batch.cache_stats.items():
-                cache_totals[name] = cache_totals.get(name, 0) + value
-            for (i, _), result in zip(method_items, batch):
-                rows[i] = _result_row(method, result)
+        if args.use_async:
+            results, wall, report = _run_async(service, requests, args)
+        else:
+            results, wall, report = _run_sequential(service, requests)
     finally:
-        if _sharding_requested(args):
+        if args.shards is not None:
             service.close()
+    rows = [_result_row(request.options.method, result)
+            for request, result in zip(requests, results)]
     unfinished = sum(1 for r in rows if not r["completed"])
+    qps = len(rows) / wall if wall else float("inf")
     if args.as_json:
-        print(json.dumps({
-            "queries": rows,
-            "wall_time_s": wall,
-            "queries_per_second": len(rows) / wall if wall else float("inf"),
-            "num_groups": groups,
-            "unfinished": unfinished,
-            "cache_stats": cache_totals,
-        }, indent=2))
+        print(json.dumps({"queries": rows, "wall_time_s": wall,
+                          "queries_per_second": qps,
+                          "unfinished": unfinished, **report}, indent=2))
     else:
         _print_rows(rows)
-        qps = len(rows) / wall if wall else float("inf")
-        print(f"batch: {len(rows)} queries in {wall * 1000:.1f} ms "
-              f"({qps:.1f} q/s), {groups} groups, {unfinished} unfinished")
-        if args.cache_stats:
-            _print_cache_rates(cache_totals)
-    return 0 if unfinished == 0 else 2
-
-
-def cmd_async_batch(args) -> int:
-    """Drive a workload through the asyncio front door (`async-batch`).
-
-    ``--shards N`` swaps the in-process thread-pool executor for the
-    sharded worker fleet; coalescing and backpressure are unchanged.
-    """
-    import asyncio
-
-    from repro.server import AsyncQueryService
-
-    runner, items = _prepare_workload(args)
-    base = _query_options(args)
-    requests = [QueryRequest(q, base.replace(method=method))
-                for _, method, q in items]
-    if _sharding_requested(args):
-        service = runner
-    else:
-        service = QueryService(runner, max_dest_kernels=args.max_dest_kernels,
-                               max_finders=args.max_finders)
-
-    async def drive():
-        async with AsyncQueryService(
-                service, max_inflight=args.max_inflight,
-                max_queue=args.max_queue, max_groups=args.max_groups,
-                coalesce=not args.no_coalesce) as front:
-            t0 = time.perf_counter()
-            # Per-request settlement: an overload rejection (or query
-            # error) becomes an error row, not a command crash.
-            results = await asyncio.gather(
-                *(front.submit(r) for r in requests),
-                return_exceptions=True)
-            return results, time.perf_counter() - t0, front.stats.as_dict()
-
-    try:
-        results, wall, serving = asyncio.run(drive())
-    finally:
-        if _sharding_requested(args):
-            service.close()
-    rows = []
-    for (_, method, _), result in zip(items, results):
-        if isinstance(result, BaseException):
-            rows.append({"method": method, "error": str(result),
-                         "kind": type(result).__name__, "completed": False,
-                         "costs": [], "witnesses": [],
-                         "examined_routes": 0, "nn_queries": 0,
-                         "time_ms": 0.0})
+        if args.use_async:
+            serving = report["serving_stats"]
+            shape = (f"{serving['executed']} executed, "
+                     f"{serving['coalesced']} coalesced, "
+                     f"{serving['rejected']} rejected")
         else:
-            rows.append(_result_row(method, result))
-    unfinished = sum(1 for r in rows if not r["completed"])
-    if args.as_json:
-        print(json.dumps({
-            "queries": rows,
-            "wall_time_s": wall,
-            "queries_per_second": len(rows) / wall if wall else float("inf"),
-            "unfinished": unfinished,
-            "serving_stats": serving,
-        }, indent=2))
-    else:
-        for i, row in enumerate(rows):
-            if "error" in row:
-                print(f"#{i} [{row['method']}] {row['kind']}: {row['error']}")
-            else:
-                status = "ok" if row["completed"] else "INF"
-                best = f"{row['costs'][0]:g}" if row["costs"] else "-"
-                print(f"#{i} [{row['method']}] best {best} "
-                      f"({len(row['costs'])} results), "
-                      f"{row['examined_routes']} examined, "
-                      f"{row['nn_queries']} NN, {row['time_ms']:.2f} ms "
-                      f"{status}")
-        qps = len(rows) / wall if wall else float("inf")
-        print(f"async-batch: {len(rows)} requests in {wall * 1000:.1f} ms "
-              f"({qps:.1f} q/s), {serving['executed']} executed, "
-              f"{serving['coalesced']} coalesced, "
-              f"{serving['rejected']} rejected")
+            shape = f"{report['num_groups']} groups"
+        print(f"batch: {len(rows)} queries in {wall * 1000:.1f} ms "
+              f"({qps:.1f} q/s), {shape}, {unfinished} unfinished")
+        _print_cache_rates(report["cache_stats"])
     return 0 if unfinished == 0 else 2
 
 
@@ -665,26 +526,22 @@ def cmd_serve(args) -> int:
         from repro.obs.metrics import REGISTRY
 
         REGISTRY.enable()
-    _require_index_file(args, {args.method})
     t0 = time.perf_counter()
-    if _sharding_requested(args):
-        sharded = _make_sharded(args)
-        engine = None
-    else:
-        sharded = None
-        engine = _make_engine(args)
-    index_note = _index_note(engine if sharded is None else sharded, t0)
+    backend = _open_backend(args, {args.method})
+    sharded = backend if args.shards is not None else None
+    index_note = _index_note(backend, t0)
     defaults = QueryOptions(method=args.method, nn_backend=args.nn_backend)
 
     async def main_loop():
         server = await tcp_serve(
-            engine, args.host, args.port, defaults=defaults,
+            None if sharded else backend, args.host, args.port,
+            defaults=defaults,
             max_inflight=args.max_inflight, max_queue=args.max_queue,
             max_groups=args.max_groups, service=sharded)
         addr = server.sockets[0].getsockname()
         shards_note = (f"shards={args.shards}" if sharded is not None
                        else "shards=off")
-        mmap_note = "on" if getattr(args, "mmap_index", None) else "off"
+        mmap_note = "on" if args.mmap_index else "off"
         metrics_note = "on" if args.metrics else "off"
         # benchmarks/kosr/deploy.py waits for this as the first stdout
         # line and parses its prefix: print nothing before it.
@@ -867,7 +724,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "index": cmd_index,
         "query": cmd_query,
         "batch": cmd_batch,
-        "async-batch": cmd_async_batch,
         "serve": cmd_serve,
         "metrics": cmd_metrics,
         "figure": cmd_figure,

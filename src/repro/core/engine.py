@@ -108,9 +108,6 @@ class KOSREngine:
         #: any update, so SK-DB can never answer from a stale file
         self._store: Optional[str] = None
         self._ch = None
-        #: build-time compaction-threshold override, re-applied when
-        #: structure updates rebuild the inverted indexes
-        self._overlay_ratio: Optional[float] = None
         #: engine-level epoch contribution (bumped by structure updates
         #: and explicit compaction; see :attr:`index_epoch`)
         self._epoch_base = 0
@@ -123,11 +120,10 @@ class KOSREngine:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _assemble(cls, graph: Graph, name: str,
-                  overlay_ratio: Optional[float], **source) -> "KOSREngine":
+    def _assemble(cls, graph: Graph, name: str, **source) -> "KOSREngine":
         """An engine over :func:`~repro.labeling.assembly.assemble_index`
         output, with the Table IX statistics recorded."""
-        parts = assemble_index(graph, overlay_ratio=overlay_ratio, **source)
+        parts = assemble_index(graph, **source)
         stats = PreprocessingStats(
             graph_name=name,
             num_vertices=graph.num_vertices,
@@ -144,7 +140,6 @@ class KOSREngine:
                    if il.num_hubs]
         stats.avg_il_list_length = (sum(lengths) / len(lengths)) if lengths else 0.0
         engine = cls(graph, parts.labels, parts.inverted, stats)
-        engine._overlay_ratio = overlay_ratio
         index_file = source.get("index_file")
         if index_file is not None:
             engine._index_file = index_file
@@ -157,17 +152,13 @@ class KOSREngine:
         graph: Graph,
         order: Optional[Sequence[Vertex]] = None,
         name: str = "",
-        overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Build hub labels and inverted indexes, recording Table IX stats.
 
         PLL writes private RPLI sections and queries are served from
-        those.  ``overlay_ratio`` overrides the
-        per-category compaction threshold (the fraction of live entries
-        the delta overlay may reach before a category's decoded runs are
-        rebuilt).
+        those.
         """
-        return cls._assemble(graph, name, overlay_ratio, order=order)
+        return cls._assemble(graph, name, order=order)
 
     @classmethod
     def from_labels(
@@ -175,7 +166,6 @@ class KOSREngine:
         graph: Graph,
         labels,
         name: str = "",
-        overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Assemble an engine from prebuilt labels (rebuilds only the
         inverted indexes).
@@ -188,7 +178,7 @@ class KOSREngine:
         The :class:`PackedLabelIndex` is used as-is, so engines can share
         one index instance.
         """
-        return cls._assemble(graph, name, overlay_ratio, labels=labels)
+        return cls._assemble(graph, name, labels=labels)
 
     @classmethod
     def from_index_file(
@@ -196,7 +186,6 @@ class KOSREngine:
         graph: Graph,
         path,
         name: str = "",
-        overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Attach a saved RPLI index file zero-copy (mmap, no build).
 
@@ -214,8 +203,7 @@ class KOSREngine:
                 raise IndexStorageError(
                     f"{path}: index file covers {index_file.num_vertices} "
                     f"vertices but the graph has {graph.num_vertices}")
-            return cls._assemble(graph, name, overlay_ratio,
-                                 index_file=index_file)
+            return cls._assemble(graph, name, index_file=index_file)
         except Exception:
             index_file.close()
             raise
@@ -363,7 +351,7 @@ class KOSREngine:
 
         The deltas are staged in the category's overlay (folded in lazily
         by the next queries, compacted automatically past
-        ``overlay_ratio``); an attached index file is never written, so
+        ``OVERLAY_RATIO``); an attached index file is never written, so
         the saved file no longer reflects the indexes and SK-DB refuses
         it until :meth:`save_index` runs again.  The index epoch moves,
         invalidating session caches.
@@ -384,16 +372,14 @@ class KOSREngine:
                     order: Optional[Sequence[Vertex]] = None) -> None:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
-        Rebuilds labels and inverted indexes into private buffers, keeping
-        the build-time ``overlay_ratio``.  The cached CH, the saved-file
-        path SK-DB reads and any attached index file are dropped (all
-        stale after a structure change), and the index epoch moves past
-        every previous value.
+        Rebuilds labels and inverted indexes into private buffers.  The
+        cached CH, the saved-file path SK-DB reads and any attached index
+        file are dropped (all stale after a structure change), and the
+        index epoch moves past every previous value.
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
-        labels, inverted = assemble_index(
-            self.graph, order=order, overlay_ratio=self._overlay_ratio)[:2]
+        labels, inverted = assemble_index(self.graph, order=order)[:2]
         self._swap_indexes(self.graph, labels, inverted)
 
     def compact(self) -> None:
@@ -401,7 +387,7 @@ class KOSREngine:
 
         Query results are unchanged.  Call it after an update burst to
         return to garbage-free decoded runs instead of waiting for the
-        per-category ``overlay_ratio`` trigger.  Bumps the index epoch:
+        per-category ``OVERLAY_RATIO`` trigger.  Bumps the index epoch:
         compaction rebuilds the decoded lists, so session caches
         re-snapshot rather than trusting warm cursors over them.
         """

@@ -16,8 +16,8 @@ discarded at every layer.
 from __future__ import annotations
 
 import heapq
-import time
 from functools import partial
+from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import KOSRQuery
@@ -60,32 +60,45 @@ Transition = Callable[[Dict[Vertex, Cost], Iterable[Vertex]],
 
 
 def _gsp_dp(graph: Graph, query: KOSRQuery, stats: QueryStats,
-            transition: Transition) -> List[SequencedResult]:
+            transition: Transition,
+            deadline: Optional[float] = None) -> List[SequencedResult]:
     """The DP + backtrack both GSP flavours share.
 
     ``transition(frontier, targets)`` is one layer update: for every
     reachable target the pair ``(min_s X[s] + dis(s, target), argmin s)``
     over the frontier's ``{s: X[s]}``.  Each call is booked as one NN
     query, each layer's survivors as examined routes.
+
+    ``deadline`` (an absolute :func:`time.perf_counter` instant) is
+    checked before every transition; past it the DP stops with no route
+    and ``stats.completed = False``, as the search-based methods do.
     """
     if query.k != 1:
         raise ValueError("GSP only answers k = 1 (OSR) queries; see Sec. III-B")
-    t_start = time.perf_counter()
+
+    def search(targets):
+        """One transition from the frontier; None past ``deadline``."""
+        if deadline is not None and perf_counter() > deadline:
+            stats.completed = False
+            return None
+        stats.nn_queries += 1  # one search per transition
+        return transition(frontier, targets)
+
     frontier: Dict[Vertex, Cost] = {query.source: 0.0}
     #: per level: vertex -> the C_{i-1} vertex that minimised X[i, vertex]
     backtracks: List[Dict[Vertex, Vertex]] = []
     results: List[SequencedResult] = []
     for cid in query.categories:
-        best = transition(frontier, graph.members(cid))
-        stats.nn_queries += 1  # one search per transition
+        best = search(graph.members(cid))
+        if best is None:
+            break
         stats.examined_routes += len(best)
         backtracks.append({v: origin for v, (_, origin) in best.items()})
         frontier = {v: cost for v, (cost, _) in best.items()}
         if not frontier:
             break
     else:
-        final = transition(frontier, [query.target])
-        stats.nn_queries += 1
+        final = search([query.target]) or {}
         if query.target in final:
             # Reconstruct the witness layer by layer.
             total, cur = final[query.target]
@@ -97,7 +110,6 @@ def _gsp_dp(graph: Graph, query: KOSRQuery, stats: QueryStats,
             vertices.reverse()
             results.append(SequencedResult(Witness(tuple(vertices), total)))
     stats.results_found = len(results)
-    stats.total_time = time.perf_counter() - t_start
     return results
 
 
@@ -105,19 +117,20 @@ def gsp_osr(
     graph: Graph,
     query: KOSRQuery,
     stats: Optional[QueryStats] = None,
+    deadline: Optional[float] = None,
 ) -> List[SequencedResult]:
     """Run GSP for an OSR query (requires ``query.k == 1``).
 
     Returns a one-element list with the optimal sequenced route's witness,
-    or an empty list when no feasible route exists.  Each category
-    transition is one multi-source Dijkstra.
+    or an empty list when no feasible route exists or ``deadline`` passed
+    first.  Each category transition is one multi-source Dijkstra.
     """
     def transition(frontier, targets):
         settled, origins = _multi_source_with_origins(graph, frontier)
         return {v: (settled[v], origins[v]) for v in targets if v in settled}
 
     stats = stats if stats is not None else QueryStats(method="GSP")
-    return _gsp_dp(graph, query, stats, transition)
+    return _gsp_dp(graph, query, stats, transition, deadline)
 
 
 def gsp_osr_ch(
@@ -125,6 +138,7 @@ def gsp_osr_ch(
     query: KOSRQuery,
     ch,
     stats: Optional[QueryStats] = None,
+    deadline: Optional[float] = None,
 ) -> List[SequencedResult]:
     """GSP with contraction-hierarchy transitions — the original paper's
     engineering [29].
@@ -137,4 +151,5 @@ def gsp_osr_ch(
     from repro.ch.many_to_many import offset_min_to_targets
 
     stats = stats if stats is not None else QueryStats(method="GSP-CH")
-    return _gsp_dp(graph, query, stats, partial(offset_min_to_targets, ch))
+    return _gsp_dp(graph, query, stats, partial(offset_min_to_targets, ch),
+                   deadline)

@@ -335,10 +335,10 @@ FIGURES: Dict[str, Figure] = {fig.name: fig for fig in (
                 "not flip it; at |C| = 4 SK wins at every size (`scaling`)",),
             *(at_most(_TIME, "GSP", m) for m in DIJ_METHODS),
             at_most(_TIME, "GSP-CH", "GSP") + (
-                "the pure-Python CH many-to-many reads 0.3-10 s/query against "
-                "GSP's 4-20 ms, and neither honours `time_budget_s` (a GSP-CH "
-                "query on G+ runs 8-13 s under the 5 s budget and reports "
-                "finished); recorded, not fixed here (`core/gsp.py`)",),
+                "the pure-Python CH many-to-many reads 0.2-0.9 s/query (CH "
+                "build included) against GSP's 3-12 ms; on FLA and G+ the CH "
+                "build alone (6 s / 26 s) outlives the 5 s `time_budget_s`, "
+                "so the first query stops at its deadline (INF)",),
         ),
     ),
     Figure(

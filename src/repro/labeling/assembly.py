@@ -4,8 +4,7 @@ Every place that needs a queryable index — a fresh build, prebuilt
 labels, an attached index file, a shard worker's category subset, a
 fleet's staged edge update, a structure-update rebuild — goes through
 :func:`assemble_index`, so "which labels, which categories, from the
-file or built privately, with which compaction threshold" is decided in
-one function.
+file or built privately" is decided in one function.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ def assemble_index(
     *,
     order: Optional[Sequence[Vertex]] = None,
     categories: Optional[Iterable[CategoryId]] = None,
-    overlay_ratio: Optional[float] = None,
     index_file=None,
 ) -> AssembledIndex:
     """Assemble the label index and the inverted indexes of ``categories``.
@@ -50,7 +48,6 @@ def assemble_index(
     ``order``.  ``categories`` defaults to every category of the graph;
     each one is taken from ``index_file`` when the file stores it and
     built privately from ``graph`` + the labels otherwise.
-    ``overlay_ratio`` overrides the per-category compaction threshold.
     """
     built = labels is None and index_file is None
     t0 = perf_counter()
@@ -64,11 +61,8 @@ def assemble_index(
     inverted: Dict[CategoryId, PackedInvertedIndex] = {}
     for cid in categories:
         if index_file is not None and index_file.has_category(cid):
-            il = index_file.inverted_view(cid)
+            inverted[cid] = index_file.inverted_view(cid)
         else:
-            il = build_packed_inverted_index(graph, labels, cid)
-        if overlay_ratio is not None:
-            il.overlay_ratio = overlay_ratio
-        inverted[cid] = il
+            inverted[cid] = build_packed_inverted_index(graph, labels, cid)
     return AssembledIndex(labels, inverted, t1 - t0 if built else 0.0,
                           perf_counter() - t1)

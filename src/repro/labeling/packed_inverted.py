@@ -34,7 +34,7 @@ any dirty hub run they are about to scan: the merged run is appended to
 the decoded lists in one append-then-sort pass and the slice maps are
 repointed, so the hot merge loop keeps running over plain list positions
 with zero per-advance overhead.  When the accumulated overlay traffic
-exceeds ``overlay_ratio`` of the live entry count, :meth:`compact`
+exceeds :data:`OVERLAY_RATIO` of the live entry count, :meth:`compact`
 rebuilds the decoded lists garbage-free and lets go of the base.
 
 Decode and patch both run under one per-index lock, and each publishes
@@ -57,9 +57,9 @@ from repro.types import CategoryId, Cost, Vertex
 #: shared empty-slice sentinel for hubs absent from a category
 _EMPTY_SLICE = (0, 0)
 
-#: default compaction threshold: rebuild a category's buffers once the
+#: compaction threshold: rebuild a category's buffers once the
 #: cumulative overlay mutations exceed this fraction of its live entries
-DEFAULT_OVERLAY_RATIO = 0.25
+OVERLAY_RATIO = 0.25
 
 Run = List[Tuple[Cost, Vertex]]
 
@@ -92,7 +92,7 @@ class PackedInvertedIndex:
     """One category's inverted label lists: RPLI sections + delta overlay."""
 
     __slots__ = ("category", "dists", "members", "slices", "rank_slices",
-                 "hub_ranks", "overlay_ratio", "version", "_base", "_file",
+                 "hub_ranks", "version", "_base", "_file",
                  "_undecoded", "_lock", "_pending", "_tombstones",
                  "_hub_of_rank", "_live", "_num_hubs", "_dead",
                  "_overlay_ops")
@@ -121,7 +121,6 @@ class PackedInvertedIndex:
         #: the hub-level sections are first read)
         self._undecoded: Optional[Dict[int, Tuple[Vertex, int, int]]] = None
         self._lock = threading.Lock()
-        self.overlay_ratio: float = DEFAULT_OVERLAY_RATIO
         #: bumped by every overlay mutation and by :meth:`compact` (the
         #: engine's ``index_epoch`` sums these; lazy query-time decodes and
         #: patches are physical-only and intentionally do *not* bump it)
@@ -143,13 +142,9 @@ class PackedInvertedIndex:
         self._overlay_ops = 0
 
     @classmethod
-    def empty(cls, category: CategoryId,
-              overlay_ratio: Optional[float] = None) -> "PackedInvertedIndex":
+    def empty(cls, category: CategoryId) -> "PackedInvertedIndex":
         """A fresh index with no entries (new categories start here)."""
-        index = cls(category, *_encode_runs(()))
-        if overlay_ratio is not None:
-            index.overlay_ratio = overlay_ratio
-        return index
+        return cls(category, *_encode_runs(()))
 
     @property
     def shared(self) -> bool:
@@ -375,8 +370,9 @@ class PackedInvertedIndex:
         self.version += 1
 
     def maybe_compact(self) -> bool:
-        """Compact when overlay traffic exceeds ``overlay_ratio`` of live size."""
-        if self._overlay_ops > self.overlay_ratio * max(1, self._live):
+        """Compact when overlay traffic exceeds :data:`OVERLAY_RATIO` of
+        live size."""
+        if self._overlay_ops > OVERLAY_RATIO * max(1, self._live):
             self.compact()
             return True
         return False

@@ -12,11 +12,11 @@ which it spells out concretely:
 The deltas are staged in the per-category overlay of
 :class:`~repro.labeling.packed_inverted.PackedInvertedIndex` (lazily
 merged into the decoded runs by query cursors, compacted once the
-overlay outgrows its ``overlay_ratio``).  The overlay sits on top of the
-category's base sections whether those are a private buffer or a view
-into a shared index file, so a first write to an attached category
-changes nothing but the overlay: the file is never written and the
-category's ``version`` counter simply keeps counting.
+overlay outgrows ``OVERLAY_RATIO`` of the category).  The overlay sits
+on top of the category's base sections whether those are a private
+buffer or a view into a shared index file, so a first write to an
+attached category changes nothing but the overlay: the file is never
+written and the category's ``version`` counter simply keeps counting.
 
 For structure updates we provide the honest fallback the paper's citations
 amount to for a from-scratch reproduction: rebuild the labels (and the
@@ -79,10 +79,7 @@ def add_vertex_to_category(
     graph.assign_category(v, cid)
     il = inverted.get(cid)
     if il is None:
-        # A new category takes its siblings' compaction threshold.
-        sibling = next(iter(inverted.values()), None)
-        il = inverted[cid] = PackedInvertedIndex.empty(
-            cid, None if sibling is None else sibling.overlay_ratio)
+        il = inverted[cid] = PackedInvertedIndex.empty(cid)
     for hub, rank, dist in _lin_entries(labels, v):
         il.overlay_insert(hub, rank, dist, v)
     il.maybe_compact()

@@ -22,7 +22,7 @@ door for concurrent request traffic (the ROADMAP's async-serving item):
   :meth:`submit` raises
   :class:`~repro.exceptions.ServiceOverloadedError` so callers shed load
   instead of growing an unbounded queue.  Under partial overload —
-  pending at or past ``expensive_fraction * max_queue`` — admission
+  pending at or past half of ``max_queue`` — admission
   consults the request's *resolved plan* and sheds the expensive class
   first (finder-free GSP full-graph searches, and sharded requests whose
   categories span shards), keeping headroom for cheap indexed queries.
@@ -100,14 +100,12 @@ class AsyncQueryService:
     control.  ``max_groups`` bounds the live group workers: when a new
     group would exceed it, an *idle* group (no outstanding requests) is
     retired first, dropping its warm session — a soft cap, since busy
-    groups are never evicted.  ``coalesce=False`` turns request
-    coalescing off (every request executes its own plan).
+    groups are never evicted.
     """
 
     def __init__(self, service, *, max_inflight: int = 4,
                  max_queue: Optional[int] = None,
-                 max_groups: Optional[int] = None, coalesce: bool = True,
-                 expensive_fraction: float = 0.5):
+                 max_groups: Optional[int] = None):
         from repro.shard.service import ShardedQueryService
 
         if not isinstance(service, (QueryService, ShardedQueryService)):
@@ -118,17 +116,10 @@ class AsyncQueryService:
             raise ValueError("max_queue must be >= 1 (or None)")
         if max_groups is not None and max_groups < 1:
             raise ValueError("max_groups must be >= 1 (or None)")
-        if not 0.0 < expensive_fraction <= 1.0:
-            raise ValueError("expensive_fraction must be in (0, 1]")
         self.service = service
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.max_groups = max_groups
-        self.coalesce = coalesce
-        #: pending level at which expensive plans start being shed
-        self._expensive_watermark = (
-            None if max_queue is None
-            else max(1, int(max_queue * expensive_fraction)))
         self.stats = ServingStats()
         self._pool = ThreadPoolExecutor(max_workers=max_inflight,
                                         thread_name_prefix="repro-serve")
@@ -231,7 +222,7 @@ class AsyncQueryService:
             if metrics.enabled:
                 metrics.counter("repro_serving_streamed_total").inc()
         key = None  # stays None when not registered for coalescing
-        if self.coalesce and deadline_s is None and on_route is None:
+        if deadline_s is None and on_route is None:
             key = request.key
             inflight = self._inflight.get(key)
             if inflight is not None:
@@ -275,7 +266,7 @@ class AsyncQueryService:
         """Bounded admission; sheds the expensive plan class first.
 
         Past ``max_queue`` everything is rejected.  Past the expensive
-        watermark (``expensive_fraction * max_queue``), requests whose
+        watermark (half of ``max_queue``), requests whose
         resolved plan declares no finder (the GSP family's full-graph
         searches) — or whose categories span multiple shards behind a
         sharded backend — are rejected while cheap indexed queries keep
@@ -289,7 +280,7 @@ class AsyncQueryService:
             if metrics.enabled:
                 metrics.counter("repro_serving_rejected_total").inc()
             raise ServiceOverloadedError(self._pending, self.max_queue)
-        if (self._pending >= self._expensive_watermark
+        if (self._pending >= max(1, self.max_queue // 2)
                 and self._is_expensive(request)):
             self.stats.rejected += 1
             self.stats.expensive_shed += 1

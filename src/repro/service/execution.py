@@ -119,9 +119,10 @@ def execute_plan(
             deadline=deadline, on_result=on_result)
     elif spec.needs_ch:
         results = gsp_osr_ch(engine.graph, query,
-                             resources.contraction_hierarchy(), stats)
+                             resources.contraction_hierarchy(), stats,
+                             deadline)
     else:
-        results = gsp_osr(engine.graph, query, stats)
+        results = gsp_osr(engine.graph, query, stats, deadline)
     stats.total_time = time.perf_counter() - t_start
     metrics = _METRICS
     if metrics is not None and metrics.enabled:

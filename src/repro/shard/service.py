@@ -99,7 +99,6 @@ class ShardedQueryService:
     update_retries = 1
 
     def __init__(self, graph, num_shards: int, labels=None,
-                 overlay_ratio: Optional[float] = None,
                  max_dest_kernels: Optional[int] = None,
                  max_finders: Optional[int] = None,
                  timeout_s: float = DEFAULT_TIMEOUT_S,
@@ -114,7 +113,7 @@ class ShardedQueryService:
         self._rr = itertools.count()
         # Spawn configuration is kept so a quarantined worker can be
         # respawned mid-life with the same shape as its fleet-mates.
-        self._worker_config = (overlay_ratio, max_dest_kernels, max_finders)
+        self._worker_config = (max_dest_kernels, max_finders)
         #: workers replaced by the quarantine-and-respawn recovery path
         self.respawns = 0
         #: categories touched by update broadcasts since the index file
@@ -252,7 +251,6 @@ class ShardedQueryService:
         the donor engine's indexes behind its back.  The labels are
         shared as-is — they are topology-only and read-only here.
         """
-        kwargs.setdefault("overlay_ratio", engine._overlay_ratio)
         return cls(engine.graph.copy(), num_shards, labels=engine.labels,
                    **kwargs)
 

@@ -128,7 +128,6 @@ def proc_uss_bytes() -> int:
 
 
 def _build_shard_engine(graph, labels, owned: List[CategoryId],
-                        overlay_ratio: Optional[float],
                         index_path: Optional[str] = None):
     """An engine whose inverted indexes cover only ``owned`` categories.
 
@@ -148,8 +147,8 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId],
         index_file = MmapIndexFile.open(index_path)
     elif labels is None:
         return KOSREngine(graph, inverted={})
-    return KOSREngine._assemble(graph, "", overlay_ratio, labels=labels,
-                                categories=owned, index_file=index_file)
+    return KOSREngine._assemble(graph, "", labels=labels, categories=owned,
+                                index_file=index_file)
 
 
 class _ShardWorker:
@@ -199,7 +198,6 @@ class _ShardWorker:
                           else engine._index_file)
             engine.inverted.update(assemble_index(
                 engine.graph, engine.labels, categories=[cid],
-                overlay_ratio=engine._overlay_ratio,
                 index_file=index_file).inverted)
 
     def run_query(self, query: KOSRQuery, options: QueryOptions,
@@ -297,8 +295,7 @@ class _ShardWorker:
         graph = engine.graph.copy()
         apply_edge_mutation(graph, u, v, weight)
         labels, inverted = assemble_index(
-            graph, labels, categories=list(engine.inverted),
-            overlay_ratio=engine._overlay_ratio)[:2]
+            graph, labels, categories=list(engine.inverted))[:2]
         self._staged = (fence, graph, labels, inverted)
         return fence
 
@@ -438,8 +435,8 @@ def _recv_watched(conn, parent_pid: int):
             raise EOFError("parent process died")
 
 
-def worker_main(conn, graph, labels, owned, overlay_ratio,
-                max_dest_kernels, max_finders, index_path=None,
+def worker_main(conn, graph, labels, owned, max_dest_kernels, max_finders,
+                index_path=None,
                 metrics_enabled: bool = False, shard: int = 0) -> None:
     """Entry point of one worker process: serve the pipe until shutdown.
 
@@ -457,8 +454,7 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
     if metrics_enabled:
         REGISTRY.enable()
     try:
-        engine = _build_shard_engine(graph, labels, owned, overlay_ratio,
-                                     index_path)
+        engine = _build_shard_engine(graph, labels, owned, index_path)
         service = QueryService(engine, max_dest_kernels=max_dest_kernels,
                                max_finders=max_finders)
         worker = _ShardWorker(conn, service, owned, shard)

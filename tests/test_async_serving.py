@@ -108,21 +108,6 @@ class TestCoalescing:
             assert_same_outcome(r, KOSREngine.build(g).run(q))
         assert results[3].stats.method == "PK"
 
-    def test_coalesce_false_executes_every_request(self, engine):
-        q = make_query(engine.graph, 0, 30, [0], k=1)
-
-        async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         coalesce=False) as front:
-                results = await asyncio.gather(
-                    *(front.submit(QueryRequest(q)) for _ in range(3)))
-                return results, front.stats
-
-        results, stats = asyncio.run(scenario())
-        assert stats.executed == 3 and stats.coalesced == 0
-        assert results[0] is not results[1]
-        assert_same_outcome(results[0], results[1])
-
     def test_gather_preserves_input_order(self, engine):
         g = engine.graph
         queries = [make_query(g, s, 25 + (s % 3), [0, 1], k=2)

@@ -467,13 +467,6 @@ class TestPostUpdateParity:
         assert packed.run(q, QueryOptions(method="SK-DB")).costs == \
             pytest.approx(packed.run(q, SK).costs)
 
-    def test_overlay_ratio_survives_edge_update(self):
-        g = _graph(85)
-        engine = KOSREngine.build(g, overlay_ratio=0.5)
-        assert all(il.overlay_ratio == 0.5 for il in engine.inverted.values())
-        engine.update_edge(0, g.num_vertices - 1, 2.0)
-        assert all(il.overlay_ratio == 0.5 for il in engine.inverted.values())
-
     def test_update_guard_validates_every_category(self):
         """The fail-fast guard inspects *all* indexes, not just the first."""
         from repro.exceptions import IndexBuildError

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -96,27 +98,6 @@ class TestQuery:
         assert "cost 20" in capsys.readouterr().out
 
 
-class TestRepeatFlag:
-    def test_repeat_reports_cold_vs_warm(self, fig1_file, capsys):
-        code = main([
-            "query", "--graph", fig1_file,
-            "--source", str(vertex("s")), "--target", str(vertex("t")),
-            "--categories", "MA,RE,CI", "--k", "2", "--repeat", "4",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repeat x4" in out and "warm mean" in out
-        assert "session cache" in out
-
-    def test_repeat_default_prints_nothing_extra(self, fig1_file, capsys):
-        main([
-            "query", "--graph", fig1_file,
-            "--source", str(vertex("s")), "--target", str(vertex("t")),
-            "--categories", "MA,RE,CI",
-        ])
-        assert "repeat" not in capsys.readouterr().out
-
-
 class TestBatchCommand:
     def _workload(self, tmp_path, records):
         path = tmp_path / "wl.json"
@@ -181,7 +162,7 @@ class TestBatchCommand:
         assert "best" not in capsys.readouterr().out  # nothing executed
 
     def test_batch_max_workers_flag_is_gone(self, fig1_file, tmp_path):
-        """`async-batch` is the concurrent workload path."""
+        """`batch --async` is the concurrent workload path."""
         wl = self._workload(tmp_path, [
             {"source": vertex("s"), "target": vertex("t"),
              "categories": [0, 1], "k": 2},
@@ -199,7 +180,7 @@ class TestBatchCommand:
             {"source": s, "target": t, "categories": [0, 1], "k": 2},
         ])
         code = main(["batch", "--graph", fig1_file, "--workload", wl,
-                     "--cache-stats", "--max-dest-kernels", "4",
+                     "--max-dest-kernels", "4",
                      "--max-finders", "8"])
         assert code == 0
         out = capsys.readouterr().out
@@ -207,6 +188,25 @@ class TestBatchCommand:
         # three same-group SK requests: marked, admitted, read back
         assert "est_stream:" in out
         assert "hits (" in out and "evictions:" in out
+
+    def test_repeated_record_shows_cold_then_warm(self, fig1_file, tmp_path,
+                                                  capsys):
+        """One record N times: a cold first row, N - 1 warm ones with the
+        same answer and counters, and the hits in the cache report."""
+        record = {"source": vertex("s"), "target": vertex("t"),
+                  "categories": ["MA", "RE", "CI"], "k": 2}
+        wl = self._workload(tmp_path, [record] * 4)
+        assert main(["batch", "--graph", fig1_file, "--workload", wl,
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = payload["queries"]
+        assert all((row["costs"], row["nn_queries"], row["examined_routes"])
+                   == (rows[0]["costs"], rows[0]["nn_queries"],
+                       rows[0]["examined_routes"]) for row in rows)
+        cache = payload["cache_stats"]
+        assert (cache["finder_misses"], cache["finder_hits"]) == (1, 3)
+        assert (cache["dest_kernel_misses"], cache["dest_kernel_hits"]) \
+            == (1, 3)
 
     def test_batch_json_includes_eviction_counters(self, fig1_file,
                                                    tmp_path, capsys):
@@ -223,6 +223,8 @@ class TestBatchCommand:
 
 
 class TestAsyncBatchCommand:
+    """`batch --async`: the same workload through the asyncio front door."""
+
     def _workload(self, tmp_path, records):
         path = tmp_path / "wl.json"
         path.write_text(json.dumps(records))
@@ -234,7 +236,8 @@ class TestAsyncBatchCommand:
         record = {"source": s, "target": t,
                   "categories": ["MA", "RE", "CI"], "k": 3}
         wl = self._workload(tmp_path, [record] * 4)
-        code = main(["async-batch", "--graph", fig1_file, "--workload", wl])
+        code = main(["batch", "--async", "--graph", fig1_file,
+                     "--workload", wl])
         assert code == 0
         out = capsys.readouterr().out
         assert "best 20" in out
@@ -248,8 +251,8 @@ class TestAsyncBatchCommand:
             {"source": s, "target": t, "categories": [0], "k": 1,
              "method": "PK"},
         ])
-        code = main(["async-batch", "--graph", fig1_file, "--workload", wl,
-                     "--json", "--max-inflight", "2"])
+        code = main(["batch", "--async", "--graph", fig1_file,
+                     "--workload", wl, "--json", "--max-inflight", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["queries"][0]["costs"][0] == 20
@@ -257,16 +260,17 @@ class TestAsyncBatchCommand:
         assert payload["serving_stats"]["executed"] == 2
         assert payload["serving_stats"]["coalesced"] == 1
         assert payload["unfinished"] == 0
+        # the group sessions' counters ride along with the serving ones
+        assert payload["cache_stats"]["finder_misses"] == 2
 
-    def test_async_batch_no_coalesce(self, fig1_file, tmp_path, capsys):
-        s, t = vertex("s"), vertex("t")
-        record = {"source": s, "target": t, "categories": [0], "k": 1}
-        wl = self._workload(tmp_path, [record] * 3)
-        code = main(["async-batch", "--graph", fig1_file, "--workload", wl,
-                     "--json", "--no-coalesce"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["serving_stats"]["executed"] == 3
+    @pytest.mark.parametrize("flag", ["--max-inflight", "--max-queue"])
+    def test_front_door_bounds_need_async(self, fig1_file, tmp_path, flag):
+        wl = self._workload(tmp_path, [
+            {"source": 0, "target": 1, "categories": [0]},
+        ])
+        with pytest.raises(SystemExit, match="pass --async"):
+            main(["batch", "--graph", fig1_file, "--workload", wl,
+                  flag, "2"])
 
     def test_async_batch_rejects_unknown_method_before_running(
             self, fig1_file, tmp_path):
@@ -274,7 +278,8 @@ class TestAsyncBatchCommand:
             {"source": 0, "target": 1, "categories": [0], "method": "SKX"},
         ])
         with pytest.raises(SystemExit, match="unknown method"):
-            main(["async-batch", "--graph", fig1_file, "--workload", wl])
+            main(["batch", "--async", "--graph", fig1_file,
+                  "--workload", wl])
 
     def test_async_batch_unfinished_exit_code(self, fig1_file, tmp_path,
                                               capsys):
@@ -283,8 +288,8 @@ class TestAsyncBatchCommand:
             {"source": s, "target": t, "categories": [0, 1, 2], "k": 3,
              "method": "KPNE"},
         ])
-        code = main(["async-batch", "--graph", fig1_file, "--workload", wl,
-                     "--budget", "1"])
+        code = main(["batch", "--async", "--graph", fig1_file,
+                     "--workload", wl, "--budget", "1"])
         assert code == 2
 
     def test_async_batch_overload_reports_instead_of_crashing(
@@ -294,8 +299,8 @@ class TestAsyncBatchCommand:
         records = [{"source": s, "target": t, "categories": [c, (c + 1) % 3],
                     "k": 1} for c in range(3) for _ in range(2)]
         wl = self._workload(tmp_path, records)
-        code = main(["async-batch", "--graph", fig1_file, "--workload", wl,
-                     "--max-queue", "2", "--no-coalesce", "--json"])
+        code = main(["batch", "--async", "--graph", fig1_file,
+                     "--workload", wl, "--max-queue", "2", "--json"])
         assert code == 2  # shed requests count as unfinished
         payload = json.loads(capsys.readouterr().out)
         shed = [r for r in payload["queries"] if "error" in r]
@@ -372,6 +377,14 @@ class TestServeCommand:
         assert main(["serve", "--graph", fig1_file, "--port", "0",
                      "--method", "GSP"]) == 0
         assert "index=none," in capsys.readouterr().out.splitlines()[0]
+
+    def test_sharded_gsp_server_builds_no_labels(self, fig1_file, capsys,
+                                                 one_exchange):
+        """A GSP fleet is topology-only, like the unsharded GSP server."""
+        assert main(["serve", "--graph", fig1_file, "--port", "0",
+                     "--method", "GSP", "--shards", "2"]) == 0
+        banner = capsys.readouterr().out.splitlines()[0]
+        assert "(shards=2, mmap=off, index=none," in banner
 
     def test_serve_port_in_use_fails_with_actionable_message(
             self, fig1_file, capsys):
@@ -493,7 +506,6 @@ class TestSkDbOverIndexFile:
     @pytest.mark.parametrize("command", [
         ["query", "--source", "0", "--target", "1", "--categories", "MA"],
         ["batch", "--workload", "-"],
-        ["async-batch", "--workload", "-"],
         ["serve", "--port", "0"],
     ], ids=lambda c: c[0])
     def test_index_dir_flag_is_an_unknown_argument(self, fig1_file, tmp_path,
@@ -544,7 +556,6 @@ class TestIndexBuildAndMmapQuery:
     @pytest.mark.parametrize("command", [
         ["query", "--source", "0", "--target", "1", "--categories", "MA"],
         ["batch", "--workload", "-"],
-        ["async-batch", "--workload", "-"],
         ["serve", "--port", "0"],
     ], ids=lambda c: c[0])
     def test_backend_flag_is_an_unknown_argument(self, fig1_file, command,
@@ -556,6 +567,30 @@ class TestIndexBuildAndMmapQuery:
                   "--backend", "packed"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["async-batch", "--workload", "-"],
+        ["query", "--source", "0", "--target", "1", "--categories", "MA",
+         "--repeat", "2"],
+        ["query", "--source", "0", "--target", "1", "--categories", "MA",
+         "--overlay-ratio", "0.5"],
+        ["batch", "--workload", "-", "--overlay-ratio", "0.5"],
+        ["serve", "--port", "0", "--overlay-ratio", "0.5"],
+        ["batch", "--workload", "-", "--no-coalesce"],
+        ["batch", "--workload", "-", "--cache-stats"],
+        ["batch", "--workload", "-", "--max-groups", "4"],
+    ], ids=["async-batch", "query--repeat", "query--overlay-ratio",
+            "batch--overlay-ratio", "serve--overlay-ratio",
+            "batch--no-coalesce", "batch--cache-stats", "batch--max-groups"])
+    def test_removed_surface_is_an_argparse_error(self, fig1_file, argv,
+                                                  capsys):
+        """One workload command and no knob with a single value in use:
+        the retired subcommand and flags are argparse errors (exit 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--graph", fig1_file, *argv[1:]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_sharded_batch_with_mmap_index(self, fig1_file, tmp_path,
                                            capsys):
@@ -573,6 +608,34 @@ class TestIndexBuildAndMmapQuery:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["queries"][0]["costs"][0] == pytest.approx(20.0)
+
+
+class TestDocsCliLines:
+    """tools/check_docs.py parses every documented ``repro.cli`` line."""
+
+    @pytest.fixture(scope="class")
+    def check_docs(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "check_docs.py"
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_removed_subcommand_fails_and_batch_async_passes(
+            self, check_docs, tmp_path):
+        stale = tmp_path / "stale.md"
+        stale.write_text(
+            "```bash\n"
+            "PYTHONPATH=<repo>/src python -m repro.cli async-batch \\\n"
+            "    --graph g.json --workload wl.json --json\n"
+            "```\n")
+        [(lineno, finding)] = check_docs.check_file(stale)
+        assert lineno == 2 and "invalid choice: 'async-batch'" in finding
+        fresh = tmp_path / "fresh.md"
+        fresh.write_text(
+            "Run `python -m repro.cli batch --async --graph <graph> "
+            "--workload - --max-queue 8` | tail -1 to see the summary.\n")
+        assert check_docs.check_file(fresh) == []
 
 
 TINY_FIGURE = ["--scale", "0.05", "--queries", "1"]

@@ -82,6 +82,17 @@ class TestGSP:
         assert stats.nn_queries == 4
 
     @pytest.mark.parametrize("method", ["GSP", "GSP-CH"])
+    def test_time_budget_bounds_the_dp(self, fig1, method):
+        """Past ``time_budget_s`` the DP stops before its next transition
+        and reports INF, like the search-based methods."""
+        engine = KOSREngine.build(fig1)
+        q = make_query(fig1, vertex("s"), vertex("t"), ["MA", "RE", "CI"], 1)
+        late = engine.run(q, QueryOptions(method=method, time_budget_s=0.0))
+        assert not late.stats.completed
+        assert late.costs == [] and late.stats.nn_queries == 0
+        assert engine.run(q, QueryOptions(method=method)).costs == [20.0]
+
+    @pytest.mark.parametrize("method", ["GSP", "GSP-CH"])
     @pytest.mark.parametrize("request_, cost, nn_queries, examined", [
         # pinned from the two separate DP loops the one skeleton replaced
         ((0, 59, [0, 1, 2, 3]), 34.396827041721664, 5, 36),

@@ -17,6 +17,7 @@ from repro.graph.categories import assign_uniform_categories
 
 import repro.core.runtime as runtime_mod
 import repro.core.search as search_mod
+import repro.labeling.packed_inverted as packed_inverted
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +81,16 @@ class TestZeroOverheadDefault:
                            method="KPNE", time_budget_s=0.0)
         assert not res.stats.completed
 
-    def test_no_timer_syscalls_with_nonempty_overlay(self, clock):
+    def test_no_timer_syscalls_with_nonempty_overlay(self, clock,
+                                                     monkeypatch):
         """The delta-overlay query path is as instrumentation-free as the
         static one: zero ``perf_counter`` calls even while cursors fold
         overlay deltas into the flat buffers."""
         g = random_graph(40, avg_out_degree=2.8, rng=random.Random(23))
         assign_uniform_categories(g, 3, 8, random.Random(24))
         engine = KOSREngine.build(g)
-        for il in engine.inverted.values():
-            il.overlay_ratio = 1e9  # keep deltas in the overlay
+        # keep deltas in the overlay
+        monkeypatch.setattr(packed_inverted, "OVERLAY_RATIO", 1e9)
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         member = sorted(g.members(1))[0]

@@ -299,12 +299,6 @@ class TestExpensiveShedding:
         result, shed = asyncio.run(scenario())
         assert result.stats.completed and shed == 0
 
-    def test_invalid_expensive_fraction_rejected(self, engine):
-        with pytest.raises(ValueError):
-            AsyncQueryService(engine.service, expensive_fraction=0.0)
-        with pytest.raises(ValueError):
-            AsyncQueryService(engine.service, expensive_fraction=1.5)
-
 
 async def _talk(port, records):
     """Send JSON records over one connection; one reply line each."""

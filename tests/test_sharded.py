@@ -364,7 +364,7 @@ class TestWorkerProtocol:
         parent, child = multiprocessing.Pipe(duplex=True)
         thread = threading.Thread(
             target=worker_main,
-            args=(child, g, engine.labels, [0, 2], None, None, None),
+            args=(child, g, engine.labels, [0, 2], None, None),
             daemon=True)
         thread.start()
         kind, seq, health = parent.recv()  # startup handshake
@@ -889,7 +889,7 @@ class TestShardedCLI:
         from repro.cli import main
 
         g, graph_path, wl_path, records = workload_setup
-        assert main(["async-batch", "--graph", graph_path,
+        assert main(["batch", "--async", "--graph", graph_path,
                      "--workload", wl_path, "--shards", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         refs = self._reference_rows(g, records)
@@ -897,6 +897,8 @@ class TestShardedCLI:
             assert row["costs"] == pytest.approx(ref.costs)
             assert row["nn_queries"] == ref.stats.nn_queries
         assert payload["serving_stats"]["executed"] == len(records)
+        # the fleet's counters, read before the workers shut down
+        assert payload["cache_stats"]["finder_misses"] > 0
 
     def test_shards_one_runs_a_real_single_worker_fleet(self, workload_setup,
                                                         capsys):

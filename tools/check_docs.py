@@ -1,18 +1,32 @@
 #!/usr/bin/env python
-"""Docs hygiene checker: intra-repo markdown links must resolve.
+"""Docs hygiene checker: links resolve and CLI lines parse.
 
-Scans the repo's markdown files (README plus everything under docs/)
-for ``[text](target)`` links and verifies that every *relative* target
-exists on disk (anchors are stripped; ``http(s)://`` and ``mailto:``
-links are out of scope). Exits nonzero listing each broken link, so the
-CI docs job fails when a rename orphans a reference.
+Scans the repo's markdown files (README, everything under docs/, and
+the verify skill's recipe) for two kinds of rot:
 
-Usage: ``python tools/check_docs.py`` (from anywhere in the repo).
+* ``[text](target)`` links whose *relative* target does not exist on
+  disk (anchors are stripped; ``http(s)://`` and ``mailto:`` links are
+  out of scope);
+* ``python -m repro.cli …`` command lines, fenced or inline, that
+  ``repro.cli.build_parser()`` rejects — a removed subcommand or flag
+  fails here instead of in a reader's terminal.  ``\\`` continuations
+  are joined, ``<repo>``-style placeholders substituted, and the line
+  ends at a closing backtick, a pipe, a redirect, ``&&``, ``;`` or a
+  ``#`` comment.
+
+Exits nonzero listing each finding, so the CI docs job fails when a
+rename orphans a reference.
+
+Usage: ``PYTHONPATH=src python tools/check_docs.py`` (from anywhere in
+the repo; the CLI check imports ``repro``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -24,14 +38,24 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: schemes that are not filesystem targets
 EXTERNAL = ("http://", "https://", "mailto:")
 
+#: a CLI invocation and the argument text after it
+CLI_RE = re.compile(r"python3? -m repro\.cli\b(.*)")
+
+#: where the CLI's own arguments end on a documented line
+CLI_END_RE = re.compile(r"`|\||>|&&|;|\s#")
+
+#: ``<repo>``-style placeholders
+PLACEHOLDER_RE = re.compile(r"<[\w.-]+>")
+
 
 def markdown_files() -> list:
     files = [REPO / "README.md"]
     files += sorted((REPO / "docs").glob("**/*.md"))
+    files.append(REPO / ".claude" / "skills" / "verify" / "SKILL.md")
     return [f for f in files if f.exists()]
 
 
-def check_file(path: Path) -> list:
+def check_links(path: Path) -> list:
     broken = []
     in_fence = False
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -46,22 +70,61 @@ def check_file(path: Path) -> list:
                 continue
             resolved = (path.parent / target.split("#", 1)[0]).resolve()
             if not resolved.exists():
-                broken.append((path.relative_to(REPO), lineno, target))
+                broken.append((lineno, f"broken link: {target}"))
     return broken
 
 
+def cli_lines(text: str) -> list:
+    """``(line number, argv)`` of every ``python -m repro.cli`` line."""
+    found = []
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        lineno, line = i + 1, lines[i]
+        while line.endswith("\\") and i + 1 < len(lines):
+            i += 1
+            line = line[:-1] + " " + lines[i].strip()
+        i += 1
+        for match in CLI_RE.finditer(PLACEHOLDER_RE.sub("x", line)):
+            argv = shlex.split(CLI_END_RE.split(match.group(1), 1)[0])
+            if argv:  # a bare mention names the module, not a command
+                found.append((lineno, argv))
+    return found
+
+
+def check_cli(path: Path) -> list:
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    rejected = []
+    for lineno, argv in cli_lines(path.read_text()):
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                parser.parse_args(argv)
+        except SystemExit:
+            error = stderr.getvalue().strip().splitlines()[-1]
+            rejected.append((lineno, f"repro.cli {' '.join(argv)}: {error}"))
+    return rejected
+
+
+def check_file(path: Path) -> list:
+    return check_links(path) + check_cli(path)
+
+
 def main() -> int:
-    broken = []
+    findings = []
     files = markdown_files()
     for path in files:
-        broken.extend(check_file(path))
-    if broken:
-        print(f"{len(broken)} broken intra-repo link(s):")
-        for rel, lineno, target in broken:
-            print(f"  {rel}:{lineno}: {target}")
+        findings.extend((path.relative_to(REPO), lineno, what)
+                        for lineno, what in check_file(path))
+    if findings:
+        print(f"{len(findings)} stale doc reference(s):")
+        for rel, lineno, what in findings:
+            print(f"  {rel}:{lineno}: {what}")
         return 1
     print(f"checked {len(files)} markdown file(s): all intra-repo links "
-          f"resolve")
+          f"resolve and every repro.cli line parses")
     return 0
 
 
