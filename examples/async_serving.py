@@ -11,8 +11,8 @@ three behaviours over the warm ``QueryService``:
   (every caller gets the same result object);
 * a bounded admission queue applies **backpressure** — requests past
   ``max_queue`` fail fast with ``ServiceOverloadedError``;
-* index updates between bursts keep **epoch parity**: the per-group warm
-  sessions revalidate automatically, answers match a fresh cold engine.
+* index updates between bursts keep **epoch parity**: the one warm
+  session revalidates automatically, answers match a fresh cold engine.
 
 Run:  python examples/async_serving.py
 """
@@ -60,7 +60,7 @@ async def main() -> None:
     cold = [engine.run(r.query, r.options) for r in requests]
     cold_s = time.perf_counter() - t0
 
-    async with AsyncQueryService(engine.service, max_inflight=2) as front:
+    async with AsyncQueryService(engine.service) as front:
         t0 = time.perf_counter()
         served = await front.gather(requests)
         async_s = time.perf_counter() - t0
@@ -89,8 +89,7 @@ async def main() -> None:
         print("post-update burst matches a fresh engine")
 
     # Backpressure: a tiny admission queue sheds overload explicitly.
-    async with AsyncQueryService(engine.service, max_inflight=1,
-                                 max_queue=4) as front:
+    async with AsyncQueryService(engine.service, max_queue=4) as front:
         outcomes = await asyncio.gather(
             *(front.submit(r) for r in requests[:20]),
             return_exceptions=True)

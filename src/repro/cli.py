@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--async", action="store_true", dest="use_async",
                      help="submit every record at once to the asyncio "
                           "front door (coalescing + bounded admission)")
-    bat.add_argument("--max-inflight", type=int, default=None,
-                     help="with --async: concurrently executing requests "
-                          "(thread pool; default 4)")
     bat.add_argument("--max-queue", type=int, default=None,
                      help="with --async: admission bound; overflowing "
                           "requests are rejected (default: unbounded)")
@@ -147,13 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_args(srv, shards=True)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
-    srv.add_argument("--max-inflight", type=int, default=4)
     srv.add_argument("--max-queue", type=int, default=256,
                      help="admission bound; overflowing requests receive an "
                           "overload response")
-    srv.add_argument("--max-groups", type=int, default=512,
-                     help="soft cap on live group workers (idle groups "
-                          "are retired first)")
     srv.add_argument("--metrics", action="store_true",
                      help="enable the observability registry (counters, "
                           "gauges, latency histograms) in this process and "
@@ -388,10 +381,8 @@ def _run_async(service, requests, args):
 
     from repro.server import AsyncQueryService
 
-    max_inflight = 4 if args.max_inflight is None else args.max_inflight
-
     async def drive():
-        async with AsyncQueryService(service, max_inflight=max_inflight,
+        async with AsyncQueryService(service,
                                      max_queue=args.max_queue) as front:
             t0 = time.perf_counter()
             results = await asyncio.gather(
@@ -454,10 +445,9 @@ def cmd_batch(args) -> int:
     """Run a JSON workload through ``QueryService.run_batch``, or with
     ``--async`` through the asyncio front door; ``--shards N`` serves
     either from the worker fleet, with identical answers."""
-    if not args.use_async and (args.max_inflight is not None
-                               or args.max_queue is not None):
-        raise SystemExit("--max-inflight and --max-queue bound the asyncio "
-                         "front door: pass --async")
+    if not args.use_async and args.max_queue is not None:
+        raise SystemExit("--max-queue bounds the asyncio front door: pass "
+                         "--async")
     backend, requests = _prepare_workload(args)
     if args.shards is not None:
         service = backend
@@ -535,9 +525,7 @@ def cmd_serve(args) -> int:
     async def main_loop():
         server = await tcp_serve(
             None if sharded else backend, args.host, args.port,
-            defaults=defaults,
-            max_inflight=args.max_inflight, max_queue=args.max_queue,
-            max_groups=args.max_groups, service=sharded)
+            defaults=defaults, max_queue=args.max_queue, service=sharded)
         addr = server.sockets[0].getsockname()
         shards_note = (f"shards={args.shards}" if sharded is not None
                        else "shards=off")
@@ -548,7 +536,6 @@ def cmd_serve(args) -> int:
         print(f"serving KOSR queries on {addr[0]}:{addr[1]} "
               f"({shards_note}, mmap={mmap_note}, index={index_note}, "
               f"metrics={metrics_note}, method={args.method}, "
-              f"max_inflight={args.max_inflight}, "
               f"max_queue={args.max_queue})")
         try:
             async with server:

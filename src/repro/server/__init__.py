@@ -1,9 +1,10 @@
 """repro.server — the asyncio serving front-end.
 
 * :mod:`repro.server.async_service` — :class:`AsyncQueryService`:
-  per-``(target, categories)`` group workers over isolated warm
-  sessions, coalescing of identical in-flight requests, and bounded
-  admission (backpressure via
+  per-``(target, categories)`` group workers over one warm session per
+  process and one execution thread unsharded (a thread pool only for
+  dispatch to a sharded fleet), coalescing of identical in-flight
+  requests, and bounded admission (backpressure via
   :class:`~repro.exceptions.ServiceOverloadedError`);
 * :mod:`repro.server.tcp` — a JSON-lines TCP front door
   (``repro.cli serve``): streamed responses (``"stream": true``),
@@ -21,14 +22,14 @@ Layer contract
   answers, so every coalesced waiter receives the *same* result object
   and the counters still read as one cold execution.
 * **Cold-equivalence is inherited, not re-implemented.**  The front-end
-  never touches accounting; it only routes to warm sessions (or, when
+  never touches accounting; it only routes to the warm session (or, when
   constructed over a :class:`~repro.shard.ShardedQueryService`, to the
   worker fleet), so every answer remains bit-identical to a fresh cold
   engine.
 * **Bounded admission.**  At most ``max_queue`` requests are pending at
   once; excess submits fail fast with ``ServiceOverloadedError`` rather
-  than queueing unboundedly, and ``max_groups`` soft-caps the live group
-  workers (idle ones retire, dropping their warm session).
+  than queueing unboundedly, and past ``MAX_GROUPS`` live group workers
+  an idle one retires before a new group starts.
 """
 
 from repro.server.async_service import AsyncQueryService, ServingStats

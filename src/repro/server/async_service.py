@@ -1,16 +1,21 @@
 """The asyncio serving front-end over the warm :class:`QueryService`.
 
 :class:`AsyncQueryService` turns the batch service into an online front
-door for concurrent request traffic (the ROADMAP's async-serving item):
+door for concurrent request traffic:
 
-* **Per-group workers** — requests are routed to one asyncio worker task
-  per ``(target, categories)`` group, reusing the batch executor's
-  session-isolation seam: each worker owns a private
-  :class:`~repro.service.cache.SessionCache`, so groupmates share the
-  warm ``dis(·, t)`` kernel and FindNN streams while groups never touch
-  each other's state.  Within a group, execution is serialized (warm
-  sessions are not thread-safe); across groups it overlaps up to
-  ``max_inflight`` on a thread pool.
+* **One warm session per process, one execution thread** — requests are
+  routed to one asyncio worker task per ``(target, categories)`` group
+  (the unit of coalescing, deadlines and dequeue-time shedding), and
+  every group dispatches to a single execution thread that runs over the
+  service's one :attr:`~repro.service.service.QueryService.session`, as
+  ``run_batch`` and every shard worker do.  A FindNN stream depends only
+  on ``(source, category)``, never on the target, so streams are reused
+  across groups, and groupmates also share the warm ``dis(·, t)``
+  kernel.  Under the GIL a second thread would not run a pure-Python
+  search on a second core, only interleave two of them.  The price is
+  head-of-line blocking behind an expensive plan; deadlines bound it
+  (an expired request is shed at dispatch, never executed) and
+  ``repro_serving_queue_wait_seconds`` measures it.
 * **Coalescing** — identical in-flight requests (equal
   :attr:`~repro.api.QueryRequest.key`, i.e. the same ``(s, t, C, k)``
   and options) resolve onto one future: one plan execution answers all
@@ -37,23 +42,20 @@ door for concurrent request traffic (the ROADMAP's async-serving item):
   callback the moment the anytime search finalises it (the
   ``{"stream": true}`` TCP seam).
 * **Sharded backing** — construct over a
-  :class:`~repro.shard.service.ShardedQueryService` and the same thread
-  pool dispatches to category-partitioned worker *processes* instead of
-  running the search in-process: admission, coalescing, and grouping are
-  unchanged, but executions overlap on real cores (the per-shard locks
-  serialise only same-shard traffic).  Warm sessions then live
-  worker-side, so group workers carry no client-side session and the
-  overlay barrier below is skipped (each worker is single-threaded over
-  its own buffers).
-* **Update safety** — blocking plan execution runs in the thread pool,
-  and pending delta overlays are folded *before* a request is dispatched
-  whenever an index is dirty (draining in-flight executions first):
-  cursor creation then only ever reads the engine's buffers.  Index
-  mutations themselves must come from the event-loop thread, ideally with no
-  requests in flight (``await front.drain()`` first — the same
-  no-updates-mid-batch contract as every other engine use); the
-  per-worker sessions epoch-validate on every query, so a mutation is
-  visible to all subsequent requests exactly like a cold engine.
+  :class:`~repro.shard.service.ShardedQueryService` and the group
+  workers dispatch to category-partitioned worker *processes* through a
+  pool of :data:`FLEET_DISPATCH_WIDTH` threads instead: pipe waits
+  release the GIL, so executions overlap on real cores (the per-shard
+  locks serialise only same-shard traffic), and the warm sessions live
+  worker-side.
+* **Update safety** — the one execution thread owns the engine's
+  buffers, so a cursor that lazily folds a pending delta overlay never
+  races another (the shard worker's argument).  Index mutations must
+  come from the event-loop thread, ideally with no requests in flight
+  (``await front.drain()`` first — the same no-updates-mid-batch
+  contract as every other engine use); the session epoch-validates on
+  every query, so a mutation is visible to all subsequent requests
+  exactly like a cold engine.
 """
 
 from __future__ import annotations
@@ -67,15 +69,22 @@ from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest
 from repro.core.query import KOSRQuery
 from repro.exceptions import DeadlineExceededError, ServiceOverloadedError
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.service.cache import CACHE_POPULATIONS, SessionCache
 from repro.service.service import QueryService
+
+#: live group workers kept before an idle one is retired for a new group
+#: (a soft cap: a group with outstanding requests is never retired)
+MAX_GROUPS = 512
+
+#: concurrent dispatches to a sharded fleet (its thread-pool width); over
+#: a :class:`QueryService` executions run one at a time on one thread
+FLEET_DISPATCH_WIDTH = 4
 
 
 class ServingStats:
     """Front-door counters: admission, coalescing, and execution."""
 
     __slots__ = ("submitted", "coalesced", "rejected", "executed",
-                 "overlay_folds", "groups_retired", "streamed",
+                 "groups_retired", "streamed",
                  "deadline_shed", "expensive_shed")
 
     def __init__(self) -> None:
@@ -90,57 +99,42 @@ class AsyncQueryService:
     """Bounded, coalescing asyncio front-end over one warm service.
 
     Construct from a :class:`QueryService` (or anything with a
-    ``.service`` attribute, e.g. a :class:`KOSREngine`).  Use as an async
+    ``.service`` attribute, e.g. a :class:`KOSREngine`) or from a
+    :class:`~repro.shard.service.ShardedQueryService`.  Use as an async
     context manager, or call :meth:`close` when done — it stops the group
-    workers and shuts the thread pool down.
+    workers and shuts the execution threads down.
 
-    ``max_inflight`` bounds concurrently *executing* requests (thread
-    pool width); ``max_queue`` bounds *pending* requests (admitted but
-    unanswered, executing included) — ``None`` disables admission
-    control.  ``max_groups`` bounds the live group workers: when a new
-    group would exceed it, an *idle* group (no outstanding requests) is
-    retired first, dropping its warm session — a soft cap, since busy
-    groups are never evicted.
+    ``max_queue`` bounds *pending* requests (admitted but unanswered,
+    executing included) — ``None`` disables admission control.  A new
+    group past :data:`MAX_GROUPS` live ones first retires an idle one.
     """
 
-    def __init__(self, service, *, max_inflight: int = 4,
-                 max_queue: Optional[int] = None,
-                 max_groups: Optional[int] = None):
+    def __init__(self, service, *, max_queue: Optional[int] = None):
         from repro.shard.service import ShardedQueryService
 
         if not isinstance(service, (QueryService, ShardedQueryService)):
             service = service.service
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None)")
-        if max_groups is not None and max_groups < 1:
-            raise ValueError("max_groups must be >= 1 (or None)")
         self.service = service
-        self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self.max_groups = max_groups
         self.stats = ServingStats()
-        self._pool = ThreadPoolExecutor(max_workers=max_inflight,
+        self._sharded = isinstance(service, ShardedQueryService)
+        width = FLEET_DISPATCH_WIDTH if self._sharded else 1
+        self._pool = ThreadPoolExecutor(max_workers=width,
                                         thread_name_prefix="repro-serve")
-        self._sem = asyncio.Semaphore(max_inflight)
-        #: group key -> (request queue, worker task, warm session)
-        self._groups: Dict[Tuple, Tuple[asyncio.Queue, asyncio.Task,
-                                        SessionCache]] = {}
+        self._sem = asyncio.Semaphore(width)
+        #: group key -> (request queue, worker task)
+        self._groups: Dict[Tuple, Tuple[asyncio.Queue, asyncio.Task]] = {}
         #: group key -> outstanding (enqueued or executing) requests
         self._group_load: Dict[Tuple, int] = {}
         #: coalescing map: request key -> in-flight future
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending = 0
         self._executing = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._no_pending = asyncio.Event()
         self._no_pending.set()
         self._closed = False
-        #: cache counters of group sessions retired by the max_groups cap
-        #: (kept so cache_stats() reports lifetime totals, not survivors)
-        self._retired_cache_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "AsyncQueryService":
@@ -150,17 +144,15 @@ class AsyncQueryService:
         await self.close()
 
     async def close(self) -> None:
-        """Drain the group workers and shut the thread pool down."""
+        """Drain the group workers and shut the execution threads down."""
         if self._closed:
             return
         self._closed = True
-        for queue, _task, _session in self._groups.values():
+        for queue, _task in self._groups.values():
             queue.put_nowait(None)
-        tasks = [task for _, task, _ in self._groups.values()]
+        tasks = [task for _, task in self._groups.values()]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        for _queue, _task, session in self._groups.values():
-            self._absorb_session_stats(session)
         self._groups.clear()
         self._pool.shutdown(wait=True)
 
@@ -202,7 +194,7 @@ class AsyncQueryService:
         ``on_route`` streams the answer: it fires with every
         :class:`~repro.types.SequencedResult` the moment the anytime
         search finalises it — before the search for the next one begins.
-        The callback runs on the *executing pool thread*; marshal to the
+        The callback runs on the *execution thread*; marshal to the
         event loop (e.g. ``loop.call_soon_threadsafe``) before touching
         loop-owned state.
 
@@ -234,6 +226,8 @@ class AsyncQueryService:
                 return await asyncio.shield(inflight)
         deadline = self._deadline_from(deadline_s)
         self._admit(request)
+        # the admission time, for the queue-wait histogram
+        admitted = monotonic() if metrics.enabled else None
         future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
@@ -242,7 +236,7 @@ class AsyncQueryService:
         self._no_pending.clear()
         self._group_load[group_key] = self._group_load.get(group_key, 0) + 1
         self._group_queue(group_key).put_nowait(
-            (request, key, group_key, future, on_route, deadline))
+            (request, key, group_key, future, on_route, deadline, admitted))
         return await asyncio.shield(future)
 
     def _deadline_from(self, deadline_s: Optional[float]):
@@ -320,7 +314,7 @@ class AsyncQueryService:
         """Submit a whole workload concurrently; results in input order.
 
         The async analogue of ``QueryService.run_batch`` — duplicates
-        coalesce and distinct groups overlap.  Any rejection or query
+        coalesce, and the rest share its warm session.  Any rejection or query
         error propagates (submit individually to handle overload per
         request).
         """
@@ -328,35 +322,18 @@ class AsyncQueryService:
             *(self.submit(r, options) for r in requests))
 
     # ------------------------------------------------------------------
-    def group_sessions(self) -> Dict[Tuple, SessionCache]:
-        """The live per-group warm sessions (observability/tests)."""
-        return {key: session for key, (_q, _t, session)
-                in self._groups.items()}
-
-    def _absorb_session_stats(self, session: Optional[SessionCache]) -> None:
-        if session is None:  # sharded backend: warm state lives worker-side
-            return
-        totals = self._retired_cache_stats
-        for name, value in session.stats.as_dict().items():
-            totals[name] = totals.get(name, 0) + value
-
     def cache_stats(self) -> Dict[str, int]:
-        """Session-cache counters over this front door's whole lifetime.
+        """Session-cache counters of the warm state this front door uses.
 
-        Sums the live group sessions plus every session retired by the
-        ``max_groups`` cap.  With a sharded backend the warm state lives
-        in the worker processes, so the counters come from the fleet
-        instead (one ``stats`` exchange per shard).  This is what the TCP
-        protocol's ``{"stats": true}`` request reports.
+        Unsharded, that is the service's one session (which ``run`` and
+        ``run_batch`` on the same service share).  With a sharded backend
+        the warm state lives in the worker processes, so the counters come
+        from the fleet instead (one ``stats`` exchange per shard).  This
+        is what the TCP protocol's ``{"stats": true}`` request reports.
         """
-        remote = getattr(self.service, "cache_stats", None)
-        if callable(remote):
-            return remote()
-        totals = dict(self._retired_cache_stats)
-        for session in self.group_sessions().values():
-            for name, value in session.stats.as_dict().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        if self._sharded:
+            return self.service.cache_stats()
+        return self.service.session.stats.as_dict()
 
     def cache_hit_rates(self) -> Dict[str, float]:
         """Per-artefact hit rates derived from :meth:`cache_stats`."""
@@ -368,106 +345,94 @@ class AsyncQueryService:
         """One merged metrics snapshot for this front door.
 
         Samples the point-in-time gauges (queue depth, executing count,
-        live groups, warm cache populations summed over group sessions)
-        into the process registry, then returns its snapshot — or, over a
-        sharded backend, the fleet-wide merge of every worker's registry
-        with this process's (the workers' warm state lives with them, so
-        their handlers sample their own gauges).  This is what the TCP
-        ``{"metrics": true}`` probe and ``cli metrics`` report.  With the
-        registry disabled the snapshot is empty and says so
-        (``{"enabled": false}``).
+        live groups, and unsharded the warm session's populations and the
+        engine's epochs) into the process registry, then returns its
+        snapshot — or, over a sharded backend, the fleet-wide merge of
+        every worker's registry with this process's (the workers' warm
+        state lives with them, so their handlers sample their own
+        gauges).  This is what the TCP ``{"metrics": true}`` probe and
+        ``cli metrics`` report.  With the registry disabled the snapshot
+        is empty and says so (``{"enabled": false}``).
         """
         metrics = _METRICS
         if metrics.enabled:
             metrics.gauge("repro_serving_queue_depth").set(self._pending)
             metrics.gauge("repro_serving_executing").set(self._executing)
             metrics.gauge("repro_serving_groups").set(len(self._groups))
-            populations: Dict[str, int] = {}
-            for session in self.group_sessions().values():
-                if session is None:
-                    continue
-                for name, value in session.populations().items():
-                    populations[name] = populations.get(name, 0) + value
-            for name in CACHE_POPULATIONS:
-                metrics.gauge(f"repro_cache_{name}").set(
-                    populations.get(name, 0))
-            # Epoch gauges for an unsharded backend (shard workers
-            # sample their own, labeled by shard, inside the fleet).
-            engine = getattr(self.service, "engine", None)
-            if engine is not None:
-                metrics.gauge("repro_index_epoch").set(engine.index_epoch)
-                for cid, version in engine.category_versions().items():
-                    metrics.gauge("repro_category_version",
-                                  category=cid).set(version)
-        remote = getattr(self.service, "metrics_snapshot", None)
-        if callable(remote):
-            return remote()
+        if self._sharded:
+            return self.service.metrics_snapshot()
+        if metrics.enabled:
+            for name, value in self.service.session.populations().items():
+                metrics.gauge(f"repro_cache_{name}").set(value)
+            engine = self.service.engine
+            metrics.gauge("repro_index_epoch").set(engine.index_epoch)
+            for cid, version in engine.category_versions().items():
+                metrics.gauge("repro_category_version",
+                              category=cid).set(version)
         return metrics.snapshot()
 
     def _group_queue(self, group_key: Tuple) -> asyncio.Queue:
         entry = self._groups.get(group_key)
         if entry is None:
-            if self.max_groups is not None:
-                self._evict_idle_groups()
+            self._evict_idle_groups()
             queue: asyncio.Queue = asyncio.Queue()
-            session = self.service.new_session()
             task = asyncio.get_running_loop().create_task(
-                self._group_worker(queue, session))
-            entry = (queue, task, session)
+                self._group_worker(queue))
+            entry = (queue, task)
             self._groups[group_key] = entry
         return entry[0]
 
     def _evict_idle_groups(self) -> None:
-        """Retire idle workers so a new group stays within ``max_groups``.
+        """Retire idle workers so a new group stays within :data:`MAX_GROUPS`.
 
         A soft LRU-by-creation cap: only groups with zero outstanding
         requests are retired (their worker sees the ``None`` sentinel
-        immediately — the queue is empty — and exits, dropping the warm
-        session).  If every group is busy, the cap is allowed to
-        overshoot; ``max_queue`` already bounds total outstanding work.
+        immediately — the queue is empty — and exits).  If every group is
+        busy, the cap is allowed to overshoot; ``max_queue`` already
+        bounds total outstanding work.
         """
-        while len(self._groups) >= self.max_groups:
+        while len(self._groups) >= MAX_GROUPS:
             idle = next((gk for gk in self._groups
                          if not self._group_load.get(gk)), None)
             if idle is None:
                 return
-            queue, _task, session = self._groups.pop(idle)
+            queue, _task = self._groups.pop(idle)
             self._group_load.pop(idle, None)
-            self._absorb_session_stats(session)
             queue.put_nowait(None)
             self.stats.groups_retired += 1
 
-    async def _group_worker(self, queue: asyncio.Queue,
-                            session: SessionCache) -> None:
-        """Serve one group's requests serially over its warm session.
+    async def _group_worker(self, queue: asyncio.Queue) -> None:
+        """Serve one group's requests in arrival order.
 
         Every path out of a request — success, executor failure, or an
-        exception from the barrier/semaphore plumbing itself — resolves
-        the caller's future; the worker only exits on the ``None``
-        shutdown sentinel (or cancellation), never because one request
-        failed.
+        exception from the semaphore plumbing itself — resolves the
+        caller's future; the worker only exits on the ``None`` shutdown
+        sentinel (or cancellation), never because one request failed.
         """
         loop = asyncio.get_running_loop()
+        metrics = _METRICS
         while True:
             item = await queue.get()
             if item is None:
                 return
-            request, key, group_key, future, on_route, deadline = item
+            request, key, group_key, future, on_route, deadline, admitted = \
+                item
             try:
                 if deadline is not None and monotonic() >= deadline[0]:
                     # Expired while queued: shed without executing.
                     self._count_deadline_shed()
                     raise DeadlineExceededError(deadline[1])
                 async with self._sem:
-                    await self._overlay_barrier()
                     self._executing += 1
-                    self._idle.clear()
                     try:
                         if deadline is not None:
                             request = self._capped_to(deadline, request)
+                        if admitted is not None and metrics.enabled:
+                            metrics.histogram(
+                                "repro_serving_queue_wait_seconds").observe(
+                                    monotonic() - admitted)
                         result = await loop.run_in_executor(
-                            self._pool, self._execute, request, session,
-                            on_route)
+                            self._pool, self._execute, request, on_route)
                         if (deadline is not None
                                 and not result.stats.completed
                                 and monotonic() >= deadline[0]):
@@ -485,8 +450,6 @@ class AsyncQueryService:
                             future.set_result(result)
                     finally:
                         self._executing -= 1
-                        if self._executing == 0:
-                            self._idle.set()
             except BaseException as exc:  # plumbing failed — still answer
                 if not future.done():
                     future.set_exception(
@@ -521,36 +484,7 @@ class AsyncQueryService:
                                    options.replace(time_budget_s=remaining))
         return request
 
-    def _execute(self, request: QueryRequest, session: SessionCache,
-                 on_route=None):
-        """Blocking plan execution (runs on the thread pool)."""
+    def _execute(self, request: QueryRequest, on_route=None):
+        """Blocking plan execution (runs on an execution thread)."""
         return self.service.run(request.query, request.options,
-                                session=session, on_route=on_route)
-
-    # ------------------------------------------------------------------
-    def _dirty_overlays(self) -> bool:
-        # A sharded backend has no client-side engine: each worker is
-        # single-threaded over its own indexes, so lazy cursor-time
-        # folding is race-free there and no barrier is needed.
-        engine = getattr(self.service, "engine", None)
-        if engine is None:
-            return False
-        inverted = engine.inverted
-        return bool(inverted) and any(il.dirty for il in inverted.values())
-
-    async def _overlay_barrier(self) -> None:
-        """Fold dirty delta overlays before dispatching to a thread.
-
-        Lazy cursor-time patching mutates the engine's shared buffers —
-        fine on one thread, a data race across pool workers.  When an
-        overlay is dirty, wait for in-flight executions to drain, fold
-        on the event-loop thread (single-threaded, so no new execution
-        can start mid-fold), then proceed.  The fold is purely physical:
-        no epoch change, identical results.
-        """
-        while self._dirty_overlays():
-            if self._executing == 0:
-                self.service._fold_pending_overlays()
-                self.stats.overlay_folds += 1
-                return
-            await self._idle.wait()
+                                on_route=on_route)

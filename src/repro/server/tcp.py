@@ -50,9 +50,10 @@ Operator probes
 ---------------
 
 ``{"stats": true}`` returns the serving counters plus the session-cache
-counters and per-artefact hit rates (summed over group sessions — or
-over the worker fleet when serving ``--shards``), and the
-resident-vs-serialized ``index_memory`` footprint.
+counters and per-artefact hit rates (of the process's one warm session —
+or summed over the worker fleet when serving ``--shards``), and the
+resident-vs-serialized ``index_memory`` footprint.  Unsharded it is
+answered on the event loop, never queued behind a running query.
 
 ``{"metrics": true}`` returns the full metrics snapshot — counters,
 gauges, and mergeable latency histograms, fleet-merged across every
@@ -61,6 +62,9 @@ catalogue)::
 
     {"metrics": true, "id": "ops-1"}
     -> {"id": "ops-1", "metrics": {"enabled": true, "metrics": [...]}}
+
+Unsharded, the metrics probe samples the warm session's populations on
+the one execution thread, so it waits out the query running there.
 """
 
 from __future__ import annotations
@@ -74,7 +78,16 @@ from repro.api import QueryOptions, QueryRequest
 from repro.exceptions import (DeadlineExceededError, ReproError,
                               ServiceOverloadedError)
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.server.async_service import AsyncQueryService
+from repro.server.async_service import MAX_GROUPS, AsyncQueryService
+from repro.service.service import QueryService
+
+#: LRU caps on the server's one warm session when it serves unsharded
+#: (shard workers hold their own sessions): one ``dis(·, t)`` kernel per
+#: live group, and 2**16 FindNN cursors — a few times what MAX_GROUPS
+#: single-request groups on the benchmark's CAL graph held, at about 40
+#: cursors each, when every group had a session of its own
+SESSION_MAX_DEST_KERNELS = MAX_GROUPS
+SESSION_MAX_FINDERS = 2 ** 16
 
 #: every key a request record may carry; anything else is rejected with
 #: a structured error naming the offender (typo'd fields must not be
@@ -224,9 +237,7 @@ def _encode_error(exc: BaseException, request_id) -> dict:
 
 async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
                 defaults: Optional[QueryOptions] = None,
-                max_inflight: int = 4,
                 max_queue: Optional[int] = None,
-                max_groups: Optional[int] = None,
                 service=None) -> asyncio.AbstractServer:
     """Start the TCP server; returns the listening ``asyncio`` server.
 
@@ -235,17 +246,23 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
     ``server.query_service`` — await its ``close()`` after closing the
     server (the CLI does both).
 
-    ``service`` overrides the execution backend: pass a
+    Unsharded, the server answers over a :class:`QueryService` of its
+    own on ``engine``, whose session is capped at
+    :data:`SESSION_MAX_DEST_KERNELS` kernels and
+    :data:`SESSION_MAX_FINDERS` cursors.  ``service`` overrides the
+    execution backend: pass a
     :class:`~repro.shard.service.ShardedQueryService` to serve from the
-    worker fleet instead of ``engine.service`` (``engine`` may then be
-    ``None`` — requests validate against the sharded service's graph).
+    worker fleet instead (``engine`` may then be ``None`` — requests
+    validate against the sharded service's graph).
     """
     options = defaults if defaults is not None else QueryOptions()
-    served = service if service is not None else engine.service
+    sharded = service is not None
+    served = service if sharded else QueryService(
+        engine, max_dest_kernels=SESSION_MAX_DEST_KERNELS,
+        max_finders=SESSION_MAX_FINDERS)
     # Whatever owns the graph validates incoming records.
-    query_maker = service if service is not None else engine
-    aqs = AsyncQueryService(served, max_inflight=max_inflight,
-                            max_queue=max_queue, max_groups=max_groups)
+    query_maker = service if sharded else engine
+    aqs = AsyncQueryService(served, max_queue=max_queue)
 
     def _stats_payload(request_id) -> dict:
         from repro.service.cache import hit_rates_from
@@ -272,27 +289,20 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
             payload["stats"]["epochs"] = epoch_info()
         return payload
 
-    async def _stats_response(request_id) -> dict:
-        if service is not None:
-            # Sharded backend: the counters come over the worker pipes —
-            # blocking I/O that must stay off the event loop.
-            return await asyncio.get_running_loop().run_in_executor(
-                aqs._pool, _stats_payload, request_id)
-        # Unsharded: a pure in-memory walk of the live group sessions.
-        # It must run on the loop thread, which owns the group dicts —
-        # an executor thread could race their mutation mid-iteration.
-        return _stats_payload(request_id)
-
     def _metrics_payload(request_id) -> dict:
         return {"id": request_id, "metrics": aqs.metrics_snapshot()}
 
-    async def _metrics_response(request_id) -> dict:
-        if service is not None:
-            # Sharded: worker snapshots travel over the pipes (blocking
-            # I/O) — same off-loop rule as the stats probe.
-            return await asyncio.get_running_loop().run_in_executor(
-                aqs._pool, _metrics_payload, request_id)
-        return _metrics_payload(request_id)
+    async def _probe_response(payload, request_id) -> dict:
+        if not sharded and payload is _stats_payload:
+            # Plain counters and index sizes: read on the loop thread,
+            # so the probe never waits behind a running query.
+            return payload(request_id)
+        # The metrics probe walks the warm session's dicts, so unsharded
+        # it runs on the one execution thread, which owns them.
+        # Sharded, both probes talk over the worker pipes — blocking
+        # I/O that must stay off the event loop.
+        return await asyncio.get_running_loop().run_in_executor(
+            aqs._pool, payload, request_id)
 
     async def _stream_response(request: QueryRequest,
                                deadline_s: Optional[float], request_id,
@@ -300,7 +310,7 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
         """Write one route record per discovered route; return the
         terminating record (summary, or a structured error).
 
-        Routes surface on an executing pool thread (possibly relayed
+        Routes surface on the execution thread (possibly relayed
         from a shard worker's pipe frames); ``call_soon_threadsafe``
         marshals them to this loop, where each is flushed immediately —
         the first record reaches the client while the search is still
@@ -379,9 +389,11 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
                         else None
                     _validate_record(record)
                     if record.get("stats"):
-                        response = await _stats_response(request_id)
+                        response = await _probe_response(_stats_payload,
+                                                         request_id)
                     elif record.get("metrics"):
-                        response = await _metrics_response(request_id)
+                        response = await _probe_response(_metrics_payload,
+                                                         request_id)
                     else:
                         request = _parse_record(query_maker, record, options)
                         deadline_s = _parse_deadline_s(record)

@@ -240,8 +240,8 @@ def hit_rates_from(totals: Dict[str, int]) -> Dict[str, float]:
     """Per-artefact hit rates from a counter dict (0.0 when never used).
 
     The one place the hits / (hits + misses) computation lives — used by
-    single sessions, the async front door's aggregated group sessions,
-    and the sharded fleet's summed worker counters alike.
+    single sessions, the async front door, and the sharded fleet's
+    summed worker counters alike.
     """
     rates: Dict[str, float] = {}
     for kind in CACHE_KINDS:

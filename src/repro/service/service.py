@@ -15,9 +15,11 @@ cold-equivalent accounting notes in :mod:`repro.service.cache`); only
 wall time changes.  The service-parity and interleaved-update fuzz tests
 pin this.
 
-Batches run sequentially over the service's one shared session, which
-maximises cross-group finder reuse; the concurrent workload path is
-:meth:`repro.server.async_service.AsyncQueryService.gather`.
+Every query runs over the service's one shared session, which
+maximises cross-group finder reuse: batches run sequentially, and the
+concurrent workload path
+(:meth:`repro.server.async_service.AsyncQueryService.gather`) executes
+one request at a time over the same session.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ class QueryService:
     ``max_dest_kernels`` / ``max_finders`` bound the session cache's two
     unbounded-within-an-epoch populations (per-target ``dis(·, t)``
     kernels and warm FindNN cursors) with LRU eviction; the limits also
-    apply to every session the service creates for async group workers
-    (see :meth:`new_session`).
+    apply to every session :meth:`new_session` makes.
     """
 
     def __init__(self, engine, max_dest_kernels: Optional[int] = None,
@@ -95,7 +96,6 @@ class QueryService:
         q: KOSRQuery,
         options: QueryOptions = DEFAULT_OPTIONS,
         *,
-        session: Optional[SessionCache] = None,
         on_route=None,
     ):
         """Answer one query on the warm service path.
@@ -118,7 +118,7 @@ class QueryService:
         """
         require_options(options)
         plan = resolve_plan(options.method, options.nn_backend)
-        session = session if session is not None else self.session
+        session = self.session
         session.validate()
         emitted = 0
         seam = None
@@ -184,18 +184,6 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------
-    def _fold_pending_overlays(self) -> None:
-        """Merge any pending overlay deltas into the decoded runs.
-
-        After this, cursor creation only ever decodes — which is
-        internally locked — so the inverted indexes are safe to share
-        across worker threads.  Untouched runs stay undecoded: eagerly
-        decoding a whole attached file here would trade the shared page
-        cache for a private copy per process.
-        """
-        for il in (self.engine.inverted or {}).values():
-            il.fold_overlay()
-
     def index_memory(self) -> Dict[str, object]:
         """Index memory accounting of the backing engine (see
         :meth:`~repro.core.engine.KOSREngine.index_memory`)."""

@@ -430,14 +430,11 @@ class ShardedQueryService:
         return self.router.owners(query.categories)
 
     def run(self, request: Union[QueryRequest, KOSRQuery],
-            options: Optional[QueryOptions] = None, *,
-            session=None, on_route=None):
+            options: Optional[QueryOptions] = None, *, on_route=None):
         """Answer one request; returns a ``KOSRResult``.
 
-        Accepts a :class:`QueryRequest` or a bare query plus ``options``.
-        ``session`` is accepted for :class:`QueryService` signature
-        compatibility and ignored — warm state lives in the workers' own
-        sessions.
+        Accepts a :class:`QueryRequest` or a bare query plus ``options``;
+        warm state lives in the workers' own sessions.
 
         ``on_route`` streams the answer.  Single-owner requests stream
         *live*: the worker emits one interim pipe frame per discovered
@@ -555,12 +552,6 @@ class ShardedQueryService:
             cache_stats={name: after[name] - before.get(name, 0)
                          for name in after},
         )
-
-    def new_session(self):
-        """Signature compatibility with :class:`QueryService` (workers own
-        their warm sessions, so the async front-end gets no client-side
-        session)."""
-        return None
 
     # ------------------------------------------------------------------
     # Epoch-synchronized updates

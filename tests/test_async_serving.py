@@ -5,7 +5,10 @@ Pins the acceptance contracts of the PR 4 server:
 
 * N identical concurrent requests coalesce onto ONE plan execution and
   every waiter receives the *same result object* (asserted through the
-  front door's ServingStats and the group session's cache counters);
+  front door's ServingStats and the session's cache counters);
+* every group runs over the service's one warm session on one execution
+  thread: FindNN streams are reused across targets, and a deadline
+  request queued behind a running execution is shed, never executed;
 * admission is bounded: past ``max_queue`` pending requests, submits
   fail with :class:`ServiceOverloadedError` and nothing is enqueued;
 * interleaved updates and serving keep epoch-invalidation parity — every
@@ -13,7 +16,9 @@ Pins the acceptance contracts of the PR 4 server:
   fresh cold engine built after the update;
 * query errors propagate to all coalesced waiters and the front door
   stays usable;
-* the JSON-lines TCP face answers, reports errors, and echoes ids.
+* the JSON-lines TCP face answers, reports errors, and echoes ids; its
+  stats probe never waits on a running query, and its one warm session
+  stays under fixed caps.
 """
 
 import asyncio
@@ -25,6 +30,7 @@ import pytest
 
 from repro import (
     AsyncQueryService,
+    DeadlineExceededError,
     KOSREngine,
     QueryOptions,
     QueryRequest,
@@ -34,6 +40,8 @@ from repro import (
 from repro.exceptions import QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
+from repro.server import async_service
+from repro.service.service import QueryService
 
 from test_backend_parity import assert_same_outcome
 
@@ -55,8 +63,7 @@ class TestCoalescing:
         request = QueryRequest(q, QueryOptions())
 
         async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         max_inflight=2) as front:
+            async with AsyncQueryService(engine.service) as front:
                 results = await asyncio.gather(
                     *(front.submit(request) for _ in range(8)))
                 return results, front.stats
@@ -71,7 +78,7 @@ class TestCoalescing:
         cold = KOSREngine.build(engine.graph).run(q)
         assert_same_outcome(results[0], cold)
 
-    def test_coalescing_observed_in_group_session_counters(self, engine):
+    def test_coalescing_observed_in_session_counters(self, engine):
         """One execution -> one finder/dest-kernel build, zero warm hits."""
         q = make_query(engine.graph, 1, 30, [0, 1], k=2)
 
@@ -79,13 +86,12 @@ class TestCoalescing:
             async with AsyncQueryService(engine.service) as front:
                 await asyncio.gather(*(front.submit(QueryRequest(q))
                                        for _ in range(6)))
-                (session,) = front.group_sessions().values()
-                return front.stats, session.stats.as_dict()
+                return front.stats, front.cache_stats()
 
         stats, cache = asyncio.run(scenario())
         assert stats.executed == 1 and stats.coalesced == 5
-        # The group session saw exactly one query: one cold build each,
-        # zero warm hits — six separate executions would show 5 hits.
+        # The session saw exactly one query: one cold build each, zero
+        # warm hits — six separate executions would show 5 hits.
         assert cache["finder_misses"] == 1 and cache["finder_hits"] == 0
         assert cache["dest_kernel_misses"] == 1
         assert cache["dest_kernel_hits"] == 0
@@ -114,8 +120,7 @@ class TestCoalescing:
                    for s in range(6)]
 
         async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         max_inflight=3) as front:
+            async with AsyncQueryService(engine.service) as front:
                 return await front.gather(queries)
 
         results = asyncio.run(scenario())
@@ -129,8 +134,7 @@ class TestBackpressure:
         gate = threading.Event()
 
         async def scenario():
-            front = AsyncQueryService(engine.service, max_inflight=1,
-                                      max_queue=2)
+            front = AsyncQueryService(engine.service, max_queue=2)
             real = front._execute
             front._execute = lambda *args: (gate.wait(10), real(*args))[1]
             tasks = [asyncio.ensure_future(front.submit(QueryRequest(q)))
@@ -172,19 +176,15 @@ class TestBackpressure:
 
     def test_invalid_limits_rejected(self, engine):
         with pytest.raises(ValueError):
-            AsyncQueryService(engine.service, max_inflight=0)
-        with pytest.raises(ValueError):
             AsyncQueryService(engine.service, max_queue=0)
-        with pytest.raises(ValueError):
-            AsyncQueryService(engine.service, max_groups=0)
 
-    def test_idle_groups_retired_at_max_groups(self, engine):
+    def test_idle_groups_retired_at_max_groups(self, engine, monkeypatch):
         """Diverse traffic must not grow one worker per group forever."""
         g = engine.graph
+        monkeypatch.setattr(async_service, "MAX_GROUPS", 2)
 
         async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         max_groups=2) as front:
+            async with AsyncQueryService(engine.service) as front:
                 for t in (25, 26, 27, 28, 29):
                     await front.submit(
                         QueryRequest(make_query(g, 0, t, [0, 1], k=1)))
@@ -194,14 +194,14 @@ class TestBackpressure:
         assert live <= 2
         assert retired == 3
 
-    def test_busy_groups_never_evicted(self, engine):
+    def test_busy_groups_never_evicted(self, engine, monkeypatch):
         """The group cap is soft: outstanding requests pin their group."""
         g = engine.graph
         gate = threading.Event()
+        monkeypatch.setattr(async_service, "MAX_GROUPS", 1)
 
         async def scenario():
-            front = AsyncQueryService(engine.service, max_inflight=1,
-                                      max_groups=1)
+            front = AsyncQueryService(engine.service)
             real = front._execute
             front._execute = lambda *args: (gate.wait(10),
                                             real(*args))[1]
@@ -230,18 +230,25 @@ class TestBackpressure:
         q1 = make_query(engine.graph, 0, 30, [0, 1], k=2)
         q2 = make_query(engine.graph, 1, 30, [0, 1], k=2)
 
+        class FlakySemaphore:
+            """The dispatch semaphore, failing its first acquire."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            async def __aenter__(self):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("synthetic plumbing failure")
+                return await self.inner.__aenter__()
+
+            async def __aexit__(self, *exc):
+                return await self.inner.__aexit__(*exc)
+
         async def scenario():
             async with AsyncQueryService(engine.service) as front:
-                real_barrier = front._overlay_barrier
-                calls = {"n": 0}
-
-                async def flaky_barrier():
-                    calls["n"] += 1
-                    if calls["n"] == 1:
-                        raise RuntimeError("synthetic plumbing failure")
-                    await real_barrier()
-
-                front._overlay_barrier = flaky_barrier
+                front._sem = FlakySemaphore(front._sem)
                 with pytest.raises(RuntimeError, match="synthetic"):
                     await front.submit(QueryRequest(q1))
                 # Same group, same worker: it must still be alive.
@@ -283,13 +290,92 @@ class TestErrorPropagation:
         asyncio.run(scenario())
 
 
+class TestOneWarmSession:
+    """Every group runs over the service's one session, on one thread."""
+
+    @pytest.mark.parametrize("method", ["SK", "PK"])
+    def test_finder_streams_reused_across_targets(self, method):
+        """A FindNN stream depends on (source, category), not the target:
+        requests that are each their own (t, C) group still hit the warm
+        finder, and answer exactly like fresh engines — before and after
+        a category update."""
+        g = _graph(71)
+        engine = KOSREngine.build(g)
+        options = QueryOptions(method=method)
+        # Six targets, six groups; the two sources recur across them.
+        queries = [make_query(g, s, t, [0, 1], k=3)
+                   for s, t in ((0, 25), (1, 26), (0, 27), (1, 28),
+                                (0, 29), (1, 30))]
+
+        async def serve_and_check(front):
+            served = await front.gather(
+                [QueryRequest(q, options) for q in queries])
+            cold = KOSREngine.build(g)
+            for q, warm in zip(queries, served):
+                assert_same_outcome(warm, cold.run(q, options))
+
+        async def scenario():
+            async with AsyncQueryService(engine.service) as front:
+                await serve_and_check(front)
+                hits = front.cache_stats()["finder_hits"]
+                await front.drain()
+                outsider = next(v for v in range(g.num_vertices)
+                                if not g.has_category(v, 0))
+                engine.add_vertex_to_category(outsider, 0)
+                await serve_and_check(front)
+                return hits, front.cache_stats()
+
+        hits, cache = asyncio.run(scenario())
+        assert hits == len(queries) - 1  # one finder build, then reuse
+        assert cache["finder_hits"] == 2 * len(queries) - 1
+        assert cache["partial_invalidations"] == 1
+
+    def test_deadline_request_behind_an_execution_is_shed_unexecuted(
+            self, engine):
+        """Head-of-line bound: another group's deadline request queued
+        behind a running execution is shed at dispatch, not run late."""
+        g = engine.graph
+        slow = make_query(g, 0, 25, [0, 1], k=2)
+        late = make_query(g, 1, 30, [0, 1], k=2)
+        gate = threading.Event()
+        executed = []
+
+        async def scenario():
+            front = AsyncQueryService(engine.service)
+            real = front._execute
+
+            def gated(request, *rest):
+                executed.append(request.query)
+                gate.wait(10)
+                return real(request, *rest)
+
+            front._execute = gated
+            first = asyncio.ensure_future(front.submit(QueryRequest(slow)))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            second = asyncio.ensure_future(
+                front.submit(QueryRequest(late), deadline_s=0.02))
+            await asyncio.sleep(0.08)
+            gate.set()
+            settled = await asyncio.gather(first, second,
+                                           return_exceptions=True)
+            await front.close()
+            return settled, front.stats
+
+        (ok, shed), stats = asyncio.run(scenario())
+        assert ok.stats.completed
+        assert isinstance(shed, DeadlineExceededError)
+        assert executed == [slow]
+        assert stats.executed == 1 and stats.deadline_shed == 1
+
+
 class TestInterleavedUpdateParity:
     """Serve → update → serve keeps epoch-invalidation parity.
 
     After every index mutation, async answers must match a cold engine
     freshly built from the current graph — results AND counters — which
-    proves the per-group sessions revalidate their epoch instead of
-    serving stale warm state.
+    proves the warm session revalidates its epoch instead of serving
+    stale warm state.
     """
 
     def test_category_update_between_batches(self):
@@ -298,30 +384,25 @@ class TestInterleavedUpdateParity:
         queries = [make_query(g, s, 30, [0, 1], k=3) for s in (0, 1, 2, 0)]
 
         async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         max_inflight=2) as front:
+            async with AsyncQueryService(engine.service) as front:
                 before = await front.gather(queries)
+                cold = KOSREngine.build(g)   # the pre-update state
+                for q, warm in zip(queries, before):
+                    assert_same_outcome(warm, cold.run(q))
                 await front.drain()          # quiesce before mutating
                 assert front.pending == 0
                 outsider = next(v for v in range(g.num_vertices)
                                 if not g.has_category(v, 0))
                 engine.add_vertex_to_category(outsider, 0)
                 assert engine.inverted[0].dirty
-                after = await front.gather(queries)
-                # The barrier folded the pending overlay on the loop
-                # thread before any pool thread created a cursor.
-                assert front.stats.overlay_folds >= 1
-                assert not engine.inverted[0].dirty
-                return before, after
+                # The cursors fold the pending overlay lazily, on the
+                # one execution thread that owns the engine's buffers.
+                return await front.gather(queries)
 
-        before, after = asyncio.run(scenario())
+        after = asyncio.run(scenario())
         fresh = KOSREngine.build(g)  # sees the updated graph/categories
         for q, warm in zip(queries, after):
             assert_same_outcome(warm, fresh.run(q))
-        # And the pre-update answers matched the pre-update state: the
-        # first batch ran before the mutation, so its own parity engine
-        # cannot be rebuilt here — completion is the meaningful check.
-        assert all(r.stats.completed for r in before)
 
     @pytest.mark.parametrize("seed", [301, 302])
     def test_fuzz_updates_vs_fresh_engines(self, seed):
@@ -333,8 +414,7 @@ class TestInterleavedUpdateParity:
             return await front.gather([QueryRequest(q) for q in queries])
 
         async def scenario():
-            async with AsyncQueryService(engine.service,
-                                         max_inflight=2) as front:
+            async with AsyncQueryService(engine.service) as front:
                 for _ in range(6):
                     op = rng.random()
                     if op < 0.35:
@@ -434,8 +514,8 @@ class TestTcpServer:
         stats = ops["stats"]
         assert stats["serving"]["submitted"] == 2
         assert stats["serving"]["executed"] == 2  # sequential: no coalesce
-        # The second identical query ran warm: the group session shows a
-        # hit, and the eviction counters are exposed for operators.
+        # The second identical query ran warm: the session shows a hit,
+        # and the eviction counters are exposed for operators.
         assert stats["cache"]["finder_hits"] >= 1
         assert "dest_kernel_evictions" in stats["cache"]
         assert "cursor_evictions" in stats["cache"]
@@ -447,3 +527,96 @@ class TestTcpServer:
         assert memory["shared"] is False
         assert memory["total_resident"] > 0
         assert memory["total_serialized"] > 0
+
+    def test_stats_probe_does_not_wait_for_a_running_query(self, engine):
+        """Unsharded, {"stats": true} is answered on the event loop while
+        the one execution thread is busy."""
+        from repro.server.tcp import serve
+
+        gate = threading.Event()
+
+        async def scenario():
+            server = await serve(engine, "127.0.0.1", 0)
+            aqs = server.query_service
+            real = aqs._execute
+            aqs._execute = lambda *args: (gate.wait(10), real(*args))[1]
+            port = server.sockets[0].getsockname()[1]
+            conns = [await asyncio.open_connection("127.0.0.1", port)
+                     for _ in range(2)]
+            (qr, qw), (sr, sw) = conns
+            qw.write(json.dumps({"source": 0, "target": 30,
+                                 "categories": [0, 1]}).encode() + b"\n")
+            await qw.drain()
+            while not aqs._executing:
+                await asyncio.sleep(0.001)
+            sw.write(b'{"id": "ops", "stats": true}\n')
+            await sw.drain()
+            ops = json.loads(await asyncio.wait_for(sr.readline(), 5))
+            blocked = not gate.is_set()
+            gate.set()
+            answer = json.loads(await qr.readline())
+            for _, w in conns:
+                w.close()
+                await w.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await aqs.close()
+            return ops, blocked, answer
+
+        ops, blocked, answer = asyncio.run(scenario())
+        assert blocked and ops["id"] == "ops"
+        assert ops["stats"]["serving"]["executed"] == 0
+        assert answer["completed"]
+
+    def test_warm_session_stays_bounded_over_distinct_targets(
+            self, engine, monkeypatch):
+        """The server's one session lives as long as the process: its
+        kernel and cursor populations stay under the server's caps
+        however many targets arrive, and answers stay exact."""
+        from repro.server import tcp
+
+        monkeypatch.setattr(tcp, "SESSION_MAX_DEST_KERNELS", 2)
+        monkeypatch.setattr(tcp, "SESSION_MAX_FINDERS", 3)
+        g = engine.graph
+        records = [{"source": s, "target": t, "categories": [0, 1], "k": 2}
+                   for t in range(20, 32) for s in range(20)]
+
+        async def scenario():
+            server = await tcp.serve(engine, "127.0.0.1", 0)
+            session = server.query_service.service.session
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            answers, peaks = [], {}
+            for record in records:
+                writer.write(json.dumps(record).encode() + b"\n")
+                await writer.drain()
+                answers.append(json.loads(await reader.readline()))
+                for name, value in session.populations().items():
+                    peaks[name] = max(peaks.get(name, 0), value)
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await server.query_service.close()
+            return answers, peaks, session.stats
+
+        answers, peaks, stats = asyncio.run(scenario())
+        queries = [make_query(g, r["source"], r["target"], r["categories"],
+                              k=2) for r in records]
+        unbounded = QueryService(KOSREngine.build(g))
+        for q in queries:
+            unbounded.run(q)
+        grown = unbounded.session.populations()
+        assert grown["dest_kernels"] == 12
+        assert peaks["dest_kernels"] <= 2
+        # Cursors are trimmed between queries, so one query's own cursors
+        # may sit above the cap until the next one starts.
+        assert peaks["finder_cursors"] < grown["finder_cursors"] // 2
+        assert stats.dest_kernel_evictions > 0
+        assert stats.cursor_evictions > 0
+        fresh = KOSREngine.build(g)
+        for q, answer in zip(queries, answers):
+            cold = fresh.run(q)
+            assert answer["costs"] == cold.costs
+            assert answer["nn_queries"] == cold.stats.nn_queries
+            assert answer["examined_routes"] == cold.stats.examined_routes

@@ -15,9 +15,14 @@ Pins the PR 7 serving contracts:
 * **expensive-plan shedding** — past the admission watermark, plans
   that search the whole graph (GSP family) or fan out across shards are
   shed first, before cheap indexed requests are refused;
+* **queue wait** — ``repro_serving_queue_wait_seconds`` records, per
+  executed request, the time from admission to dispatch onto the
+  execution thread, and nothing while the registry is disabled;
 * **malformed TCP records** — non-object JSON, unknown fields, and
   missing fields each get a structured error naming the offender, and
   the connection stays usable;
+* **half-closed sockets** — a client that writes its lines, then
+  ``shutdown(SHUT_WR)``, then reads gets every reply before the close;
 * **overload over TCP** — a rejected request gets a structured
   ``overloaded`` reply on a live connection, never a dropped socket,
   and the shed counters increment;
@@ -48,7 +53,7 @@ from repro import (
 )
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import LATENCY_BUCKETS_S, REGISTRY
 
 from test_backend_parity import assert_same_outcome
 
@@ -173,7 +178,7 @@ class TestDeadlines:
         gate = threading.Event()
 
         async def scenario():
-            front = AsyncQueryService(engine.service, max_inflight=1)
+            front = AsyncQueryService(engine.service)
             real = front._execute
             front._execute = lambda *args: (gate.wait(10),
                                             real(*args))[1]
@@ -262,8 +267,7 @@ class TestExpensiveShedding:
                            QueryOptions(method="GSP"))
 
         async def scenario():
-            front = AsyncQueryService(engine.service, max_inflight=1,
-                                      max_queue=4)  # watermark = 2
+            front = AsyncQueryService(engine.service, max_queue=4)  # watermark = 2
             real = front._execute
             front._execute = lambda *args: (gate.wait(10),
                                             real(*args))[1]
@@ -298,6 +302,42 @@ class TestExpensiveShedding:
 
         result, shed = asyncio.run(scenario())
         assert result.stats.completed and shed == 0
+
+
+class TestQueueWait:
+    @staticmethod
+    def _serve(engine):
+        g = engine.graph
+        queries = [make_query(g, s, t, [0, 1], k=2)
+                   for s, t in ((0, 30), (1, 30), (2, 25))]
+
+        async def scenario():
+            async with AsyncQueryService(engine.service) as front:
+                # the duplicate coalesces: four submits, three executions
+                await front.gather(queries + queries[:1])
+                return front.stats
+
+        return asyncio.run(scenario())
+
+    def test_counts_every_executed_request(self, engine, enabled_registry):
+        stats = self._serve(engine)
+        assert stats.submitted == 4 and stats.executed == 3
+        (wait,) = [m for m in enabled_registry.snapshot()["metrics"]
+                   if m["name"] == "repro_serving_queue_wait_seconds"]
+        assert wait["count"] == stats.executed
+        assert wait["bounds"] == list(LATENCY_BUCKETS_S)
+        assert wait["sum"] >= 0.0
+
+    def test_disabled_registry_records_nothing(self, engine):
+        was_enabled = REGISTRY.enabled  # REPRO_METRICS=1 force-enables it
+        REGISTRY.reset()
+        REGISTRY.disable()
+        try:
+            assert self._serve(engine).executed == 3
+            assert REGISTRY.snapshot()["metrics"] == []
+        finally:
+            REGISTRY.enabled = was_enabled
+            REGISTRY.reset()
 
 
 async def _talk(port, records):
@@ -517,6 +557,51 @@ class TestTcpClientReset:
         self._run(engine, [plain, plain, plain], read_first=False)
 
 
+class TestTcpHalfClose:
+    def test_every_line_answered_before_the_close(self, engine):
+        """The client writes N lines, then ``shutdown(SHUT_WR)``, then
+        reads: end of input must not cut off the replies still owed."""
+        import socket
+
+        from repro.server.tcp import serve
+
+        records = [{"id": i, "source": s, "target": 30,
+                    "categories": [0, 1], "k": 2}
+                   for i, s in enumerate((0, 1, 2, 0))]
+        lines = [json.dumps(r).encode() for r in records] + [b"not json"]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+                sock.setblocking(False)
+                await loop.sock_sendall(sock, b"\n".join(lines) + b"\n")
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while True:  # until the server closes its side
+                    chunk = await loop.sock_recv(sock, 65536)
+                    if not chunk:
+                        break
+                    received += chunk
+                sock.close()
+                return received
+            finally:
+                await _shutdown(server)
+
+        replies = [json.loads(line)
+                   for line in asyncio.run(scenario()).splitlines()]
+        assert len(replies) == len(lines)
+        *answers, error = replies
+        assert [a["id"] for a in answers] == [r["id"] for r in records]
+        cold = KOSREngine.build(engine.graph)
+        for record, answer in zip(records, answers):
+            q = make_query(engine.graph, record["source"], 30, [0, 1], k=2)
+            assert answer["costs"] == cold.run(q).costs
+        assert error["kind"] == "JSONDecodeError"
+
+
 class TestTcpOverload:
     def test_overload_reply_is_structured_and_counted(self, engine):
         """A shed request gets an ``overloaded`` reply on a live
@@ -527,8 +612,7 @@ class TestTcpOverload:
         record = {"source": 0, "target": 30, "categories": [0, 1], "k": 2}
 
         async def scenario():
-            server = await serve(engine, "127.0.0.1", 0,
-                                 max_inflight=1, max_queue=1)
+            server = await serve(engine, "127.0.0.1", 0, max_queue=1)
             port = server.sockets[0].getsockname()[1]
             aqs = server.query_service
             real = aqs._execute

@@ -763,7 +763,7 @@ class TestAsyncOverShards:
         request = QueryRequest(q, QueryOptions())
 
         async def scenario():
-            async with AsyncQueryService(sharded, max_inflight=2) as front:
+            async with AsyncQueryService(sharded) as front:
                 results = await asyncio.gather(
                     *(front.submit(request) for _ in range(6)))
                 return results, front.stats
@@ -785,7 +785,7 @@ class TestAsyncOverShards:
         requests = [QueryRequest(q, QueryOptions()) for q in queries]
 
         async def scenario():
-            async with AsyncQueryService(sharded, max_inflight=3) as front:
+            async with AsyncQueryService(sharded) as front:
                 return await front.gather(requests)
 
         results = asyncio.run(scenario())
