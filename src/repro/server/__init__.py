@@ -1,11 +1,10 @@
 """repro.server — the asyncio serving front-end.
 
 * :mod:`repro.server.async_service` — :class:`AsyncQueryService`:
-  per-``(target, categories)`` group workers over one warm session per
-  process and one execution thread unsharded (a thread pool only for
-  dispatch to a sharded fleet), coalescing of identical in-flight
-  requests, and bounded admission (backpressure via
-  :class:`~repro.exceptions.ServiceOverloadedError`);
+  one work queue feeding one execution thread over one warm session per
+  process unsharded (four threads only for dispatch to a sharded fleet),
+  coalescing of identical in-flight requests, and bounded admission
+  (backpressure via :class:`~repro.exceptions.ServiceOverloadedError`);
 * :mod:`repro.server.tcp` — a JSON-lines TCP front door
   (``repro.cli serve``): streamed responses (``"stream": true``),
   per-request deadlines (``"deadline_ms"``), and the
@@ -28,8 +27,7 @@ Layer contract
   engine.
 * **Bounded admission.**  At most ``max_queue`` requests are pending at
   once; excess submits fail fast with ``ServiceOverloadedError`` rather
-  than queueing unboundedly, and past ``MAX_GROUPS`` live group workers
-  an idle one retires before a new group starts.
+  than queueing unboundedly.
 """
 
 from repro.server.async_service import AsyncQueryService, ServingStats

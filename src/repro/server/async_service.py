@@ -3,19 +3,20 @@
 :class:`AsyncQueryService` turns the batch service into an online front
 door for concurrent request traffic:
 
-* **One warm session per process, one execution thread** — requests are
-  routed to one asyncio worker task per ``(target, categories)`` group
-  (the unit of coalescing, deadlines and dequeue-time shedding), and
-  every group dispatches to a single execution thread that runs over the
-  service's one :attr:`~repro.service.service.QueryService.session`, as
-  ``run_batch`` and every shard worker do.  A FindNN stream depends only
-  on ``(source, category)``, never on the target, so streams are reused
-  across groups, and groupmates also share the warm ``dis(·, t)``
-  kernel.  Under the GIL a second thread would not run a pure-Python
-  search on a second core, only interleave two of them.  The price is
-  head-of-line blocking behind an expensive plan; deadlines bound it
-  (an expired request is shed at dispatch, never executed) and
-  ``repro_serving_queue_wait_seconds`` measures it.
+* **One warm session per process, one execution thread** — :meth:`submit`
+  queues each admitted request straight onto a work queue that feeds
+  long-lived execution threads: one over a :class:`QueryService`, which
+  runs over the service's one
+  :attr:`~repro.service.service.QueryService.session`, as ``run_batch``
+  and every shard worker do.  A FindNN stream depends only on
+  ``(source, category)``, never on the target, so streams are reused
+  across targets, and requests for the same ``(t, C)`` group also share
+  the warm ``dis(·, t)`` kernel.  Under the GIL a second thread would not
+  run a pure-Python search on a second core, only interleave two of
+  them.  The price is head-of-line blocking behind an expensive plan;
+  deadlines bound it (an expired request is shed at dispatch, never
+  executed) and ``repro_serving_queue_wait_seconds`` measures it.  The
+  answer comes back to the event loop in one ``call_soon_threadsafe``.
 * **Coalescing** — identical in-flight requests (equal
   :attr:`~repro.api.QueryRequest.key`, i.e. the same ``(s, t, C, k)``
   and options) resolve onto one future: one plan execution answers all
@@ -38,13 +39,13 @@ door for concurrent request traffic:
   expired deadline is converted to the same error rather than returned
   as a silent partial result.
 * **Streaming** — :meth:`submit` with ``on_route=`` runs the same
-  admission and group machinery but hands each discovered route to the
+  admission and work queue but hands each discovered route to the
   callback the moment the anytime search finalises it (the
   ``{"stream": true}`` TCP seam).
 * **Sharded backing** — construct over a
-  :class:`~repro.shard.service.ShardedQueryService` and the group
-  workers dispatch to category-partitioned worker *processes* through a
-  pool of :data:`FLEET_DISPATCH_WIDTH` threads instead: pipe waits
+  :class:`~repro.shard.service.ShardedQueryService` and the work queue
+  feeds :data:`FLEET_DISPATCH_WIDTH` execution threads instead, each
+  dispatching to the category-partitioned worker *processes*: pipe waits
   release the GIL, so executions overlap on real cores (the per-shard
   locks serialise only same-shard traffic), and the warm sessions live
   worker-side.
@@ -61,7 +62,8 @@ door for concurrent request traffic:
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -71,17 +73,22 @@ from repro.exceptions import DeadlineExceededError, ServiceOverloadedError
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.service import QueryService
 
-#: live group workers kept before an idle one is retired for a new group
-#: (a soft cap: a group with outstanding requests is never retired)
-MAX_GROUPS = 512
-
-#: concurrent dispatches to a sharded fleet (its thread-pool width); over
+#: concurrent dispatches to a sharded fleet (its execution threads); over
 #: a :class:`QueryService` executions run one at a time on one thread
 FLEET_DISPATCH_WIDTH = 4
 
+#: the ``key`` of a :meth:`AsyncQueryService.call` work item: not a
+#: request, so it skips the request bookkeeping on the way back
+_CALL = object()
+
 
 class ServingStats:
-    """Front-door counters: admission, coalescing, and execution."""
+    """Front-door counters: admission, coalescing, and execution.
+
+    ``groups_retired`` is always 0: the front door keeps no per-group
+    workers to retire.  The key stays so readers of :meth:`as_dict` see
+    the same fields.
+    """
 
     __slots__ = ("submitted", "coalesced", "rejected", "executed",
                  "groups_retired", "streamed",
@@ -101,12 +108,11 @@ class AsyncQueryService:
     Construct from a :class:`QueryService` (or anything with a
     ``.service`` attribute, e.g. a :class:`KOSREngine`) or from a
     :class:`~repro.shard.service.ShardedQueryService`.  Use as an async
-    context manager, or call :meth:`close` when done — it stops the group
-    workers and shuts the execution threads down.
+    context manager, or call :meth:`close` when done — it answers every
+    admitted request, then stops the execution threads.
 
     ``max_queue`` bounds *pending* requests (admitted but unanswered,
-    executing included) — ``None`` disables admission control.  A new
-    group past :data:`MAX_GROUPS` live ones first retires an idle one.
+    executing included) — ``None`` disables admission control.
     """
 
     def __init__(self, service, *, max_queue: Optional[int] = None):
@@ -120,21 +126,23 @@ class AsyncQueryService:
         self.max_queue = max_queue
         self.stats = ServingStats()
         self._sharded = isinstance(service, ShardedQueryService)
-        width = FLEET_DISPATCH_WIDTH if self._sharded else 1
-        self._pool = ThreadPoolExecutor(max_workers=width,
-                                        thread_name_prefix="repro-serve")
-        self._sem = asyncio.Semaphore(width)
-        #: group key -> (request queue, worker task)
-        self._groups: Dict[Tuple, Tuple[asyncio.Queue, asyncio.Task]] = {}
-        #: group key -> outstanding (enqueued or executing) requests
-        self._group_load: Dict[Tuple, int] = {}
         #: coalescing map: request key -> in-flight future
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending = 0
         self._executing = 0
+        self._executing_lock = threading.Lock()
         self._no_pending = asyncio.Event()
         self._no_pending.set()
         self._closed = False
+        #: work items ``(fn, args, future, key)`` for the execution threads
+        self._work: queue.SimpleQueue = queue.SimpleQueue()
+        width = FLEET_DISPATCH_WIDTH if self._sharded else 1
+        self._threads = [
+            threading.Thread(target=self._serve_work, daemon=True,
+                             name=f"repro-serve-{i}")
+            for i in range(width)]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "AsyncQueryService":
@@ -144,17 +152,18 @@ class AsyncQueryService:
         await self.close()
 
     async def close(self) -> None:
-        """Drain the group workers and shut the execution threads down."""
+        """Answer every admitted request, then stop the execution threads."""
         if self._closed:
             return
         self._closed = True
-        for queue, _task in self._groups.values():
-            queue.put_nowait(None)
-        tasks = [task for _, task in self._groups.values()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._groups.clear()
-        self._pool.shutdown(wait=True)
+        await self.drain()
+        loop = asyncio.get_running_loop()
+        stopped = [loop.create_future() for _ in self._threads]
+        for future in stopped:
+            self._work.put((None, (), future, None))
+        await asyncio.gather(*stopped)
+        for thread in self._threads:
+            thread.join()
 
     # ------------------------------------------------------------------
     @property
@@ -231,13 +240,26 @@ class AsyncQueryService:
         future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
-        group_key = request.group_key
         self._pending += 1
         self._no_pending.clear()
-        self._group_load[group_key] = self._group_load.get(group_key, 0) + 1
-        self._group_queue(group_key).put_nowait(
-            (request, key, group_key, future, on_route, deadline, admitted))
+        self._work.put((self._dispatch,
+                        (request, on_route, deadline, admitted), future, key))
         return await asyncio.shield(future)
+
+    async def call(self, fn, *args):
+        """Run ``fn(*args)`` on an execution thread; return its result.
+
+        The call queues behind the requests already admitted, takes no
+        admission slot and counts as no request.  Unsharded, it runs on
+        the thread that owns the warm session; sharded, it keeps
+        blocking pipe I/O off the event loop.  The TCP metrics probe
+        uses it.
+        """
+        if self._closed:
+            raise RuntimeError("AsyncQueryService is closed")
+        future = asyncio.get_running_loop().create_future()
+        self._work.put((fn, args, future, _CALL))
+        return await future
 
     def _deadline_from(self, deadline_s: Optional[float]):
         """``(absolute monotonic deadline, requested ms)`` or ``None``;
@@ -345,7 +367,7 @@ class AsyncQueryService:
         """One merged metrics snapshot for this front door.
 
         Samples the point-in-time gauges (queue depth, executing count,
-        live groups, and unsharded the warm session's populations and the
+        and unsharded the warm session's populations and the
         engine's epochs) into the process registry, then returns its
         snapshot — or, over a sharded backend, the fleet-wide merge of
         every worker's registry with this process's (the workers' warm
@@ -358,7 +380,6 @@ class AsyncQueryService:
         if metrics.enabled:
             metrics.gauge("repro_serving_queue_depth").set(self._pending)
             metrics.gauge("repro_serving_executing").set(self._executing)
-            metrics.gauge("repro_serving_groups").set(len(self._groups))
         if self._sharded:
             return self.service.metrics_snapshot()
         if metrics.enabled:
@@ -371,105 +392,74 @@ class AsyncQueryService:
                               category=cid).set(version)
         return metrics.snapshot()
 
-    def _group_queue(self, group_key: Tuple) -> asyncio.Queue:
-        entry = self._groups.get(group_key)
-        if entry is None:
-            self._evict_idle_groups()
-            queue: asyncio.Queue = asyncio.Queue()
-            task = asyncio.get_running_loop().create_task(
-                self._group_worker(queue))
-            entry = (queue, task)
-            self._groups[group_key] = entry
-        return entry[0]
+    def _serve_work(self) -> None:
+        """One execution thread: run work items until :meth:`close`'s stop
+        item (``fn`` is ``None``), which it answers before it returns.
 
-    def _evict_idle_groups(self) -> None:
-        """Retire idle workers so a new group stays within :data:`MAX_GROUPS`.
-
-        A soft LRU-by-creation cap: only groups with zero outstanding
-        requests are retired (their worker sees the ``None`` sentinel
-        immediately — the queue is empty — and exits).  If every group is
-        busy, the cap is allowed to overshoot; ``max_queue`` already
-        bounds total outstanding work.
+        Every item is answered, whatever its function raised; the result
+        or error goes back to the item's event loop in one
+        ``call_soon_threadsafe``, and the thread takes the next item.
         """
-        while len(self._groups) >= MAX_GROUPS:
-            idle = next((gk for gk in self._groups
-                         if not self._group_load.get(gk)), None)
-            if idle is None:
-                return
-            queue, _task = self._groups.pop(idle)
-            self._group_load.pop(idle, None)
-            queue.put_nowait(None)
-            self.stats.groups_retired += 1
-
-    async def _group_worker(self, queue: asyncio.Queue) -> None:
-        """Serve one group's requests in arrival order.
-
-        Every path out of a request — success, executor failure, or an
-        exception from the semaphore plumbing itself — resolves the
-        caller's future; the worker only exits on the ``None`` shutdown
-        sentinel (or cancellation), never because one request failed.
-        """
-        loop = asyncio.get_running_loop()
-        metrics = _METRICS
+        work = self._work
         while True:
-            item = await queue.get()
-            if item is None:
+            fn, args, future, key = work.get()
+            if fn is None:
+                future.get_loop().call_soon_threadsafe(future.set_result,
+                                                       None)
                 return
-            request, key, group_key, future, on_route, deadline, admitted = \
-                item
             try:
-                if deadline is not None and monotonic() >= deadline[0]:
-                    # Expired while queued: shed without executing.
-                    self._count_deadline_shed()
-                    raise DeadlineExceededError(deadline[1])
-                async with self._sem:
-                    self._executing += 1
-                    try:
-                        if deadline is not None:
-                            request = self._capped_to(deadline, request)
-                        if admitted is not None and metrics.enabled:
-                            metrics.histogram(
-                                "repro_serving_queue_wait_seconds").observe(
-                                    monotonic() - admitted)
-                        result = await loop.run_in_executor(
-                            self._pool, self._execute, request, on_route)
-                        if (deadline is not None
-                                and not result.stats.completed
-                                and monotonic() >= deadline[0]):
-                            # Incomplete at an expired deadline: the
-                            # structured error, not a silent partial.
-                            raise DeadlineExceededError(deadline[1])
-                    except Exception as exc:
-                        if isinstance(exc, DeadlineExceededError):
-                            self._count_deadline_shed()
-                        if not future.done():
-                            future.set_exception(exc)
-                    else:
-                        self.stats.executed += 1
-                        if not future.done():
-                            future.set_result(result)
-                    finally:
-                        self._executing -= 1
-            except BaseException as exc:  # plumbing failed — still answer
-                if not future.done():
-                    future.set_exception(
-                        exc if isinstance(exc, Exception)
-                        else RuntimeError(f"serving worker interrupted: "
-                                          f"{exc!r}"))
-                if not isinstance(exc, Exception):
-                    raise  # CancelledError and friends must propagate
-            finally:
-                self._pending -= 1
-                if self._pending == 0:
-                    self._no_pending.set()
-                if key is not None and self._inflight.get(key) is future:
-                    del self._inflight[key]
-                load = self._group_load.get(group_key, 1) - 1
-                if load > 0:
-                    self._group_load[group_key] = load
-                else:
-                    self._group_load.pop(group_key, None)
-                queue.task_done()
+                result, error = fn(*args), None
+            except Exception as exc:
+                result, error = None, exc
+            future.get_loop().call_soon_threadsafe(
+                self._finish, future, key, result, error)
+
+    def _dispatch(self, request: QueryRequest, on_route, deadline,
+                  admitted):
+        """Run one admitted request (on an execution thread)."""
+        if deadline is not None:
+            # sheds a request whose deadline passed while it was queued
+            request = self._capped_to(deadline, request)
+        metrics = _METRICS
+        if admitted is not None and metrics.enabled:
+            metrics.histogram("repro_serving_queue_wait_seconds").observe(
+                monotonic() - admitted)
+        with self._executing_lock:
+            self._executing += 1
+        try:
+            result = self._execute(request, on_route)
+        finally:
+            with self._executing_lock:
+                self._executing -= 1
+        if (deadline is not None and not result.stats.completed
+                and monotonic() >= deadline[0]):
+            # Incomplete at an expired deadline: the structured error,
+            # not a silent partial.
+            raise DeadlineExceededError(deadline[1])
+        return result
+
+    def _finish(self, future: asyncio.Future, key, result, error) -> None:
+        """Resolve a work item's future (on the event loop)."""
+        if key is _CALL:
+            if future.cancelled():  # its caller stopped waiting
+                return
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+            return
+        if error is None:
+            self.stats.executed += 1
+            future.set_result(result)
+        else:
+            if isinstance(error, DeadlineExceededError):
+                self._count_deadline_shed()
+            future.set_exception(error)
+        self._pending -= 1
+        if self._pending == 0:
+            self._no_pending.set()
+        if key is not None and self._inflight.get(key) is future:
+            del self._inflight[key]
 
     @staticmethod
     def _capped_to(deadline, request: QueryRequest) -> QueryRequest:

@@ -78,15 +78,15 @@ from repro.api import QueryOptions, QueryRequest
 from repro.exceptions import (DeadlineExceededError, ReproError,
                               ServiceOverloadedError)
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.server.async_service import MAX_GROUPS, AsyncQueryService
+from repro.server.async_service import AsyncQueryService
 from repro.service.service import QueryService
 
 #: LRU caps on the server's one warm session when it serves unsharded
 #: (shard workers hold their own sessions): one ``dis(·, t)`` kernel per
-#: live group, and 2**16 FindNN cursors — a few times what MAX_GROUPS
+#: live group, and 2**16 FindNN cursors — a few times what 512
 #: single-request groups on the benchmark's CAL graph held, at about 40
 #: cursors each, when every group had a session of its own
-SESSION_MAX_DEST_KERNELS = MAX_GROUPS
+SESSION_MAX_DEST_KERNELS = 512
 SESSION_MAX_FINDERS = 2 ** 16
 
 #: every key a request record may carry; anything else is rejected with
@@ -301,8 +301,7 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
         # it runs on the one execution thread, which owns them.
         # Sharded, both probes talk over the worker pipes — blocking
         # I/O that must stay off the event loop.
-        return await asyncio.get_running_loop().run_in_executor(
-            aqs._pool, payload, request_id)
+        return await aqs.call(payload, request_id)
 
     async def _stream_response(request: QueryRequest,
                                deadline_s: Optional[float], request_id,

@@ -22,6 +22,7 @@ Pins the acceptance contracts of the PR 4 server:
 """
 
 import asyncio
+import itertools
 import json
 import random
 import threading
@@ -40,7 +41,6 @@ from repro import (
 from repro.exceptions import QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.server import async_service
 from repro.service.service import QueryService
 
 from test_backend_parity import assert_same_outcome
@@ -178,86 +178,115 @@ class TestBackpressure:
         with pytest.raises(ValueError):
             AsyncQueryService(engine.service, max_queue=0)
 
-    def test_idle_groups_retired_at_max_groups(self, engine, monkeypatch):
-        """Diverse traffic must not grow one worker per group forever."""
+    def test_distinct_groups_leave_no_tasks_behind(self, engine):
+        """Diverse traffic grows nothing per group: 1 000 distinct
+        (t, C) groups through one front door leave the event loop's task
+        count where it started, and every answer is exact."""
         g = engine.graph
-        monkeypatch.setattr(async_service, "MAX_GROUPS", 2)
+        sequences = [list(c) for r in (1, 2, 3)
+                     for c in itertools.permutations(range(4), r)]
+        queries = [make_query(g, t % 7, t, cats, k=1)
+                   for t in range(g.num_vertices) for cats in sequences]
+        queries = queries[:1000]
+        assert len({(q.target, tuple(q.categories)) for q in queries}) == 1000
+
+        async def scenario():
+            before = len(asyncio.all_tasks())
+            async with AsyncQueryService(engine.service) as front:
+                results = await front.gather(queries)
+                return before, len(asyncio.all_tasks()), results
+
+        before, after, results = asyncio.run(scenario())
+        assert after == before
+        cold = KOSREngine.build(g)
+        for q, warm in zip(queries, results):
+            assert_same_outcome(warm, cold.run(q))
+
+    def test_execution_thread_survives_a_failure_outside_the_run(
+            self, engine):
+        """An exception raised on the execution thread outside
+        ``service.run`` answers that caller with the error; the next
+        request succeeds on the same thread."""
+        q1 = make_query(engine.graph, 0, 30, [0, 1], k=2)
+        q2 = make_query(engine.graph, 1, 30, [0, 1], k=2)
+        threads = []
 
         async def scenario():
             async with AsyncQueryService(engine.service) as front:
-                for t in (25, 26, 27, 28, 29):
-                    await front.submit(
-                        QueryRequest(make_query(g, 0, t, [0, 1], k=1)))
-                return len(front._groups), front.stats.groups_retired
+                real = front._execute
 
-        live, retired = asyncio.run(scenario())
-        assert live <= 2
-        assert retired == 3
+                def flaky(*args):
+                    threads.append(threading.current_thread())
+                    if len(threads) == 1:
+                        raise RuntimeError("synthetic plumbing failure")
+                    return real(*args)
 
-    def test_busy_groups_never_evicted(self, engine, monkeypatch):
-        """The group cap is soft: outstanding requests pin their group."""
+                front._execute = flaky
+                with pytest.raises(RuntimeError, match="synthetic"):
+                    await front.submit(QueryRequest(q1))
+                result = await front.submit(QueryRequest(q2))
+                assert front.pending == 0
+                return result, front.stats
+
+        result, stats = asyncio.run(scenario())
+        assert len(threads) == 2 and threads[0] is threads[1]
+        assert result.stats.completed
+        assert stats.executed == 1
+        assert_same_outcome(result, KOSREngine.build(engine.graph).run(q2))
+
+    def test_close_answers_every_queued_request(self, engine):
+        """Requests already queued when ``close()`` is called are all
+        answered exactly; a deadline request that expires while queued
+        behind a gated execution is shed without running."""
         g = engine.graph
+        queries = [make_query(g, s, t, [0, 1], k=2)
+                   for s, t in ((0, 25), (1, 26), (2, 27), (3, 28))]
+        late = make_query(g, 4, 29, [0, 1], k=2)
         gate = threading.Event()
-        monkeypatch.setattr(async_service, "MAX_GROUPS", 1)
+        executed = []
 
         async def scenario():
             front = AsyncQueryService(engine.service)
             real = front._execute
-            front._execute = lambda *args: (gate.wait(10),
-                                            real(*args))[1]
-            first = asyncio.ensure_future(front.submit(
-                QueryRequest(make_query(g, 0, 25, [0, 1], k=1))))
+
+            def gated(request, *rest):
+                executed.append(request.query)
+                gate.wait(10)
+                return real(request, *rest)
+
+            front._execute = gated
+            first = asyncio.ensure_future(
+                front.submit(QueryRequest(queries[0])))
+            while not front._executing:
+                await asyncio.sleep(0.001)
+            rest = [asyncio.ensure_future(front.submit(QueryRequest(q)))
+                    for q in queries[1:]]
+            shed = asyncio.ensure_future(
+                front.submit(QueryRequest(late), deadline_s=0.02))
             for _ in range(5):
                 await asyncio.sleep(0)
-            # A second group arrives while the first is busy: no eviction.
-            second = asyncio.ensure_future(front.submit(
-                QueryRequest(make_query(g, 0, 26, [0, 1], k=1))))
-            for _ in range(5):
-                await asyncio.sleep(0)
-            overshoot = len(front._groups)
+            before = front.stats.as_dict()
+            closing = asyncio.ensure_future(front.close())
+            await asyncio.sleep(0.05)  # past the deadline, still gated
+            assert not closing.done()
+            with pytest.raises(RuntimeError, match="closed"):
+                await front.submit(QueryRequest(queries[0]))
             gate.set()
-            results = await asyncio.gather(first, second)
-            await front.close()
-            return overshoot, results, front.stats.groups_retired
+            await closing
+            settled = await asyncio.gather(first, *rest, shed,
+                                           return_exceptions=True)
+            return before, front.stats.as_dict(), settled
 
-        overshoot, results, retired = asyncio.run(scenario())
-        assert overshoot == 2  # soft cap overshot rather than dropping work
-        assert retired == 0
-        assert all(r.stats.completed for r in results)
-
-    def test_worker_survives_plumbing_failure(self, engine):
-        """An exception outside the executor must not hang the group."""
-        q1 = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        q2 = make_query(engine.graph, 1, 30, [0, 1], k=2)
-
-        class FlakySemaphore:
-            """The dispatch semaphore, failing its first acquire."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            async def __aenter__(self):
-                self.calls += 1
-                if self.calls == 1:
-                    raise RuntimeError("synthetic plumbing failure")
-                return await self.inner.__aenter__()
-
-            async def __aexit__(self, *exc):
-                return await self.inner.__aexit__(*exc)
-
-        async def scenario():
-            async with AsyncQueryService(engine.service) as front:
-                front._sem = FlakySemaphore(front._sem)
-                with pytest.raises(RuntimeError, match="synthetic"):
-                    await front.submit(QueryRequest(q1))
-                # Same group, same worker: it must still be alive.
-                result = await front.submit(QueryRequest(q2))
-                assert front.pending == 0
-                return result
-
-        result = asyncio.run(scenario())
-        assert result.stats.completed
+        before, after, settled = asyncio.run(scenario())
+        *answers, shed = settled
+        assert isinstance(shed, DeadlineExceededError)
+        assert executed == queries  # the late request never ran
+        assert after["executed"] == before["executed"] + len(queries)
+        assert after["deadline_shed"] == before["deadline_shed"] + 1
+        assert after["groups_retired"] == 0
+        cold = KOSREngine.build(g)
+        for q, warm in zip(queries, answers):
+            assert_same_outcome(warm, cold.run(q))
 
 
 class TestErrorPropagation:

@@ -723,6 +723,96 @@ class TestTcpStreaming:
         assert reply["id"] == "bad"
         assert "unknown method" in reply["error"]
 
+    def test_slow_reader_stalls_only_its_own_stream(self, engine,
+                                                     monkeypatch):
+        """A client that requests a long stream and does not read: the
+        server buffers at most its high-water mark plus one record for
+        that connection, another connection is answered meanwhile, and
+        the slow client later reads every route and the summary."""
+        import socket
+
+        from repro.server import tcp
+
+        high_water = 2048
+        record = {"id": "slow", "source": 0, "target": 30,
+                  "categories": [0, 1, 2, 3], "k": 400, "stream": True}
+        transports = []
+        real_start = asyncio.start_server
+
+        async def recording_start(handle, *args, **kwargs):
+            async def recorded(reader, writer):
+                writer.transport.set_write_buffer_limits(high=high_water)
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                transports.append(writer.transport)
+                await handle(reader, writer)
+            return await real_start(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(tcp.asyncio, "start_server", recording_start)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = await tcp.serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                slow = socket.socket()
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 2048)
+                slow.setblocking(False)
+                await loop.sock_connect(slow, ("127.0.0.1", port))
+                await loop.sock_sendall(
+                    slow, json.dumps(record).encode() + b"\n")
+                deadline = time.monotonic() + 10
+                while not (transports
+                           and transports[0].get_write_buffer_size()):
+                    assert time.monotonic() < deadline, "stream never stalled"
+                    await asyncio.sleep(0.001)
+                (transport,) = transports
+                peak = 0
+
+                async def sample():
+                    nonlocal peak
+                    while True:
+                        peak = max(peak, transport.get_write_buffer_size())
+                        await asyncio.sleep(0.001)
+
+                sampler = loop.create_task(sample())
+                (plain,) = await _talk(port, [
+                    {"id": "other", "source": 1, "target": 25,
+                     "categories": [0, 1], "k": 2}])
+                await asyncio.sleep(0.05)
+                sampler.cancel()
+                received = b""
+                while not received.endswith(b"\n") or \
+                        b'"summary"' not in received.rsplit(b"\n", 2)[-2]:
+                    chunk = await loop.sock_recv(slow, 65536)
+                    assert chunk, "server closed the stream early"
+                    received += chunk
+                slow.close()
+                return peak, plain, received
+            finally:
+                await _shutdown(server)
+
+        peak, plain, received = asyncio.run(scenario())
+        lines = received.splitlines()
+        *routes, summary = [json.loads(line) for line in lines]
+        longest = max(len(line) + 1 for line in lines[:-1])
+        assert 0 < peak <= high_water + longest
+        assert plain["id"] == "other" and plain["completed"]
+        cold = KOSREngine.build(engine.graph)
+        assert plain["costs"] == cold.run(
+            make_query(engine.graph, 1, 25, [0, 1], k=2)).costs
+        expected = cold.run(make_query(engine.graph, 0, 30, [0, 1, 2, 3],
+                                       k=400))
+        assert [r["rank"] for r in routes] == list(range(1, len(routes) + 1))
+        assert [r["cost"] for r in routes] == expected.costs
+        assert [r["witness"] for r in routes] == \
+            [list(w) for w in expected.witnesses]
+        assert summary["summary"] is True
+        assert summary["results_streamed"] == len(routes)
+        assert summary["costs"] == expected.costs
+        assert summary["nn_queries"] == expected.stats.nn_queries
+        assert summary["examined_routes"] == expected.stats.examined_routes
+
 
 class TestTcpDeadline:
     def test_past_deadline_request_gets_structured_error(self, engine):
