@@ -647,7 +647,13 @@ def cmd_metrics(args) -> int:
         print(f"error: cannot reach {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 1
-    payload = json.loads(reply)
+    try:
+        payload = json.loads(reply)
+    except ValueError:  # nothing, or not JSON
+        payload = None
+    if not isinstance(payload, dict):
+        print(f"error: unexpected reply {reply[:200]!r}", file=sys.stderr)
+        return 1
     if args.stats:
         stats = payload.get("stats")
         if stats is None:

@@ -21,9 +21,12 @@ The registry is keyed by ``(name, labels)`` and guarded by a single
         m.counter("repro_queries_total", method="SK").inc()
 
 so the disabled cost is one attribute read and one branch — no metric
-lookups, no clock reads.  Observability must never perturb answers:
-nothing in this module touches query state, and the parity / fuzz suites
-run with the registry enabled to pin that (``REPRO_METRICS=1``).
+lookups, no clock reads.  Events a layer already counts in plain
+counters are not booked here at all: snapshot-time samplers copy them
+in (:meth:`MetricsRegistry.sample_totals`).  Observability must never
+perturb answers: nothing in this module touches query state, and the
+parity / fuzz suites run with the registry enabled to pin that
+(``REPRO_METRICS=1``).
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain dicts of plain
 lists — picklable for the shard pipe protocol and JSON-able for the TCP
@@ -194,6 +197,16 @@ class MetricsRegistry:
         if metric is None:
             metric = self._metrics.setdefault(key, Histogram(name, labels, bounds))
         return metric
+
+    def sample_totals(self, prefix: str, totals: Dict[str, int]) -> None:
+        """Set one ``<prefix><name>_total`` counter per entry of ``totals``.
+
+        For events a layer already counts in plain always-on counters
+        (``ServingStats``, ``CacheStats``): the registry reads those at
+        snapshot time instead of booking every event a second time.
+        """
+        for name, value in totals.items():
+            self.counter(f"{prefix}{name}_total").value = value
 
     def snapshot(self) -> dict:
         """A plain-data view of every instrument (picklable, JSON-able)."""

@@ -85,9 +85,11 @@ _CALL = object()
 class ServingStats:
     """Front-door counters: admission, coalescing, and execution.
 
-    ``groups_retired`` is always 0: the front door keeps no per-group
-    workers to retire.  The key stays so readers of :meth:`as_dict` see
-    the same fields.
+    The one count of each event: :meth:`AsyncQueryService.metrics_snapshot`
+    publishes them as ``repro_serving_<name>_total``.  ``groups_retired``
+    is always 0: the front door keeps no per-group workers to retire.
+    The key stays so readers of :meth:`as_dict` see the same fields; it
+    is not published.
     """
 
     __slots__ = ("submitted", "coalesced", "rejected", "executed",
@@ -215,28 +217,21 @@ class AsyncQueryService:
             raise RuntimeError("AsyncQueryService is closed")
         request = self._coerce(request, options)
         self.stats.submitted += 1
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_serving_submitted_total").inc()
         if on_route is not None:
             self.stats.streamed += 1
-            if metrics.enabled:
-                metrics.counter("repro_serving_streamed_total").inc()
         key = None  # stays None when not registered for coalescing
         if deadline_s is None and on_route is None:
             key = request.key
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self.stats.coalesced += 1
-                if metrics.enabled:
-                    metrics.counter("repro_serving_coalesced_total").inc()
                 # shield: one waiter's cancellation must not cancel the
                 # shared execution out from under the others.
                 return await asyncio.shield(inflight)
         deadline = self._deadline_from(deadline_s)
         self._admit(request)
         # the admission time, for the queue-wait histogram
-        admitted = monotonic() if metrics.enabled else None
+        admitted = monotonic() if _METRICS.enabled else None
         future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
@@ -268,15 +263,9 @@ class AsyncQueryService:
             return None
         deadline_ms = float(deadline_s) * 1000.0
         if deadline_s <= 0:
-            self._count_deadline_shed()
+            self.stats.deadline_shed += 1
             raise DeadlineExceededError(deadline_ms)
         return (monotonic() + deadline_s, deadline_ms)
-
-    def _count_deadline_shed(self) -> None:
-        self.stats.deadline_shed += 1
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_serving_deadline_shed_total").inc()
 
     def _admit(self, request: QueryRequest) -> None:
         """Bounded admission; sheds the expensive plan class first.
@@ -290,19 +279,13 @@ class AsyncQueryService:
         """
         if self.max_queue is None:
             return
-        metrics = _METRICS
         if self._pending >= self.max_queue:
             self.stats.rejected += 1
-            if metrics.enabled:
-                metrics.counter("repro_serving_rejected_total").inc()
             raise ServiceOverloadedError(self._pending, self.max_queue)
         if (self._pending >= max(1, self.max_queue // 2)
                 and self._is_expensive(request)):
             self.stats.rejected += 1
             self.stats.expensive_shed += 1
-            if metrics.enabled:
-                metrics.counter("repro_serving_rejected_total").inc()
-                metrics.counter("repro_serving_expensive_shed_total").inc()
             raise ServiceOverloadedError(self._pending, self.max_queue)
 
     def _is_expensive(self, request: QueryRequest) -> bool:
@@ -322,14 +305,12 @@ class AsyncQueryService:
             return False
         if not plan.spec.needs_finder:
             return True
-        owners_for = getattr(self.service, "owners_for", None)
-        if owners_for is not None:
-            try:
-                if len(owners_for(request.query, options)) > 1:
-                    return True
-            except Exception:
-                return False
-        return False
+        if not self._sharded:
+            return False
+        try:
+            return len(self.service.owners_for(request.query, options)) > 1
+        except Exception:
+            return False
 
     async def gather(self, requests: Sequence[Union[QueryRequest, KOSRQuery]],
                      options: Optional[QueryOptions] = None) -> List:
@@ -348,49 +329,31 @@ class AsyncQueryService:
         """Session-cache counters of the warm state this front door uses.
 
         Unsharded, that is the service's one session (which ``run`` and
-        ``run_batch`` on the same service share).  With a sharded backend
-        the warm state lives in the worker processes, so the counters come
-        from the fleet instead (one ``stats`` exchange per shard).  This
-        is what the TCP protocol's ``{"stats": true}`` request reports.
+        ``run_batch`` on the same service share); sharded, the sum over
+        the worker processes' sessions (one ``stats`` exchange per
+        shard).  This is what the TCP ``{"stats": true}`` request reports.
         """
-        if self._sharded:
-            return self.service.cache_stats()
-        return self.service.session.stats.as_dict()
-
-    def cache_hit_rates(self) -> Dict[str, float]:
-        """Per-artefact hit rates derived from :meth:`cache_stats`."""
-        from repro.service.cache import hit_rates_from
-
-        return hit_rates_from(self.cache_stats())
+        return self.service.cache_stats()
 
     def metrics_snapshot(self) -> dict:
         """One merged metrics snapshot for this front door.
 
-        Samples the point-in-time gauges (queue depth, executing count,
-        and unsharded the warm session's populations and the
-        engine's epochs) into the process registry, then returns its
-        snapshot — or, over a sharded backend, the fleet-wide merge of
-        every worker's registry with this process's (the workers' warm
-        state lives with them, so their handlers sample their own
-        gauges).  This is what the TCP ``{"metrics": true}`` probe and
-        ``cli metrics`` report.  With the registry disabled the snapshot
-        is empty and says so (``{"enabled": false}``).
+        Sets ``repro_serving_<field>_total`` from :attr:`stats` and the
+        queue gauges in the process registry, then returns the backing's
+        snapshot: the service samples its session and epochs (a fleet
+        merges every worker's registry, each worker sampling its own).
+        This is what the TCP ``{"metrics": true}`` probe and ``cli
+        metrics`` report.  With the registry disabled the snapshot is
+        empty and says so (``{"enabled": false}``).
         """
         metrics = _METRICS
         if metrics.enabled:
+            totals = self.stats.as_dict()
+            del totals["groups_retired"]  # always 0; not published
+            metrics.sample_totals("repro_serving_", totals)
             metrics.gauge("repro_serving_queue_depth").set(self._pending)
             metrics.gauge("repro_serving_executing").set(self._executing)
-        if self._sharded:
-            return self.service.metrics_snapshot()
-        if metrics.enabled:
-            for name, value in self.service.session.populations().items():
-                metrics.gauge(f"repro_cache_{name}").set(value)
-            engine = self.service.engine
-            metrics.gauge("repro_index_epoch").set(engine.index_epoch)
-            for cid, version in engine.category_versions().items():
-                metrics.gauge("repro_category_version",
-                              category=cid).set(version)
-        return metrics.snapshot()
+        return self.service.metrics_snapshot()
 
     def _serve_work(self) -> None:
         """One execution thread: run work items until :meth:`close`'s stop
@@ -453,7 +416,7 @@ class AsyncQueryService:
             future.set_result(result)
         else:
             if isinstance(error, DeadlineExceededError):
-                self._count_deadline_shed()
+                self.stats.deadline_shed += 1
             future.set_exception(error)
         self._pending -= 1
         if self._pending == 0:

@@ -270,24 +270,19 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
         # One counter snapshot serves both fields, so the reported rates
         # always agree with the reported counters.
         totals = aqs.cache_stats()
-        payload = {"id": request_id, "stats": {
+        return {"id": request_id, "stats": {
             "serving": aqs.stats.as_dict(),
             "cache": totals,
             "hit_rates": hit_rates_from(totals),
-        }}
-        index_memory = getattr(served, "index_memory", None)
-        if callable(index_memory):
             # Resident-vs-serialized index footprint (per worker for a
             # sharded backend), so operators can watch index memory
             # without touching the process.
-            payload["stats"]["index_memory"] = index_memory()
-        epoch_info = getattr(served, "epoch_info", None)
-        if callable(epoch_info):
+            "index_memory": served.index_memory(),
             # Index epoch + per-category version counters (per shard on
             # a fleet), so operators can watch updates — including a
             # fenced edge swap — land without touching the process.
-            payload["stats"]["epochs"] = epoch_info()
-        return payload
+            "epochs": served.epoch_info(),
+        }}
 
     def _metrics_payload(request_id) -> dict:
         return {"id": request_id, "metrics": aqs.metrics_snapshot()}

@@ -239,9 +239,9 @@ CACHE_KINDS = ("finder", "dest_kernel", "est_stream", "ch", "disk_view")
 def hit_rates_from(totals: Dict[str, int]) -> Dict[str, float]:
     """Per-artefact hit rates from a counter dict (0.0 when never used).
 
-    The one place the hits / (hits + misses) computation lives — used by
-    single sessions, the async front door, and the sharded fleet's
-    summed worker counters alike.
+    The one place the hits / (hits + misses) computation lives — for one
+    session's counters and the sharded fleet's summed worker counters
+    alike.
     """
     rates: Dict[str, float] = {}
     for kind in CACHE_KINDS:
@@ -325,14 +325,8 @@ class SessionCache:
             OrderedDict()
         self._ch = None
         self._disk: Optional[IndexAttachment] = None
-        #: counter values as of the last publish_metrics() call
-        self._metrics_published: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def hit_rates(self) -> Dict[str, float]:
-        """This session's per-artefact cache hit rates (see CacheStats)."""
-        return self.stats.hit_rates()
-
     def populations(self) -> Dict[str, int]:
         """Current warm-artefact population sizes (gauge material).
 
@@ -351,22 +345,6 @@ class SessionCache:
                 for by_source in kernel.streams.values()
                 for stream in by_source.values()),
         }
-
-    def publish_metrics(self, registry) -> None:
-        """Fold counter movement since the last publish into ``registry``.
-
-        Publishing deltas (rather than setting totals) makes the registry
-        counters correct across any number of sessions in the process —
-        each session contributes exactly its own movement — and keeps
-        fleet-wide merges additive.
-        """
-        current = self.stats.as_dict()
-        last = self._metrics_published
-        for name, value in current.items():
-            delta = value - last.get(name, 0)
-            if delta:
-                registry.counter(f"repro_cache_{name}_total").inc(delta)
-                last[name] = value
 
     # ------------------------------------------------------------------
     def validate(self) -> bool:

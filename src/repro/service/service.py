@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
 from repro.core.query import KOSRQuery
-from repro.obs.metrics import REGISTRY as _METRICS
+from repro.obs.metrics import REGISTRY
 from repro.service.cache import SessionCache
 from repro.service.execution import WarmResources, execute_plan
 from repro.service.planner import resolve_plan
@@ -131,9 +131,6 @@ class QueryService:
             self.engine, plan, q, options,
             resources=WarmResources(session), on_result=seam,
         )
-        metrics = _METRICS
-        if metrics is not None and metrics.enabled:
-            session.publish_metrics(metrics)
         if on_route is not None:
             for res in result.results[emitted:]:
                 on_route(res)
@@ -168,14 +165,14 @@ class QueryService:
         groups = self.group_queries(queries)
         results: List = [None] * len(queries)
         t0 = time.perf_counter()
-        before = self.session.stats.as_dict()
+        before = self.cache_stats()
         for indexes in groups.values():
             for i in indexes:
                 results[i] = self.run(queries[i], options)
         # Session stats accumulate across batches; report this batch's
         # contribution so BatchResult stands on its own.
         cache_stats = {name: value - before[name] for name, value
-                       in self.session.stats.as_dict().items()}
+                       in self.cache_stats().items()}
         return BatchResult(
             results=results,
             wall_time_s=time.perf_counter() - t0,
@@ -184,6 +181,38 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------
+    def cache_stats(self) -> Dict[str, int]:
+        """The session's cache counters (what ``{"stats": true}`` reports)."""
+        return self.session.stats.as_dict()
+
+    def metrics_snapshot(self, *, shard: Optional[int] = None,
+                         owned: Optional[Sequence] = None) -> dict:
+        """The process registry's snapshot, this service's state sampled in.
+
+        Sets ``repro_cache_<name>_total`` from the session's
+        :class:`~repro.service.cache.CacheStats`, the warm-population
+        gauges, ``repro_index_epoch`` (labelled ``shard`` when given) and
+        one ``repro_category_version`` gauge per category — only the
+        ``owned`` ones when given, because a fleet merge adds gauges and
+        each category must come from exactly one worker, its owner.
+        Totals, not deltas: a process holds one serving session (the
+        front door's, or a shard worker's), so they are its counts.
+        """
+        if REGISTRY.enabled:
+            REGISTRY.sample_totals("repro_cache_", self.cache_stats())
+            for name, value in self.session.populations().items():
+                REGISTRY.gauge(f"repro_cache_{name}").set(value)
+            engine = self.engine
+            labels = {} if shard is None else {"shard": shard}
+            REGISTRY.gauge("repro_index_epoch",
+                           **labels).set(engine.index_epoch)
+            versions = engine.category_versions()
+            for cid in versions if owned is None else owned:
+                if cid in versions:
+                    REGISTRY.gauge("repro_category_version",
+                                   category=cid).set(versions[cid])
+        return REGISTRY.snapshot()
+
     def index_memory(self) -> Dict[str, object]:
         """Index memory accounting of the backing engine (see
         :meth:`~repro.core.engine.KOSREngine.index_memory`)."""

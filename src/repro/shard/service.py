@@ -748,12 +748,6 @@ class ShardedQueryService:
                 totals[name] = totals.get(name, 0) + value
         return totals
 
-    def hit_rates(self) -> Dict[str, float]:
-        """Fleet-wide per-artefact cache hit rates (hits / lookups)."""
-        from repro.service.cache import hit_rates_from
-
-        return hit_rates_from(self.cache_stats())
-
     def metrics_snapshot(self) -> dict:
         """Fleet-merged metrics: every worker's registry plus this one's.
 

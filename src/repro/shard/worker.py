@@ -341,30 +341,14 @@ class _ShardWorker:
         }
 
     def cache_stats(self) -> dict:
-        return self.service.session.stats.as_dict()
+        return self.service.cache_stats()
 
     def metrics_snapshot(self) -> dict:
-        """This worker's registry snapshot, gauges freshly sampled.
-
-        Besides the cache populations this samples the epoch gauges: the
-        worker's ``repro_index_epoch`` and one ``repro_category_version``
-        gauge per *owned* materialised category.  Owner-only sampling
-        matters because fleet merges add gauges across snapshots — each
-        category must be reported by exactly one worker, its owner, even
-        when other shards have faulted it in.
-        """
-        if REGISTRY.enabled:
-            for name, value in self.service.session.populations().items():
-                REGISTRY.gauge(f"repro_cache_{name}").set(value)
-            engine = self.engine
-            REGISTRY.gauge("repro_index_epoch",
-                           shard=self.shard).set(engine.index_epoch)
-            versions = engine.category_versions()
-            for cid in self.owned:
-                if cid in versions:
-                    REGISTRY.gauge("repro_category_version",
-                                   category=cid).set(versions[cid])
-        return REGISTRY.snapshot()
+        """This worker's registry snapshot: its epoch labelled by shard,
+        category versions for the *owned* categories only, even when
+        other shards have faulted them in."""
+        return self.service.metrics_snapshot(shard=self.shard,
+                                             owned=self.owned)
 
     def index_memory(self) -> dict:
         """Engine index accounting plus this process's OS-level memory."""

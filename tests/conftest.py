@@ -48,6 +48,20 @@ def _fail_hung_tests():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture()
+def enabled_registry():
+    """The module-wide metrics registry, enabled and clean, restored
+    afterwards."""
+    from repro.obs.metrics import REGISTRY
+
+    was_enabled = REGISTRY.enabled
+    REGISTRY.reset()
+    REGISTRY.enable()
+    yield REGISTRY
+    REGISTRY.enabled = was_enabled
+    REGISTRY.reset()
+
+
 @pytest.fixture(scope="session")
 def fig1_graph():
     """The paper's Figure 1 graph (8 vertices, 14 edges, MA/RE/CI)."""

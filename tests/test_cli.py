@@ -452,6 +452,34 @@ class TestMetricsCommand:
         assert "index_epoch  0 (base 0)" in out
         assert "versions=[" in out
 
+    @pytest.mark.parametrize("reply", [b"", b"[1, 2]\n", b'"ok"\n',
+                                       b"not json\n"])
+    def test_unexpected_reply_is_an_error_not_a_traceback(self, capsys,
+                                                          reply):
+        """A server that closes without replying, or replies with
+        something other than a JSON object: exit 1 with a message."""
+        import socket
+        import threading
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+        thread = threading.Thread(target=answer_once)
+        thread.start()
+        try:
+            code = main(["metrics", "--port", str(port)])
+        finally:
+            thread.join(10)
+            listener.close()
+        assert code == 1
+        assert "error: unexpected reply" in capsys.readouterr().err
+
 
 class TestSkDbOverIndexFile:
     """``index build`` writes the one persisted index; SK-DB reads it."""

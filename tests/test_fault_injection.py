@@ -26,20 +26,9 @@ from repro import (
 from repro.exceptions import ShardError
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.obs.metrics import REGISTRY
 
 from fleet_fakes import InThreadFleet
 from test_backend_parity import assert_same_outcome
-
-
-@pytest.fixture()
-def enabled_registry():
-    was_enabled = REGISTRY.enabled
-    REGISTRY.reset()
-    REGISTRY.enable()
-    yield REGISTRY
-    REGISTRY.enabled = was_enabled
-    REGISTRY.reset()
 
 
 def _graph(seed: int, n: int = 40, cats: int = 4, size: int = 7):

@@ -13,8 +13,10 @@ Pins the PR 7 contracts of :mod:`repro.obs`:
   change a single bit of any answer or ``QueryStats`` counter, across
   every method and across warm/cold paths (the suite-wide version of
   this runs the parity/fuzz files with ``REPRO_METRICS=1``);
-* per-layer recording — the execution layer populates the method-labeled
-  counters/histograms, the session cache publishes hit/miss deltas.
+* per-layer recording — the execution layer records the method-labeled
+  counters/histograms per query; the session cache records nothing,
+  and ``QueryService.metrics_snapshot`` samples its ``CacheStats``
+  totals into ``repro_cache_*_total`` when a snapshot is taken.
 """
 
 import json
@@ -184,17 +186,6 @@ class TestMergeSnapshots:
         assert metric["value"] == 7
 
 
-@pytest.fixture()
-def enabled_registry():
-    """The module-wide registry, enabled and clean, restored afterwards."""
-    was_enabled = REGISTRY.enabled
-    REGISTRY.reset()
-    REGISTRY.enable()
-    yield REGISTRY
-    REGISTRY.enabled = was_enabled
-    REGISTRY.reset()
-
-
 def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 7):
     g = random_graph(n, avg_out_degree=2.8, rng=random.Random(seed))
     assign_uniform_categories(g, cats, size, random.Random(seed + 1))
@@ -255,33 +246,35 @@ class TestLayerRecording:
         assert by_key[("repro_nn_queries_total", "SK")]["value"] == \
             result.stats.nn_queries
 
-    def test_cache_layer_publishes_deltas_not_totals(self, enabled_registry):
+    def test_cache_counters_are_sampled_at_snapshot_time(self,
+                                                         enabled_registry):
+        """A query books no ``repro_cache_*`` counter; the service's
+        ``metrics_snapshot`` sets each to its session's total."""
         g = _graph(233)
-        engine = KOSREngine.build(g)
+        service = KOSREngine.build(g).service
         q = make_query(g, 0, 30, [0, 1], k=2)
-        engine.service.run(q)
-        first = {m["name"]: m["value"]
-                 for m in enabled_registry.snapshot()["metrics"]
-                 if m["type"] == "counter"}
-        engine.service.run(q)  # warm repeat: hits, no new misses
-        second = {m["name"]: m["value"]
-                  for m in enabled_registry.snapshot()["metrics"]
-                  if m["type"] == "counter"}
-        assert second["repro_cache_finder_hits_total"] >= \
-            first.get("repro_cache_finder_hits_total", 0) + 1
-        assert second["repro_cache_finder_misses_total"] == \
-            first["repro_cache_finder_misses_total"]
+
+        def cache_counters(snapshot):
+            return {m["name"][len("repro_cache_"):-len("_total")]: m["value"]
+                    for m in snapshot["metrics"] if m["type"] == "counter"
+                    and m["name"].startswith("repro_cache_")}
+
+        service.run(q)
+        assert cache_counters(enabled_registry.snapshot()) == {}
+        first = cache_counters(service.metrics_snapshot())
+        assert first == service.cache_stats()
+        service.run(q)  # warm repeat: hits, no new misses
+        second = cache_counters(service.metrics_snapshot())
+        assert second == service.cache_stats()
+        assert second["finder_hits"] >= first["finder_hits"] + 1
+        assert second["finder_misses"] == first["finder_misses"]
         # FindNEN streams: marked by the first run, kept by the second,
         # read back by the third.
-        assert "repro_cache_est_stream_hits_total" not in second
-        assert second["repro_cache_est_stream_misses_total"] == \
-            2 * first["repro_cache_est_stream_misses_total"]
-        engine.service.run(q)
-        third = {m["name"]: m["value"]
-                 for m in enabled_registry.snapshot()["metrics"]
-                 if m["type"] == "counter"}
-        assert third["repro_cache_est_stream_hits_total"] == \
-            first["repro_cache_est_stream_misses_total"]
+        assert second["est_stream_hits"] == 0
+        assert second["est_stream_misses"] == 2 * first["est_stream_misses"]
+        service.run(q)
+        third = cache_counters(service.metrics_snapshot())
+        assert third["est_stream_hits"] == first["est_stream_misses"]
 
     def test_disabled_registry_records_nothing(self):
         was_enabled = REGISTRY.enabled

@@ -211,7 +211,7 @@ class TestCacheRetention:
     """Per-category invalidation: untouched categories stay warm.
 
     The satellite contract: after updating category A, category B's warm
-    entries survive (asserted through ``SessionCache.hit_rates()`` /
+    entries survive (asserted through ``CacheStats.hit_rates()`` /
     stats counters) and A's cursors are the only ones dropped — while
     answers and ``QueryStats`` on both categories stay bit-identical to
     fresh engines.
@@ -254,7 +254,7 @@ class TestCacheRetention:
         # The finder lookup was a hit: B was served from retained state.
         assert after["finder_hits"] == before["finder_hits"] + 1
         assert after["finder_misses"] == before["finder_misses"]
-        assert service.session.hit_rates()["finder"] > 0.0
+        assert service.session.stats.hit_rates()["finder"] > 0.0
         # ... and both categories still answer exactly like fresh engines.
         fresh = reference_engine(engine.graph.copy())
         assert_same_outcome(warm_b, fresh.run(qb, SK))

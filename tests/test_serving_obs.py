@@ -69,16 +69,6 @@ def engine():
     return KOSREngine.build(_graph(91))
 
 
-@pytest.fixture()
-def enabled_registry():
-    was_enabled = REGISTRY.enabled
-    REGISTRY.reset()
-    REGISTRY.enable()
-    yield REGISTRY
-    REGISTRY.enabled = was_enabled
-    REGISTRY.reset()
-
-
 class _StopStreaming(Exception):
     pass
 
@@ -934,6 +924,65 @@ class TestEpochGauges:
             assert epochs["0"] >= 1  # the owner's index moved
         finally:
             sharded.close()
+
+
+class TestCountOnce:
+    """Each published ``repro_serving_*`` / ``repro_cache_*`` counter is
+    the plain counter it samples, name by name: no event is booked a
+    second time, unsharded or over a fleet."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_published_counters_equal_the_plain_ones(self, enabled_registry,
+                                                     shards):
+        g = _graph(107, cats=4)
+        engine = KOSREngine.build(g)
+        backing = engine.service if shards is None else \
+            ShardedQueryService.from_engine(engine, num_shards=shards)
+        # categories 0 and 2: one owner on two shards, never spanning
+        q1, q2, q3 = (QueryRequest(make_query(g, s, 30, [0, 2], k=2))
+                      for s in (0, 1, 2))
+        gate = threading.Event()
+
+        async def scenario():
+            front = AsyncQueryService(backing, max_queue=1)
+            real = front._execute
+            front._execute = lambda *args: (gate.wait(10), real(*args))[1]
+            first = asyncio.ensure_future(front.submit(q1))
+            twin = asyncio.ensure_future(front.submit(q1))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert front.stats.coalesced == 1
+            with pytest.raises(ServiceOverloadedError):
+                await front.submit(q2)  # q1 fills the queue
+            with pytest.raises(DeadlineExceededError):
+                await front.submit(q2, deadline_s=0.0)
+            gate.set()
+            await asyncio.gather(first, twin)
+            for request in (q1, q2, q3, q1):  # warm cache lookups
+                await front.submit(request)
+            await front.submit(q2, on_route=lambda res: None)
+            snapshot = await front.call(front.metrics_snapshot)
+            serving, cache = front.stats.as_dict(), front.cache_stats()
+            await front.close()
+            return snapshot, serving, cache
+
+        try:
+            snapshot, serving, cache = asyncio.run(scenario())
+        finally:
+            if shards is not None:
+                backing.close()
+        assert serving == {"submitted": 9, "coalesced": 1, "rejected": 1,
+                           "executed": 6, "groups_retired": 0, "streamed": 1,
+                           "deadline_shed": 1, "expensive_shed": 0}
+        assert cache["finder_hits"] >= 1 and cache["dest_kernel_hits"] >= 1
+        counters = {m["name"]: m["value"] for m in snapshot["metrics"]
+                    if m["type"] == "counter" and not m["labels"]}
+        del serving["groups_retired"]  # always 0, not published
+        assert "repro_serving_groups_retired_total" not in counters
+        assert {name: counters[f"repro_serving_{name}_total"]
+                for name in serving} == serving
+        assert {name: counters[f"repro_cache_{name}_total"]
+                for name in cache} == cache
 
 
 class TestFourShardAcceptance:

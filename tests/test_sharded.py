@@ -24,6 +24,7 @@ from repro import (
 from repro.exceptions import QueryError, ShardError
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
+from repro.service.cache import hit_rates_from
 from repro.shard.router import CategoryShardRouter, merge_topk_results
 
 from conftest import reference_engine
@@ -439,7 +440,7 @@ class TestLifecycle:
         sharded.run(q, QueryOptions())
         totals = sharded.cache_stats()
         assert totals["finder_misses"] >= 1
-        rates = sharded.hit_rates()
+        rates = hit_rates_from(totals)
         assert set(rates) == {"finder", "dest_kernel", "est_stream", "ch", "disk_view"}
         assert 0.0 <= rates["finder"] <= 1.0
 
