@@ -507,8 +507,11 @@ def cmd_serve(args) -> int:
     """Run the JSON-lines TCP server until interrupted (`serve`)."""
     import asyncio
     import errno
+    import os
+    import signal
+    from functools import partial
 
-    from repro.server.tcp import serve as tcp_serve
+    from repro.server.tcp import serve as tcp_serve, shutdown as tcp_shutdown
 
     if args.metrics:
         # Enable before building anything so the sharded fleet spawns
@@ -521,6 +524,23 @@ def cmd_serve(args) -> int:
     sharded = backend if args.shards is not None else None
     index_note = _index_note(backend, t0)
     defaults = QueryOptions(method=args.method, nn_backend=args.nn_backend)
+
+    # SIGTERM (docker stop, service managers) stops the server through
+    # its loop: open connections end at their next read instead of having
+    # their handlers cancelled mid-readline.  A Python-level handler, not
+    # loop.add_signal_handler: shard workers forked while serving inherit
+    # it, and a wake-up fd would relay their SIGTERM to this loop.
+    serving_pid = os.getpid()
+    stop_serving: List = []  # the running loop's stop callback
+
+    def _sigterm(signo, _frame):
+        if os.getpid() != serving_pid:  # a forked shard worker
+            signal.signal(signo, signal.SIG_DFL)
+            os.kill(os.getpid(), signo)
+        elif stop_serving:
+            stop_serving[0]()
+        else:  # not serving yet, or no longer
+            raise KeyboardInterrupt
 
     async def main_loop():
         server = await tcp_serve(
@@ -537,19 +557,14 @@ def cmd_serve(args) -> int:
               f"({shards_note}, mmap={mmap_note}, index={index_note}, "
               f"metrics={metrics_note}, method={args.method}, "
               f"max_queue={args.max_queue})")
+        stopped = asyncio.Event()
+        stop_serving.append(partial(
+            asyncio.get_running_loop().call_soon_threadsafe, stopped.set))
         try:
-            async with server:
-                await server.serve_forever()
+            await stopped.wait()  # Ctrl-C cancels the wait instead
         finally:
-            await server.query_service.close()
-
-    # SIGTERM (docker stop, service managers) gets the same graceful
-    # shutdown as Ctrl-C: close the front door and the worker fleet
-    # instead of dying mid-cleanup.
-    import signal
-
-    def _sigterm(_signo, _frame):
-        raise KeyboardInterrupt
+            stop_serving.clear()
+            await tcp_shutdown(server)
 
     try:
         previous = signal.signal(signal.SIGTERM, _sigterm)
@@ -558,7 +573,7 @@ def cmd_serve(args) -> int:
     try:
         asyncio.run(main_loop())
     except KeyboardInterrupt:
-        print("interrupted, shutting down")
+        pass
     except OSError as exc:
         # Most commonly EADDRINUSE from asyncio.start_server: turn the
         # bare traceback into an actionable message + nonzero exit.
@@ -577,6 +592,7 @@ def cmd_serve(args) -> int:
         # handler turning their own termination into an exception.
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+    print("interrupted, shutting down")
     return 0
 
 

@@ -95,7 +95,7 @@ class PackedInvertedIndex:
                  "hub_ranks", "version", "_base", "_file",
                  "_undecoded", "_lock", "_pending", "_tombstones",
                  "_hub_of_rank", "_live", "_num_hubs", "_dead",
-                 "_overlay_ops")
+                 "_overlay_ops", "_member_count")
 
     def __init__(self, category: CategoryId, hubs, ranks, starts, dists,
                  members, index_file=None):
@@ -140,11 +140,15 @@ class PackedInvertedIndex:
         self._dead = 0
         #: overlay mutations since the last compaction (threshold feed)
         self._overlay_ops = 0
+        #: distinct members in the effective runs (None until first read)
+        self._member_count: Optional[int] = None
 
     @classmethod
     def empty(cls, category: CategoryId) -> "PackedInvertedIndex":
         """A fresh index with no entries (new categories start here)."""
-        return cls(category, *_encode_runs(()))
+        index = cls(category, *_encode_runs(()))
+        index._member_count = 0
+        return index
 
     @property
     def shared(self) -> bool:
@@ -409,6 +413,24 @@ class PackedInvertedIndex:
             (rank, hub, lists[hub])
             for rank, hub in sorted((self.hub_ranks[hub], hub)
                                     for hub in lists))
+
+    @property
+    def member_count(self) -> int:
+        """Distinct members in the effective runs: the most neighbours a
+        FindNN cursor over this category can produce.
+
+        Read from the effective members section on first use, then kept by
+        :meth:`adjust_member_count` (physical work — decodes, patches,
+        :meth:`compact` — never changes it).
+        """
+        if self._member_count is None:
+            self._member_count = len(set(self.sections()[4].tolist()))
+        return self._member_count
+
+    def adjust_member_count(self, delta: int) -> None:
+        """Count one member in (+1) or out (-1).  Call it *before* staging
+        the member's entries, so a first read does not count them too."""
+        self._member_count = self.member_count + delta
 
     # ------------------------------------------------------------------
     # Table IX statistics

@@ -80,6 +80,7 @@ def add_vertex_to_category(
     il = inverted.get(cid)
     if il is None:
         il = inverted[cid] = PackedInvertedIndex.empty(cid)
+    il.adjust_member_count(+1)
     for hub, rank, dist in _lin_entries(labels, v):
         il.overlay_insert(hub, rank, dist, v)
     il.maybe_compact()
@@ -100,6 +101,7 @@ def remove_vertex_from_category(
     il = inverted.get(cid)
     if il is None:
         return
+    il.adjust_member_count(-1)
     for hub, rank, dist in _lin_entries(labels, v):
         il.overlay_remove(hub, rank, dist, v)
     il.maybe_compact()

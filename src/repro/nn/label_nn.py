@@ -10,10 +10,18 @@ the inverted lists ``IL(u')`` of every hub ``u' ∈ Lout(v)``:
 
 Because every hub list is sorted, the merged stream is globally
 non-decreasing in total cost, so the first time a member pops it does so at
-its exact 2-hop distance (cover property).  One correctness refinement over
-the paper's pseudo-code: a member can sit in ``NQ`` through *two* hubs at
-once, so pops must skip members already in ``NL`` (Alg. 3 only skips them
-while advancing cursors).
+its exact 2-hop distance (cover property).  Two refinements over the
+paper's pseudo-code:
+
+* correctness: a member can sit in ``NQ`` through *two* hubs at once, so
+  pops must skip members already in ``NL`` (Alg. 3 only skips them while
+  advancing cursors);
+* speed: Alg. 3 learns that a category is exhausted only once every hub
+  run is empty, and with a handful of members most of that drain pops
+  duplicates of members already found.  A cursor knows its category's
+  member count (:attr:`PackedInvertedIndex.member_count`) and empties
+  ``NQ`` as soon as ``NL`` holds every member; the next advance then ends
+  exactly as a drained one does (see :meth:`PackedLabelNNFinder._stream`).
 
 :class:`PackedLabelNNFinder` runs it over the RPLI sections
 (:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
@@ -224,18 +232,29 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             # so heapify instead of pushes changes nothing observable.
             heapq.heapify(nq)
         if cursor.nq:
-            cursor.gen = self._stream(cursor)
+            cursor.gen = self._stream(cursor, pinv.member_count)
         else:
             cursor.end()
         return cursor
 
     @staticmethod
-    def _stream(cursor: _PackedCursor):
+    def _stream(cursor: _PackedCursor, members: int):
         """Generator producing one NL entry per resume (lines 11-18).
 
         A generator rather than a method so the merge-loop bindings live
         in one long-lived frame instead of being re-established on every
         advance; on exhaustion it flags the cursor and finishes.
+
+        ``members`` is the category's member count as of cursor creation,
+        taken with the runs the cursor scans.  Once ``NL`` holds that many
+        neighbours nothing else can pop but stale duplicates, so ``NQ`` is
+        emptied before the ``yield`` instead of being drained pop by pop.
+        The counters cannot move: the entry is produced on the same resume
+        as before, and the next resume still finds ``NQ`` empty, flags the
+        cursor and ends — one booked attempt that discovers exhaustion, as
+        in a full drain.  A member the source cannot reach (directed or
+        disconnected graphs) never pops, the count is never reached, and
+        the cursor drains as Algorithm 3 does.
 
         ``heapreplace`` (one sift) stands in for the pop-push pair where
         the popped stream has a successor: heap *contents* end up the
@@ -263,5 +282,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
                 continue  # stale duplicate through another hub
             found_add(member)
             nl_append((member, total))
+            if len(found) == members:
+                nq.clear()  # the rest is stale duplicates
             yield
         cursor.end()

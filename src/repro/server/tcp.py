@@ -72,7 +72,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.api import QueryOptions, QueryRequest
 from repro.exceptions import (DeadlineExceededError, ReproError,
@@ -241,10 +241,11 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
                 service=None) -> asyncio.AbstractServer:
     """Start the TCP server; returns the listening ``asyncio`` server.
 
-    The caller owns the server's lifetime (``async with server:`` /
-    ``server.serve_forever()``); the wrapped front door is exposed as
-    ``server.query_service`` — await its ``close()`` after closing the
-    server (the CLI does both).
+    The caller owns the server's lifetime: :func:`shutdown` ends it
+    without cancelling a connection's handler (the CLI's way), or
+    ``async with server:`` / ``server.serve_forever()`` and then the
+    ``close()`` of the wrapped front door, exposed as
+    ``server.query_service``.
 
     Unsharded, the server answers over a :class:`QueryService` of its
     own on ``engine``, whose session is capped at
@@ -263,6 +264,8 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
     # Whatever owns the graph validates incoming records.
     query_maker = service if sharded else engine
     aqs = AsyncQueryService(served, max_queue=max_queue)
+    #: each open connection's handler task -> its writer (for shutdown)
+    connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def _stats_payload(request_id) -> dict:
         from repro.service.cache import hit_rates_from
@@ -349,6 +352,8 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        connections[task] = writer
         metrics = _METRICS
         if metrics.enabled:
             metrics.counter("repro_tcp_connections_total").inc()
@@ -413,6 +418,7 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
             # task was cancelled on the way out of _stream_response.
             pass
         finally:
+            del connections[task]
             if metrics.enabled:
                 metrics.gauge("repro_tcp_connections").dec()
                 metrics.histogram("repro_tcp_requests_per_connection",
@@ -427,4 +433,23 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
     server = await asyncio.start_server(handle, host, port,
                                         limit=MAX_LINE_BYTES)
     server.query_service = aqs  # type: ignore[attr-defined]
+    server.connections = connections  # type: ignore[attr-defined]
     return server
+
+
+async def shutdown(server: asyncio.AbstractServer) -> None:
+    """Stop a :func:`serve` server without cancelling any handler.
+
+    Stops accepting, then closes every open connection's transport: a
+    handler waiting in ``readline`` reads end-of-file and returns, one in
+    the middle of a request finishes it first (its reply has nobody left
+    to go to).  Once every handler has ended, closes the front door.
+    A cancelled handler is what asyncio would log a traceback for.
+    """
+    server.close()
+    handlers = server.connections  # type: ignore[attr-defined]
+    while handlers:  # again for a handler that started meanwhile
+        for writer in handlers.values():
+            writer.transport.close()
+        await asyncio.wait(list(handlers))
+    await server.query_service.close()  # type: ignore[attr-defined]

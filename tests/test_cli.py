@@ -316,8 +316,10 @@ class TestAsyncBatchCommand:
 class TestServeCommand:
     @pytest.fixture
     def one_exchange(self, monkeypatch):
-        """`cli serve` answers one real TCP request, then is interrupted."""
+        """`cli serve` answers one real TCP request, then gets SIGTERM."""
         import asyncio
+        import os
+        import signal
 
         import repro.server.tcp as tcp_mod
 
@@ -339,9 +341,10 @@ class TestServeCommand:
                 exchanged["response"] = json.loads(await reader.readline())
                 writer.close()
                 await writer.wait_closed()
-                raise KeyboardInterrupt
+                os.kill(os.getpid(), signal.SIGTERM)
 
-            server.serve_forever = one_exchange_then_interrupt
+            exchanged["task"] = asyncio.get_running_loop().create_task(
+                one_exchange_then_interrupt())
             return server
 
         monkeypatch.setattr(tcp_mod, "serve", wrapped)
@@ -387,6 +390,53 @@ class TestServeCommand:
                      "--method", "GSP", "--shards", "2"]) == 0
         banner = capsys.readouterr().out.splitlines()[0]
         assert "(shards=2, mmap=off, index=none," in banner
+
+    def test_sigterm_with_a_connection_open_exits_cleanly(self, fig1_file,
+                                                          tmp_path):
+        """A real `cli serve` process gets SIGTERM while a client still
+        holds its connection open: the handler waiting in ``readline``
+        ends instead of being cancelled, so the server exits 0 and logs
+        no traceback."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        import repro
+
+        index = tmp_path / "fig1.rpli"
+        assert main(["index", "build", "--graph", fig1_file,
+                     "--out", str(index)]) == 0
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": src + os.pathsep
+               + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--graph",
+             fig1_file, "--mmap-index", str(index), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            banner = proc.stdout.readline()
+            host, port = re.search(r" on ([\d.]+):(\d+) ", banner).groups()
+            with socket.create_connection((host, int(port)),
+                                          timeout=30) as conn:
+                conn.sendall(json.dumps(
+                    {"source": vertex("s"), "target": vertex("t"),
+                     "categories": ["MA", "RE", "CI"], "k": 2}
+                ).encode() + b"\n")
+                reply = json.loads(conn.makefile().readline())
+                assert reply["costs"][0] == 20
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "interrupted, shutting down" in out
+        assert "Traceback" not in err, err
 
     def test_serve_port_in_use_fails_with_actionable_message(
             self, fig1_file, capsys):

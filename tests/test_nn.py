@@ -261,6 +261,39 @@ class TestPackedCursorRelease:
         # the object finder's (none for cursors born empty).
         assert finder.queries == reference.queries
 
+    def test_cursor_stops_at_its_last_member(self, packed_setup):
+        """Once NL holds every member of the category, NQ is emptied on
+        that resume; the next find ends the cursor with one booked
+        attempt, as a drained cursor's does.  ``dead-ends`` has a member
+        no other vertex reaches, so its cursors still drain."""
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        dead_ends = g.category_id("dead-ends")
+        stopped = drained = 0
+        for source in range(g.num_vertices):
+            for cid in range(g.num_categories):
+                n = len(enumerate_all(PackedLabelNNFinder(
+                    engine.labels, engine.inverted), source, cid))
+                if not n:
+                    continue
+                finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+                finder.find(source, cid, n)
+                cursor = finder._cursors[(source, cid)]
+                assert not cursor.exhausted
+                if cid == dead_ends:
+                    assert n < g.category_size(cid)
+                    drained += 1
+                else:
+                    assert n == g.category_size(cid)
+                    assert cursor.nq == []
+                    stopped += 1
+                before = finder.queries
+                assert finder.find(source, cid, n + 1) is None
+                assert finder.queries == before + 1
+                assert cursor.exhausted and cursor.nq is None
+        assert stopped and drained
+
     def test_live_cursor_keeps_its_state(self, packed_setup):
         from repro.nn.label_nn import PackedLabelNNFinder
 

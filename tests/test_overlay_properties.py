@@ -8,7 +8,10 @@ and fresh packed inverted indexes).  Invariants under test:
 * a tombstoned (removed) entry never surfaces from a FindNN cursor;
 * every effective hub run — base buffers with the overlay folded in —
   stays sorted by ``(dist, vertex)`` and the slice maps stay consistent;
-* ``compact()`` changes the physical layout only, never query results.
+* ``compact()`` changes the physical layout only, never query results;
+* a category's member count follows every update, and the cursors that
+  stop at it answer and book like the reference FindNN, also when a
+  member cannot be reached and the cursor has to drain.
 """
 
 import random
@@ -21,6 +24,8 @@ from repro.graph.categories import assign_uniform_categories
 from repro.labeling.pll import build_pruned_landmark_labels
 from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import INFINITY
+
+from reference_nn import LabelNNFinder
 
 N_VERTICES = 18
 N_CATEGORIES = 3
@@ -124,3 +129,48 @@ def test_compact_is_noop_on_query_results(ops, seed):
         assert a.witnesses == b.witnesses
         assert a.costs == b.costs
         assert a.stats.nn_queries == b.stats.nn_queries
+
+
+#: a directed graph whose last vertex has out-edges only: a member of
+#: category 0 that no other vertex reaches
+_DIRECTED_GRAPH = random_graph(N_VERTICES, avg_out_degree=2.0,
+                               rng=random.Random(73))
+assign_uniform_categories(_DIRECTED_GRAPH, N_CATEGORIES, 4,
+                          random.Random(74))
+_UNREACHED = _DIRECTED_GRAPH.add_vertex()
+_DIRECTED_GRAPH.add_edge(_UNREACHED, 0, 1.5)
+_DIRECTED_GRAPH.assign_category(_UNREACHED, 0)
+_DIRECTED_LABELS = build_pruned_landmark_labels(_DIRECTED_GRAPH)
+
+_directed_ops = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "compact"]),
+              st.integers(0, _DIRECTED_GRAPH.num_vertices - 1),
+              st.integers(0, N_CATEGORIES - 1)),
+    max_size=30,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=_directed_ops)
+def test_member_count_and_cursors_match_reference(ops):
+    g = _DIRECTED_GRAPH.copy()
+    engine = KOSREngine.from_labels(g, _DIRECTED_LABELS)
+    for kind, v, cid in ops:
+        if kind == "add":
+            engine.add_vertex_to_category(v, cid)
+        elif kind == "remove":
+            engine.remove_vertex_from_category(v, cid)
+        else:
+            engine.compact()
+        for c, il in engine.inverted.items():
+            assert il.member_count == len(g.members(c))
+    # The packed finder first: it settles the overlay one cursor's runs
+    # at a time, before the reference folds every category in.
+    finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+    reference = LabelNNFinder.from_index(engine.labels, engine.inverted)
+    for source in range(g.num_vertices):
+        for cid in range(N_CATEGORIES):
+            for x in range(1, len(g.members(cid)) + 3):
+                assert finder.find(source, cid, x) == \
+                    reference.find(source, cid, x)
+                assert finder.queries == reference.queries
