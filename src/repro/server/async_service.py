@@ -30,8 +30,10 @@ door for concurrent request traffic:
   instead of growing an unbounded queue.  Under partial overload —
   pending at or past half of ``max_queue`` — admission
   consults the request's *resolved plan* and sheds the expensive class
-  first (finder-free GSP full-graph searches, and sharded requests whose
-  categories span shards), keeping headroom for cheap indexed queries.
+  first (finder-free GSP full-graph searches), keeping headroom for
+  cheap indexed queries.  A sharded request whose categories span
+  shards is not in that class: it runs once, on one worker, like any
+  other indexed query.
 * **Deadlines** — a request submitted with ``deadline_s`` is shed with
   :class:`~repro.exceptions.DeadlineExceededError` if it is still queued
   when the deadline passes, its execution time budget is capped to the
@@ -127,7 +129,6 @@ class AsyncQueryService:
         self.service = service
         self.max_queue = max_queue
         self.stats = ServingStats()
-        self._sharded = isinstance(service, ShardedQueryService)
         #: coalescing map: request key -> in-flight future
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending = 0
@@ -138,7 +139,8 @@ class AsyncQueryService:
         self._closed = False
         #: work items ``(fn, args, future, key)`` for the execution threads
         self._work: queue.SimpleQueue = queue.SimpleQueue()
-        width = FLEET_DISPATCH_WIDTH if self._sharded else 1
+        width = (FLEET_DISPATCH_WIDTH
+                 if isinstance(service, ShardedQueryService) else 1)
         self._threads = [
             threading.Thread(target=self._serve_work, daemon=True,
                              name=f"repro-serve-{i}")
@@ -273,9 +275,8 @@ class AsyncQueryService:
         Past ``max_queue`` everything is rejected.  Past the expensive
         watermark (half of ``max_queue``), requests whose
         resolved plan declares no finder (the GSP family's full-graph
-        searches) — or whose categories span multiple shards behind a
-        sharded backend — are rejected while cheap indexed queries keep
-        being admitted.
+        searches) are rejected while cheap indexed queries keep being
+        admitted.
         """
         if self.max_queue is None:
             return
@@ -293,22 +294,12 @@ class AsyncQueryService:
 
         Consults the same declared needs the plan-aware router uses:
         a plan with ``needs_finder=False`` searches the whole graph
-        (GSP / GSP-CH) instead of walking indexed category streams, and a
-        sharded request spanning several owners pays fan-out plus a
-        cross-shard merge.  Resolution failures are treated as cheap —
-        the executor will raise the real error to the caller.
+        (GSP / GSP-CH) instead of walking indexed category streams.
+        Resolution failures are treated as cheap — the executor will
+        raise the real error to the caller.
         """
-        options = request.options
         try:
-            plan = options.plan_for()
-        except Exception:
-            return False
-        if not plan.spec.needs_finder:
-            return True
-        if not self._sharded:
-            return False
-        try:
-            return len(self.service.owners_for(request.query, options)) > 1
+            return not request.options.plan_for().spec.needs_finder
         except Exception:
             return False
 

@@ -1,26 +1,22 @@
-"""Plan-aware routing: which shard(s) own a request, and result merging.
+"""Plan-aware routing: which shard serves a request.
 
 The sharded service partitions *categories* across worker processes; a
 query's resolved :class:`~repro.service.planner.QueryPlan` declares
 whether it consumes the category inverted indexes at all
 (``spec.needs_finder``), and the query itself names the categories it
-touches — together they tell the router exactly which shards can serve
-it:
+touches — together they pick the one shard that serves it:
 
 * a plan with no finder need (GSP / GSP-CH run over the replicated
   topology alone) can execute anywhere → round-robin;
-* a plan whose categories all live on one shard routes there;
-* a plan whose category set *spans* shards fans out to every owning
-  shard; each returns its top-k candidate list and
-  :func:`merge_topk_results` merges them by distance.
+* a plan with a finder need routes to its *primary* owner, the owner of
+  its first category (``owners(categories)[0]``).
 
-Merging preserves cold-equivalence: candidates flow through a *stable*
-k-way merge by cost (never reordering within one shard's list) and are
-deduplicated by witness, so when every shard returns the same
-deterministic list (they do — each executes the full sequenced search
-over identical index state) the merged answer *is* the primary shard's
-answer, tie order included, and the merged ``QueryStats`` are the
-primary's stats — bit-identical to an unsharded cold engine.
+A category set that *spans* shards runs once, on the primary, which
+faults in the inverted indexes of the categories it does not own.  Hub
+labels depend only on topology and a sequenced query reads only its own
+categories' indexes plus the labels of ``s`` and ``t``, so that one
+shard's answer — results and ``QueryStats`` — is bit-identical to an
+unsharded cold engine's.
 """
 
 from __future__ import annotations
@@ -51,8 +47,8 @@ class CategoryShardRouter:
     def owners(self, categories: Sequence[CategoryId]) -> List[int]:
         """Owning shards of a category set, in first-touch order, deduped.
 
-        The first entry is the *primary* owner — the shard whose stats a
-        fanned-out request reports (see :func:`merge_topk_results`).
+        The first entry is the *primary* owner — the shard that serves
+        the request.
         """
         seen: List[int] = []
         for cid in categories:
@@ -69,44 +65,3 @@ class CategoryShardRouter:
         """The categories shard ``shard`` owns out of ``num_categories``."""
         return [cid for cid in range(num_categories)
                 if self.shard_of(cid) == shard]
-
-
-def merge_topk_results(query, partials: Sequence) -> "KOSRResult":
-    """Merge per-shard top-k candidate lists into one ``KOSRResult``.
-
-    ``partials`` holds one :class:`~repro.core.engine.KOSRResult` per
-    owning shard, primary first.  Candidates merge through a *stable*
-    k-way merge by cost (``heapq.merge``: ties across lists resolve to
-    the earlier list, and entries **within** one list are never
-    reordered), deduplicate by witness, and truncate to ``query.k``.
-
-    In-list stability is load-bearing for cold-equivalence: an engine's
-    result list may contain cost ties — including 1-ULP "ties" where
-    summation order makes two equal-cost routes differ in the last bit —
-    whose order is the search's deterministic discovery order, not a
-    strict float sort.  A global re-sort by cost would flip those pairs;
-    the stable merge cannot, so for the identical deterministic lists
-    the shards produce it reconstructs the primary list exactly.  The
-    merged stats are the primary shard's :class:`QueryStats`: each
-    shard's execution is individually cold-equivalent, so any owner's
-    counters equal the unsharded cold engine's — the merge must simply
-    not double-count the fan-out.
-    """
-    import heapq
-
-    from repro.core.engine import KOSRResult
-
-    if len(partials) == 1:
-        return partials[0]
-    seen = set()
-    merged = []
-    for item in heapq.merge(*(result.results for result in partials),
-                            key=lambda item: item.cost):
-        witness = item.witness.vertices
-        if witness in seen:
-            continue
-        seen.add(witness)
-        merged.append(item)
-        if len(merged) == query.k:
-            break
-    return KOSRResult(query, merged, partials[0].stats)

@@ -5,9 +5,9 @@ owning an engine + warm :class:`~repro.service.service.QueryService`
 over the category subset a :class:`~repro.shard.router.CategoryShardRouter`
 assigns it.  The parent process keeps only the graph and hub labels (for
 request validation and worker bootstrap) — no inverted indexes — and
-routes each request to the owning shard(s) via the resolved plan's
-declared needs, fanning out and merging top-k candidate lists when a
-request's category set spans shards.
+routes each request to one shard via the resolved plan's declared
+needs.  A request whose category set spans shards runs once, on the
+owner of its first category, which faults in the others' indexes.
 
 Because workers are separate processes, this is the layer that makes the
 serving stack truly parallel on stock CPython: the thread-pool path
@@ -18,7 +18,7 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
 
 * **Cold-equivalence survives sharding** — every answer (results *and*
   ``QueryStats`` counters) is bit-identical to a fresh unsharded cold
-  engine, including fanned-out spanning requests and post-update runs.
+  engine, including spanning requests and post-update runs.
 * **Epoch-synchronized updates** — category updates broadcast to every
   worker and return only once all have acknowledged, so the next request
   (to any shard) observes the update exactly like a cold engine would;
@@ -38,7 +38,8 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
   after a grace period.
 
 One of each mechanism: :meth:`_spawn` creates a worker, :meth:`_reap`
-ends one, :meth:`_fan_out` runs an exchange on several shards at once.
+ends one, :meth:`_dispatch` is a query's one exchange, :meth:`_fan_out`
+runs a broadcast's exchange on several shards at once.
 ``_spawn`` is also where tests plug in a fake transport
 (``tests/fleet_fakes.py``): faults are injected there, never here.
 
@@ -65,7 +66,7 @@ from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.updates import apply_edge_mutation
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
 from repro.service.service import BatchResult, QueryService
-from repro.shard.router import CategoryShardRouter, merge_topk_results
+from repro.shard.router import CategoryShardRouter
 from repro.shard.worker import pipe_recv, pipe_send, worker_main
 from repro.types import CategoryId, Vertex
 
@@ -128,7 +129,7 @@ class ShardedQueryService:
         self._diverged: Optional[str] = None
         self._epoch = 0
         #: runs :meth:`_fan_out`'s exchanges; its threads start on first
-        #: use, so single-owner traffic never pays for them
+        #: use, so query traffic never pays for them
         self._fanout_pool = ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="repro-shard-fanout")
         self._index_file = None
@@ -411,23 +412,33 @@ class ShardedQueryService:
         """Build and validate a query against the (update-current) graph."""
         return make_query(self.graph, source, target, categories, k)
 
-    def owners_for(self, query: KOSRQuery,
-                   options: QueryOptions) -> List[int]:
-        """The shard(s) that will serve this request, primary first.
+    def shard_for(self, query: KOSRQuery, options: QueryOptions) -> int:
+        """The one shard that will serve this request.
 
         Resolves the plan (validating method / NN backend) and reads its
         declared needs: finder-free plans route round-robin, finder
-        plans (SK-DB among them) route to the owners of the query's
-        categories.
+        plans (SK-DB among them) route to the primary owner, the owner
+        of the query's first category.  When the categories span shards
+        the primary faults in the ones it does not own: hub labels are
+        topology-only, so any worker can answer the whole sequenced
+        query, and one that does is cold-equivalent.
         """
         if not options.plan_for().spec.needs_finder:
-            return [next(self._rr) % self.num_shards]
+            return next(self._rr) % self.num_shards
         if self.labels is None and options.nn_backend == "label":
             raise QueryError(
                 "this shard fleet was built without labels "
                 "(build_labels=False); it serves only finder-free plans "
                 "(GSP family) or Dijkstra NN backends")
-        return self.router.owners(query.categories)
+        categories = query.categories
+        metrics = _METRICS
+        if metrics.enabled:
+            for cid in dict.fromkeys(categories):
+                metrics.counter("repro_shard_category_requests_total",
+                                category=cid).inc()
+            if self.router.spans_shards(categories):
+                metrics.counter("repro_shard_spanning_requests_total").inc()
+        return self.router.shard_of(categories[0])
 
     def run(self, request: Union[QueryRequest, KOSRQuery],
             options: Optional[QueryOptions] = None, *, on_route=None):
@@ -436,13 +447,10 @@ class ShardedQueryService:
         Accepts a :class:`QueryRequest` or a bare query plus ``options``;
         warm state lives in the workers' own sessions.
 
-        ``on_route`` streams the answer.  Single-owner requests stream
-        *live*: the worker emits one interim pipe frame per discovered
-        route ahead of its final reply, and the callback fires (on the
-        calling thread) as each frame arrives — while the worker's search
-        is still running.  Spanning requests cannot know the merged top-k
-        until every owner has answered, so their routes replay through
-        the callback after the merge.
+        ``on_route`` streams the answer live: the worker emits one
+        interim pipe frame per discovered route ahead of its final
+        reply, and the callback fires (on the calling thread) as each
+        frame arrives — while the worker's search is still running.
         """
         if isinstance(request, QueryRequest):
             query, opts = request.query, request.options
@@ -451,13 +459,13 @@ class ShardedQueryService:
         else:
             query = request
             opts = options if options is not None else DEFAULT_OPTIONS
-        return self._run_resolved(query, opts, self.owners_for(query, opts),
+        return self._run_resolved(query, opts, self.shard_for(query, opts),
                                   on_route)
 
     def _fan_out(self, exchange: Callable, msg: tuple,
                  shards: Sequence[int]) -> List:
         """``exchange(shard, msg)`` on every shard at once; results in
-        ``shards`` order (spanning queries and every broadcast).
+        ``shards`` order (every broadcast).
 
         The first shard runs on the calling thread, the rest on the
         persistent dispatch pool: latency is O(slowest shard).  All
@@ -483,49 +491,31 @@ class ShardedQueryService:
         return results
 
     def _run_resolved(self, query: KOSRQuery, opts: QueryOptions,
-                      owners: List[int], on_route=None):
-        """Dispatch a query whose owning shard(s) are already resolved."""
+                      shard: int, on_route=None):
+        """Run a query on the shard already resolved to serve it."""
         self._require_consistent()
-        if len(owners) == 1:
-            kind = "query" if on_route is None else "stream"
-            return self._dispatch(owners[0], (kind, query, opts),
-                                  on_route=on_route)
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_shard_spanning_requests_total").inc()
-            metrics.counter("repro_shard_fanout_total").inc(len(owners))
-        # Spanning request: fan out to every owning shard concurrently
-        # (each executes the full deterministic search, as the tentpole
-        # design specifies — the redundancy keeps every owner's warm
-        # state current for its slice of the traffic) and merge the
-        # candidate lists.
-        result = merge_topk_results(
-            query, self._fan_out(self._dispatch, ("query", query, opts),
-                                 owners))
-        if on_route is not None:
-            for res in result.results:
-                on_route(res)
-        return result
+        kind = "query" if on_route is None else "stream"
+        return self._dispatch(shard, (kind, query, opts), on_route=on_route)
 
     def run_batch(self, queries: Sequence[KOSRQuery],
                   options: QueryOptions = DEFAULT_OPTIONS) -> BatchResult:
         """Execute a workload across the shards; results in input order.
 
-        Queries are bucketed by primary owner and each bucket runs on its
+        Queries are bucketed by serving shard and each bucket runs on its
         own dispatch thread — true multi-core parallelism, since each
         bucket's work happens in a separate worker process.
         ``cache_stats`` reports this batch's contribution summed over the
         workers' sessions, like the unsharded batch path.
         """
         queries = list(queries)
-        # Ownership is resolved exactly once per query: the bucket both
+        # The shard is resolved exactly once per query: the bucket both
         # places the query on a dispatch thread and is what executes it
         # (re-resolving inside the run would advance the round-robin
         # counter again and unpin finder-free queries from their bucket).
-        owners_per_query = [self.owners_for(q, options) for q in queries]
+        shards = [self.shard_for(q, options) for q in queries]
         buckets: Dict[int, List[int]] = {}
-        for i, owners in enumerate(owners_per_query):
-            buckets.setdefault(owners[0], []).append(i)
+        for i, shard in enumerate(shards):
+            buckets.setdefault(shard, []).append(i)
         results: List = [None] * len(queries)
         before = self.cache_stats()
         t0 = time.perf_counter()
@@ -533,7 +523,7 @@ class ShardedQueryService:
         def run_bucket(indexes: List[int]) -> None:
             for i in indexes:
                 results[i] = self._run_resolved(queries[i], options,
-                                                owners_per_query[i])
+                                                shards[i])
 
         if len(buckets) > 1:
             with ThreadPoolExecutor(max_workers=len(buckets)) as pool:

@@ -11,14 +11,14 @@ counter accounting, LRU caps) applies unchanged inside the process.
 Category faulting
 -----------------
 
-A fanned-out or mis-balanced request may name categories this shard does
-not own.  Because hub labels depend only on topology, the worker can
-*fault in* any missing category's inverted index on demand — built fresh
-from the worker's (update-current) graph and labels, it is bit-identical
-to the index an unsharded engine holds, so results and counters stay
-cold-equivalent.  Faulted indexes join ``engine.inverted`` with a zero
-version counter, leaving the index epoch (and therefore the warm
-session) untouched.
+A request whose categories span shards runs on its primary owner, so it
+names categories this shard does not own.  Because hub labels depend
+only on topology, the worker can *fault in* any missing category's
+inverted index on demand — built fresh from the worker's
+(update-current) graph and labels, it is bit-identical to the index an
+unsharded engine holds, so results and counters stay cold-equivalent.
+Faulted indexes join ``engine.inverted`` with a zero version counter,
+leaving the index epoch (and therefore the warm session) untouched.
 
 Update broadcast contract
 -------------------------

@@ -696,7 +696,8 @@ class TestIndexBuildAndMmapQuery:
 
 
 class TestDocsCliLines:
-    """tools/check_docs.py parses every documented ``repro.cli`` line."""
+    """tools/check_docs.py parses every documented ``repro.cli`` line and
+    holds the metric catalogue to the code."""
 
     @pytest.fixture(scope="class")
     def check_docs(self):
@@ -721,6 +722,24 @@ class TestDocsCliLines:
             "Run `python -m repro.cli batch --async --graph <graph> "
             "--workload - --max-queue 8` | tail -1 to see the summary.\n")
         assert check_docs.check_file(fresh) == []
+
+    def test_metric_catalogue_matches_the_code(self, check_docs, tmp_path,
+                                               monkeypatch):
+        assert check_docs.check_catalogue() == []
+        text = check_docs.CATALOGUE.read_text()
+        row = next(line for line in text.splitlines()
+                   if line.startswith("| `repro_tcp_errors_total`"))
+        stale = tmp_path / "observability.md"
+        stale.write_text(text.replace(row, (
+            "| `repro_shard_fanout_total` | counter | — | sub-requests |\n"
+            "| `repro_cache_anything_total` | counter | — | a family |")))
+        monkeypatch.setattr(check_docs, "CATALOGUE", stale)
+        findings = sorted(what for _, _, what in check_docs.check_catalogue())
+        assert len(findings) == 2
+        assert findings[0].startswith("catalogue row names "
+                                      "repro_shard_fanout_total")
+        assert findings[1] == ("metric repro_tcp_errors_total has no "
+                               "catalogue row")
 
 
 TINY_FIGURE = ["--scale", "0.05", "--queries", "1"]

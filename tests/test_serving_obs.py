@@ -13,8 +13,9 @@ Pins the PR 7 serving contracts:
   ``{"error": "deadline_exceeded"}`` reply over TCP) when the deadline
   passes in the queue or the capped execution comes back incomplete;
 * **expensive-plan shedding** — past the admission watermark, plans
-  that search the whole graph (GSP family) or fan out across shards are
-  shed first, before cheap indexed requests are refused;
+  that search the whole graph (GSP family) are shed first, before cheap
+  indexed requests are refused; a sharded request spanning shards runs
+  on one worker and is not in that class;
 * **queue wait** — ``repro_serving_queue_wait_seconds`` records, per
   executed request, the time from admission to dispatch onto the
   execution thread, and nothing while the registry is disabled;
@@ -55,6 +56,7 @@ from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.obs.metrics import LATENCY_BUCKETS_S, REGISTRY
 
+from fleet_fakes import InThreadFleet
 from test_backend_parity import assert_same_outcome
 
 
@@ -292,6 +294,79 @@ class TestExpensiveShedding:
 
         result, shed = asyncio.run(scenario())
         assert result.stats.completed and shed == 0
+
+    def test_spanning_request_is_not_shed_on_a_fleet(self):
+        """A request spanning shards runs once, on its primary owner: past
+        the watermark it is admitted like any indexed request, while GSP
+        is still shed first."""
+        g = _graph(91)
+        gate = threading.Event()
+        # two shards: even categories on shard 0, odd ones on shard 1
+        cheap = [make_query(g, s, 30, [0, 2], k=2) for s in (0, 1)]
+        spanning = QueryRequest(make_query(g, 2, 30, [0, 1], k=2))
+        gsp = QueryRequest(make_query(g, 3, 30, [0, 1], k=1),
+                           QueryOptions(method="GSP"))
+
+        async def scenario(fleet):
+            front = AsyncQueryService(fleet, max_queue=4)  # watermark = 2
+            real = front._execute
+            front._execute = lambda *args: (gate.wait(10),
+                                            real(*args))[1]
+            tasks = [asyncio.ensure_future(front.submit(QueryRequest(q)))
+                     for q in cheap]
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert front.pending == 2
+            tasks.append(asyncio.ensure_future(front.submit(spanning)))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert front.pending == 3  # admitted past the watermark
+            with pytest.raises(ServiceOverloadedError):
+                await front.submit(gsp)
+            gate.set()
+            results = await asyncio.gather(*tasks)
+            await front.close()
+            return results, front.stats
+
+        with InThreadFleet(g.copy(), 2) as fleet:
+            assert fleet.router.spans_shards(spanning.query.categories)
+            results, stats = asyncio.run(scenario(fleet))
+        assert all(r.stats.completed for r in results)
+        assert stats.expensive_shed == 1
+        assert stats.rejected == 1
+
+
+class TestRouterMetrics:
+    @staticmethod
+    def _counters(registry):
+        return {(m["name"], tuple(sorted(m["labels"].items()))): m["value"]
+                for m in registry.snapshot()["metrics"]
+                if m["type"] == "counter"}
+
+    def test_spanning_request_books_the_primary_and_each_category(
+            self, enabled_registry):
+        """One exchange, with the primary only; one heat increment per
+        named category; one spanning request."""
+        g = _graph(113)
+        with InThreadFleet(g.copy(), 2) as fleet:
+            fleet.run(fleet.make_query(0, 30, [3, 0, 3], k=2))  # 3 -> shard 1
+            spanning = self._counters(enabled_registry)
+            fleet.run(fleet.make_query(0, 30, [0, 2], k=2))  # shard 0 only
+            both = self._counters(enabled_registry)
+        requests = "repro_shard_requests_total"
+        assert spanning[(requests, (("shard", "1"),))] == 1
+        assert (requests, (("shard", "0"),)) not in spanning
+        assert both[(requests, (("shard", "0"),))] == 1
+
+        def heat(counters):
+            return {dict(labels)["category"]: value
+                    for (name, labels), value in counters.items()
+                    if name == "repro_shard_category_requests_total"}
+
+        assert heat(spanning) == {"3": 1, "0": 1}
+        assert heat(both) == {"3": 1, "0": 2, "2": 1}
+        for counters in (spanning, both):  # the second never spans
+            assert counters[("repro_shard_spanning_requests_total", ())] == 1
 
 
 class TestQueueWait:
@@ -1069,29 +1144,37 @@ class TestFourShardAcceptance:
 
 
 class TestShardedStreaming:
+    """Every request streams live, spanning or not: routes arrive as
+    their own pipe frames, so the streamed objects are copies sent ahead
+    of the final reply, never the reply's own results replayed."""
+
+    @staticmethod
+    def _assert_streams_live(sharded, q):
+        streamed = []
+        result = sharded.run(q, on_route=streamed.append)
+        assert [r.cost for r in streamed] == result.costs
+        assert [list(r.witness.vertices) for r in streamed] == \
+            [list(w) for w in result.witnesses]
+        assert not any(live is final for live, final
+                       in zip(streamed, result.results))
+
     def test_single_owner_requests_stream_live(self, enabled_registry):
         """Route frames cross the worker pipe before the final reply."""
         g = _graph(101, cats=8)
         sharded = ShardedQueryService(g, 4)
         try:
-            q = sharded.make_query(0, 30, [0, 4], k=3)
-            streamed = []
-            result = sharded.run(q, on_route=streamed.append)
-            assert [r.cost for r in streamed] == result.costs
-            assert [list(r.witness.vertices) for r in streamed] == \
-                [list(w) for w in result.witnesses]
+            self._assert_streams_live(sharded,
+                                      sharded.make_query(0, 30, [0, 4], k=3))
         finally:
             sharded.close()
 
-    def test_spanning_requests_replay_after_the_merge(self):
-        """Cross-shard requests have no single live stream; the merged
-        top-k is replayed through the callback in rank order."""
+    def test_spanning_requests_stream_live(self):
+        """A cross-shard request runs on its primary owner alone, so it
+        streams from that worker exactly like a single-owner one."""
         g = _graph(103, cats=8)
         sharded = ShardedQueryService(g, 4)
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)  # shards 0 and 1
-            streamed = []
-            result = sharded.run(q, on_route=streamed.append)
-            assert [r.cost for r in streamed] == result.costs
+            self._assert_streams_live(sharded, q)
         finally:
             sharded.close()

@@ -1,7 +1,7 @@
 """Sharded multi-process serving: routing, parity, updates, lifecycle.
 
 The invariant under test everywhere: sharding is observably transparent.
-Whatever the partition, fan-out, or update interleaving, every answer —
+Whatever the partition, routing, or update interleaving, every answer —
 results AND ``QueryStats`` counters — is bit-identical to a fresh
 unsharded cold engine over the same state.
 """
@@ -25,7 +25,7 @@ from repro.exceptions import QueryError, ShardError
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.service.cache import hit_rates_from
-from repro.shard.router import CategoryShardRouter, merge_topk_results
+from repro.shard.router import CategoryShardRouter
 
 from conftest import reference_engine
 from fleet_fakes import FakeContext, InThreadFleet, ThreadProcess
@@ -60,50 +60,9 @@ class TestRouter:
         assert router.spans_shards((0, 1))
         assert not router.spans_shards((0, 2))
 
-    def test_single_partial_merge_is_identity(self, setting):
-        engine, _ = setting
-        q = make_query(engine.graph, 0, 30, [0], k=3)
-        result = engine.run(q)
-        assert merge_topk_results(q, [result]) is result
-
-    def test_merge_of_identical_lists_reconstructs_primary(self, setting):
-        engine, _ = setting
-        q = make_query(engine.graph, 0, 30, [0, 1], k=4)
-        a, b = engine.run(q), engine.run(q)
-        merged = merge_topk_results(q, [a, b])
-        assert merged.witnesses == a.witnesses
-        assert merged.costs == a.costs
-        assert merged.stats is a.stats  # primary's counters, untouched
-
     def test_rejects_empty_partition(self):
         with pytest.raises(ValueError):
             CategoryShardRouter(0)
-
-    def test_merge_never_reorders_within_a_list(self, setting):
-        """1-ULP cost 'ties' keep the search's discovery order.
-
-        An engine's result list may contain equal-cost routes whose
-        reported floats differ in the last bit (summation order), listed
-        in discovery order rather than strict float order.  The merge
-        must be stable within each shard's list or fan-out would flip
-        such pairs (regression: a global re-sort by cost did).
-        """
-        from repro.core.engine import KOSRResult
-        from repro.core.stats import QueryStats
-        from repro.types import SequencedResult, Witness
-
-        engine, _ = setting
-        q = make_query(engine.graph, 0, 30, [0, 1], k=3)
-        hi = 10.000000000000002   # listed first by the search...
-        lo = 10.0                 # ...despite being 1 ULP cheaper
-        items = [SequencedResult(Witness((0, 5, 9, 30), 9.0)),
-                 SequencedResult(Witness((0, 5, 8, 30), hi)),
-                 SequencedResult(Witness((0, 6, 8, 30), lo))]
-        partials = [KOSRResult(q, list(items), QueryStats(method="SK")),
-                    KOSRResult(q, list(items), QueryStats(method="SK"))]
-        merged = merge_topk_results(q, partials)
-        assert [r.witness.vertices for r in merged.results] == \
-            [r.witness.vertices for r in items]
 
 
 class TestShardedParity:
@@ -119,11 +78,26 @@ class TestShardedParity:
             assert_same_outcome(sharded.run(q, options), engine.run(q, options))
 
     def test_spanning_request_bit_identical(self, setting):
-        """Categories 0 (shard 0) and 1 (shard 1): fan out + merge."""
+        """Categories 0 (shard 0) and 1 (shard 1): served by shard 0."""
         engine, sharded = setting
         q = make_query(engine.graph, 1, 30, [0, 1], k=5)
         assert sharded.router.owners(q.categories) == [0, 1]
         assert_same_outcome(sharded.run(q, QueryOptions()), engine.run(q))
+
+    def test_spanning_request_runs_on_the_primary_only(self):
+        """The non-primary owner neither runs the request nor faults in
+        the primary's categories; the primary faults in the other's."""
+        g = _graph(83)
+        reference = KOSREngine.build(g)
+        with InThreadFleet(g.copy(), 2) as fleet:
+            q = fleet.make_query(1, 30, [0, 1], k=5)
+            assert fleet.router.owners(q.categories) == [0, 1]
+            before = fleet._seqs[1]
+            assert_same_outcome(fleet.run(q), reference.run(q))
+            assert fleet._seqs[1] == before  # no exchange with shard 1
+            primary, other = fleet.ping()
+        assert other["materialized_categories"] == [1, 3]  # owned only
+        assert primary["materialized_categories"] == [0, 1, 2]
 
     def test_topology_only_fleet_serves_gsp_and_rejects_label_plans(self):
         """build_labels=False skips the dominant startup cost for GSP."""
@@ -145,8 +119,8 @@ class TestShardedParity:
         engine, sharded = setting
         q = make_query(engine.graph, 0, 30, [0, 1], k=1)
         options = QueryOptions(method="GSP")
-        owners = {tuple(sharded.owners_for(q, options)) for _ in range(4)}
-        assert owners == {(0,), (1,)}  # alternates across the fleet
+        shards = {sharded.shard_for(q, options) for _ in range(4)}
+        assert shards == {0, 1}  # alternates across the fleet
         assert_same_outcome(sharded.run(q, options), engine.run(q, options))
 
     def test_query_request_objects_accepted(self, setting):
@@ -158,7 +132,7 @@ class TestShardedParity:
 
     def test_sk_db_matches_sk_on_an_index_file_fleet(self, setting,
                                                      tmp_path):
-        """SK-DB routes like SK and is answered by the owning workers
+        """SK-DB routes like SK and is answered by the serving worker
         from the fleet's ``index_path`` file — single-owner and spanning
         requests alike, results and counters identical to SK."""
         engine, _ = setting
@@ -170,7 +144,7 @@ class TestShardedParity:
         with ShardedQueryService(g.copy(), 2, index_path=path) as fleet:
             for cats in ([0, 2], [1, 0, 3], [2, 1]):
                 q = make_query(g, 3, 30, cats, k=3)
-                assert fleet.owners_for(q, sk_db) == fleet.owners_for(q, sk)
+                assert fleet.shard_for(q, sk_db) == fleet.shard_for(q, sk)
                 got = fleet.run(q, sk_db)
                 assert_same_outcome(got, engine.run(q, sk))
                 assert_same_outcome(got, reference.run(q, sk))
@@ -287,8 +261,8 @@ class TestUpdateBroadcast:
         """Straddling request parity, before and after a broadcast update.
 
         The update targets a category on shard 1 while the spanning
-        request also needs shard 0 — both the owning shard's patched
-        index and the other shard's fault-in path must observe it.
+        request runs on shard 0 — the copy shard 0 faulted in must
+        observe it exactly as the owning shard's patched index does.
         """
         g = _graph(19, cats=4)
         sharded = ShardedQueryService(g.copy(), 2)

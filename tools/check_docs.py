@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docs hygiene checker: links resolve and CLI lines parse.
+"""Docs hygiene checker: links resolve, CLI lines parse, and the metric
+catalogue matches the code.
 
 Scans the repo's markdown files (README, everything under docs/, and
 the verify skill's recipe) for two kinds of rot:
@@ -13,6 +14,15 @@ the verify skill's recipe) for two kinds of rot:
   are joined, ``<repo>``-style placeholders substituted, and the line
   ends at a closing backtick, a pipe, a redirect, ``&&``, ``;`` or a
   ``#`` comment.
+
+And checks the metric catalogue of ``docs/observability.md`` against
+the code under ``src/repro``, both ways:
+
+* every literal metric name handed to ``.counter(`` / ``.gauge(`` /
+  ``.histogram(`` has a catalogue row;
+* every ``repro_*`` name in a row's first cell is one the code can emit:
+  a literal name, or a name in a family the code publishes by prefix
+  (``sample_totals("repro_cache_", ...)``, ``gauge(f"repro_cache_{name}")``).
 
 Exits nonzero listing each finding, so the CI docs job fails when a
 rename orphans a reference.
@@ -46,6 +56,21 @@ CLI_END_RE = re.compile(r"`|\||>|&&|;|\s#")
 
 #: ``<repo>``-style placeholders
 PLACEHOLDER_RE = re.compile(r"<[\w.-]+>")
+
+#: the metric catalogue and the code whose metrics it lists
+CATALOGUE = REPO / "docs" / "observability.md"
+SOURCE = REPO / "src" / "repro"
+
+#: a literal metric name handed to a registry instrument
+EMIT_RE = re.compile(r"\.(?:counter|gauge|histogram)\(\s*\"(repro_\w+)\"")
+
+#: a metric family published by name prefix
+FAMILY_RE = re.compile(r"\.sample_totals\(\s*\"(repro_\w+)\""
+                       r"|\.(?:counter|gauge|histogram)\(\s*f\"(repro_\w+?)\{")
+
+#: the metric names in a catalogue row's first cell
+ROW_RE = re.compile(r"^\|([^|]*`repro_[^|]*)\|")
+METRIC_RE = re.compile(r"`(repro_\w+)`")
 
 
 def markdown_files() -> list:
@@ -112,19 +137,63 @@ def check_file(path: Path) -> list:
     return check_links(path) + check_cli(path)
 
 
+def emitted_metrics() -> tuple:
+    """``({name: (path, line)}, families)`` of the code under ``SOURCE``:
+    every literal metric name with its first emitting site, and every
+    name prefix published as a family."""
+    names, families = {}, set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        text = path.read_text()
+        for match in EMIT_RE.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            names.setdefault(match.group(1), (path, lineno))
+        for match in FAMILY_RE.finditer(text):
+            families.add(match.group(1) or match.group(2))
+    return names, families
+
+
+def catalogue_rows(text: str) -> list:
+    """``(line number, metric name)`` of every name a catalogue row lists."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        match = ROW_RE.match(line)
+        if match:
+            rows += [(lineno, name)
+                     for name in METRIC_RE.findall(match.group(1))]
+    return rows
+
+
+def check_catalogue() -> list:
+    """Findings ``(path, line, what)`` of the catalogue-vs-code check."""
+    names, families = emitted_metrics()
+    rows = catalogue_rows(CATALOGUE.read_text())
+    listed = {name for _, name in rows}
+    findings = [(path, lineno, f"metric {name} has no catalogue row")
+                for name, (path, lineno) in names.items()
+                if name not in listed]
+    findings += [(CATALOGUE, lineno, f"catalogue row names {name}, which "
+                  f"no code under {SOURCE.relative_to(REPO)} emits")
+                 for lineno, name in rows
+                 if name not in names and not name.startswith(tuple(families))]
+    return findings
+
+
 def main() -> int:
     findings = []
     files = markdown_files()
     for path in files:
         findings.extend((path.relative_to(REPO), lineno, what)
                         for lineno, what in check_file(path))
+    findings.extend((path.relative_to(REPO), lineno, what)
+                    for path, lineno, what in check_catalogue())
     if findings:
         print(f"{len(findings)} stale doc reference(s):")
         for rel, lineno, what in findings:
             print(f"  {rel}:{lineno}: {what}")
         return 1
     print(f"checked {len(files)} markdown file(s): all intra-repo links "
-          f"resolve and every repro.cli line parses")
+          f"resolve, every repro.cli line parses, and the metric catalogue "
+          f"matches the code")
     return 0
 
 
