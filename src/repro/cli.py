@@ -575,7 +575,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     except OSError as exc:
-        # Most commonly EADDRINUSE from asyncio.start_server: turn the
+        # Most commonly EADDRINUSE from loop.create_server: turn the
         # bare traceback into an actionable message + nonzero exit.
         print(f"error: cannot listen on {args.host}:{args.port}: {exc}",
               file=sys.stderr)

@@ -34,9 +34,6 @@ class DominanceTables:
     def __init__(self) -> None:
         self._dominators: Dict[Tuple[Vertex, int], Tuple[Vertex, ...]] = {}
         self._parked: Dict[Tuple[Vertex, int], List[Entry]] = {}
-        #: counters surfaced into QueryStats
-        self.dominated = 0
-        self.released = 0
 
     # ------------------------------------------------------------------
     def try_register(self, vertex: Vertex, size: int,
@@ -64,7 +61,6 @@ class DominanceTables:
         if heap is None:
             heap = self._parked[key] = []
         heapq.heappush(heap, entry)
-        self.dominated += 1
 
     def parked_count(self, vertex: Vertex, size: int) -> int:
         return len(self._parked.get((vertex, size), ()))
@@ -89,6 +85,5 @@ class DominanceTables:
             heap = self._parked.get(key)
             if heap:
                 released.append(heapq.heappop(heap))
-                self.released += 1
             del dominators[key]
         return released

@@ -43,8 +43,6 @@ adds to what its oracle and its own ``dis(·, t)`` memo already count:
 from __future__ import annotations
 
 import heapq
-from itertools import islice
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.nn.base import NearestNeighborFinder
@@ -165,9 +163,15 @@ class EstStream:
     only on the stream position, never on who advanced the underlying
     FindNN cursor or who filled the estimate memo, so any query reading
     the stream can book as if it had produced it alone.
+
+    The cursor's ``NL`` is read from its two typed arrays (``members`` is
+    kept here, since ``demanded`` counts index into it): the lookahead is
+    a member and a leg in two locals, not an ``NL`` tuple.  ``ENL``
+    itself stays a list of tuples, because it is read far more often
+    than it is produced and every array read allocates.
     """
 
-    __slots__ = ("enl", "nl", "attempts", "demanded", "end", "advance")
+    __slots__ = ("enl", "members", "attempts", "demanded", "end", "advance")
 
     def __init__(self, cursor, estimate: Callable[[Vertex], Cost],
                  cache_get: Optional[Callable] = None):
@@ -175,8 +179,8 @@ class EstStream:
         behind this stream); ``estimate`` is ``dis(·, t)`` and
         ``cache_get`` an optional probe of its memo tried first."""
         self.enl: List[Tuple[Vertex, Cost, Cost]] = []
-        #: the cursor's ``NL`` — ``demanded`` counts index into it
-        self.nl: List[Tuple[Vertex, Cost]] = cursor.nl
+        #: the cursor's ``NL`` members — ``demanded`` counts index into it
+        self.members = cursor.members
         self.attempts: List[int] = []
         self.demanded: List[int] = []
         self.end: Optional[Tuple[int, int]] = None
@@ -197,23 +201,24 @@ class EstStream:
         whole Algorithm 4 state machine (lookahead, ENQ, plain-NN read
         position) lives in this one frame, and a missing plain neighbor
         resumes the packed merge generator directly."""
-        nl = self.nl
+        members, costs = cursor.members, cursor.costs
         enl_append = self.enl.append
         attempts_append = self.attempts.append
         demanded_append = self.demanded.append
         nn_advance = cursor.gen.__next__ if cursor.gen is not None else None
         heappush_, heappop_ = heapq.heappush, heapq.heappop
         enq: List[Tuple[Cost, Cost, Vertex]] = []
-        ln: Optional[Tuple[Vertex, Cost]] = None
+        # The lookahead: NL entry (member, leg), leg None when empty.
+        member = leg = None
         fetched = 0    # NL entries read (the cold cursor's position)
         attempts = 0   # plain-NN advances a cold cursor would have run
         demanded = 0   # NL entries whose estimate was taken
         dry = False
         while True:
             while True:
-                if ln is None and not dry:
-                    if fetched < len(nl):
-                        ln = nl[fetched]
+                if leg is None and not dry:
+                    if fetched < len(members):
+                        member, leg = members[fetched], costs[fetched]
                         fetched += 1
                         attempts += 1
                     elif cursor.exhausted:
@@ -230,32 +235,28 @@ class EstStream:
                             dry = True
                             nn_advance = None
                         else:
-                            ln = nl[fetched]
+                            member, leg = members[fetched], costs[fetched]
                             fetched += 1
-                if ln is None:
+                if leg is None:
                     break  # NN stream dry; whatever is in ENQ is final
-                if enq and ln[1] >= enq[0][0]:
+                if enq and leg >= enq[0][0]:
                     break  # every unfetched neighbor's estimate >= heap top
-                member, leg = ln
-                ln = None
                 demanded += 1
                 h = cache_get(member) if cache_get is not None else None
                 if h is None:
                     h = estimate(member)
                 if h != INFINITY:
                     heappush_(enq, (leg + h, leg, member))
+                leg = None
             if not enq:
                 self.end = (attempts, demanded)
                 self.advance = None
                 return
-            est, leg, member = heappop_(enq)
-            enl_append((member, leg, est))
+            est, eleg, emember = heappop_(enq)
+            enl_append((emember, eleg, est))
             attempts_append(attempts)
             demanded_append(demanded)
             yield
-
-
-_member_of = itemgetter(0)
 
 
 class PackedEstimatedNNFinder:
@@ -312,7 +313,7 @@ class PackedEstimatedNNFinder:
             a, n = stream.booked(asked)
             attempts += a
             if n:
-                demanded.update(map(_member_of, islice(stream.nl, n)))
+                demanded.update(stream.members[:n])
         return attempts, demanded
 
     @property

@@ -3,7 +3,11 @@
 For a source ``v`` and category ``Ci`` the cursor runs a k-way merge over
 the inverted lists ``IL(u')`` of every hub ``u' ∈ Lout(v)``:
 
-* ``NL`` — neighbors already produced, nearest first;
+* ``NL`` — neighbors already produced, nearest first, held as two
+  typed arrays (``array('q')`` of members, ``array('d')`` of costs):
+  16 bytes per produced neighbour and no per-entry objects, which
+  matters because a serving session keeps every cursor's ``NL`` for its
+  whole lifetime;
 * ``NQ`` — a heap of one frontier entry per hub list, keyed by
   ``dis(v, u') + d_{u', m}``;
 * ``KV`` — per-hub read positions.
@@ -34,6 +38,7 @@ tested against lives with the tests (``tests/reference_nn.py``).
 from __future__ import annotations
 
 import heapq
+from array import array
 from heapq import heappop, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,21 +51,25 @@ from repro.types import CategoryId, Cost, INFINITY, Vertex
 class _PackedCursor:
     """Merge state for one ``(source, category)`` pair over packed buffers.
 
-    Each hub stream lives entirely inside its heap entry
+    ``NL`` is the pair ``members`` / ``costs``: entry ``i`` is
+    ``(members[i], costs[i])``, kept in two typed arrays so a produced
+    neighbour costs 16 bytes and no object the garbage collector has to
+    visit.  Each hub stream lives entirely inside its heap entry
     ``(total_cost, member, next position, run end, base distance)``:
     advancing a stream is one ``heapreplace`` with the successor tuple,
     with no side tables to update.
     """
 
-    __slots__ = ("nl", "nq", "idists", "imembers", "found", "exhausted",
-                 "gen")
+    __slots__ = ("members", "costs", "nq", "idists", "imembers", "found",
+                 "exhausted", "gen")
 
     def __init__(self) -> None:
-        self.nl: List[Tuple[Vertex, Cost]] = []
+        self.members = array("q")
+        self.costs = array("d")
         # heap entries: (total_cost, member, next_pos, run_end, base)
         self.nq: List[Tuple[Cost, Vertex, int, int, Cost]] = []
-        self.idists: List[Cost] = []
-        self.imembers: List[Vertex] = []
+        self.idists: Optional[List[Cost]] = None
+        self.imembers: Optional[List[Vertex]] = None
         #: members already produced (grows with |NL|, not with |V| —
         #: per-cursor flag arrays would cost O(V) each)
         self.found: set = set()
@@ -71,9 +80,10 @@ class _PackedCursor:
 
     def end(self) -> None:
         """Flag exhaustion and release the merge state: from here on
-        only ``nl`` is read, and most cursors of a session end here."""
+        only the two ``NL`` arrays are read, and most cursors of a
+        session end here."""
         self.exhausted = True
-        self.gen = self.nq = self.found = None
+        self.gen = self.nq = self.found = self.idists = self.imembers = None
 
 
 class PackedLabelNNFinder(NearestNeighborFinder):
@@ -116,8 +126,8 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         if cursor is None:
             cursor = self._make_cursor(source, category)
         # NL hit: free (not counted as an executed NN query).
-        nl = cursor.nl
-        if len(nl) < x and not cursor.exhausted:
+        members = cursor.members
+        if len(members) < x and not cursor.exhausted:
             # One count per produced neighbor plus one for the advance
             # that discovers exhaustion (it raises StopIteration after
             # flagging the cursor), matching the reference finder's
@@ -125,14 +135,14 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             attempts = 0
             advance = cursor.gen.__next__
             try:
-                while len(nl) < x:
+                while len(members) < x:
                     attempts += 1
                     advance()
             except StopIteration:
                 pass
             self.queries += attempts
-        if x <= len(nl):
-            return nl[x - 1]
+        if x <= len(members):
+            return members[x - 1], cursor.costs[x - 1]
         return None
 
     def distance(self, s: Vertex, t: Vertex) -> Cost:
@@ -238,21 +248,21 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         return cursor
 
     @staticmethod
-    def _stream(cursor: _PackedCursor, members: int):
+    def _stream(cursor: _PackedCursor, member_count: int):
         """Generator producing one NL entry per resume (lines 11-18).
 
         A generator rather than a method so the merge-loop bindings live
         in one long-lived frame instead of being re-established on every
         advance; on exhaustion it flags the cursor and finishes.
 
-        ``members`` is the category's member count as of cursor creation,
-        taken with the runs the cursor scans.  Once ``NL`` holds that many
-        neighbours nothing else can pop but stale duplicates, so ``NQ`` is
-        emptied before the ``yield`` instead of being drained pop by pop.
-        The counters cannot move: the entry is produced on the same resume
-        as before, and the next resume still finds ``NQ`` empty, flags the
-        cursor and ends — one booked attempt that discovers exhaustion, as
-        in a full drain.  A member the source cannot reach (directed or
+        ``member_count`` is the category's member count as of cursor
+        creation, taken with the runs the cursor scans.  Once ``NL`` holds
+        that many neighbours nothing else can pop but stale duplicates, so
+        ``NQ`` is emptied before the ``yield`` instead of being drained pop
+        by pop.  The counters cannot move: the entry is produced on the
+        same resume as before, and the next resume still finds ``NQ``
+        empty, flags the cursor and ends — one booked attempt that
+        discovers exhaustion, as in a full drain.  A member the source cannot reach (directed or
         disconnected graphs) never pops, the count is never reached, and
         the cursor drains as Algorithm 3 does.
 
@@ -261,7 +271,8 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         same either way, and entries with equal keys are interchangeable,
         so the produced NL sequence is too.
         """
-        nl_append = cursor.nl.append
+        members_append = cursor.members.append
+        costs_append = cursor.costs.append
         nq = cursor.nq
         found = cursor.found
         found_add = found.add
@@ -281,8 +292,9 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             if member in found:
                 continue  # stale duplicate through another hub
             found_add(member)
-            nl_append((member, total))
-            if len(found) == members:
+            members_append(member)
+            costs_append(total)
+            if len(found) == member_count:
                 nq.clear()  # the rest is stale duplicates
             yield
         cursor.end()

@@ -159,7 +159,7 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
         vpos, vexh = self._virtual.get(key, (0, False))
         if x > vpos and not vexh:
             cursor = shared._cursors[key]
-            avail = len(cursor.nl)
+            avail = len(cursor.members)
             if x <= avail:
                 self.queries += x - vpos
                 self._virtual[key] = (x, False)

@@ -438,6 +438,64 @@ class TestServeCommand:
         assert "interrupted, shutting down" in out
         assert "Traceback" not in err, err
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads minor faults from /proc")
+    def test_light_requests_fault_no_pages_in_any_allocator_mode(
+            self, fig1_file, tmp_path):
+        """The front door reads into one reused buffer, not a fresh
+        256 KiB ``bytes`` per socket read: with glibc's ``mmap``
+        threshold pinned below that size (which forces every such
+        allocation into a fresh ``mmap``), light requests still cost the
+        server under 1.5 minor page faults each."""
+        import os
+        import socket
+        import subprocess
+        import sys
+
+        import repro
+
+        def minflt(pid):
+            with open(f"/proc/{pid}/stat") as f:
+                # Fields after the parenthesised command name; minflt is
+                # field 10 of the whole line.
+                return int(f.read().rsplit(")", 1)[1].split()[7])
+
+        index = tmp_path / "fig1.rpli"
+        assert main(["index", "build", "--graph", fig1_file,
+                     "--out", str(index)]) == 0
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "PYTHONPATH": src + os.pathsep
+               + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--graph",
+             fig1_file, "--mmap-index", str(index), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        request = json.dumps(
+            {"source": vertex("s"), "target": vertex("t"),
+             "categories": ["MA"], "k": 1}).encode() + b"\n"
+        try:
+            banner = proc.stdout.readline()
+            host, port = re.search(r" on ([\d.]+):(\d+) ", banner).groups()
+            with socket.create_connection((host, int(port)),
+                                          timeout=30) as conn:
+                replies = conn.makefile("rb")
+
+                def exchange(n):
+                    for _ in range(n):
+                        conn.sendall(request)
+                        assert json.loads(replies.readline())["costs"]
+
+                exchange(50)  # warm: session, caches, first-use pages
+                before = minflt(proc.pid)
+                exchange(500)
+                faults = minflt(proc.pid) - before
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=30)
+        assert faults / 500 < 1.5, faults
+
     def test_serve_port_in_use_fails_with_actionable_message(
             self, fig1_file, capsys):
         """A bound port yields exit code 1 + a hint, not a traceback."""

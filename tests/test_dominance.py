@@ -37,7 +37,6 @@ class TestParking:
         t = DominanceTables()
         t.park(5, 3, entry(10.0, (0, 2, 5)))
         t.park(5, 3, entry(8.0, (0, 3, 5), tiebreak=1))
-        assert t.dominated == 2
         assert t.parked_count(5, 3) == 2
 
     def test_release_pops_cheapest(self):
@@ -48,7 +47,7 @@ class TestParking:
         released = t.release_for_result((0, 1, 5, 9, 7))
         assert len(released) == 1
         assert released[0][0] == 8.0
-        assert t.released == 1
+        assert t.parked_count(5, 3) == 1
         # dominator slot is cleared: next arrival takes over
         assert t.dominator(5, 3) is None
         assert t.try_register(5, 3, (0, 3, 5))

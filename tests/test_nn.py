@@ -235,7 +235,7 @@ def packed_setup():
 
 
 class TestPackedCursorRelease:
-    """An ended FindNN cursor keeps only its ``NL``."""
+    """An ended FindNN cursor keeps only its ``NL`` arrays."""
 
     def test_exhausted_cursor_sheds_merge_state(self, packed_setup):
         from repro.nn.label_nn import PackedLabelNNFinder
@@ -250,9 +250,10 @@ class TestPackedCursorRelease:
                 assert got == want
                 cursor = finder._cursors[(source, cid)]
                 assert cursor.exhausted
-                assert cursor.nl == want
+                assert list(zip(cursor.members, cursor.costs)) == want
                 assert cursor.gen is None and cursor.found is None
                 assert cursor.nq is None
+                assert cursor.idists is None and cursor.imembers is None
                 # Past the end: still None, and no further attempt booked.
                 before = finder.queries
                 assert finder.find(source, cid, len(want) + 3) is None
@@ -308,6 +309,50 @@ class TestPackedCursorRelease:
         cursor = finder._cursors[(source, cid)]
         assert not cursor.exhausted
         assert cursor.gen is not None and cursor.found
+
+
+class TestPackedCursorMemory:
+    def test_produced_neighbour_costs_two_array_slots(self):
+        """A drained cursor's ``NL`` costs about 16 bytes per neighbour
+        (one ``q`` and one ``d`` slot), not a tuple, a float and a list
+        slot (about 88 bytes) that a session would keep for its lifetime.
+        Large categories amortise each cursor's fixed cost: the whole
+        finder, dict and cursor objects included, stays under 40 bytes
+        per produced neighbour."""
+        import gc
+        import tracemalloc
+
+        from repro import KOSREngine
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g = random_graph(120, 2.5, rng=random.Random(41))
+        assign_uniform_categories(g, 2, 60, random.Random(42))
+        engine = KOSREngine.build(g)
+
+        def drain(finder):
+            for source in range(g.num_vertices):
+                for cid in range(g.num_categories):
+                    assert finder.find(source, cid, g.num_vertices + 1) \
+                        is None
+            return finder
+
+        # A first pass decodes every hub run the cursors scan, so the
+        # measured pass allocates cursor state only.
+        drain(PackedLabelNNFinder(engine.labels, engine.inverted))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            finder = drain(PackedLabelNNFinder(engine.labels,
+                                               engine.inverted))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Strongly connected: every source reaches every member.
+        produced = g.num_vertices * 2 * 60
+        assert finder.queries == produced + len(finder._cursors)
+        assert retained / produced < 40
 
 
 def _object_indexes(g):
@@ -367,11 +412,11 @@ class TestEstStream:
                     assert got == entries
                     booked_attempts, demanded = stream.booked(x)
                     assert booked_attempts == attempts
-                    assert [m for m, _ in stream.nl[:demanded]] == estimated
+                    assert list(stream.members[:demanded]) == estimated
                 assert stream.advance is None and stream.end is not None
                 if len(stream.enl) < members:
                     ended_early += 1
-                if not stream.nl:
+                if not stream.members:
                     born_empty += 1
                     assert stream.end == (0, 0)
         assert ended_early and born_empty  # both shapes were exercised

@@ -788,8 +788,7 @@ class TestTcpStreaming:
         assert reply["id"] == "bad"
         assert "unknown method" in reply["error"]
 
-    def test_slow_reader_stalls_only_its_own_stream(self, engine,
-                                                     monkeypatch):
+    def test_slow_reader_stalls_only_its_own_stream(self, engine):
         """A client that requests a long stream and does not read: the
         server buffers at most its high-water mark plus one record for
         that connection, another connection is answered meanwhile, and
@@ -801,19 +800,6 @@ class TestTcpStreaming:
         high_water = 2048
         record = {"id": "slow", "source": 0, "target": 30,
                   "categories": [0, 1, 2, 3], "k": 400, "stream": True}
-        transports = []
-        real_start = asyncio.start_server
-
-        async def recording_start(handle, *args, **kwargs):
-            async def recorded(reader, writer):
-                writer.transport.set_write_buffer_limits(high=high_water)
-                writer.get_extra_info("socket").setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-                transports.append(writer.transport)
-                await handle(reader, writer)
-            return await real_start(recorded, *args, **kwargs)
-
-        monkeypatch.setattr(tcp.asyncio, "start_server", recording_start)
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -824,14 +810,23 @@ class TestTcpStreaming:
                 slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 2048)
                 slow.setblocking(False)
                 await loop.sock_connect(slow, ("127.0.0.1", port))
+                # Shrink the connection's send buffers before it is
+                # asked for anything, through the server's public
+                # handler -> writer map.
+                deadline = time.monotonic() + 10
+                while not server.connections:
+                    assert time.monotonic() < deadline, "never accepted"
+                    await asyncio.sleep(0.001)
+                (writer,) = server.connections.values()
+                transport = writer.transport
+                transport.set_write_buffer_limits(high=high_water)
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
                 await loop.sock_sendall(
                     slow, json.dumps(record).encode() + b"\n")
-                deadline = time.monotonic() + 10
-                while not (transports
-                           and transports[0].get_write_buffer_size()):
+                while not transport.get_write_buffer_size():
                     assert time.monotonic() < deadline, "stream never stalled"
                     await asyncio.sleep(0.001)
-                (transport,) = transports
                 peak = 0
 
                 async def sample():
