@@ -2,12 +2,12 @@
 
 Two operational concerns the paper addresses beyond raw querying:
 
-* **category updates** — a venue opens or closes: the change lands in
-  the category's *delta overlay* in O(|Lin(v)| log |Ci|); query cursors
-  fold the overlay into the decoded runs lazily, and
-  ``engine.compact()`` (or the automatic compaction once the overlay
-  reaches ``packed_inverted.OVERLAY_RATIO`` = 0.25 of the category)
-  rebuilds them garbage-free;
+* **category updates** — a venue opens or closes: each hub run of the
+  category that the venue's ``Lin`` entries touch gets one binary insert
+  (or delete), applied to a copy of the run appended to the decoded
+  lists; ``engine.compact()`` (or the automatic compaction once the
+  edits reach ``packed_inverted.COMPACT_RATIO`` = 0.25 of the category)
+  rebuilds them without the replaced copies;
 * **disk-resident index (SK-DB)** — when the index exceeds memory, each
   query attaches the saved index file and only its own categories'
   sections of it, and still beats the in-memory dominance-only method.
@@ -25,8 +25,8 @@ from repro.graph import generators
 
 def main() -> None:
     graph = generators.col(scale=0.15)
-    # The index is dynamic: category updates go through per-category
-    # delta overlays on top of the never-written base sections.
+    # The index is dynamic: category updates edit the hub runs they touch,
+    # on top of the never-written base sections.
     engine = KOSREngine.build(graph, name="col")
     rng = random.Random(3)
     s, t = rng.randrange(graph.num_vertices), rng.randrange(graph.num_vertices)
@@ -37,22 +37,25 @@ def main() -> None:
 
     # A new venue joins category 0 right next to the source.
     new_member = next(v for v, _ in graph.neighbors_out(s))
-    engine.add_vertex_to_category(new_member, 0)
     il = engine.inverted[0]
-    print(f"category 0 overlay after insert: dirty={il.dirty}, "
-          f"{il.overlay_entries} staged entries")
+    entries = il.total_entries
+    engine.add_vertex_to_category(new_member, 0)
+    print(f"category 0 after insert: {entries} -> {il.total_entries} "
+          f"label entries (version {il.version})")
     after = engine.query(s, t, cats, k=3, method="SK")
     print(f"after adding vertex {new_member} to category 0: "
           f"{[round(c, 2) for c in after.costs]}")
     assert after.costs[0] <= before.costs[0] + 1e-9
 
-    # And closes again; compact() folds the overlay away (results are
-    # unchanged — it is a purely physical rebuild).
+    # And closes again; compact() drops the replaced run copies (results
+    # are unchanged — it is a purely physical rebuild).
     engine.remove_vertex_from_category(new_member, 0)
     engine.compact()
     restored = engine.query(s, t, cats, k=3, method="SK")
     print(f"after removing it again:   {[round(c, 2) for c in restored.costs]} "
-          f"(overlay dirty={engine.inverted[0].dirty})")
+          f"(compacted: {len(il.members)} decoded entries for "
+          f"{il.total_entries} live ones)")
+    assert len(il.members) == il.total_entries
     assert restored.costs == before.costs
 
     # SK-DB: save the index as one file, run the same query from the

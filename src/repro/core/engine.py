@@ -30,11 +30,11 @@ There is one index representation: the RPLI v2 section layout
 (:class:`~repro.labeling.packed.PackedLabelIndex`,
 :class:`~repro.labeling.packed_inverted.PackedInvertedIndex`), served
 from a private buffer after :meth:`KOSREngine.build` and from a shared
-read-only ``mmap`` after :meth:`KOSREngine.from_index_file`.  Dynamic
-category updates go through a per-category delta overlay that queries
-lazily fold in (see :meth:`KOSREngine.add_vertex_to_category` /
-:meth:`KOSREngine.compact`).  The per-entry object representation
-survives only as the tests' reference (``tests/reference_*.py``).
+read-only ``mmap`` after :meth:`KOSREngine.from_index_file`.  A dynamic
+category update edits the hub runs it touches as it arrives (see
+:meth:`KOSREngine.add_vertex_to_category` / :meth:`KOSREngine.compact`).
+The per-entry object representation survives only as the tests'
+reference (``tests/reference_*.py``).
 """
 
 from __future__ import annotations
@@ -320,8 +320,8 @@ class KOSREngine:
         """Per-category index version counters (``{}`` before build()).
 
         A category's counter moves with every mutation of its inverted
-        index — overlay inserts/tombstones and compaction — but not with
-        lazy query-time overlay folds, which are purely physical.
+        index — run edits and compaction — but not with lazy query-time
+        run decodes, which are purely physical.
         Together with :attr:`epoch_base` this is the state a
         :class:`~repro.service.cache.SessionCache` diffs to invalidate
         only the categories an update actually touched.
@@ -347,14 +347,13 @@ class KOSREngine:
     # Dynamic updates (Sec. IV-C)
     # ------------------------------------------------------------------
     def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
-        """Insert ``cid`` into ``F(v)``, patching ``IL(cid)``.
+        """Insert ``cid`` into ``F(v)``, editing ``IL(cid)``.
 
-        The deltas are staged in the category's overlay (folded in lazily
-        by the next queries, compacted automatically past
-        ``OVERLAY_RATIO``); an attached index file is never written, so
-        the saved file no longer reflects the indexes and SK-DB refuses
-        it until :meth:`save_index` runs again.  The index epoch moves,
-        invalidating session caches.
+        Each hub run the member joins is edited at once (compacted
+        automatically past ``COMPACT_RATIO``); an attached index file is
+        never written, so the saved file no longer reflects the indexes
+        and SK-DB refuses it until :meth:`save_index` runs again.  The
+        index epoch moves, invalidating session caches.
         """
         self._require_indexes()
         _updates.add_vertex_to_category(
@@ -383,11 +382,11 @@ class KOSREngine:
         self._swap_indexes(self.graph, labels, inverted)
 
     def compact(self) -> None:
-        """Fold every category's delta overlay in and drop buffer garbage.
+        """Drop the garbage that run edits left in every category's buffers.
 
         Query results are unchanged.  Call it after an update burst to
         return to garbage-free decoded runs instead of waiting for the
-        per-category ``OVERLAY_RATIO`` trigger.  Bumps the index epoch:
+        per-category ``COMPACT_RATIO`` trigger.  Bumps the index epoch:
         compaction rebuilds the decoded lists, so session caches
         re-snapshot rather than trusting warm cursors over them.
         """

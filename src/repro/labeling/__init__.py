@@ -19,8 +19,8 @@
 * :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
   "packed labels → inverted" function behind every engine constructor.
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
-  (Sec. IV-C): category updates land in per-category delta overlays with
-  threshold compaction.
+  (Sec. IV-C): a category update edits the hub runs it touches, with
+  threshold compaction; a structure update rebuilds the labels.
 """
 
 from repro.labeling.order import degree_order, random_order
@@ -43,9 +43,7 @@ from repro.labeling.packed_inverted import (
 from repro.labeling.assembly import AssembledIndex, assemble_index
 from repro.labeling.updates import (
     add_vertex_to_category,
-    rebuild_after_structure_update,
     remove_vertex_from_category,
-    update_edge,
 )
 
 __all__ = [
@@ -65,6 +63,4 @@ __all__ = [
     "assemble_index",
     "add_vertex_to_category",
     "remove_vertex_from_category",
-    "rebuild_after_structure_update",
-    "update_edge",
 ]

@@ -22,22 +22,24 @@ two lists of already-boxed numbers.  Decoded runs are the only
 per-process copy of the index, proportional to the runs a process's
 queries actually touch.
 
-Delta overlay
--------------
+Category updates
+----------------
 
-Dynamic category updates (Sec. IV-C) land in a small LSM-style overlay
-on top of that base: per hub rank a sorted list of pending inserts plus
-a tombstone set for deletions.  Mutations only touch the overlay
-(``O(|Lin(v)| log |Ci|)`` per category update) — the base sections, and
-so a shared index file, are never written.  Query cursors *lazily patch*
-any dirty hub run they are about to scan: the merged run is appended to
-the decoded lists in one append-then-sort pass and the slice maps are
-repointed, so the hot merge loop keeps running over plain list positions
-with zero per-advance overhead.  When the accumulated overlay traffic
-exceeds :data:`OVERLAY_RATIO` of the live entry count, :meth:`compact`
-rebuilds the decoded lists garbage-free and lets go of the base.
+A category update (Sec. IV-C) is applied as soon as it arrives: one
+binary insert of ``(d, v)`` into ``IL(u)`` for each ``(u, d) ∈ Lin(v)``,
+or the matching delete.  :meth:`PackedInvertedIndex.insert` /
+:meth:`~PackedInvertedIndex.remove` copy the hub's run (from the decoded
+lists, or straight from the base sections when the run was never
+decoded), edit the copy with ``bisect``, append it to the decoded lists
+and repoint the slice maps.  The base sections, and so a shared index
+file, are never written.  The old region stays behind as garbage, and
+once the edits since the last compaction exceed :data:`COMPACT_RATIO` of
+the live entry count, :meth:`~PackedInvertedIndex.compact` rebuilds the
+decoded lists garbage-free and lets go of the base.  Because the lists
+only grow between compactions, and a compaction builds new ones, a live
+FindNN cursor keeps reading the runs it was created over.
 
-Decode and patch both run under one per-index lock, and each publishes
+Decodes and edits all run under one per-index lock, and each publishes
 its slice only after the data it points at, so threads sharing an index
 read already-settled runs without taking it.
 """
@@ -47,8 +49,8 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from bisect import insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.labeling.packed import PackedLabelIndex, sections_resident_bytes
@@ -57,9 +59,9 @@ from repro.types import CategoryId, Cost, Vertex
 #: shared empty-slice sentinel for hubs absent from a category
 _EMPTY_SLICE = (0, 0)
 
-#: compaction threshold: rebuild a category's buffers once the
-#: cumulative overlay mutations exceed this fraction of its live entries
-OVERLAY_RATIO = 0.25
+#: compaction threshold: rebuild a category's buffers once the edits
+#: since its last compaction exceed this fraction of its live entries
+COMPACT_RATIO = 0.25
 
 Run = List[Tuple[Cost, Vertex]]
 
@@ -89,13 +91,12 @@ def _encode_runs(runs: Iterable[Tuple[int, Vertex, Run]]) -> Tuple:
 
 
 class PackedInvertedIndex:
-    """One category's inverted label lists: RPLI sections + delta overlay."""
+    """One category's inverted label lists over its RPLI sections."""
 
     __slots__ = ("category", "dists", "members", "slices", "rank_slices",
                  "hub_ranks", "version", "_base", "_file",
-                 "_undecoded", "_lock", "_pending", "_tombstones",
-                 "_hub_of_rank", "_live", "_num_hubs", "_dead",
-                 "_overlay_ops", "_member_count")
+                 "_undecoded", "_lock", "_live", "_num_hubs", "_dead",
+                 "_edits", "_member_count")
 
     def __init__(self, category: CategoryId, hubs, ranks, starts, dists,
                  members, index_file=None):
@@ -115,32 +116,25 @@ class PackedInvertedIndex:
         #: with ranks straight off the Lout section, skipping the
         #: rank -> vertex translation per label entry
         self.rank_slices: Dict[int, Tuple[int, int]] = {}
-        #: hub vertex -> rank of every decoded or overlay-touched hub
+        #: hub vertex -> rank of every decoded or edited hub
         self.hub_ranks: Dict[Vertex, int] = {}
         #: rank -> (hub, lo, hi) of base runs not decoded yet (None until
         #: the hub-level sections are first read)
         self._undecoded: Optional[Dict[int, Tuple[Vertex, int, int]]] = None
         self._lock = threading.Lock()
-        #: bumped by every overlay mutation and by :meth:`compact` (the
-        #: engine's ``index_epoch`` sums these; lazy query-time decodes and
-        #: patches are physical-only and intentionally do *not* bump it)
+        #: bumped by every edit and by :meth:`compact` (the engine's
+        #: ``index_epoch`` sums these; lazy query-time decodes are
+        #: physical-only and intentionally do *not* bump it)
         self.version = 0
-        # ---- delta overlay ------------------------------------------------
-        #: hub rank -> sorted pending (dist, member) inserts
-        self._pending: Dict[int, Run] = {}
-        #: hub rank -> (dist, member) keys deleted from the base run
-        self._tombstones: Dict[int, Set[Tuple[Cost, Vertex]]] = {}
-        #: rank -> hub vertex for every overlay-touched rank
-        self._hub_of_rank: Dict[int, Vertex] = {}
-        #: logical entry count (base − tombstones + pending)
+        #: live entry count
         self._live = len(members)
-        #: hubs with a non-empty effective run (pending deltas excluded)
+        #: hubs with a non-empty run
         self._num_hubs = len(ranks)
-        #: list elements orphaned by lazy patches (reclaimed by compact)
+        #: list elements orphaned by edits (reclaimed by compact)
         self._dead = 0
-        #: overlay mutations since the last compaction (threshold feed)
-        self._overlay_ops = 0
-        #: distinct members in the effective runs (None until first read)
+        #: edits since the last compaction (threshold feed)
+        self._edits = 0
+        #: distinct members in the runs (None until first read)
         self._member_count: Optional[int] = None
 
     @classmethod
@@ -156,10 +150,11 @@ class PackedInvertedIndex:
         return self._file is not None
 
     # ------------------------------------------------------------------
-    # Lazy run decode (caller holds ``_lock``)
+    # Lazy run decode
     # ------------------------------------------------------------------
     def _directory(self) -> Dict[int, Tuple[Vertex, int, int]]:
-        """The still-undecoded base runs, reading the hub sections once."""
+        """The still-undecoded base runs, reading the hub sections once
+        (caller holds ``_lock``)."""
         undecoded = self._undecoded
         if undecoded is None:
             hubs, ranks, starts = (view.tolist() for view in self._base[:3])
@@ -169,7 +164,8 @@ class PackedInvertedIndex:
         return undecoded
 
     def _decode_run(self, rank: int) -> None:
-        """Decode one base run; no-op when already decoded or absent."""
+        """Decode one base run; no-op when already decoded or absent
+        (caller holds ``_lock``)."""
         entry = self._directory().get(rank)
         if entry is None:
             return
@@ -185,173 +181,106 @@ class PackedInvertedIndex:
         # also finds every slice (and the data behind it) in place.
         del self._undecoded[rank]
 
-    # ------------------------------------------------------------------
-    # Delta overlay: incremental category updates (Sec. IV-C)
-    # ------------------------------------------------------------------
-    @property
-    def dirty(self) -> bool:
-        """True when overlay entries are waiting to be merged into runs."""
-        return bool(self._pending) or bool(self._tombstones)
-
-    @property
-    def overlay_entries(self) -> int:
-        """Pending inserts + tombstones currently sitting in the overlay."""
-        return (sum(len(p) for p in self._pending.values())
-                + sum(len(t) for t in self._tombstones.values()))
-
-    def overlay_insert(self, hub: Vertex, rank: int, dist: Cost,
-                       member: Vertex) -> None:
-        """Stage one ``(dist, member)`` insert under ``hub`` in the overlay.
-
-        A pending insert that matches an outstanding tombstone cancels it
-        (the net effect of remove-then-re-add is the base entry itself).
-        """
-        self._hub_of_rank[rank] = hub
-        self.hub_ranks[hub] = rank
-        key = (dist, member)
-        tombs = self._tombstones.get(rank)
-        if tombs and key in tombs:
-            tombs.remove(key)
-            if not tombs:
-                del self._tombstones[rank]
-        else:
-            insort(self._pending.setdefault(rank, []), key)
-        self._live += 1
-        self._overlay_ops += 1
-        self.version += 1
-
-    def overlay_remove(self, hub: Vertex, rank: int, dist: Cost,
-                       member: Vertex) -> bool:
-        """Stage one deletion; returns False (no-op) when the entry is absent.
-
-        Pending inserts are cancelled directly; base entries get a
-        tombstone that the lazy patch and :meth:`compact` filter out.
-        """
-        key = (dist, member)
-        pend = self._pending.get(rank)
-        if pend and key in pend:
-            pend.remove(key)
-            if not pend:
-                del self._pending[rank]
-        else:
-            tombs = self._tombstones.get(rank)
-            if tombs and key in tombs:
-                return False  # already deleted
-            if not self._base_run_contains(rank, dist, member):
-                return False
-            self._hub_of_rank[rank] = hub
-            self.hub_ranks[hub] = rank
-            self._tombstones.setdefault(rank, set()).add(key)
-        self._live -= 1
-        self._overlay_ops += 1
-        self.version += 1
-        return True
-
-    def _base_run_contains(self, rank: int, dist: Cost, member: Vertex) -> bool:
-        """Binary-search ``(dist, member)`` inside the rank's decoded run."""
-        with self._lock:
-            self._decode_run(rank)
-        lo, end = self.rank_slices.get(rank, _EMPTY_SLICE)
-        dists, members = self.dists, self.members
-        key = (dist, member)
-        hi = end
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (dists[mid], members[mid]) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < end and (dists[lo], members[lo]) == key
-
-    def patch_ranks(self, ranks) -> None:
-        """Settle the runs of ``ranks``: decode them, fold their deltas in.
+    def decode_ranks(self, ranks) -> None:
+        """Decode the runs of ``ranks`` that are still only in the base.
 
         Called by cursor creation right before a scan; hub runs the query
-        never touches stay undecoded and keep their deltas pending.  Once
-        every run is decoded and the overlay is empty this is three
-        attribute reads.
+        never touches stay undecoded.  Once every run is decoded this is
+        two attribute reads.
         """
-        if self._undecoded is not None and not (
-                self._undecoded or self._pending or self._tombstones):
+        if self._undecoded is not None and not self._undecoded:
             return
         with self._lock:
             for rank in self._directory().keys() & ranks:
                 self._decode_run(rank)
-            overlay = self._pending.keys() | self._tombstones.keys()
-            for rank in overlay.intersection(ranks):
-                self._patch_rank(rank)
 
-    def fold_overlay(self) -> None:
-        """Merge every outstanding overlay delta into the decoded runs.
-
-        Purely physical (no version change, identical results); only the
-        overlay-touched runs get decoded.  Afterwards cursor creation
-        never patches, just decodes.
-        """
-        if not self.dirty:
-            return
-        with self._lock:
-            for rank in list(self._pending.keys() | self._tombstones.keys()):
-                self._patch_rank(rank)
-
-    def _patch_all(self) -> None:
-        """Decode every base run and fold the whole overlay in."""
+    def _decode_all(self) -> None:
+        """Decode every base run."""
         if self._undecoded is None or self._undecoded:
             with self._lock:
                 for rank in list(self._directory()):
                     self._decode_run(rank)
-        self.fold_overlay()
 
-    def _patch_rank(self, rank: int) -> None:
-        """Append-then-sort the effective run of ``rank`` and repoint slices.
+    # ------------------------------------------------------------------
+    # Category updates (Sec. IV-C)
+    # ------------------------------------------------------------------
+    def insert(self, hub: Vertex, rank: int, dist: Cost,
+               member: Vertex) -> None:
+        """Binary-insert ``(dist, member)`` into the run of ``hub``."""
+        with self._lock:
+            self._edit(hub, rank, dist, member, True)
 
-        Caller holds ``_lock``.  The old region stays behind as garbage
-        (counted in ``_dead``) until :meth:`compact`; live cursors holding
-        positions into other runs are unaffected because lists only grow.
+    def remove(self, hub: Vertex, rank: int, dist: Cost,
+               member: Vertex) -> bool:
+        """Delete ``(dist, member)`` from the run of ``hub``; returns False
+        (no-op) when the entry is absent."""
+        with self._lock:
+            return self._edit(hub, rank, dist, member, False)
+
+    def _edit(self, hub: Vertex, rank: int, dist: Cost, member: Vertex,
+              insert: bool) -> bool:
+        """Copy the run of ``rank``, insert or delete one entry in the copy,
+        append it and repoint the slices (caller holds ``_lock``).
+
+        The copy is read from the decoded lists, or from the base sections
+        when the run was never decoded; a decoded original becomes garbage
+        (counted in ``_dead``) until :meth:`compact`.
         """
-        self._decode_run(rank)
-        pend = self._pending.get(rank)
-        tombs = self._tombstones.get(rank)
-        lo, hi = self.rank_slices.get(rank, _EMPTY_SLICE)
-        dists, members = self.dists, self.members
-        if tombs:
-            run = [(dists[i], members[i]) for i in range(lo, hi)
-                   if (dists[i], members[i]) not in tombs]
+        base_run = self._directory().get(rank)
+        if base_run is None:
+            lo, hi = self.rank_slices.get(rank, _EMPTY_SLICE)
+            dists, members = self.dists, self.members
         else:
-            run = list(zip(dists[lo:hi], members[lo:hi]))
-        if pend:
-            run += pend
-            run.sort()
-        self._dead += hi - lo
-        self._num_hubs += bool(run) - (hi > lo)
-        hub = self._hub_of_rank[rank]
-        if run:
-            new_lo = len(dists)
-            for d, m in run:
-                dists.append(d)
-                members.append(m)
-            sl = (new_lo, len(dists))
+            _, lo, hi = base_run
+            dists, members = self._base[3], self._base[4]
+        # A run is sorted by dist, and by member among equal dists.
+        pos = bisect_left(dists, dist, lo, hi)
+        pos = bisect_left(members, member, pos,
+                          bisect_right(dists, dist, pos, hi))
+        if not insert and (pos == hi or dists[pos] != dist
+                           or members[pos] != member):
+            return False
+        dists, members = dists[lo:hi], members[lo:hi]
+        if base_run is not None:
+            dists, members = dists.tolist(), members.tolist()
+        if insert:
+            dists.insert(pos - lo, dist)
+            members.insert(pos - lo, member)
+        else:
+            del dists[pos - lo], members[pos - lo]
+        if members:
+            new_lo = len(self.members)
+            self.dists.extend(dists)
+            self.members.extend(members)
+            sl = (new_lo, len(self.members))
             self.rank_slices[rank] = sl
             self.slices[hub] = sl
         else:
             self.rank_slices.pop(rank, None)
             self.slices.pop(hub, None)
-        # Last, so a lock-free reader that sees a clean overlay also sees
-        # the repointed slices.
-        self._pending.pop(rank, None)
-        self._tombstones.pop(rank, None)
+        self.hub_ranks[hub] = rank
+        if base_run is None:
+            self._dead += hi - lo
+        else:
+            # Last, as in _decode_run: the run's slice is already in place.
+            del self._undecoded[rank]
+        self._num_hubs += bool(members) - (hi > lo)
+        self._live += 1 if insert else -1
+        self._edits += 1
+        self.version += 1
+        return True
 
     def compact(self) -> None:
-        """Fold the overlay in and rebuild the decoded lists garbage-free.
+        """Rebuild the decoded lists garbage-free.
 
-        Purely physical: the effective per-hub runs — and therefore every
-        query result — are unchanged (property-tested).  A category that
-        saw overlay traffic ends up fully decoded and lets go of its base
-        sections; one that saw none has nothing to fold and keeps them.
-        Resets the compaction-threshold accounting.
+        Purely physical: the per-hub runs — and therefore every query
+        result — are unchanged (property-tested).  A category that saw
+        edits ends up fully decoded and lets go of its base sections; one
+        that saw none keeps them.  Resets the compaction-threshold
+        accounting.
         """
-        if self._overlay_ops:
-            self._patch_all()
+        if self._edits:
+            self._decode_all()
             if self._dead:
                 dists: List[Cost] = []
                 members: List[Vertex] = []
@@ -370,13 +299,13 @@ class PackedInvertedIndex:
                 self._dead = 0
             self._base = None
             self._file = None
-            self._overlay_ops = 0
+            self._edits = 0
         self.version += 1
 
     def maybe_compact(self) -> bool:
-        """Compact when overlay traffic exceeds :data:`OVERLAY_RATIO` of
-        live size."""
-        if self._overlay_ops > OVERLAY_RATIO * max(1, self._live):
+        """Compact when the edits exceed :data:`COMPACT_RATIO` of live
+        size."""
+        if self._edits > COMPACT_RATIO * max(1, self._live):
             self.compact()
             return True
         return False
@@ -386,7 +315,7 @@ class PackedInvertedIndex:
     # ------------------------------------------------------------------
     def hub_slice(self, hub: Vertex) -> Tuple[int, int]:
         """``(lo, hi)`` run of ``hub`` (``(0, 0)`` when the hub is unused)."""
-        self._patch_all()
+        self._decode_all()
         return self.slices.get(hub, _EMPTY_SLICE)
 
     def hub_list(self, hub: Vertex) -> Run:
@@ -395,18 +324,18 @@ class PackedInvertedIndex:
         return list(zip(self.dists[lo:hi], self.members[lo:hi]))
 
     def as_lists(self) -> Dict[Vertex, Run]:
-        """Hub -> sorted ``(dist, member)`` lists of the effective index."""
-        self._patch_all()
+        """Hub -> sorted ``(dist, member)`` lists of the index."""
+        self._decode_all()
         return {hub: list(zip(self.dists[lo:hi], self.members[lo:hi]))
                 for hub, (lo, hi) in self.slices.items()}
 
     def sections(self) -> Tuple:
-        """The five RPLI sections of the effective index (what a save writes).
+        """The five RPLI sections of the index as it is (what a save writes).
 
-        An index that never saw overlay traffic hands back its base
-        sections as they are; otherwise the effective runs are re-encoded.
+        An index that was never edited hands back its base sections as
+        they are; otherwise the runs are re-encoded.
         """
-        if self._base is not None and not self._overlay_ops:
+        if self._base is not None and not self._edits:
             return self._base
         lists = self.as_lists()
         return _encode_runs(
@@ -416,11 +345,11 @@ class PackedInvertedIndex:
 
     @property
     def member_count(self) -> int:
-        """Distinct members in the effective runs: the most neighbours a
-        FindNN cursor over this category can produce.
+        """Distinct members in the runs: the most neighbours a FindNN
+        cursor over this category can produce.
 
-        Read from the effective members section on first use, then kept by
-        :meth:`adjust_member_count` (physical work — decodes, patches,
+        Read from the members section on first use, then kept by
+        :meth:`adjust_member_count` (physical work — decodes and
         :meth:`compact` — never changes it).
         """
         if self._member_count is None:
@@ -428,8 +357,9 @@ class PackedInvertedIndex:
         return self._member_count
 
     def adjust_member_count(self, delta: int) -> None:
-        """Count one member in (+1) or out (-1).  Call it *before* staging
-        the member's entries, so a first read does not count them too."""
+        """Count one member in (+1) or out (-1).  Call it *before* the
+        member's entries are edited, so a first read does not count them
+        too."""
         self._member_count = self.member_count + delta
 
     # ------------------------------------------------------------------
@@ -442,7 +372,6 @@ class PackedInvertedIndex:
 
     @property
     def num_hubs(self) -> int:
-        self.fold_overlay()
         return self._num_hubs
 
     def average_list_length(self) -> float:
@@ -466,7 +395,7 @@ class PackedInvertedIndex:
     def nbytes_resident(self) -> int:
         """Estimated live in-process footprint.
 
-        The decoded lists as held — including overlay garbage not yet
+        The decoded lists as held — including edit garbage not yet
         reclaimed by :meth:`compact` — plus the slice directories, plus
         the base sections when they are a private buffer (views into a
         shared index file cost only the view objects).

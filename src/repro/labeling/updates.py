@@ -9,28 +9,26 @@ which it spells out concretely:
   ``IL(u) ∈ IL(Ci)`` — ``O(|Lin(v)| log |Ci|)``;
 * removing: the symmetric deletion.
 
-The deltas are staged in the per-category overlay of
-:class:`~repro.labeling.packed_inverted.PackedInvertedIndex` (lazily
-merged into the decoded runs by query cursors, compacted once the
-overlay outgrows ``OVERLAY_RATIO`` of the category).  The overlay sits
-on top of the category's base sections whether those are a private
-buffer or a view into a shared index file, so a first write to an
-attached category changes nothing but the overlay: the file is never
-written and the category's ``version`` counter simply keeps counting.
+A category update edits the hub runs of
+:class:`~repro.labeling.packed_inverted.PackedInvertedIndex` as it
+arrives: each run it touches is copied, edited and appended to the
+category's decoded lists, and the category compacts once its edits
+outgrow ``COMPACT_RATIO`` of its live entries.  The base
+sections are only ever read, whether they are a private buffer or a view
+into a shared index file, so the file is never written and the
+category's ``version`` counter simply keeps counting.
 
-For structure updates we provide the honest fallback the paper's citations
-amount to for a from-scratch reproduction: rebuild the labels (and the
-inverted indexes).  The rebuild helper keeps graph, labels, and inverted
-indexes consistent in one call.
+A structure update is :func:`apply_edge_mutation` followed by a full
+label rebuild (``assemble_index``): the honest fallback the paper's
+citations amount to for a from-scratch reproduction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
-from repro.labeling.assembly import assemble_index
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.types import CategoryId, Cost, Vertex
@@ -82,7 +80,7 @@ def add_vertex_to_category(
         il = inverted[cid] = PackedInvertedIndex.empty(cid)
     il.adjust_member_count(+1)
     for hub, rank, dist in _lin_entries(labels, v):
-        il.overlay_insert(hub, rank, dist, v)
+        il.insert(hub, rank, dist, v)
     il.maybe_compact()
 
 
@@ -103,22 +101,8 @@ def remove_vertex_from_category(
         return
     il.adjust_member_count(-1)
     for hub, rank, dist in _lin_entries(labels, v):
-        il.overlay_remove(hub, rank, dist, v)
+        il.remove(hub, rank, dist, v)
     il.maybe_compact()
-
-
-def rebuild_after_structure_update(
-    graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-) -> tuple:
-    """Rebuild labels + inverted indexes after edge insertions/removals.
-
-    Returns ``(labels, inverted)``.  The paper handles structure updates
-    with incremental label maintenance from the literature; a full
-    rebuild gives identical final state (tests assert this) at higher
-    preprocessing cost.
-    """
-    return assemble_index(graph, order=order)[:2]
 
 
 def apply_edge_mutation(graph: Graph, u: Vertex, v: Vertex,
@@ -139,18 +123,3 @@ def apply_edge_mutation(graph: Graph, u: Vertex, v: Vertex,
             graph.remove_edge(u, v)
         graph.add_edge(u, v, weight)
 
-
-def update_edge(
-    graph: Graph,
-    u: Vertex,
-    v: Vertex,
-    weight: Optional[Cost],
-    order: Optional[Sequence[Vertex]] = None,
-) -> tuple:
-    """Apply one edge update (insert/change with a weight, delete with ``None``)
-    and return freshly consistent ``(labels, inverted)``.
-
-    Weight changes are the paper's remove-insert pair.
-    """
-    apply_edge_mutation(graph, u, v, weight)
-    return rebuild_after_structure_update(graph, order)

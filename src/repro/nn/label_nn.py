@@ -95,12 +95,12 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     decoded runs: no entry objects, no per-step hub-list dict lookups, no
     ``(dist, member)`` tuple unpacking.
 
-    Dynamic category updates land in the inverted indexes' delta
-    overlays; cursors decode the hub runs they will scan and fold any
-    relevant deltas in at creation time (see :meth:`_make_cursor`).
-    A finder snapshots index state as of each cursor's creation — apply
-    updates between queries (the engine builds a fresh finder per
-    query), not while a finder is mid-enumeration.
+    Dynamic category updates edit the inverted indexes' hub runs as they
+    arrive; cursors decode the hub runs they will scan at creation time
+    (see :meth:`_make_cursor`).  A finder snapshots index state as of
+    each cursor's creation — apply updates between queries (the engine
+    builds a fresh finder per query), not while a finder is
+    mid-enumeration.
     """
 
     def __init__(
@@ -207,12 +207,11 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     def _make_cursor(self, source: Vertex, category: CategoryId) -> _PackedCursor:
         """Algorithm 3 lines 6-10: seed NQ with each hub run's head.
 
-        The hub runs this cursor is about to scan are settled first
-        (``patch_ranks``: decoded on first touch, any delta-overlay
-        updates merged in, slices repointed), so the merge loop itself
-        only ever sees plain decoded runs.  With everything decoded and
-        an empty overlay — the steady serving case — that costs a few
-        attribute reads per cursor creation and nothing per advance.
+        The hub runs this cursor is about to scan are decoded first
+        (``decode_ranks``: decoded on first touch), so the merge loop
+        itself only ever sees plain decoded runs.  With everything
+        decoded — the steady serving case — that costs two attribute
+        reads per cursor creation and nothing per advance.
         """
         cursor = _PackedCursor()
         self._cursors[(source, category)] = cursor
@@ -225,7 +224,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
             ranks = self._out_ranks[lo:hi].tolist()
             base_dists = self._out_dists[lo:hi].tolist()
-            pinv.patch_ranks(ranks)
+            pinv.decode_ranks(ranks)
             idists = cursor.idists = pinv.dists
             imembers = cursor.imembers = pinv.members
             nq = cursor.nq

@@ -52,8 +52,8 @@ door for concurrent request traffic:
   locks serialise only same-shard traffic), and the warm sessions live
   worker-side.
 * **Update safety** — the one execution thread owns the engine's
-  buffers, so a cursor that lazily folds a pending delta overlay never
-  races another (the shard worker's argument).  Index mutations must
+  buffers, so a cursor that lazily decodes a hub run never races
+  another (the shard worker's argument).  Index mutations must
   come from the event-loop thread, ideally with no requests in flight
   (``await front.drain()`` first — the same no-updates-mid-batch
   contract as every other engine use); the session epoch-validates on

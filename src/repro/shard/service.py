@@ -609,7 +609,7 @@ class ShardedQueryService:
         self._update(("update", "remove", v, cid))
 
     def compact(self) -> None:
-        """Fold every worker's delta overlays in (broadcast, synchronized)."""
+        """Compact every worker's edited runs (broadcast, synchronized)."""
         self._update(("compact",))
 
     def update_edge(self, u: Vertex, v: Vertex, weight,

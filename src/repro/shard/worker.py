@@ -25,7 +25,7 @@ Update broadcast contract
 
 Category updates are broadcast to **every** worker: graph membership
 (``F(v)``) must stay globally consistent because validation and the
-GSP-family methods read it.  A worker patches ``IL(cid)`` only when it
+GSP-family methods read it.  A worker edits ``IL(cid)`` only when it
 has that category materialised (owned or previously faulted); otherwise
 it records the membership change alone — a later fault-in rebuilds the
 index from the already-updated graph.  Crucially the worker never
@@ -227,7 +227,8 @@ class _ShardWorker:
         """One broadcast category update; returns the new index epoch.
 
         A materialised category takes the update like any engine's
-        would, in its private overlay on top of whatever base it has.
+        would: its edited hub runs are private copies on top of whatever
+        base it has.
         One updated while *unmaterialised* changes membership only and
         is marked stale: its index-file sections (if any) predate the
         update, so a later fault-in must rebuild from the updated graph
@@ -262,8 +263,8 @@ class _ShardWorker:
         categories: their file-backed indexes are dropped and marked
         stale, so the next query fault-ins rebuild them from the
         worker's update-current graph + labels — bit-identical to an
-        index that was patched live (the fuzz suite pins rebuilt ==
-        patched).  SK-DB reads the file itself, so any pending update
+        index that was edited live (the fuzz suite pins rebuilt ==
+        edited).  SK-DB reads the file itself, so any pending update
         takes it away from this worker like it did from its fleet-mates.
         """
         inverted = self.engine.inverted

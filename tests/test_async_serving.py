@@ -422,10 +422,11 @@ class TestInterleavedUpdateParity:
                 assert front.pending == 0
                 outsider = next(v for v in range(g.num_vertices)
                                 if not g.has_category(v, 0))
+                version = engine.inverted[0].version
                 engine.add_vertex_to_category(outsider, 0)
-                assert engine.inverted[0].dirty
-                # The cursors fold the pending overlay lazily, on the
-                # one execution thread that owns the engine's buffers.
+                assert engine.inverted[0].version > version
+                # The cursors decode runs lazily, on the one execution
+                # thread that owns the engine's buffers.
                 return await front.gather(queries)
 
         after = asyncio.run(scenario())

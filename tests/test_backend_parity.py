@@ -391,7 +391,7 @@ class TestServicePathParity:
 class TestPostUpdateParity:
     """The packed engine stays bit-identical *after* dynamic updates.
 
-    It absorbs category updates through its delta overlays; the
+    It absorbs category updates by editing its hub runs; the
     reference is rebuilt from the mutated graph after every update.
     """
 
@@ -448,7 +448,9 @@ class TestPostUpdateParity:
         after = packed.run(q, SK)
         assert before.witnesses == after.witnesses
         assert before.costs == after.costs
-        assert not packed.inverted[0].dirty
+        # compacted: every run decoded once, no edit garbage left behind
+        il = packed.inverted[0]
+        assert len(il.members) == len(il.dists) == il.total_entries
 
     def test_updates_detach_stale_disk_store(self, tmp_path):
         """SK-DB must not silently serve the pre-update index file."""

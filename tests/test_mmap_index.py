@@ -4,8 +4,8 @@ Covers the RPLI v2 on-disk format (fixed layout, offset-indexed — no
 per-entry decode on load), the read-only mmap attachment path
 (:mod:`repro.labeling.mmap_index`), hardened load error paths
 (truncated/corrupted files fail with the offending path and byte
-offset), resident-vs-serialized memory accounting, updates landing in
-a private overlay on top of the never-written file, and the sharded
+offset), resident-vs-serialized memory accounting, updates editing
+private run copies on top of the never-written file, and the sharded
 build-once/attach-many worker fleet.
 """
 
@@ -226,7 +226,7 @@ class TestAttachedEngine:
 
     def test_first_write_to_attached_category_never_touches_the_file(
             self, built):
-        """Add/remove on an attached category: overlay only, file intact.
+        """Add/remove on an attached category: private copies, file intact.
 
         No materialise step: the category keeps its index object, its
         file-backed base and its version counter's continuity; answers
@@ -342,7 +342,7 @@ class TestAttachedEngine:
                 random.Random(seed).shuffle(order)
                 barrier.wait(timeout=10)
                 for i in range(0, len(order), 3):
-                    racing.patch_ranks(order[i:i + 3])
+                    racing.decode_ranks(order[i:i + 3])
                     for rank in order[i:i + 3]:
                         lo, hi = racing.rank_slices[rank]
                         assert hi <= len(racing.members)
@@ -365,6 +365,68 @@ class TestAttachedEngine:
         assert len(racing.members) == serial.total_entries  # no run twice
         assert racing.as_lists() == expected
         assert sorted(racing.rank_slices) == ranks
+
+    def test_edits_racing_decodes_match_serial(self, built):
+        """One thread edits runs while three decode them (one lock for both).
+
+        Every entry the editor inserts it removes again, so the lists end
+        equal to a serial decode; every slice a decoder reads meanwhile
+        points inside the lists.  Repeated over fresh views, since the
+        race window closes once every run is decoded.
+        """
+        _, _, path, _ = built
+        index_file = MmapIndexFile.open(path)
+        serial = index_file.inverted_view(0)
+        expected = serial.as_lists()
+        hubs, ranks = (view.tolist() for view in serial.sections()[:2])
+        extra = list(enumerate(zip(hubs, ranks), 10 ** 6))
+        errors = []
+
+        def decode(racing, barrier, seed):
+            try:
+                order = ranks[:]
+                random.Random(seed).shuffle(order)
+                barrier.wait(timeout=10)
+                for i in range(0, len(order), 3):
+                    racing.decode_ranks(order[i:i + 3])
+                    for rank in order[i:i + 3]:
+                        lo, hi = racing.rank_slices[rank]
+                        assert lo < hi <= len(racing.members)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def edit(racing, barrier):
+            try:
+                barrier.wait(timeout=10)
+                for member, (hub, rank) in extra:
+                    racing.insert(hub, rank, 0.5, member)
+                for member, (hub, rank) in extra:
+                    assert racing.remove(hub, rank, 0.5, member)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(8):
+                racing = index_file.inverted_view(0)
+                barrier = threading.Barrier(4)
+                threads = [threading.Thread(target=decode,
+                                            args=(racing, barrier, seed))
+                           for seed in range(3 * round_, 3 * round_ + 3)]
+                threads.append(threading.Thread(target=edit,
+                                                args=(racing, barrier)))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert not errors
+                assert racing.as_lists() == expected
+                assert racing.total_entries == serial.total_entries
+                assert sorted(racing.rank_slices) == sorted(ranks)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_queries_identical_after_partial_decode(self, built):
         """Interleaved queries on builder vs attachment stay identical."""

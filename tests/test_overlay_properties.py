@@ -1,14 +1,17 @@
-"""Property tests for the packed backend's delta-overlay invariants.
+"""Property tests for the packed backend's category-update invariants.
 
 Hypothesis drives random sequences of category inserts/removals and
 explicit compactions against one fixed graph (labels are topology-only,
 so they are built once and shared; each example gets a fresh graph copy
 and fresh packed inverted indexes).  Invariants under test:
 
-* a tombstoned (removed) entry never surfaces from a FindNN cursor;
-* every effective hub run — base buffers with the overlay folded in —
-  stays sorted by ``(dist, vertex)`` and the slice maps stay consistent;
+* a removed entry never surfaces from a FindNN cursor;
+* every hub run — edited copies and untouched base runs alike — stays
+  sorted by ``(dist, vertex)`` and the slice maps stay consistent;
 * ``compact()`` changes the physical layout only, never query results;
+* the decoded lists only grow between compactions, so a live cursor
+  keeps reading the runs it was created over through edits and a
+  compaction;
 * a category's member count follows every update, and the cursors that
   stop at it answer and book like the reference FindNN, also when a
   member cannot be reached and the cursor has to drain.
@@ -83,7 +86,7 @@ def test_removed_entries_never_surface(ops):
         for source in (0, N_VERTICES // 2, N_VERTICES - 1):
             produced = _enumerate_nn(engine, source, cid)
             got = {m for m, _ in produced}
-            # nothing tombstoned (or never a member) surfaces ...
+            # nothing removed (or never a member) surfaces ...
             assert got <= members
             # ... and every reachable live member does surface
             reachable = {m for m in members
@@ -97,8 +100,8 @@ def test_overlay_base_merge_is_sorted(ops):
     g, engine = _fresh_engine()
     _apply(g, engine, ops)
     for il in engine.inverted.values():
-        lists = il.as_lists()  # folds the whole overlay in
-        assert not il.dirty
+        lists = il.as_lists()  # decodes every run
+        assert sum(map(len, lists.values())) == il.total_entries
         for hub, entries in lists.items():
             assert entries == sorted(entries)
             assert entries  # empty runs are dropped from the slice maps
@@ -123,12 +126,45 @@ def test_compact_is_noop_on_query_results(ops, seed):
     before = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     engine.compact()
     for il in engine.inverted.values():
-        assert not il.dirty
+        assert len(il.members) <= il.total_entries  # no edit garbage
     after = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     for a, b in zip(before, after):
         assert a.witnesses == b.witnesses
         assert a.costs == b.costs
         assert a.stats.nn_queries == b.stats.nn_queries
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), compact=st.booleans())
+def test_live_cursor_keeps_its_snapshot_across_edits(seed, compact):
+    rng = random.Random(seed)
+    g, engine = _fresh_engine()
+    cid = rng.randrange(N_CATEGORIES)
+    source = rng.randrange(N_VERTICES)
+    before = _enumerate_nn(engine, source, cid)
+    finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+    first = finder.find(source, cid, 1)  # advanced once, then edited under
+    outsider = rng.choice([v for v in range(N_VERTICES)
+                           if not g.has_category(v, cid)])
+    member = rng.choice(sorted(g.members(cid)))
+    engine.add_vertex_to_category(outsider, cid)
+    engine.remove_vertex_from_category(member, cid)
+    if compact:
+        engine.compact()
+    drained = [first] if first is not None else []
+    x = 2
+    while first is not None:
+        res = finder.find(source, cid, x)
+        if res is None:
+            break
+        drained.append(res)
+        x += 1
+    assert drained == before
+    # A cursor opened now sees the edits, like a fresh engine over the
+    # edited graph.
+    fresh = KOSREngine.from_labels(g.copy(), _LABELS)
+    assert _enumerate_nn(engine, source, cid) == \
+        _enumerate_nn(fresh, source, cid)
 
 
 #: a directed graph whose last vertex has out-edges only: a member of
@@ -164,8 +200,8 @@ def test_member_count_and_cursors_match_reference(ops):
             engine.compact()
         for c, il in engine.inverted.items():
             assert il.member_count == len(g.members(c))
-    # The packed finder first: it settles the overlay one cursor's runs
-    # at a time, before the reference folds every category in.
+    # The packed finder first: it decodes one cursor's runs at a time,
+    # before the reference decodes every category in full.
     finder = PackedLabelNNFinder(engine.labels, engine.inverted)
     reference = LabelNNFinder.from_index(engine.labels, engine.inverted)
     for source in range(g.num_vertices):

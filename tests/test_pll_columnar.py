@@ -26,7 +26,6 @@ from repro.labeling import (
     pll,
     write_index_file,
 )
-from repro.labeling.updates import update_edge
 
 from reference_labels import from_index, lin, lout
 from reference_pll import build_reference_labels
@@ -195,11 +194,12 @@ class TestSymmetricGraphs:
 
     def test_one_directional_update_runs_both_searches_again(self, searches):
         g = _undirected(25, 3, lambda rng: float(rng.randint(1, 9)))
-        build_labels_auto(g)
+        engine = KOSREngine.build(g)
         assert len(searches) == g.num_vertices
         del searches[:]
         u, v = next((u, v) for u, v, _ in g.edges())
-        labels, _ = update_edge(g, u, v, g.edge_weight(u, v) + 0.5)
+        engine.update_edge(u, v, g.edge_weight(u, v) + 0.5)
+        labels = engine.labels
         assert not g.is_symmetric()
         assert len(searches) == 2 * g.num_vertices
         assert_same_as_reference(labels, build_reference_labels(g))

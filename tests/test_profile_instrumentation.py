@@ -83,20 +83,24 @@ class TestZeroOverheadDefault:
 
     def test_no_timer_syscalls_with_nonempty_overlay(self, clock,
                                                      monkeypatch):
-        """The delta-overlay query path is as instrumentation-free as the
-        static one: zero ``perf_counter`` calls even while cursors fold
-        overlay deltas into the flat buffers."""
+        """The query path over edited runs is as instrumentation-free as
+        the static one: zero ``perf_counter`` calls while the edits'
+        garbage still sits, uncompacted, in the decoded lists."""
         g = random_graph(40, avg_out_degree=2.8, rng=random.Random(23))
         assign_uniform_categories(g, 3, 8, random.Random(24))
         engine = KOSREngine.build(g)
-        # keep deltas in the overlay
-        monkeypatch.setattr(packed_inverted, "OVERLAY_RATIO", 1e9)
+        # keep the edited runs uncompacted
+        monkeypatch.setattr(packed_inverted, "COMPACT_RATIO", 1e9)
+        for cid in (0, 1):
+            engine.inverted[cid].as_lists()  # decoded, so edits leave garbage
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         member = sorted(g.members(1))[0]
         engine.add_vertex_to_category(outsider, 0)
         engine.remove_vertex_from_category(member, 1)
-        assert engine.inverted[0].dirty or engine.inverted[1].dirty
+        for cid in (0, 1):
+            il = engine.inverted[cid]
+            assert len(il.members) > il.total_entries
         res = engine.query(0, g.num_vertices - 1, [0, 1, 2], k=3, method="SK")
         assert clock.calls == 0
         assert res.stats.examined_routes > 0

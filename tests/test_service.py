@@ -184,7 +184,7 @@ class TestSessionCache:
         assert session.validate() is False
 
     def test_lazy_query_time_patch_does_not_move_epoch(self):
-        """Folding overlay deltas into buffers mid-query is physical only."""
+        """Decoding the edited category's runs mid-query is physical only."""
         engine = KOSREngine.build(_graph(27))
         outsider = next(v for v in range(engine.graph.num_vertices)
                         if not engine.graph.has_category(v, 0))
@@ -192,7 +192,7 @@ class TestSessionCache:
         epoch = engine.index_epoch
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=3)
-        engine.service.run(q, SK)  # cursors patch dirty runs
+        engine.service.run(q, SK)  # cursors decode the runs they scan
         assert engine.index_epoch == epoch
 
     def test_batch_result_shape(self, engine):

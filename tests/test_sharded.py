@@ -262,7 +262,7 @@ class TestUpdateBroadcast:
 
         The update targets a category on shard 1 while the spanning
         request runs on shard 0 — the copy shard 0 faulted in must
-        observe it exactly as the owning shard's patched index does.
+        observe it exactly as the owning shard's edited index does.
         """
         g = _graph(19, cats=4)
         sharded = ShardedQueryService(g.copy(), 2)
@@ -378,7 +378,7 @@ class TestWorkerProtocol:
         assert kind == "ok" and epoch == 0   # membership only, no IL touch
         _, report = exchange("ping")
         assert 1 not in report["materialized_categories"]
-        kind, epoch = exchange("update", "add", v, 0)  # owned: IL patched
+        kind, epoch = exchange("update", "add", v, 0)  # owned: IL edited
         assert kind == "ok" and epoch >= 1
         kind, _ = exchange("compact")
         assert kind == "ok"

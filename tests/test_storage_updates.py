@@ -13,7 +13,6 @@ from repro.labeling import (
     remove_vertex_from_category,
 )
 from repro.labeling.assembly import assemble_index
-from repro.labeling.updates import rebuild_after_structure_update, update_edge
 from repro.nn.label_nn import PackedLabelNNFinder
 
 from reference_inverted import build_inverted_index, build_inverted_indexes
@@ -85,40 +84,50 @@ class TestCategoryUpdates:
 
 
 class TestStructureUpdates:
-    def test_edge_insert_changes_distances(self, setup):
-        g, labels, _ = setup
-        # Add a zero-cost shortcut and rebuild; distance must not increase.
-        before = labels.distance(0, 5)
-        labels2, inverted2 = update_edge(g, 0, 5, 0.0)
-        assert labels2.distance(0, 5) == 0.0
-        assert 0 in dict(g.neighbors_in(5))
+    """``KOSREngine.update_edge``: the edge mutation plus a full rebuild."""
 
-    def test_edge_delete(self, setup):
-        g, _, _ = setup
+    @pytest.fixture
+    def engine(self, setup):
+        return KOSREngine.build(setup[0])
+
+    def test_edge_insert_changes_distances(self, engine):
+        # Add a zero-cost shortcut and rebuild; distance must not increase.
+        engine.update_edge(0, 5, 0.0)
+        assert engine.labels.distance(0, 5) == 0.0
+        assert 0 in dict(engine.graph.neighbors_in(5))
+
+    def test_edge_delete(self, engine):
+        g = engine.graph
         u, v, w = next(iter(g.edges()))
-        labels2, _ = update_edge(g, u, v, None)
+        engine.update_edge(u, v, None)
         assert not g.has_edge(u, v)
         from repro.paths.dijkstra import dijkstra_distance
 
-        assert labels2.distance(u, v) == dijkstra_distance(g, u, v)
+        assert engine.labels.distance(u, v) == dijkstra_distance(g, u, v)
 
-    def test_rebuild_matches_fresh_build(self, setup):
-        g, _, _ = setup
-        labels2, inverted2 = rebuild_after_structure_update(g)
+    def test_rebuild_matches_fresh_build(self, engine):
+        g = engine.graph
+        u, v, w = next(iter(g.edges()))
+        engine.update_edge(u, v, w + 2.0)
         fresh_labels = build_reference_labels(g)
         for s in range(0, g.num_vertices, 7):
             for t in range(g.num_vertices):
-                assert labels2.distance(s, t) == fresh_labels.distance(s, t)
+                assert engine.labels.distance(s, t) == \
+                    fresh_labels.distance(s, t)
+        fresh_inverted = build_inverted_indexes(g, fresh_labels)
+        for cid, il in engine.inverted.items():
+            assert il.as_lists() == fresh_inverted[cid].lists
 
-    def test_rebuild_emits_packed_indexes(self, setup):
+    def test_rebuild_emits_packed_indexes(self, engine):
         from repro.labeling.packed import PackedLabelIndex
         from repro.labeling.packed_inverted import PackedInvertedIndex
 
-        g, labels, _ = setup
-        labels2, inverted2 = update_edge(g, 0, 5, 0.0)
+        g = engine.graph
+        engine.update_edge(0, 5, 0.0)
+        labels2 = engine.labels
         assert isinstance(labels2, PackedLabelIndex)
         assert all(isinstance(il, PackedInvertedIndex)
-                   for il in inverted2.values())
+                   for il in engine.inverted.values())
         assert labels2.distance(0, 5) == 0.0
         # same distances as an object build of the same graph
         labels3 = build_reference_labels(g)

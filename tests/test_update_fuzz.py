@@ -6,9 +6,9 @@ queries.  After **every** step its answers are checked bit-identically
 (witnesses, costs, and all search counters) against a freshly built
 reference engine over the same graph state, and the cost vector is
 additionally checked against the exhaustive brute-force oracle.  The
-overlay therefore gets exercised in every phase: fresh deltas, partially
-patched runs, threshold-triggered compactions, and post-``update_edge``
-rebuilds.
+run edits therefore get exercised in every phase: edits of undecoded
+and of decoded runs, threshold-triggered compactions, and
+post-``update_edge`` rebuilds.
 
 Across the five seeds the suite performs 5 × 44 = 220 update/query
 steps (the differential check itself runs SK *and* PK on every step).
@@ -119,7 +119,7 @@ def test_fuzz_mmap_attached_engine_differential(seed, tmp_path):
     """The mmap-attached engine absorbs the same fuzz interleaving.
 
     The engine starts as read-only views over a saved index file;
-    category updates land in private overlays on top of them, compaction
+    category updates edit private run copies on top of them, compaction
     lets go of a touched category's file sections, edge updates rebuild
     into private buffers.  Every step is still checked bit-identically
     against a fresh reference build plus the brute-force oracle, and the
@@ -184,8 +184,8 @@ def test_fuzz_step_budget_meets_acceptance():
 
 
 def test_fuzz_effective_lists_match_object_rebuild():
-    """After a fuzz run, the packed indexes' *effective* lists (base +
-    overlay, tombstones applied) equal a from-scratch object build."""
+    """After a fuzz run, the packed indexes' lists (untouched base runs
+    and edited copies) equal a from-scratch object build."""
     from reference_inverted import build_inverted_index
 
     g = _make_graph(909)
