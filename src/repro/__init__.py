@@ -56,12 +56,9 @@ from repro.core import (
     brute_force_kosr,
     gsp_osr,
     gsp_osr_ch,
-    kpne,
     kosr_with_preferences,
     kosr_without_destination,
     kosr_without_source,
-    pruning_kosr,
-    star_kosr,
 )
 from repro.core.query import make_query
 from repro.api import QueryOptions, QueryRequest
@@ -103,12 +100,9 @@ __all__ = [
     "brute_force_kosr",
     "gsp_osr",
     "gsp_osr_ch",
-    "kpne",
     "kosr_with_preferences",
     "kosr_without_destination",
     "kosr_without_source",
-    "pruning_kosr",
-    "star_kosr",
     "make_query",
     "AsyncQueryService",
     "BatchResult",

@@ -79,7 +79,8 @@ class QueryOptions:
     def __post_init__(self):
         if self.budget is not None and self.budget < 0:
             raise QueryError(f"budget must be >= 0, got {self.budget}")
-        if self.time_budget_s is not None and self.time_budget_s < 0:
+        # ``not >=`` so that NaN, which compares false, is rejected too
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
             raise QueryError(
                 f"time_budget_s must be >= 0, got {self.time_budget_s}")
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -51,6 +50,7 @@ from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import load_json, save_json
+from repro.obs import clock
 from repro.service import QueryService
 from repro.service.cache import CACHE_KINDS
 
@@ -212,9 +212,9 @@ def cmd_info(args) -> int:
 def cmd_index(args) -> int:
     """Build the labels once and write the single-file packed index."""
     graph = _load_graph(args.graph)
-    t0 = time.perf_counter()
+    t0 = clock.now()
     engine = KOSREngine.build(graph, name=Path(args.graph).stem)
-    build_s = time.perf_counter() - t0
+    build_s = clock.now() - t0
     p = engine.preprocessing
     print(f"labels built in {build_s:.2f}s: avg |Lin| = {p.avg_lin:.1f}, "
           f"avg |Lout| = {p.avg_lout:.1f}, {p.label_entries} entries")
@@ -280,10 +280,10 @@ def cmd_query(args) -> int:
     for token in args.categories.split(","):
         token = token.strip()
         categories.append(int(token) if token.isdigit() else token)
-    t0 = time.perf_counter()
+    t0 = clock.now()
     result = engine.query(args.source, args.target, categories, k=args.k,
                           options=_query_options(args))
-    elapsed = time.perf_counter() - t0
+    elapsed = clock.now() - t0
     stats = result.stats
     if not stats.completed:
         print("INF (budget exhausted before the top-k set completed)")
@@ -384,11 +384,11 @@ def _run_async(service, requests, args):
     async def drive():
         async with AsyncQueryService(service,
                                      max_queue=args.max_queue) as front:
-            t0 = time.perf_counter()
+            t0 = clock.now()
             results = await asyncio.gather(
                 *(front.submit(r) for r in requests),
                 return_exceptions=True)
-            wall = time.perf_counter() - t0
+            wall = clock.now() - t0
             return results, wall, {"serving_stats": front.stats.as_dict(),
                                    "cache_stats": front.cache_stats()}
 
@@ -499,7 +499,7 @@ def _index_note(served, t0: float) -> str:
         return "none"
     if labels.shared:
         return "mmap"
-    return (f"built {time.perf_counter() - t0:.2f}s/"
+    return (f"built {clock.now() - t0:.2f}s/"
             f"{labels.size_entries()} entries")
 
 
@@ -519,7 +519,7 @@ def cmd_serve(args) -> int:
         from repro.obs.metrics import REGISTRY
 
         REGISTRY.enable()
-    t0 = time.perf_counter()
+    t0 = clock.now()
     backend = _open_backend(args, {args.method})
     sharded = backend if args.shards is not None else None
     index_note = _index_note(backend, t0)

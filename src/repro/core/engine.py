@@ -59,6 +59,7 @@ from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.dijkstra_nn import DijkstraNNFinder
 from repro.nn.label_nn import PackedLabelNNFinder
+from repro.obs import clock
 from repro.service.execution import execute_plan
 from repro.service.planner import METHODS, NN_BACKENDS
 from repro.service.service import QueryService
@@ -120,27 +121,34 @@ class KOSREngine:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _assemble(cls, graph: Graph, name: str, **source) -> "KOSREngine":
+    def _assemble(cls, graph: Graph, name: str, labels=None, *, order=None,
+                  categories=None, index_file=None) -> "KOSREngine":
         """An engine over :func:`~repro.labeling.assembly.assemble_index`
-        output, with the Table IX statistics recorded."""
-        parts = assemble_index(graph, **source)
+        output, with the Table IX statistics recorded (the label build
+        time is 0.0 when the labels were supplied or attached)."""
+        built = labels is None and index_file is None
+        t0 = clock.now()
+        labels = assemble_index(graph, labels, order=order, categories=(),
+                                index_file=index_file).labels
+        t1 = clock.now()
+        inverted = assemble_index(graph, labels, categories=categories,
+                                  index_file=index_file).inverted
         stats = PreprocessingStats(
             graph_name=name,
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
+            label_build_seconds=t1 - t0 if built else 0.0,
+            inverted_build_seconds=clock.now() - t1,
         )
-        stats.label_build_seconds = parts.label_seconds
-        stats.avg_lin, stats.avg_lout = parts.labels.average_label_sizes()
-        stats.label_entries = parts.labels.size_entries()
-        stats.inverted_build_seconds = parts.inverted_seconds
-        totals = [il.total_entries for il in parts.inverted.values()]
+        stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
+        stats.label_entries = labels.size_entries()
+        totals = [il.total_entries for il in inverted.values()]
         stats.inverted_entries = sum(totals)
         stats.avg_il_per_category = (sum(totals) / len(totals)) if totals else 0.0
-        lengths = [il.average_list_length() for il in parts.inverted.values()
+        lengths = [il.average_list_length() for il in inverted.values()
                    if il.num_hubs]
         stats.avg_il_list_length = (sum(lengths) / len(lengths)) if lengths else 0.0
-        engine = cls(graph, parts.labels, parts.inverted, stats)
-        index_file = source.get("index_file")
+        engine = cls(graph, labels, inverted, stats)
         if index_file is not None:
             engine._index_file = index_file
             engine._store = index_file.path
@@ -378,7 +386,7 @@ class KOSREngine:
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
-        labels, inverted = assemble_index(self.graph, order=order)[:2]
+        labels, inverted = assemble_index(self.graph, order=order)
         self._swap_indexes(self.graph, labels, inverted)
 
     def compact(self) -> None:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
 from repro.graph.graph import Graph
+from repro.obs import clock
 from repro.types import Cost, INFINITY, SequencedResult, Vertex, Witness
 
 
@@ -69,7 +69,7 @@ def _gsp_dp(graph: Graph, query: KOSRQuery, stats: QueryStats,
     over the frontier's ``{s: X[s]}``.  Each call is booked as one NN
     query, each layer's survivors as examined routes.
 
-    ``deadline`` (an absolute :func:`time.perf_counter` instant) is
+    ``deadline`` (an absolute :func:`repro.obs.clock.now` instant) is
     checked before every transition; past it the DP stops with no route
     and ``stats.completed = False``, as the search-based methods do.
     """
@@ -78,7 +78,7 @@ def _gsp_dp(graph: Graph, query: KOSRQuery, stats: QueryStats,
 
     def search(targets):
         """One transition from the frontier; None past ``deadline``."""
-        if deadline is not None and perf_counter() > deadline:
+        if deadline is not None and clock.now() > deadline:
             stats.completed = False
             return None
         stats.nn_queries += 1  # one search per transition

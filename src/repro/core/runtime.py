@@ -31,12 +31,12 @@ query or read back, and also when a budget stops the search early.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict
 
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
 from repro.nn.base import NearestNeighborFinder
+from repro.obs import clock
 from repro.types import Cost, INFINITY, Vertex
 
 
@@ -52,11 +52,11 @@ def table_x_timer(stats: QueryStats, bucket: str, op: Callable) -> Callable:
 
     def timed_op(*args):
         nested = seconds["estimation_time"]
-        t0 = perf_counter()
+        t0 = clock.now()
         try:
             return op(*args)
         finally:
-            seconds[bucket] += (perf_counter() - t0
+            seconds[bucket] += (clock.now() - t0
                                 - (seconds["estimation_time"] - nested))
 
     return timed_op

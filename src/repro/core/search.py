@@ -17,11 +17,35 @@ StarKOSR      yes                yes
 
 Implementing the paper's Algorithm 2 once with these switches keeps the
 comparisons honest: all methods pay identical per-operation overheads, so
-the measured gaps come from the algorithms, not the engineering.
+the measured gaps come from the algorithms, not the engineering.  A
+method is a row of :data:`repro.service.planner.METHOD_TABLE`, and
+:func:`repro.service.execution.execute_plan` is the one caller of the
+search; what each row buys:
+
+* **KPNE** (Sec. III-B) — progressive neighbor exploration (Sharifzadeh
+  et al. [32]) extended to top-k: the skeleton above with neither
+  switch.  Without dominance every partial witness cheaper than the
+  k-th result is examined — the exponential ``Σ Π |Cj|`` search space
+  in the worst case.
+* **PruningKOSR** (Algorithm 2, Sec. IV-A) — a partial witness is
+  *dominated* when another one of the same size already reached its
+  last vertex at no greater cost (Definition 6).  Dominated witnesses
+  are parked in per-vertex heaps instead of being extended and are
+  reconsidered once their dominating route completes into a result
+  (Lemma 1: nothing cheaper is missed).  This cuts the examined-route
+  space to the polynomial ``Σ |Ci|·|Ci+1| + (k-1)·Σ |Ci|`` (Lemma 3).
+* **StarKOSR** (Sec. IV-B) — orders the queue by ``w(p) + dis(last(p),
+  t)``, the real cost plus an admissible completion estimate from the
+  hub labels, and extends through *estimated* nearest neighbors
+  (FindNEN, Algorithm 4), which rank category members by leg cost plus
+  remaining distance.  Partial witnesses pointing away from the
+  destination sink in the queue, shrinking the searched rings of
+  Fig. 2(c); Lemma 4 proves the returned top-k set is exact.  Without
+  dominance (SK-NODOM) it is the heuristic-only ablation.
 
 Per-operation timing (the Table X breakdown) is gated on
-``stats.profile``: in the default profile-off mode the loop performs zero
-``perf_counter`` syscalls — the only exception is the explicit
+``stats.profile``: in the default profile-off mode the loop makes zero
+:func:`repro.obs.clock.now` reads — the only exception is the explicit
 ``deadline`` guard, which needs the clock by definition and is skipped
 entirely when no deadline is set.
 """
@@ -30,11 +54,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.dominance import DominanceTables
 from repro.core.runtime import QueryRuntime, table_x_timer
+from repro.obs import clock
 from repro.types import Cost, SequencedResult, Vertex, Witness
 
 #: Queue entries: (key, tiebreak, vertices, cost, x, prefix_cost).
@@ -59,7 +83,7 @@ def sequenced_route_search(
     variant); entries are ``(vertex, initial_cost)``.
 
     When ``budget`` examined routes are exceeded, or ``deadline`` (an
-    absolute :func:`time.perf_counter` instant) passes, the search stops
+    absolute :func:`repro.obs.clock.now` instant) passes, the search stops
     with ``runtime.stats.completed = False`` (the paper's INF outcome —
     queries that do not finish within 3,600 seconds).
 
@@ -133,7 +157,7 @@ def sequenced_route_search(
         if budget is not None and examined > budget:
             stats.completed = False
             break
-        if deadline is not None and perf_counter() > deadline:
+        if deadline is not None and clock.now() > deadline:
             stats.completed = False
             break
 

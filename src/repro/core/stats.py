@@ -8,9 +8,9 @@ estimation time, and other.  :class:`QueryStats` carries all of them, plus
 the per-level examined counts behind Fig. 5.
 
 The Table X timers are *opt-in*: counters always populate, but the
-per-operation ``time.perf_counter`` instrumentation in the search and NN
-hot loops only runs when ``profile=True`` — two timer syscalls per heap or
-oracle operation otherwise distort exactly the millisecond-scale gaps the
+per-operation :func:`repro.obs.clock.now` instrumentation in the search
+and NN hot loops only runs when ``profile=True`` — two clock reads per
+heap or oracle operation otherwise distort exactly the millisecond-scale gaps the
 benchmarks exist to measure.  ``total_time`` and ``index_load_time`` are
 measured once per query and stay populated in both modes.
 """

@@ -20,15 +20,13 @@ PruningKOSR there).
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api import QueryOptions
 from repro.core.engine import KOSREngine, KOSRResult
-from repro.core.runtime import QueryRuntime
-from repro.core.search import sequenced_route_search
-from repro.core.stats import QueryStats
 from repro.nn.base import NearestNeighborFinder
-from repro.service.planner import METHOD_TABLE
+from repro.service.execution import ColdResources, execute_plan
+from repro.service.planner import METHOD_TABLE, resolve_plan
 from repro.types import CategoryId, Cost, SequencedResult, Vertex, Witness
 
 
@@ -143,6 +141,17 @@ class PreferenceNNFinder(NearestNeighborFinder):
         return self._base.distance(s, t)
 
 
+class _PreferenceResources(ColdResources):
+    """Cold resources whose finder keeps only the preferred members."""
+
+    def __init__(self, engine, predicates):
+        super().__init__(engine)
+        self.predicates = predicates
+
+    def finder(self, nn_backend: str) -> NearestNeighborFinder:
+        return PreferenceNNFinder(super().finder(nn_backend), self.predicates)
+
+
 def kosr_with_preferences(
     engine: KOSREngine,
     source: Vertex,
@@ -166,11 +175,6 @@ def kosr_with_preferences(
         (engine.graph.category_id(c) if isinstance(c, str) else int(c)): fn
         for c, fn in predicates.items()
     }
-    finder = PreferenceNNFinder(engine._make_finder("label"), cid_predicates)
-    stats = QueryStats(method=f"{method}+pref")
-    t0 = time.perf_counter()
-    results = sequenced_route_search(
-        QueryRuntime(q, finder, stats, estimated=spec.estimated),
-        spec.use_dominance, spec.estimated, budget=budget)
-    stats.total_time = time.perf_counter() - t0
-    return KOSRResult(q, results, stats)
+    return execute_plan(engine, resolve_plan(method), q,
+                        QueryOptions(method=method, budget=budget),
+                        resources=_PreferenceResources(engine, cid_predicates))

@@ -23,7 +23,7 @@
   threshold compaction; a structure update rebuilds the labels.
 """
 
-from repro.labeling.order import degree_order, random_order
+from repro.labeling.order import degree_order
 from repro.labeling.pll import (
     build_bfs_labels,
     build_labels_auto,
@@ -48,7 +48,6 @@ from repro.labeling.updates import (
 
 __all__ = [
     "degree_order",
-    "random_order",
     "build_pruned_landmark_labels",
     "build_bfs_labels",
     "build_labels_auto",

@@ -9,7 +9,6 @@ file or built privately" is decided in one function.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence
 
 from repro.graph.graph import Graph
@@ -23,13 +22,10 @@ from repro.types import CategoryId, Vertex
 
 
 class AssembledIndex(NamedTuple):
-    """What :func:`assemble_index` hands back (Table IX times included)."""
+    """What :func:`assemble_index` hands back."""
 
     labels: PackedLabelIndex
     inverted: Dict[CategoryId, PackedInvertedIndex]
-    #: PLL build time; 0.0 when the labels were supplied
-    label_seconds: float
-    inverted_seconds: float
 
 
 def assemble_index(
@@ -47,15 +43,13 @@ def assemble_index(
     from ``labels`` when given, else from a PLL build over ``graph`` in
     ``order``.  ``categories`` defaults to every category of the graph;
     each one is taken from ``index_file`` when the file stores it and
-    built privately from ``graph`` + the labels otherwise.
+    built privately from ``graph`` + the labels otherwise.  It reads no
+    clock: the engine times its Table IX build steps around it.
     """
-    built = labels is None and index_file is None
-    t0 = perf_counter()
     if index_file is not None:
         labels = index_file.labels
-    elif built:
+    elif labels is None:
         labels = build_labels_auto(graph, order)
-    t1 = perf_counter()
     if categories is None:
         categories = range(graph.num_categories)
     inverted: Dict[CategoryId, PackedInvertedIndex] = {}
@@ -64,5 +58,4 @@ def assemble_index(
             inverted[cid] = index_file.inverted_view(cid)
         else:
             inverted[cid] = build_packed_inverted_index(graph, labels, cid)
-    return AssembledIndex(labels, inverted, t1 - t0 if built else 0.0,
-                          perf_counter() - t1)
+    return AssembledIndex(labels, inverted)

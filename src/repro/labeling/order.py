@@ -7,7 +7,6 @@ later.  Degree order is the cheap, effective default used by Akiba et al.
 
 from __future__ import annotations
 
-import random
 from typing import List, Sequence
 
 from repro.graph.graph import Graph
@@ -17,13 +16,6 @@ from repro.types import Vertex
 def degree_order(graph: Graph) -> List[Vertex]:
     """Vertices by decreasing total degree (ties by id for determinism)."""
     return sorted(range(graph.num_vertices), key=lambda v: (-graph.degree(v), v))
-
-
-def random_order(graph: Graph, seed: int = 0) -> List[Vertex]:
-    """A uniformly random order (ablation baseline; labels get much bigger)."""
-    order = list(range(graph.num_vertices))
-    random.Random(seed).shuffle(order)
-    return order
 
 
 def validate_order(graph: Graph, order: Sequence[Vertex]) -> List[Vertex]:

@@ -64,14 +64,15 @@ door for concurrent request traffic:
 from __future__ import annotations
 
 import asyncio
+import math
 import queue
 import threading
-from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest
 from repro.core.query import KOSRQuery
 from repro.exceptions import DeadlineExceededError, ServiceOverloadedError
+from repro.obs import clock
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.service import QueryService
 
@@ -233,7 +234,7 @@ class AsyncQueryService:
         deadline = self._deadline_from(deadline_s)
         self._admit(request)
         # the admission time, for the queue-wait histogram
-        admitted = monotonic() if _METRICS.enabled else None
+        admitted = clock.now() if _METRICS.enabled else None
         future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._inflight[key] = future
@@ -259,15 +260,17 @@ class AsyncQueryService:
         return await future
 
     def _deadline_from(self, deadline_s: Optional[float]):
-        """``(absolute monotonic deadline, requested ms)`` or ``None``;
-        a deadline already in the past sheds immediately."""
+        """``(absolute clock deadline, requested ms)`` or ``None``; a
+        deadline already in the past sheds immediately, a NaN one raises."""
         if deadline_s is None:
             return None
+        if math.isnan(deadline_s):
+            raise ValueError("deadline_s must be a number, got NaN")
         deadline_ms = float(deadline_s) * 1000.0
         if deadline_s <= 0:
             self.stats.deadline_shed += 1
             raise DeadlineExceededError(deadline_ms)
-        return (monotonic() + deadline_s, deadline_ms)
+        return (clock.now() + deadline_s, deadline_ms)
 
     def _admit(self, request: QueryRequest) -> None:
         """Bounded admission; sheds the expensive plan class first.
@@ -377,7 +380,7 @@ class AsyncQueryService:
         metrics = _METRICS
         if admitted is not None and metrics.enabled:
             metrics.histogram("repro_serving_queue_wait_seconds").observe(
-                monotonic() - admitted)
+                clock.now() - admitted)
         with self._executing_lock:
             self._executing += 1
         try:
@@ -386,7 +389,7 @@ class AsyncQueryService:
             with self._executing_lock:
                 self._executing -= 1
         if (deadline is not None and not result.stats.completed
-                and monotonic() >= deadline[0]):
+                and clock.now() >= deadline[0]):
             # Incomplete at an expired deadline: the structured error,
             # not a silent partial.
             raise DeadlineExceededError(deadline[1])
@@ -419,7 +422,7 @@ class AsyncQueryService:
     def _capped_to(deadline, request: QueryRequest) -> QueryRequest:
         """``request`` with its execution time budget capped to the
         deadline time remaining at dispatch."""
-        remaining = deadline[0] - monotonic()
+        remaining = deadline[0] - clock.now()
         if remaining <= 0:
             raise DeadlineExceededError(deadline[1])
         options = request.options

@@ -16,8 +16,6 @@ resource provider handed in:
 
 from __future__ import annotations
 
-import time
-
 from repro.api import DEFAULT_OPTIONS, QueryOptions
 from repro.core.gsp import gsp_osr, gsp_osr_ch
 from repro.core.query import KOSRQuery
@@ -26,6 +24,7 @@ from repro.core.search import sequenced_route_search
 from repro.core.stats import QueryStats
 from repro.exceptions import BudgetExceededError
 from repro.nn.base import NearestNeighborFinder
+from repro.obs import clock
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.cache import IndexAttachment, SessionCache
 from repro.service.planner import QueryPlan
@@ -99,7 +98,7 @@ def execute_plan(
     if resources is None:
         resources = ColdResources(engine)
     stats = QueryStats(method=plan.method, profile=options.profile)
-    t_start = time.perf_counter()
+    t_start = clock.now()
     deadline = (None if options.time_budget_s is None
                 else t_start + options.time_budget_s)
     spec = plan.spec
@@ -107,10 +106,10 @@ def execute_plan(
         if spec.index_file:
             # SK-DB: attach what of the saved file is not attached yet (on
             # the cold path, everything), then search with a fresh finder.
-            t0 = time.perf_counter()
+            t0 = clock.now()
             finder = resources.index_attachment().finder(engine.graph,
                                                          query.categories)
-            stats.index_load_time = time.perf_counter() - t0
+            stats.index_load_time = clock.now() - t0
         else:
             finder = resources.finder(plan.nn_backend)
         results = sequenced_route_search(
@@ -123,7 +122,7 @@ def execute_plan(
                              deadline)
     else:
         results = gsp_osr(engine.graph, query, stats, deadline)
-    stats.total_time = time.perf_counter() - t_start
+    stats.total_time = clock.now() - t_start
     metrics = _METRICS
     if metrics is not None and metrics.enabled:
         # Post-hoc, outside the search loop: answers and QueryStats stay

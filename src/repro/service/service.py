@@ -24,12 +24,12 @@ one request at a time over the same session.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
 from repro.core.query import KOSRQuery
+from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 from repro.service.cache import SessionCache
 from repro.service.execution import WarmResources, execute_plan
@@ -164,7 +164,7 @@ class QueryService:
         queries = list(queries)
         groups = self.group_queries(queries)
         results: List = [None] * len(queries)
-        t0 = time.perf_counter()
+        t0 = clock.now()
         before = self.cache_stats()
         for indexes in groups.values():
             for i in indexes:
@@ -175,7 +175,7 @@ class QueryService:
                        in self.cache_stats().items()}
         return BatchResult(
             results=results,
-            wall_time_s=time.perf_counter() - t0,
+            wall_time_s=clock.now() - t0,
             num_groups=len(groups),
             cache_stats=cache_stats,
         )

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -64,6 +63,7 @@ from repro.exceptions import QueryError, ShardError
 from repro.labeling.assembly import assemble_index
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.updates import apply_edge_mutation
+from repro.obs import MetricsRegistry, clock
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
 from repro.service.service import BatchResult, QueryService
 from repro.shard.router import CategoryShardRouter
@@ -115,8 +115,9 @@ class ShardedQueryService:
         # Spawn configuration is kept so a quarantined worker can be
         # respawned mid-life with the same shape as its fleet-mates.
         self._worker_config = (max_dest_kernels, max_finders)
-        #: workers replaced by the quarantine-and-respawn recovery path
-        self.respawns = 0
+        #: per shard, workers replaced by the quarantine-and-respawn
+        #: recovery path (:attr:`respawns` is their fleet total)
+        self.shard_respawns = [0] * num_shards
         #: categories touched by update broadcasts since the index file
         #: was written — a respawned mmap worker must not re-attach
         #: their pre-update file sections (see _respawn_worker_locked)
@@ -261,6 +262,11 @@ class ShardedQueryService:
         return self.router.num_shards
 
     @property
+    def respawns(self) -> int:
+        """Workers replaced by the recovery path, fleet-wide."""
+        return sum(self.shard_respawns)
+
+    @property
     def index_epoch(self) -> int:
         """Router-level update counter (bumped per synchronized broadcast)."""
         return self._epoch
@@ -290,12 +296,12 @@ class ShardedQueryService:
         """
         timeout = self.timeout_s if timeout_s is None else timeout_s
         conn = self._conns[shard]
-        deadline = time.monotonic() + timeout
+        deadline = clock.now() + timeout
         while True:
             while not conn.poll(min(0.2, timeout)):
                 if not self._procs[shard].is_alive():
                     raise ShardError(shard, "worker process died")
-                if time.monotonic() > deadline:
+                if clock.now() > deadline:
                     raise ShardError(
                         shard, f"no response within {timeout:.0f}s")
             try:
@@ -329,14 +335,14 @@ class ShardedQueryService:
         metrics = _METRICS
         timed = metrics.enabled
         if timed:
-            t0 = time.perf_counter()
+            t0 = clock.now()
         with self._locks[shard]:
             payload = self._exchange_locked(shard, msg, on_route=on_route)
         if timed:
             metrics.counter("repro_shard_requests_total",
                             shard=shard).inc()
             metrics.histogram("repro_shard_roundtrip_seconds",
-                              shard=shard).observe(time.perf_counter() - t0)
+                              shard=shard).observe(clock.now() - t0)
         return payload
 
     def _update_exchange(self, shard: int, msg: tuple,
@@ -399,10 +405,7 @@ class ShardedQueryService:
         self._recv(shard, 0, timeout_s=float("inf"))
         if self.index_path is not None and self._stale_log:
             self._exchange_locked(shard, ("stale", sorted(self._stale_log)))
-        self.respawns += 1
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_shard_respawns_total", shard=shard).inc()
+        self.shard_respawns[shard] += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -518,7 +521,7 @@ class ShardedQueryService:
             buckets.setdefault(shard, []).append(i)
         results: List = [None] * len(queries)
         before = self.cache_stats()
-        t0 = time.perf_counter()
+        t0 = clock.now()
 
         def run_bucket(indexes: List[int]) -> None:
             for i in indexes:
@@ -533,7 +536,7 @@ class ShardedQueryService:
         else:
             for indexes in buckets.values():
                 run_bucket(indexes)
-        wall = time.perf_counter() - t0
+        wall = clock.now() - t0
         after = self.cache_stats()
         return BatchResult(
             results=results,
@@ -746,9 +749,18 @@ class ShardedQueryService:
         element-wise addition: per-method latency histograms combine
         fleet-wide (identical bucket bounds by construction), while the
         router-side round-trip metrics keep their per-shard labels.
+        ``repro_shard_respawns_total`` is read from :attr:`shard_respawns`
+        into a snapshot of its own, so the merge adds it exactly once.
         """
         snapshots = [_METRICS.snapshot()]
         snapshots.extend(self._broadcast(("metrics",)))
+        if _METRICS.enabled:
+            router = MetricsRegistry(enabled=True)
+            for shard, count in enumerate(self.shard_respawns):
+                if count:
+                    router.counter("repro_shard_respawns_total",
+                                   shard=shard).inc(count)
+            snapshots.append(router.snapshot())
         return merge_snapshots(snapshots)
 
     def index_memory(self) -> Dict[str, object]:

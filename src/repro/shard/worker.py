@@ -296,7 +296,7 @@ class _ShardWorker:
         graph = engine.graph.copy()
         apply_edge_mutation(graph, u, v, weight)
         labels, inverted = assemble_index(
-            graph, labels, categories=list(engine.inverted))[:2]
+            graph, labels, categories=list(engine.inverted))
         self._staged = (fence, graph, labels, inverted)
         return fence
 

@@ -8,12 +8,8 @@ from repro import (
     KOSREngine,
     KOSRQuery,
     QueryOptions,
-    QueryStats,
     brute_force_kosr,
-    kpne,
     make_query,
-    pruning_kosr,
-    star_kosr,
 )
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -59,27 +55,6 @@ class TestAgreementWithBruteForce:
         res = engine.run(q, SK)
         assert is_strictly_sorted(res.costs)
         assert len(set(res.witnesses)) == len(res.witnesses)
-
-    @pytest.mark.parametrize("method, entry_point, switches", [
-        ("KPNE", kpne, {}),
-        ("PK", pruning_kosr, {}),
-        ("SK", star_kosr, {}),
-        ("SK-NODOM", star_kosr, {"use_dominance": False}),
-    ])
-    def test_paper_named_entry_points_are_the_engines_methods(
-            self, method, entry_point, switches):
-        """The library's ``kpne`` / ``pruning_kosr`` / ``star_kosr`` and
-        the engine's method table run the same search."""
-        g, engine = build_case(3)
-        q = make_query(g, 2, 25, [0, 1, 2], 4)
-        stats = QueryStats()
-        results = entry_point(q, engine._make_finder("label"), stats,
-                              **switches)
-        expected = engine.run(q, QueryOptions(method=method))
-        assert [r.witness.vertices for r in results] == expected.witnesses
-        assert ((stats.examined_routes, stats.nn_queries)
-                == (expected.stats.examined_routes,
-                    expected.stats.nn_queries))
 
 
 class TestEdgeCases:

@@ -70,6 +70,12 @@ class TestQueryOptions:
         with pytest.raises(QueryError, match="time_budget_s"):
             QueryOptions(time_budget_s=-0.5)
 
+    def test_rejects_nan_time_budget(self):
+        """NaN compares false to everything, so ``< 0`` let it through
+        and the query ran with no time limit at all."""
+        with pytest.raises(QueryError, match="time_budget_s"):
+            QueryOptions(time_budget_s=float("nan"))
+
     def test_plan_for_validates_vocabulary(self):
         with pytest.raises(QueryError, match="unknown method"):
             QueryOptions(method="NOPE").plan_for()

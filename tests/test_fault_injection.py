@@ -249,22 +249,50 @@ class TestEdgeUpdateFaults:
             sharded.close()
 
 
+def _respawn_metric(sharded):
+    """``repro_shard_respawns_total`` per shard, from the fleet snapshot."""
+    return {m["labels"]["shard"]: m["value"]
+            for m in sharded.metrics_snapshot()["metrics"]
+            if m["name"] == "repro_shard_respawns_total"}
+
+
+def _respawn_shard_1(g):
+    sharded = InThreadFleet(g.copy(), 2)
+    sharded.arm(1, "update", "before", "die")
+    moved = next(v for v in range(g.num_vertices)
+                 if not sharded.graph.has_category(v, 1))
+    sharded.add_vertex_to_category(moved, 1)
+    return sharded
+
+
 class TestRecoveryAccounting:
     def test_respawn_counter_and_metric(self, enabled_registry):
         """Each quarantine-and-respawn is counted, per shard."""
-        g = _graph(41)
-        sharded = InThreadFleet(g.copy(), 2)
-        sharded.arm(1, "update", "before", "die")
+        sharded = _respawn_shard_1(_graph(41))
         try:
-            moved = next(v for v in range(g.num_vertices)
-                         if not sharded.graph.has_category(v, 1))
-            sharded.add_vertex_to_category(moved, 1)
             assert sharded.respawns == 1
-            counter = enabled_registry.counter(
-                "repro_shard_respawns_total", shard=1)
-            assert counter.value == 1
+            assert sharded.shard_respawns == [0, 1]
+            assert _respawn_metric(sharded) == {"1": 1}
         finally:
             sharded.close()
+
+    def test_respawn_before_the_registry_is_enabled_is_counted(self):
+        """The metric is read from the router's count at snapshot time,
+        so a respawn while metrics were off still shows once they are
+        on."""
+        from repro.obs.metrics import REGISTRY
+
+        was_enabled = REGISTRY.enabled
+        REGISTRY.reset()
+        REGISTRY.disable()
+        sharded = _respawn_shard_1(_graph(41))
+        try:
+            REGISTRY.enable()
+            assert _respawn_metric(sharded) == {"1": 1}
+        finally:
+            sharded.close()
+            REGISTRY.enabled = was_enabled
+            REGISTRY.reset()
 
     def test_replacement_worker_is_spawned_healthy(self):
         """The fault dies with the faulty worker, not the shard.

@@ -1,23 +1,41 @@
-"""The opt-in instrumentation contract (``QueryStats.profile``).
+"""The one clock and the opt-in instrumentation contract.
 
-With ``profile=False`` (the default) the search and NN hot loops must
-perform **zero** ``perf_counter`` syscalls while still populating every
-counter; with ``profile=True`` the Table X breakdown fills in exactly as
-it always did.  Verified by patching the ``perf_counter`` names the hot
-modules call through.
+Every time read under ``src/repro`` goes through
+:func:`repro.obs.clock.now`, so patching that one name counts them all.
+With ``profile=False`` (the default) and no deadline, a query reads the
+clock exactly twice — the start and the end of ``stats.total_time`` in
+:func:`~repro.service.execution.execute_plan` — on every method, cold or
+warm, with the metrics registry off or on; the search and NN hot loops
+read it never, while still populating every counter.  With
+``profile=True`` the Table X breakdown fills in as it always did.
 """
 
+import ast
+import asyncio
+import pathlib
 import random
 
 import pytest
 
-from repro import KOSREngine, QueryStats, make_query
+from repro import (
+    AsyncQueryService,
+    KOSREngine,
+    METHODS,
+    QueryOptions,
+    QueryRequest,
+    QueryService,
+    QueryStats,
+    kosr_with_preferences,
+    make_query,
+)
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
+from repro.obs import clock as clock_mod
+from repro.obs.metrics import REGISTRY
 
-import repro.core.runtime as runtime_mod
-import repro.core.search as search_mod
 import repro.labeling.packed_inverted as packed_inverted
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +45,18 @@ def case():
     return g, KOSREngine.build(g)
 
 
+@pytest.fixture(scope="module")
+def saved_case(tmp_path_factory):
+    """An engine with a saved index file, so SK-DB can run."""
+    g = random_graph(40, avg_out_degree=2.8, rng=random.Random(19))
+    assign_uniform_categories(g, 3, 8, random.Random(20))
+    engine = KOSREngine.build(g)
+    engine.save_index(tmp_path_factory.mktemp("index") / "index.rpli")
+    return g, engine
+
+
 class _CountingClock:
-    """Stand-in for ``perf_counter`` that counts its invocations."""
+    """Stand-in for ``clock.now`` that counts its invocations."""
 
     def __init__(self):
         self.calls = 0
@@ -43,18 +71,95 @@ class _CountingClock:
 @pytest.fixture()
 def clock(monkeypatch):
     counting = _CountingClock()
-    monkeypatch.setattr(search_mod, "perf_counter", counting)
-    monkeypatch.setattr(runtime_mod, "perf_counter", counting)
+    monkeypatch.setattr(clock_mod, "now", counting)
     return counting
 
 
-class TestZeroOverheadDefault:
+@pytest.fixture()
+def registry():
+    """The process registry, clean; tests switch it off and on."""
+    was_enabled = REGISTRY.enabled
+    REGISTRY.reset()
+    yield REGISTRY
+    REGISTRY.enabled = was_enabled
+    REGISTRY.reset()
+
+
+def _query(g, method):
+    k = 1 if method.startswith("GSP") else 3
+    return make_query(g, 0, g.num_vertices - 1, [0, 1, 2], k)
+
+
+class TestOneClock:
     @pytest.mark.parametrize("method", ["KPNE", "PK", "SK", "SK-NODOM"])
-    def test_no_timer_syscalls_in_hot_loops(self, case, clock, method):
+    def test_preference_query_reads_the_clock_twice(self, case, clock,
+                                                    registry, method):
         g, engine = case
-        res = engine.query(0, g.num_vertices - 1, [0, 1, 2], k=3, method=method)
-        assert clock.calls == 0
-        assert res.stats.examined_routes > 0
+        members = set(sorted(g.members(1))[:4])
+        for enabled in (False, True):
+            registry.enabled = enabled
+            clock.calls = 0
+            res = kosr_with_preferences(
+                engine, 0, g.num_vertices - 1, [0, 1, 2],
+                predicates={1: lambda v: v in members}, k=3, method=method)
+            assert clock.calls == 2, enabled
+            assert res.stats.examined_routes > 0
+
+    def test_front_door_adds_only_the_queue_wait_stamp(self, case, clock,
+                                                       registry):
+        g, engine = case
+        request = QueryRequest(_query(g, "SK"), QueryOptions())
+
+        async def drive():
+            async with AsyncQueryService(QueryService(engine)) as front:
+                clock.calls = 0
+                return await front.submit(request)
+
+        for enabled in (False, True):
+            registry.enabled = enabled
+            res = asyncio.run(drive())
+            assert clock.calls == (4 if enabled else 2)
+            assert res.stats.examined_routes > 0
+
+    def test_no_module_reads_time_directly(self):
+        """Only ``obs/clock.py`` may name ``perf_counter`` / ``monotonic``
+        of the ``time`` module, by import or by call."""
+        banned = {"perf_counter", "perf_counter_ns", "monotonic",
+                  "monotonic_ns"}
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel == "obs/clock.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.ImportFrom) and node.module == "time"
+                        and any(a.name in banned for a in node.names)):
+                    offenders.append(f"{rel}:{node.lineno}")
+                elif (isinstance(node, ast.Attribute) and node.attr in banned
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "time"):
+                    offenders.append(f"{rel}:{node.lineno}")
+        assert offenders == []
+
+
+class TestZeroOverheadDefault:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_timer_syscalls_in_hot_loops(self, saved_case, clock,
+                                            registry, method):
+        """A profile-off, deadline-free query reads the clock exactly
+        twice, for ``total_time`` (SK-DB four times: ``index_load_time``
+        adds two), cold and warm, with the registry off and on."""
+        g, engine = saved_case
+        q = _query(g, method)
+        for enabled in (False, True):
+            registry.enabled = enabled
+            for run in (engine.run, QueryService(engine).run):
+                clock.calls = 0  # building the service may read it too
+                res = run(q, QueryOptions(method=method))
+                assert clock.calls == (4 if method == "SK-DB" else 2), (
+                    enabled, run)
+                assert res.stats.examined_routes > 0
+                assert res.stats.total_time > 0
 
     def test_timing_fields_zero_but_counters_populate(self, case):
         g, engine = case
@@ -84,7 +189,7 @@ class TestZeroOverheadDefault:
     def test_no_timer_syscalls_with_nonempty_overlay(self, clock,
                                                      monkeypatch):
         """The query path over edited runs is as instrumentation-free as
-        the static one: zero ``perf_counter`` calls while the edits'
+        the static one: only ``total_time``'s two reads while the edits'
         garbage still sits, uncompacted, in the decoded lists."""
         g = random_graph(40, avg_out_degree=2.8, rng=random.Random(23))
         assign_uniform_categories(g, 3, 8, random.Random(24))
@@ -101,8 +206,9 @@ class TestZeroOverheadDefault:
         for cid in (0, 1):
             il = engine.inverted[cid]
             assert len(il.members) > il.total_entries
+        clock.calls = 0
         res = engine.query(0, g.num_vertices - 1, [0, 1, 2], k=3, method="SK")
-        assert clock.calls == 0
+        assert clock.calls == 2
         assert res.stats.examined_routes > 0
 
 
@@ -111,7 +217,7 @@ class TestProfiledMode:
         g, engine = case
         res = engine.query(0, g.num_vertices - 1, [0, 1, 2], k=3,
                            method="SK", profile=True)
-        assert clock.calls > 0
+        assert clock.calls > 2
         stats = res.stats
         assert stats.queue_time > 0
         assert stats.nn_time + stats.estimation_time > 0

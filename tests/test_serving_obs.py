@@ -163,6 +163,20 @@ class TestDeadlines:
         assert stats.deadline_shed == 1
         assert stats.executed == 0
 
+    def test_nan_deadline_is_rejected(self, engine):
+        """A NaN deadline is an error, not "no deadline"."""
+        q = make_query(engine.graph, 0, 30, [0, 1], k=2)
+
+        async def scenario():
+            async with AsyncQueryService(engine.service) as front:
+                with pytest.raises(ValueError, match="NaN"):
+                    await front.submit(QueryRequest(q),
+                                       deadline_s=float("nan"))
+                return front.stats
+
+        stats = asyncio.run(scenario())
+        assert stats.executed == 0
+
     def test_deadline_expiring_in_the_queue_sheds(self, engine):
         g = engine.graph
         q1 = make_query(g, 0, 30, [0, 1], k=2)

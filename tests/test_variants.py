@@ -11,8 +11,9 @@ from repro import (
     kosr_without_destination,
     kosr_without_source,
     make_query,
-    pruning_kosr,
 )
+from repro.core.runtime import QueryRuntime
+from repro.core.search import sequenced_route_search
 from repro.core.stats import QueryStats
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -58,8 +59,9 @@ class TestNoSource:
         # Seeded run: query whose "source" slot is unused.
         finder = LabelNNFinder.from_index(fig1_engine.labels, fig1_engine.inverted)
         q = make_query(fig1, vertex("b"), vertex("t"), [ci], 2)
-        seeded = pruning_kosr(
-            q, finder, QueryStats(),
+        seeded = sequenced_route_search(
+            QueryRuntime(q, finder, QueryStats()),
+            use_dominance=True, estimated=False,
             sources=[(m, 0.0) for m in sorted(fig1.members(re))],
         )
         reduced = kosr_without_source(fig1, vertex("t"), ["RE", "CI"], k=2)
