@@ -46,6 +46,7 @@ from typing import List, Optional
 
 from repro.api import QueryOptions, QueryRequest
 from repro.core.engine import KOSREngine, METHODS, NN_BACKENDS
+from repro.core.query import category_ref
 from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
@@ -276,10 +277,8 @@ def _query_options(args) -> QueryOptions:
 
 def cmd_query(args) -> int:
     engine = _open_backend(args, {args.method})
-    categories: List = []
-    for token in args.categories.split(","):
-        token = token.strip()
-        categories.append(int(token) if token.isdigit() else token)
+    categories = [category_ref(token.strip())
+                  for token in args.categories.split(",")]
     t0 = clock.now()
     result = engine.query(args.source, args.target, categories, k=args.k,
                           options=_query_options(args))
@@ -343,8 +342,7 @@ def _prepare_workload(args):
     options = _query_options(args)
     requests = []
     for method, record in zip(methods, records):
-        cats = [int(c) if isinstance(c, str) and c.isdigit() else c
-                for c in record["categories"]]
+        cats = [category_ref(c) for c in record["categories"]]
         q = backend.make_query(record["source"], record["target"], cats,
                                k=int(record.get("k", 1)))
         requests.append(QueryRequest(q, options.replace(method=method)))

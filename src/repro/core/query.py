@@ -57,6 +57,19 @@ class KOSRQuery:
                 )
 
 
+def category_ref(token: Union[str, CategoryId]) -> Union[str, CategoryId]:
+    """A category reference as typed on a command line or in a JSON record.
+
+    A string of ASCII decimal digits is a category id; any other string
+    is a category name, so ``'²'`` or ``'٣'`` (``str.isdigit()`` holds
+    for both) fails as an unknown name instead of reaching ``int()``.
+    A non-string (an id already) passes through.
+    """
+    if isinstance(token, str) and token.isascii() and token.isdigit():
+        return int(token)
+    return token
+
+
 def make_query(
     graph: Graph,
     source: Vertex,

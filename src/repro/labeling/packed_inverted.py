@@ -37,7 +37,9 @@ once the edits since the last compaction exceed :data:`COMPACT_RATIO` of
 the live entry count, :meth:`~PackedInvertedIndex.compact` rebuilds the
 decoded lists garbage-free and lets go of the base.  Because the lists
 only grow between compactions, and a compaction builds new ones, a live
-FindNN cursor keeps reading the runs it was created over.
+FindNN merge keeps reading the runs it was seeded over.  A cursor
+re-seeded after a suspension reads the current runs; a serving session
+has dropped the cursors of every category whose ``version`` moved.
 
 Decodes and edits all run under one per-index lock, and each publishes
 its slice only after the data it points at, so threads sharing an index
@@ -184,7 +186,7 @@ class PackedInvertedIndex:
     def decode_ranks(self, ranks) -> None:
         """Decode the runs of ``ranks`` that are still only in the base.
 
-        Called by cursor creation right before a scan; hub runs the query
+        Called by cursor seeding right before a scan; hub runs the query
         never touches stay undecoded.  Once every run is decoded this is
         two attribute reads.
         """

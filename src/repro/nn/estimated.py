@@ -169,15 +169,26 @@ class EstStream:
     a member and a leg in two locals, not an ``NL`` tuple.  ``ENL``
     itself stays a list of tuples, because it is read far more often
     than it is produced and every array read allocates.
+
+    A stream may outlive its cursor's merge state: a session keeps
+    streams across queries and suspends cursors between them
+    (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  So each
+    plain-NN advance runs whatever generator the cursor holds at that
+    moment, re-seeding a suspended cursor first, and no generator is
+    bound in this frame across a ``yield`` — a retained stream never
+    keeps a dropped merge alive.
     """
 
     __slots__ = ("enl", "members", "attempts", "demanded", "end", "advance")
 
-    def __init__(self, cursor, estimate: Callable[[Vertex], Cost],
+    def __init__(self, finder, source: Vertex, category: CategoryId,
+                 estimate: Callable[[Vertex], Cost],
                  cache_get: Optional[Callable] = None):
-        """Over packed FindNN ``cursor`` (shared; may be ahead of or
-        behind this stream); ``estimate`` is ``dis(·, t)`` and
-        ``cache_get`` an optional probe of its memo tried first."""
+        """Over ``finder``'s packed FindNN cursor of ``(source, category)``
+        (shared; may be ahead of or behind this stream); ``estimate`` is
+        ``dis(·, t)`` and ``cache_get`` an optional probe of its memo
+        tried first."""
+        cursor = finder.cursor_for(source, category)
         self.enl: List[Tuple[Vertex, Cost, Cost]] = []
         #: the cursor's ``NL`` members — ``demanded`` counts index into it
         self.members = cursor.members
@@ -185,7 +196,7 @@ class EstStream:
         self.demanded: List[int] = []
         self.end: Optional[Tuple[int, int]] = None
         self.advance: Optional[Callable] = self._produce(
-            cursor, estimate, cache_get).__next__
+            finder, source, category, cursor, estimate, cache_get).__next__
 
     def booked(self, x: int) -> Tuple[int, int]:
         """``(attempts, demanded)`` of a cold FindNEN asked for entries
@@ -196,16 +207,17 @@ class EstStream:
             return self.attempts[x - 1], self.demanded[x - 1]
         return self.end
 
-    def _produce(self, cursor, estimate, cache_get):
+    def _produce(self, finder, source, category, cursor, estimate,
+                 cache_get):
         """Generator appending one estimated neighbor per resume: the
         whole Algorithm 4 state machine (lookahead, ENQ, plain-NN read
         position) lives in this one frame, and a missing plain neighbor
-        resumes the packed merge generator directly."""
+        resumes the packed merge generator directly (re-seeding a
+        suspended cursor first)."""
         members, costs = cursor.members, cursor.costs
         enl_append = self.enl.append
         attempts_append = self.attempts.append
         demanded_append = self.demanded.append
-        nn_advance = cursor.gen.__next__ if cursor.gen is not None else None
         heappush_, heappop_ = heapq.heappush, heapq.heappop
         enq: List[Tuple[Cost, Cost, Vertex]] = []
         # The lookahead: NL entry (member, leg), leg None when empty.
@@ -228,12 +240,13 @@ class EstStream:
                         if fetched:
                             attempts += 1
                     else:
+                        if cursor.gen is None:
+                            finder._seed(cursor, source, category)
                         attempts += 1
                         try:
-                            nn_advance()
+                            next(cursor.gen)
                         except StopIteration:
                             dry = True
-                            nn_advance = None
                         else:
                             member, leg = members[fetched], costs[fetched]
                             fetched += 1

@@ -27,6 +27,14 @@ paper's pseudo-code:
   ``NQ`` as soon as ``NL`` holds every member; the next advance then ends
   exactly as a drained one does (see :meth:`PackedLabelNNFinder._stream`).
 
+``NL`` is the members the source reaches in ascending (2-hop distance,
+member id) order — a function of the index state alone — so ``NQ`` and
+``KV`` can be rebuilt from it at any time: seeding each hub run at its
+first member not yet in ``NL`` continues the same sequence.  A serving
+session uses that to keep only ``NL`` between queries
+(:meth:`PackedLabelNNFinder.suspend`); a fresh cursor is seeded the same
+way, from an empty ``NL``.
+
 :class:`PackedLabelNNFinder` runs it over the RPLI sections
 (:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
 decoding the label and hub runs it is about to scan with one
@@ -49,33 +57,25 @@ from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 
 class _PackedCursor:
-    """Merge state for one ``(source, category)`` pair over packed buffers.
+    """``NL`` of one ``(source, category)`` pair, and its merge while live.
 
     ``NL`` is the pair ``members`` / ``costs``: entry ``i`` is
     ``(members[i], costs[i])``, kept in two typed arrays so a produced
     neighbour costs 16 bytes and no object the garbage collector has to
-    visit.  Each hub stream lives entirely inside its heap entry
-    ``(total_cost, member, next position, run end, base distance)``:
-    advancing a stream is one ``heapreplace`` with the successor tuple,
-    with no side tables to update.
+    visit.  The merge state — ``NQ``, the found set, the decoded runs —
+    lives only in the frame of ``gen``, the generator that produces the
+    next entry (:meth:`PackedLabelNNFinder._stream`).  ``gen`` is None
+    once the cursor has ended (``exhausted``) and while it is suspended:
+    its finder dropped the merge state (:meth:`PackedLabelNNFinder.suspend`)
+    and the next advance re-seeds it from ``NL``.
     """
 
-    __slots__ = ("members", "costs", "nq", "idists", "imembers", "found",
-                 "exhausted", "gen")
+    __slots__ = ("members", "costs", "exhausted", "gen")
 
     def __init__(self) -> None:
         self.members = array("q")
         self.costs = array("d")
-        # heap entries: (total_cost, member, next_pos, run_end, base)
-        self.nq: List[Tuple[Cost, Vertex, int, int, Cost]] = []
-        self.idists: Optional[List[Cost]] = None
-        self.imembers: Optional[List[Vertex]] = None
-        #: members already produced (grows with |NL|, not with |V| —
-        #: per-cursor flag arrays would cost O(V) each)
-        self.found: set = set()
         self.exhausted = False
-        #: per-cursor advance generator (None once/while exhausted); its
-        #: frame keeps all merge-loop bindings alive between advances
         self.gen = None
 
     def end(self) -> None:
@@ -83,7 +83,7 @@ class _PackedCursor:
         only the two ``NL`` arrays are read, and most cursors of a
         session end here."""
         self.exhausted = True
-        self.gen = self.nq = self.found = self.idists = self.imembers = None
+        self.gen = None
 
 
 class PackedLabelNNFinder(NearestNeighborFinder):
@@ -96,11 +96,16 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     ``(dist, member)`` tuple unpacking.
 
     Dynamic category updates edit the inverted indexes' hub runs as they
-    arrive; cursors decode the hub runs they will scan at creation time
-    (see :meth:`_make_cursor`).  A finder snapshots index state as of
-    each cursor's creation — apply updates between queries (the engine
-    builds a fresh finder per query), not while a finder is
-    mid-enumeration.
+    arrive; a cursor decodes the hub runs it will scan when it is seeded
+    (see :meth:`_seed`), and a live merge reads those runs as they were
+    then.  Apply updates between queries (the engine builds a fresh
+    finder per query, and a session drops the cursors of a category
+    whose version moved), not while a finder is mid-enumeration.
+
+    :meth:`suspend` drops the merge state of every cursor seeded since
+    the last call and keeps the ``NL`` arrays; a later advance re-seeds
+    the cursor from its ``NL``.  A serving session calls it between
+    queries; cold and hand-driven finders never do.
     """
 
     def __init__(
@@ -117,6 +122,10 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         self._out_ranks = out.hub_ranks
         self._out_dists = out.dists
         self._cursors: Dict[Tuple[Vertex, CategoryId], _PackedCursor] = {}
+        #: cursors seeded since the last :meth:`suspend` (the ones that
+        #: may hold merge state), so a suspension costs what the last
+        #: query touched, not the cursor population
+        self._seeded: List[_PackedCursor] = []
 
     # ------------------------------------------------------------------
     def find(
@@ -132,6 +141,8 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             # that discovers exhaustion (it raises StopIteration after
             # flagging the cursor), matching the reference finder's
             # accounting.
+            if cursor.gen is None:
+                self._seed(cursor, source, category)  # suspended
             attempts = 0
             advance = cursor.gen.__next__
             try:
@@ -190,11 +201,10 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         per-query record over fresh :class:`~repro.nn.estimated.EstStream` s."""
         from repro.nn.estimated import EstStream, PackedEstimatedNNFinder
 
-        cursor_for = self.cursor_for
         cache_get = cache.get if cache is not None else None
         return PackedEstimatedNNFinder(
             self, lambda source, category: EstStream(
-                cursor_for(source, category), estimate, cache_get))
+                self, source, category, estimate, cache_get))
 
     # ------------------------------------------------------------------
     def cursor_for(self, source: Vertex, category: CategoryId) -> _PackedCursor:
@@ -205,58 +215,106 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         return cursor
 
     def _make_cursor(self, source: Vertex, category: CategoryId) -> _PackedCursor:
-        """Algorithm 3 lines 6-10: seed NQ with each hub run's head.
+        """A new cursor: seeded from an empty ``NL``, or ended at no cost
+        when no hub run of ``Lout(source)`` holds a member (born empty)."""
+        cursor = _PackedCursor()
+        self._cursors[(source, category)] = cursor
+        if not self._seed(cursor, source, category):
+            cursor.end()
+        return cursor
+
+    def suspend(self) -> None:
+        """Drop the merge state of every cursor seeded since the last
+        call; each keeps its ``NL`` arrays, ended or not.
+
+        The next advance of a suspended cursor re-seeds it (see
+        :meth:`_seed`) and continues the same ``NL`` sequence, so no
+        answer and no booked attempt can move — provided the index state
+        it was seeded over is unchanged, which a session guarantees by
+        dropping a category's cursors when its version moves.
+        """
+        for cursor in self._seeded:
+            cursor.gen = None
+        self._seeded = []
+
+    def _seed(self, cursor: _PackedCursor, source: Vertex,
+              category: CategoryId) -> bool:
+        """Algorithm 3 lines 6-10: seed NQ with each hub run's head, for a
+        new cursor and a suspended one alike.
+
+        A run's head is its first member not already in ``NL`` — the run
+        start for a new cursor.  ``NL`` holds the nearest members in
+        (distance, member) order, and every skipped entry is a member
+        produced at its 2-hop distance already, so the merge continues
+        the sequence a never-suspended cursor would produce.
 
         The hub runs this cursor is about to scan are decoded first
         (``decode_ranks``: decoded on first touch), so the merge loop
         itself only ever sees plain decoded runs.  With everything
         decoded — the steady serving case — that costs two attribute
-        reads per cursor creation and nothing per advance.
+        reads per seeding and nothing per advance.
+
+        Returns False, and leaves no generator, when there is nothing to
+        merge and nothing produced: a new cursor born empty.  A suspended
+        cursor always gets a generator — one that ends on its first
+        advance when every member it reaches is in ``NL`` — because the
+        runs it re-reads are the ones that seeded it.
         """
-        cursor = _PackedCursor()
-        self._cursors[(source, category)] = cursor
         pinv = self._inverted.get(category)
-        if pinv is not None:
-            # Decoded Lout(source), not kept: a search almost never opens
-            # a second category's cursor over the same source, and a
-            # retained copy per source is what a warm session's memory
-            # would mostly consist of.
-            lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
-            ranks = self._out_ranks[lo:hi].tolist()
-            base_dists = self._out_dists[lo:hi].tolist()
-            pinv.decode_ranks(ranks)
-            idists = cursor.idists = pinv.dists
-            imembers = cursor.imembers = pinv.members
-            nq = cursor.nq
-            # map() pushes the per-hub dict probe into C; most Lout hubs
-            # have no members in the category, so the Python-level body
-            # below only runs for actual matches.
-            for base, sl in zip(base_dists, map(pinv.rank_slices.get, ranks)):
-                if sl is None:
+        if pinv is None:
+            return False
+        found = set(cursor.members)
+        # Decoded Lout(source), not kept: a search almost never opens a
+        # second category's cursor over the same source, and a retained
+        # copy per source is what a warm session's memory would mostly
+        # consist of.
+        lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
+        ranks = self._out_ranks[lo:hi].tolist()
+        base_dists = self._out_dists[lo:hi].tolist()
+        pinv.decode_ranks(ranks)
+        idists, imembers = pinv.dists, pinv.members
+        nq: List[Tuple[Cost, Vertex, int, int, Cost]] = []
+        # map() pushes the per-hub dict probe into C; most Lout hubs have
+        # no members in the category, so the Python-level body below
+        # only runs for actual matches.
+        for base, sl in zip(base_dists, map(pinv.rank_slices.get, ranks)):
+            if sl is None:
+                continue
+            lo, hi = sl
+            if found:
+                while lo < hi and imembers[lo] in found:
+                    lo += 1
+                if lo == hi:
                     continue
-                lo, hi = sl
-                nq.append((base + idists[lo], imembers[lo], lo + 1, hi, base))
-            # Heap-order ties only reorder pops of entries with equal
-            # (total, member) — interchangeable for NL and stream state —
-            # so heapify instead of pushes changes nothing observable.
-            heapq.heapify(nq)
-        if cursor.nq:
-            cursor.gen = self._stream(cursor, pinv.member_count)
-        else:
-            cursor.end()
-        return cursor
+            nq.append((base + idists[lo], imembers[lo], lo + 1, hi, base))
+        if not nq and not found:
+            return False
+        # Heap-order ties only reorder pops of entries with equal (total,
+        # member) — interchangeable for NL and stream state — so heapify
+        # instead of pushes changes nothing observable.
+        heapq.heapify(nq)
+        cursor.gen = self._stream(cursor, nq, found, idists, imembers,
+                                  pinv.member_count)
+        self._seeded.append(cursor)
+        return True
 
     @staticmethod
-    def _stream(cursor: _PackedCursor, member_count: int):
+    def _stream(cursor: _PackedCursor, nq, found, idists, imembers,
+                member_count: int):
         """Generator producing one NL entry per resume (lines 11-18).
 
         A generator rather than a method so the merge-loop bindings live
-        in one long-lived frame instead of being re-established on every
-        advance; on exhaustion it flags the cursor and finishes.
+        in one frame instead of being re-established on every advance;
+        the frame is the cursor's whole merge state, so dropping the
+        generator releases it.  On exhaustion it flags the cursor and
+        finishes.  Each heap entry is one hub stream,
+        ``(total_cost, member, next position, run end, base distance)``:
+        advancing a stream is one ``heapreplace`` with the successor
+        tuple, with no side tables to update.
 
-        ``member_count`` is the category's member count as of cursor
-        creation, taken with the runs the cursor scans.  Once ``NL`` holds
-        that many neighbours nothing else can pop but stale duplicates, so
+        ``member_count`` is the category's member count as of seeding,
+        taken with the runs the cursor scans.  Once ``NL`` holds that
+        many neighbours nothing else can pop but stale duplicates, so
         ``NQ`` is emptied before the ``yield`` instead of being drained pop
         by pop.  The counters cannot move: the entry is produced on the
         same resume as before, and the next resume still finds ``NQ``
@@ -272,10 +330,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         """
         members_append = cursor.members.append
         costs_append = cursor.costs.append
-        nq = cursor.nq
-        found = cursor.found
         found_add = found.add
-        idists, imembers = cursor.idists, cursor.imembers
         while nq:
             total, member, pos, end, base = nq[0]
             # Advance this stream, skipping already-found members (the

@@ -78,6 +78,7 @@ import math
 from typing import Dict, Optional
 
 from repro.api import QueryOptions, QueryRequest
+from repro.core.query import category_ref
 from repro.exceptions import (DeadlineExceededError, ReproError,
                               ServiceOverloadedError)
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -203,8 +204,7 @@ def _parse_record(engine, record: dict,
             raise ValueError(
                 f"'categories' holds JSON integers (ids) or strings "
                 f"(names), got {c!r}")
-    cats = [int(c) if isinstance(c, str) and c.isdigit() else c
-            for c in record["categories"]]
+    cats = [category_ref(c) for c in record["categories"]]
     query = engine.make_query(record["source"], record["target"], cats, k=k)
     overrides = {}
     for name, expected, accepts in _OPTION_FIELDS:

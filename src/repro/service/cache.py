@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import QueryError
@@ -294,14 +295,22 @@ class SessionCache:
     Within an epoch the cache would otherwise grow unboundedly (one
     kernel per distinct target, one cursor per distinct ``(source,
     category)``); ``max_dest_kernels`` / ``max_finders`` cap those two
-    populations with LRU eviction; FindNEN streams live inside a kernel
-    and over a cursor and leave with either, so the two caps bound them
-    too.  Eviction is purely a memory policy:
-    a re-built kernel or cursor regenerates the identical deterministic
-    stream, and the cold-equivalent accounting books per-query virtual
-    positions, so results *and* counters stay bit-identical (pinned by
-    the capped-parity test).  Cursors are only trimmed between queries
-    (at :meth:`finder_view` creation), never mid-enumeration.
+    populations with LRU eviction (the kernels' ``OrderedDict``, and the
+    shared finder's ``_cursors`` dict order for cursors); FindNEN
+    streams live inside a kernel and over a cursor and leave with
+    either, so the two caps bound them too.  Eviction is purely a memory
+    policy: a re-built kernel or cursor regenerates the identical
+    deterministic stream, and the cold-equivalent accounting books
+    per-query virtual positions, so results *and* counters stay
+    bit-identical (pinned by the capped-parity test).
+
+    Between queries — at :meth:`finder_view` creation, never
+    mid-enumeration — cursors are trimmed, and every cursor the last
+    query seeded keeps only its ``NL``: its merge state is dropped and
+    re-seeded from ``NL`` if a later query advances it
+    (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  Most
+    cursors a query leaves unfinished are never advanced again, so the
+    session holds ``NL`` arrays, not merge heaps.
     """
 
     def __init__(self, engine, max_dest_kernels: Optional[int] = None,
@@ -319,9 +328,6 @@ class SessionCache:
         self.max_finders = max_finders
         self._label_finder: Optional[NearestNeighborFinder] = None
         self._dest_kernels: "OrderedDict[Vertex, SharedDestKernel]" = \
-            OrderedDict()
-        #: (source, category) cursor keys in least-recently-used order
-        self._cursor_lru: "OrderedDict[Tuple[Vertex, CategoryId], None]" = \
             OrderedDict()
         self._ch = None
         self._disk: Optional[IndexAttachment] = None
@@ -380,7 +386,6 @@ class SessionCache:
             self.stats.invalidations += 1
             self._label_finder = None
             self._dest_kernels.clear()
-            self._cursor_lru.clear()
             self._ch = None
             self._disk = None
             return True
@@ -403,36 +408,44 @@ class SessionCache:
         finder = self._label_finder
         if finder is not None:
             cursors = finder._cursors
-            lru = self._cursor_lru
             for key in [k for k in cursors if k[1] in changed]:
                 del cursors[key]
-                lru.pop(key, None)
                 self.stats.cursors_invalidated += 1
         self._disk = None
 
     # ------------------------------------------------------------------
     def finder_view(self) -> ColdEquivalentFinderView:
-        """A fresh per-query view over the session's shared label finder."""
+        """A fresh per-query view over the session's shared label finder.
+
+        This is the session's between-queries seam: the cursors the last
+        query seeded drop their merge state here (keeping ``NL``; see
+        :meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`) and the
+        cursor population is trimmed to ``max_finders``.
+        """
         if self._label_finder is None:
             self._label_finder = self.engine._make_finder("label")
             self.stats.finder_misses += 1
         else:
             self.stats.finder_hits += 1
+            self._label_finder.suspend()
             self._trim_cursors()
         return ColdEquivalentFinderView(self._label_finder, self)
 
     def touch_cursor(self, key: Tuple[Vertex, CategoryId]) -> None:
-        """Record a cursor access (LRU recency; called by finder views)."""
+        """Record a cursor access (called by finder views): the finder's
+        ``_cursors`` dict order is the LRU order, so a touch moves the
+        key to the end (a cursor not created yet is appended by its
+        creation)."""
         if self.max_finders is None:
             return
-        lru = self._cursor_lru
-        if key in lru:
-            lru.move_to_end(key)
-        else:
-            lru[key] = None
+        cursors = self._label_finder._cursors
+        cursor = cursors.pop(key, None)
+        if cursor is not None:
+            cursors[key] = cursor
 
     def _trim_cursors(self) -> None:
-        """Evict least-recently-used warm cursors past ``max_finders``.
+        """Evict least-recently-used warm cursors past ``max_finders``:
+        the front of the finder's ``_cursors`` dict.
 
         Runs only between queries (the per-query views are already
         retired), so no in-flight virtual-position bookkeeping can point
@@ -441,14 +454,10 @@ class SessionCache:
         if self.max_finders is None or self._label_finder is None:
             return
         cursors = self._label_finder._cursors
-        lru = self._cursor_lru
-        while len(cursors) > self.max_finders:
-            # Oldest tracked key still live; fall back to insertion order
-            # for any cursor created outside a view (defensive).
-            key = next((k for k in lru if k in cursors), None)
-            if key is None:
-                key = next(iter(cursors))
-            lru.pop(key, None)
+        excess = len(cursors) - self.max_finders
+        if excess <= 0:
+            return
+        for key in list(islice(cursors, excess)):
             del cursors[key]
             self.stats.cursor_evictions += 1
             source, category = key
@@ -475,7 +484,7 @@ class SessionCache:
             self.stats.est_stream_hits += 1
             return stream
         self.stats.est_stream_misses += 1
-        stream = EstStream(self._label_finder.cursor_for(source, category),
+        stream = EstStream(self._label_finder, source, category,
                            kernel.fn, kernel.memo.get)
         by_source[source] = stream if source in by_source else None
         return stream

@@ -87,6 +87,21 @@ class TestQuery:
         assert code == 0
         assert "cost 20" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])
+    def test_non_ascii_digits_are_names(self, fig1_file, token):
+        """``'²'`` used to reach ``int()`` and die with its ValueError,
+        and ``'٢'`` (Arabic-Indic two) answered for category id 2: both
+        pass ``str.isdigit()``.  Neither is an id, and neither names a
+        category."""
+        from repro.exceptions import UnknownCategoryError
+
+        with pytest.raises(UnknownCategoryError, match=repr(token)):
+            main([
+                "query", "--graph", fig1_file,
+                "--source", str(vertex("s")), "--target", str(vertex("t")),
+                "--categories", f"0,1,{token}", "--k", "1",
+            ])
+
     def test_dij_backend(self, fig1_file, capsys):
         code = main([
             "query", "--graph", fig1_file,
@@ -143,6 +158,22 @@ class TestBatchCommand:
                      "--budget", "1"])
         assert code == 2
         assert "1 unfinished" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])
+    def test_batch_non_ascii_digits_are_names(self, fig1_file, tmp_path,
+                                               token):
+        """The workload parser reads ``"2"`` as an id and ``"٢"`` as a
+        (here unknown) name, as ``query --categories`` does."""
+        from repro.exceptions import UnknownCategoryError
+
+        s, t = vertex("s"), vertex("t")
+        ok = self._workload(tmp_path, [
+            {"source": s, "target": t, "categories": ["0", "1", "2"]}])
+        assert main(["batch", "--graph", fig1_file, "--workload", ok]) == 0
+        wl = self._workload(tmp_path, [
+            {"source": s, "target": t, "categories": ["0", "1", token]}])
+        with pytest.raises(UnknownCategoryError, match=repr(token)):
+            main(["batch", "--graph", fig1_file, "--workload", wl])
 
     def test_batch_sk_db_requires_index(self, fig1_file, tmp_path):
         wl = self._workload(tmp_path, [

@@ -24,6 +24,13 @@ class TestKOSRQuery:
         q = make_query(fig1, vertex("s"), vertex("t"), [ma, "RE"], 1)
         assert q.categories == (ma, fig1.category_id("RE"))
 
+    def test_category_ref_reads_only_ascii_digits_as_ids(self):
+        from repro.core.query import category_ref
+
+        assert category_ref("12") == 12 and category_ref(3) == 3
+        for name in ("MA", "", "\u00b2", "\u0662", "1\u0662", " 1", "-1"):
+            assert category_ref(name) == name
+
     def test_k_zero_rejected(self, fig1):
         with pytest.raises(QueryError):
             KOSRQuery(0, 1, (0,), 0)

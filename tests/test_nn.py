@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.graph import random_graph
+from repro.graph import Graph, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
 from repro.nn import DijkstraNNFinder, EstimatedNNFinder
@@ -251,9 +253,8 @@ class TestPackedCursorRelease:
                 cursor = finder._cursors[(source, cid)]
                 assert cursor.exhausted
                 assert list(zip(cursor.members, cursor.costs)) == want
-                assert cursor.gen is None and cursor.found is None
-                assert cursor.nq is None
-                assert cursor.idists is None and cursor.imembers is None
+                # The merge state lived in the generator's frame only.
+                assert cursor.gen is None
                 # Past the end: still None, and no further attempt booked.
                 before = finder.queries
                 assert finder.find(source, cid, len(want) + 3) is None
@@ -287,12 +288,12 @@ class TestPackedCursorRelease:
                     drained += 1
                 else:
                     assert n == g.category_size(cid)
-                    assert cursor.nq == []
+                    assert cursor.gen.gi_frame.f_locals["nq"] == []
                     stopped += 1
                 before = finder.queries
                 assert finder.find(source, cid, n + 1) is None
                 assert finder.queries == before + 1
-                assert cursor.exhausted and cursor.nq is None
+                assert cursor.exhausted and cursor.gen is None
         assert stopped and drained
 
     def test_live_cursor_keeps_its_state(self, packed_setup):
@@ -308,7 +309,113 @@ class TestPackedCursorRelease:
         finder.find(source, cid, 1)
         cursor = finder._cursors[(source, cid)]
         assert not cursor.exhausted
-        assert cursor.gen is not None and cursor.found
+        assert cursor.gen is not None
+        assert cursor.gen.gi_frame.f_locals["found"]
+
+
+@st.composite
+def _suspension_cases(draw):
+    """A small digraph (integer weights: no rounding in 2-hop sums), up
+    to three categories — with a member no edge enters when drawn — and
+    a sequence of ``(source, category, x)`` requests."""
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    g = Graph(n)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            g.add_edge(u, v, float(rng.randint(1, 9)))
+    for c in range(draw(st.integers(1, 3))):
+        cid = g.add_category(f"c{c}")
+        for v in rng.sample(range(n), rng.randint(1, n)):
+            g.assign_category(v, cid)
+    if draw(st.booleans()):
+        unreached = g.add_vertex()
+        g.add_edge(unreached, 0, 1.0)
+        g.assign_category(unreached, 0)
+    requests = draw(st.lists(
+        st.tuples(st.integers(0, g.num_vertices - 1),
+                  st.integers(0, g.num_categories - 1),
+                  st.integers(1, g.num_vertices + 1)),
+        min_size=1, max_size=25))
+    return g, requests
+
+
+class TestCursorSuspension:
+    """A suspended cursor keeps only ``NL``; its next advance re-seeds
+    the merge from it and continues the same sequence."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_suspension_cases())
+    def test_resume_parity(self, case):
+        """Suspending between every two requests changes no answer, no
+        ``NL`` and no booked attempt, against a never-suspended packed
+        finder and the reference.  Every pair asked is also asked for its
+        last neighbour and one past it, so suspensions hit the cursor
+        stopped at its member count and, with a member nothing reaches,
+        the cursor whose reachable members are all produced but whose
+        ``NQ`` still holds stale entries."""
+        from repro import KOSREngine
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, requests = case
+        engine = KOSREngine.build(g)
+
+        def packed():
+            return PackedLabelNNFinder(engine.labels, engine.inverted)
+
+        suspended, plain = packed(), packed()
+        reference = LabelNNFinder.from_index(*_object_indexes(g))
+        plan = list(requests)
+        for source, cid in dict.fromkeys((s, c) for s, c, _ in requests):
+            n = len(enumerate_all(packed(), source, cid))
+            if n:
+                plan += [(source, cid, n), (source, cid, n + 1)]
+        for source, cid, x in plan:
+            want = reference.find(source, cid, x)
+            assert plain.find(source, cid, x) == want
+            assert suspended.find(source, cid, x) == want
+            assert suspended.queries == plain.queries == reference.queries
+            suspended.suspend()
+            assert all(cursor.gen is None
+                       for cursor in suspended._cursors.values())
+        assert suspended._cursors.keys() == reference._cursors.keys()
+        for key, cursor in suspended._cursors.items():
+            nl = list(zip(cursor.members, cursor.costs))
+            other = plain._cursors[key]
+            assert nl == list(zip(other.members, other.costs))
+            assert nl == reference._cursors[key].nl
+            assert cursor.exhausted == other.exhausted
+
+    def test_both_end_states_are_suspended_and_resumed(self, packed_setup):
+        """The fixture's ``dead-ends`` category has a member nothing
+        reaches: its cursors drain, the others stop at their member
+        count.  Suspended in either state, the next advance re-seeds
+        an empty ``NQ`` and ends with the one booked attempt."""
+        from repro.nn.label_nn import PackedLabelNNFinder
+
+        g, engine = packed_setup
+        dead_ends = g.category_id("dead-ends")
+        shapes = set()
+        for source in range(g.num_vertices):
+            for cid in range(g.num_categories):
+                n = len(enumerate_all(PackedLabelNNFinder(
+                    engine.labels, engine.inverted), source, cid))
+                if not n:
+                    continue
+                finder = PackedLabelNNFinder(engine.labels, engine.inverted)
+                finder.find(source, cid, n)
+                cursor = finder._cursors[(source, cid)]
+                stale = cursor.gen.gi_frame.f_locals["nq"]
+                shapes.add((cid == dead_ends, bool(stale)))
+                finder.suspend()
+                assert cursor.gen is None and not cursor.exhausted
+                before = finder.queries
+                assert finder.find(source, cid, n + 1) is None
+                assert finder.queries == before + 1
+                assert cursor.exhausted and len(cursor.members) == n
+        assert (False, False) in shapes and (True, True) in shapes
 
 
 class TestPackedCursorMemory:
@@ -397,7 +504,7 @@ class TestEstStream:
                 # cursor (or run it dry): bookings must not depend on it.
                 if (source + cid) % 2:
                     enumerate_all(shared, source, cid)
-                stream = EstStream(shared.cursor_for(source, cid), dest)
+                stream = EstStream(shared, source, cid, dest)
                 members = len(g.members(cid))
                 for x in range(1, members + 2):
                     while len(stream.enl) < x and stream.advance is not None:

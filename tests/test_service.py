@@ -390,6 +390,46 @@ class TestWarmFindNEN:
         assert not kept.intersection(calls["cursor_for"])
         assert session.stats.est_stream_hits > after["est_stream_hits"]
 
+    def test_retained_stream_over_a_suspended_cursor(self):
+        """Streams kept across queries outlive their cursors' merge
+        state: between queries the session drops it, and a stream that
+        reads past ``NL`` re-seeds the cursor.  The group's second query
+        keeps streams that advanced cursors, a query to another target
+        then advances the same cursors, so a stream still holding the
+        merge it advanced before would produce into ``NL`` twice."""
+        g = _graph(53, n=60, cats=4, size=9)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine)
+        session = service.session
+        source, t, cats = 2, g.num_vertices - 1, [0, 1, 2]
+        plan = [make_query(g, source, t, cats, k=2),
+                make_query(g, source, t, cats, k=4),
+                make_query(g, source, t - 1, cats, k=4),
+                make_query(g, source, t, cats, k=12)]
+        resumed = []
+        for i, q in enumerate(plan):
+            if i == 1:
+                finder = session._label_finder
+                seed = finder._seed
+
+                def counted_seed(cursor, src, category):
+                    if len(cursor.members):
+                        resumed.append((src, category))
+                    return seed(cursor, src, category)
+
+                finder._seed = counted_seed
+            if i == 3:
+                hits, resumed[:] = session.stats.est_stream_hits, []
+            assert_same_outcome(service.run(q, SK),
+                                KOSREngine.build(g).run(q, SK))
+            session.finder_view()  # the next query's view
+            assert all(cursor.gen is None
+                       for cursor in session._label_finder._cursors.values())
+        # The last query read its group's kept streams, and they ran
+        # past NL into re-seeded cursors.
+        assert session.stats.est_stream_hits > hits
+        assert resumed
+
     def test_repeated_category_shares_one_stream_per_query(self):
         """C = (a, b, a): both levels of category a read one stream, and
         its position is booked once."""
@@ -442,6 +482,20 @@ class TestCachePolicy:
         assert 10 in session._dest_kernels and 12 in session._dest_kernels
         assert 11 not in session._dest_kernels
         assert session.stats.dest_kernel_evictions == 1
+
+    def test_lru_keeps_recently_touched_cursor(self):
+        """The finder's cursor dict order is the LRU order: a touch
+        moves a cursor to the back, and a trim evicts from the front."""
+        engine = KOSREngine.build(_graph(73))
+        session = SessionCache(engine, max_finders=2)
+        view = session.finder_view()
+        view.find(10, 0, 1)
+        view.find(11, 0, 1)
+        view.find(10, 0, 2)             # refresh (10, 0)'s recency
+        view.find(12, 0, 1)
+        session.finder_view()           # between queries: trims to 2
+        assert list(session._label_finder._cursors) == [(10, 0), (12, 0)]
+        assert session.stats.cursor_evictions == 1
 
     def test_finder_cursors_capped(self):
         engine = KOSREngine.build(_graph(77))
@@ -520,6 +574,62 @@ class TestCachePolicy:
         assert rates["finder"] == 0.5
         assert rates["dest_kernel"] == 0.5
         assert rates["disk_view"] == 0.0
+
+
+class TestSessionCursorMemory:
+    def test_unfinished_cursors_keep_only_nl_between_queries(self):
+        """``k = 1``, ``|C| = 1`` requests over eight warm targets (the
+        light-overhead shape) through a session with the server's caps
+        leave almost every cursor unfinished.  Once the next query's view
+        is made, what the session retains per cursor beyond its ``NL``
+        (16 bytes per neighbour) is the cursor, its key and its share
+        of the marks and memos — not a heap of one tuple per matched
+        hub run, a found set and a generator frame (about 7 kB each on
+        this graph)."""
+        import gc
+        import tracemalloc
+
+        from repro.server.tcp import (SESSION_MAX_DEST_KERNELS,
+                                      SESSION_MAX_FINDERS)
+
+        g = random_graph(200, 3.0, rng=random.Random(43))
+        assign_uniform_categories(g, 2, 50, random.Random(44))
+        engine = KOSREngine.build(g)
+        targets = random.Random(45).sample(range(g.num_vertices), 8)
+
+        def batch(sources):
+            return [make_query(g, s, targets[s % 8], [s % 2], k=1)
+                    for s in sources]
+
+        # Decode every hub run the requests scan, then warm the session's
+        # kernels on half the sources; the other half is measured.
+        QueryService(engine).run_batch(batch(range(g.num_vertices)), SK)
+        service = QueryService(engine,
+                               max_dest_kernels=SESSION_MAX_DEST_KERNELS,
+                               max_finders=SESSION_MAX_FINDERS)
+        session = service.session
+        for q in batch(range(0, g.num_vertices, 2)):
+            service.run(q, SK)
+        session.finder_view()
+        warm = set(session._label_finder._cursors)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q in batch(range(1, g.num_vertices, 2)):
+                service.run(q, SK)
+            session.finder_view()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        new = [cursor for key, cursor in session._label_finder._cursors.items()
+               if key not in warm]
+        assert len(new) == g.num_vertices // 2
+        assert sum(not cursor.exhausted for cursor in new) > 0.9 * len(new)
+        nl_bytes = 16 * sum(len(cursor.members) for cursor in new)
+        assert (retained - nl_bytes) / len(new) < 1500
+        assert all(cursor.gen is None for cursor in new)
 
 
 def _sk_db_queries(g, seed: int, n: int = 6):

@@ -480,6 +480,34 @@ class TestTcpValidation:
         assert "str" in bad_deadline["error"]
         assert ok["completed"] and ok["costs"]
 
+    def test_non_ascii_digit_categories_are_unknown_names(self, engine):
+        """``"²"`` used to reach ``int()`` (a ValueError naming no field)
+        and ``"٢"`` was answered as category id 2: ``str.isdigit()``
+        holds for both.  Only ASCII digits make an id."""
+        from repro.server.tcp import serve
+
+        base = {"source": 0, "target": 30, "k": 2}
+
+        async def scenario():
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await _talk(port, [
+                    dict(base, categories=["0", "\u00b2"], id="sup"),
+                    dict(base, categories=["0", "\u0662"], id="arabic"),
+                    dict(base, categories=["0", "2"], id="ascii"),
+                    dict(base, categories=[0, 2], id="ids"),
+                ])
+            finally:
+                await _shutdown(server)
+
+        sup, arabic, ascii_ids, ids = asyncio.run(scenario())
+        for reply, token in ((sup, "\u00b2"), (arabic, "\u0662")):
+            assert reply["kind"] == "UnknownCategoryError"
+            assert repr(token) in reply["error"]
+        assert ascii_ids["id"] == "ascii" and ascii_ids["costs"]
+        assert ascii_ids["costs"] == ids["costs"]
+
     @pytest.mark.parametrize("field, literal", [
         ("k", "1e400"),            # json.loads: inf; int(inf) overflowed
         ("categories", '"01"'),    # was iterated as ['0', '1']
