@@ -89,11 +89,13 @@ class QueryOptions:
         return replace(self, **changes)
 
     def plan_for(self):
-        """Resolve these options into a :class:`QueryPlan`.
+        """The :class:`~repro.service.planner.MethodSpec` row these
+        options select (what routing and admission read).
 
         This is the single validation point for the method / NN-backend
         vocabulary (raises :class:`~repro.exceptions.QueryError` on
-        unknown names).
+        unknown names); :func:`~repro.service.execution.execute_plan`
+        resolves the same row itself.
         """
         from repro.service.planner import resolve_plan
 

@@ -46,13 +46,13 @@ from typing import List, Optional
 
 from repro.api import QueryOptions, QueryRequest
 from repro.core.engine import KOSREngine, METHODS, NN_BACKENDS
-from repro.core.query import category_ref
+from repro.core.query import category_ref, make_query
 from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import load_json, save_json
 from repro.obs import clock
-from repro.service import QueryService
+from repro.service import QueryService, resolve_plan
 from repro.service.cache import CACHE_KINDS
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,14 +231,16 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _open_backend(args, methods):
+def _open_backend(args, methods, graph=None):
     """The engine that serves ``methods`` or, with any ``--shards N``
-    (1 too: one worker process), the worker fleet.
+    (1 too: one worker process), the worker fleet, over ``graph`` (else
+    the ``--graph`` file).
 
     Fails fast on SK-DB without the index file it reads.  Attaches the
     ``--mmap-index`` file, else builds the labels (the dominant start-up
-    cost) unless no method touches them: GSP and Dijkstra oracles run on
-    the bare graph, and a fleet then ships topology-only workers.
+    cost) unless no method's row needs a finder over them: GSP and
+    Dijkstra oracles run on the bare graph, and a fleet then ships
+    topology-only workers.
     """
     if "SK-DB" in methods and not args.mmap_index:
         raise SystemExit("SK-DB reads the saved index file: pass "
@@ -246,9 +248,10 @@ def _open_backend(args, methods):
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SystemExit("--shards must be >= 1")
-    graph = _load_graph(args.graph)
-    needs_labels = (args.nn_backend == "label"
-                    and any(m not in ("GSP", "GSP-CH") for m in methods))
+    if graph is None:
+        graph = _load_graph(args.graph)
+    needs_labels = (args.nn_backend == "label" and any(
+        resolve_plan(m, args.nn_backend).needs_finder for m in methods))
     if shards is not None:
         from repro.shard import ShardedQueryService
 
@@ -326,10 +329,10 @@ def _prepare_workload(args):
     """`batch` setup: the backend and one :class:`QueryRequest` per record.
 
     Fails fast — before anything is built or run — on unknown methods
-    or backends and on SK-DB without an index file.
+    or backends, on records the graph rejects (unknown category, vertex
+    out of range) and on SK-DB without an index file.
     """
     from repro.exceptions import QueryError
-    from repro.service import resolve_plan
 
     records = _load_workload_records(args.workload)
     methods = [record.get("method", args.method) for record in records]
@@ -338,15 +341,15 @@ def _prepare_workload(args):
             resolve_plan(method, args.nn_backend)
         except QueryError as exc:
             raise SystemExit(str(exc))
-    backend = _open_backend(args, set(methods))
+    graph = _load_graph(args.graph)
     options = _query_options(args)
     requests = []
     for method, record in zip(methods, records):
         cats = [category_ref(c) for c in record["categories"]]
-        q = backend.make_query(record["source"], record["target"], cats,
-                               k=int(record.get("k", 1)))
+        q = make_query(graph, record["source"], record["target"], cats,
+                       k=int(record.get("k", 1)))
         requests.append(QueryRequest(q, options.replace(method=method)))
-    return backend, requests
+    return _open_backend(args, set(methods), graph), requests
 
 
 def _run_sequential(service, requests):

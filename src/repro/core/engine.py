@@ -16,9 +16,10 @@ The engine owns the offline artefacts (label index, inverted indexes,
 the path of their saved index file) and *plans* online queries through
 the service layer's method table (:mod:`repro.service.planner`): each
 method is a row of switches and resource needs, executed by
-:func:`repro.service.execution.execute_plan`.  ``KOSREngine.run`` uses
-cold per-query resources — a fresh finder and fresh memos, the paper's
-measurement setup — while :attr:`KOSREngine.service` exposes the warm
+:func:`repro.service.execution.execute_plan`.  ``KOSREngine.run`` hands
+it the engine itself as the resource provider — a fresh finder and fresh
+memos per query, the paper's measurement setup — while
+:attr:`KOSREngine.service` exposes the warm
 :class:`~repro.service.service.QueryService` for workload serving
 (cross-query caches, grouped batches).
 
@@ -60,6 +61,7 @@ from repro.nn.base import NearestNeighborFinder
 from repro.nn.dijkstra_nn import DijkstraNNFinder
 from repro.nn.label_nn import PackedLabelNNFinder
 from repro.obs import clock
+from repro.service.cache import IndexAttachment
 from repro.service.execution import execute_plan
 from repro.service.planner import METHODS, NN_BACKENDS
 from repro.service.service import QueryService
@@ -472,8 +474,7 @@ class KOSREngine:
         query (the paper's measurement setup).  For warm cross-query
         caching and batched workloads use :attr:`service`.
         """
-        plan = require_options(options).plan_for()
-        return execute_plan(self, plan, q, options)
+        return execute_plan(self, q, require_options(options))
 
     def contraction_hierarchy(self):
         """The engine's CH (built lazily, cached; used by GSP-CH)."""
@@ -483,8 +484,13 @@ class KOSREngine:
             self._ch = build_ch(self.graph)
         return self._ch
 
+    def index_attachment(self) -> IndexAttachment:
+        """SK-DB's disk-resident index: a fresh attachment per query."""
+        return IndexAttachment(self)
+
     # ------------------------------------------------------------------
-    def _make_finder(self, nn_backend: str) -> NearestNeighborFinder:
+    def finder(self, nn_backend: str) -> NearestNeighborFinder:
+        """A fresh NN oracle of ``nn_backend`` (the cold query path)."""
         if nn_backend == "label":
             if self.labels is None or self.inverted is None:
                 raise QueryError("label backend requires built indexes; call build()")

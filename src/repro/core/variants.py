@@ -25,8 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api import QueryOptions
 from repro.core.engine import KOSREngine, KOSRResult
 from repro.nn.base import NearestNeighborFinder
-from repro.service.execution import ColdResources, execute_plan
-from repro.service.planner import METHOD_TABLE, resolve_plan
+from repro.service.execution import execute_plan
+from repro.service.planner import METHOD_TABLE
 from repro.types import CategoryId, Cost, SequencedResult, Vertex, Witness
 
 
@@ -141,15 +141,16 @@ class PreferenceNNFinder(NearestNeighborFinder):
         return self._base.distance(s, t)
 
 
-class _PreferenceResources(ColdResources):
+class _PreferenceResources:
     """Cold resources whose finder keeps only the preferred members."""
 
     def __init__(self, engine, predicates):
-        super().__init__(engine)
+        self.engine = engine
         self.predicates = predicates
 
     def finder(self, nn_backend: str) -> NearestNeighborFinder:
-        return PreferenceNNFinder(super().finder(nn_backend), self.predicates)
+        return PreferenceNNFinder(self.engine.finder(nn_backend),
+                                  self.predicates)
 
 
 def kosr_with_preferences(
@@ -175,6 +176,5 @@ def kosr_with_preferences(
         (engine.graph.category_id(c) if isinstance(c, str) else int(c)): fn
         for c, fn in predicates.items()
     }
-    return execute_plan(engine, resolve_plan(method), q,
-                        QueryOptions(method=method, budget=budget),
+    return execute_plan(engine, q, QueryOptions(method=method, budget=budget),
                         resources=_PreferenceResources(engine, cid_predicates))

@@ -302,7 +302,7 @@ class AsyncQueryService:
         raise the real error to the caller.
         """
         try:
-            return not request.options.plan_for().spec.needs_finder
+            return not request.options.plan_for().needs_finder
         except Exception:
             return False
 

@@ -2,12 +2,12 @@
 
 * :mod:`repro.service.planner` — the method table (one
   :class:`MethodSpec` row per method of the paper); ``(method,
-  nn_backend)`` -> :class:`QueryPlan`;
+  nn_backend)`` -> its validated row;
 * :mod:`repro.service.cache` — epoch-versioned :class:`SessionCache`
   with cold-equivalent counter accounting;
-* :mod:`repro.service.execution` — resource providers +
-  :func:`execute_plan`, the one seam from a plan to the search loop,
-  used by both the engine facade and the batch service;
+* :mod:`repro.service.execution` — :func:`execute_plan`, the one seam
+  from a request's options to the search loop, over one of two resource
+  providers: the engine (cold) or its :class:`SessionCache` (warm);
 * :mod:`repro.service.service` — :class:`QueryService` with grouped
   :meth:`~QueryService.run_batch` execution.
 
@@ -51,13 +51,12 @@ from repro.service.cache import (
     SessionCache,
     SharedDestKernel,
 )
-from repro.service.execution import ColdResources, WarmResources, execute_plan
+from repro.service.execution import execute_plan
 from repro.service.planner import (
     METHODS,
     METHOD_TABLE,
     MethodSpec,
     NN_BACKENDS,
-    QueryPlan,
     resolve_plan,
 )
 from repro.service.service import BatchResult, QueryService
@@ -66,19 +65,16 @@ __all__ = [
     "BatchResult",
     "CacheStats",
     "ColdEquivalentFinderView",
-    "ColdResources",
     "DEFAULT_OPTIONS",
     "METHODS",
     "METHOD_TABLE",
     "MethodSpec",
     "NN_BACKENDS",
     "QueryOptions",
-    "QueryPlan",
     "QueryRequest",
     "QueryService",
     "SessionCache",
     "SharedDestKernel",
-    "WarmResources",
     "execute_plan",
     "resolve_plan",
 ]

@@ -414,6 +414,14 @@ class SessionCache:
         self._disk = None
 
     # ------------------------------------------------------------------
+    def finder(self, nn_backend: str) -> NearestNeighborFinder:
+        """The query's NN oracle: a :meth:`finder_view` for ``label``.  The
+        Dijkstra comparators are straw men whose re-search cost *is* the
+        measurement, so they stay cold: a fresh engine finder."""
+        if nn_backend == "label":
+            return self.finder_view()
+        return self.engine.finder(nn_backend)
+
     def finder_view(self) -> ColdEquivalentFinderView:
         """A fresh per-query view over the session's shared label finder.
 
@@ -423,7 +431,7 @@ class SessionCache:
         cursor population is trimmed to ``max_finders``.
         """
         if self._label_finder is None:
-            self._label_finder = self.engine._make_finder("label")
+            self._label_finder = self.engine.finder("label")
             self.stats.finder_misses += 1
         else:
             self.stats.finder_hits += 1
@@ -496,7 +504,7 @@ class SessionCache:
         if kernel is None:
             shared = self._label_finder
             if shared is None:
-                shared = self._label_finder = self.engine._make_finder("label")
+                shared = self._label_finder = self.engine.finder("label")
                 self.stats.finder_misses += 1
             kernel = SharedDestKernel(target,
                                       shared.make_dest_distance(target))
@@ -520,7 +528,7 @@ class SessionCache:
             self.stats.ch_hits += 1
         return self._ch
 
-    def disk_state(self) -> IndexAttachment:
+    def index_attachment(self) -> IndexAttachment:
         """The session's kept SK-DB attachment of the engine's saved file."""
         disk = self._disk
         if disk is None or disk.index_file.path != self.engine._store:

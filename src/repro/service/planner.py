@@ -66,41 +66,19 @@ METHOD_TABLE = {spec.method: spec for spec in (
 METHODS = tuple(METHOD_TABLE)
 
 
-@dataclass(frozen=True)
-class QueryPlan:
-    """A resolved execution plan for one ``(method, nn_backend)``.
-
-    Plans are value objects: the same pair always resolves to an equal
-    plan (the same object, for a vocabulary backend), so they can key
-    caches and be shared across a batch.
-    """
-
-    method: str
-    nn_backend: str
-    spec: MethodSpec
-
-
-_PLANS = {(method, nn_backend): QueryPlan(method, nn_backend, spec)
-          for method, spec in METHOD_TABLE.items()
-          for nn_backend in NN_BACKENDS}
-
-
-def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
-    """Resolve ``(method, nn_backend)`` into a :class:`QueryPlan`.
+def resolve_plan(method: str, nn_backend: str = "label") -> MethodSpec:
+    """The :data:`METHOD_TABLE` row of ``method``, validated for
+    ``nn_backend``.
 
     Raises :class:`~repro.exceptions.QueryError` on an unknown method.
     ``nn_backend`` is validated only for methods that declare
-    ``needs_finder``: GSP and friends ignore the oracle axis, so a
-    free-form backend resolves to a fresh plan there.
+    ``needs_finder``: GSP and friends ignore the oracle axis.
     """
-    plan = _PLANS.get((method, nn_backend))
-    if plan is not None:
-        return plan
     spec = METHOD_TABLE.get(method)
     if spec is None:
         raise QueryError(f"unknown method {method!r}; choose from {METHODS}")
-    if spec.needs_finder:
+    if spec.needs_finder and nn_backend not in NN_BACKENDS:
         raise QueryError(
             f"unknown NN backend {nn_backend!r}; choose from {NN_BACKENDS}"
         )
-    return QueryPlan(method, nn_backend, spec)
+    return spec

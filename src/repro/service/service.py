@@ -32,8 +32,7 @@ from repro.core.query import KOSRQuery
 from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 from repro.service.cache import SessionCache
-from repro.service.execution import WarmResources, execute_plan
-from repro.service.planner import resolve_plan
+from repro.service.execution import execute_plan
 
 #: batch groups are keyed by what warm state they can share
 GroupKey = Tuple[int, Tuple[int, ...]]
@@ -109,32 +108,19 @@ class QueryService:
         (KPNE/PK/SK/SK-NODOM/SK-DB) it fires with each
         :class:`~repro.types.SequencedResult` the moment the search proves
         it final — before the next one is searched for.  All-at-end
-        methods (the GSP family) have no incremental seam; their results
-        are replayed through the callback once the run completes, so
-        callers always see exactly ``result.results`` in order.  Streamed
-        objects are the same objects as the returned result's; route
-        restoration (``options.restore_routes``) happens only after the
-        run, so in-flight records carry the witness and cost.
+        methods (the GSP family) have no incremental seam;
+        :func:`~repro.service.execution.execute_plan` replays their
+        results through the callback once the run completes, so callers
+        always see exactly ``result.results`` in order.  Streamed objects
+        are the same objects as the returned result's; route restoration
+        (``options.restore_routes``) happens only after the run, so an
+        anytime method's in-flight records carry the witness and cost.
         """
         require_options(options)
-        plan = resolve_plan(options.method, options.nn_backend)
         session = self.session
         session.validate()
-        emitted = 0
-        seam = None
-        if on_route is not None:
-            def seam(res):
-                nonlocal emitted
-                emitted += 1
-                on_route(res)
-        result = execute_plan(
-            self.engine, plan, q, options,
-            resources=WarmResources(session), on_result=seam,
-        )
-        if on_route is not None:
-            for res in result.results[emitted:]:
-                on_route(res)
-        return result
+        return execute_plan(self.engine, q, options, resources=session,
+                            on_result=on_route)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -1,15 +1,15 @@
 """Plan-aware routing: which shard serves a request.
 
 The sharded service partitions *categories* across worker processes; a
-query's resolved :class:`~repro.service.planner.QueryPlan` declares
-whether it consumes the category inverted indexes at all
-(``spec.needs_finder``), and the query itself names the categories it
+query's method row (:class:`~repro.service.planner.MethodSpec`)
+declares whether it consumes the category inverted indexes at all
+(``needs_finder``), and the query itself names the categories it
 touches — together they pick the one shard that serves it:
 
-* a plan with no finder need (GSP / GSP-CH run over the replicated
+* a method with no finder need (GSP / GSP-CH run over the replicated
   topology alone) can execute anywhere → round-robin;
-* a plan with a finder need routes to its *primary* owner, the owner of
-  its first category (``owners(categories)[0]``).
+* a method with a finder need routes to its *primary* owner, the owner
+  of its first category (``owners(categories)[0]``).
 
 A category set that *spans* shards runs once, on the primary, which
 faults in the inverted indexes of the categories it does not own.  Hub

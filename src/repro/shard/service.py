@@ -55,9 +55,9 @@ import multiprocessing as mp
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest
+from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
 from repro.core.query import KOSRQuery, make_query
 from repro.exceptions import QueryError, ShardError
 from repro.labeling.assembly import assemble_index
@@ -418,15 +418,15 @@ class ShardedQueryService:
     def shard_for(self, query: KOSRQuery, options: QueryOptions) -> int:
         """The one shard that will serve this request.
 
-        Resolves the plan (validating method / NN backend) and reads its
-        declared needs: finder-free plans route round-robin, finder
-        plans (SK-DB among them) route to the primary owner, the owner
-        of the query's first category.  When the categories span shards
-        the primary faults in the ones it does not own: hub labels are
-        topology-only, so any worker can answer the whole sequenced
+        Resolves the method row (validating method / NN backend) and
+        reads its declared needs: finder-free methods route round-robin,
+        finder methods (SK-DB among them) route to the primary owner, the
+        owner of the query's first category.  When the categories span
+        shards the primary faults in the ones it does not own: hub labels
+        are topology-only, so any worker can answer the whole sequenced
         query, and one that does is cold-equivalent.
         """
-        if not options.plan_for().spec.needs_finder:
+        if not options.plan_for().needs_finder:
             return next(self._rr) % self.num_shards
         if self.labels is None and options.nn_backend == "label":
             raise QueryError(
@@ -443,27 +443,21 @@ class ShardedQueryService:
                 metrics.counter("repro_shard_spanning_requests_total").inc()
         return self.router.shard_of(categories[0])
 
-    def run(self, request: Union[QueryRequest, KOSRQuery],
-            options: Optional[QueryOptions] = None, *, on_route=None):
-        """Answer one request; returns a ``KOSRResult``.
+    def run(self, query: KOSRQuery, options: QueryOptions = DEFAULT_OPTIONS,
+            *, on_route=None):
+        """Answer one query; returns a ``KOSRResult``.
 
-        Accepts a :class:`QueryRequest` or a bare query plus ``options``;
-        warm state lives in the workers' own sessions.
+        The calling convention of :meth:`QueryService.run`; warm state
+        lives in the workers' own sessions.
 
         ``on_route`` streams the answer live: the worker emits one
         interim pipe frame per discovered route ahead of its final
         reply, and the callback fires (on the calling thread) as each
         frame arrives — while the worker's search is still running.
         """
-        if isinstance(request, QueryRequest):
-            query, opts = request.query, request.options
-            if options is not None:
-                raise TypeError("pass options inside the QueryRequest")
-        else:
-            query = request
-            opts = options if options is not None else DEFAULT_OPTIONS
-        return self._run_resolved(query, opts, self.shard_for(query, opts),
-                                  on_route)
+        require_options(options)
+        return self._run_resolved(query, options,
+                                  self.shard_for(query, options), on_route)
 
     def _fan_out(self, exchange: Callable, msg: tuple,
                  shards: Sequence[int]) -> List:

@@ -205,7 +205,7 @@ class _ShardWorker:
         """Answer one query, streaming each route via ``on_route`` when
         given."""
         if options.nn_backend == "label" \
-                and options.plan_for().spec.needs_finder:
+                and options.plan_for().needs_finder:
             self.ensure_categories(query.categories)
         return self.service.run(query, options, on_route=on_route)
 

@@ -85,10 +85,10 @@ def small_engine():
 class _ReferenceEngine(KOSREngine):
     """An engine over the reference PLL's object output and object FindNN."""
 
-    def _make_finder(self, nn_backend):
+    def finder(self, nn_backend):
         if nn_backend == "label":
             return LabelNNFinder.from_index(self.labels, self.inverted)
-        return super()._make_finder(nn_backend)
+        return super().finder(nn_backend)
 
 
 def reference_engine(graph, order=None):

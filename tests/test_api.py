@@ -79,8 +79,8 @@ class TestQueryOptions:
     def test_plan_for_validates_vocabulary(self):
         with pytest.raises(QueryError, match="unknown method"):
             QueryOptions(method="NOPE").plan_for()
-        plan = QueryOptions(method="PK").plan_for()
-        assert plan.method == "PK" and plan.nn_backend == "label"
+        row = QueryOptions(method="PK").plan_for()
+        assert row.method == "PK" and row.use_dominance and not row.estimated
 
 
 class TestQueryRequest:
@@ -112,13 +112,12 @@ def entry_points(engine):
     """Every query entry point, closed over one query: ``call(*options)``."""
     q = make_query(engine.graph, 0, 30, [0, 1], k=2)
     service = QueryService(engine)
-    plan = DEFAULT_OPTIONS.plan_for()
     with ShardedQueryService.from_engine(engine, 2) as fleet:
         yield {
             "KOSREngine.run":
                 lambda *a, **kw: engine.run(q, *a, **kw),
             "execute_plan":
-                lambda *a, **kw: execute_plan(engine, plan, q, *a, **kw),
+                lambda *a, **kw: execute_plan(engine, q, *a, **kw),
             "QueryService.run":
                 lambda *a, **kw: service.run(q, *a, **kw),
             "QueryService.run_batch":

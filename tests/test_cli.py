@@ -9,6 +9,7 @@ import pytest
 
 from repro import KOSREngine
 from repro.cli import build_parser, main
+from repro.core.engine import METHODS
 from repro.graph.io import load_json, save_json
 from repro.graph.paper import paper_figure1_graph, vertex
 
@@ -191,6 +192,28 @@ class TestBatchCommand:
         with pytest.raises(SystemExit, match="unknown method"):
             main(["batch", "--graph", fig1_file, "--workload", wl])
         assert "best" not in capsys.readouterr().out  # nothing executed
+
+    @pytest.mark.parametrize("bad", [{"categories": ["no-such-category"]},
+                                     {"source": 10_000}])
+    def test_sharded_batch_with_a_bad_record_leaves_no_fleet(
+            self, fig1_file, tmp_path, bad):
+        """A record the graph rejects fails the call before any worker is
+        spawned, so a caller that catches and retries cannot pile up
+        resident fleets."""
+        import multiprocessing
+
+        from repro.exceptions import ReproError
+
+        s, t = vertex("s"), vertex("t")
+        wl = self._workload(tmp_path, [
+            {"source": s, "target": t, "categories": ["MA"]},
+            {"source": s, "target": t, "categories": ["MA"], **bad},
+        ])
+        with pytest.raises(ReproError):
+            main(["batch", "--graph", fig1_file, "--workload", wl,
+                  "--shards", "1"])
+        assert not [child.name for child in multiprocessing.active_children()
+                    if child.name.startswith("repro-shard-")]
 
     def test_batch_max_workers_flag_is_gone(self, fig1_file, tmp_path):
         """`batch --async` is the concurrent workload path."""
@@ -618,6 +641,30 @@ class TestMetricsCommand:
             listener.close()
         assert code == 1
         assert "error: unexpected reply" in capsys.readouterr().err
+
+
+class TestOpenBackend:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_labels_exactly_when_the_row_needs_a_finder(
+            self, fig1_file, tmp_path, method):
+        """``--nn-backend label`` builds (or, for SK-DB, attaches) the
+        labels exactly for the methods whose table row needs a finder;
+        SK-DB still refuses to start without the index file it reads."""
+        from repro.cli import _open_backend
+        from repro.service import METHOD_TABLE
+
+        row = METHOD_TABLE[method]
+        argv = ["query", "--graph", fig1_file, "--method", method,
+                "--nn-backend", "label", "--source", "0", "--target", "1",
+                "--categories", "0"]
+        if row.index_file:
+            with pytest.raises(SystemExit, match="--mmap-index"):
+                _open_backend(build_parser().parse_args(argv), {method})
+            index = str(tmp_path / "fig1.rpli")
+            main(["index", "build", "--graph", fig1_file, "--out", index])
+            argv += ["--mmap-index", index]
+        engine = _open_backend(build_parser().parse_args(argv), {method})
+        assert (engine.labels is not None) == row.needs_finder
 
 
 class TestSkDbOverIndexFile:

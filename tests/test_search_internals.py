@@ -149,7 +149,7 @@ class TestRuntime:
         from repro.nn.base import NearestNeighborFinder
 
         g, engine = fig1_case
-        inner = engine._make_finder("label")
+        inner = engine.finder("label")
 
         class Bare(NearestNeighborFinder):
             def find(self, source, category, x):

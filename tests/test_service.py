@@ -75,10 +75,7 @@ class TestPlanner:
         assert (spec.use_dominance, spec.estimated, spec.index_file,
                 spec.needs_finder, spec.needs_ch) == switches
         for nn_backend in NN_BACKENDS:
-            plan = resolve_plan(method, nn_backend)
-            assert plan.spec is spec
-            assert (plan.method, plan.nn_backend) == (method, nn_backend)
-            assert resolve_plan(method, nn_backend) is plan
+            assert resolve_plan(method, nn_backend) is spec
 
     def test_unknown_method_rejected(self):
         with pytest.raises(QueryError, match="unknown method"):
@@ -95,14 +92,17 @@ class TestPlanner:
         assert resolve_plan("SK") != resolve_plan("PK")
 
     def test_every_caller_resolves_to_the_one_plan_object(self):
-        """Plans are derived once at import: every caller (engine,
+        """A plan is the method's table row: every caller (engine,
         services, router, admission) gets the same object."""
-        plan = resolve_plan("SK")
-        assert resolve_plan("SK", "label") is plan
-        assert QueryOptions(method="SK").plan_for() is plan
-        # a free-form backend on a finder-free method is a fresh equal plan
+        from repro.service import METHOD_TABLE
+
+        row = METHOD_TABLE["SK"]
+        assert resolve_plan("SK") is row
+        assert resolve_plan("SK", "label") is row
+        assert QueryOptions(method="SK").plan_for() is row
+        # a free-form backend on a finder-free method is its row too
         assert (resolve_plan("GSP", nn_backend="psychic")
-                == resolve_plan("GSP", nn_backend="psychic"))
+                is METHOD_TABLE["GSP"])
 
     def test_engine_run_rejects_unknown_method(self, engine):
         q = make_query(engine.graph, 0, 1, [0], k=1)

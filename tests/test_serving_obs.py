@@ -55,6 +55,8 @@ from repro import (
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.obs.metrics import LATENCY_BUCKETS_S, REGISTRY
+from repro.service import METHOD_TABLE, METHODS
+from repro.service.execution import execute_plan
 
 from fleet_fakes import InThreadFleet
 from test_backend_parity import assert_same_outcome
@@ -69,6 +71,18 @@ def _graph(seed: int, n: int = 40, cats: int = 8, size: int = 7):
 @pytest.fixture()
 def engine():
     return KOSREngine.build(_graph(91))
+
+
+@pytest.fixture(scope="module")
+def saved_setting(tmp_path_factory):
+    """An engine whose index is saved (so SK-DB runs) and a one-worker
+    fleet serving the same file."""
+    engine = KOSREngine.build(_graph(91))
+    path = tmp_path_factory.mktemp("saved") / "g91.rpli"
+    engine.save_index(path)
+    with ShardedQueryService(engine.graph.copy(), 1,
+                             index_path=path) as fleet:
+        yield engine, fleet
 
 
 class _StopStreaming(Exception):
@@ -99,13 +113,41 @@ class TestServiceStreaming:
         # And a streamed run answers exactly like a plain one.
         assert_same_outcome(result, KOSREngine.build(engine.graph).run(q))
 
-    def test_all_at_end_methods_replay_through_the_callback(self, engine):
-        """GSP has no incremental seam; callers still see every result."""
-        q = make_query(engine.graph, 0, 30, [0, 1], k=1)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("entry", ["execute_plan", "QueryService.run",
+                                       "ShardedQueryService.run"])
+    def test_every_method_streams_through_every_entry_point(
+            self, saved_setting, entry, method):
+        """Every method streams exactly ``result.results``, in order, cold
+        or warm or sharded: the anytime searches as each route is proved
+        final, the all-at-end GSP family (no incremental seam) replayed
+        by ``execute_plan`` after the run — so with ``restore_routes``
+        its replayed results already carry their routes.  In process the
+        streamed objects are the result's own; across the worker pipe
+        they are copies sent ahead of the reply."""
+        engine, fleet = saved_setting
+        row = METHOD_TABLE[method]
+        q = make_query(engine.graph, 0, 30, [0, 1],
+                       k=3 if row.needs_finder else 1)  # GSP: k = 1 only
+        options = QueryOptions(method=method, restore_routes=True)
+        run = {
+            "execute_plan": lambda cb: execute_plan(engine, q, options,
+                                                    on_result=cb),
+            "QueryService.run": lambda cb: engine.service.run(
+                q, options, on_route=cb),
+            "ShardedQueryService.run": lambda cb: fleet.run(
+                q, options, on_route=cb),
+        }[entry]
         streamed = []
-        result = engine.service.run(q, QueryOptions(method="GSP"),
-                                    on_route=streamed.append)
-        assert streamed == list(result.results)
+        result = run(streamed.append)
+        assert result.results and len(streamed) == len(result.results)
+        if entry == "ShardedQueryService.run":
+            assert ([r.witness for r in streamed]
+                    == [r.witness for r in result.results])
+        else:
+            assert all(a is b for a, b in zip(streamed, result.results))
+        if not row.needs_finder:
+            assert all(r.route is not None for r in streamed)
 
     def test_stream_without_callback_is_a_plain_run(self, engine):
         q = make_query(engine.graph, 1, 30, [0, 1], k=2)

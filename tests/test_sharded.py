@@ -123,13 +123,6 @@ class TestShardedParity:
         assert shards == {0, 1}  # alternates across the fleet
         assert_same_outcome(sharded.run(q, options), engine.run(q, options))
 
-    def test_query_request_objects_accepted(self, setting):
-        engine, sharded = setting
-        q = make_query(engine.graph, 2, 31, [1, 2], k=2)
-        request = QueryRequest(q, QueryOptions(method="PK"))
-        assert_same_outcome(sharded.run(request),
-                            engine.run(q, QueryOptions(method="PK")))
-
     def test_sk_db_matches_sk_on_an_index_file_fleet(self, setting,
                                                      tmp_path):
         """SK-DB routes like SK and is answered by the serving worker
