@@ -140,8 +140,3 @@ class QueryRequest:
         """
         q = self.query
         return (q.source, q.target, q.categories, q.k, self.options)
-
-    @property
-    def group_key(self) -> Tuple[Vertex, Tuple[CategoryId, ...]]:
-        """The batch executor's warm-state sharing key: ``(target, C)``."""
-        return (self.query.target, self.query.categories)

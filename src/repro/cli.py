@@ -51,6 +51,7 @@ from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import load_json, save_json
+from repro.labeling import write_index_file
 from repro.obs import clock
 from repro.service import QueryService, resolve_plan
 from repro.service.cache import CACHE_KINDS
@@ -220,7 +221,7 @@ def cmd_index(args) -> int:
     print(f"labels built in {build_s:.2f}s: avg |Lin| = {p.avg_lin:.1f}, "
           f"avg |Lout| = {p.avg_lout:.1f}, {p.label_entries} entries")
     if args.no_inverted:
-        written = engine.labels.save(args.out)
+        written = write_index_file(args.out, engine.labels)
     else:
         written = engine.save_index(args.out)
     what = "labels only" if args.no_inverted else \

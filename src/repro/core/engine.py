@@ -123,14 +123,14 @@ class KOSREngine:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _assemble(cls, graph: Graph, name: str, labels=None, *, order=None,
+    def _assemble(cls, graph: Graph, name: str, labels=None, *,
                   categories=None, index_file=None) -> "KOSREngine":
         """An engine over :func:`~repro.labeling.assembly.assemble_index`
         output, with the Table IX statistics recorded (the label build
         time is 0.0 when the labels were supplied or attached)."""
         built = labels is None and index_file is None
         t0 = clock.now()
-        labels = assemble_index(graph, labels, order=order, categories=(),
+        labels = assemble_index(graph, labels, categories=(),
                                 index_file=index_file).labels
         t1 = clock.now()
         inverted = assemble_index(graph, labels, categories=categories,
@@ -160,35 +160,20 @@ class KOSREngine:
     def build(
         cls,
         graph: Graph,
-        order: Optional[Sequence[Vertex]] = None,
+        labels: Optional[PackedLabelIndex] = None,
         name: str = "",
     ) -> "KOSREngine":
         """Build hub labels and inverted indexes, recording Table IX stats.
 
         PLL writes private RPLI sections and queries are served from
-        those.
+        those.  Given ``labels``, only the inverted indexes are built and
+        the label build time reads 0.0: hub labels depend solely on graph
+        topology, so experiment sweeps that vary *category assignments*
+        (|Ci|, zipf skew) reuse one label index across settings, as in
+        the paper, where labels are precomputed offline once per graph.
+        The index is used as-is, so engines can share one instance.
         """
-        return cls._assemble(graph, name, order=order)
-
-    @classmethod
-    def from_labels(
-        cls,
-        graph: Graph,
-        labels,
-        name: str = "",
-    ) -> "KOSREngine":
-        """Assemble an engine from prebuilt labels (rebuilds only the
-        inverted indexes).
-
-        Hub labels depend solely on graph topology, so experiment sweeps
-        that vary *category assignments* (|Ci|, zipf skew) reuse one label
-        index across settings — this is the paper's setup, where labels are
-        precomputed offline once per graph.
-
-        The :class:`PackedLabelIndex` is used as-is, so engines can share
-        one index instance.
-        """
-        return cls._assemble(graph, name, labels=labels)
+        return cls._assemble(graph, name, labels)
 
     @classmethod
     def from_index_file(
@@ -377,8 +362,8 @@ class KOSREngine:
             self.graph, self.labels, self.inverted, v, cid)
         self._store = None
 
-    def update_edge(self, u: Vertex, v: Vertex, weight: Optional[float],
-                    order: Optional[Sequence[Vertex]] = None) -> None:
+    def update_edge(self, u: Vertex, v: Vertex,
+                    weight: Optional[float]) -> None:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
         Rebuilds labels and inverted indexes into private buffers.  The
@@ -388,7 +373,7 @@ class KOSREngine:
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
-        labels, inverted = assemble_index(self.graph, order=order)
+        labels, inverted = assemble_index(self.graph)
         self._swap_indexes(self.graph, labels, inverted)
 
     def compact(self) -> None:

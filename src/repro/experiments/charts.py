@@ -66,7 +66,7 @@ def bar_chart(
 
 def level_series(
     rows: List[Row],
-    group_key: str = "dataset",
+    label_key: str = "dataset",
     prefix: str = "level_",
     title: str = "",
     height: int = 8,
@@ -89,6 +89,6 @@ def level_series(
             blocks[min(len(blocks) - 1, int(v / hi * (len(blocks) - 1)))]
             for v in levels
         )
-        lines.append(f"{str(row.get(group_key, '')):>8} |{spark}| "
+        lines.append(f"{str(row.get(label_key, '')):>8} |{spark}| "
                      f"peak {hi:,.1f} at level {levels.index(hi)}")
     return "\n".join(lines)

@@ -57,7 +57,7 @@ def engine_for(name: str, scale: Optional[float] = None) -> KOSREngine:
     if engine is None:
         graph = generators.dataset_by_name(name, scale=scale)
         labels = _labels_for(name, scale, graph)
-        engine = KOSREngine.from_labels(graph, labels, name=name)
+        engine = KOSREngine.build(graph, labels, name=name)
         _engine_cache[key] = engine
     return engine
 
@@ -96,7 +96,7 @@ def fla_engine_with_categories(
             assign_uniform_categories(
                 graph, num_categories, size, random.Random(seed + 1)
             )
-        engine = KOSREngine.from_labels(graph, labels, name="FLA")
+        engine = KOSREngine.build(graph, labels, name="FLA")
         _engine_cache[key] = engine
     return engine
 

@@ -3,7 +3,10 @@
 * :mod:`repro.labeling.pll` — pruned landmark labeling construction
   (Akiba et al., SIGMOD 2013), extended to directed weighted graphs with
   pruned Dijkstra searches; one columnar search writes the packed
-  sections' columns directly.
+  sections' columns directly.  :func:`build_labels_auto` is the one
+  builder entry point: it picks the frontier from the weights (BFS on
+  unit weights, Dijkstra otherwise), and the hub order is chosen inside
+  it — no layer above takes an order.
 * :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
   the label index (``Lin``/``Lout``, merge-join distance queries,
   actual-route restoration via parent pointers) and the paper's
@@ -14,6 +17,8 @@
   (:mod:`repro.labeling.mmap_index`: build once, attach from any number
   of processes, share one physical copy through the OS page cache).
   The saved file is also the one persisted form: SK-DB reads it per query.
+  It has one writer, :func:`write_index_file`, and one reader,
+  :meth:`MmapIndexFile.open`; :class:`IndexFileLayout` validates it.
   The per-entry object form these are tested against lives with the
   tests (``tests/reference_{labels,inverted,nn,pll}.py``).
 * :mod:`repro.labeling.assembly` — :func:`assemble_index`, the one
@@ -24,12 +29,7 @@
 """
 
 from repro.labeling.order import degree_order
-from repro.labeling.pll import (
-    build_bfs_labels,
-    build_labels_auto,
-    build_pruned_landmark_labels,
-    graph_is_unit_weight,
-)
+from repro.labeling.pll import build_labels_auto, graph_is_unit_weight
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed import (
     IndexFileLayout,
@@ -48,8 +48,6 @@ from repro.labeling.updates import (
 
 __all__ = [
     "degree_order",
-    "build_pruned_landmark_labels",
-    "build_bfs_labels",
     "build_labels_auto",
     "graph_is_unit_weight",
     "PackedLabelIndex",

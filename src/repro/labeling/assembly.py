@@ -9,7 +9,7 @@ file or built privately" is decided in one function.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.graph.graph import Graph
 from repro.labeling.packed import PackedLabelIndex
@@ -18,7 +18,7 @@ from repro.labeling.packed_inverted import (
     build_packed_inverted_index,
 )
 from repro.labeling.pll import build_labels_auto
-from repro.types import CategoryId, Vertex
+from repro.types import CategoryId
 
 
 class AssembledIndex(NamedTuple):
@@ -32,7 +32,6 @@ def assemble_index(
     graph: Graph,
     labels=None,
     *,
-    order: Optional[Sequence[Vertex]] = None,
     categories: Optional[Iterable[CategoryId]] = None,
     index_file=None,
 ) -> AssembledIndex:
@@ -40,8 +39,9 @@ def assemble_index(
 
     Labels come from ``index_file`` (an open
     :class:`~repro.labeling.mmap_index.MmapIndexFile`) when given, else
-    from ``labels`` when given, else from a PLL build over ``graph`` in
-    ``order``.  ``categories`` defaults to every category of the graph;
+    from ``labels`` when given, else from a PLL build over ``graph``
+    (:func:`~repro.labeling.pll.build_labels_auto`, which chooses the
+    hub order).  ``categories`` defaults to every category of the graph;
     each one is taken from ``index_file`` when the file stores it and
     built privately from ``graph`` + the labels otherwise.  It reads no
     clock: the engine times its Table IX build steps around it.
@@ -49,7 +49,7 @@ def assemble_index(
     if index_file is not None:
         labels = index_file.labels
     elif labels is None:
-        labels = build_labels_auto(graph, order)
+        labels = build_labels_auto(graph)
     if categories is None:
         categories = range(graph.num_categories)
     inverted: Dict[CategoryId, PackedInvertedIndex] = {}

@@ -7,7 +7,7 @@ later.  Degree order is the cheap, effective default used by Akiba et al.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.graph.graph import Graph
 from repro.types import Vertex
@@ -17,9 +17,3 @@ def degree_order(graph: Graph) -> List[Vertex]:
     """Vertices by decreasing total degree (ties by id for determinism)."""
     return sorted(range(graph.num_vertices), key=lambda v: (-graph.degree(v), v))
 
-
-def validate_order(graph: Graph, order: Sequence[Vertex]) -> List[Vertex]:
-    """Check that ``order`` is a permutation of the vertex set."""
-    if sorted(order) != list(range(graph.num_vertices)):
-        raise ValueError("order must be a permutation of all vertices")
-    return list(order)

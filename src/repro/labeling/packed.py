@@ -344,33 +344,6 @@ class PackedLabelIndex:
             route.extend(sub[1:])
         return total, route
 
-    # ------------------------------------------------------------------
-    # RPLI v2 binary serialisation (fixed layout, zero-decode on load).
-    # ------------------------------------------------------------------
-    def save(self, path: PathLike, inverted=None) -> int:
-        """Write an RPLI v2 index file; returns bytes written.
-
-        ``inverted`` (optional ``{cid: PackedInvertedIndex}``) embeds the
-        per-category inverted sections so shard workers can attach the
-        whole query index via :class:`~repro.labeling.mmap_index.
-        MmapIndexFile` without rebuilding anything.
-        """
-        return write_index_file(path, self, inverted)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "PackedLabelIndex":
-        """Read the label sections of an index file into a private buffer.
-
-        No per-entry parsing: the file's bytes are the sections.
-        Inverted sections, if present, are ignored (use
-        :class:`~repro.labeling.mmap_index.MmapIndexFile` to attach them).
-        """
-        with open(path, "rb") as f:
-            data = f.read()
-        layout = IndexFileLayout(path, memoryview(data))
-        layout.check_label_sections()
-        return cls.from_sections(layout.label_sections())
-
 
 def _labels_from_bytes(blobs) -> PackedLabelIndex:
     """Unpickle hook: rebuild the label index over received section bytes."""

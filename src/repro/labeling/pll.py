@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from repro.graph.graph import Graph
-from repro.labeling.order import degree_order, validate_order
+from repro.labeling.order import degree_order
 from repro.labeling.packed import NO_PARENT, PackedLabelIndex
 from repro.types import INFINITY, Vertex
 
@@ -97,12 +97,16 @@ def _pruned_search(rows, root, rank, root_label, columns, frontier, scratch):
 
 def _build(graph: Graph, order: Optional[Sequence[Vertex]],
            frontier) -> PackedLabelIndex:
-    """Run the pruned searches of every root in ``order`` and pack."""
+    """Run the pruned searches of every root in ``order`` and pack.
+
+    This is the one place the default hub order is chosen: every engine,
+    fleet and index file gets its labels through here.
+    """
+    n = graph.num_vertices
     if order is None:
         order = degree_order(graph)
-    else:
-        order = validate_order(graph, order)
-    n = graph.num_vertices
+    elif sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all vertices")
 
     def empty_columns():
         return tuple([[] for _ in range(n)] for _ in range(3))
@@ -131,32 +135,16 @@ def graph_is_unit_weight(graph: Graph) -> bool:
     return all(w == 1.0 for _, _, w in graph.edges())
 
 
-def build_pruned_landmark_labels(
-    graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-) -> PackedLabelIndex:
-    """Build the label index over ``graph`` with pruned Dijkstra searches.
-
-    ``order`` defaults to decreasing-degree; passing an explicit order is
-    useful for tests and the ordering ablation.
-    """
-    return _build(graph, order, _HEAP)
-
-
-def build_bfs_labels(
-    graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-) -> PackedLabelIndex:
-    """Pruned BFS labeling; only valid for unit-weight graphs."""
-    if not graph_is_unit_weight(graph):
-        raise ValueError("BFS labeling requires all edge weights to be 1")
-    return _build(graph, order, _FIFO)
-
-
 def build_labels_auto(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
 ) -> PackedLabelIndex:
-    """BFS labeling on unit-weight graphs, pruned Dijkstra otherwise."""
+    """Build the label index over ``graph``: the one PLL entry point.
+
+    The frontier follows from the weights: pruned BFS on unit-weight
+    graphs, pruned Dijkstra otherwise.  ``order`` is the hub order; it
+    defaults to the one order function (:func:`_build` picks it), and an
+    explicit permutation is the seam for random-order tests.
+    """
     unit = graph.num_edges and graph_is_unit_weight(graph)
     return _build(graph, order, _FIFO if unit else _HEAP)

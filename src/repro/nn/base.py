@@ -66,6 +66,3 @@ class NearestNeighborFinder(ABC):
         from repro.nn.estimated import EstimatedNNFinder
 
         return EstimatedNNFinder(self, estimate, cache)
-
-    def reset_stats(self) -> None:
-        self.queries = 0

@@ -609,8 +609,7 @@ class ShardedQueryService:
         """Compact every worker's edited runs (broadcast, synchronized)."""
         self._update(("compact",))
 
-    def update_edge(self, u: Vertex, v: Vertex, weight,
-                    order: Optional[Sequence[Vertex]] = None) -> None:
+    def update_edge(self, u: Vertex, v: Vertex, weight) -> None:
         """Apply one edge insert/change/delete to the running fleet.
 
         Zero-downtime, in three phases:
@@ -656,7 +655,7 @@ class ShardedQueryService:
             # parent or worker state moved.
             work = self.graph.copy()
             apply_edge_mutation(work, u, v, weight)
-            labels = assemble_index(work, order=order, categories=()).labels
+            labels = assemble_index(work, categories=()).labels
             fence = self._epoch + 1
             # Phase 2: prepare (recoverable per shard, abortable: a
             # failure past recovery is a clean abort, not divergence).

@@ -9,8 +9,7 @@ Pins the PR 4 redesign contracts:
 * the historical ``engine.query`` drift — ``strict_budget`` silently
   dropped on the way to ``run`` — is fixed and structurally impossible
   (both paths build the same ``QueryOptions``);
-* ``QueryRequest.key`` is the coalescing identity (options included)
-  and ``group_key`` matches the batch executor's grouping.
+* ``QueryRequest.key`` is the coalescing identity (options included).
 """
 
 import random
@@ -98,13 +97,6 @@ class TestQueryRequest:
         c = QueryRequest(make_query(g, 1, 30, [0, 1], k=2))
         assert a.key == b.key and hash(a) == hash(b)
         assert a.key != c.key
-
-    def test_group_key_matches_batch_grouping(self, engine):
-        g = engine.graph
-        q = make_query(g, 3, 30, [1, 0], k=2)
-        assert QueryRequest(q).group_key == (30, (1, 0))
-        groups = QueryService.group_queries([q])
-        assert QueryRequest(q).group_key in groups
 
 
 @pytest.fixture(scope="module")

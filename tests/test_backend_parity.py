@@ -20,7 +20,7 @@ from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import build_packed_inverted_index
-from repro.labeling.pll import build_pruned_landmark_labels
+from repro.labeling.pll import build_labels_auto
 
 SK = QueryOptions(method="SK")
 
@@ -175,7 +175,7 @@ class TestPackedInvertedParity:
     @pytest.fixture(scope="class")
     def case(self):
         g = _graph(91)
-        return g, build_reference_labels(g), build_pruned_landmark_labels(g)
+        return g, build_reference_labels(g), build_labels_auto(g)
 
     def test_hub_lists_identical(self, case):
         g, labels, packed_labels = case

@@ -29,9 +29,9 @@ class TestBuild:
         assert p.inverted_entries > 0
         assert p.label_bytes == p.label_entries * p.BYTES_PER_ENTRY
 
-    def test_from_labels_skips_label_build(self, case):
+    def test_prebuilt_labels_skip_label_build(self, case):
         g, engine = case
-        rebuilt = KOSREngine.from_labels(g, engine.labels, name="reuse")
+        rebuilt = KOSREngine.build(g, engine.labels, name="reuse")
         assert rebuilt.preprocessing.label_build_seconds == 0.0
         q = make_query(g, 0, 9, [0, 1], 3)
         assert rebuilt.run(q).costs == engine.run(q).costs

@@ -8,11 +8,7 @@ import pytest
 from repro.graph import from_edge_list, grid_graph, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.labeling import (
-    build_pruned_landmark_labels,
-    degree_order,
-)
-from repro.labeling.order import validate_order
+from repro.labeling import build_labels_auto, degree_order
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
 
@@ -27,7 +23,7 @@ def fig1():
 
 @pytest.fixture(scope="module")
 def fig1_labels(fig1):
-    return build_pruned_landmark_labels(fig1)
+    return build_labels_auto(fig1)
 
 
 class TestOrdering:
@@ -44,7 +40,7 @@ class TestOrdering:
     def test_validate_order_rejects_non_permutation(self):
         g = random_graph(5, 2.0, rng=random.Random(0))
         with pytest.raises(ValueError):
-            validate_order(g, [0, 1, 2, 3, 3])
+            build_labels_auto(g, [0, 1, 2, 3, 3])
 
 
 class TestDistanceQueries:
@@ -86,7 +82,7 @@ class TestDistanceQueries:
     def test_random_graphs_match_dijkstra(self):
         for seed in range(4):
             g = random_graph(30, 2.5, rng=random.Random(seed), ensure_connected=False)
-            labels = build_pruned_landmark_labels(g)
+            labels = build_labels_auto(g)
             for s in range(0, 30, 5):
                 dist = dijkstra(g, s)
                 for t in range(30):
@@ -101,7 +97,7 @@ class TestDistanceQueries:
 
     def test_unreachable_is_infinite(self):
         g = from_edge_list(3, [(0, 1, 1.0)])
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         assert labels.distance(1, 0) == INFINITY
         assert labels.distance(0, 2) == INFINITY
 
@@ -133,7 +129,7 @@ class TestPathRestoration:
 
     def test_paths_valid_on_random_graph(self):
         g = random_graph(40, 3.0, rng=random.Random(5))
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         rng = random.Random(6)
         for _ in range(25):
             s, t = rng.randrange(40), rng.randrange(40)
@@ -160,7 +156,7 @@ class TestPathRestoration:
 
     def test_witness_route_unreachable(self):
         g = from_edge_list(3, [(0, 1, 1.0)])
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         cost, route = labels.restore_witness_route([0, 2])
         assert cost == INFINITY and route == []
 
@@ -175,7 +171,7 @@ TABLE4_ORDER = ("t", "s", "b", "e", "a", "d", "c", "f")
 
 @pytest.fixture(scope="module")
 def table4_labels(fig1):
-    return build_pruned_landmark_labels(fig1, [vertex(x) for x in TABLE4_ORDER])
+    return build_labels_auto(fig1, [vertex(x) for x in TABLE4_ORDER])
 
 
 class TestPaperTable4:
@@ -239,7 +235,7 @@ class TestInvertedIndex:
     def test_lists_sorted_ascending(self):
         g = random_graph(30, 2.5, rng=random.Random(9))
         assign_uniform_categories(g, 2, 8, random.Random(10))
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         for il in build_inverted_indexes(g, labels).values():
             for entries in il.lists.values():
                 dists = [d for d, _ in entries]
@@ -248,7 +244,7 @@ class TestInvertedIndex:
     def test_total_entries_equals_member_lin_sum(self):
         g = random_graph(25, 2.5, rng=random.Random(11))
         assign_uniform_categories(g, 1, 6, random.Random(12))
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         il = build_inverted_index(g, labels, 0)
         expected = sum(len(lin(labels, m)) for m in g.members(0))
         assert il.total_entries == expected
@@ -264,7 +260,7 @@ class TestOrderInsensitivity:
         g = grid_graph(5, 5, rng=random.Random(15))
         order = list(range(g.num_vertices))
         random.Random(3).shuffle(order)
-        labels = build_pruned_landmark_labels(g, order)
+        labels = build_labels_auto(g, order)
         for s in range(0, 25, 6):
             dist = dijkstra(g, s)
             for t in range(25):
@@ -278,8 +274,8 @@ class TestOrderInsensitivity:
         from repro.graph.generators import social_network
 
         g = social_network(60, attach=5, seed=3)
-        by_degree = build_pruned_landmark_labels(g, degree_order(g))
+        by_degree = build_labels_auto(g, degree_order(g))
         shuffled = list(range(g.num_vertices))
         random.Random(1).shuffle(shuffled)
-        by_random = build_pruned_landmark_labels(g, shuffled)
+        by_random = build_labels_auto(g, shuffled)
         assert by_degree.size_entries() < by_random.size_entries()

@@ -26,7 +26,7 @@ from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.mmap_index import MmapIndexFile
-from repro.labeling.packed import PackedLabelIndex
+from repro.labeling.packed import PackedLabelIndex, write_index_file
 from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
@@ -60,20 +60,20 @@ class TestFormatRoundTrip:
         _, _, path, written = built
         assert written == os.path.getsize(path)
 
-    def test_packed_loader_reads_engine_save(self, built):
-        """The eager loader decodes a file written with inverted sections."""
+    def test_mmap_labels_match_engine_save(self, built):
+        """The reader's labels over a file written with inverted sections."""
         g, engine, path, _ = built
-        loaded = PackedLabelIndex.load(path)
+        loaded = MmapIndexFile.open(path).labels
         assert list(loaded.order) == list(engine.labels.order)
         for v in (0, 1, g.num_vertices - 1):
             assert lin(loaded, v) == lin(engine.labels, v)
             assert lout(loaded, v) == lout(engine.labels, v)
 
     def test_mmap_reader_opens_labels_only_save(self, built, tmp_path):
-        """`PackedLabelIndex.save` output opens through the mmap reader."""
+        """A labels-only `write_index_file` opens through the mmap reader."""
         g, engine, _, _ = built
         path = tmp_path / "labels_only.rpli"
-        engine.labels.save(path)
+        write_index_file(path, engine.labels)
         f = MmapIndexFile.open(path)
         try:
             assert not f.has_inverted
@@ -120,18 +120,24 @@ class TestCorruptFiles:
         engine.save_index(path)
         return path
 
+    def _open(self, reader, path):
+        """Open ``path`` with the file reader or the engine's attach path."""
+        if reader == "mmap":
+            return MmapIndexFile.open(path)
+        return KOSREngine.from_index_file(_graph(13, n=18, cats=2, size=4),
+                                          path)
+
     def _assert_storage_error(self, path, excinfo):
         message = str(excinfo.value)
         assert str(path) in message
         assert "byte offset" in message
 
-    @pytest.mark.parametrize("reader",
-                             [PackedLabelIndex.load, MmapIndexFile.open])
+    @pytest.mark.parametrize("reader", ["mmap", "engine"])
     def test_truncated_header(self, tmp_path, reader):
         path = tmp_path / "short.rpli"
         path.write_bytes(b"RPLI\x02\x00")
         with pytest.raises(IndexStorageError) as excinfo:
-            reader(path)
+            self._open(reader, path)
         self._assert_storage_error(path, excinfo)
         assert "truncated header" in str(excinfo.value)
 
@@ -142,15 +148,14 @@ class TestCorruptFiles:
             MmapIndexFile.open(path)
         self._assert_storage_error(path, excinfo)
 
-    @pytest.mark.parametrize("reader",
-                             [PackedLabelIndex.load, MmapIndexFile.open])
+    @pytest.mark.parametrize("reader", ["mmap", "engine"])
     def test_wrong_magic(self, tmp_path, reader):
         path = self._save(tmp_path)
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(IndexStorageError) as excinfo:
-            reader(path)
+            self._open(reader, path)
         self._assert_storage_error(path, excinfo)
         assert "(byte offset 0)" in str(excinfo.value)
 

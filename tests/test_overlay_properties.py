@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.labeling.pll import build_pruned_landmark_labels
+from repro.labeling.pll import build_labels_auto
 from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import INFINITY
 
@@ -36,7 +36,7 @@ N_CATEGORIES = 3
 _BASE_GRAPH = random_graph(N_VERTICES, avg_out_degree=2.5,
                            rng=random.Random(71))
 assign_uniform_categories(_BASE_GRAPH, N_CATEGORIES, 5, random.Random(72))
-_LABELS = build_pruned_landmark_labels(_BASE_GRAPH)
+_LABELS = build_labels_auto(_BASE_GRAPH)
 
 #: one op = (kind, vertex, category); "compact" ignores vertex/category
 _ops = st.lists(
@@ -49,7 +49,7 @@ _ops = st.lists(
 
 def _fresh_engine():
     g = _BASE_GRAPH.copy()
-    return g, KOSREngine.from_labels(g, _LABELS)
+    return g, KOSREngine.build(g, _LABELS)
 
 
 def _apply(g, engine, ops):
@@ -162,7 +162,7 @@ def test_live_cursor_keeps_its_snapshot_across_edits(seed, compact):
     assert drained == before
     # A cursor opened now sees the edits, like a fresh engine over the
     # edited graph.
-    fresh = KOSREngine.from_labels(g.copy(), _LABELS)
+    fresh = KOSREngine.build(g.copy(), _LABELS)
     assert _enumerate_nn(engine, source, cid) == \
         _enumerate_nn(fresh, source, cid)
 
@@ -176,7 +176,7 @@ assign_uniform_categories(_DIRECTED_GRAPH, N_CATEGORIES, 4,
 _UNREACHED = _DIRECTED_GRAPH.add_vertex()
 _DIRECTED_GRAPH.add_edge(_UNREACHED, 0, 1.5)
 _DIRECTED_GRAPH.assign_category(_UNREACHED, 0)
-_DIRECTED_LABELS = build_pruned_landmark_labels(_DIRECTED_GRAPH)
+_DIRECTED_LABELS = build_labels_auto(_DIRECTED_GRAPH)
 
 _directed_ops = st.lists(
     st.tuples(st.sampled_from(["add", "remove", "compact"]),
@@ -190,7 +190,7 @@ _directed_ops = st.lists(
 @given(ops=_directed_ops)
 def test_member_count_and_cursors_match_reference(ops):
     g = _DIRECTED_GRAPH.copy()
-    engine = KOSREngine.from_labels(g, _DIRECTED_LABELS)
+    engine = KOSREngine.build(g, _DIRECTED_LABELS)
     for kind, v, cid in ops:
         if kind == "add":
             engine.add_vertex_to_category(v, cid)

@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import IndexStorageError
 from repro.graph import grid_graph, random_graph
 from repro.graph.paper import paper_figure1_graph
-from repro.labeling import PackedLabelIndex, build_pruned_landmark_labels
+from repro.labeling import MmapIndexFile, build_labels_auto, write_index_file
 from repro.types import INFINITY
 
 from reference_labels import from_index, lin, lout, to_index
@@ -67,7 +67,7 @@ class TestParity:
         from repro.graph import from_edge_list
 
         g = from_edge_list(3, [(0, 1, 1.0)])
-        packed = build_pruned_landmark_labels(g)
+        packed = build_labels_auto(g)
         assert packed.distance(1, 0) == INFINITY
         assert packed.path(1, 0) == (INFINITY, [])
 
@@ -76,9 +76,9 @@ class TestSerialization:
     def test_save_load_round_trip(self, case, tmp_path):
         g, labels, packed = case
         path = tmp_path / "labels.bin"
-        written = packed.save(path)
+        written = write_index_file(path, packed)
         assert written == path.stat().st_size
-        loaded = PackedLabelIndex.load(path)
+        loaded = MmapIndexFile.open(path).labels
         assert loaded.order == packed.order
         for v in range(g.num_vertices):
             assert lin(loaded, v) == lin(packed, v)
@@ -87,7 +87,7 @@ class TestSerialization:
     def test_binary_smaller_than_pickle(self, case, tmp_path):
         g, labels, packed = case
         path = tmp_path / "labels.bin"
-        written = packed.save(path)
+        written = write_index_file(path, packed)
         pickled = len(pickle.dumps(labels))
         assert written < pickled
 
@@ -95,7 +95,7 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(IndexStorageError):
-            PackedLabelIndex.load(path)
+            MmapIndexFile.open(path)
 
     def test_packed_memory_accounting(self, case):
         _, _, packed = case
@@ -106,8 +106,8 @@ class TestSerialization:
         labels = build_reference_labels(g)
         packed = from_index(labels)
         path = tmp_path / "fig1.bin"
-        packed.save(path)
-        loaded = PackedLabelIndex.load(path)
+        write_index_file(path, packed)
+        loaded = MmapIndexFile.open(path).labels
         for s in g.vertices():
             for t in g.vertices():
                 assert loaded.distance(s, t) == labels.distance(s, t)

@@ -4,7 +4,8 @@
 construction; the product builder must produce the same labels entry for
 entry — ``(rank, dist, parent)`` on both sides — and therefore the same
 index file, byte for byte, on every graph class, including the ones where
-it runs a single search per root.
+it runs a single search per root.  On exact (dyadic) weights the hub order
+the builder is given must not change any answer or counter.
 """
 
 import hashlib
@@ -16,16 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KOSREngine
+from repro import KOSREngine, QueryOptions
+from repro.core.query import make_query
 from repro.graph import Graph, generators
 from repro.graph.io import load_json, save_json
-from repro.labeling import (
-    build_bfs_labels,
-    build_labels_auto,
-    build_pruned_landmark_labels,
-    pll,
-    write_index_file,
-)
+from repro.labeling import build_labels_auto, pll, write_index_file
 
 from reference_labels import from_index, lin, lout
 from reference_pll import build_reference_labels
@@ -116,13 +112,10 @@ class TestDifferential:
         g, order = case
         assert_same_as_reference(build_labels_auto(g, order),
                                  build_reference_labels(g, order))
-        # the heap frontier also on unit-weight graphs (auto picks the deque)
-        assert_same_as_reference(build_pruned_landmark_labels(g, order),
-                                 build_reference_labels(g, order, bfs=False))
 
-    def test_explicit_bfs_builder(self):
+    def test_bfs_on_a_unit_weight_social_graph(self):
         g = generators.social_network(60, attach=3, seed=2)
-        assert_same_as_reference(build_bfs_labels(g),
+        assert_same_as_reference(build_labels_auto(g),
                                  build_reference_labels(g, bfs=True))
 
 
@@ -223,3 +216,59 @@ class TestSymmetricGraphs:
         g = _undirected(30, 5, lambda rng: 1.0)
         assert_same_as_reference(build_labels_auto(g),
                                  build_reference_labels(g))
+
+
+#: dyadic weights: every path sum of a few dozen of them is exact in
+#: float64, so a 2-hop distance no longer depends on which hub realises it
+DYADIC_WEIGHTS = {
+    "fine": lambda rng: rng.randint(1, 9 * 1024) / 1024,
+    "tie-heavy": lambda rng: rng.randint(0, 8) / 4,
+}
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A directed or undirected graph with dyadic weights and categories,
+    two random hub orders, and a few queries over it."""
+    n = draw(st.integers(2, 14))
+    undirected = draw(st.booleans())
+    weight = DYADIC_WEIGHTS[draw(st.sampled_from(sorted(DYADIC_WEIGHTS)))]
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    g = Graph(n)
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v, weight(rng), undirected=undirected)
+    for c in range(rng.randint(1, 3)):
+        cid = g.add_category(f"c{c}")
+        for v in rng.sample(range(n), rng.randint(1, max(1, n // 2))):
+            g.assign_category(v, cid)
+    orders = [rng.sample(range(n), n) for _ in range(2)]
+    queries = [(rng.randrange(n), rng.randrange(n),
+                [rng.randrange(g.num_categories)
+                 for _ in range(rng.randint(1, 3))],
+                rng.randint(1, 4))
+               for _ in range(3)]
+    return g, orders, queries
+
+
+class TestHubOrderIndependence:
+    """On exact (dyadic) weights the answer is a function of the graph
+    alone: two hub orders give the same costs, witnesses and counters.
+    Routes are left out; parent pointers may differ between orders."""
+
+    @SETTINGS
+    @given(dyadic_cases())
+    def test_two_hub_orders_give_identical_answers(self, case):
+        g, orders, queries = case
+        engines = [KOSREngine.build(g, labels=build_labels_auto(g, order))
+                   for order in orders]
+        for method in ("SK", "PK", "KPNE", "SK-NODOM"):
+            options = QueryOptions(method=method)
+            for s, t, categories, k in queries:
+                q = make_query(g, s, t, categories, k)
+                a, b = (engine.run(q, options) for engine in engines)
+                assert a.costs == b.costs
+                assert a.witnesses == b.witnesses
+                assert a.stats.examined_routes == b.stats.examined_routes
+                assert a.stats.nn_queries == b.stats.nn_queries

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.ch import build_ch, ch_distance
 from repro.graph import Graph
-from repro.labeling import build_pruned_landmark_labels
+from repro.labeling import build_labels_auto
 from repro.nn import EstimatedNNFinder
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
@@ -60,7 +60,7 @@ class TestLabelProperties:
     @SETTINGS
     @given(graphs())
     def test_pll_distances_equal_dijkstra(self, g):
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         for s in range(g.num_vertices):
             dist = dijkstra(g, s)
             for t in range(g.num_vertices):
@@ -71,7 +71,7 @@ class TestLabelProperties:
     @SETTINGS
     @given(graphs())
     def test_pll_paths_are_walkable(self, g):
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         for s in range(g.num_vertices):
             for t in range(g.num_vertices):
                 cost, path = labels.path(s, t)
@@ -87,7 +87,7 @@ class TestLabelProperties:
     @SETTINGS
     @given(graphs())
     def test_label_entries_sorted_by_rank(self, g):
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         for v in range(g.num_vertices):
             for entries in (lin(labels, v), lout(labels, v)):
                 ranks = [e.hub_rank for e in entries]

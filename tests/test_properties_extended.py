@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.graph import Graph
-from repro.labeling import (
-    PackedLabelIndex,
-    build_pruned_landmark_labels,
-)
+from repro.labeling import MmapIndexFile, build_labels_auto, write_index_file
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
@@ -52,7 +49,7 @@ class TestPackedParityProperty:
     @given(graphs())
     def test_packed_distances_identical(self, g):
         labels = build_reference_labels(g)
-        packed = build_pruned_landmark_labels(g)
+        packed = build_labels_auto(g)
         for s in range(g.num_vertices):
             for t in range(g.num_vertices):
                 assert packed.distance(s, t) == labels.distance(s, t)
@@ -64,11 +61,11 @@ class TestPackedParityProperty:
         from pathlib import Path
 
         labels = build_reference_labels(g)
-        packed = build_pruned_landmark_labels(g)
+        packed = build_labels_auto(g)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "x.bin"
-            packed.save(path)
-            loaded = PackedLabelIndex.load(path)
+            write_index_file(path, packed)
+            loaded = MmapIndexFile.open(path).labels
             for v in range(g.num_vertices):
                 assert lin_of(loaded, v) == lin_of(labels, v)
                 assert lout_of(loaded, v) == lout_of(labels, v)
@@ -79,7 +76,7 @@ class TestUndirectedGraphs:
     @given(graphs(undirected=True))
     def test_lin_equals_lout_on_symmetric_graphs(self, g):
         """Sec. IV-C: on undirected graphs one label side suffices."""
-        labels = build_pruned_landmark_labels(g)
+        labels = build_labels_auto(g)
         for v in range(g.num_vertices):
             lin = [(e.hub_rank, e.dist) for e in lin_of(labels, v)]
             lout = [(e.hub_rank, e.dist) for e in lout_of(labels, v)]

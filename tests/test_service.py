@@ -32,6 +32,7 @@ from repro import (
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
+from repro.labeling import write_index_file
 from repro.service import resolve_plan
 from repro.service.cache import SessionCache
 
@@ -205,6 +206,21 @@ class TestSessionCache:
         assert batch.unfinished == 0
         assert [r.query for r in batch] == queries  # input order kept
         assert batch.queries_per_second > 0
+
+    def test_group_queries_keys_on_target_and_category_sequence(self, engine):
+        """Groupmates share a target and the ordered category sequence;
+        indexes keep input order within a group."""
+        g = engine.graph
+        queries = [
+            make_query(g, 3, 30, [1, 0], k=2),
+            make_query(g, 4, 30, [0, 1], k=2),
+            make_query(g, 5, 30, [1, 0], k=3),
+            make_query(g, 3, 31, [1, 0], k=2),
+        ]
+        groups = QueryService.group_queries(queries)
+        assert groups == {(30, (1, 0)): [0, 2], (30, (0, 1)): [1],
+                          (31, (1, 0)): [3]}
+        assert list(groups) == [(30, (1, 0)), (30, (0, 1)), (31, (1, 0))]
 
 
 class TestCacheRetention:
@@ -652,7 +668,7 @@ class TestSkDbOverIndexFile:
         path = tmp_path / "index.rpli"
         engine = KOSREngine.build(g)
         if request.param == "labels-only":
-            engine.labels.save(path)
+            write_index_file(path, engine.labels)
         else:
             engine.save_index(path)
         if request.param != "built":

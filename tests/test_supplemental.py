@@ -16,7 +16,7 @@ from repro.graph import from_edge_list, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.categories import zipfian_sizes
 from repro.graph.generators import social_network
-from repro.labeling import build_pruned_landmark_labels
+from repro.labeling import build_labels_auto
 from repro.paths.dijkstra import dijkstra_distance
 
 
@@ -64,7 +64,7 @@ class TestRunnerSkDb:
 class TestPackedErrorBranch:
     def test_find_parent_missing_hub_raises(self):
         g = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        packed = build_pruned_landmark_labels(g)
+        packed = build_labels_auto(g)
         with pytest.raises(IndexBuildError):
             packed._find_parent(packed._lout, 0, hub_rank=999)
 
