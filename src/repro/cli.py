@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -509,7 +510,6 @@ def cmd_serve(args) -> int:
     """Run the JSON-lines TCP server until interrupted (`serve`)."""
     import asyncio
     import errno
-    import os
     import signal
     from functools import partial
 
@@ -576,6 +576,8 @@ def cmd_serve(args) -> int:
         asyncio.run(main_loop())
     except KeyboardInterrupt:
         pass
+    except BrokenPipeError:
+        raise  # a closed stdout, not the listen socket: main() reports it
     except OSError as exc:
         # Most commonly EADDRINUSE from loop.create_server: turn the
         # bare traceback into an actionable message + nonzero exit.
@@ -739,7 +741,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": cmd_metrics,
         "figure": cmd_figure,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head -1``): exit non-zero
+        # without a traceback, and point stdout at the null device so the
+        # interpreter's own flush at exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

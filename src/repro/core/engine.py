@@ -48,6 +48,7 @@ from repro.core.query import KOSRQuery, make_query
 from repro.core.stats import PreprocessingStats, QueryStats
 from repro.exceptions import (  # noqa: F401  (BudgetExceededError: re-export)
     BudgetExceededError,
+    IndexBuildError,
     IndexStorageError,
     QueryError,
 )
@@ -128,6 +129,10 @@ class KOSREngine:
         """An engine over :func:`~repro.labeling.assembly.assemble_index`
         output, with the Table IX statistics recorded (the label build
         time is 0.0 when the labels were supplied or attached)."""
+        if labels is not None and labels.num_vertices != graph.num_vertices:
+            raise IndexBuildError(
+                f"labels cover {labels.num_vertices} vertices but the "
+                f"graph has {graph.num_vertices}")
         built = labels is None and index_file is None
         t0 = clock.now()
         labels = assemble_index(graph, labels, categories=(),

@@ -105,7 +105,7 @@ class MmapIndexFile:
         """The label index over the mapped sections (built once, cached)."""
         if self._labels is None:
             self._labels = PackedLabelIndex.from_sections(
-                self.layout.label_sections(), index_file=self)
+                self.layout.label_sections(), shared=True)
         return self._labels
 
     def _positions(self) -> Dict[CategoryId, int]:
@@ -130,7 +130,7 @@ class MmapIndexFile:
                 f"in this index file")
         self.layout.check_category_sections(pos)
         return PackedInvertedIndex(cid, *self.layout.category_sections(pos),
-                                   index_file=self)
+                                   shared=True)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

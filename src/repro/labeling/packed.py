@@ -144,20 +144,22 @@ class PackedLabelIndex:
     """The 2-hop label index over RPLI sections (private or file-backed)."""
 
     def __init__(self, order, lin: _PackedSide, lout: _PackedSide,
-                 index_file=None):
+                 shared: bool = False):
         self._order = order
         self._lin = lin
         self._lout = lout
-        #: the open index file these sections are views into (kept so the
-        #: mapping outlives them), or None for a private buffer
-        self._file = index_file
+        #: True when the sections are views into an mmap'ed index file.
+        #: The views keep the mapping alive; the index does not point
+        #: back at the file, which caches it (no cycle to collect).
+        self.shared = shared
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_sections(cls, sections, index_file=None) -> "PackedLabelIndex":
+    def from_sections(cls, sections, shared: bool = False
+                      ) -> "PackedLabelIndex":
         """Wrap the nine label sections (typed views, file order)."""
         return cls(sections[0], _PackedSide(*sections[1:5]),
-                   _PackedSide(*sections[5:9]), index_file)
+                   _PackedSide(*sections[5:9]), shared)
 
     @classmethod
     def from_columns(cls, order, lin, lout) -> "PackedLabelIndex":
@@ -183,11 +185,6 @@ class PackedLabelIndex:
                 ([view.tobytes() for view in self.sections()],))
 
     # ------------------------------------------------------------------
-    @property
-    def shared(self) -> bool:
-        """True when the sections are views into an mmap'ed index file."""
-        return self._file is not None
-
     @property
     def num_vertices(self) -> int:
         return len(self._lin.offsets) - 1

@@ -96,19 +96,19 @@ class PackedInvertedIndex:
     """One category's inverted label lists over its RPLI sections."""
 
     __slots__ = ("category", "dists", "members", "slices", "rank_slices",
-                 "hub_ranks", "version", "_base", "_file",
+                 "hub_ranks", "version", "_base", "shared",
                  "_undecoded", "_lock", "_live", "_num_hubs", "_dead",
                  "_edits", "_member_count")
 
     def __init__(self, category: CategoryId, hubs, ranks, starts, dists,
-                 members, index_file=None):
+                 members, shared: bool = False):
         self.category = category
         #: the five base sections (typed views), None once :meth:`compact`
         #: has folded them into the decoded lists
         self._base: Optional[Tuple] = (hubs, ranks, starts, dists, members)
-        #: the open index file the base is a view into (kept so the
-        #: mapping outlives it), or None for a private buffer
-        self._file = index_file
+        #: True while the base sections are views into an index file
+        #: (the views keep the mapping alive; no edge back to the file)
+        self.shared = shared
         # Decoded runs (process-local, grow-only between compactions).
         self.dists: List[Cost] = []
         self.members: List[Vertex] = []
@@ -145,11 +145,6 @@ class PackedInvertedIndex:
         index = cls(category, *_encode_runs(()))
         index._member_count = 0
         return index
-
-    @property
-    def shared(self) -> bool:
-        """True while the base sections are views into an index file."""
-        return self._file is not None
 
     # ------------------------------------------------------------------
     # Lazy run decode
@@ -300,7 +295,7 @@ class PackedInvertedIndex:
                 self.slices, self.rank_slices = slices, rank_slices
                 self._dead = 0
             self._base = None
-            self._file = None
+            self.shared = False
             self._edits = 0
         self.version += 1
 

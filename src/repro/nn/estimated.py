@@ -153,13 +153,13 @@ class EstStream:
 
     ``enl`` is the estimated-neighbour list produced so far, ``advance``
     appends one more entry per call (``StopIteration`` at the end of the
-    stream, after which it is ``None``).  ``attempts[i]`` / ``demanded[i]``
-    are what a cold FindNEN has booked by the time it returns
-    ``enl[i]``: plain-NN attempts on a cold cursor (the one that
-    discovers exhaustion included, none for a cursor born empty) and the
-    length of the ``NL`` prefix whose estimates it demanded (the
-    lookahead that stopped the loop is fetched but not estimated);
-    ``end`` is that pair for a request past the last entry.  They depend
+    stream; :meth:`fill` drives it and then sets it to ``None``).
+    ``attempts[i]`` / ``demanded[i]`` are what a cold FindNEN has booked
+    by the time it returns ``enl[i]``: plain-NN attempts on a cold
+    cursor (the one that discovers exhaustion included, none for a
+    cursor born empty) and the length of the ``NL`` prefix whose
+    estimates it demanded (the lookahead that stopped the loop is
+    fetched but not estimated); ``end`` is that pair for a request past the last entry.  They depend
     only on the stream position, never on who advanced the underlying
     FindNN cursor or who filled the estimate memo, so any query reading
     the stream can book as if it had produced it alone.
@@ -177,6 +177,12 @@ class EstStream:
     moment, re-seeding a suspended cursor first, and no generator is
     bound in this frame across a ``yield`` — a retained stream never
     keeps a dropped merge alive.
+
+    No generator frame holds its owner: the producer gets the three
+    list appenders, never the stream, and returns ``end`` instead of
+    setting it (:meth:`fill` records it).  A stream is therefore never
+    part of a reference cycle, and the one a query drops is freed when
+    its last reference goes, not by the garbage collector.
     """
 
     __slots__ = ("enl", "members", "attempts", "demanded", "end", "advance")
@@ -196,7 +202,24 @@ class EstStream:
         self.demanded: List[int] = []
         self.end: Optional[Tuple[int, int]] = None
         self.advance: Optional[Callable] = self._produce(
+            self.enl.append, self.attempts.append, self.demanded.append,
             finder, source, category, cursor, estimate, cache_get).__next__
+
+    def fill(self, x: int) -> bool:
+        """Advance until ``enl`` holds ``x`` entries; False when the
+        stream ends first (``end`` is then set and ``advance`` None)."""
+        advance = self.advance
+        if advance is None:
+            return False
+        enl = self.enl
+        try:
+            while len(enl) < x:
+                advance()
+        except StopIteration as stop:
+            self.end = stop.value
+            self.advance = None
+            return False
+        return True
 
     def booked(self, x: int) -> Tuple[int, int]:
         """``(attempts, demanded)`` of a cold FindNEN asked for entries
@@ -207,17 +230,17 @@ class EstStream:
             return self.attempts[x - 1], self.demanded[x - 1]
         return self.end
 
-    def _produce(self, finder, source, category, cursor, estimate,
-                 cache_get):
-        """Generator appending one estimated neighbor per resume: the
-        whole Algorithm 4 state machine (lookahead, ENQ, plain-NN read
-        position) lives in this one frame, and a missing plain neighbor
-        resumes the packed merge generator directly (re-seeding a
-        suspended cursor first)."""
+    @staticmethod
+    def _produce(enl_append, attempts_append, demanded_append, finder,
+                 source, category, cursor, estimate, cache_get):
+        """Generator appending one estimated neighbor per resume and
+        returning the stream's ``end`` pair: the whole Algorithm 4 state
+        machine (lookahead, ENQ, plain-NN read position) lives in this
+        one frame, and a missing plain neighbor resumes the packed merge
+        generator directly (re-seeding a suspended cursor first).  A
+        staticmethod fed the stream's appenders, so the frame never
+        holds the stream that holds the generator."""
         members, costs = cursor.members, cursor.costs
-        enl_append = self.enl.append
-        attempts_append = self.attempts.append
-        demanded_append = self.demanded.append
         heappush_, heappop_ = heapq.heappush, heapq.heappop
         enq: List[Tuple[Cost, Cost, Vertex]] = []
         # The lookahead: NL entry (member, leg), leg None when empty.
@@ -246,6 +269,7 @@ class EstStream:
                         try:
                             next(cursor.gen)
                         except StopIteration:
+                            cursor.end()
                             dry = True
                         else:
                             member, leg = members[fetched], costs[fetched]
@@ -262,9 +286,7 @@ class EstStream:
                     heappush_(enq, (leg + h, leg, member))
                 leg = None
             if not enq:
-                self.end = (attempts, demanded)
-                self.advance = None
-                return
+                return attempts, demanded
             est, eleg, emember = heappop_(enq)
             enl_append((emember, eleg, est))
             attempts_append(attempts)
@@ -304,17 +326,9 @@ class PackedEstimatedNNFinder:
         if x > entry[1]:
             entry[1] = x
         enl = entry[0]
-        if x <= len(enl):
+        if x <= len(enl) or entry[2].fill(x):
             return enl[x - 1]
-        advance = entry[2].advance
-        if advance is None:
-            return None
-        try:
-            while len(enl) < x:
-                advance()
-        except StopIteration:
-            return None
-        return enl[x - 1]
+        return None
 
     def booked(self) -> Tuple[int, Set[Vertex]]:
         """What a cold run of this query's FindNEN requests books:

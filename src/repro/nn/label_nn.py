@@ -27,6 +27,12 @@ paper's pseudo-code:
   ``NQ`` as soon as ``NL`` holds every member; the next advance then ends
   exactly as a drained one does (see :meth:`PackedLabelNNFinder._stream`).
 
+The merge runs in a generator, and no generator frame holds its owner:
+``_stream`` gets the cursor's ``NL`` arrays, never the cursor, and the
+reader that catches its ``StopIteration`` ends the cursor.  So a cursor
+is never part of a reference cycle, and the cursors of a cold query are
+freed with its finder, not by the garbage collector.
+
 ``NL`` is the members the source reaches in ascending (2-hop distance,
 member id) order — a function of the index state alone — so ``NQ`` and
 ``KV`` can be rebuilt from it at any time: seeding each hub run at its
@@ -67,7 +73,9 @@ class _PackedCursor:
     next entry (:meth:`PackedLabelNNFinder._stream`).  ``gen`` is None
     once the cursor has ended (``exhausted``) and while it is suspended:
     its finder dropped the merge state (:meth:`PackedLabelNNFinder.suspend`)
-    and the next advance re-seeds it from ``NL``.
+    and the next advance re-seeds it from ``NL``.  ``gen``'s frame
+    holds the two arrays, not the cursor, so whoever advances ``gen``
+    calls :meth:`end` when it raises ``StopIteration``.
     """
 
     __slots__ = ("members", "costs", "exhausted", "gen")
@@ -150,7 +158,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
                     attempts += 1
                     advance()
             except StopIteration:
-                pass
+                cursor.end()
             self.queries += attempts
         if x <= len(members):
             return members[x - 1], cursor.costs[x - 1]
@@ -293,22 +301,26 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         # member) — interchangeable for NL and stream state — so heapify
         # instead of pushes changes nothing observable.
         heapq.heapify(nq)
-        cursor.gen = self._stream(cursor, nq, found, idists, imembers,
-                                  pinv.member_count)
+        cursor.gen = self._stream(cursor.members.append,
+                                  cursor.costs.append, nq, found, idists,
+                                  imembers, pinv.member_count)
         self._seeded.append(cursor)
         return True
 
     @staticmethod
-    def _stream(cursor: _PackedCursor, nq, found, idists, imembers,
+    def _stream(members_append, costs_append, nq, found, idists, imembers,
                 member_count: int):
         """Generator producing one NL entry per resume (lines 11-18).
 
         A generator rather than a method so the merge-loop bindings live
         in one frame instead of being re-established on every advance;
         the frame is the cursor's whole merge state, so dropping the
-        generator releases it.  On exhaustion it flags the cursor and
-        finishes.  Each heap entry is one hub stream,
-        ``(total_cost, member, next position, run end, base distance)``:
+        generator releases it.  It appends to the cursor's ``NL`` arrays
+        and never sees the cursor itself (no cycle through ``gen``): on
+        exhaustion it just finishes, and the reader that catches the
+        ``StopIteration`` ends the cursor.  Each heap entry is one hub
+        stream, ``(total_cost, member, next position, run end, base
+        distance)``:
         advancing a stream is one ``heapreplace`` with the successor
         tuple, with no side tables to update.
 
@@ -318,18 +330,16 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         ``NQ`` is emptied before the ``yield`` instead of being drained pop
         by pop.  The counters cannot move: the entry is produced on the
         same resume as before, and the next resume still finds ``NQ``
-        empty, flags the cursor and ends — one booked attempt that
-        discovers exhaustion, as in a full drain.  A member the source cannot reach (directed or
-        disconnected graphs) never pops, the count is never reached, and
-        the cursor drains as Algorithm 3 does.
+        empty and ends — one booked attempt that discovers exhaustion,
+        as in a full drain.  A member the source cannot reach (directed
+        or disconnected graphs) never pops, the count is never reached,
+        and the cursor drains as Algorithm 3 does.
 
         ``heapreplace`` (one sift) stands in for the pop-push pair where
         the popped stream has a successor: heap *contents* end up the
         same either way, and entries with equal keys are interchangeable,
         so the produced NL sequence is too.
         """
-        members_append = cursor.members.append
-        costs_append = cursor.costs.append
         found_add = found.add
         while nq:
             total, member, pos, end, base = nq[0]
@@ -351,4 +361,3 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             if len(found) == member_count:
                 nq.clear()  # the rest is stale duplicates
             yield
-        cursor.end()

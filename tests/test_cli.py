@@ -743,6 +743,42 @@ class TestIndexBuildAndMmapQuery:
         assert out.exists()
         assert "inverted categories" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flags", [
+        (["index", "build"], ["--out", "fig1.rpli"]),
+        (["query"], ["--source", str(vertex("s")), "--target",
+                     str(vertex("t")), "--categories", "MA,RE,CI"]),
+    ], ids=["index-build", "query"])
+    def test_closed_stdout_exits_nonzero_without_a_traceback(
+            self, fig1_file, tmp_path, command, flags):
+        """``... | head -1``: the reader is gone before the command
+        prints.  It exits 1 with nothing on stderr, instead of printing a
+        ``BrokenPipeError`` traceback (buffered or not: the error may
+        surface at a ``print`` or at the final flush)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": src + os.pathsep
+               + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *command,
+             "--graph", fig1_file, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+            env=env)
+        proc.stdout.close()  # before the child's first write
+        try:
+            err = proc.communicate(timeout=30)[1].decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1, err
+        assert err == ""
+
     def test_query_with_mmap_index(self, fig1_file, tmp_path, capsys):
         out = tmp_path / "fig1.rpli"
         main(["index", "build", "--graph", fig1_file, "--out", str(out)])

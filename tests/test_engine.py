@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import KOSREngine, QueryOptions, brute_force_kosr, make_query
-from repro.exceptions import QueryError
+from repro.exceptions import IndexBuildError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
@@ -35,6 +35,19 @@ class TestBuild:
         assert rebuilt.preprocessing.label_build_seconds == 0.0
         q = make_query(g, 0, 9, [0, 1], 3)
         assert rebuilt.run(q).costs == engine.run(q).costs
+
+    def test_another_graphs_labels_are_refused_up_front(self):
+        """Labels of a smaller graph used to fail deep in the inverted
+        build with a bare ``IndexError``; the engine names both counts."""
+        from repro.graph.generators import cal
+
+        small, large = cal(scale=0.05), cal(scale=0.1)
+        assert small.num_vertices != large.num_vertices
+        labels = KOSREngine.build(small).labels
+        with pytest.raises(IndexBuildError) as err:
+            KOSREngine.build(large, labels)
+        assert (f"labels cover {small.num_vertices} vertices but the graph "
+                f"has {large.num_vertices}") in str(err.value)
 
 
 class TestDispatch:

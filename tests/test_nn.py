@@ -507,11 +507,7 @@ class TestEstStream:
                 stream = EstStream(shared, source, cid, dest)
                 members = len(g.members(cid))
                 for x in range(1, members + 2):
-                    while len(stream.enl) < x and stream.advance is not None:
-                        try:
-                            stream.advance()
-                        except StopIteration:
-                            pass
+                    stream.fill(x)
                     entries, attempts, estimated = self._cold(
                         engine, target, source, cid, x)
                     got = [stream.enl[i] if i < len(stream.enl) else None
