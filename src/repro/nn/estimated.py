@@ -46,6 +46,7 @@ import heapq
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.nn.base import NearestNeighborFinder
+from repro.nn.label_nn import _ENTRY, _unpack_from
 from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 
@@ -164,19 +165,23 @@ class EstStream:
     FindNN cursor or who filled the estimate memo, so any query reading
     the stream can book as if it had produced it alone.
 
-    The cursor's ``NL`` is read from its two typed arrays (``members`` is
-    kept here, since ``demanded`` counts index into it): the lookahead is
-    a member and a leg in two locals, not an ``NL`` tuple.  ``ENL``
-    itself stays a list of tuples, because it is read far more often
-    than it is produced and every array read allocates.
+    The cursor's ``NL`` is read from its buffer of 16-byte ``(member,
+    cost)`` entries (:mod:`repro.nn.label_nn`): the lookahead is a member
+    and a leg in two locals, not an ``NL`` tuple.  The producer keeps the
+    buffer in a local and looks the cursor up again only once it has
+    read all of it, because ending a cursor swaps its ``bytearray`` for
+    an exact-size ``bytes`` (same entries); :meth:`members` reads the
+    cursor's buffer as it is then.  ``ENL`` itself stays a list of
+    tuples, because it is read far more often than it is produced and
+    every buffer read allocates.
 
     A stream may outlive its cursor's merge state: a session keeps
     streams across queries and suspends cursors between them
     (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  So each
-    plain-NN advance runs whatever generator the cursor holds at that
-    moment, re-seeding a suspended cursor first, and no generator is
-    bound in this frame across a ``yield`` — a retained stream never
-    keeps a dropped merge alive.
+    plain-NN advance runs whatever generator the finder holds for the
+    cursor at that moment, re-seeding a suspended cursor first, and no
+    generator is bound in this frame across a ``yield``: a retained
+    stream never keeps a dropped merge alive.
 
     No generator frame holds its owner: the producer gets the three
     list appenders, never the stream, and returns ``end`` instead of
@@ -185,7 +190,8 @@ class EstStream:
     its last reference goes, not by the garbage collector.
     """
 
-    __slots__ = ("enl", "members", "attempts", "demanded", "end", "advance")
+    __slots__ = ("enl", "attempts", "demanded", "end", "advance",
+                 "_cursors", "_key")
 
     def __init__(self, finder, source: Vertex, category: CategoryId,
                  estimate: Callable[[Vertex], Cost],
@@ -194,16 +200,18 @@ class EstStream:
         (shared; may be ahead of or behind this stream); ``estimate`` is
         ``dis(·, t)`` and ``cache_get`` an optional probe of its memo
         tried first."""
-        cursor = finder.cursor_for(source, category)
+        key = (source, category)
+        nl = finder.cursor_for(source, category)
         self.enl: List[Tuple[Vertex, Cost, Cost]] = []
-        #: the cursor's ``NL`` members — ``demanded`` counts index into it
-        self.members = cursor.members
         self.attempts: List[int] = []
         self.demanded: List[int] = []
         self.end: Optional[Tuple[int, int]] = None
+        #: where :meth:`members` finds the cursor's current ``NL``
+        self._cursors = finder._cursors
+        self._key = key
         self.advance: Optional[Callable] = self._produce(
             self.enl.append, self.attempts.append, self.demanded.append,
-            finder, source, category, cursor, estimate, cache_get).__next__
+            finder, key, nl, estimate, cache_get).__next__
 
     def fill(self, x: int) -> bool:
         """Advance until ``enl`` holds ``x`` entries; False when the
@@ -230,50 +238,58 @@ class EstStream:
             return self.attempts[x - 1], self.demanded[x - 1]
         return self.end
 
+    def members(self, n: int) -> List[Vertex]:
+        """The first ``n`` members of the cursor's ``NL``: the vertices
+        whose estimates a cold FindNEN demanded by position ``n`` of
+        ``demanded``."""
+        nl = self._cursors[self._key]
+        return memoryview(nl).cast("q")[:2 * n:2].tolist()
+
     @staticmethod
     def _produce(enl_append, attempts_append, demanded_append, finder,
-                 source, category, cursor, estimate, cache_get):
+                 key, nl, estimate, cache_get):
         """Generator appending one estimated neighbor per resume and
         returning the stream's ``end`` pair: the whole Algorithm 4 state
         machine (lookahead, ENQ, plain-NN read position) lives in this
-        one frame, and a missing plain neighbor resumes the packed merge
-        generator directly (re-seeding a suspended cursor first).  A
-        staticmethod fed the stream's appenders, so the frame never
-        holds the stream that holds the generator."""
-        members, costs = cursor.members, cursor.costs
+        one frame, and a missing plain neighbor resumes the finder's
+        merge generator for the cursor directly (re-seeding a suspended
+        cursor first).  A staticmethod fed the stream's appenders, so the
+        frame never holds the stream that holds the generator."""
+        cursors, live = finder._cursors, finder._live
+        unpack_from, entry_size = _unpack_from, _ENTRY.size
         heappush_, heappop_ = heapq.heappush, heapq.heappop
         enq: List[Tuple[Cost, Cost, Vertex]] = []
         # The lookahead: NL entry (member, leg), leg None when empty.
         member = leg = None
-        fetched = 0    # NL entries read (the cold cursor's position)
+        fetched = 0    # NL bytes read (the cold cursor's position)
         attempts = 0   # plain-NN advances a cold cursor would have run
         demanded = 0   # NL entries whose estimate was taken
         dry = False
         while True:
             while True:
                 if leg is None and not dry:
-                    if fetched < len(members):
-                        member, leg = members[fetched], costs[fetched]
-                        fetched += 1
+                    if fetched < len(nl):
+                        member, leg = unpack_from(nl, fetched)
+                        fetched += entry_size
                         attempts += 1
-                    elif cursor.exhausted:
+                    # All of NL read: look the cursor up again, since
+                    # ending it swaps its bytearray for bytes.
+                    elif type(nl := cursors[key]) is bytes:
                         # Discovering the end costs a cold cursor one
                         # advance, unless it was born empty.
                         dry = True
                         if fetched:
                             attempts += 1
                     else:
-                        if cursor.gen is None:
-                            finder._seed(cursor, source, category)
                         attempts += 1
                         try:
-                            next(cursor.gen)
+                            next(live.get(key) or finder._seed(key, nl))
                         except StopIteration:
-                            cursor.end()
+                            nl = finder._end(key, nl)
                             dry = True
                         else:
-                            member, leg = members[fetched], costs[fetched]
-                            fetched += 1
+                            member, leg = unpack_from(nl, fetched)
+                            fetched += entry_size
                 if leg is None:
                     break  # NN stream dry; whatever is in ENQ is final
                 if enq and leg >= enq[0][0]:
@@ -340,7 +356,7 @@ class PackedEstimatedNNFinder:
             a, n = stream.booked(asked)
             attempts += a
             if n:
-                demanded.update(stream.members[:n])
+                demanded.update(stream.members(n))
         return attempts, demanded
 
     @property

@@ -3,11 +3,13 @@
 For a source ``v`` and category ``Ci`` the cursor runs a k-way merge over
 the inverted lists ``IL(u')`` of every hub ``u' ∈ Lout(v)``:
 
-* ``NL`` — neighbors already produced, nearest first, held as two
-  typed arrays (``array('q')`` of members, ``array('d')`` of costs):
-  16 bytes per produced neighbour and no per-entry objects, which
-  matters because a serving session keeps every cursor's ``NL`` for its
-  whole lifetime;
+* ``NL`` — neighbors already produced, nearest first, held as one
+  buffer of ``(member int64, cost float64)`` pairs (``struct "qd"``,
+  16 bytes each): a ``bytearray`` while the cursor can still grow, an
+  exact-size ``bytes`` once it has ended.  Neither is a container the
+  garbage collector tracks, which matters because a serving session
+  keeps every cursor's ``NL`` for its whole lifetime and a full
+  collection would otherwise visit each of them;
 * ``NQ`` — a heap of one frontier entry per hub list, keyed by
   ``dis(v, u') + d_{u', m}``;
 * ``KV`` — per-hub read positions.
@@ -28,10 +30,9 @@ paper's pseudo-code:
   exactly as a drained one does (see :meth:`PackedLabelNNFinder._stream`).
 
 The merge runs in a generator, and no generator frame holds its owner:
-``_stream`` gets the cursor's ``NL`` arrays, never the cursor, and the
-reader that catches its ``StopIteration`` ends the cursor.  So a cursor
-is never part of a reference cycle, and the cursors of a cold query are
-freed with its finder, not by the garbage collector.
+``_stream`` gets the cursor's ``NL`` buffer, and the reader that catches
+its ``StopIteration`` ends the cursor.  So the cursors of a cold query
+are freed with its finder, not by the garbage collector.
 
 ``NL`` is the members the source reaches in ascending (2-hop distance,
 member id) order — a function of the index state alone — so ``NQ`` and
@@ -52,9 +53,9 @@ tested against lives with the tests (``tests/reference_nn.py``).
 from __future__ import annotations
 
 import heapq
-from array import array
 from heapq import heappop, heapreplace
-from typing import Callable, Dict, List, Optional, Tuple
+from struct import Struct
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import PackedInvertedIndex
@@ -62,36 +63,13 @@ from repro.nn.base import NearestNeighborFinder
 from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 
-class _PackedCursor:
-    """``NL`` of one ``(source, category)`` pair, and its merge while live.
-
-    ``NL`` is the pair ``members`` / ``costs``: entry ``i`` is
-    ``(members[i], costs[i])``, kept in two typed arrays so a produced
-    neighbour costs 16 bytes and no object the garbage collector has to
-    visit.  The merge state — ``NQ``, the found set, the decoded runs —
-    lives only in the frame of ``gen``, the generator that produces the
-    next entry (:meth:`PackedLabelNNFinder._stream`).  ``gen`` is None
-    once the cursor has ended (``exhausted``) and while it is suspended:
-    its finder dropped the merge state (:meth:`PackedLabelNNFinder.suspend`)
-    and the next advance re-seeds it from ``NL``.  ``gen``'s frame
-    holds the two arrays, not the cursor, so whoever advances ``gen``
-    calls :meth:`end` when it raises ``StopIteration``.
-    """
-
-    __slots__ = ("members", "costs", "exhausted", "gen")
-
-    def __init__(self) -> None:
-        self.members = array("q")
-        self.costs = array("d")
-        self.exhausted = False
-        self.gen = None
-
-    def end(self) -> None:
-        """Flag exhaustion and release the merge state: from here on
-        only the two ``NL`` arrays are read, and most cursors of a
-        session end here."""
-        self.exhausted = True
-        self.gen = None
+#: one ``NL`` entry, ``(member, cost)``: 16 bytes, so entry ``x`` (from
+#: 1) ends at byte ``x << _SHIFT``
+_ENTRY = Struct("qd")
+_SHIFT = 4
+_unpack_from = _ENTRY.unpack_from
+#: a cursor's ``NL``: ``bytearray`` while it can grow, ``bytes`` once ended
+NL = Union[bytearray, bytes]
 
 
 class PackedLabelNNFinder(NearestNeighborFinder):
@@ -110,10 +88,14 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     finder per query, and a session drops the cursors of a category
     whose version moved), not while a finder is mid-enumeration.
 
-    :meth:`suspend` drops the merge state of every cursor seeded since
-    the last call and keeps the ``NL`` arrays; a later advance re-seeds
-    the cursor from its ``NL``.  A serving session calls it between
-    queries; cold and hand-driven finders never do.
+    A cursor is its ``NL`` buffer, ``_cursors[(source, category)]``: a
+    ``bytearray`` while it can grow, ``bytes`` once it has ended
+    (``type(nl) is bytes`` is the exhaustion flag; a cursor born empty
+    is ``b""``).  The merge that grows a live cursor is a generator in
+    ``_live`` under the same key, and nowhere else.  :meth:`suspend`
+    empties ``_live``; a later advance re-seeds the cursor from its
+    ``NL``.  A serving session calls it between queries; cold and
+    hand-driven finders never do.
     """
 
     def __init__(
@@ -129,39 +111,38 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         self._out_offsets = out.offsets
         self._out_ranks = out.hub_ranks
         self._out_dists = out.dists
-        self._cursors: Dict[Tuple[Vertex, CategoryId], _PackedCursor] = {}
-        #: cursors seeded since the last :meth:`suspend` (the ones that
-        #: may hold merge state), so a suspension costs what the last
-        #: query touched, not the cursor population
-        self._seeded: List[_PackedCursor] = []
+        self._cursors: Dict[Tuple[Vertex, CategoryId], NL] = {}
+        #: the merge generator of every cursor seeded since the last
+        #: :meth:`suspend` and not ended, so a suspension costs what the
+        #: last query touched, not the cursor population
+        self._live: Dict[Tuple[Vertex, CategoryId], Generator] = {}
 
     # ------------------------------------------------------------------
     def find(
         self, source: Vertex, category: CategoryId, x: int
     ) -> Optional[Tuple[Vertex, Cost]]:
-        cursor = self._cursors.get((source, category))
-        if cursor is None:
-            cursor = self._make_cursor(source, category)
+        key = (source, category)
+        nl = self._cursors.get(key)
+        if nl is None:
+            nl = self._make_cursor(key)
         # NL hit: free (not counted as an executed NN query).
-        members = cursor.members
-        if len(members) < x and not cursor.exhausted:
+        need = x << _SHIFT
+        if len(nl) < need and type(nl) is not bytes:
             # One count per produced neighbor plus one for the advance
-            # that discovers exhaustion (it raises StopIteration after
-            # flagging the cursor), matching the reference finder's
-            # accounting.
-            if cursor.gen is None:
-                self._seed(cursor, source, category)  # suspended
+            # that discovers exhaustion (it raises StopIteration), matching
+            # the reference finder's accounting.
+            # No live merge: the cursor is suspended, so re-seed it.
+            advance = (self._live.get(key) or self._seed(key, nl)).__next__
             attempts = 0
-            advance = cursor.gen.__next__
             try:
-                while len(members) < x:
+                while len(nl) < need:
                     attempts += 1
                     advance()
             except StopIteration:
-                cursor.end()
+                nl = self._end(key, nl)
             self.queries += attempts
-        if x <= len(members):
-            return members[x - 1], cursor.costs[x - 1]
+        if need <= len(nl):
+            return _unpack_from(nl, (x - 1) << _SHIFT)
         return None
 
     def distance(self, s: Vertex, t: Vertex) -> Cost:
@@ -215,25 +196,42 @@ class PackedLabelNNFinder(NearestNeighborFinder):
                 self, source, category, estimate, cache_get))
 
     # ------------------------------------------------------------------
-    def cursor_for(self, source: Vertex, category: CategoryId) -> _PackedCursor:
-        """Get-or-create the merge cursor of one ``(source, category)``."""
-        cursor = self._cursors.get((source, category))
-        if cursor is None:
-            cursor = self._make_cursor(source, category)
-        return cursor
+    def cursor_for(self, source: Vertex, category: CategoryId) -> NL:
+        """Get-or-create the ``NL`` buffer of one ``(source, category)``."""
+        key = (source, category)
+        nl = self._cursors.get(key)
+        if nl is None:
+            nl = self._make_cursor(key)
+        return nl
 
-    def _make_cursor(self, source: Vertex, category: CategoryId) -> _PackedCursor:
+    def _make_cursor(self, key: Tuple[Vertex, CategoryId]) -> NL:
         """A new cursor: seeded from an empty ``NL``, or ended at no cost
-        when no hub run of ``Lout(source)`` holds a member (born empty)."""
-        cursor = _PackedCursor()
-        self._cursors[(source, category)] = cursor
-        if not self._seed(cursor, source, category):
-            cursor.end()
-        return cursor
+        (``b""``) when no hub run of ``Lout(source)`` holds a member
+        (born empty)."""
+        nl = bytearray()
+        if self._seed(key, nl) is None:
+            nl = b""
+        self._cursors[key] = nl
+        return nl
+
+    def _end(self, key: Tuple[Vertex, CategoryId], nl: bytearray) -> bytes:
+        """End the cursor whose merge just raised ``StopIteration``: its
+        ``NL`` becomes an exact-size ``bytes`` and its merge state goes.
+        Most cursors of a session end here."""
+        ended = self._cursors[key] = bytes(nl)
+        del self._live[key]
+        return ended
+
+    def drop(self, key: Tuple[Vertex, CategoryId]) -> None:
+        """Forget one cursor, ``NL`` and live merge alike (a session's
+        invalidation and eviction), so a later request re-creates it over
+        the index as it is then."""
+        del self._cursors[key]
+        self._live.pop(key, None)
 
     def suspend(self) -> None:
         """Drop the merge state of every cursor seeded since the last
-        call; each keeps its ``NL`` arrays, ended or not.
+        call; each keeps its ``NL``, ended or not.
 
         The next advance of a suspended cursor re-seeds it (see
         :meth:`_seed`) and continues the same ``NL`` sequence, so no
@@ -241,14 +239,13 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         it was seeded over is unchanged, which a session guarantees by
         dropping a category's cursors when its version moves.
         """
-        for cursor in self._seeded:
-            cursor.gen = None
-        self._seeded = []
+        self._live.clear()
 
-    def _seed(self, cursor: _PackedCursor, source: Vertex,
-              category: CategoryId) -> bool:
+    def _seed(self, key: Tuple[Vertex, CategoryId],
+              nl: bytearray) -> Optional[Generator]:
         """Algorithm 3 lines 6-10: seed NQ with each hub run's head, for a
-        new cursor and a suspended one alike.
+        new cursor and a suspended one alike, and register the merge
+        generator in ``_live``.
 
         A run's head is its first member not already in ``NL`` — the run
         start for a new cursor.  ``NL`` holds the nearest members in
@@ -262,16 +259,18 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         decoded — the steady serving case — that costs two attribute
         reads per seeding and nothing per advance.
 
-        Returns False, and leaves no generator, when there is nothing to
+        Returns None, and leaves no generator, when there is nothing to
         merge and nothing produced: a new cursor born empty.  A suspended
         cursor always gets a generator — one that ends on its first
         advance when every member it reaches is in ``NL`` — because the
         runs it re-reads are the ones that seeded it.
         """
+        source, category = key
         pinv = self._inverted.get(category)
         if pinv is None:
-            return False
-        found = set(cursor.members)
+            return None
+        # The members are the even int64 slots of NL.
+        found = set(memoryview(nl).cast("q")[::2]) if nl else set()
         # Decoded Lout(source), not kept: a search almost never opens a
         # second category's cursor over the same source, and a retained
         # copy per source is what a warm session's memory would mostly
@@ -296,33 +295,31 @@ class PackedLabelNNFinder(NearestNeighborFinder):
                     continue
             nq.append((base + idists[lo], imembers[lo], lo + 1, hi, base))
         if not nq and not found:
-            return False
+            return None
         # Heap-order ties only reorder pops of entries with equal (total,
         # member) — interchangeable for NL and stream state — so heapify
         # instead of pushes changes nothing observable.
         heapq.heapify(nq)
-        cursor.gen = self._stream(cursor.members.append,
-                                  cursor.costs.append, nq, found, idists,
-                                  imembers, pinv.member_count)
-        self._seeded.append(cursor)
-        return True
+        gen = self._live[key] = self._stream(nl, nq, found, idists, imembers,
+                                             pinv.member_count)
+        return gen
 
     @staticmethod
-    def _stream(members_append, costs_append, nq, found, idists, imembers,
+    def _stream(nl: bytearray, nq, found, idists, imembers,
                 member_count: int):
         """Generator producing one NL entry per resume (lines 11-18).
 
         A generator rather than a method so the merge-loop bindings live
         in one frame instead of being re-established on every advance;
         the frame is the cursor's whole merge state, so dropping the
-        generator releases it.  It appends to the cursor's ``NL`` arrays
-        and never sees the cursor itself (no cycle through ``gen``): on
+        generator releases it.  It appends to the cursor's ``NL`` buffer
+        and never sees the finder (no cycle through ``_live``): on
         exhaustion it just finishes, and the reader that catches the
-        ``StopIteration`` ends the cursor.  Each heap entry is one hub
-        stream, ``(total_cost, member, next position, run end, base
-        distance)``:
-        advancing a stream is one ``heapreplace`` with the successor
-        tuple, with no side tables to update.
+        ``StopIteration`` ends the cursor (:meth:`_end`).  Each heap
+        entry is one hub stream, ``(total_cost, member, next position,
+        run end, base distance)``: advancing a stream is one
+        ``heapreplace`` with the successor tuple, with no side tables to
+        update.
 
         ``member_count`` is the category's member count as of seeding,
         taken with the runs the cursor scans.  Once ``NL`` holds that
@@ -341,6 +338,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         so the produced NL sequence is too.
         """
         found_add = found.add
+        pack = _ENTRY.pack
         while nq:
             total, member, pos, end, base = nq[0]
             # Advance this stream, skipping already-found members (the
@@ -356,8 +354,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             if member in found:
                 continue  # stale duplicate through another hub
             found_add(member)
-            members_append(member)
-            costs_append(total)
+            nl += pack(member, total)
             if len(found) == member_count:
                 nq.clear()  # the rest is stale duplicates
             yield

@@ -83,7 +83,7 @@ from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.estimated import EstStream, PackedEstimatedNNFinder
-from repro.nn.label_nn import PackedLabelNNFinder
+from repro.nn.label_nn import _SHIFT, PackedLabelNNFinder
 from repro.types import CategoryId, Cost, Vertex
 
 
@@ -159,8 +159,7 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
         self._session.touch_cursor(key)
         vpos, vexh = self._virtual.get(key, (0, False))
         if x > vpos and not vexh:
-            cursor = shared._cursors[key]
-            avail = len(cursor.members)
+            avail = len(shared._cursors[key]) >> _SHIFT
             if x <= avail:
                 self.queries += x - vpos
                 self._virtual[key] = (x, False)
@@ -310,7 +309,7 @@ class SessionCache:
     re-seeded from ``NL`` if a later query advances it
     (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  Most
     cursors a query leaves unfinished are never advanced again, so the
-    session holds ``NL`` arrays, not merge heaps.
+    session holds ``NL`` buffers, not merge heaps.
     """
 
     def __init__(self, engine, max_dest_kernels: Optional[int] = None,
@@ -407,9 +406,8 @@ class SessionCache:
                 kernel.streams.pop(cid, None)
         finder = self._label_finder
         if finder is not None:
-            cursors = finder._cursors
-            for key in [k for k in cursors if k[1] in changed]:
-                del cursors[key]
+            for key in [k for k in finder._cursors if k[1] in changed]:
+                finder.drop(key)
                 self.stats.cursors_invalidated += 1
         self._disk = None
 
@@ -461,12 +459,12 @@ class SessionCache:
         """
         if self.max_finders is None or self._label_finder is None:
             return
-        cursors = self._label_finder._cursors
-        excess = len(cursors) - self.max_finders
+        finder = self._label_finder
+        excess = len(finder._cursors) - self.max_finders
         if excess <= 0:
             return
-        for key in list(islice(cursors, excess)):
-            del cursors[key]
+        for key in list(islice(finder._cursors, excess)):
+            finder.drop(key)
             self.stats.cursor_evictions += 1
             source, category = key
             for kernel in self._dest_kernels.values():

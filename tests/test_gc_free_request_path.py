@@ -1,11 +1,11 @@
 """The request path leaves nothing for the garbage collector.
 
 FindNEN streams (:class:`~repro.nn.estimated.EstStream`) and FindNN
-cursors (``repro.nn.label_nn._PackedCursor``) run their state machines
-in generators.  A generator whose frame holds the object that holds the
-generator is a reference cycle: reference counting never frees it, and a
-collection frees it by *finalising* the generator, so ``gc.collect()``'s
-return value does not even count it.  An SK-DB attachment's index file
+cursors (:class:`~repro.nn.label_nn.PackedLabelNNFinder`'s merges) run
+their state machines in generators.  A generator whose frame holds the
+object that holds the generator is a reference cycle: reference
+counting never frees it, and a collection frees it by *finalising* the
+generator, so ``gc.collect()``'s return value does not even count it.  An SK-DB attachment's index file
 and its cached labels were such a pair too.
 
 Each test runs SK, PK, KPNE, SK-NODOM and SK-DB queries with the
@@ -14,7 +14,9 @@ collector off — cold through ``KOSREngine.run``, warm through a
 — then counts the live objects of the watched types, runs one
 collection and counts again.  The counts must be equal: what a path
 keeps is reachable, and what it dropped was freed when its last
-reference went.
+reference went.  What a warm session keeps per FindNN cursor, its
+``NL`` buffer, is not even a container the collector tracks, and no
+merge generator outlives the session's between-queries suspension.
 """
 
 import asyncio
@@ -33,14 +35,14 @@ from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.nn.estimated import EstStream
-from repro.nn.label_nn import _PackedCursor
+from repro.nn.label_nn import PackedLabelNNFinder
 
 METHODS = ("SK", "PK", "KPNE", "SK-NODOM", "SK-DB")
 
-#: the objects whose cycles this file pins: FindNEN streams, FindNN
-#: cursors, their generators, and SK-DB's per-query index mappings
-WATCHED = (EstStream, _PackedCursor, types.GeneratorType, MmapIndexFile,
-           mmap.mmap)
+#: the objects whose cycles this file pins: FindNEN streams, the
+#: generators of streams and FindNN merges, and SK-DB's per-query index
+#: mappings
+WATCHED = (EstStream, types.GeneratorType, MmapIndexFile, mmap.mmap)
 
 
 def _census() -> Counter:
@@ -63,6 +65,18 @@ def _collector_off():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _assert_cursors_untracked_and_suspendable(finder) -> None:
+    """Every warm ``NL`` is invisible to the collector, and once the
+    session suspends its cursors no FindNN merge generator is alive."""
+    assert finder._cursors
+    assert not any(gc.is_tracked(nl) for nl in finder._cursors.values())
+    finder.suspend()
+    assert not finder._live
+    merge = PackedLabelNNFinder._stream.__code__
+    assert not [obj for obj in gc.get_objects()
+                if type(obj) is types.GeneratorType and obj.gi_code is merge]
 
 
 def _left_for_the_collector() -> Counter:
@@ -114,6 +128,8 @@ def test_warm_session_with_evictions_leaves_nothing(setting):
                                               k=k),
                             QueryOptions(method=method))
         leftover = _left_for_the_collector()
+        _assert_cursors_untracked_and_suspendable(
+            service.session._label_finder)
     stats = service.session.stats
     assert stats.cursor_evictions and stats.dest_kernel_evictions
     assert stats.est_stream_hits  # streams were kept and read back
@@ -157,6 +173,8 @@ def test_tcp_front_door_leaves_nothing(setting):
             before = await settled_census()
             gc.collect()
             after = _census()
+            _assert_cursors_untracked_and_suspendable(
+                server.query_service.service.session._label_finder)
             writer.close()
             await writer.wait_closed()
             return before - after

@@ -1,6 +1,7 @@
 """Tests for the NN oracles: FindNN (Alg. 3), FindNEN (Alg. 4), Dijkstra NN."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -236,8 +237,13 @@ def packed_setup():
     return g, engine
 
 
+def _entries(nl):
+    """A cursor's ``NL`` buffer as ``(member, cost)`` pairs."""
+    return list(struct.iter_unpack("qd", nl))
+
+
 class TestPackedCursorRelease:
-    """An ended FindNN cursor keeps only its ``NL`` arrays."""
+    """An ended FindNN cursor keeps only its ``NL``, as ``bytes``."""
 
     def test_exhausted_cursor_sheds_merge_state(self, packed_setup):
         from repro.nn.label_nn import PackedLabelNNFinder
@@ -250,11 +256,12 @@ class TestPackedCursorRelease:
                 want = enumerate_all(reference, source, cid)
                 got = enumerate_all(finder, source, cid)
                 assert got == want
-                cursor = finder._cursors[(source, cid)]
-                assert cursor.exhausted
-                assert list(zip(cursor.members, cursor.costs)) == want
-                # The merge state lived in the generator's frame only.
-                assert cursor.gen is None
+                nl = finder._cursors[(source, cid)]
+                assert type(nl) is bytes  # ended
+                assert _entries(nl) == want
+                # The merge state lived in the generator's frame only,
+                # and the generator is gone.
+                assert (source, cid) not in finder._live
                 # Past the end: still None, and no further attempt booked.
                 before = finder.queries
                 assert finder.find(source, cid, len(want) + 3) is None
@@ -281,19 +288,20 @@ class TestPackedCursorRelease:
                     continue
                 finder = PackedLabelNNFinder(engine.labels, engine.inverted)
                 finder.find(source, cid, n)
-                cursor = finder._cursors[(source, cid)]
-                assert not cursor.exhausted
+                key = (source, cid)
+                assert type(finder._cursors[key]) is bytearray  # live
                 if cid == dead_ends:
                     assert n < g.category_size(cid)
                     drained += 1
                 else:
                     assert n == g.category_size(cid)
-                    assert cursor.gen.gi_frame.f_locals["nq"] == []
+                    assert finder._live[key].gi_frame.f_locals["nq"] == []
                     stopped += 1
                 before = finder.queries
                 assert finder.find(source, cid, n + 1) is None
                 assert finder.queries == before + 1
-                assert cursor.exhausted and cursor.gen is None
+                assert type(finder._cursors[key]) is bytes
+                assert key not in finder._live
         assert stopped and drained
 
     def test_live_cursor_keeps_its_state(self, packed_setup):
@@ -307,10 +315,8 @@ class TestPackedCursorRelease:
             if len(enumerate_all(
                 PackedLabelNNFinder(engine.labels, engine.inverted), s, c)) > 1)
         finder.find(source, cid, 1)
-        cursor = finder._cursors[(source, cid)]
-        assert not cursor.exhausted
-        assert cursor.gen is not None
-        assert cursor.gen.gi_frame.f_locals["found"]
+        assert type(finder._cursors[(source, cid)]) is bytearray
+        assert finder._live[(source, cid)].gi_frame.f_locals["found"]
 
 
 @st.composite
@@ -378,15 +384,14 @@ class TestCursorSuspension:
             assert suspended.find(source, cid, x) == want
             assert suspended.queries == plain.queries == reference.queries
             suspended.suspend()
-            assert all(cursor.gen is None
-                       for cursor in suspended._cursors.values())
+            assert not suspended._live
         assert suspended._cursors.keys() == reference._cursors.keys()
-        for key, cursor in suspended._cursors.items():
-            nl = list(zip(cursor.members, cursor.costs))
+        for key, nl in suspended._cursors.items():
             other = plain._cursors[key]
-            assert nl == list(zip(other.members, other.costs))
-            assert nl == reference._cursors[key].nl
-            assert cursor.exhausted == other.exhausted
+            assert nl == other
+            assert _entries(nl) == reference._cursors[key].nl
+            # ended (bytes) or live (bytearray) alike
+            assert type(nl) is type(other)
 
     def test_both_end_states_are_suspended_and_resumed(self, packed_setup):
         """The fixture's ``dead-ends`` category has a member nothing
@@ -406,23 +411,26 @@ class TestCursorSuspension:
                     continue
                 finder = PackedLabelNNFinder(engine.labels, engine.inverted)
                 finder.find(source, cid, n)
-                cursor = finder._cursors[(source, cid)]
-                stale = cursor.gen.gi_frame.f_locals["nq"]
+                key = (source, cid)
+                stale = finder._live[key].gi_frame.f_locals["nq"]
                 shapes.add((cid == dead_ends, bool(stale)))
                 finder.suspend()
-                assert cursor.gen is None and not cursor.exhausted
+                assert not finder._live
+                assert type(finder._cursors[key]) is bytearray
                 before = finder.queries
                 assert finder.find(source, cid, n + 1) is None
                 assert finder.queries == before + 1
-                assert cursor.exhausted and len(cursor.members) == n
+                nl = finder._cursors[key]
+                assert type(nl) is bytes and len(_entries(nl)) == n
         assert (False, False) in shapes and (True, True) in shapes
 
 
 class TestPackedCursorMemory:
     def test_produced_neighbour_costs_two_array_slots(self):
         """A drained cursor's ``NL`` costs about 16 bytes per neighbour
-        (one ``q`` and one ``d`` slot), not a tuple, a float and a list
-        slot (about 88 bytes) that a session would keep for its lifetime.
+        (one ``(int64, float64)`` entry of its buffer), not a tuple, a
+        float and a list slot (about 88 bytes) that a session would keep
+        for its lifetime.
         Large categories amortise each cursor's fixed cost: the whole
         finder, dict and cursor objects included, stays under 40 bytes
         per produced neighbour."""
@@ -515,11 +523,11 @@ class TestEstStream:
                     assert got == entries
                     booked_attempts, demanded = stream.booked(x)
                     assert booked_attempts == attempts
-                    assert list(stream.members[:demanded]) == estimated
+                    assert stream.members(demanded) == estimated
                 assert stream.advance is None and stream.end is not None
                 if len(stream.enl) < members:
                     ended_early += 1
-                if not stream.members:
+                if not shared._cursors[(source, cid)]:
                     born_empty += 1
                     assert stream.end == (0, 0)
         assert ended_early and born_empty  # both shapes were exercised

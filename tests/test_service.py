@@ -308,6 +308,38 @@ class TestCacheRetention:
             assert any(streams[0].values())
             kept = dict(streams[1])  # may have grown: new members extend
 
+    def test_dropped_cursors_take_their_live_merges_along(self):
+        """A category update between two queries drops the category's
+        cursors together with their live merge generators, before any
+        suspension; so does a ``max_finders`` eviction.  No merge over
+        superseded hub runs is left to resume, whatever order
+        invalidation and suspension run in."""
+        g = _graph(31)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine)
+        session = service.session
+        t = g.num_vertices - 1
+        q = make_query(g, 0, t, [0, 1], k=2)
+        service.run(q, SK)
+        finder = session._label_finder
+        # Unfinished cursors of both categories still hold their merge.
+        assert {cid for _, cid in finder._live} == {0, 1}
+        outsider = next(v for v in range(g.num_vertices)
+                        if not g.has_category(v, 0))
+        engine.add_vertex_to_category(outsider, 0)
+        assert session.validate() is True
+        assert {cid for _, cid in finder._live} == {1}
+        assert set(finder._live) <= set(finder._cursors)
+        assert_same_outcome(service.run(q, SK),
+                            reference_engine(g.copy()).run(q, SK))
+        # An eviction outside the between-queries seam: the trimmed
+        # cursors' merges go with them.
+        session.max_finders = 1
+        assert len(finder._live) > 1
+        session._trim_cursors()
+        assert len(finder._cursors) == 1
+        assert set(finder._live) <= set(finder._cursors)
+
     def test_category_emptied_between_warm_requests(self):
         """Streams of a category that loses its last member are born
         empty afterwards, on the warm path as on a fresh engine."""
@@ -428,10 +460,10 @@ class TestWarmFindNEN:
                 finder = session._label_finder
                 seed = finder._seed
 
-                def counted_seed(cursor, src, category):
-                    if len(cursor.members):
-                        resumed.append((src, category))
-                    return seed(cursor, src, category)
+                def counted_seed(key, nl):
+                    if nl:
+                        resumed.append(key)
+                    return seed(key, nl)
 
                 finder._seed = counted_seed
             if i == 3:
@@ -439,8 +471,7 @@ class TestWarmFindNEN:
             assert_same_outcome(service.run(q, SK),
                                 KOSREngine.build(g).run(q, SK))
             session.finder_view()  # the next query's view
-            assert all(cursor.gen is None
-                       for cursor in session._label_finder._cursors.values())
+            assert not session._label_finder._live
         # The last query read its group's kept streams, and they ran
         # past NL into re-seeded cursors.
         assert session.stats.est_stream_hits > hits
@@ -598,8 +629,8 @@ class TestSessionCursorMemory:
         light-overhead shape) through a session with the server's caps
         leave almost every cursor unfinished.  Once the next query's view
         is made, what the session retains per cursor beyond its ``NL``
-        (16 bytes per neighbour) is the cursor, its key and its share
-        of the marks and memos — not a heap of one tuple per matched
+        (16 bytes per neighbour) is its buffer's header, its key and its
+        share of the marks and memos — not a heap of one tuple per matched
         hub run, a found set and a generator frame (about 7 kB each on
         this graph)."""
         import gc
@@ -639,13 +670,60 @@ class TestSessionCursorMemory:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        new = [cursor for key, cursor in session._label_finder._cursors.items()
+        new = [nl for key, nl in session._label_finder._cursors.items()
                if key not in warm]
         assert len(new) == g.num_vertices // 2
-        assert sum(not cursor.exhausted for cursor in new) > 0.9 * len(new)
-        nl_bytes = 16 * sum(len(cursor.members) for cursor in new)
+        # unfinished: still a growable bytearray, not an ended bytes
+        assert sum(type(nl) is bytearray for nl in new) > 0.9 * len(new)
+        nl_bytes = sum(len(nl) for nl in new)
         assert (retained - nl_bytes) / len(new) < 1500
-        assert all(cursor.gen is None for cursor in new)
+        assert not session._label_finder._live
+
+    def test_warm_cursors_give_the_collector_nothing_to_visit(self):
+        """What a session keeps per FindNN cursor is one ``bytes`` or
+        ``bytearray``, neither of which the garbage collector tracks: 60
+        SK requests over eight warm targets on CAL 0.25, through a
+        session with the server's caps, create hundreds of cursors and
+        leave the collector's object count almost where it was.  A
+        cursor object holding two ``array`` s (themselves tracked
+        containers) added three objects per cursor."""
+        import gc
+
+        from repro.graph import generators
+        from repro.server.tcp import (SESSION_MAX_DEST_KERNELS,
+                                      SESSION_MAX_FINDERS)
+
+        g = generators.dataset_by_name("CAL", scale=0.25)
+        engine = KOSREngine.build(g)
+        service = QueryService(engine,
+                               max_dest_kernels=SESSION_MAX_DEST_KERNELS,
+                               max_finders=SESSION_MAX_FINDERS)
+        session = service.session
+        rng = random.Random(1)
+        targets = rng.sample(range(g.num_vertices), 8)
+
+        def query(target):
+            return make_query(g, rng.randrange(g.num_vertices), target,
+                              rng.sample(range(g.num_categories), 4), k=10)
+
+        # Warm the eight targets' kernels first: what is measured is
+        # what the cursors add.
+        for target in targets:
+            service.run(query(target), SK)
+        session.finder_view()
+        gc.collect()
+        cursors, objects = (len(session._label_finder._cursors),
+                            len(gc.get_objects()))
+        for _ in range(60):
+            service.run(query(rng.choice(targets)), SK)
+        session.finder_view()  # between queries: merges are dropped
+        gc.collect()
+        created = len(session._label_finder._cursors) - cursors
+        grown = len(gc.get_objects()) - objects
+        assert created > 300
+        assert grown < 0.2 * created
+        assert not any(gc.is_tracked(nl)
+                       for nl in session._label_finder._cursors.values())
 
 
 def _sk_db_queries(g, seed: int, n: int = 6):
