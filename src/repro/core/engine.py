@@ -371,10 +371,13 @@ class KOSREngine:
                     weight: Optional[float]) -> None:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
-        Rebuilds labels and inverted indexes into private buffers.  The
-        cached CH, the saved-file path SK-DB reads and any attached index
-        file are dropped (all stale after a structure change), and the
-        index epoch moves past every previous value.
+        Rebuilds labels and inverted indexes into private buffers, hub
+        order included: the labels take the order of the mutated graph
+        (:func:`~repro.labeling.order.hub_order`), exactly as a fresh
+        build of it would.  The cached CH, the saved-file path SK-DB
+        reads and any attached index file are dropped (all stale after a
+        structure change), and the index epoch moves past every previous
+        value.
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)

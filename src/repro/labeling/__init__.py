@@ -7,6 +7,11 @@
   builder entry point: it picks the frontier from the weights (BFS on
   unit weights, Dijkstra otherwise), and the hub order is chosen inside
   it — no layer above takes an order.
+* :mod:`repro.labeling.order` — that choice, :func:`hub_order`: the
+  iterative tree-descendant order (:func:`tree_order`, sampled
+  shortest-path trees with a constant seed) on weighted graphs, where it
+  cuts label entries by about a third; :func:`degree_order` on unit
+  weights, where the tree order does not pay.
 * :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
   the label index (``Lin``/``Lout``, merge-join distance queries,
   actual-route restoration via parent pointers) and the paper's
@@ -28,8 +33,13 @@
   threshold compaction; a structure update rebuilds the labels.
 """
 
-from repro.labeling.order import degree_order
-from repro.labeling.pll import build_labels_auto, graph_is_unit_weight
+from repro.labeling.order import (
+    degree_order,
+    graph_is_unit_weight,
+    hub_order,
+    tree_order,
+)
+from repro.labeling.pll import build_labels_auto
 from repro.labeling.mmap_index import MmapIndexFile
 from repro.labeling.packed import (
     IndexFileLayout,
@@ -48,8 +58,10 @@ from repro.labeling.updates import (
 
 __all__ = [
     "degree_order",
-    "build_labels_auto",
+    "tree_order",
+    "hub_order",
     "graph_is_unit_weight",
+    "build_labels_auto",
     "PackedLabelIndex",
     "PackedInvertedIndex",
     "MmapIndexFile",

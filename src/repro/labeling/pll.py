@@ -12,7 +12,11 @@ for each vertex ``r`` in hub order:
     * a *pruned backward search* symmetrically populates ``Lout``.
 
 The pruning test against already-built labels is what keeps label sets small
-while guaranteeing the cover property.
+while guaranteeing the cover property.  Any hub order gives a valid cover;
+the order sets the labels' size, so the builder takes the one choice of
+:func:`repro.labeling.order.hub_order` — the sampled tree-descendant order on
+weighted graphs (about a third fewer entries than degree order on the road
+analogues), degree order on unit weights.
 
 The labels are built *columnar*: per side and vertex three parallel lists
 (hub ranks, distances, parents) — the RPLI sections un-flattened, which
@@ -38,7 +42,7 @@ from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from repro.graph.graph import Graph
-from repro.labeling.order import degree_order
+from repro.labeling.order import graph_is_unit_weight, hub_order
 from repro.labeling.packed import NO_PARENT, PackedLabelIndex
 from repro.types import INFINITY, Vertex
 
@@ -99,12 +103,15 @@ def _build(graph: Graph, order: Optional[Sequence[Vertex]],
            frontier) -> PackedLabelIndex:
     """Run the pruned searches of every root in ``order`` and pack.
 
-    This is the one place the default hub order is chosen: every engine,
-    fleet and index file gets its labels through here.
+    This is the one place the default hub order is taken
+    (:func:`~repro.labeling.order.hub_order`: the tree order on weighted
+    graphs, degree order on unit weights): every engine, fleet, edge
+    update and index file gets its labels through here, so an updated
+    graph gets the order of the mutated graph, as a fresh build would.
     """
     n = graph.num_vertices
     if order is None:
-        order = degree_order(graph)
+        order = hub_order(graph)
     elif sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all vertices")
 
@@ -130,11 +137,6 @@ def _build(graph: Graph, order: Optional[Sequence[Vertex]],
     return PackedLabelIndex.from_columns(order, lin, lout)
 
 
-def graph_is_unit_weight(graph: Graph) -> bool:
-    """True when every edge weighs exactly 1 (the paper's G+ setting)."""
-    return all(w == 1.0 for _, _, w in graph.edges())
-
-
 def build_labels_auto(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
@@ -143,8 +145,8 @@ def build_labels_auto(
 
     The frontier follows from the weights: pruned BFS on unit-weight
     graphs, pruned Dijkstra otherwise.  ``order`` is the hub order; it
-    defaults to the one order function (:func:`_build` picks it), and an
-    explicit permutation is the seam for random-order tests.
+    defaults to :func:`~repro.labeling.order.hub_order` (:func:`_build`
+    takes it), and an explicit permutation is the seam for tests.
     """
     unit = graph.num_edges and graph_is_unit_weight(graph)
     return _build(graph, order, _FIFO if unit else _HEAP)

@@ -7,7 +7,10 @@ pruned BFS (unit weights) per root and direction, appending one frozen
 objects.  It shares no code with the product builder, so the parity suites
 (``conftest.reference_engine``) and the differential tests in
 ``tests/test_pll_columnar.py`` compare two independent implementations.
-It always runs both searches of a root.
+It always runs both searches of a root.  Its default hub order is the
+product's own choice, :func:`repro.labeling.order.hub_order`: any order
+gives a valid cover, but on float weights a label distance rounds by the
+hub that realises it, so bit-identical parity needs the same order.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
+from repro.labeling.order import hub_order
 from repro.types import Cost, INFINITY, Vertex
 
 from reference_labels import LabelEntry, LabelIndex
@@ -114,13 +118,13 @@ def build_reference_labels(
 ) -> LabelIndex:
     """The reference :class:`LabelIndex` over ``graph``.
 
-    ``order`` defaults to decreasing total degree, ties by id.  ``bfs``
+    ``order`` defaults to the product's :func:`hub_order`.  ``bfs``
     defaults to what the product's ``build_labels_auto`` decides: pruned
     BFS iff the graph has edges and all of them weigh 1.
     """
     n = graph.num_vertices
     if order is None:
-        order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+        order = hub_order(graph)
     if bfs is None:
         bfs = bool(graph.num_edges) and all(
             w == 1.0 for _, _, w in graph.edges())

@@ -21,7 +21,12 @@ from repro import KOSREngine, QueryOptions
 from repro.core.query import make_query
 from repro.graph import Graph, generators
 from repro.graph.io import load_json, save_json
-from repro.labeling import build_labels_auto, pll, write_index_file
+from repro.labeling import (
+    build_labels_auto,
+    degree_order,
+    pll,
+    write_index_file,
+)
 
 from reference_labels import from_index, lin, lout
 from reference_pll import build_reference_labels
@@ -120,25 +125,35 @@ class TestDifferential:
 
 
 #: sha256 of the index file ``cli index build`` writes (labels + inverted
-#: sections), recorded from the object-building builder before the
-#: columnar one replaced it
+#: sections).  The ``"degree"`` rows build with an explicit degree order and
+#: were recorded from the object-building builder before the columnar one
+#: replaced it: they pin the builder's and the writer's bytes.  The
+#: ``"default"`` rows build with the hub order the product chooses: the
+#: tree order on the two weighted graphs (so they pin that order, on every
+#: supported Python), degree order on the unit-weight G+.
 PINNED = {
-    ("CAL", 0.25):
+    ("CAL", 0.25, "degree"):
         "126e2875bd4872462aa80bc0003be5b8a66492a85cfa35dcf0269a831f08911b",
-    ("FLA", 0.1):
+    ("FLA", 0.1, "degree"):
         "239ffdd26076c460df54d105299c8caaf2d1b5c8ace19cfa996cb5881b07e877",
-    ("G+", 0.05):
+    ("G+", 0.05, "default"):
         "9934e8f5094ef94eaa20e0191272d720631635f3955cdbcc84c859265d7c8268",
+    ("CAL", 0.25, "default"):
+        "f2a98fa1b461167e8cadf21f9f15d723b5c71c63dc5020b2cad386e97438ff5d",
+    ("FLA", 0.1, "default"):
+        "cc237199a4e57ee804ef80477e22de633fa87dbbc23d02f85064330513ad63f2",
 }
 
 
-@pytest.mark.parametrize("name,scale", sorted(PINNED))
-def test_index_file_digest_is_pinned(name, scale, tmp_path):
+@pytest.mark.parametrize("name,scale,order", sorted(PINNED))
+def test_index_file_digest_is_pinned(name, scale, order, tmp_path):
     g = generators.dataset_by_name(name, scale=scale)
+    labels = build_labels_auto(g, degree_order(g)) if order == "degree" \
+        else None
     path = tmp_path / "index.rpli"
-    KOSREngine.build(g, name=name).save_index(path)
+    KOSREngine.build(g, labels, name=name).save_index(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        PINNED[name, scale]
+        PINNED[name, scale, order]
 
 
 def _undirected(n, seed, weight):

@@ -19,6 +19,7 @@ Covers the contracts the engine facade now rests on:
 
 import json
 import random
+from types import GeneratorType
 
 import pytest
 
@@ -476,6 +477,30 @@ class TestWarmFindNEN:
         # past NL into re-seeded cursors.
         assert session.stats.est_stream_hits > hits
         assert resumed
+
+    def test_retained_streams_bind_no_merge_across_a_yield(self):
+        """Between queries a kept stream's producer frame holds no merge
+        generator: each plain-NN advance looks the cursor's merge up in the
+        finder's ``_live`` and lets go of it at the ``yield``, so the
+        suspension at the next :meth:`finder_view` really drops it."""
+        g = _graph(53, n=60, cats=4, size=9)
+        service = QueryService(KOSREngine.build(g))
+        session = service.session
+        t, cats = g.num_vertices - 1, [0, 1, 2]
+        # Growing k: the streams a group keeps read past the NL that
+        # earlier requests left and advance the cursors' merges.
+        for k in (2, 4, 8, 12):
+            service.run(make_query(g, 2, t, cats, k=k), SK)
+        session.finder_view()  # the next query's view suspends the cursors
+        assert not session._label_finder._live
+        frames = [stream.advance.__self__.gi_frame
+                  for by_source in session._dest_kernels[t].streams.values()
+                  for stream in by_source.values()
+                  if stream is not None and stream.advance is not None]
+        assert frames
+        for frame in frames:
+            assert not [value for value in frame.f_locals.values()
+                        if isinstance(value, GeneratorType)]
 
     def test_repeated_category_shares_one_stream_per_query(self):
         """C = (a, b, a): both levels of category a read one stream, and
