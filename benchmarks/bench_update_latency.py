@@ -1,10 +1,11 @@
 """Zero-downtime mutation: query latency while an edge update rebuilds.
 
 ``ShardedQueryService.update_edge`` does its dominant work — the full
-label rebuild — in the parent, off the shard locks, and only then fences
-the fleet through a prepare/commit broadcast.  The serving claim is that
-queries keep flowing off the *old* index for essentially the whole
-update: the observable stall is the broadcast window, not the rebuild.
+label rebuild — in the parent, off the shard locks, and only then, under
+the shard locks, starts replacement workers from the post-update state
+and swaps them in.  The serving claim is that queries keep flowing off
+the *old* workers for essentially the whole update: the observable
+stall is the replacements' start-up window, not the rebuild.
 
 This benchmark drives a steady query loop against a 2-shard fleet while
 a background thread applies ``update_edge``, and compares the latency
@@ -80,7 +81,7 @@ def test_update_latency_overlap():
             quiesced.append((time.perf_counter() - t0) * 1e3)
             i += 1
 
-        # Overlap: queries flow while update_edge rebuilds + fences.
+        # Overlap: queries flow while update_edge rebuilds + replaces.
         during = []
         stop = threading.Event()
         loop = threading.Thread(

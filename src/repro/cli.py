@@ -635,7 +635,8 @@ def _format_epochs(epochs: dict) -> str:
                           key=lambda kv: int(kv[0])))
             lines.append(
                 f"shard {shard.get('shard')}  "
-                f"alive={shard.get('alive')} epoch={shard.get('epoch')} "
+                f"alive={shard.get('alive')} pid={shard.get('pid')} "
+                f"epoch={shard.get('epoch')} "
                 f"base={shard.get('epoch_base')} versions=[{versions}]")
     else:
         versions = ", ".join(

@@ -259,29 +259,6 @@ class KOSREngine:
             payload["index_file_bytes"] = self._index_file.size_bytes
         return payload
 
-    def _swap_indexes(self, graph: Graph, labels: PackedLabelIndex,
-                      inverted: Dict[CategoryId, PackedInvertedIndex]
-                      ) -> None:
-        """Adopt a rebuilt graph + index state wholesale — the one place
-        a structure update lands (:meth:`update_edge`, and a shard
-        worker's fenced commit), so everything derived from the old
-        state goes with it.
-
-        ``epoch_base`` moves past the outgoing epoch (the fresh indexes
-        restart their version counters at zero, and every session cache
-        must see a wholesale change); the cached CH and the saved-file
-        path SK-DB reads are dropped; an attached index file is released
-        (the mapping goes away with its last view — warm sessions may
-        hold some until their next validation).
-        """
-        self._epoch_base = self.index_epoch + 1
-        self.graph, self.labels, self.inverted = graph, labels, inverted
-        self._ch = None
-        self._store = None
-        if self._index_file is not None:
-            self._index_file.close()
-            self._index_file = None
-
     # ------------------------------------------------------------------
     # Index epoch + service access
     # ------------------------------------------------------------------
@@ -376,13 +353,22 @@ class KOSREngine:
         (:func:`~repro.labeling.order.hub_order`), exactly as a fresh
         build of it would.  The cached CH, the saved-file path SK-DB
         reads and any attached index file are dropped (all stale after a
-        structure change), and the index epoch moves past every previous
-        value.
+        structure change; the mapping goes away with its last view —
+        warm sessions may hold some until their next validation).
+        ``epoch_base`` moves past the outgoing epoch: the fresh indexes
+        restart their version counters at zero, and every session cache
+        must see a wholesale change.
         """
         self._require_indexes()
         _updates.apply_edge_mutation(self.graph, u, v, weight)
         labels, inverted = assemble_index(self.graph)
-        self._swap_indexes(self.graph, labels, inverted)
+        self._epoch_base = self.index_epoch + 1
+        self.labels, self.inverted = labels, inverted
+        self._ch = None
+        self._store = None
+        if self._index_file is not None:
+            self._index_file.close()
+            self._index_file = None
 
     def compact(self) -> None:
         """Drop the garbage that run edits left in every category's buffers.

@@ -161,17 +161,18 @@ def _levels_of(row: Row) -> List[float]:
 def _levels(agg: MethodAggregate) -> Row:
     """Fig. 5: mean examined routes per category level."""
     return {f"level_{i}": count / max(1, agg.num_queries)
-            for i, count in enumerate(agg.per_level_examined)}
+            for i, count in enumerate(agg.totals.per_level_examined)}
 
 
 def _breakdown(agg: MethodAggregate) -> Row:
     """Table X: NN / queue / estimation / other split, ms per query."""
     per_query = 1000.0 / max(1, agg.num_queries)
-    overall = per_query * agg.total_time_s
-    nn = per_query * agg.nn_time_s
-    queue = per_query * agg.queue_time_s
-    est = per_query * agg.estimation_time_s
-    load = per_query * agg.index_load_time_s
+    totals = agg.totals
+    overall = per_query * totals.total_time
+    nn = per_query * totals.nn_time
+    queue = per_query * totals.queue_time
+    est = per_query * totals.estimation_time
+    load = per_query * totals.index_load_time
     return {"overall_ms": overall, "nn_query_ms": nn, "queue_ms": queue,
             "estimation_ms": est,
             "other_ms": max(0.0, overall - nn - queue - est - load)}

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.api import QueryOptions
 from repro.core.engine import KOSREngine
@@ -54,20 +54,14 @@ def _remove_quietly(path: str) -> None:
 
 @dataclass
 class MethodAggregate:
-    """Aggregated outcome of one method over one workload."""
+    """Aggregated outcome of one method over one workload: ``totals``
+    sums the queries' :class:`QueryStats` through :meth:`QueryStats.merge`
+    (counters, per-level examined counts and the Table X timers)."""
 
     label: str
     num_queries: int = 0
     unfinished: int = 0
-    total_time_s: float = 0.0
-    total_examined: int = 0
-    total_nn_queries: int = 0
-    per_level_examined: List[int] = field(default_factory=list)
-    #: summed Table X components (seconds)
-    nn_time_s: float = 0.0
-    queue_time_s: float = 0.0
-    estimation_time_s: float = 0.0
-    index_load_time_s: float = 0.0
+    totals: QueryStats = field(default_factory=QueryStats)
 
     @property
     def mean_time_ms(self) -> float:
@@ -76,35 +70,25 @@ class MethodAggregate:
             return INF
         if self.unfinished:
             return INF
-        return 1000.0 * self.total_time_s / self.num_queries
+        return 1000.0 * self.totals.total_time / self.num_queries
 
     @property
     def mean_examined(self) -> float:
         if self.num_queries == 0:
             return INF
-        return self.total_examined / self.num_queries
+        return self.totals.examined_routes / self.num_queries
 
     @property
     def mean_nn_queries(self) -> float:
         if self.num_queries == 0:
             return INF
-        return self.total_nn_queries / self.num_queries
+        return self.totals.nn_queries / self.num_queries
 
     def add(self, stats: QueryStats) -> None:
         self.num_queries += 1
         if not stats.completed:
             self.unfinished += 1
-        self.total_time_s += stats.total_time
-        self.total_examined += stats.examined_routes
-        self.total_nn_queries += stats.nn_queries
-        self.nn_time_s += stats.nn_time
-        self.queue_time_s += stats.queue_time
-        self.estimation_time_s += stats.estimation_time
-        self.index_load_time_s += stats.index_load_time
-        for level, count in enumerate(stats.per_level_examined):
-            while len(self.per_level_examined) <= level:
-                self.per_level_examined.append(0)
-            self.per_level_examined[level] += count
+        self.totals.merge(stats)
 
 
 def run_workload(

@@ -2,7 +2,7 @@
 
 Every place that needs a queryable index — a fresh build, prebuilt
 labels, an attached index file, a shard worker's category subset, a
-fleet's staged edge update, a structure-update rebuild — goes through
+structure-update rebuild — goes through
 :func:`assemble_index`, so "which labels, which categories, from the
 file or built privately" is decided in one function.
 """

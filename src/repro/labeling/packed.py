@@ -179,8 +179,9 @@ class PackedLabelIndex:
         return (self._order,) + self._lin.sections() + self._lout.sections()
 
     def __reduce__(self):
-        # Sections travel as raw bytes (what ``prepare_edge`` ships over
-        # the worker pipes); the receiver owns a private copy.
+        # Sections travel as raw bytes (a shard worker's start-up
+        # arguments under the spawn start method); the receiver owns a
+        # private copy.
         return (_labels_from_bytes,
                 ([view.tobytes() for view in self.sections()],))
 

@@ -112,9 +112,10 @@ def apply_edge_mutation(graph: Graph, u: Vertex, v: Vertex,
     The shared primitive of every structure-update path: a weight change
     is the paper's remove-insert pair, ``weight=None`` deletes (raising
     ``KeyError`` when the edge does not exist, before any state moved).
-    The sharded fence protocol relies on parent and workers mutating
-    their own graph copies through this one function so the resulting
-    graphs — and therefore the rebuilt labels — are identical.
+    :meth:`KOSREngine.update_edge` and the fleet's ``update_edge`` both
+    mutate through this one function, so an engine and a fleet given the
+    same update hold identical graphs — and therefore identical rebuilt
+    labels.
     """
     if weight is None:
         graph.remove_edge(u, v)

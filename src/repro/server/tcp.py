@@ -310,8 +310,9 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
             # without touching the process.
             "index_memory": served.index_memory(),
             # Index epoch + per-category version counters (per shard on
-            # a fleet), so operators can watch updates — including a
-            # fenced edge swap — land without touching the process.
+            # a fleet, with each worker's pid), so operators can watch
+            # updates — an edge update's replacement workers too — land
+            # without touching the process.
             "epochs": served.epoch_info(),
         }}
 

@@ -23,9 +23,10 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
   worker and return only once all have acknowledged, so the next request
   (to any shard) observes the update exactly like a cold engine would;
   each worker's own epoch-versioned session cache handles invalidation.
-  ``update_edge`` works live too: a parent-side background label rebuild
-  followed by an epoch-fenced prepare/commit swap (queries keep serving
-  the old index until the fence commits).
+  ``update_edge`` works live too: a parent-side background label rebuild,
+  then one replacement worker per shard started from the post-update
+  state and swapped in once all have answered (queries keep serving the
+  old workers until then).
 * **Broadcast recovery** — a worker that fails an update exchange gets a
   bounded retry, then is quarantined and respawned from the parent's
   current state (re-attaching the shared index file and replaying
@@ -37,9 +38,11 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
   to exit, and escalates to ``terminate()``, then ``kill()``, only
   after a grace period.
 
-One of each mechanism: :meth:`_spawn` creates a worker, :meth:`_reap`
-ends one, :meth:`_dispatch` is a query's one exchange, :meth:`_fan_out`
-runs a broadcast's exchange on several shards at once.
+One of each mechanism: :meth:`_spawn` creates a worker,
+:meth:`_start_workers` starts a whole fleet (construction and the edge
+update's replacements), :meth:`_reap` ends one, :meth:`_dispatch` is a
+query's one exchange, :meth:`_fan_out` runs a broadcast's exchange on
+several shards at once.
 ``_spawn`` is also where tests plug in a fake transport
 (``tests/fleet_fakes.py``): faults are injected there, never here.
 
@@ -50,6 +53,7 @@ front-end's thread pool exploits).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing as mp
 import threading
@@ -161,24 +165,10 @@ class ShardedQueryService:
         #: workers echo them so stale replies from abandoned (timed-out)
         #: exchanges are discarded instead of answering a later request
         self._seqs = [0] * num_shards
-        # Every worker is started before the first startup handshake is
-        # awaited, so the fleet's index builds overlap.  Each worker
-        # reports health (or its build error) as exchange 0 once its
-        # engine + service exist; the request timeout does not apply —
-        # index builds legitimately take minutes on large graphs, so the
-        # handshake waits as long as the worker process lives.  On any
-        # failure the already-spawned workers are torn down before
-        # re-raising — a caller that catches and retries must not
-        # accumulate orphaned resident fleets.
         try:
-            for shard in range(num_shards):
-                self._spawn(shard)
-            for shard in range(num_shards):
-                self._recv(shard, 0, timeout_s=float("inf"))
+            self._start_workers()
         except BaseException:
             self._closed = True
-            for shard in range(num_shards):
-                self._reap(shard)
             self._cleanup_index_file()
             raise
 
@@ -215,13 +205,39 @@ class ShardedQueryService:
         self._conns[shard] = parent_conn
         self._procs[shard] = proc
 
+    def _start_workers(self) -> None:
+        """Start a worker on every shard, then await every handshake.
+
+        Every worker is started before the first startup handshake is
+        awaited, so the fleet's index builds overlap.  Each worker
+        reports health (or its build error) as exchange 0 once its
+        engine + service exist; the request timeout does not apply —
+        index builds legitimately take minutes on large graphs, so the
+        handshake waits as long as the worker process lives.  On any
+        failure the workers started here are reaped before re-raising —
+        a caller that catches and retries must not accumulate orphaned
+        resident fleets.
+        """
+        started = []
+        try:
+            for shard in range(self.num_shards):
+                self._spawn(shard)
+                started.append(shard)
+            for shard in started:
+                self._recv(shard, 0, timeout_s=float("inf"))
+        except BaseException:
+            for shard in started:
+                self._reap(shard)
+            raise
+
     def _reap(self, shard: int, grace_s: float = 2.0) -> None:
         """End ``shard``'s worker process (if spawned) and close its pipe.
 
         The only terminate → join → kill ladder (failed startup,
-        quarantine, :meth:`close`).  SIGTERM can be lost — it is when it
-        lands in the first instants after fork of a process with a
-        Python-level handler; SIGKILL cannot.
+        quarantine, the workers an edge update replaced, :meth:`close`).
+        SIGTERM can be lost — it is when it lands in the first instants
+        after fork of a process with a Python-level handler; SIGKILL
+        cannot.
         """
         proc, conn = self._procs[shard], self._conns[shard]
         if proc is None:
@@ -268,7 +284,8 @@ class ShardedQueryService:
 
     @property
     def index_epoch(self) -> int:
-        """Router-level update counter (bumped per synchronized broadcast)."""
+        """Router-level update counter (bumped per synchronized broadcast
+        and per edge update)."""
         return self._epoch
 
     def __enter__(self) -> "ShardedQueryService":
@@ -345,8 +362,7 @@ class ShardedQueryService:
                               shard=shard).observe(clock.now() - t0)
         return payload
 
-    def _update_exchange(self, shard: int, msg: tuple,
-                         resend_after_respawn: bool = True):
+    def _update_exchange(self, shard: int, msg: tuple):
         """One update exchange with bounded retry, then respawn recovery.
 
         Holds the shard lock across the *whole* recovery, so no query
@@ -354,21 +370,15 @@ class ShardedQueryService:
 
         1. ordinary exchange; on failure, up to ``update_retries``
            resends.  Every update message is idempotent — category
-           updates early-return when membership already matches,
-           ``prepare_edge`` restages, ``commit_edge`` checks its fence —
-           and the sequence protocol discards a slow first reply, so a
+           updates early-return when membership already matches — and
+           the sequence protocol discards a slow first reply, so a
            retry after a *timeout* (rather than a death) cannot
            double-apply or cross wires.
         2. quarantine-and-respawn: the worker process is terminated
            (killing a hung one) and replaced from the parent's current
            state (:meth:`_respawn_worker_locked`), then the message is
-           resent once — except when the respawn itself already implies
-           the message's effect (``commit_edge`` after the parent
-           adopted the post-update state), where the caller passes
-           ``resend_after_respawn=False``.
-        3. failure past that propagates; the caller decides whether the
-           fleet is diverged (commit path) or cleanly abortable (prepare
-           path).
+           resent once.
+        3. failure past that propagates; the caller poisons the fleet.
         """
         with self._locks[shard]:
             for _ in range(1 + self.update_retries):
@@ -377,8 +387,6 @@ class ShardedQueryService:
                 except ShardError:
                     continue
             self._respawn_worker_locked(shard)
-            if not resend_after_respawn:
-                return None
             return self._exchange_locked(shard, msg)
 
     def _respawn_worker_locked(self, shard: int) -> None:
@@ -552,8 +560,7 @@ class ShardedQueryService:
         """One plain exchange of ``msg`` with every worker (shard order)."""
         return self._fan_out(self._dispatch, msg, range(self.num_shards))
 
-    def _broadcast_update(self, msg: tuple,
-                          resend_after_respawn: bool = True) -> None:
+    def _broadcast_update(self, msg: tuple) -> None:
         """An update broadcast that must leave *every* worker consistent.
 
         A worker that fails its exchange gets a bounded retry, then the
@@ -566,9 +573,8 @@ class ShardedQueryService:
         rebuilt.
         """
         try:
-            self._fan_out(partial(self._update_exchange,
-                                  resend_after_respawn=resend_after_respawn),
-                          msg, range(self.num_shards))
+            self._fan_out(self._update_exchange, msg,
+                          range(self.num_shards))
         except BaseException as exc:
             self._diverged = (
                 f"update broadcast {msg[0]!r} failed mid-fleet even after "
@@ -612,35 +618,26 @@ class ShardedQueryService:
     def update_edge(self, u: Vertex, v: Vertex, weight) -> None:
         """Apply one edge insert/change/delete to the running fleet.
 
-        Zero-downtime, in three phases:
+        Zero-downtime: the parent rebuilds the hub labels from a scratch
+        *copy* of its graph with the edge applied, holding no shard
+        lock, so the fleet keeps serving queries from the old workers
+        for the whole (dominant) label-build time.  Then, under every
+        shard lock, it starts one replacement worker per shard from the
+        post-update graph and labels (:meth:`_start_workers`, as at
+        construction) and swaps them in only once all have answered;
+        the old workers are reaped.  Queries racing the update observe
+        the old fleet or the new one, never a mix, and post-update
+        answers are bit-identical to a fresh unsharded engine built from
+        the updated graph.  The saved index file is obsolete wholesale,
+        and the pending-update log with it: the replacements, and any
+        later recovery respawn, build from private labels that already
+        include everything.
 
-        1. **Background rebuild** — the parent rebuilds the hub labels
-           from a scratch *copy* of its graph with the edge applied.  No
-           shard lock is held, so the fleet keeps serving queries from
-           the old index for the whole (dominant) label-build time.
-        2. **Prepare** — the new labels ship to every worker over the
-           sequence-stamped pipes; each stages a post-update engine
-           state (graph copy + shipped labels + rebuilt inverted indexes
-           for its materialised categories) without serving it.  A shard
-           that fails even after retry/respawn recovery aborts the whole
-           update: staged state is discarded fleet-wide, nothing was
-           committed anywhere, and the fleet keeps serving the *old*
-           index consistently — the error re-raises without poisoning.
-        3. **Epoch-fenced commit** — the parent first adopts the
-           post-update state itself (graph, labels; the pre-update index
-           file is retired), then broadcasts the fence: each worker
-           atomically swaps its staged state in, moving its engine's
-           ``epoch_base`` past every old epoch so session caches drop
-           wholesale.  A worker that fails its commit is quarantined and
-           respawned from the parent's already-committed state (so no
-           resend is needed); only if that recovery fails does the fleet
-           poison — divergence still fails fast.
-
-        Queries racing the update observe either the old state or the
-        new — each worker's swap is atomic under its shard lock — and
-        post-commit answers are bit-identical to a fresh unsharded
-        engine built from the updated graph (pinned by the sharded fuzz
-        and fault-injection suites).
+        If a replacement fails to start, the ones started are reaped,
+        the parent's pre-update graph, labels and index file are
+        restored and the error re-raises: the old workers never stopped
+        serving, so the fleet is not poisoned.  A replacement is not a
+        recovery, so :attr:`shard_respawns` does not move.
         """
         if self.labels is None:
             raise QueryError(
@@ -650,43 +647,36 @@ class ShardedQueryService:
             self._require_consistent()
             self.graph._check_vertex(u)
             self.graph._check_vertex(v)
-            # Phase 1: rebuild labels against a scratch copy; an invalid
-            # mutation (deleting a missing edge) raises here, before any
-            # parent or worker state moved.
-            work = self.graph.copy()
-            apply_edge_mutation(work, u, v, weight)
-            labels = assemble_index(work, categories=()).labels
-            fence = self._epoch + 1
-            # Phase 2: prepare (recoverable per shard, abortable: a
-            # failure past recovery is a clean abort, not divergence).
-            try:
-                self._fan_out(self._update_exchange,
-                              ("prepare_edge", fence, u, v, weight, labels),
-                              range(self.num_shards))
-            except BaseException:
-                # Best effort, per shard: state left staged on a worker
-                # that cannot hear this is never served — the next
-                # prepare restages over it.
+            # An invalid mutation (deleting a missing edge) raises here,
+            # before any parent or worker state moved.
+            graph = self.graph.copy()
+            apply_edge_mutation(graph, u, v, weight)
+            labels = assemble_index(graph, categories=()).labels
+            with contextlib.ExitStack() as held:
+                for lock in self._locks:
+                    held.enter_context(lock)
+                if self._closed:
+                    raise ShardError(-1, "service is closed")
+                before = (self.graph, self.labels, self.index_path)
+                retired = (self._conns, self._procs)
+                # _spawn ships the parent's current state into the live
+                # slots: point both at the replacements.
+                self.graph, self.labels, self.index_path = graph, labels, None
+                self._conns, self._procs = list(retired[0]), list(retired[1])
+                try:
+                    self._start_workers()
+                except BaseException:
+                    self.graph, self.labels, self.index_path = before
+                    self._conns, self._procs = retired
+                    raise
+                fresh = (self._conns, self._procs)
+                self._conns, self._procs = retired
                 for shard in range(self.num_shards):
-                    try:
-                        self._dispatch(shard, ("abort_edge", fence))
-                    except Exception:
-                        pass
-                raise
-            # Phase 3: commit.  The parent adopts the post-update state
-            # *before* fencing the workers: a worker respawned during
-            # the commit broadcast is built from this state — already
-            # post-update, which is why the commit needs no resend.
-            # The saved index file is obsolete wholesale, and the
-            # pending-update log with it: recovery spawns now build
-            # from a graph + labels that already include everything.
-            apply_edge_mutation(self.graph, u, v, weight)
-            self.labels = labels
+                    self._reap(shard)
+                self._conns, self._procs = fresh
             self._cleanup_index_file()
-            self.index_path = None
             self._stale_log.clear()
-            self._broadcast_update(("commit_edge", fence),
-                                   resend_after_respawn=False)
+            self._epoch += 1
 
     # ------------------------------------------------------------------
     # Observability + lifecycle
@@ -713,16 +703,18 @@ class ShardedQueryService:
     def epoch_info(self) -> Dict[str, object]:
         """Fleet epoch/version counters (operator-facing).
 
-        The router-level broadcast counter plus every worker's engine
-        epoch split (``epoch_base`` vs per-category ``version``
-        counters) — the view an operator watches to see a fenced edge
-        swap commit shard by shard.  Served in the TCP
+        The router-level update counter plus every worker's pid and
+        engine epoch split (``epoch_base`` vs per-category ``version``
+        counters) — the view an operator watches to see an update land
+        shard by shard.  An edge update replaces every worker, and a
+        replacement (like a recovered worker) restarts at epoch 0, so
+        its landing shows as a new ``pid``.  Served in the TCP
         ``{"stats": true}`` reply and by ``cli metrics --stats``.
         """
         shards = []
         for report in self.ping():
             shards.append({key: report.get(key)
-                           for key in ("shard", "alive", "epoch",
+                           for key in ("shard", "alive", "pid", "epoch",
                                        "epoch_base", "category_versions")})
         return {"router_epoch": self._epoch, "shards": shards}
 

@@ -39,12 +39,13 @@ Pipe protocol
 Messages are ``(kind, seq, *args)``; every one is answered exactly once
 with ``("ok", seq, payload)`` or ``("err", seq, exception)``, and the
 echoed sequence number lets the parent drop the reply to an exchange it
-already abandoned.  :data:`HANDLERS` is the whole vocabulary, 13 kinds:
+already abandoned.  :data:`HANDLERS` is the whole vocabulary, 10 kinds:
 ``query`` and ``stream`` (a query that first sends one interim
 ``("route", seq, result)`` frame per discovered route); ``update`` and
-``compact``; ``prepare_edge`` / ``commit_edge`` / ``abort_edge`` (the
-fenced edge swap); ``stale`` (pending-update replay after a respawn);
-the probes ``ping``, ``stats``, ``metrics``, ``memory``; ``shutdown``.
+``compact``; ``stale`` (pending-update replay after a respawn); the
+probes ``ping``, ``stats``, ``metrics``, ``memory``; ``shutdown``.
+An edge update sends no message: the parent starts replacement workers
+from the post-update graph and labels and reaps these.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from repro.core.query import KOSRQuery
 from repro.exceptions import QueryError, ReproError
 from repro.labeling.assembly import assemble_index
 from repro.labeling.mmap_index import MmapIndexFile
-from repro.labeling.updates import apply_edge_mutation
 from repro.obs.metrics import REGISTRY
 from repro.service.service import QueryService
 from repro.types import CategoryId
@@ -88,9 +88,6 @@ HANDLERS = {
     "stream": "stream_query",        # same, "route" frames ahead of it
     "update": "apply_update",        # "add"|"remove", v, cid -> index epoch
     "compact": "compact",            # -> index epoch
-    "prepare_edge": "prepare_edge",  # fence, u, v, weight, labels -> fence
-    "commit_edge": "commit_edge",    # fence -> index epoch
-    "abort_edge": "abort_edge",      # fence -> whether it was staged
     "stale": "mark_stale",           # cids -> every stale category
     "ping": "health",                # -> health report
     "stats": "cache_stats",          # -> session-cache counters
@@ -152,9 +149,9 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId],
 
 
 class _ShardWorker:
-    """One worker's protocol state (stale file sections, the staged
-    edge update, the last committed fence) over a plain engine — one
-    whose ``inverted`` map covers a category subset — and warm service.
+    """One worker's protocol state (its stale file sections) over a
+    plain engine — one whose ``inverted`` map covers a category subset —
+    and warm service.
     """
 
     def __init__(self, conn, service, owned: List[CategoryId], shard: int):
@@ -170,24 +167,15 @@ class _ShardWorker:
         #: fault-in must rebuild from the (updated) graph + labels
         #: instead of attaching the pre-update file sections
         self._stale_cids: set = set()
-        #: (fence, graph, labels, inverted) staged by ``prepare_edge``,
-        #: served only after the matching ``commit_edge``
-        self._staged = None
-        #: the last committed edge fence — makes commit retries (lost
-        #: replies, post-respawn resends) idempotent
-        self._committed_fence: Optional[int] = None
-
-    def _require_labels(self, what: str) -> None:
-        if self.engine.labels is None:
-            raise QueryError(
-                "this shard worker was built without labels "
-                f"(build_labels=False); {what}")
 
     # ------------------------------------------------------------------
     def ensure_categories(self, categories) -> None:
         """Fault in inverted indexes this query needs but the shard lacks."""
         engine = self.engine
-        self._require_labels("label-backend plans cannot be served")
+        if engine.labels is None:
+            raise QueryError(
+                "this shard worker was built without labels "
+                "(build_labels=False); label-backend plans cannot be served")
         for cid in categories:
             if cid in engine.inverted:
                 continue
@@ -275,60 +263,6 @@ class _ShardWorker:
             if il is not None and il.shared:
                 del inverted[cid]
         return sorted(self._stale_cids)
-
-    # ------------------------------------------------------------------
-    # Epoch-fenced edge updates
-    # ------------------------------------------------------------------
-    def prepare_edge(self, fence: int, u: int, v: int, weight,
-                     labels) -> int:
-        """Stage the post-edge-update engine state; keep serving the old.
-
-        The parent already rebuilt the (expensive, topology-only) hub
-        labels once for the whole fleet; this worker applies the same
-        edge mutation to a *copy* of its graph and rebuilds only its own
-        materialised categories' inverted indexes against the shipped
-        labels.  Nothing the query path reads changes until
-        :meth:`commit_edge` swaps the staged state in — queries racing
-        the prepare keep answering from the old index.
-        """
-        engine = self.engine
-        self._require_labels("edge updates cannot be staged")
-        graph = engine.graph.copy()
-        apply_edge_mutation(graph, u, v, weight)
-        labels, inverted = assemble_index(
-            graph, labels, categories=list(engine.inverted))
-        self._staged = (fence, graph, labels, inverted)
-        return fence
-
-    def commit_edge(self, fence: int) -> int:
-        """Atomically swap the staged state in; returns the new epoch.
-
-        Idempotent per fence: a retried commit (the reply got lost, or
-        the parent resent after recovering this worker's pipe) finds the
-        fence already committed and acknowledges again without touching
-        the engine.
-        """
-        engine = self.engine
-        staged = self._staged
-        if staged is None or staged[0] != fence:
-            if self._committed_fence == fence:
-                return engine.index_epoch
-            raise ValueError(
-                f"commit_edge fence {fence} does not match staged state "
-                f"({'fence %d' % staged[0] if staged else 'nothing staged'})")
-        self._staged = None
-        engine._swap_indexes(*staged[1:])
-        self._stale_cids.clear()
-        self._committed_fence = fence
-        return engine.index_epoch
-
-    def abort_edge(self, fence: int) -> bool:
-        """Discard a staged edge update (prepare failed on some shard)."""
-        staged = self._staged
-        if staged is not None and staged[0] == fence:
-            self._staged = None
-            return True
-        return False
 
     def health(self) -> dict:
         engine = self.engine

@@ -869,7 +869,7 @@ class TestIndexBuildAndMmapQuery:
 
 class TestDocsCliLines:
     """tools/check_docs.py parses every documented ``repro.cli`` line and
-    holds the metric catalogue to the code."""
+    holds the metric catalogue and the pipe-protocol table to the code."""
 
     @pytest.fixture(scope="class")
     def check_docs(self):
@@ -912,6 +912,22 @@ class TestDocsCliLines:
                                       "repro_shard_fanout_total")
         assert findings[1] == ("metric repro_tcp_errors_total has no "
                                "catalogue row")
+
+    def test_protocol_table_matches_the_handlers(self, check_docs, tmp_path,
+                                                 monkeypatch):
+        assert check_docs.check_protocol() == []
+        text = check_docs.PROTOCOL.read_text()
+        row = next(line for line in text.splitlines()
+                   if line.startswith("| `compact` |"))
+        stale = tmp_path / "architecture.md"
+        stale.write_text(text.replace(row, (
+            "| `commit_edge` | `fence` | index epoch |")))
+        monkeypatch.setattr(check_docs, "PROTOCOL", stale)
+        findings = sorted(what for _, _, what in check_docs.check_protocol())
+        assert findings == [
+            "message kind compact has no row in the pipe-protocol table",
+            "pipe-protocol row names commit_edge, which worker.HANDLERS "
+            "does not answer"]
 
 
 TINY_FIGURE = ["--scale", "0.05", "--queries", "1"]

@@ -115,6 +115,29 @@ class TestRunner:
         agg = MethodAggregate(label="x")
         assert math.isinf(agg.mean_time_ms)
 
+    def test_aggregate_sums_through_merge(self):
+        """``add`` accumulates every query's stats into one
+        :class:`QueryStats`, the same as merging them by hand."""
+        from repro.core.stats import QueryStats
+
+        a = QueryStats(examined_routes=5, nn_queries=3, total_time=0.002,
+                       nn_time=0.001, per_level_examined=[2, 3])
+        b = QueryStats(examined_routes=7, nn_queries=4, total_time=0.004,
+                       queue_time=0.0005, per_level_examined=[1, 2, 4],
+                       completed=False)
+        agg = MethodAggregate(label="x")
+        agg.add(a)
+        agg.add(b)
+        merged = QueryStats()
+        merged.merge(a)
+        merged.merge(b)
+        assert agg.totals == merged
+        assert agg.totals.per_level_examined == [3, 5, 4]
+        assert (agg.num_queries, agg.unfinished) == (2, 1)
+        assert agg.mean_examined == 6.0
+        assert agg.mean_nn_queries == 3.5
+        assert math.isinf(agg.mean_time_ms)  # one query was unfinished
+
 
 TINY = dict(scale=0.05, queries=2)
 #: ``scaling`` sweeps absolute dataset scales; keep those tiny too

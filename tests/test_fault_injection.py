@@ -9,25 +9,21 @@ is lost).  The recovery ladder (retry → quarantine-and-respawn →
 resend) must bring the fleet back to a state whose answers are
 bit-identical to a fresh unsharded engine — results AND ``QueryStats``
 counters — or, when recovery itself is made to fail, the fleet must
-poison and fail fast rather than serve divergent state.  The production
-code carries no fault hook: parent and ``worker_main`` run unchanged.
+poison and fail fast rather than serve divergent state.  An edge update
+starts replacement workers instead of messaging the old ones; one that
+fails to start must roll the update back.  The production code carries
+no fault hook: parent and ``worker_main`` run unchanged.
 """
 
 import random
 
 import pytest
 
-from repro import (
-    KOSREngine,
-    QueryOptions,
-    ShardedQueryService,
-    make_query,
-)
-from repro.exceptions import ShardError
+from repro import KOSREngine, QueryOptions
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 
-from fleet_fakes import InThreadFleet
+from fleet_fakes import FakeContext, InThreadFleet, ThreadProcess
 from test_backend_parity import assert_same_outcome
 
 
@@ -144,107 +140,120 @@ class TestCategoryUpdateFaults:
             sharded.close()
 
 
+class _RecordingFleet(InThreadFleet):
+    """An in-thread fleet that keeps every worker it ever started."""
+
+    def __init__(self, *args, **kwargs):
+        self.started: list = []
+        super().__init__(*args, **kwargs)
+
+    def _spawn(self, shard: int) -> None:
+        super()._spawn(shard)
+        self.started.append(self._procs[shard])
+
+
 class TestEdgeUpdateFaults:
-    def test_worker_dies_mid_prepare(self):
-        """Losing a worker during the prepare phase aborts nothing.
-
-        Prepare is recoverable: the respawned worker (built from the
-        still-pre-update parent state) receives the resent prepare, and
-        the commit then fences the whole fleet as usual.
-        """
-        g = _graph(23)
-        sharded = InThreadFleet(g.copy(), 2)
-        sharded.arm(1, "prepare_edge", "before", "die")
-        try:
-            q = sharded.make_query(0, 30, [0, 1], k=3)
-            sharded.run(q, QueryOptions())
-            sharded.update_edge(0, 1, 0.5)
-            _recovered(sharded)
-            _assert_parity(sharded, q)
-        finally:
-            sharded.close()
-
-    def test_worker_dies_mid_commit(self):
-        """Losing a worker during the epoch-fenced swap still converges.
-
-        The parent adopts the post-update state before fencing, so the
-        replacement worker is built post-update and needs no resend —
-        its first answer is already from the new index.
-        """
-        g = _graph(29)
-        sharded = InThreadFleet(g.copy(), 2)
-        sharded.arm(0, "commit_edge", "before", "die")
-        try:
-            q = sharded.make_query(1, 25, [0, 2], k=3)
-            sharded.run(q, QueryOptions())
-            sharded.update_edge(1, 2, 0.75)
-            _recovered(sharded)
-            _assert_parity(sharded, q)
-        finally:
-            sharded.close()
-
     def test_unrecoverable_prepare_aborts_without_poisoning(
             self, monkeypatch):
-        """A failed prepare rolls back: old index keeps serving.
+        """A replacement that fails to start rolls back: the old
+        workers keep serving.
 
-        One shard's prepare exchange fails past recovery (simulated at
-        the parent's exchange layer, so the workers themselves stay
-        healthy): the update aborts fleet-wide — the other shard's
-        staged state is discarded — the error surfaces to the caller,
-        and the fleet keeps serving the pre-update state consistently.
-        No poison, and a later update still goes through cleanly.
+        The edge update starts one replacement per shard; shard 1's
+        fails its startup handshake (its engine build raises, so the
+        unchanged ``worker_main`` answers exchange 0 with the error).
+        The update raises, the replacement started for shard 0 is
+        reaped, and the fleet keeps serving the pre-update state from
+        the same workers, unpoisoned and with no respawn counted.  A
+        retried update then goes through.
         """
+        from repro.shard import worker
+
         g = _graph(31)
-        sharded = InThreadFleet(g.copy(), 2)
-        sharded.update_retries = 0
+        sharded = _RecordingFleet(g.copy(), 2)
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
             before = sharded.run(q, QueryOptions())
-            original = ShardedQueryService._update_exchange
+            serving = list(sharded._procs)
+            build = worker._build_shard_engine
 
-            def failing(self, shard, msg, resend_after_respawn=True):
-                if msg[0] == "prepare_edge" and shard == 1:
-                    raise ShardError(shard, "prepare lost by test")
-                return original(self, shard, msg,
-                                resend_after_respawn=resend_after_respawn)
+            def failing(graph, labels, owned, index_path=None):
+                if 1 in owned:  # shard 1 owns categories 1 and 3
+                    raise RuntimeError("replacement build failed by test")
+                return build(graph, labels, owned, index_path)
 
-            monkeypatch.setattr(ShardedQueryService, "_update_exchange",
-                                failing)
-            with pytest.raises(ShardError, match="prepare lost"):
+            monkeypatch.setattr(worker, "_build_shard_engine", failing)
+            with pytest.raises(RuntimeError, match="failed by test"):
                 sharded.update_edge(0, 1, 0.5)
             monkeypatch.undo()
 
-            assert sharded._diverged is None  # aborted, not poisoned
+            assert sharded._diverged is None  # rolled back, not poisoned
+            assert sharded.respawns == 0
+            assert sharded._procs == serving
+            assert all(proc.is_alive() for proc in serving)
+            assert len(sharded.started) == 4
+            assert not any(proc.is_alive()
+                           for proc in sharded.started[2:])
             assert_same_outcome(sharded.run(q, QueryOptions()), before)
             _assert_parity(sharded, q)  # graph never moved either
 
             sharded.update_edge(0, 1, 0.5)  # retried update succeeds
+            assert sharded.respawns == 0
+            assert not any(proc.is_alive() for proc in serving)
             _assert_parity(sharded, q)
         finally:
             sharded.close()
 
-    def test_unrecoverable_commit_poisons_the_fleet(self, monkeypatch):
-        """Past the fence there is no rollback: divergence fails fast."""
+    def test_replacement_that_dies_rolls_back(self):
+        """A replacement that dies before its handshake rolls back too.
+
+        Shard 1's replacement is terminated as it starts, so it never
+        answers exchange 0: the parent sees its pipe close, not an error
+        reply.  The update raises :class:`ShardError`, and the old
+        workers keep serving, unpoisoned and with no respawn counted.
+        """
+        from repro.shard.service import ShardError
+
+        class Stillborn(ThreadProcess):
+            def start(self):
+                self.terminate()  # gone before it can send a frame
+                super().start()
+
+        class StillbornContext(FakeContext):
+            Process = Stillborn
+
+        class DyingReplacement(_RecordingFleet):
+            kill_shard = None
+
+            def _spawn(self, shard):
+                self.context = (StillbornContext if shard == self.kill_shard
+                                else FakeContext)
+                super()._spawn(shard)
+
         g = _graph(37)
-        sharded = InThreadFleet(g.copy(), 2)
-        sharded.update_retries = 0
-        sharded.arm(1, "commit_edge", "before", "die")
+        sharded = DyingReplacement(g.copy(), 2)
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)
-            sharded.run(q, QueryOptions())
+            before = sharded.run(q, QueryOptions())
+            serving = list(sharded._procs)
 
-            def denied(self, shard):
-                raise ShardError(shard, "respawn denied by test")
-
-            monkeypatch.setattr(ShardedQueryService,
-                                "_respawn_worker_locked", denied)
-            with pytest.raises(ShardError, match="respawn denied"):
+            sharded.kill_shard = 1
+            with pytest.raises(ShardError):
                 sharded.update_edge(0, 1, 0.5)
-            monkeypatch.undo()
+            sharded.kill_shard = None
 
-            assert sharded._diverged is not None
-            with pytest.raises(ShardError, match="diverged"):
-                sharded.run(q, QueryOptions())
+            assert sharded._diverged is None
+            assert sharded.respawns == 0
+            assert sharded._procs == serving
+            assert all(proc.is_alive() for proc in serving)
+            assert len(sharded.started) == 4
+            assert not any(proc.is_alive()
+                           for proc in sharded.started[2:])
+            assert_same_outcome(sharded.run(q, QueryOptions()), before)
+            _assert_parity(sharded, q)
+
+            sharded.update_edge(0, 1, 0.5)
+            assert sharded.respawns == 0
+            _assert_parity(sharded, q)
         finally:
             sharded.close()
 

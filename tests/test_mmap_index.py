@@ -615,8 +615,9 @@ class TestPipeFraming:
         b.close()
 
     @pytest.mark.parametrize("backing", ["built", "attached"])
-    def test_labels_survive_the_prepare_edge_pipe(self, built, backing):
-        """``prepare_edge`` ships section-backed labels over a worker pipe.
+    def test_labels_survive_a_worker_pipe(self, built, backing):
+        """Section-backed labels pickled over a pipe, as a spawn-method
+        shard worker's start-up arguments are.
 
         The receiver gets a private copy (never a handle on the sender's
         buffer or file) that answers ``distance``, ``path`` and
@@ -632,8 +633,8 @@ class TestPipeFraming:
         sent = engine.labels
         a, b = mp.Pipe()
         try:
-            pipe_send(a, ("prepare_edge", 1, sent))
-            _, _, received = pipe_recv(b)
+            pipe_send(a, sent)
+            received = pipe_recv(b)
         finally:
             a.close()
             b.close()

@@ -163,7 +163,7 @@ class TestShardedParity:
     def test_update_edge_live_parity(self):
         """Edge updates apply fleet-wide without a restart.
 
-        Answers after the epoch-fenced swap must be bit-identical to a
+        Answers from the replacement workers must be bit-identical to a
         fresh unsharded engine built from the post-update graph.
         """
         from repro.labeling.updates import apply_edge_mutation
@@ -182,6 +182,57 @@ class TestShardedParity:
                                 fresh.run(q))
         finally:
             sharded.close()
+
+    def test_update_edge_on_an_mmap_fleet(self, tmp_path):
+        """An edge update on a fleet attached to an index file.
+
+        A category update is pending (the file no longer describes
+        category 0) when the edge update replaces every worker with one
+        built from private post-update labels: the file and the pending
+        log retire, SK-DB (which reads the file) is refused, and a
+        spanning SK query matches a fresh engine.  A later recovery
+        respawns from the same private labels.
+        """
+        from repro.labeling.updates import apply_edge_mutation
+
+        g = _graph(37)
+        path = tmp_path / "fleet.rpli"
+        KOSREngine.build(g).save_index(path)
+        expected = g.copy()
+        with ShardedQueryService(g.copy(), 2, index_path=path) as fleet:
+            joined = next(v for v in range(g.num_vertices)
+                          if not g.has_category(v, 0))
+            fleet.add_vertex_to_category(joined, 0)
+            expected.assign_category(joined, 0)
+            assert fleet._stale_log == {0}
+            pids = {r["pid"] for r in fleet.epoch_info()["shards"]}
+
+            fleet.update_edge(0, 1, 0.25)
+            apply_edge_mutation(expected, 0, 1, 0.25)
+            q = fleet.make_query(3, 30, [0, 1, 3], k=3)
+            assert fleet.router.spans_shards(q.categories)
+            assert_same_outcome(fleet.run(q, QueryOptions()),
+                                KOSREngine.build(expected.copy()).run(q))
+            assert fleet.index_path is None and fleet._stale_log == set()
+            with pytest.raises(QueryError, match="save_index"):
+                fleet.run(q, QueryOptions(method="SK-DB"))
+            info = fleet.epoch_info()
+            assert info["router_epoch"] == 2
+            assert all(r["alive"] and r["pid"] not in pids
+                       for r in info["shards"])
+            assert fleet.respawns == 0
+
+            # Kill one worker: the next update's recovery respawns it
+            # from the parent's private post-update labels.
+            fleet._procs[1].terminate()
+            fleet._procs[1].join(timeout=5)
+            joined = next(v for v in range(g.num_vertices)
+                          if not expected.has_category(v, 1))
+            fleet.add_vertex_to_category(joined, 1)
+            expected.assign_category(joined, 1)
+            assert fleet.respawns == 1
+            assert_same_outcome(fleet.run(q, QueryOptions()),
+                                KOSREngine.build(expected).run(q))
 
     def test_update_edge_rejected_on_topology_only_fleet(self):
         sharded = ShardedQueryService(_graph(31), 2, build_labels=False)
@@ -380,7 +431,7 @@ class TestWorkerProtocol:
         g, _, exchange, _ = worker_conn
         kind, exc = exchange("nonsense")
         assert kind == "err" and isinstance(exc, ValueError)
-        kind, exc = exchange("commit_edge")  # known kind, fence missing
+        kind, exc = exchange("update")  # known kind, arguments missing
         assert kind == "err" and isinstance(exc, TypeError)
         q = make_query(g, 0, 20, [0], k=1)
         kind, exc = exchange("query", q,

@@ -24,6 +24,11 @@ the code under ``src/repro``, both ways:
   a literal name, or a name in a family the code publishes by prefix
   (``sample_totals("repro_cache_", ...)``, ``gauge(f"repro_cache_{name}")``).
 
+And checks the worker pipe-protocol table of ``docs/architecture.md``
+(the table whose header starts ``| kind |``) against
+``repro.shard.worker.HANDLERS``, both ways: every message kind the
+worker answers has a row, and every row names a kind it answers.
+
 Exits nonzero listing each finding, so the CI docs job fails when a
 rename orphans a reference.
 
@@ -71,6 +76,11 @@ FAMILY_RE = re.compile(r"\.sample_totals\(\s*\"(repro_\w+)\""
 #: the metric names in a catalogue row's first cell
 ROW_RE = re.compile(r"^\|([^|]*`repro_[^|]*)\|")
 METRIC_RE = re.compile(r"`(repro_\w+)`")
+
+#: the pipe-protocol table, its header, and the kind in a row's first cell
+PROTOCOL = REPO / "docs" / "architecture.md"
+PROTOCOL_HEADER = "| kind |"
+KIND_RE = re.compile(r"^\|\s*`(\w+)`\s*\|")
 
 
 def markdown_files() -> list:
@@ -178,6 +188,36 @@ def check_catalogue() -> list:
     return findings
 
 
+def protocol_rows(text: str) -> list:
+    """``(line number, kind)`` of every row of the pipe-protocol table."""
+    rows, in_table = [], False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.startswith(PROTOCOL_HEADER):
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and (match := KIND_RE.match(line)):
+            rows.append((lineno, match.group(1)))
+    return rows
+
+
+def check_protocol() -> list:
+    """Findings ``(path, line, what)`` of the table-vs-``HANDLERS`` check."""
+    from repro.shard import worker
+
+    rows = protocol_rows(PROTOCOL.read_text())
+    listed = {kind for _, kind in rows}
+    path = SOURCE / "shard" / "worker.py"
+    code = path.read_text()
+    findings = [(path, code.count("\n", 0, code.index(f'"{kind}":')) + 1,
+                 f"message kind {kind} has no row in the pipe-protocol table")
+                for kind in worker.HANDLERS if kind not in listed]
+    findings += [(PROTOCOL, lineno, f"pipe-protocol row names {kind}, which "
+                  f"worker.HANDLERS does not answer")
+                 for lineno, kind in rows if kind not in worker.HANDLERS]
+    return findings
+
+
 def main() -> int:
     findings = []
     files = markdown_files()
@@ -185,7 +225,8 @@ def main() -> int:
         findings.extend((path.relative_to(REPO), lineno, what)
                         for lineno, what in check_file(path))
     findings.extend((path.relative_to(REPO), lineno, what)
-                    for path, lineno, what in check_catalogue())
+                    for path, lineno, what in
+                    check_catalogue() + check_protocol())
     if findings:
         print(f"{len(findings)} stale doc reference(s):")
         for rel, lineno, what in findings:
@@ -193,7 +234,7 @@ def main() -> int:
         return 1
     print(f"checked {len(files)} markdown file(s): all intra-repo links "
           f"resolve, every repro.cli line parses, and the metric catalogue "
-          f"matches the code")
+          f"and the pipe-protocol table match the code")
     return 0
 
 
