@@ -42,6 +42,7 @@ are operational metrics, not accounting.  `QueryStats` counters, which
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
@@ -255,3 +256,7 @@ def merge_snapshots(snapshots: List[Optional[dict]]) -> dict:
 
 #: The process-wide registry every layer instruments into.
 REGISTRY = MetricsRegistry()
+# A forked child (a shard worker) counts only its own events, as a
+# spawned one does; inherited instruments would merge twice into a fleet
+# snapshot.
+os.register_at_fork(after_in_child=REGISTRY.reset)

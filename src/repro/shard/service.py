@@ -26,12 +26,12 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
   ``update_edge`` works live too: a parent-side background label rebuild,
   then one replacement worker per shard started from the post-update
   state and swapped in once all have answered (queries keep serving the
-  old workers until then).
+  old workers until then).  Either kind of update retires the index file.
 * **Broadcast recovery** — a worker that fails an update exchange gets a
   bounded retry, then is quarantined and respawned from the parent's
-  current state (re-attaching the shared index file and replaying
-  pending updates where one exists); only when recovery itself fails is
-  the fleet poisoned, and then every later query fails fast.
+  current state (its graph, and its index file or labels); only when
+  recovery itself fails is the fleet poisoned, and then every later
+  query fails fast.
 * **Lifecycle** — workers are spawned on construction and health-checked
   via :meth:`ping`; :meth:`close` drains in-flight requests (the
   per-shard request/response protocol is synchronous), asks each worker
@@ -58,7 +58,7 @@ import itertools
 import multiprocessing as mp
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions, require_options
@@ -78,6 +78,14 @@ from repro.types import CategoryId, Vertex
 DEFAULT_TIMEOUT_S = 120.0
 
 
+def _summed(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
+    """Two counter dicts added name by name, as a new dict."""
+    totals = dict(a)
+    for name, value in b.items():
+        totals[name] = totals.get(name, 0) + value
+    return totals
+
+
 class ShardedQueryService:
     """Category-partitioned engines behind a plan-aware router.
 
@@ -93,7 +101,8 @@ class ShardedQueryService:
     (``KOSREngine.save_index`` / the CLI's ``index build``) read-only
     via ``mmap`` — spawn is an open+mmap instead of any index build, and
     the whole fleet shares a single physical index through the OS page
-    cache.  It is also the file the workers answer SK-DB from.
+    cache.  It is also the file the workers answer SK-DB from, until
+    the first category or edge update retires it (``index_path = None``).
 
     Use as a context manager or call :meth:`close`; workers are daemonic,
     so they can never outlive the parent even on an unclean exit.
@@ -122,10 +131,10 @@ class ShardedQueryService:
         #: per shard, workers replaced by the quarantine-and-respawn
         #: recovery path (:attr:`respawns` is their fleet total)
         self.shard_respawns = [0] * num_shards
-        #: categories touched by update broadcasts since the index file
-        #: was written — a respawned mmap worker must not re-attach
-        #: their pre-update file sections (see _respawn_worker_locked)
-        self._stale_log: set = set()
+        #: per shard, the session-cache counters of the workers edge
+        #: updates replaced (see :meth:`cache_stats`)
+        self._retired_stats: List[Dict[str, int]] = [
+            {} for _ in range(num_shards)]
         #: serialises the mutation entry points (category updates,
         #: update_edge, compact) against each other; queries only take
         #: the per-shard locks
@@ -348,13 +357,19 @@ class ShardedQueryService:
         return self._recv(shard, seq, on_route=on_route)
 
     def _dispatch(self, shard: int, msg: tuple, on_route=None):
-        """One synchronous request/response exchange with a worker."""
+        """One synchronous request/response exchange with a worker.
+
+        A ``stats`` reply gains the counts of the workers edge updates
+        replaced on this shard, read under the lock the swap holds.
+        """
         metrics = _METRICS
         timed = metrics.enabled
         if timed:
             t0 = clock.now()
         with self._locks[shard]:
             payload = self._exchange_locked(shard, msg, on_route=on_route)
+            if msg[0] == "stats":
+                payload = _summed(self._retired_stats[shard], payload)
         if timed:
             metrics.counter("repro_shard_requests_total",
                             shard=shard).inc()
@@ -394,15 +409,11 @@ class ShardedQueryService:
 
         The replacement spawns from the parent's *current* graph — whose
         category membership already reflects every applied update — and
-        either re-attaches the shared index file (replaying pending
-        updates by marking the touched categories stale, so fault-ins
-        rebuild them from the current graph instead of the pre-update
-        file sections) or builds fresh from the parent's current labels.
-        Either way the new worker is bit-identical to its fleet-mates
-        before the shard lock is released, so no query can observe a
-        half-recovered shard.  Raises (propagating to the caller's
-        divergence handling) if the replacement fails its startup
-        handshake.
+        its index file (kept only while no update has happened) or its
+        labels, so it is bit-identical to its fleet-mates before the
+        shard lock is released: no query can observe a half-recovered
+        shard.  Raises (propagating to the caller's divergence handling)
+        if the replacement fails its startup handshake.
         """
         if self._closed:
             raise ShardError(shard, "service is closed")
@@ -411,8 +422,6 @@ class ShardedQueryService:
         # Startup handshake (seq 0; the live sequence counter keeps
         # counting — the fresh worker simply echoes whatever it is sent).
         self._recv(shard, 0, timeout_s=float("inf"))
-        if self.index_path is not None and self._stale_log:
-            self._exchange_locked(shard, ("stale", sorted(self._stale_log)))
         self.shard_respawns[shard] += 1
 
     # ------------------------------------------------------------------
@@ -588,9 +597,11 @@ class ShardedQueryService:
         a diverged fleet before any parent state moves, apply the change
         to the parent graph, then broadcast.
 
-        Returns only once all workers acknowledged, so the next request
-        — whichever shard serves it — observes the update (workers'
-        session caches invalidate via their own index epochs).
+        A membership change retires the index file, as an edge update
+        does (``compact`` keeps it).  Returns only once all workers
+        acknowledged, so the next request — whichever shard serves it —
+        observes the update (workers' session caches invalidate via
+        their own index epochs).
         """
         with self._update_lock:
             self._require_consistent()
@@ -600,7 +611,8 @@ class ShardedQueryService:
                     self.graph.assign_category(v, cid)
                 else:
                     self.graph.unassign_category(v, cid)
-                self._stale_log.add(cid)
+                self.index_path = None
+                self._cleanup_index_file()
             self._broadcast_update(msg)
 
     def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
@@ -628,10 +640,10 @@ class ShardedQueryService:
         the old workers are reaped.  Queries racing the update observe
         the old fleet or the new one, never a mix, and post-update
         answers are bit-identical to a fresh unsharded engine built from
-        the updated graph.  The saved index file is obsolete wholesale,
-        and the pending-update log with it: the replacements, and any
-        later recovery respawn, build from private labels that already
-        include everything.
+        the updated graph.  The saved index file is obsolete wholesale:
+        the replacements, and any later recovery respawn, build from
+        private labels that already include everything.  The old
+        workers' cache counters carry over (:meth:`cache_stats`).
 
         If a replacement fails to start, the ones started are reaped,
         the parent's pre-update graph, labels and index file are
@@ -672,10 +684,15 @@ class ShardedQueryService:
                 fresh = (self._conns, self._procs)
                 self._conns, self._procs = retired
                 for shard in range(self.num_shards):
+                    try:
+                        self._retired_stats[shard] = _summed(
+                            self._retired_stats[shard],
+                            self._exchange_locked(shard, ("stats",)))
+                    except Exception:
+                        pass  # a worker that cannot answer loses them
                     self._reap(shard)
                 self._conns, self._procs = fresh
             self._cleanup_index_file()
-            self._stale_log.clear()
             self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -719,11 +736,15 @@ class ShardedQueryService:
         return {"router_epoch": self._epoch, "shards": shards}
 
     def cache_stats(self) -> Dict[str, int]:
-        """Worker session-cache counters summed across all shards."""
+        """Worker session-cache counters summed across all shards.
+
+        The counts of workers an edge update replaced stay in, so no
+        counter falls across :meth:`update_edge`; a worker lost to a
+        recovery respawn takes its counts with it.
+        """
         totals: Dict[str, int] = {}
         for payload in self._broadcast(("stats",)):
-            for name, value in payload.items():
-                totals[name] = totals.get(name, 0) + value
+            totals = _summed(totals, payload)
         return totals
 
     def metrics_snapshot(self) -> dict:
@@ -735,7 +756,9 @@ class ShardedQueryService:
         fleet-wide (identical bucket bounds by construction), while the
         router-side round-trip metrics keep their per-shard labels.
         ``repro_shard_respawns_total`` is read from :attr:`shard_respawns`
-        into a snapshot of its own, so the merge adds it exactly once.
+        into a snapshot of its own, so the merge adds it exactly once;
+        the same snapshot adds the ``repro_cache_*_total`` counts that
+        workers replaced by edge updates carried (:meth:`cache_stats`).
         """
         snapshots = [_METRICS.snapshot()]
         snapshots.extend(self._broadcast(("metrics",)))
@@ -745,6 +768,8 @@ class ShardedQueryService:
                 if count:
                     router.counter("repro_shard_respawns_total",
                                    shard=shard).inc(count)
+            router.sample_totals("repro_cache_",
+                                 reduce(_summed, self._retired_stats, {}))
             snapshots.append(router.snapshot())
         return merge_snapshots(snapshots)
 
@@ -755,7 +780,8 @@ class ShardedQueryService:
         :meth:`~repro.core.engine.KOSREngine.index_memory`) plus its OS
         RSS/USS; the fleet totals make the shared-vs-private story
         visible: an mmap fleet's ``total_resident`` stays a sliver of
-        ``index_file_bytes`` regardless of shard count.
+        ``index_file_bytes`` regardless of shard count.  The parent's
+        ``index_file*`` keys go once an update retires the file.
         """
         shards = self._broadcast(("memory",))
         payload: Dict[str, object] = {

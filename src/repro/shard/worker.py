@@ -28,7 +28,9 @@ Category updates are broadcast to **every** worker: graph membership
 GSP-family methods read it.  A worker edits ``IL(cid)`` only when it
 has that category materialised (owned or previously faulted); otherwise
 it records the membership change alone — a later fault-in rebuilds the
-index from the already-updated graph.  Crucially the worker never
+index from the already-updated graph (an mmap worker attaches the
+file's sections only while ``engine._store`` says the file describes
+the indexes, i.e. before any update).  Crucially the worker never
 creates an *empty* index for an unmaterialised category on the update
 path: that would satisfy later ``cid in inverted`` checks with an index
 missing every pre-existing member.
@@ -39,11 +41,11 @@ Pipe protocol
 Messages are ``(kind, seq, *args)``; every one is answered exactly once
 with ``("ok", seq, payload)`` or ``("err", seq, exception)``, and the
 echoed sequence number lets the parent drop the reply to an exchange it
-already abandoned.  :data:`HANDLERS` is the whole vocabulary, 10 kinds:
+already abandoned.  :data:`HANDLERS` is the whole vocabulary, 9 kinds:
 ``query`` and ``stream`` (a query that first sends one interim
 ``("route", seq, result)`` frame per discovered route); ``update`` and
-``compact``; ``stale`` (pending-update replay after a respawn); the
-probes ``ping``, ``stats``, ``metrics``, ``memory``; ``shutdown``.
+``compact``; the probes ``ping``, ``stats``, ``metrics``, ``memory``;
+``shutdown``.
 An edge update sends no message: the parent starts replacement workers
 from the post-update graph and labels and reaps these.
 """
@@ -88,7 +90,6 @@ HANDLERS = {
     "stream": "stream_query",        # same, "route" frames ahead of it
     "update": "apply_update",        # "add"|"remove", v, cid -> index epoch
     "compact": "compact",            # -> index epoch
-    "stale": "mark_stale",           # cids -> every stale category
     "ping": "health",                # -> health report
     "stats": "cache_stats",          # -> session-cache counters
     "metrics": "metrics_snapshot",   # -> registry snapshot
@@ -149,9 +150,8 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId],
 
 
 class _ShardWorker:
-    """One worker's protocol state (its stale file sections) over a
-    plain engine — one whose ``inverted`` map covers a category subset —
-    and warm service.
+    """The pipe's handlers over a plain engine — one whose ``inverted``
+    map covers a category subset — and its warm service.
     """
 
     def __init__(self, conn, service, owned: List[CategoryId], shard: int):
@@ -162,11 +162,6 @@ class _ShardWorker:
         self.shard = shard
         #: sequence number of the exchange being answered
         self._seq = 0
-        #: categories whose *file* sections went stale: an update
-        #: broadcast touched them while unmaterialised, so a later
-        #: fault-in must rebuild from the (updated) graph + labels
-        #: instead of attaching the pre-update file sections
-        self._stale_cids: set = set()
 
     # ------------------------------------------------------------------
     def ensure_categories(self, categories) -> None:
@@ -180,10 +175,9 @@ class _ShardWorker:
             if cid in engine.inverted:
                 continue
             # Attaching the file's sections is the cheap fault-in, valid
-            # only while no update has touched the category since the
-            # file was written; otherwise build from the current graph.
-            index_file = (None if cid in self._stale_cids
-                          else engine._index_file)
+            # only while the file describes the indexes (no update yet).
+            index_file = (engine._index_file if engine._store is not None
+                          else None)
             engine.inverted.update(assemble_index(
                 engine.graph, engine.labels, categories=[cid],
                 index_file=index_file).inverted)
@@ -204,23 +198,15 @@ class _ShardWorker:
         return self.run_query(
             query, options, lambda res: pipe_send(conn, ("route", seq, res)))
 
-    def _file_went_stale(self, cids) -> None:
-        """The index file no longer describes ``cids``: fault-ins must
-        rebuild them, and SK-DB (which reads the file itself) loses it —
-        the engine drops the path for its own updates the same way."""
-        self._stale_cids.update(cids)
-        self.engine._store = None
-
     def apply_update(self, op: str, v: int, cid: CategoryId) -> int:
         """One broadcast category update; returns the new index epoch.
 
         A materialised category takes the update like any engine's
         would: its edited hub runs are private copies on top of whatever
         base it has.
-        One updated while *unmaterialised* changes membership only and
-        is marked stale: its index-file sections (if any) predate the
-        update, so a later fault-in must rebuild from the updated graph
-        rather than attach them.
+        One updated while *unmaterialised* changes membership only, and
+        the saved file stops describing the indexes, as on the engine's
+        own updates: a later fault-in builds from the updated graph.
         """
         engine = self.engine
         if op not in ("add", "remove"):
@@ -235,34 +221,12 @@ class _ShardWorker:
                 engine.graph.assign_category(v, cid)
             else:
                 engine.graph.unassign_category(v, cid)
-            self._file_went_stale([cid])
+            engine._store = None
         return engine.index_epoch
 
     def compact(self) -> int:
         self.engine.compact()
         return self.engine.index_epoch
-
-    def mark_stale(self, cids) -> list:
-        """Categories updated since the index file was written are stale.
-
-        A freshly (re)spawned mmap worker attaches the file's sections,
-        which predate any updates broadcast after the file was saved.
-        The parent replays those pending updates by naming the touched
-        categories: their file-backed indexes are dropped and marked
-        stale, so the next query fault-ins rebuild them from the
-        worker's update-current graph + labels — bit-identical to an
-        index that was edited live (the fuzz suite pins rebuilt ==
-        edited).  SK-DB reads the file itself, so any pending update
-        takes it away from this worker like it did from its fleet-mates.
-        """
-        inverted = self.engine.inverted
-        if cids:
-            self._file_went_stale(cids)
-        for cid in cids:
-            il = inverted.get(cid)
-            if il is not None and il.shared:
-                del inverted[cid]
-        return sorted(self._stale_cids)
 
     def health(self) -> dict:
         engine = self.engine

@@ -106,14 +106,14 @@ class TestCategoryUpdateFaults:
         finally:
             sharded.close()
 
-    def test_mmap_fleet_replays_pending_updates_on_respawn(self, tmp_path):
+    def test_mmap_fleet_respawn_after_updates_starts_from_private_state(
+            self, tmp_path):
         """A respawned mmap worker must not trust the pre-update file.
 
-        The fleet was spawned attach-only from a saved index; updates
-        since then live only in worker memory.  The replacement worker
-        re-attaches the file, then the parent's stale-category replay
-        forces it to rebuild the touched categories from the updated
-        graph — serving the file's old sections would be divergence.
+        The fleet was spawned attach-only from a saved index; the first
+        update retires that file, so the replacement worker starts from
+        the parent's graph and labels and builds its categories
+        privately — serving the file's old sections would be divergence.
         """
         g = _graph(19)
         first_move = next(v for v in range(g.num_vertices)
@@ -125,16 +125,17 @@ class TestCategoryUpdateFaults:
             q = sharded.make_query(0, 30, [0, 2], k=3)
             sharded.run(q, QueryOptions())
             sharded.add_vertex_to_category(first_move, 2)
-            assert sharded.respawns == 0
+            assert sharded.respawns == 0 and sharded.index_path is None
             # Armed only now: the worker survived the first update and
-            # dies on the second, so by respawn time TWO categories are
-            # pending replay.
+            # dies on the second, so the file went before the respawn.
             sharded.arm(0, "update", "before", "die")
             moved = next(v for v in range(g.num_vertices)
                          if not sharded.graph.has_category(v, 0))
             sharded.add_vertex_to_category(moved, 0)
             _recovered(sharded)
-            assert sharded._stale_log == {0, 2}
+            respawned = sharded.index_memory()["shards"][0]
+            assert "index_file" not in respawned
+            assert respawned["inverted_shared"] == 0
             _assert_parity(sharded, q)
         finally:
             sharded.close()

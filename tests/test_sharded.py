@@ -186,12 +186,12 @@ class TestShardedParity:
     def test_update_edge_on_an_mmap_fleet(self, tmp_path):
         """An edge update on a fleet attached to an index file.
 
-        A category update is pending (the file no longer describes
-        category 0) when the edge update replaces every worker with one
-        built from private post-update labels: the file and the pending
-        log retire, SK-DB (which reads the file) is refused, and a
-        spanning SK query matches a fresh engine.  A later recovery
-        respawns from the same private labels.
+        A category update has already retired the file (it no longer
+        describes category 0) when the edge update replaces every worker
+        with one built from private post-update labels: SK-DB (which
+        reads the file) stays refused, and a spanning SK query matches a
+        fresh engine.  A later recovery respawns from the same private
+        labels.
         """
         from repro.labeling.updates import apply_edge_mutation
 
@@ -204,7 +204,7 @@ class TestShardedParity:
                           if not g.has_category(v, 0))
             fleet.add_vertex_to_category(joined, 0)
             expected.assign_category(joined, 0)
-            assert fleet._stale_log == {0}
+            assert fleet.index_path is None
             pids = {r["pid"] for r in fleet.epoch_info()["shards"]}
 
             fleet.update_edge(0, 1, 0.25)
@@ -213,7 +213,7 @@ class TestShardedParity:
             assert fleet.router.spans_shards(q.categories)
             assert_same_outcome(fleet.run(q, QueryOptions()),
                                 KOSREngine.build(expected.copy()).run(q))
-            assert fleet.index_path is None and fleet._stale_log == set()
+            assert fleet.index_path is None
             with pytest.raises(QueryError, match="save_index"):
                 fleet.run(q, QueryOptions(method="SK-DB"))
             info = fleet.epoch_info()
@@ -233,6 +233,66 @@ class TestShardedParity:
             assert fleet.respawns == 1
             assert_same_outcome(fleet.run(q, QueryOptions()),
                                 KOSREngine.build(expected).run(q))
+
+    def test_mmap_fault_in_after_an_update_builds_from_the_graph(
+            self, tmp_path):
+        """A live worker faults in a category updated since the file was
+        written: it must build it from its updated graph, not attach the
+        file's pre-update sections.
+
+        Category 1 belongs to shard 1 and no query touches it before
+        vertex 10 joins it, so shard 0 first materialises it for the
+        spanning query ``[0, 1]``, whose top-3 the new member changes.
+        """
+        g = _graph(19)
+        path = tmp_path / "fleet.rpli"
+        KOSREngine.build(g).save_index(path)
+        expected = g.copy()
+        expected.assign_category(10, 1)
+        q = make_query(g, 0, 30, [0, 1], k=3)
+        fresh = KOSREngine.build(expected).run(q)
+        assert fresh.costs != KOSREngine.build(g.copy()).run(q).costs
+        with ShardedQueryService(g.copy(), 2, index_path=path) as fleet:
+            assert fleet.shard_for(q, QueryOptions()) == 0
+            fleet.add_vertex_to_category(10, 1)
+            assert fleet.index_path is None
+            assert_same_outcome(fleet.run(q, QueryOptions()), fresh)
+
+    def test_cache_counters_do_not_fall_across_update_edge(
+            self, enabled_registry):
+        """The replaced workers' session counters carry into the fleet's
+        totals — ``cache_stats()`` and the merged ``repro_cache_*_total``
+        alike — so no counter falls when an edge update swaps workers,
+        and no router counter is merged twice."""
+        with ShardedQueryService(_graph(31), 2) as fleet:
+            q = fleet.make_query(0, 30, [0, 1], k=3)
+            for _ in range(3):
+                fleet.run(q, QueryOptions())
+            before = fleet.cache_stats()
+            assert before["finder_hits"] >= 1
+            fleet.update_edge(0, 1, 0.25)
+            after = fleet.cache_stats()
+            assert all(after[name] >= value
+                       for name, value in before.items()), (before, after)
+            fleet.run(q, QueryOptions())
+            later = fleet.cache_stats()
+            assert later["finder_misses"] == before["finder_misses"] + 1
+
+            def counters(snapshot, prefix):
+                return {(m["name"], m["labels"].get("shard")): m["value"]
+                        for m in snapshot["metrics"]
+                        if m["type"] == "counter"
+                        and m["name"].startswith(prefix)}
+
+            router = counters(enabled_registry.snapshot(), "repro_shard_")
+            merged = fleet.metrics_snapshot()
+            assert {name[len("repro_cache_"):-len("_total")]: value
+                    for (name, _), value
+                    in counters(merged, "repro_cache_").items()} == later
+            # The replacements were forked from a parent that had counted
+            # requests; they count only their own, so the merge adds the
+            # router's counters once.
+            assert counters(merged, "repro_shard_") == router
 
     def test_update_edge_rejected_on_topology_only_fleet(self):
         sharded = ShardedQueryService(_graph(31), 2, build_labels=False)
@@ -587,7 +647,7 @@ class TestLifecycle:
                             if not sharded.graph.has_category(v, 1))
             member = next(iter(sharded.graph.members(1)))
             before = (sorted(sharded.graph.members(1)),
-                      set(sharded._stale_log), sharded.index_epoch)
+                      sharded.index_path, sharded.index_epoch)
             for refused in (
                     lambda: sharded.add_vertex_to_category(outsider, 1),
                     lambda: sharded.remove_vertex_from_category(member, 1),
@@ -596,7 +656,7 @@ class TestLifecycle:
                 with pytest.raises(ShardError, match="diverged"):
                     refused()
             assert (sorted(sharded.graph.members(1)),
-                    set(sharded._stale_log), sharded.index_epoch) == before
+                    sharded.index_path, sharded.index_epoch) == before
         finally:
             sharded.close()
 
