@@ -4,7 +4,7 @@ The PR's acceptance scenario.  A packed CAL index is built once and
 saved as a single RPLI file; worker fleets then come up in two modes:
 
 * **private** — the pre-mmap lifecycle: the parent builds (or pickles)
-  the indexes and every worker materialises its own list-backed copy.
+  the indexes and every worker materialises its own copy.
 * **shared** — workers attach read-only to the saved file via ``mmap``;
   the OS page cache holds ONE physical copy of the flat buffers no
   matter how many processes map them.
@@ -22,7 +22,8 @@ Measured and persisted to ``benchmarks/results/bench_mmap_spawn.json``:
   private fleet holds ~4 full copies);
 * per-worker RSS/USS deltas against a topology-only fleet (recorded,
   plus a directional shared-vs-private assertion when the kernel
-  exposes ``smaps_rollup``);
+  exposes ``smaps_rollup``, made on the spawn gate's graph, where one
+  private index copy is several MB and not allocator noise);
 * query throughput on both fleets, with every answer asserted
   bit-identical (witnesses, costs, NN/examined counters) to a fresh
   unsharded cold engine.
@@ -62,16 +63,21 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-@pytest.fixture(scope="module")
-def setting():
-    engine = ds.engine_for("CAL")
-    g = engine.graph
+def _queries(g):
+    """The benchmark's seeded query list over graph ``g``."""
     rng = random.Random(83)
     queries = []
     for _ in range(NUM_QUERIES):
         s, t = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
         cats = rng.sample(range(g.num_categories), C_LEN)
         queries.append(make_query(g, s, t, cats, k=K))
+    return queries
+
+
+@pytest.fixture(scope="module")
+def setting():
+    engine = ds.engine_for("CAL")
+    queries = _queries(engine.graph)
     fd, path = tempfile.mkstemp(prefix="bench-mmap-", suffix=".rpli")
     os.close(fd)
     index_bytes = engine.save_index(path)
@@ -87,7 +93,8 @@ def _spawn(graph, num_shards, index_path=None):
 
 
 def _spawn_gate():
-    """Spawn seconds, shared vs private, on the gate's own graph."""
+    """Spawn seconds and the USS probe, shared vs private, on the gate's
+    own graph and index file."""
     engine = ds.engine_for("CAL", scale=SPAWN_GATE_SCALE)
     fd, path = tempfile.mkstemp(prefix="bench-mmap-gate-", suffix=".rpli")
     os.close(fd)
@@ -99,9 +106,10 @@ def _spawn_gate():
                 service, seconds[f"{mode}_{shards}"] = _spawn(
                     engine.graph, shards, index_path)
                 service.close()
+        uss = _uss_probe(engine.graph, path, _queries(engine.graph))
     finally:
         os.unlink(path)
-    return seconds
+    return seconds, uss
 
 
 def _fleet_report(service, engine, queries):
@@ -183,11 +191,11 @@ def test_spawn_latency_and_fleet_memory(setting):
             spawn_s[f"{mode}_{shards}"] = seconds
 
     baseline_uss = _baseline_uss(g, FLEET_SHARDS)
-    uss_probe = _uss_probe(g, path, queries)
 
     shared4 = fleets[f"shared_{FLEET_SHARDS}"]
     private4 = fleets[f"private_{FLEET_SHARDS}"]
-    gate_s = _spawn_gate()
+    resident_ratio = shared4["unique_index_resident_bytes"] / index_bytes
+    gate_s, uss_probe = _spawn_gate()
     speedup_1 = gate_s["private_1"] / gate_s["shared_1"]
     speedup_4 = gate_s[f"private_{FLEET_SHARDS}"] \
         / gate_s[f"shared_{FLEET_SHARDS}"]
@@ -205,15 +213,16 @@ def test_spawn_latency_and_fleet_memory(setting):
         "index_file_bytes": index_bytes,
         "spawn_seconds": spawn_s,
         "spawn_gate": {"dataset": "CAL", "scale": SPAWN_GATE_SCALE,
-                       "spawn_seconds": gate_s},
+                       "spawn_seconds": gate_s,
+                       "spawn_start_uss_bytes": uss_probe},
         "spawn_speedup_1_shard": speedup_1,
         "spawn_speedup_4_shards": speedup_4,
         "fleets": fleets,
         "baseline_uss_bytes": baseline_uss,
-        "spawn_start_uss_bytes": uss_probe,
         "memory_gate": {
             "shared_fleet_resident_bytes":
                 shared4["unique_index_resident_bytes"],
+            "resident_to_index_file": resident_ratio,
             "limit_bytes": 1.5 * index_bytes,
             "private_fleet_resident_bytes":
                 private4["unique_index_resident_bytes"],
@@ -229,11 +238,13 @@ def test_spawn_latency_and_fleet_memory(setting):
           f"({speedup_4:.1f}x); shared fleet holds "
           f"{shared4['unique_index_resident_bytes'] / 1e6:.2f} MB resident "
           f"vs {index_bytes / 1e6:.2f} MB index file "
-          f"(private: {private4['unique_index_resident_bytes'] / 1e6:.2f} MB)")
+          f"({resident_ratio:.2f}x; private: "
+          f"{private4['unique_index_resident_bytes'] / 1e6:.2f} MB)")
 
     # --- CI memory-regression gate (deterministic, no RSS noise): the
     # whole shared fleet's resident index bytes stay under 1.5x the
-    # index file — N workers, one physical copy plus decode caches.
+    # index file — N workers, one physical copy plus each worker's run
+    # directories (one dict entry per hub run it has read).
     assert shared4["shared"] is True
     assert shared4["unique_index_resident_bytes"] <= 1.5 * index_bytes
     # The private fleet pays the boxed-object copy in EVERY worker.
@@ -250,7 +261,9 @@ def test_spawn_latency_and_fleet_memory(setting):
     # byte counts).  USS charges private pages only — mmap-shared file
     # pages are excluded — so under the `spawn` start method, where a
     # private worker genuinely unpickles its own copy, the shared
-    # workers must sit strictly below the private ones.
+    # workers must sit strictly below the private ones.  Probed on the
+    # gate's graph: there one private copy is several MB per worker, far
+    # above the allocator's noise.
     shared_uss = sum(uss_probe["shared"])
     private_uss = sum(uss_probe["private"])
     if shared_uss > 0 and private_uss > 0:

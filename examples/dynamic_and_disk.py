@@ -4,8 +4,8 @@ Two operational concerns the paper addresses beyond raw querying:
 
 * **category updates** — a venue opens or closes: each hub run of the
   category that the venue's ``Lin`` entries touch gets one binary insert
-  (or delete), applied to a copy of the run appended to the decoded
-  lists; ``engine.compact()`` (or the automatic compaction once the
+  (or delete), applied to a copy of the run appended to the category's
+  private run arrays; ``engine.compact()`` (or the automatic compaction once the
   edits reach ``packed_inverted.COMPACT_RATIO`` = 0.25 of the category)
   rebuilds them without the replaced copies;
 * **disk-resident index (SK-DB)** — when the index exceeds memory, each
@@ -52,10 +52,11 @@ def main() -> None:
     engine.remove_vertex_from_category(new_member, 0)
     engine.compact()
     restored = engine.query(s, t, cats, k=3, method="SK")
+    members = il.runs()[1]
     print(f"after removing it again:   {[round(c, 2) for c in restored.costs]} "
-          f"(compacted: {len(il.members)} decoded entries for "
+          f"(compacted: {len(members)} run entries for "
           f"{il.total_entries} live ones)")
-    assert len(il.members) == il.total_entries
+    assert len(members) == il.total_entries
     assert restored.costs == before.costs
 
     # SK-DB: save the index as one file, run the same query from the

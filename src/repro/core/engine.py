@@ -297,8 +297,8 @@ class KOSREngine:
         """Per-category index version counters (``{}`` before build()).
 
         A category's counter moves with every mutation of its inverted
-        index — run edits and compaction — but not with lazy query-time
-        run decodes, which are purely physical.
+        index — run edits and compaction — but not with query-time reads
+        (the first of which builds the category's run directory).
         Together with :attr:`epoch_base` this is the state a
         :class:`~repro.service.cache.SessionCache` diffs to invalidate
         only the categories an update actually touched.
@@ -374,10 +374,10 @@ class KOSREngine:
         """Drop the garbage that run edits left in every category's buffers.
 
         Query results are unchanged.  Call it after an update burst to
-        return to garbage-free decoded runs instead of waiting for the
+        return to garbage-free runs instead of waiting for the
         per-category ``COMPACT_RATIO`` trigger.  Bumps the index epoch:
-        compaction rebuilds the decoded lists, so session caches
-        re-snapshot rather than trusting warm cursors over them.
+        compaction rebuilds an edited category's run arrays, so session
+        caches re-snapshot rather than trusting warm cursors over them.
         """
         self._epoch_base += 1
         for il in (self.inverted or {}).values():

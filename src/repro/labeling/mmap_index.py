@@ -18,9 +18,9 @@ Why this works where naive ``fork`` sharing does not: CPython reference
 counting writes into every object header it touches, so copy-on-write
 pages holding Python objects go private almost immediately.  The index
 file's pages hold *no* Python objects — just flat little-endian arrays —
-and are mapped ``ACCESS_READ``, so they can never be dirtied: a category
-update copies the hub runs it edits into the process's private decoded
-lists, on top of the mapped base.
+and are mapped ``ACCESS_READ``, so they can never be dirtied: queries
+read the inverted runs in place, and a category update copies the
+category's runs into private arrays, on top of the mapped base.
 """
 
 from __future__ import annotations

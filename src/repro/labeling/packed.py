@@ -24,11 +24,13 @@ by every process that attaches it
 Hot-loop strategy
 -----------------
 
-``memoryview.__getitem__`` re-boxes its element on every access, so no
-hot loop indexes a section per element.  A merge join or a FindNN cursor
-decodes the one or two label runs it is about to scan with
-``view[lo:hi].tolist()`` — a single C-level pass — and then runs over
-plain lists of already-boxed numbers, the fastest pure-Python layout.
+``memoryview.__getitem__`` boxes a new object on every access, so a loop
+that reads every element of a label run — a merge join, a ``dis(·, t)``
+probe, a FindNN seeding's ``Lout`` scan — decodes the run with
+``view[lo:hi].tolist()``, a single C-level pass, and then runs over a
+plain list.  FindNN's merge reads only a few elements of each inverted
+run, so it indexes the inverted sections in place
+(:mod:`repro.labeling.packed_inverted`).
 
 RPLI v2 index file format
 -------------------------

@@ -9,41 +9,43 @@ fresh build) or a read-only ``mmap`` of an index file that every
 attaching process shares through the OS page cache; the class below
 neither knows nor cares which.
 
-Lazy run decode
----------------
+Read state
+----------
 
-``memoryview.__getitem__`` re-boxes its element on every access, so the
-FindNN cursors never index a section per step.  Instead a hub run is
-decoded on first touch — two ``view[lo:hi].tolist()`` calls, one
-C-level pass each — into the process-local ``dists`` / ``members`` lists,
-and ``rank_slices`` maps its hub rank to the ``(lo, hi)`` positions of
-the decoded run.  A FindNN cursor is then just integer positions into
-two lists of already-boxed numbers.  Decoded runs are the only
-per-process copy of the index, proportional to the runs a process's
-queries actually touch.
+FindNN reads the runs where they lie.  :meth:`PackedInvertedIndex.runs`
+hands out one tuple ``(dists, members, directory)``: the two run
+sequences, and a dict from hub rank to the ``(lo, hi)`` positions of
+that hub's run.  Until the category's first edit the sequences are the
+base views themselves.  The directory is read from the hub sections the
+first time the category is read; it is all the read path allocates, one
+dict entry and one tuple per hub run and nothing per label entry.
 
 Category updates
 ----------------
 
 A category update (Sec. IV-C) is applied as soon as it arrives: one
 binary insert of ``(d, v)`` into ``IL(u)`` for each ``(u, d) ∈ Lin(v)``,
-or the matching delete.  :meth:`PackedInvertedIndex.insert` /
-:meth:`~PackedInvertedIndex.remove` copy the hub's run (from the decoded
-lists, or straight from the base sections when the run was never
-decoded), edit the copy with ``bisect``, append it to the decoded lists
-and repoint the slice maps.  The base sections, and so a shared index
-file, are never written.  The old region stays behind as garbage, and
-once the edits since the last compaction exceed :data:`COMPACT_RATIO` of
-the live entry count, :meth:`~PackedInvertedIndex.compact` rebuilds the
-decoded lists garbage-free and lets go of the base.  Because the lists
-only grow between compactions, and a compaction builds new ones, a live
-FindNN merge keeps reading the runs it was seeded over.  A cursor
-re-seeded after a suspension reads the current runs; a serving session
-has dropped the cursors of every category whose ``version`` moved.
+or the matching delete.  The category's first edit copies its run and
+hub sections into private ``array`` s of the same layout and publishes
+them with a copy of the directory.  Each edit then copies the hub's run,
+edits the copy with ``bisect``, appends it to the private arrays and
+repoints the rank in the directory.  The base sections, and so a shared
+index file, are never written.  The old region stays behind as garbage,
+and once the edits since the last compaction exceed
+:data:`COMPACT_RATIO` of the live entry count,
+:meth:`~PackedInvertedIndex.compact` rebuilds the arrays garbage-free,
+publishes them with a new directory and lets go of the base.
 
-Decodes and edits all run under one per-index lock, and each publishes
-its slice only after the data it points at, so threads sharing an index
-read already-settled runs without taking it.
+Readers take no lock.  The read-state tuple is swapped only by a first
+edit or a compaction, a FindNN seeding reads it once, and an in-place
+edit appends its data before it repoints the rank, so a live merge keeps
+reading the runs it was seeded over.  A cursor re-seeded after a
+suspension reads the current runs; a serving session has dropped the
+cursors of every category whose ``version`` moved.  Edits, compactions,
+the first read and the whole-index views run under one per-index lock.
+No view of a private array is ever handed out (an ``array`` cannot grow
+while one exists), so :meth:`~PackedInvertedIndex.sections` re-encodes
+an edited index.
 """
 
 from __future__ import annotations
@@ -52,88 +54,90 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
 from repro.labeling.packed import PackedLabelIndex, sections_resident_bytes
 from repro.types import CategoryId, Cost, Vertex
 
-#: shared empty-slice sentinel for hubs absent from a category
+#: shared empty-slice sentinel for ranks absent from a category
 _EMPTY_SLICE = (0, 0)
 
 #: compaction threshold: rebuild a category's buffers once the edits
 #: since its last compaction exceed this fraction of its live entries
 COMPACT_RATIO = 0.25
 
+#: estimated bytes of one directory entry beyond the dict's own table: its
+#: tuple, its rank and one position (adjacent base runs share the other)
+_DIRECTORY_ENTRY_BYTES = sys.getsizeof((0, 0)) + 2 * sys.getsizeof(1 << 20)
+
 Run = List[Tuple[Cost, Vertex]]
+#: the read state: ``(dists, members, rank -> (lo, hi) directory)``
+Runs = Tuple[Sequence[Cost], Sequence[Vertex], Dict[int, Tuple[int, int]]]
+#: one run as the whole-index views see it: ``(rank, hub, dists, members)``
+RunRecord = Tuple[int, Vertex, Sequence[Cost], Sequence[Vertex]]
 
 
-def _list_resident_bytes(buf: list) -> int:
-    """Estimated footprint of one decoded list: a pointer per element plus
-    one boxed number each, the box size sampled from the first element."""
-    if not buf:
-        return sys.getsizeof(buf)
-    return sys.getsizeof(buf) + len(buf) * sys.getsizeof(buf[0])
-
-
-def _encode_runs(runs: Iterable[Tuple[int, Vertex, Run]]) -> Tuple:
-    """Five private category sections from ``(rank, hub, sorted run)``
-    triples given in ascending rank order."""
+def _encode_runs(runs: Iterable[RunRecord]) -> Tuple[array, ...]:
+    """Five private category sections from run records given in
+    ascending rank order."""
     hubs, ranks, starts = array("q"), array("q"), array("q", [0])
     dists, members = array("d"), array("q")
-    for rank, hub, run in runs:
+    for rank, hub, run_dists, run_members in runs:
         ranks.append(rank)
         hubs.append(hub)
-        for d, m in run:
-            dists.append(d)
-            members.append(m)
+        dists.extend(run_dists)
+        members.extend(run_members)
         starts.append(len(members))
-    return tuple(memoryview(a)
-                 for a in (hubs, ranks, starts, dists, members))
+    return hubs, ranks, starts, dists, members
+
+
+def _sections(runs: Iterable[RunRecord]) -> Tuple[memoryview, ...]:
+    """:func:`_encode_runs` as five typed views over fresh arrays."""
+    return tuple(map(memoryview, _encode_runs(runs)))
+
+
+def _run_directory(ranks, starts) -> Dict[int, Tuple[int, int]]:
+    """``rank -> (lo, hi)`` of every run in a hub/run-starts section pair."""
+    starts = starts.tolist()
+    return dict(zip(ranks.tolist(), zip(starts, starts[1:])))
+
+
+def _private(section) -> array:
+    """A private, growable copy of one typed section view."""
+    return array(section.format, section.tobytes())
 
 
 class PackedInvertedIndex:
     """One category's inverted label lists over its RPLI sections."""
 
-    __slots__ = ("category", "dists", "members", "slices", "rank_slices",
-                 "hub_ranks", "version", "_base", "shared",
-                 "_undecoded", "_lock", "_live", "_num_hubs", "_dead",
-                 "_edits", "_member_count")
+    __slots__ = ("category", "version", "shared", "_base", "_hubs",
+                 "_runs", "_lock", "_live", "_num_hubs", "_edits",
+                 "_member_count")
 
     def __init__(self, category: CategoryId, hubs, ranks, starts, dists,
                  members, shared: bool = False):
         self.category = category
         #: the five base sections (typed views), None once :meth:`compact`
-        #: has folded them into the decoded lists
+        #: has rebuilt the runs into private arrays
         self._base: Optional[Tuple] = (hubs, ranks, starts, dists, members)
         #: True while the base sections are views into an index file
         #: (the views keep the mapping alive; no edge back to the file)
         self.shared = shared
-        # Decoded runs (process-local, grow-only between compactions).
-        self.dists: List[Cost] = []
-        self.members: List[Vertex] = []
-        #: hub vertex -> (lo, hi) half-open decoded run
-        self.slices: Dict[Vertex, Tuple[int, int]] = {}
-        #: the same runs keyed by hub *rank* — FindNN cursors probe this
-        #: with ranks straight off the Lout section, skipping the
-        #: rank -> vertex translation per label entry
-        self.rank_slices: Dict[int, Tuple[int, int]] = {}
-        #: hub vertex -> rank of every decoded or edited hub
-        self.hub_ranks: Dict[Vertex, int] = {}
-        #: rank -> (hub, lo, hi) of base runs not decoded yet (None until
-        #: the hub-level sections are first read)
-        self._undecoded: Optional[Dict[int, Tuple[Vertex, int, int]]] = None
-        self._lock = threading.Lock()
+        #: ``(hubs, ranks)``: the base hub sections until the first edit,
+        #: then private arrays that every new run appends its pair to
+        #: (read by the whole-index views only)
+        self._hubs = (hubs, ranks)
+        #: the published read state (None until the first read)
+        self._runs: Optional[Runs] = None
+        self._lock = threading.RLock()
         #: bumped by every edit and by :meth:`compact` (the engine's
-        #: ``index_epoch`` sums these; lazy query-time decodes are
-        #: physical-only and intentionally do *not* bump it)
+        #: ``index_epoch`` sums these)
         self.version = 0
         #: live entry count
         self._live = len(members)
         #: hubs with a non-empty run
         self._num_hubs = len(ranks)
-        #: list elements orphaned by edits (reclaimed by compact)
-        self._dead = 0
         #: edits since the last compaction (threshold feed)
         self._edits = 0
         #: distinct members in the runs (None until first read)
@@ -142,61 +146,28 @@ class PackedInvertedIndex:
     @classmethod
     def empty(cls, category: CategoryId) -> "PackedInvertedIndex":
         """A fresh index with no entries (new categories start here)."""
-        index = cls(category, *_encode_runs(()))
+        index = cls(category, *_sections(()))
         index._member_count = 0
         return index
 
-    # ------------------------------------------------------------------
-    # Lazy run decode
-    # ------------------------------------------------------------------
-    def _directory(self) -> Dict[int, Tuple[Vertex, int, int]]:
-        """The still-undecoded base runs, reading the hub sections once
-        (caller holds ``_lock``)."""
-        undecoded = self._undecoded
-        if undecoded is None:
-            hubs, ranks, starts = (view.tolist() for view in self._base[:3])
-            undecoded = self._undecoded = {
-                rank: (hub, starts[i], starts[i + 1])
-                for i, (rank, hub) in enumerate(zip(ranks, hubs))}
-        return undecoded
+    def runs(self) -> Runs:
+        """``(dists, members, directory)``: the run sequences and the
+        ``rank -> (lo, hi)`` run of every hub with a non-empty run.
 
-    def _decode_run(self, rank: int) -> None:
-        """Decode one base run; no-op when already decoded or absent
-        (caller holds ``_lock``)."""
-        entry = self._directory().get(rank)
-        if entry is None:
-            return
-        hub, lo, hi = entry
-        new_lo = len(self.members)
-        self.dists.extend(self._base[3][lo:hi].tolist())
-        self.members.extend(self._base[4][lo:hi].tolist())
-        sl = (new_lo, len(self.members))
-        self.hub_ranks[hub] = rank
-        self.slices[hub] = sl
-        self.rank_slices[rank] = sl
-        # Last, so a lock-free reader that finds nothing left to decode
-        # also finds every slice (and the data behind it) in place.
-        del self._undecoded[rank]
-
-    def decode_ranks(self, ranks) -> None:
-        """Decode the runs of ``ranks`` that are still only in the base.
-
-        Called by cursor seeding right before a scan; hub runs the query
-        never touches stay undecoded.  Once every run is decoded this is
-        two attribute reads.
+        Lock-free once published; the first call reads the directory from
+        the hub sections.  Keep the tuple you got for as long as you read
+        positions from it: a first edit and :meth:`compact` publish a new
+        one, and an in-place edit only appends to the sequences.
         """
-        if self._undecoded is not None and not self._undecoded:
-            return
-        with self._lock:
-            for rank in self._directory().keys() & ranks:
-                self._decode_run(rank)
-
-    def _decode_all(self) -> None:
-        """Decode every base run."""
-        if self._undecoded is None or self._undecoded:
+        runs = self._runs
+        if runs is None:
             with self._lock:
-                for rank in list(self._directory()):
-                    self._decode_run(rank)
+                runs = self._runs
+                if runs is None:
+                    _, ranks, starts, dists, members = self._base
+                    runs = self._runs = (dists, members,
+                                         _run_directory(ranks, starts))
+        return runs
 
     # ------------------------------------------------------------------
     # Category updates (Sec. IV-C)
@@ -217,19 +188,12 @@ class PackedInvertedIndex:
     def _edit(self, hub: Vertex, rank: int, dist: Cost, member: Vertex,
               insert: bool) -> bool:
         """Copy the run of ``rank``, insert or delete one entry in the copy,
-        append it and repoint the slices (caller holds ``_lock``).
+        append it and repoint the directory (caller holds ``_lock``).
 
-        The copy is read from the decoded lists, or from the base sections
-        when the run was never decoded; a decoded original becomes garbage
-        (counted in ``_dead``) until :meth:`compact`.
+        The original run stays behind as garbage until :meth:`compact`.
         """
-        base_run = self._directory().get(rank)
-        if base_run is None:
-            lo, hi = self.rank_slices.get(rank, _EMPTY_SLICE)
-            dists, members = self.dists, self.members
-        else:
-            _, lo, hi = base_run
-            dists, members = self._base[3], self._base[4]
+        dists, members, directory = self.runs()
+        lo, hi = directory.get(rank, _EMPTY_SLICE)
         # A run is sorted by dist, and by member among equal dists.
         pos = bisect_left(dists, dist, lo, hi)
         pos = bisect_left(members, member, pos,
@@ -237,67 +201,55 @@ class PackedInvertedIndex:
         if not insert and (pos == hi or dists[pos] != dist
                            or members[pos] != member):
             return False
-        dists, members = dists[lo:hi], members[lo:hi]
-        if base_run is not None:
-            dists, members = dists.tolist(), members.tolist()
+        if type(members) is memoryview:
+            # The first edit: private copies of the same layout, so every
+            # position a reader holds stays valid in both states.
+            dists, members = _private(dists), _private(members)
+            self._hubs = tuple(map(_private, self._hubs))
+            directory = dict(directory)
+            self._runs = (dists, members, directory)
+        run_dists, run_members = dists[lo:hi], members[lo:hi]
         if insert:
-            dists.insert(pos - lo, dist)
-            members.insert(pos - lo, member)
+            run_dists.insert(pos - lo, dist)
+            run_members.insert(pos - lo, member)
         else:
-            del dists[pos - lo], members[pos - lo]
-        if members:
-            new_lo = len(self.members)
-            self.dists.extend(dists)
-            self.members.extend(members)
-            sl = (new_lo, len(self.members))
-            self.rank_slices[rank] = sl
-            self.slices[hub] = sl
+            del run_dists[pos - lo], run_members[pos - lo]
+        if run_members:
+            new_lo = len(members)
+            dists.extend(run_dists)
+            members.extend(run_members)
+            # Last, so a reader that finds the new run finds its data.
+            directory[rank] = (new_lo, len(members))
         else:
-            self.rank_slices.pop(rank, None)
-            self.slices.pop(hub, None)
-        self.hub_ranks[hub] = rank
-        if base_run is None:
-            self._dead += hi - lo
-        else:
-            # Last, as in _decode_run: the run's slice is already in place.
-            del self._undecoded[rank]
-        self._num_hubs += bool(members) - (hi > lo)
+            del directory[rank]
+        if lo == hi:  # a new run: record its hub
+            self._hubs[0].append(hub)
+            self._hubs[1].append(rank)
+        self._num_hubs += bool(run_members) - (hi > lo)
         self._live += 1 if insert else -1
         self._edits += 1
         self.version += 1
         return True
 
     def compact(self) -> None:
-        """Rebuild the decoded lists garbage-free.
+        """Rebuild the runs of an edited category garbage-free.
 
         Purely physical: the per-hub runs — and therefore every query
         result — are unchanged (property-tested).  A category that saw
-        edits ends up fully decoded and lets go of its base sections; one
-        that saw none keeps them.  Resets the compaction-threshold
+        edits ends up in private arrays and lets go of its base sections;
+        one that saw none keeps them.  Resets the compaction-threshold
         accounting.
         """
-        if self._edits:
-            self._decode_all()
-            if self._dead:
-                dists: List[Cost] = []
-                members: List[Vertex] = []
-                slices: Dict[Vertex, Tuple[int, int]] = {}
-                rank_slices: Dict[int, Tuple[int, int]] = {}
-                for hub in sorted(self.slices):
-                    lo, hi = self.slices[hub]
-                    new_lo = len(dists)
-                    dists.extend(self.dists[lo:hi])
-                    members.extend(self.members[lo:hi])
-                    sl = (new_lo, len(dists))
-                    slices[hub] = sl
-                    rank_slices[self.hub_ranks[hub]] = sl
-                self.dists, self.members = dists, members
-                self.slices, self.rank_slices = slices, rank_slices
-                self._dead = 0
-            self._base = None
-            self.shared = False
-            self._edits = 0
-        self.version += 1
+        with self._lock:
+            if self._edits:
+                hubs, ranks, starts, dists, members = _encode_runs(
+                    self._run_records())
+                self._hubs = (hubs, ranks)
+                self._runs = (dists, members, _run_directory(ranks, starts))
+                self._base = None
+                self.shared = False
+                self._edits = 0
+            self.version += 1
 
     def maybe_compact(self) -> bool:
         """Compact when the edits exceed :data:`COMPACT_RATIO` of live
@@ -308,23 +260,26 @@ class PackedInvertedIndex:
         return False
 
     # ------------------------------------------------------------------
-    # Whole-index views (decode everything; not on any query path)
+    # Whole-index views (not on any query path)
     # ------------------------------------------------------------------
-    def hub_slice(self, hub: Vertex) -> Tuple[int, int]:
-        """``(lo, hi)`` run of ``hub`` (``(0, 0)`` when the hub is unused)."""
-        self._decode_all()
-        return self.slices.get(hub, _EMPTY_SLICE)
+    def _run_records(self) -> List[RunRecord]:
+        """Every non-empty run as a ``(rank, hub, dists, members)`` record,
+        ascending by rank."""
+        with self._lock:
+            dists, members, directory = self.runs()
+            hubs, ranks = self._hubs
+            hub_of = dict(zip(ranks.tolist(), hubs.tolist()))
+            return [(rank, hub_of[rank], dists[lo:hi], members[lo:hi])
+                    for rank, (lo, hi) in sorted(directory.items())]
 
     def hub_list(self, hub: Vertex) -> Run:
         """Materialise one hub's sorted ``(dist, member)`` list (compat view)."""
-        lo, hi = self.hub_slice(hub)
-        return list(zip(self.dists[lo:hi], self.members[lo:hi]))
+        return self.as_lists().get(hub, [])
 
     def as_lists(self) -> Dict[Vertex, Run]:
         """Hub -> sorted ``(dist, member)`` lists of the index."""
-        self._decode_all()
-        return {hub: list(zip(self.dists[lo:hi], self.members[lo:hi]))
-                for hub, (lo, hi) in self.slices.items()}
+        return {hub: list(zip(run_dists, run_members))
+                for _, hub, run_dists, run_members in self._run_records()}
 
     def sections(self) -> Tuple:
         """The five RPLI sections of the index as it is (what a save writes).
@@ -334,30 +289,31 @@ class PackedInvertedIndex:
         """
         if self._base is not None and not self._edits:
             return self._base
-        lists = self.as_lists()
-        return _encode_runs(
-            (rank, hub, lists[hub])
-            for rank, hub in sorted((self.hub_ranks[hub], hub)
-                                    for hub in lists))
+        return _sections(self._run_records())
 
     @property
     def member_count(self) -> int:
         """Distinct members in the runs: the most neighbours a FindNN
         cursor over this category can produce.
 
-        Read from the members section on first use, then kept by
-        :meth:`adjust_member_count` (physical work — decodes and
-        :meth:`compact` — never changes it).
+        Read from the runs on first use, then kept by
+        :meth:`adjust_member_count` (:meth:`compact` never changes it).
         """
         if self._member_count is None:
-            self._member_count = len(set(self.sections()[4].tolist()))
+            with self._lock:
+                if self._member_count is None:
+                    _, members, directory = self.runs()
+                    self._member_count = len({
+                        member for lo, hi in directory.values()
+                        for member in members[lo:hi]})
         return self._member_count
 
     def adjust_member_count(self, delta: int) -> None:
         """Count one member in (+1) or out (-1).  Call it *before* the
         member's entries are edited, so a first read does not count them
         too."""
-        self._member_count = self.member_count + delta
+        with self._lock:
+            self._member_count = self.member_count + delta
 
     # ------------------------------------------------------------------
     # Table IX statistics
@@ -392,18 +348,23 @@ class PackedInvertedIndex:
     def nbytes_resident(self) -> int:
         """Estimated live in-process footprint.
 
-        The decoded lists as held — including edit garbage not yet
-        reclaimed by :meth:`compact` — plus the slice directories, plus
-        the base sections when they are a private buffer (views into a
-        shared index file cost only the view objects).
+        The base sections when they are a private buffer (views into a
+        shared index file cost only the view objects), the directory once
+        the category has been read, and after an edit the private arrays
+        as held, including edit garbage not yet reclaimed by
+        :meth:`compact`.
         """
-        total = (_list_resident_bytes(self.dists)
-                 + _list_resident_bytes(self.members)
-                 + sys.getsizeof(self.slices)
-                 + sys.getsizeof(self.rank_slices)
-                 + sys.getsizeof(self.hub_ranks))
+        total = 0
         if self._base is not None:
             total += sections_resident_bytes(self._base, self.shared)
+        runs = self._runs
+        if runs is not None:
+            dists, members, directory = runs
+            total += (sys.getsizeof(directory)
+                      + len(directory) * _DIRECTORY_ENTRY_BYTES)
+            if type(members) is not memoryview:
+                total += sum(map(sys.getsizeof,
+                                 (dists, members) + self._hubs))
         return total
 
 
@@ -426,5 +387,6 @@ def build_packed_inverted_index(
             if run is None:
                 run = runs[rank] = []
             run.append((d, member))
-    return PackedInvertedIndex(category, *_encode_runs(
-        (rank, order[rank], sorted(runs[rank])) for rank in sorted(runs)))
+    return PackedInvertedIndex(category, *_sections(
+        (rank, order[rank], *zip(*sorted(runs[rank])))
+        for rank in sorted(runs)))

@@ -12,7 +12,7 @@ which it spells out concretely:
 A category update edits the hub runs of
 :class:`~repro.labeling.packed_inverted.PackedInvertedIndex` as it
 arrives: each run it touches is copied, edited and appended to the
-category's decoded lists, and the category compacts once its edits
+category's private run arrays, and the category compacts once its edits
 outgrow ``COMPACT_RATIO`` of its live entries.  The base
 sections are only ever read, whether they are a private buffer or a view
 into a shared index file, so the file is never written and the

@@ -43,11 +43,13 @@ session uses that to keep only ``NL`` between queries
 way, from an empty ``NL``.
 
 :class:`PackedLabelNNFinder` runs it over the RPLI sections
-(:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`),
-decoding the label and hub runs it is about to scan with one
-``tolist()`` each (SK-DB builds one over its attachment of the saved
-index file).  The per-entry object version its answers and counters are
-tested against lives with the tests (``tests/reference_nn.py``).
+(:mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted`):
+it decodes the ``Lout`` run of a source it seeds with one ``tolist()``,
+and reads the hub runs it merges in place, by position, from the
+category's section views (SK-DB builds one over its attachment of the
+saved index file).  The per-entry object version its answers and
+counters are tested against lives with the tests
+(``tests/reference_nn.py``).
 """
 
 from __future__ import annotations
@@ -78,11 +80,11 @@ class PackedLabelNNFinder(NearestNeighborFinder):
     Same algorithm (and identical answers, order, and executed-NN-query
     counts — asserted by the parity tests) as the tests' per-entry
     reference finder, but every inner-loop step is index arithmetic over
-    decoded runs: no entry objects, no per-step hub-list dict lookups, no
-    ``(dist, member)`` tuple unpacking.
+    the category's run sequences: no entry objects, no per-step hub-list
+    dict lookups, no ``(dist, member)`` tuple unpacking.
 
     Dynamic category updates edit the inverted indexes' hub runs as they
-    arrive; a cursor decodes the hub runs it will scan when it is seeded
+    arrive; a cursor reads its category's runs once, when it is seeded
     (see :meth:`_seed`), and a live merge reads those runs as they were
     then.  Apply updates between queries (the engine builds a fresh
     finder per query, and a session drops the cursors of a category
@@ -253,11 +255,10 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         produced at its 2-hop distance already, so the merge continues
         the sequence a never-suspended cursor would produce.
 
-        The hub runs this cursor is about to scan are decoded first
-        (``decode_ranks``: decoded on first touch), so the merge loop
-        itself only ever sees plain decoded runs.  With everything
-        decoded — the steady serving case — that costs two attribute
-        reads per seeding and nothing per advance.
+        The category's read state (:meth:`PackedInvertedIndex.runs`) is
+        read once here: the merge indexes its ``dists`` / ``members``
+        sequences by position, and each hub's ``(lo, hi)`` comes from its
+        directory, so neither a seeding nor an advance copies a run.
 
         Returns None, and leaves no generator, when there is nothing to
         merge and nothing produced: a new cursor born empty.  A suspended
@@ -278,13 +279,12 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         lo, hi = self._out_offsets[source], self._out_offsets[source + 1]
         ranks = self._out_ranks[lo:hi].tolist()
         base_dists = self._out_dists[lo:hi].tolist()
-        pinv.decode_ranks(ranks)
-        idists, imembers = pinv.dists, pinv.members
+        idists, imembers, directory = pinv.runs()
         nq: List[Tuple[Cost, Vertex, int, int, Cost]] = []
         # map() pushes the per-hub dict probe into C; most Lout hubs have
         # no members in the category, so the Python-level body below
         # only runs for actual matches.
-        for base, sl in zip(base_dists, map(pinv.rank_slices.get, ranks)):
+        for base, sl in zip(base_dists, map(directory.get, ranks)):
             if sl is None:
                 continue
             lo, hi = sl

@@ -51,9 +51,8 @@ door for concurrent request traffic:
   release the GIL, so executions overlap on real cores (the per-shard
   locks serialise only same-shard traffic), and the warm sessions live
   worker-side.
-* **Update safety** — the one execution thread owns the engine's
-  buffers, so a cursor that lazily decodes a hub run never races
-  another (the shard worker's argument).  Index mutations must
+* **Update safety** — the one execution thread runs every query over
+  the engine's indexes (the shard worker's argument).  Index mutations must
   come from the event-loop thread, ideally with no requests in flight
   (``await front.drain()`` first — the same no-updates-mid-batch
   contract as every other engine use); the session epoch-validates on

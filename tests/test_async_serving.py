@@ -425,8 +425,6 @@ class TestInterleavedUpdateParity:
                 version = engine.inverted[0].version
                 engine.add_vertex_to_category(outsider, 0)
                 assert engine.inverted[0].version > version
-                # The cursors decode runs lazily, on the one execution
-                # thread that owns the engine's buffers.
                 return await front.gather(queries)
 
         after = asyncio.run(scenario())

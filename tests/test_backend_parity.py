@@ -183,7 +183,7 @@ class TestPackedInvertedParity:
             obj = build_inverted_index(g, labels, cid)
             packed = build_packed_inverted_index(g, packed_labels, cid)
             assert packed.as_lists() == obj.as_lists()
-            assert set(packed.slices) == set(obj.lists)
+            assert len(packed.runs()[2]) == len(obj.lists)  # one per hub
             for hub, entries in obj.lists.items():
                 assert packed.hub_list(hub) == entries
 
@@ -201,19 +201,24 @@ class TestPackedInvertedParity:
     def test_runs_sorted_and_consistent(self, case):
         g, _, packed_labels = case
         packed = build_packed_inverted_index(g, packed_labels, 0)
-        assert not packed.slices  # nothing decoded before first touch
-        packed.as_lists()
-        for hub, (lo, hi) in packed.slices.items():
-            assert 0 <= lo < hi <= len(packed.members)
-            run = list(zip(packed.dists[lo:hi], packed.members[lo:hi]))
+        dists, members, directory = packed.runs()
+        # read in place: the run sequences are the base sections
+        assert dists is packed.sections()[3]
+        assert members is packed.sections()[4]
+        assert len(directory) == packed.num_hubs
+        runs = []
+        for lo, hi in directory.values():
+            assert 0 <= lo < hi <= len(members)
+            run = list(zip(dists[lo:hi], members[lo:hi]))
             assert run == sorted(run)
-        # rank-keyed view mirrors the vertex-keyed one
-        assert sorted(packed.rank_slices.values()) == sorted(packed.slices.values())
+            runs.append(run)
+        # the directory's runs are the hub lists, keyed by rank
+        assert sorted(runs) == sorted(packed.as_lists().values())
 
     def test_unknown_hub_is_empty(self, case):
         g, _, packed_labels = case
         packed = build_packed_inverted_index(g, packed_labels, 0)
-        assert packed.hub_slice(10 ** 9) == (0, 0)
+        assert 10 ** 9 not in packed.runs()[2]  # nor an unknown rank
         assert packed.hub_list(10 ** 9) == []
 
 
@@ -448,9 +453,9 @@ class TestPostUpdateParity:
         after = packed.run(q, SK)
         assert before.witnesses == after.witnesses
         assert before.costs == after.costs
-        # compacted: every run decoded once, no edit garbage left behind
-        il = packed.inverted[0]
-        assert len(il.members) == len(il.dists) == il.total_entries
+        # compacted: no edit garbage left behind
+        dists, members, _ = packed.inverted[0].runs()
+        assert len(members) == len(dists) == packed.inverted[0].total_entries
 
     def test_updates_detach_stale_disk_store(self, tmp_path):
         """SK-DB must not silently serve the pre-update index file."""

@@ -9,6 +9,7 @@ private run copies on top of the never-written file, and the sharded
 build-once/attach-many worker fleet.
 """
 
+import gc
 import hashlib
 import os
 import pickle
@@ -16,6 +17,7 @@ import random
 import struct
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
 )
+from repro.nn.label_nn import PackedLabelNNFinder
 from test_backend_parity import assert_same_outcome
 
 SK = QueryOptions(method="SK")
@@ -326,77 +329,38 @@ class TestAttachedEngine:
         assert_same_outcome(engine.run(q, SK),
                             reference_engine(g).run(q, SK))
 
-    def test_concurrent_first_touch_decode_matches_serial(self, built):
-        """Threads racing to decode one category's runs (the decode lock).
+    def test_readers_racing_edits_and_compaction_match_serial(self, built):
+        """Three threads seed FindNN cursors while one edits the category.
 
-        More threads than cores and a shortened switch interval; every
-        run must be decoded exactly once and equal a serial decode.
+        The editor inserts an entry into every run (the first insert is
+        the category's first edit, which publishes private copies),
+        compacts, and removes every entry again.  Every run slice a
+        reader gets lies inside the sequences it read it with, a seeding
+        never fails, and the end state equals a serial one.  Repeated
+        under a shortened switch interval over fresh attached views,
+        since the first edit happens once per view.
         """
         _, _, path, _ = built
         index_file = MmapIndexFile.open(path)
-        serial = index_file.inverted_view(0)
-        expected = serial.as_lists()
-        ranks = sorted(serial.rank_slices)
-        racing = index_file.inverted_view(0)
-        barrier = threading.Barrier(4)
-        errors = []
-
-        def touch(seed):
-            try:
-                order = ranks[:]
-                random.Random(seed).shuffle(order)
-                barrier.wait(timeout=10)
-                for i in range(0, len(order), 3):
-                    racing.decode_ranks(order[i:i + 3])
-                    for rank in order[i:i + 3]:
-                        lo, hi = racing.rank_slices[rank]
-                        assert hi <= len(racing.members)
-            except Exception as exc:  # surfaced by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=touch, args=(seed,))
-                       for seed in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors
-        assert len(racing.members) == serial.total_entries  # no run twice
-        assert racing.as_lists() == expected
-        assert sorted(racing.rank_slices) == ranks
-
-    def test_edits_racing_decodes_match_serial(self, built):
-        """One thread edits runs while three decode them (one lock for both).
-
-        Every entry the editor inserts it removes again, so the lists end
-        equal to a serial decode; every slice a decoder reads meanwhile
-        points inside the lists.  Repeated over fresh views, since the
-        race window closes once every run is decoded.
-        """
-        _, _, path, _ = built
-        index_file = MmapIndexFile.open(path)
+        labels = index_file.labels
         serial = index_file.inverted_view(0)
         expected = serial.as_lists()
         hubs, ranks = (view.tolist() for view in serial.sections()[:2])
         extra = list(enumerate(zip(hubs, ranks), 10 ** 6))
         errors = []
 
-        def decode(racing, barrier, seed):
+        def read(racing, barrier, seed):
             try:
-                order = ranks[:]
-                random.Random(seed).shuffle(order)
+                rng = random.Random(seed)
                 barrier.wait(timeout=10)
-                for i in range(0, len(order), 3):
-                    racing.decode_ranks(order[i:i + 3])
-                    for rank in order[i:i + 3]:
-                        lo, hi = racing.rank_slices[rank]
-                        assert lo < hi <= len(racing.members)
+                for _ in range(40):
+                    dists, members, directory = racing.runs()
+                    for rank in ranks:
+                        lo, hi = directory.get(rank, (0, 0))
+                        assert 0 <= lo <= hi <= min(len(dists),
+                                                    len(members))
+                    finder = PackedLabelNNFinder(labels, {0: racing})
+                    finder.find(rng.randrange(labels.num_vertices), 0, 2)
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -405,6 +369,7 @@ class TestAttachedEngine:
                 barrier.wait(timeout=10)
                 for member, (hub, rank) in extra:
                     racing.insert(hub, rank, 0.5, member)
+                racing.compact()
                 for member, (hub, rank) in extra:
                     assert racing.remove(hub, rank, 0.5, member)
             except Exception as exc:  # surfaced by the assertion below
@@ -416,7 +381,7 @@ class TestAttachedEngine:
             for round_ in range(8):
                 racing = index_file.inverted_view(0)
                 barrier = threading.Barrier(4)
-                threads = [threading.Thread(target=decode,
+                threads = [threading.Thread(target=read,
                                             args=(racing, barrier, seed))
                            for seed in range(3 * round_, 3 * round_ + 3)]
                 threads.append(threading.Thread(target=edit,
@@ -429,11 +394,12 @@ class TestAttachedEngine:
                 assert not errors
                 assert racing.as_lists() == expected
                 assert racing.total_entries == serial.total_entries
-                assert sorted(racing.rank_slices) == sorted(ranks)
+                assert sorted(racing.runs()[2]) == sorted(ranks)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_queries_identical_after_partial_decode(self, built):
+    def test_interleaved_queries_identical_on_builder_and_attachment(
+            self, built):
         """Interleaved queries on builder vs attachment stay identical."""
         g, builder, path, _ = built
         attached = KOSREngine.from_index_file(g, path)
@@ -456,7 +422,7 @@ class TestAttachedEngine:
 # ---------------------------------------------------------------------------
 class TestMemoryAccounting:
     def test_built_resident_exceeds_serialized(self, built):
-        """A private buffer costs its sections plus whatever got decoded."""
+        """A private buffer costs its sections plus its run directories."""
         _, engine, _, _ = built
         labels = engine.labels
         assert labels.nbytes_serialized > 0
@@ -486,15 +452,66 @@ class TestMemoryAccounting:
         assert mem["inverted_shared"] == 0
         assert mem["total_resident"] > mem["total_serialized"]
 
-    def test_decode_grows_resident_only(self, built):
+    def test_query_never_makes_an_attached_category_private(self, built):
+        """Queries read the runs in the mapped sections: no category of an
+        attached engine holds a private copy afterwards."""
         g, _, path, _ = built
         engine = KOSREngine.from_index_file(g, path)
-        before = engine.index_memory()["total_resident"]
-        q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        engine.run(q, SK)
-        after = engine.index_memory()
-        assert after["total_resident"] >= before
-        assert after["shared"] is True  # decode never flips to private
+        for s, t in ((0, g.num_vertices - 1), (3, 17), (20, 5)):
+            q = make_query(g, s, t, list(range(g.num_categories)), k=3)
+            engine.run(q, SK)
+        mem = engine.index_memory()
+        assert mem["shared"] is True
+        assert mem["inverted_shared"] == mem["inverted_categories"]
+        for il in engine.inverted.values():
+            assert il.shared
+            dists, members, _ = il.runs()
+            assert type(dists) is type(members) is memoryview
+
+    def test_touching_every_run_allocates_nothing_per_entry(self, tmp_path):
+        """Seeding a cursor from every vertex of an attached engine touches
+        every run of a category (each hub is its own ``Lout`` hub).  What
+        the category keeps afterwards, and what the pass allocates at its
+        peak, are bounded by the size of a ``rank -> (lo, hi)`` directory
+        of its runs, measured here on a same-shaped dict: no object per
+        label entry, kept or passing through."""
+        g = _graph(41, n=240, cats=2, size=60)
+        path = tmp_path / "dense.rpli"
+        KOSREngine.build(g).save_index(path)
+        index_file = MmapIndexFile.open(path)
+        labels = index_file.labels
+
+        def touch_every_run(view):
+            for source in range(g.num_vertices):
+                PackedLabelNNFinder(labels, {0: view}).find(source, 0, 1)
+
+        touch_every_run(index_file.inverted_view(0))  # warm the free lists
+        view = index_file.inverted_view(0)
+        runs, entries = view.num_hubs, view.total_entries
+        assert entries > 3 * runs  # a per-entry copy would dominate
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            # rank -> (lo, hi), every rank and position its own int
+            starts = list(range(10 ** 6, 10 ** 6 + runs + 1))
+            directory = dict(zip(range(10 ** 7, 10 ** 7 + runs),
+                                 zip(starts, starts[1:])))
+            directory_bytes = tracemalloc.get_traced_memory()[0] - base
+            del directory, starts
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            touch_every_run(view)
+            gc.collect()
+            grown, peak = (size - base
+                           for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        # kept: the directory; passing through: it, its two section lists
+        # and one seeding's state, never a copy of the runs
+        assert grown <= directory_bytes, (grown, directory_bytes, entries)
+        assert peak <= 2 * directory_bytes, (peak, directory_bytes, entries)
 
 
 # ---------------------------------------------------------------------------

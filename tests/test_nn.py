@@ -451,7 +451,7 @@ class TestPackedCursorMemory:
                         is None
             return finder
 
-        # A first pass decodes every hub run the cursors scan, so the
+        # A first pass reads every category's run directory, so the
         # measured pass allocates cursor state only.
         drain(PackedLabelNNFinder(engine.labels, engine.inverted))
         gc.collect()

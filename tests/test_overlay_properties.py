@@ -7,9 +7,9 @@ and fresh packed inverted indexes).  Invariants under test:
 
 * a removed entry never surfaces from a FindNN cursor;
 * every hub run — edited copies and untouched base runs alike — stays
-  sorted by ``(dist, vertex)`` and the slice maps stay consistent;
+  sorted by ``(dist, vertex)`` and the run directory stays consistent;
 * ``compact()`` changes the physical layout only, never query results;
-* the decoded lists only grow between compactions, so a live cursor
+* the run arrays only grow between compactions, so a live cursor
   keeps reading the runs it was created over through edits and a
   compaction;
 * a category's member count follows every update, and the cursors that
@@ -100,16 +100,19 @@ def test_overlay_base_merge_is_sorted(ops):
     g, engine = _fresh_engine()
     _apply(g, engine, ops)
     for il in engine.inverted.values():
-        lists = il.as_lists()  # decodes every run
+        lists = il.as_lists()
         assert sum(map(len, lists.values())) == il.total_entries
         for hub, entries in lists.items():
             assert entries == sorted(entries)
-            assert entries  # empty runs are dropped from the slice maps
-        # slice maps agree with each other and with the buffers
-        assert sorted(il.slices.values()) == sorted(il.rank_slices.values())
-        for hub, (lo, hi) in il.slices.items():
-            assert 0 <= lo < hi <= len(il.members)
-            assert il.hub_ranks[hub] in il.rank_slices
+            assert entries  # empty runs are dropped from the directory
+        # the directory agrees with the hub lists and with the arrays
+        dists, members, directory = il.runs()
+        assert len(directory) == len(lists) == il.num_hubs
+        assert sorted(list(zip(dists[lo:hi], members[lo:hi]))
+                      for lo, hi in directory.values()) == \
+            sorted(lists.values())
+        for lo, hi in directory.values():
+            assert 0 <= lo < hi <= len(members)
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,7 +129,7 @@ def test_compact_is_noop_on_query_results(ops, seed):
     before = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     engine.compact()
     for il in engine.inverted.values():
-        assert len(il.members) <= il.total_entries  # no edit garbage
+        assert len(il.runs()[1]) <= il.total_entries  # no edit garbage
     after = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     for a, b in zip(before, after):
         assert a.witnesses == b.witnesses
@@ -200,8 +203,6 @@ def test_member_count_and_cursors_match_reference(ops):
             engine.compact()
         for c, il in engine.inverted.items():
             assert il.member_count == len(g.members(c))
-    # The packed finder first: it decodes one cursor's runs at a time,
-    # before the reference decodes every category in full.
     finder = PackedLabelNNFinder(engine.labels, engine.inverted)
     reference = LabelNNFinder.from_index(engine.labels, engine.inverted)
     for source in range(g.num_vertices):

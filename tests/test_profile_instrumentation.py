@@ -190,14 +190,12 @@ class TestZeroOverheadDefault:
                                                      monkeypatch):
         """The query path over edited runs is as instrumentation-free as
         the static one: only ``total_time``'s two reads while the edits'
-        garbage still sits, uncompacted, in the decoded lists."""
+        garbage still sits, uncompacted, in the private run arrays."""
         g = random_graph(40, avg_out_degree=2.8, rng=random.Random(23))
         assign_uniform_categories(g, 3, 8, random.Random(24))
         engine = KOSREngine.build(g)
         # keep the edited runs uncompacted
         monkeypatch.setattr(packed_inverted, "COMPACT_RATIO", 1e9)
-        for cid in (0, 1):
-            engine.inverted[cid].as_lists()  # decoded, so edits leave garbage
         outsider = next(v for v in range(g.num_vertices)
                         if not g.has_category(v, 0))
         member = sorted(g.members(1))[0]
@@ -205,7 +203,7 @@ class TestZeroOverheadDefault:
         engine.remove_vertex_from_category(member, 1)
         for cid in (0, 1):
             il = engine.inverted[cid]
-            assert len(il.members) > il.total_entries
+            assert len(il.runs()[1]) > il.total_entries
         clock.calls = 0
         res = engine.query(0, g.num_vertices - 1, [0, 1, 2], k=3, method="SK")
         assert clock.calls == 2

@@ -194,7 +194,7 @@ class TestSessionCache:
         epoch = engine.index_epoch
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=3)
-        engine.service.run(q, SK)  # cursors decode the runs they scan
+        engine.service.run(q, SK)  # reading the runs moves no version
         assert engine.index_epoch == epoch
 
     def test_batch_result_shape(self, engine):

@@ -6,9 +6,9 @@ queries.  After **every** step its answers are checked bit-identically
 (witnesses, costs, and all search counters) against a freshly built
 reference engine over the same graph state, and the cost vector is
 additionally checked against the exhaustive brute-force oracle.  The
-run edits therefore get exercised in every phase: edits of undecoded
-and of decoded runs, threshold-triggered compactions, and
-post-``update_edge`` rebuilds.
+run edits therefore get exercised in every phase: first edits over the
+base sections, later edits of private runs, threshold-triggered
+compactions, and post-``update_edge`` rebuilds.
 
 Across the five seeds the suite performs 5 × 44 = 220 update/query
 steps (the differential check itself runs SK *and* PK on every step).
