@@ -19,99 +19,41 @@ Public API tour:
   (:data:`~repro.obs.REGISTRY`) every serving layer instruments into;
   disabled by default, fleet-mergeable snapshots when on (see
   ``docs/observability.md``).
+
+Every name below resolves on first use: ``import repro`` loads no
+submodule, and ``from repro import X`` imports only the module that
+defines ``X`` (and what that module imports).  A serving process thus
+never loads the figure harness, the fleet or GSP unless it uses them
+(``docs/architecture.md`` lists what each entry point imports).
 """
 
-from repro.types import (
-    Cost,
-    INFINITY,
-    Route,
-    SequencedResult,
-    Vertex,
-    Witness,
-)
-from repro.exceptions import (
-    BudgetExceededError,
-    DeadlineExceededError,
-    EmptyCategoryError,
-    GraphError,
-    IndexBuildError,
-    IndexStorageError,
-    NegativeWeightError,
-    QueryError,
-    ReproError,
-    ServiceOverloadedError,
-    ShardError,
-    UnknownCategoryError,
-    UnknownVertexError,
-)
-from repro.graph import Graph
-from repro.core import (
-    KOSREngine,
-    KOSRResult,
-    KOSRQuery,
-    METHODS,
-    NN_BACKENDS,
-    PreprocessingStats,
-    QueryStats,
-    brute_force_kosr,
-    gsp_osr,
-    gsp_osr_ch,
-    kosr_with_preferences,
-    kosr_without_destination,
-    kosr_without_source,
-)
-from repro.core.query import make_query
-from repro.api import QueryOptions, QueryRequest
-from repro.obs import MetricsRegistry, REGISTRY, merge_snapshots
-from repro.service import BatchResult, QueryService
-from repro.server import AsyncQueryService
-from repro.shard import ShardedQueryService
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cost",
-    "INFINITY",
-    "Route",
-    "SequencedResult",
-    "Vertex",
-    "Witness",
-    "BudgetExceededError",
-    "DeadlineExceededError",
-    "EmptyCategoryError",
-    "GraphError",
-    "IndexBuildError",
-    "IndexStorageError",
-    "NegativeWeightError",
-    "QueryError",
-    "ReproError",
-    "ServiceOverloadedError",
-    "ShardError",
-    "UnknownCategoryError",
-    "UnknownVertexError",
-    "Graph",
-    "KOSREngine",
-    "KOSRResult",
-    "KOSRQuery",
-    "METHODS",
-    "NN_BACKENDS",
-    "PreprocessingStats",
-    "QueryStats",
-    "brute_force_kosr",
-    "gsp_osr",
-    "gsp_osr_ch",
-    "kosr_with_preferences",
-    "kosr_without_destination",
-    "kosr_without_source",
-    "make_query",
-    "AsyncQueryService",
-    "BatchResult",
-    "MetricsRegistry",
-    "REGISTRY",
-    "merge_snapshots",
-    "QueryOptions",
-    "QueryRequest",
-    "QueryService",
-    "ShardedQueryService",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.types": ("Cost", "INFINITY", "Route", "SequencedResult", "Vertex",
+                    "Witness"),
+    "repro.exceptions": (
+        "BudgetExceededError", "DeadlineExceededError", "EmptyCategoryError",
+        "GraphError", "IndexBuildError", "IndexStorageError",
+        "NegativeWeightError", "QueryError", "ReproError",
+        "ServiceOverloadedError", "ShardError", "UnknownCategoryError",
+        "UnknownVertexError"),
+    "repro.graph.graph": ("Graph",),
+    "repro.core.engine": ("KOSREngine", "KOSRResult"),
+    "repro.service.planner": ("METHODS", "NN_BACKENDS"),
+    "repro.core.query": ("KOSRQuery", "make_query"),
+    "repro.core.stats": ("PreprocessingStats", "QueryStats"),
+    "repro.core.brute": ("brute_force_kosr",),
+    "repro.core.gsp": ("gsp_osr", "gsp_osr_ch"),
+    "repro.core.variants": ("kosr_with_preferences",
+                            "kosr_without_destination",
+                            "kosr_without_source"),
+    "repro.api": ("QueryOptions", "QueryRequest"),
+    "repro.obs.metrics": ("MetricsRegistry", "REGISTRY", "merge_snapshots"),
+    "repro.service.service": ("BatchResult", "QueryService"),
+    "repro.server.async_service": ("AsyncQueryService",),
+    "repro.shard.service": ("ShardedQueryService",),
+})
+__all__.append("__version__")

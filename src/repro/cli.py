@@ -48,14 +48,45 @@ from typing import List, Optional
 from repro.api import QueryOptions, QueryRequest
 from repro.core.engine import KOSREngine, METHODS, NN_BACKENDS
 from repro.core.query import category_ref, make_query
-from repro.experiments import figures as figure_defs
-from repro.experiments.reporting import format_table
-from repro.graph import generators
 from repro.graph.io import load_json, save_json
 from repro.labeling import write_index_file
 from repro.obs import clock
 from repro.service import QueryService, resolve_plan
 from repro.service.cache import CACHE_KINDS
+
+
+class _ChoicesOnUse:
+    """An argparse ``choices`` list computed when a value is checked.
+
+    `figure` and `generate` validate against tables that live in the
+    figure harness and the generators; reading them only then keeps
+    every other command from importing either.  argparse iterates
+    ``choices`` to format a default metavar (and some versions to check
+    a ``%(choices)s`` help string), so an argument with these choices
+    names its own metavar and no help string reads them.
+    """
+
+    def __init__(self, load) -> None:
+        self._load = load
+
+    def __contains__(self, value) -> bool:
+        return value in self._load()
+
+    def __iter__(self):
+        return iter(self._load())
+
+
+def _figure_names() -> List[str]:
+    from repro.experiments.figures import FIGURES
+
+    return sorted(FIGURES) + ["all"]
+
+
+def _dataset_names() -> List[str]:
+    from repro.graph.generators import DATASET_NAMES
+
+    return list(DATASET_NAMES)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a dataset analogue as JSON")
-    gen.add_argument("--dataset", required=True,
-                     choices=list(generators.DATASET_NAMES))
+    gen.add_argument("--dataset", required=True, metavar="NAME",
+                     choices=_ChoicesOnUse(_dataset_names))
     gen.add_argument("--scale", type=float, default=0.35)
     gen.add_argument("--out", required=True)
 
@@ -168,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "version counters (works without --metrics)")
 
     fig = sub.add_parser("figure", help="regenerate a paper table/figure")
-    fig.add_argument("--name", required=True,
-                     choices=sorted(figure_defs.FIGURES) + ["all"],
+    fig.add_argument("--name", required=True, metavar="NAME",
+                     choices=_ChoicesOnUse(_figure_names),
                      help="one figure, or 'all': every figure once, as the "
                           "EXPERIMENTS.md record")
     fig.add_argument("--scale", type=float, default=None)
@@ -187,7 +218,9 @@ def _load_graph(path: str):
 
 
 def cmd_generate(args) -> int:
-    graph = generators.dataset_by_name(args.dataset, scale=args.scale)
+    from repro.graph.generators import dataset_by_name
+
+    graph = dataset_by_name(args.dataset, scale=args.scale)
     save_json(graph, args.out)
     print(f"wrote {args.dataset} analogue (|V|={graph.num_vertices}, "
           f"|E|={graph.num_edges}, {graph.num_categories} categories) "
@@ -708,6 +741,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from repro.experiments import figures as figure_defs
+    from repro.experiments.reporting import format_table
+
     if args.name == "all":
         print(figure_defs.record(scale=args.scale, queries=args.queries))
         return 0

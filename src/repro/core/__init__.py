@@ -7,31 +7,20 @@
 * :mod:`repro.core.engine` — :class:`KOSREngine`, the user-facing facade;
 * :mod:`repro.core.variants` — no-source / no-destination / preference
   query variants (Sec. IV-C).
+
+The names below import their module on first use (see
+:mod:`repro._lazy`): an engine that never runs GSP never loads it.
 """
 
-from repro.core.query import KOSRQuery
-from repro.core.stats import QueryStats, PreprocessingStats
-from repro.core.gsp import gsp_osr, gsp_osr_ch
-from repro.core.brute import brute_force_kosr
-from repro.core.engine import KOSREngine, KOSRResult, METHODS, NN_BACKENDS
-from repro.core.variants import (
-    kosr_without_source,
-    kosr_without_destination,
-    kosr_with_preferences,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KOSRQuery",
-    "QueryStats",
-    "PreprocessingStats",
-    "gsp_osr",
-    "gsp_osr_ch",
-    "brute_force_kosr",
-    "KOSREngine",
-    "KOSRResult",
-    "METHODS",
-    "NN_BACKENDS",
-    "kosr_without_source",
-    "kosr_without_destination",
-    "kosr_with_preferences",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.query": ("KOSRQuery",),
+    "repro.core.stats": ("QueryStats", "PreprocessingStats"),
+    "repro.core.gsp": ("gsp_osr", "gsp_osr_ch"),
+    "repro.core.brute": ("brute_force_kosr",),
+    "repro.core.engine": ("KOSREngine", "KOSRResult"),
+    "repro.service.planner": ("METHODS", "NN_BACKENDS"),
+    "repro.core.variants": ("kosr_without_source", "kosr_without_destination",
+                            "kosr_with_preferences"),
+})

@@ -65,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import math
 import queue
+import sys
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -120,9 +121,12 @@ class AsyncQueryService:
     """
 
     def __init__(self, service, *, max_queue: Optional[int] = None):
-        from repro.shard.service import ShardedQueryService
-
-        if not isinstance(service, (QueryService, ShardedQueryService)):
+        # A fleet exists only once its module is loaded: look the class
+        # up there rather than import the fleet into an unsharded server.
+        fleet_module = sys.modules.get("repro.shard.service")
+        fleet = fleet_module is not None and isinstance(
+            service, fleet_module.ShardedQueryService)
+        if not (fleet or isinstance(service, QueryService)):
             service = service.service
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None)")
@@ -139,8 +143,7 @@ class AsyncQueryService:
         self._closed = False
         #: work items ``(fn, args, future, key)`` for the execution threads
         self._work: queue.SimpleQueue = queue.SimpleQueue()
-        width = (FLEET_DISPATCH_WIDTH
-                 if isinstance(service, ShardedQueryService) else 1)
+        width = FLEET_DISPATCH_WIDTH if fleet else 1
         self._threads = [
             threading.Thread(target=self._serve_work, daemon=True,
                              name=f"repro-serve-{i}")

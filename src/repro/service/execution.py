@@ -22,7 +22,6 @@ with only ``finder``, the engine's wrapped in its member filter.)
 from __future__ import annotations
 
 from repro.api import DEFAULT_OPTIONS, QueryOptions
-from repro.core.gsp import gsp_osr, gsp_osr_ch
 from repro.core.query import KOSRQuery
 from repro.core.runtime import QueryRuntime
 from repro.core.search import sequenced_route_search
@@ -79,12 +78,15 @@ def execute_plan(
             QueryRuntime(query, finder, stats, estimated=spec.estimated),
             spec.use_dominance, spec.estimated, budget=options.budget,
             deadline=deadline, on_result=on_result)
-    elif spec.needs_ch:
-        results = gsp_osr_ch(engine.graph, query,
-                             resources.contraction_hierarchy(), stats,
-                             deadline)
-    else:
-        results = gsp_osr(engine.graph, query, stats, deadline)
+    else:  # GSP, imported here: a label-serving process never loads it
+        from repro.core.gsp import gsp_osr, gsp_osr_ch
+
+        if spec.needs_ch:
+            results = gsp_osr_ch(engine.graph, query,
+                                 resources.contraction_hierarchy(), stats,
+                                 deadline)
+        else:
+            results = gsp_osr(engine.graph, query, stats, deadline)
     stats.total_time = clock.now() - t_start
     metrics = _METRICS
     if metrics is not None and metrics.enabled:

@@ -33,6 +33,19 @@ class TestParser:
                 "--target", "1", "--categories", "MA", "--method", "NOPE",
             ])
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--name", "nosuch"],
+        ["generate", "--dataset", "nosuch", "--out", "g.json"],
+    ], ids=["figure", "generate"])
+    def test_rejects_an_unknown_table_row(self, argv, capsys):
+        """`figure` and `generate` read their choices on use, and still
+        reject a name outside them as argparse's ``invalid choice``."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch' (choose from " in err
+
 
 class TestGenerateInfo:
     def test_generate_then_info(self, tmp_path, capsys):
@@ -889,6 +902,10 @@ class TestDocsCliLines:
             "```\n")
         [(lineno, finding)] = check_docs.check_file(stale)
         assert lineno == 2 and "invalid choice: 'async-batch'" in finding
+        stale.write_text(
+            "Run `python -m repro.cli figure --name fig3z --queries 2`.\n")
+        [(lineno, finding)] = check_docs.check_file(stale)
+        assert lineno == 1 and "invalid choice: 'fig3z'" in finding
         fresh = tmp_path / "fresh.md"
         fresh.write_text(
             "Run `python -m repro.cli batch --async --graph <graph> "

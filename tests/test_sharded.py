@@ -834,6 +834,24 @@ class TestOneFleetPath:
 
 
 class TestAsyncOverShards:
+    def test_a_fleet_gets_the_fleet_dispatch_width(self, setting):
+        """The front door recognises a fleet without importing the
+        fleet's module itself: a fleet gets FLEET_DISPATCH_WIDTH
+        execution threads, an engine its service and one thread."""
+        from repro import AsyncQueryService
+        from repro.server.async_service import FLEET_DISPATCH_WIDTH
+
+        engine, sharded = setting
+
+        async def backing_and_width(backing):
+            front = AsyncQueryService(backing)
+            await front.close()
+            return front.service, len(front._threads)
+
+        assert asyncio.run(backing_and_width(sharded)) == (
+            sharded, FLEET_DISPATCH_WIDTH)
+        assert asyncio.run(backing_and_width(engine)) == (engine.service, 1)
+
     def test_coalescing_and_parity_through_the_front_door(self, setting):
         from repro import AsyncQueryService
 
