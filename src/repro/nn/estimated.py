@@ -152,9 +152,11 @@ class EstimatedNNFinder:
 class EstStream:
     """FindNEN of one ``(source, category)`` under one fixed target.
 
-    ``enl`` is the estimated-neighbour list produced so far, ``advance``
-    appends one more entry per call (``StopIteration`` at the end of the
-    stream; :meth:`fill` drives it and then sets it to ``None``).
+    ``enl`` is the estimated-neighbour list produced so far, and
+    :meth:`fill` extends it through ``advance``, the producer's
+    ``__next__``, which appends one more entry per call
+    (``StopIteration`` at the end of the stream, where :meth:`fill`
+    records ``end`` and sets ``advance`` to ``None``).
     ``attempts[i]`` / ``demanded[i]`` are what a cold FindNEN has booked
     by the time it returns ``enl[i]``: plain-NN attempts on a cold
     cursor (the one that discovers exhaustion included, none for a
@@ -175,23 +177,27 @@ class EstStream:
     tuples, because it is read far more often than it is produced and
     every buffer read allocates.
 
-    A stream may outlive its cursor's merge state: a session keeps
-    streams across queries and suspends cursors between them
-    (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  So each
+    A stream may outlive its producer and its cursor's merge state: a
+    session keeps streams across queries and, between them, suspends
+    both the cursors (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`)
+    and the streams the last query read (:meth:`suspend`).  A suspended
+    stream (``advance`` and ``end`` both ``None``) keeps only what it
+    produced; the next :meth:`fill` starts the producer again, which
+    rebuilds ``ENQ`` and the lookahead from ``NL`` (see :meth:`_produce`).
+    A fresh stream is born suspended, with nothing produced.  Each
     plain-NN advance runs whatever generator the finder holds for the
     cursor at that moment, re-seeding a suspended cursor first, and no
-    generator is bound in this frame across a ``yield``: a retained
-    stream never keeps a dropped merge alive.
+    generator is bound in the producer's frame across a ``yield``.
 
-    No generator frame holds its owner: the producer gets the three
-    list appenders, never the stream, and returns ``end`` instead of
+    No generator frame holds its owner: the producer gets the stream's
+    three lists, never the stream, and returns ``end`` instead of
     setting it (:meth:`fill` records it).  A stream is therefore never
     part of a reference cycle, and the one a query drops is freed when
     its last reference goes, not by the garbage collector.
     """
 
     __slots__ = ("enl", "attempts", "demanded", "end", "advance",
-                 "_cursors", "_key")
+                 "_finder", "_key", "_estimate", "_cache_get")
 
     def __init__(self, finder, source: Vertex, category: CategoryId,
                  estimate: Callable[[Vertex], Cost],
@@ -200,25 +206,30 @@ class EstStream:
         (shared; may be ahead of or behind this stream); ``estimate`` is
         ``dis(·, t)`` and ``cache_get`` an optional probe of its memo
         tried first."""
-        key = (source, category)
-        nl = finder.cursor_for(source, category)
+        # The cursor exists from here on: the producer and members()
+        # look it up by key.
+        finder.cursor_for(source, category)
         self.enl: List[Tuple[Vertex, Cost, Cost]] = []
         self.attempts: List[int] = []
         self.demanded: List[int] = []
         self.end: Optional[Tuple[int, int]] = None
-        #: where :meth:`members` finds the cursor's current ``NL``
-        self._cursors = finder._cursors
-        self._key = key
-        self.advance: Optional[Callable] = self._produce(
-            self.enl.append, self.attempts.append, self.demanded.append,
-            finder, key, nl, estimate, cache_get).__next__
+        self.advance: Optional[Callable] = None
+        self._finder = finder
+        self._key = (source, category)
+        self._estimate = estimate
+        self._cache_get = cache_get
 
     def fill(self, x: int) -> bool:
         """Advance until ``enl`` holds ``x`` entries; False when the
-        stream ends first (``end`` is then set and ``advance`` None)."""
+        stream ends first (``end`` is then set and ``advance`` None).
+        A fresh or suspended stream starts its producer here."""
         advance = self.advance
         if advance is None:
-            return False
+            if self.end is not None:
+                return False
+            advance = self.advance = self._produce(
+                self.enl, self.attempts, self.demanded, self._finder,
+                self._key, self._estimate, self._cache_get).__next__
         enl = self.enl
         try:
             while len(enl) < x:
@@ -228,6 +239,12 @@ class EstStream:
             self.advance = None
             return False
         return True
+
+    def suspend(self) -> None:
+        """Drop the producer (its frame, ``ENQ`` and lookahead) and keep
+        what the stream produced; the next :meth:`fill` past ``enl``
+        rebuilds it.  An ended stream stays ended."""
+        self.advance = None
 
     def booked(self, x: int) -> Tuple[int, int]:
         """``(attempts, demanded)`` of a cold FindNEN asked for entries
@@ -242,22 +259,39 @@ class EstStream:
         """The first ``n`` members of the cursor's ``NL``: the vertices
         whose estimates a cold FindNEN demanded by position ``n`` of
         ``demanded``."""
-        nl = self._cursors[self._key]
+        nl = self._finder._cursors[self._key]
         return memoryview(nl).cast("q")[:2 * n:2].tolist()
 
     @staticmethod
-    def _produce(enl_append, attempts_append, demanded_append, finder,
-                 key, nl, estimate, cache_get):
+    def _produce(enl, attempts_made, demanded_made, finder, key, estimate,
+                 cache_get):
         """Generator appending one estimated neighbor per resume and
         returning the stream's ``end`` pair: the whole Algorithm 4 state
         machine (lookahead, ENQ, plain-NN read position) lives in this
         one frame, and a missing plain neighbor resumes the finder's
         merge generator for the cursor directly (re-seeding a suspended
-        cursor first).  A staticmethod fed the stream's appenders, so the
-        frame never holds the stream that holds the generator."""
+        cursor first).  A staticmethod fed the stream's lists, so the
+        frame never holds the stream that holds the generator.
+
+        It starts where the stream stands.  With nothing produced that is
+        the empty state.  Otherwise, with ``n = demanded[-1]``: ``NL[:n]``
+        is every member fetched and estimated so far, each one either in
+        ``ENL`` or still waiting in ``ENQ`` (with a finite estimate), so
+        ``ENQ`` is rebuilt from them (their estimates are in the memo),
+        and the read position is ``n``.  At each ``yield`` the loop has
+        stopped on a lookahead or on a dry cursor, so the lookahead is
+        ``NL[n]`` when ``NL`` holds it, and otherwise the cursor ended
+        with ``n`` entries.  ``attempts[-1]`` already booked both.
+        Members are unique, so the heap pops in the same order as the
+        one it replaces.
+        """
         cursors, live = finder._cursors, finder._live
         unpack_from, entry_size = _unpack_from, _ENTRY.size
         heappush_, heappop_ = heapq.heappush, heapq.heappop
+        enl_append = enl.append
+        attempts_append = attempts_made.append
+        demanded_append = demanded_made.append
+        nl = cursors[key]
         enq: List[Tuple[Cost, Cost, Vertex]] = []
         # The lookahead: NL entry (member, leg), leg None when empty.
         member = leg = None
@@ -265,6 +299,27 @@ class EstStream:
         attempts = 0   # plain-NN advances a cold cursor would have run
         demanded = 0   # NL entries whose estimate was taken
         dry = False
+        if enl:
+            attempts, demanded = attempts_made[-1], demanded_made[-1]
+            fetched = demanded * entry_size
+            produced = {entry[0] for entry in enl}
+            # Temporary views: a bytearray held in a view cannot grow.
+            members = memoryview(nl).cast("q")[:2 * demanded:2].tolist()
+            legs = memoryview(nl).cast("d")[1:2 * demanded:2].tolist()
+            for vertex, cost in zip(members, legs):
+                if vertex in produced:
+                    continue
+                h = cache_get(vertex) if cache_get is not None else None
+                if h is None:
+                    h = estimate(vertex)
+                if h != INFINITY:
+                    enq.append((cost + h, cost, vertex))
+            heapq.heapify(enq)
+            if fetched < len(nl):
+                member, leg = unpack_from(nl, fetched)
+                fetched += entry_size
+            else:
+                dry = True
         while True:
             while True:
                 if leg is None and not dry:

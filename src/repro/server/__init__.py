@@ -30,7 +30,11 @@ Layer contract
   than queueing unboundedly.
 """
 
-from repro.server.async_service import AsyncQueryService, ServingStats
-from repro.server.tcp import serve
+from repro._lazy import lazy_exports
 
-__all__ = ["AsyncQueryService", "ServingStats", "serve"]
+# Resolved on first use (see :mod:`repro._lazy`): an in-process front
+# door (``batch --async``) never loads the TCP face.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.server.async_service": ("AsyncQueryService", "ServingStats"),
+    "repro.server.tcp": ("serve",),
+})

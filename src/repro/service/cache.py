@@ -68,6 +68,14 @@ category version drops that category's streams in every kernel, an
 ``epoch_base`` move or a ``max_dest_kernels`` eviction drops them with
 the kernel, and a ``max_finders`` eviction takes a cursor's streams
 with it.
+
+Between queries a kept stream holds only what it produced: ``ENL`` and
+its per-entry bookings.  The session suspends every kept stream the last
+query read (:meth:`~repro.nn.estimated.EstStream.suspend`), dropping its
+producer frame and ``ENQ``, and a later query that reads past ``ENL``
+rebuilds them from the cursor's ``NL`` and the kernel's memo.  Most kept
+streams are never read past their ``ENL`` again (a ``k = 1`` query reads
+one entry).
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import partial
 from itertools import islice
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import QueryError
 from repro.labeling.assembly import assemble_index
@@ -309,7 +317,10 @@ class SessionCache:
     re-seeded from ``NL`` if a later query advances it
     (:meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`).  Most
     cursors a query leaves unfinished are never advanced again, so the
-    session holds ``NL`` buffers, not merge heaps.
+    session holds ``NL`` buffers, not merge heaps.  The kept FindNEN
+    streams the last query read are suspended there too
+    (:meth:`~repro.nn.estimated.EstStream.suspend`): they keep ``ENL``,
+    not their producer and ``ENQ``.
     """
 
     def __init__(self, engine, max_dest_kernels: Optional[int] = None,
@@ -330,6 +341,10 @@ class SessionCache:
             OrderedDict()
         self._ch = None
         self._disk: Optional[IndexAttachment] = None
+        #: the kept streams handed out since the last :meth:`finder_view`,
+        #: so a suspension costs what the last query read, not the
+        #: stream population
+        self._read_streams: List[EstStream] = []
 
     # ------------------------------------------------------------------
     def populations(self) -> Dict[str, int]:
@@ -423,11 +438,16 @@ class SessionCache:
     def finder_view(self) -> ColdEquivalentFinderView:
         """A fresh per-query view over the session's shared label finder.
 
-        This is the session's between-queries seam: the cursors the last
-        query seeded drop their merge state here (keeping ``NL``; see
+        This is the session's between-queries seam: the kept streams and
+        the cursors the last query read drop their producers and merge
+        state here (keeping ``ENL`` and ``NL``; see
+        :meth:`~repro.nn.estimated.EstStream.suspend` and
         :meth:`~repro.nn.label_nn.PackedLabelNNFinder.suspend`) and the
         cursor population is trimmed to ``max_finders``.
         """
+        for stream in self._read_streams:
+            stream.suspend()
+        self._read_streams.clear()
         if self._label_finder is None:
             self._label_finder = self.engine.finder("label")
             self.stats.finder_misses += 1
@@ -488,11 +508,16 @@ class SessionCache:
         stream = by_source.get(source)
         if stream is not None:
             self.stats.est_stream_hits += 1
+            self._read_streams.append(stream)
             return stream
         self.stats.est_stream_misses += 1
         stream = EstStream(self._label_finder, source, category,
                            kernel.fn, kernel.memo.get)
-        by_source[source] = stream if source in by_source else None
+        if source in by_source:
+            by_source[source] = stream
+            self._read_streams.append(stream)
+        else:
+            by_source[source] = None
         return stream
 
     def dest_kernel(self, target: Vertex) -> SharedDestKernel:

@@ -16,7 +16,8 @@ collection and counts again.  The counts must be equal: what a path
 keeps is reachable, and what it dropped was freed when its last
 reference went.  What a warm session keeps per FindNN cursor, its
 ``NL`` buffer, is not even a container the collector tracks, and no
-merge generator outlives the session's between-queries suspension.
+merge generator or FindNEN producer outlives the session's
+between-queries suspension.
 """
 
 import asyncio
@@ -67,16 +68,26 @@ def _collector_off():
             gc.enable()
 
 
-def _assert_cursors_untracked_and_suspendable(finder) -> None:
+def _assert_cursors_untracked_and_suspendable(session) -> None:
     """Every warm ``NL`` is invisible to the collector, and once the
-    session suspends its cursors no FindNN merge generator is alive."""
+    session passes its between-queries seam (the next query's
+    :meth:`~repro.service.cache.SessionCache.finder_view`) no FindNN
+    merge generator and no FindNEN producer is alive: every kept stream
+    holds only what it produced."""
+    finder = session._label_finder
     assert finder._cursors
     assert not any(gc.is_tracked(nl) for nl in finder._cursors.values())
-    finder.suspend()
+    session.finder_view()
     assert not finder._live
-    merge = PackedLabelNNFinder._stream.__code__
+    kept = [stream for kernel in session._dest_kernels.values()
+            for by_source in kernel.streams.values()
+            for stream in by_source.values() if stream is not None]
+    assert kept
+    assert all(stream.advance is None for stream in kept)
+    codes = {PackedLabelNNFinder._stream.__code__,
+             EstStream._produce.__code__}
     assert not [obj for obj in gc.get_objects()
-                if type(obj) is types.GeneratorType and obj.gi_code is merge]
+                if type(obj) is types.GeneratorType and obj.gi_code in codes]
 
 
 def _left_for_the_collector() -> Counter:
@@ -128,8 +139,7 @@ def test_warm_session_with_evictions_leaves_nothing(setting):
                                               k=k),
                             QueryOptions(method=method))
         leftover = _left_for_the_collector()
-        _assert_cursors_untracked_and_suspendable(
-            service.session._label_finder)
+        _assert_cursors_untracked_and_suspendable(service.session)
     stats = service.session.stats
     assert stats.cursor_evictions and stats.dest_kernel_evictions
     assert stats.est_stream_hits  # streams were kept and read back
@@ -174,7 +184,7 @@ def test_tcp_front_door_leaves_nothing(setting):
             gc.collect()
             after = _census()
             _assert_cursors_untracked_and_suspendable(
-                server.query_service.service.session._label_finder)
+                server.query_service.service.session)
             writer.close()
             await writer.wait_closed()
             return before - after

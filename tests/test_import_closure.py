@@ -1,12 +1,12 @@
 """What each entry point imports, checked in a fresh interpreter.
 
-``repro``, ``repro.core`` and ``repro.graph`` resolve their public names
-on first use, and the CLI, the front door and plan execution import the
-figure harness, the generators, the fleet and GSP only where they run
-them.  An in-process test cannot see a regression in that: by the time
-it runs, the suite has imported every module.  So each check here runs
-``python -c`` with the source tree on the path and reads
-``sys.modules`` at the end.
+``repro``, ``repro.core``, ``repro.graph`` and ``repro.server`` resolve
+their public names on first use, and the CLI, the front door and plan
+execution import the figure harness, the generators, the fleet, GSP and
+the TCP face only where they run them.  An in-process test cannot see a
+regression in that: by the time it runs, the suite has imported every
+module.  So each check here runs ``python -c`` with the source tree on
+the path and reads ``sys.modules`` at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 import repro
 import repro.core
 import repro.graph
+import repro.server
 from repro import KOSREngine, QueryOptions
 from repro.graph.io import save_json
 from repro.graph.paper import paper_figure1_graph, vertex
@@ -108,6 +109,32 @@ class TestEntryPointClosures:
         assert "repro.shard.service" in modules
         assert loaded(modules, ["repro.experiments"]) == []
 
+    @pytest.mark.parametrize("package", ["repro", "repro.server"])
+    def test_in_process_front_door_loads_no_tcp_face(self, tmp_path,
+                                                     package):
+        _, modules = run_fresh(f"from {package} import AsyncQueryService\n",
+                               tmp_path)
+        assert "repro.server.async_service" in modules
+        assert "repro.server.tcp" not in modules
+
+    def test_batch_async_loads_no_tcp_face(self, fig1_files, tmp_path):
+        """`batch --async` drives the asyncio front door in process: it
+        answers without loading the TCP face."""
+        graph_path, _ = fig1_files
+        workload = tmp_path / "workload.json"
+        workload.write_text(json.dumps(
+            [{"source": S, "target": T, "categories": CATEGORIES, "k": 2}]))
+        argv = ["batch", "--graph", graph_path, "--workload", str(workload),
+                "--async", "--json"]
+        lines, modules = run_fresh(
+            "from repro.cli import main\n"
+            f"main({argv!r})\n", tmp_path)
+        assert "repro.server.async_service" in modules
+        assert "repro.server.tcp" not in modules
+        expected = KOSREngine.build(paper_figure1_graph()).query(
+            S, T, CATEGORIES, k=2).costs
+        assert json.loads("\n".join(lines))["queries"][0]["costs"] == expected
+
     def test_spawned_worker_loads_no_front_door(self, tmp_path):
         """A spawn-started shard worker imports its module afresh: that
         import brings no event loop, TCP face or figure harness."""
@@ -152,7 +179,8 @@ CONSTANT_HOMES = {"Cost": "repro.types", "Vertex": "repro.types",
                   "DATASET_NAMES": "repro.graph.generators"}
 
 
-@pytest.mark.parametrize("package", [repro, repro.core, repro.graph],
+@pytest.mark.parametrize("package",
+                         [repro, repro.core, repro.graph, repro.server],
                          ids=lambda p: p.__name__)
 class TestLazyPublicNames:
     def test_every_name_is_its_defining_modules_object(self, package):
@@ -179,9 +207,10 @@ class TestLazyPublicNames:
 
 def test_every_public_name_resolves_in_a_fresh_interpreter(tmp_path):
     lines, _ = run_fresh(
-        "import repro, repro.core, repro.graph\n"
+        "import repro, repro.core, repro.graph, repro.server\n"
         "missing = [f'{p.__name__}.{n}' for p in (repro, repro.core, "
-        "repro.graph) for n in p.__all__ if not hasattr(p, n)]\n"
+        "repro.graph, repro.server) for n in p.__all__ "
+        "if not hasattr(p, n)]\n"
         "namespace = {}\n"
         "exec('from repro import *', namespace)\n"
         "missing += [n for n in repro.__all__ if n not in namespace]\n"

@@ -547,3 +547,86 @@ class TestEstStream:
             assert fused.find(s, c, x) == generic.find(s, c, x)
         assert fused.queries == generic.queries
         assert finder.queries == 0  # booked from positions, not advances
+
+
+class TestEstStreamResume:
+    """A kept stream suspended after every entry it produces (and its
+    cursor with it, as a session does between queries) resumes to the
+    stream a never-suspended twin produces: the same entries, bookings
+    and end."""
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_suspended_after_every_entry_matches_a_twin(self, seed):
+        from repro import KOSREngine
+        from repro.nn.estimated import EstStream
+        from repro.nn.label_nn import _SHIFT, PackedLabelNNFinder
+        from repro.service.cache import SharedDestKernel
+
+        rng = random.Random(seed)
+        g = random_graph(40, 2.0, rng=rng)
+        assign_uniform_categories(g, 3, 8, rng)
+        engine = KOSREngine.build(g)
+
+        def stream_over(finder, source, cid, target):
+            kernel = SharedDestKernel(target,
+                                      finder.make_dest_distance(target))
+            return EstStream(finder, source, cid, kernel.fn,
+                             kernel.memo.get), kernel.memo
+
+        shapes = set()
+        for target, other_target in zip(rng.sample(range(40), 4),
+                                         rng.sample(range(40), 4)):
+            for source in rng.sample(range(40), 10):
+                for cid in range(g.num_categories):
+                    key = (source, cid)
+                    finder = PackedLabelNNFinder(engine.labels,
+                                                 engine.inverted)
+                    stream, memo = stream_over(finder, source, cid, target)
+                    # Another target's stream over the same cursor.
+                    other, _ = stream_over(finder, source, cid, other_target)
+                    twin, _ = stream_over(
+                        PackedLabelNNFinder(engine.labels, engine.inverted),
+                        source, cid, target)
+                    x = 0
+                    while True:
+                        x += 1
+                        more = stream.fill(x)
+                        assert twin.fill(x) == more
+                        assert stream.enl == twin.enl
+                        assert stream.attempts == twin.attempts
+                        assert stream.demanded == twin.demanded
+                        assert stream.end == twin.end
+                        if not more:
+                            assert stream.advance is None
+                            break
+                        stream.suspend()
+                        finder.suspend()
+                        assert stream.advance is None and stream.end is None
+                        n = stream.demanded[-1]
+                        nl = finder._cursors[key]
+                        # (a growing NL is one bytearray, grown in place)
+                        length, ended = len(nl), type(nl) is bytes
+                        if length > n << _SHIFT:
+                            shapes.add("lookahead pending")
+                        else:
+                            produced = {m for m, _, _ in stream.enl}
+                            if [m for m in stream.members(n)
+                                    if m not in produced
+                                    and memo[m] != INFINITY]:
+                                shapes.add("dry, ENQ draining")
+                        # Meanwhile a query to another target moves the
+                        # shared cursor, or runs it to its end.
+                        if rng.random() < 0.2:
+                            enumerate_all(finder, source, cid)
+                        elif rng.random() < 0.5:
+                            other.fill(len(other.enl) + rng.randint(1, 3))
+                            other.suspend()
+                        finder.suspend()
+                        moved = finder._cursors[key]
+                        if len(moved) > length:
+                            shapes.add("cursor advanced meanwhile")
+                        if type(moved) is bytes and not ended:
+                            shapes.add("cursor ended meanwhile")
+        assert shapes == {"lookahead pending", "dry, ENQ draining",
+                          "cursor advanced meanwhile",
+                          "cursor ended meanwhile"}

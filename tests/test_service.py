@@ -17,6 +17,7 @@ Covers the contracts the engine facade now rests on:
   through ``update_edge`` and ``compact``.
 """
 
+import gc
 import json
 import random
 from types import GeneratorType
@@ -478,29 +479,38 @@ class TestWarmFindNEN:
         assert session.stats.est_stream_hits > hits
         assert resumed
 
-    def test_retained_streams_bind_no_merge_across_a_yield(self):
-        """Between queries a kept stream's producer frame holds no merge
-        generator: each plain-NN advance looks the cursor's merge up in the
-        finder's ``_live`` and lets go of it at the ``yield``, so the
-        suspension at the next :meth:`finder_view` really drops it."""
+    def test_kept_streams_hold_no_producer_between_queries(self):
+        """Between queries a kept stream holds only what it produced: the
+        next :meth:`finder_view` suspends every stream the last query
+        read, so no FindNEN producer frame (with its ``ENQ`` and
+        lookahead) and no FindNN merge is left alive, and the group's
+        growing ``k`` still resumes them to cold answers."""
+        from repro.nn.estimated import EstStream
+
         g = _graph(53, n=60, cats=4, size=9)
         service = QueryService(KOSREngine.build(g))
         session = service.session
         t, cats = g.num_vertices - 1, [0, 1, 2]
-        # Growing k: the streams a group keeps read past the NL that
-        # earlier requests left and advance the cursors' merges.
+        producer = EstStream._produce.__code__
+        # Growing k: the streams a group keeps read past the ENL that
+        # earlier requests left, so suspended streams are resumed.
         for k in (2, 4, 8, 12):
-            service.run(make_query(g, 2, t, cats, k=k), SK)
-        session.finder_view()  # the next query's view suspends the cursors
-        assert not session._label_finder._live
-        frames = [stream.advance.__self__.gi_frame
-                  for by_source in session._dest_kernels[t].streams.values()
-                  for stream in by_source.values()
-                  if stream is not None and stream.advance is not None]
-        assert frames
-        for frame in frames:
-            assert not [value for value in frame.f_locals.values()
-                        if isinstance(value, GeneratorType)]
+            q = make_query(g, 2, t, cats, k=k)
+            assert_same_outcome(service.run(q, SK),
+                                KOSREngine.build(g).run(q, SK))
+            session.finder_view()  # the next query's view
+            assert not session._label_finder._live
+            kept = [stream
+                    for by_source in session._dest_kernels[t].streams.values()
+                    for stream in by_source.values() if stream is not None]
+            assert all(stream.advance is None for stream in kept)
+            gc.collect()
+            assert not [obj for obj in gc.get_objects()
+                        if type(obj) is GeneratorType
+                        and obj.gi_code is producer]
+        assert kept and session.stats.est_stream_hits
+        # Some kept streams are suspended mid-stream, not ended.
+        assert [stream for stream in kept if stream.end is None]
 
     def test_repeated_category_shares_one_stream_per_query(self):
         """C = (a, b, a): both levels of category a read one stream, and
